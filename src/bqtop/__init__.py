@@ -19,8 +19,9 @@ from .dsl import ParseError, parse, parse_group, parse_morphism, serialize
 from .homotopy import (HypothesisViolated, PathClassTable, Presentation,
                        SupportTooLarge, VanKampenResult, abelianization,
                        minimal_relation_supports, natural_homotopy_classes,
-                       pi1_presentation, simplify_presentation,
-                       van_kampen_pushout, walk_homotopy_classes)
+                       pi1_presentation, relation_components,
+                       simplify_presentation, van_kampen_pushout,
+                       walk_homotopy_classes)
 from .complex import (Cell, CellComplex, HomologyResult, build_complex,
                       coboundary, cohomology, cup_product,
                       euler_characteristic, homology, parse_coefficients)
@@ -48,7 +49,8 @@ __all__ = [
     # text format
     "parse", "serialize", "parse_morphism", "parse_group", "ParseError",
     # homotopy classes and the fundamental group
-    "minimal_relation_supports", "natural_homotopy_classes",
+    "relation_components", "minimal_relation_supports",
+    "natural_homotopy_classes",
     "walk_homotopy_classes", "PathClassTable", "Presentation",
     "pi1_presentation", "simplify_presentation", "abelianization",
     "van_kampen_pushout", "VanKampenResult", "SupportTooLarge",

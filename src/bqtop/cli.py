@@ -64,8 +64,6 @@ def _build_parser():
         p.add_argument("--walk-bound", type=int, default=None,
                        help="walk rewriting length bound"
                             " (env BQTOP_WALK_BOUND)")
-        p.add_argument("--support-cap", type=int, default=None,
-                       help="minimal relation support size cap")
         p.add_argument("--out", default=None, help="write report here")
 
     common(sub.add_parser("check", help="algebra properties"))
@@ -113,7 +111,6 @@ def _build_parser():
     p.add_argument("--galois", default=None, help="group file")
     p.add_argument("--path-cap", type=int, default=None)
     p.add_argument("--walk-bound", type=int, default=None)
-    p.add_argument("--support-cap", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("dot", help="DOT export of the quiver")
@@ -142,19 +139,13 @@ def _config(args):
         else _env_int("BQTOP_PATH_CAP"),
         "walk_bound": args.walk_bound if args.walk_bound is not None
         else _env_int("BQTOP_WALK_BOUND"),
-        "support_cap": args.support_cap,
     }
 
 
 def _classes(table, cfg, sharp):
-    kwargs = {}
-    if cfg["support_cap"] is not None:
-        kwargs["support_cap"] = cfg["support_cap"]
     if sharp:
-        if cfg["walk_bound"] is not None:
-            kwargs["walk_bound"] = cfg["walk_bound"]
-        return walk_homotopy_classes(table, **kwargs)
-    return natural_homotopy_classes(table, **kwargs)
+        return walk_homotopy_classes(table, walk_bound=cfg["walk_bound"])
+    return natural_homotopy_classes(table)
 
 
 def _groups_json(res, prefix):
@@ -261,10 +252,7 @@ def _dispatch(args, cfg):
                 list(cx.caveats), True)
 
     if cmd == "pi1":
-        kwargs = {}
-        if cfg["support_cap"] is not None:
-            kwargs["support_cap"] = cfg["support_cap"]
-        pres = pi1_presentation(table, base=args.base, **kwargs)
+        pres = pi1_presentation(table, base=args.base)
         if args.simplify:
             pres = simplify_presentation(pres)
         result = {
@@ -296,6 +284,7 @@ def _dispatch(args, cfg):
             return {"error": str(e)}, [], False
         if not algebra.ok:
             return {"witnesses": list(algebra.witnesses)}, [], False
+        caveats = list(algebra.classes.caveats)
 
         if cmd == "simplicial":
             sc = simplicial_complex(algebra)
@@ -303,14 +292,15 @@ def _dispatch(args, cfg):
             return ({"basis": [str(e) for e in algebra.elements],
                      "counts": list(sc.counts()),
                      "SH": _groups_json(res, "SH")},
-                    [], True)
+                    caveats, True)
 
         if cmd == "hochschild":
             try:
                 hc = HochschildComplex(algebra, args.field)
             except TriangularRequired as e:
                 return {"error": str(e)}, [], False
-            return ({"field": args.field, "HH": hc.hh_dims()}, [], True)
+            return ({"field": args.field, "HH": hc.hh_dims()}, caveats,
+                    True)
 
         # compare
         try:
@@ -330,7 +320,7 @@ def _dispatch(args, cfg):
                  "eps_mu_identity": rep.eps_mu_identity,
                  "degrees": [dict(d, degree=i)
                              for i, d in enumerate(rep.degrees)]},
-                [], True)
+                caveats, True)
 
     raise AssertionError("unhandled command %r" % cmd)
 
@@ -351,13 +341,8 @@ def _cover(args, cfg):
     result["covering"] = _covering_json(rep)
     ok = rep.ok
     if rep.ok:
-        kwargs = {}
-        if cfg["support_cap"] is not None:
-            kwargs["support_cap"] = cfg["support_cap"]
-        cxb = build_complex(base_t, natural_homotopy_classes(base_t,
-                                                             **kwargs))
-        cxc = build_complex(cover_t, natural_homotopy_classes(cover_t,
-                                                              **kwargs))
+        cxb = build_complex(base_t, natural_homotopy_classes(base_t))
+        cxc = build_complex(cover_t, natural_homotopy_classes(cover_t))
         caveats.extend(cxb.caveats)
         caveats.extend(cxc.caveats)
         lift = lift_complex_map(cxb, cxc, p)

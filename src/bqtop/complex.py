@@ -17,6 +17,7 @@ coefficients derived by rank or universal coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Path, compose
@@ -328,8 +329,8 @@ def homology_of_matrices(dims, mats, coeff, top=None):
         free, tors = integral[n]
         prev_tors = integral[n - 1][1] if n >= 1 else ()
         orders = [m] * free
-        orders += [_gcd(d, m) for d in tors]
-        orders += [_gcd(d, m) for d in prev_tors]   # Tor term
+        orders += [math.gcd(d, m) for d in tors]
+        orders += [math.gcd(d, m) for d in prev_tors]   # Tor term
         groups.append(tuple(sorted(o for o in orders if o > 1)))
     return HomologyResult("Zmod:%d" % m, "cyclic", tuple(groups))
 
@@ -359,16 +360,10 @@ def cohomology_of_matrices(dims, mats, coeff, top=None):
         free, tors = integral[n]
         prev_tors = integral[n - 1][1] if n >= 1 else ()
         orders = [m] * free
-        orders += [_gcd(d, m) for d in tors]        # Hom on torsion
-        orders += [_gcd(d, m) for d in prev_tors]   # Ext term
+        orders += [math.gcd(d, m) for d in tors]        # Hom on torsion
+        orders += [math.gcd(d, m) for d in prev_tors]   # Ext term
         groups.append(tuple(sorted(o for o in orders if o > 1)))
     return HomologyResult("Zmod:%d" % m, "cyclic", tuple(groups))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _complex_matrices(cx):

@@ -7,6 +7,14 @@ every minimal relation and is closed under two-sided composition (factor
 replacement).  Walk homotopy additionally inverts arrows: it is natural
 homotopy plus the cancellation rules a a^-1 ~ e and a^-1 a ~ e on walks.
 
+Chains of minimal-relation co-members are read off without enumerating
+any relation: for each vertex pair (x, y) they are the connected
+components of the matroid of W = I(x, y) restricted to the nonzero
+paths, found from the fundamental circuits of one RREF basis of W
+(`relation_components`).  The support search `minimal_relation_supports`
+and the exact minimality check `is_minimal_relation` are kept only as an
+oracle for tests; a caller may still pass its own minimal relations.
+
 Natural classes are computed exactly on the path table by fixpoint
 closure.  Walk classes face a genuine word problem, so they are computed
 by bounded breadth-first rewriting: merges are sound (each is witnessed
@@ -19,11 +27,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NotConnectedError, Path, compose, path_sort_key
-from .linalg import QQ, nullspace, rank
+from .linalg import QQ, nullspace, rank, rref
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
@@ -113,13 +122,14 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
     Returns (relations, warnings): warnings lists vertex pairs whose
     nonzero path count exceeds the cap, in which case larger supports
     were not searched (the enumeration may be incomplete there).
+
+    The search costs a nullspace and up to 2^(|S|-1) split ranks per
+    support, so only tests call it, as the oracle for
+    `relation_components`.
     """
-    q = table.quiver
     relations = []
     warnings = []
-    pairs = sorted(table.pair_paths,
-                   key=lambda xy: (q.vertex_index[xy[0]], q.vertex_index[xy[1]]))
-    for pair in pairs:
+    for pair in _in_vertex_order(table, table.pair_paths):
         idxs = table.pair_paths[pair]
         if not table.ideal_rows.get(pair):
             continue
@@ -174,11 +184,12 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
                 # normalize: primitive integers, positive on the least path
                 denom = 1
                 for _, c in found:
-                    denom = denom * c.denominator // _gcd(denom, c.denominator)
+                    denom = denom * c.denominator // math.gcd(denom,
+                                                              c.denominator)
                 ints = [c * denom for _, c in found]
                 g = 0
                 for c in ints:
-                    g = _gcd(g, abs(int(c)))
+                    g = math.gcd(g, int(c))
                 ints = [int(c) // g for c in ints]
                 if ints[0] < 0:
                     ints = [-c for c in ints]
@@ -188,10 +199,57 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
     return relations, warnings
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _in_vertex_order(table, pairs):
+    index = table.quiver.vertex_index
+    return sorted(pairs, key=lambda xy: (index[xy[0]], index[xy[1]]))
+
+
+def relation_components(table):
+    """Co-member groups of the minimal relations, one per matroid component.
+
+    Two paths lie on a chain of minimal relations exactly when they lie in
+    one connected component of the matroid whose circuits are the minimal
+    supports of W = I(x, y) restricted to the nonzero paths of the pair:
+    a minimal relation never crosses a component (its parts in the
+    components would be proper sub-sums inside I), and any two elements of
+    a connected matroid share a circuit, which is itself a minimal
+    relation.  The components come from the fundamental circuits of one
+    RREF basis of W: each row links its pivot column to every column it
+    touches (Oxley, Matroid Theory, ch. 4).  Zero paths are dropped first;
+    their unit vectors lie in W, so dropping the columns loses nothing.
+
+    Returns the components with at least two paths as lists of paths in
+    table order.  Pairs follow the vertex order and the components of one
+    pair are ordered by (size, local indices), the order in which
+    `minimal_relation_supports` emits single-circuit supports.
+    """
+    groups = []
+    for pair in _in_vertex_order(table, table.ideal_rows):
+        rows = table.ideal_rows[pair]
+        if not rows:
+            continue
+        idxs = table.pair_paths[pair]
+        live = [k for k, i in enumerate(idxs) if i not in table.in_ideal]
+        reduced, pivots = rref([[row[k] for k in live] for row in rows], QQ)
+        parent = list(range(len(live)))
+        for row, piv in zip(reduced, pivots):
+            for j, x in enumerate(row):
+                if x != 0:
+                    _union(parent, piv, j)
+        comps = {}
+        for j, k in enumerate(live):
+            comps.setdefault(_find(parent, j), []).append(k)
+        for comp in sorted((c for c in comps.values() if len(c) >= 2),
+                           key=lambda c: (len(c), c)):
+            groups.append([table.paths[idxs[k]] for k in comp])
+    return groups
+
+
+def _co_member_groups(table, minrels):
+    """Matroid components, or the supports of the caller's relations."""
+    if minrels is None:
+        return relation_components(table)
+    return [mr.support() for mr in minrels]
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +369,18 @@ def _factor_replacement_closure(table, parent):
                             changed = True
 
 
-def natural_homotopy_classes(table, minrels=None, support_cap=DEFAULT_SUPPORT_CAP):
+def natural_homotopy_classes(table, minrels=None):
     """Fixpoint closure of minimal-relation merges under factor replacement.
 
-    Classes may contain ideal members: replacing a factor can land on a
-    path inside I, and such paths carry cell-identification data.
+    The merges are the matroid components of `relation_components`, which
+    are exact and need no cap; `minrels`, when given, replaces them by the
+    supports of those relations.  Classes may contain ideal members:
+    replacing a factor can land on a path inside I, and such paths carry
+    cell-identification data.
     """
+    groups = _co_member_groups(table, minrels)
     caveats = []
-    if minrels is None:
-        minrels, warnings = minimal_relation_supports(table, support_cap)
-        caveats.extend(warnings)
-    if any(len({len(p) for p in mr.support()}) > 1 for mr in minrels):
+    if any(len({len(p) for p in group}) > 1 for group in groups):
         # with equal-length supports every rewrite chain between two paths
         # stays at their common length, so closure inside the table is
         # exact; mixed lengths can force chains through longer paths
@@ -330,9 +389,9 @@ def natural_homotopy_classes(table, minrels=None, support_cap=DEFAULT_SUPPORT_CA
             "only within the path table bound, the partition may be finer "
             "than the true one")
     parent = list(range(len(table.paths)))
-    for mr in minrels:
-        first = table.index[mr.terms[0][0]]
-        for p, _ in mr.terms[1:]:
+    for group in groups:
+        first = table.index[group[0]]
+        for p in group[1:]:
             _union(parent, first, table.index[p])
     _factor_replacement_closure(table, parent)
     return PathClassTable(table, "natural", parent, caveats)
@@ -370,7 +429,6 @@ def _walk_vertices(quiver, walk):
 
 
 def walk_homotopy_classes(table, minrels=None, walk_bound=None,
-                          support_cap=DEFAULT_SUPPORT_CAP,
                           node_cap=WALK_NODE_CAP):
     """Bounded BFS rewriting on walks; default bound is 2L + 4.
 
@@ -380,23 +438,20 @@ def walk_homotopy_classes(table, minrels=None, walk_bound=None,
     the partition can only be finer than true walk homotopy; truncation
     by the length bound or the node cap is recorded as a caveat.
     """
+    groups = _co_member_groups(table, minrels)
     caveats = []
-    if minrels is None:
-        minrels, warnings = minimal_relation_supports(table, support_cap)
-        caveats.extend(warnings)
     if walk_bound is None:
         walk_bound = 2 * table.bound + 4
     q = table.quiver
-    if not minrels:
+    if not groups:
         # no relations: walks only cancel, so parallel paths never merge
         parent = list(range(len(table.paths)))
         return PathClassTable(table, "walk", parent, caveats)
 
     swaps = []
     seen_pairs = set()
-    for mr in minrels:
-        supp = mr.support()
-        for w1, w2 in itertools.permutations(supp, 2):
+    for group in groups:
+        for w1, w2 in itertools.permutations(group, 2):
             key = (w1.arrows, w2.arrows)
             if key in seen_pairs:
                 continue
@@ -553,23 +608,21 @@ def spanning_tree(quiver, base):
     return tree, walk_to
 
 
-def pi1_presentation(table, minrels=None, base=None,
-                     support_cap=DEFAULT_SUPPORT_CAP):
+def pi1_presentation(table, minrels=None, base=None):
     """Presentation of the fundamental group of the bound quiver.
 
     Generators are all arrows; relators are the spanning tree arrows plus,
-    for each minimal relation with support w_1 < ... < w_m, the words
-    w_1 w_j^-1 for j = 2..m.
+    for each co-member group w_1 < ... < w_m (a matroid component, or the
+    support of one of the given `minrels`), the words w_1 w_j^-1 for
+    j = 2..m.
     """
     q = table.quiver
-    if minrels is None:
-        minrels, _ = minimal_relation_supports(table, support_cap)
     if base is None:
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
     relators = [((name, 1),) for name in tree]
-    for mr in minrels:
-        supp = sorted(mr.support(), key=lambda p: path_sort_key(q, p))
+    for group in _co_member_groups(table, minrels):
+        supp = sorted(group, key=lambda p: path_sort_key(q, p))
         w1 = tuple((a, 1) for a in supp[0].arrows)
         for wj in supp[1:]:
             relators.append(free_reduce(
@@ -702,9 +755,7 @@ def _restricted_relations(table, verts):
     from .core import RelVector
     vset = set(verts)
     rels = []
-    for pair in sorted(table.ideal_rows,
-                       key=lambda xy: (table.quiver.vertex_index[xy[0]],
-                                       table.quiver.vertex_index[xy[1]])):
+    for pair in _in_vertex_order(table, table.ideal_rows):
         if pair[0] not in vset or pair[1] not in vset:
             continue
         idxs = table.pair_paths[pair]
@@ -737,16 +788,18 @@ def _check_convex(quiver, verts, label):
                 "re-enters" % (label, a.name), witness=a.name)
 
 
-def van_kampen_pushout(table, v1, v2, minrels=None,
-                       support_cap=DEFAULT_SUPPORT_CAP):
+def van_kampen_pushout(table, v1, v2, minrels=None):
     """Presentations of the two pieces, their intersection and the pushout.
 
     Requires: V1 and V2 cover the vertices, both full subquivers convex,
     every nonzero path contained in one piece, and the intersection
-    subquiver connected and nonempty.  The pushout is the amalgamated
-    free product over the intersection's fundamental group, presented on
-    disjoint copies of the pieces' arrows with one amalgamation relator
-    per non-tree arrow of the intersection.
+    subquiver connected and nonempty.  Each piece and the intersection
+    take their co-member groups from their own matroid components or,
+    when `minrels` is given, from the relations with both endpoints
+    inside (by convexity these are the piece's own minimal relations).
+    The pushout is the amalgamated free product over the intersection's
+    fundamental group, presented on disjoint copies of the pieces' arrows
+    with one amalgamation relator per non-tree arrow of the intersection.
     """
     from .core import enumerate_paths
     q = table.quiver
@@ -771,14 +824,19 @@ def van_kampen_pushout(table, v1, v2, minrels=None,
         raise HypothesisViolated("intersection subquiver is not connected")
     base = shared[0]
 
+    def inside(verts):
+        if minrels is None:
+            return None
+        return [mr for mr in minrels
+                if mr.source in verts and mr.target in verts]
+
     def piece(verts):
         from .core import BoundQuiver
         sub = _full_subquiver(q, verts)
         sub = BoundQuiver(sub.vertices, sub.arrows,
                           _restricted_relations(table, verts))
         sub_table = enumerate_paths(sub, cap=max(12, table.bound + 1))
-        mrs, _ = minimal_relation_supports(sub_table, support_cap)
-        return sub, pi1_presentation(sub_table, mrs, base=base)
+        return sub, pi1_presentation(sub_table, inside(verts), base=base)
 
     sub1, pres1 = piece(v1)
     sub2, pres2 = piece(v2)
@@ -787,8 +845,7 @@ def van_kampen_pushout(table, v1, v2, minrels=None,
     sub0 = BoundQuiver(sub0.vertices, sub0.arrows,
                        _restricted_relations(table, shared))
     table0 = enumerate_paths(sub0, cap=max(12, table.bound + 1))
-    mrs0, _ = minimal_relation_supports(table0, support_cap)
-    pres0 = pi1_presentation(table0, mrs0, base=base)
+    pres0 = pi1_presentation(table0, inside(shared), base=base)
 
     tree0, walk0 = spanning_tree(sub0, base)
     arrows2 = set(a.name for a in sub2.arrows)

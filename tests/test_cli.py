@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
@@ -137,3 +138,81 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+def write_fan(tmp_path, k, seed=7):
+    """k routes s -> m_i -> t bound by one k-term sum relation whose
+    nonzero coefficients are drawn from a seeded generator."""
+    rng = random.Random(seed)
+    lines = ["vertex s", "vertex t"]
+    lines += ["arrow u%d s m%d" % (i, i) for i in range(1, k + 1)]
+    lines += ["arrow v%d m%d t" % (i, i) for i in range(1, k + 1)]
+    terms = ["%d*u%d*v%d" % (rng.randint(1, 9), i, i)
+             for i in range(1, k + 1)]
+    signs = [rng.choice("+-") for _ in terms[1:]]
+    lines.append("rel " + " ".join(
+        [terms[0]] + [x for pair in zip(signs, terms[1:]) for x in pair]))
+    path = tmp_path / ("fan%d.bq" % k)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_seven_route_fan_is_simply_connected(tmp_path):
+    # the only minimal relation has seven terms, so every route is
+    # homotopic to every other and the space is contractible
+    fan = write_fan(tmp_path, 7)
+    code, out, _ = run_cli(["pi1", "--simplify", "--abelianization", fan])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["result"]["generators"] == []
+    assert rep["result"]["relators"] == []
+    assert rep["result"]["abelianization"] == {"rank": 0, "torsion": []}
+    assert rep["caveats"] == []
+
+    code, out, _ = run_cli(["homology", fan])
+    assert code == 0
+    rep = json.loads(out)
+    groups = rep["result"]["groups"]
+    assert groups["H0"] == [1, []]
+    assert all(g == [0, []] for n, g in groups.items() if n != "H0")
+    assert rep["caveats"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi1", "corpus/ex1.bq"],
+    ["homology", "corpus/ex1.bq"],
+    ["cover", "verify", "corpus/rp2.bq", "corpus/rp2_cover.bq",
+     "corpus/rp2_morphism.map"],
+])
+def test_support_cap_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--support-cap", "7"])
+    assert exc.value.code == 2
+
+
+MIXED_LENGTH = """\
+arrow a 1 2
+arrow b 2 3
+arrow c 3 4
+arrow d 1 5
+arrow e 5 4
+rel a*b*c - d*e
+"""
+
+
+def test_algebra_commands_carry_natural_class_caveats(tmp_path):
+    # the relation ties a length-3 path to a length-2 path, so the
+    # natural classes carry the mixed-length caveat; the semi-normed
+    # basis exists and is built from those classes
+    quiver = tmp_path / "mixed.bq"
+    quiver.write_text(MIXED_LENGTH)
+    code, out, _ = run_cli(["homology", str(quiver)])
+    assert code == 0
+    caveats = json.loads(out)["caveats"]
+    assert len(caveats) == 1 and "mixed-length" in caveats[0]
+    for command in ("simplicial", "hochschild", "compare"):
+        code, out, _ = run_cli([command, str(quiver)])
+        assert code == 0, command
+        rep = json.loads(out)
+        assert rep["ok"] is True, command
+        assert rep["caveats"] == caveats, command

@@ -6,8 +6,9 @@ from bqtop.core import BoundQuiver, enumerate_paths
 from bqtop.homotopy import (HypothesisViolated, abelianization,
                             is_minimal_relation, minimal_relation_supports,
                             natural_homotopy_classes, pi1_presentation,
-                            simplify_presentation, spanning_tree,
-                            van_kampen_pushout, walk_homotopy_classes)
+                            relation_components, simplify_presentation,
+                            spanning_tree, van_kampen_pushout,
+                            walk_homotopy_classes)
 
 EX1 = BoundQuiver(
     ["1", "2", "3"],
@@ -162,6 +163,16 @@ def test_vk_pushout():
     assert abelianization(res.pushout) == (1, [2])
 
 
+def test_vk_pushout_from_given_relations():
+    # the pieces are convex, so the whole table's minimal relations with
+    # both endpoints in a piece are that piece's own
+    t = enumerate_paths(VK)
+    mrs, _ = minimal_relation_supports(t)
+    pieces = (["2", "3", "4", "5", "6"], ["1", "2", "3"])
+    assert (van_kampen_pushout(t, *pieces, minrels=mrs)
+            == van_kampen_pushout(t, *pieces))
+
+
 def test_vk_degenerate_pushout():
     t = enumerate_paths(VK)
     res = van_kampen_pushout(t, ["1"], ["1", "2", "3", "4", "5", "6"])
@@ -172,6 +183,15 @@ def test_vk_pushout_hypothesis_violation():
     t = enumerate_paths(VK)
     with pytest.raises(HypothesisViolated):
         van_kampen_pushout(t, ["1", "2"], ["2", "3", "4", "5", "6"])
+
+
+def test_relation_components_follow_the_search_order():
+    # every component here is a single circuit, so the components are the
+    # enumerated supports, in the order the search emits them
+    for quiver in (VK, KER):
+        t = enumerate_paths(quiver)
+        mrs, _ = minimal_relation_supports(t)
+        assert relation_components(t) == [mr.support() for mr in mrs]
 
 
 def test_ker_class_counts():
