@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NotConnectedError, Path, compose, path_sort_key
-from .linalg import QQ, nullspace, rank, rref
+from .linalg import QQ, nullspace, rank
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
@@ -215,8 +215,9 @@ def relation_components(table):
     a connected matroid share a circuit, which is itself a minimal
     relation.  The components come from the fundamental circuits of one
     RREF basis of W: each row links its pivot column to every column it
-    touches (Oxley, Matroid Theory, ch. 4).  Zero paths are dropped first;
-    their unit vectors lie in W, so dropping the columns loses nothing.
+    touches (Oxley, Matroid Theory, ch. 4).  A zero path's unit vector is
+    a row of the stored RREF basis of I(x, y) and no other row touches its
+    column, so it stays a singleton.
 
     Returns the components with at least two paths as lists of paths in
     table order.  Pairs follow the vertex order and the components of one
@@ -229,16 +230,14 @@ def relation_components(table):
         if not rows:
             continue
         idxs = table.pair_paths[pair]
-        live = [k for k, i in enumerate(idxs) if i not in table.in_ideal]
-        reduced, pivots = rref([[row[k] for k in live] for row in rows], QQ)
-        parent = list(range(len(live)))
-        for row, piv in zip(reduced, pivots):
-            for j, x in enumerate(row):
-                if x != 0:
-                    _union(parent, piv, j)
+        parent = list(range(len(idxs)))
+        for row in rows:
+            nonzero = [k for k, x in enumerate(row) if x != 0]
+            for k in nonzero[1:]:
+                _union(parent, nonzero[0], k)
         comps = {}
-        for j, k in enumerate(live):
-            comps.setdefault(_find(parent, j), []).append(k)
+        for k in range(len(idxs)):
+            comps.setdefault(_find(parent, k), []).append(k)
         for comp in sorted((c for c in comps.values() if len(c) >= 2),
                            key=lambda c: (len(c), c)):
             groups.append([table.paths[idxs[k]] for k in comp])
@@ -788,16 +787,14 @@ def _check_convex(quiver, verts, label):
                 "re-enters" % (label, a.name), witness=a.name)
 
 
-def van_kampen_pushout(table, v1, v2, minrels=None):
+def van_kampen_pushout(table, v1, v2):
     """Presentations of the two pieces, their intersection and the pushout.
 
     Requires: V1 and V2 cover the vertices, both full subquivers convex,
     every nonzero path contained in one piece, and the intersection
     subquiver connected and nonempty.  Each piece and the intersection
-    take their co-member groups from their own matroid components or,
-    when `minrels` is given, from the relations with both endpoints
-    inside (by convexity these are the piece's own minimal relations).
-    The pushout is the amalgamated free product over the intersection's
+    take their co-member groups from their own matroid components.  The
+    pushout is the amalgamated free product over the intersection's
     fundamental group, presented on disjoint copies of the pieces' arrows
     with one amalgamation relator per non-tree arrow of the intersection.
     """
@@ -824,19 +821,13 @@ def van_kampen_pushout(table, v1, v2, minrels=None):
         raise HypothesisViolated("intersection subquiver is not connected")
     base = shared[0]
 
-    def inside(verts):
-        if minrels is None:
-            return None
-        return [mr for mr in minrels
-                if mr.source in verts and mr.target in verts]
-
     def piece(verts):
         from .core import BoundQuiver
         sub = _full_subquiver(q, verts)
         sub = BoundQuiver(sub.vertices, sub.arrows,
                           _restricted_relations(table, verts))
         sub_table = enumerate_paths(sub, cap=max(12, table.bound + 1))
-        return sub, pi1_presentation(sub_table, inside(verts), base=base)
+        return sub, pi1_presentation(sub_table, base=base)
 
     sub1, pres1 = piece(v1)
     sub2, pres2 = piece(v2)
@@ -845,7 +836,7 @@ def van_kampen_pushout(table, v1, v2, minrels=None):
     sub0 = BoundQuiver(sub0.vertices, sub0.arrows,
                        _restricted_relations(table, shared))
     table0 = enumerate_paths(sub0, cap=max(12, table.bound + 1))
-    pres0 = pi1_presentation(table0, inside(shared), base=base)
+    pres0 = pi1_presentation(table0, base=base)
 
     tree0, walk0 = spanning_tree(sub0, base)
     arrows2 = set(a.name for a in sub2.arrows)

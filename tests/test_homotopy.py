@@ -163,16 +163,6 @@ def test_vk_pushout():
     assert abelianization(res.pushout) == (1, [2])
 
 
-def test_vk_pushout_from_given_relations():
-    # the pieces are convex, so the whole table's minimal relations with
-    # both endpoints in a piece are that piece's own
-    t = enumerate_paths(VK)
-    mrs, _ = minimal_relation_supports(t)
-    pieces = (["2", "3", "4", "5", "6"], ["1", "2", "3"])
-    assert (van_kampen_pushout(t, *pieces, minrels=mrs)
-            == van_kampen_pushout(t, *pieces))
-
-
 def test_vk_degenerate_pushout():
     t = enumerate_paths(VK)
     res = van_kampen_pushout(t, ["1"], ["1", "2", "3", "4", "5", "6"])

@@ -329,7 +329,7 @@ def test_relation_components_match_the_support_search():
     # the matroid components of each ideal slice must give exactly the
     # co-member closure of the enumerated minimal relations when the
     # enumeration covered every support; random samples mix monomial
-    # relations in, so some slices have zero-path columns to drop
+    # relations in, so some slices have zero paths that must stay out
     rng = random.Random(SEED + 2)
     cases = [fan_quiver(rng, k) for k in range(2, 8)]
     cases += [ladder_quiver(rng, n) for n in range(2, 5)]
