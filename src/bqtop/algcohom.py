@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .core import Path, algebra_properties, compose, path_sort_key
 from .linalg import QQ, PrimeField, mat_mul, nullspace, rank, solve_in_span
-from .complex import (cohomology_of_matrices, homology_of_matrices,
-                      parse_coefficients)
+from .complex import (check_square_zero, cohomology_of_matrices,
+                      homology_of_matrices, parse_coefficients, sparse_column)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
@@ -296,34 +296,36 @@ class SimplicialSC:
                     if a.product_of_tuple(t + (j,)) is not None:
                         grown.append(t + (j,))
             layer = grown
-        self.mats = {}
+        # columns[n][c] = {row: coefficient}, the differential as sparse
+        # columns; mats[n] is its dense view for the comparison maps
+        self.columns = {}
         vx = {v: i for i, v in enumerate(q.vertices)}
         if len(self.tuples) > 1:
-            mat = [[0] * len(self.tuples[1]) for _ in q.vertices]
-            for c, (i,) in enumerate(self.tuples[1]):
-                mat[vx[a.target(i)]][c] += 1
-                mat[vx[a.source(i)]][c] -= 1
-            self.mats[1] = mat
+            self.columns[1] = [sparse_column([(vx[a.target(i)], 1),
+                                              (vx[a.source(i)], -1)])
+                               for (i,) in self.tuples[1]]
         for n in range(2, len(self.tuples)):
             low = {t: r for r, t in enumerate(self.tuples[n - 1])}
-            mat = [[0] * len(self.tuples[n]) for _ in self.tuples[n - 1]]
-            for c, t in enumerate(self.tuples[n]):
-                mat[low[t[1:]]][c] += 1
+            cols = []
+            for t in self.tuples[n]:
+                terms = [(low[t[1:]], 1)]
                 for j in range(1, n):
                     step = a.product[(t[j - 1], t[j])]
                     assert step is not None, \
                         "sub-product of a nonzero product cannot vanish"
                     contracted = t[:j - 1] + (step[1],) + t[j + 1:]
-                    mat[low[contracted]][c] += (-1) ** j
-                mat[low[t[:-1]]][c] += (-1) ** n
+                    terms.append((low[contracted], (-1) ** j))
+                terms.append((low[t[:-1]], (-1) ** n))
+                cols.append(sparse_column(terms))
+            self.columns[n] = cols
+        check_square_zero(self.columns)
+        self.mats = {}
+        for n, cols in self.columns.items():
+            mat = [[0] * len(cols) for _ in self.tuples[n - 1]]
+            for c, col in enumerate(cols):
+                for r, x in col.items():
+                    mat[r][c] = x
             self.mats[n] = mat
-        for n in range(2, len(self.tuples)):
-            lo, hi = self.mats[n - 1], self.mats[n]
-            for i in range(len(lo)):
-                for j in range(len(hi[0]) if hi else 0):
-                    assert sum(lo[i][k] * hi[k][j]
-                               for k in range(len(hi))) == 0, \
-                        "differential squares to zero"
 
     def counts(self):
         return [len(layer) for layer in self.tuples]
@@ -336,12 +338,14 @@ class SimplicialSC:
         return dims, self.mats
 
     def sh(self, coeff="Z"):
-        dims, mats = self.dims_mats()
-        return homology_of_matrices(dims, mats, coeff, top=self.top_dim())
+        dims, _ = self.dims_mats()
+        return homology_of_matrices(dims, self.columns, coeff,
+                                    top=self.top_dim())
 
     def sh_cochain(self, coeff="Z"):
-        dims, mats = self.dims_mats()
-        return cohomology_of_matrices(dims, mats, coeff, top=self.top_dim())
+        dims, _ = self.dims_mats()
+        return cohomology_of_matrices(dims, self.columns, coeff,
+                                      top=self.top_dim())
 
 
 def simplicial_complex(algebra):
@@ -630,18 +634,13 @@ class HochschildComplex:
     def top_dim(self):
         return len(self.bases) - 1
 
-    def _rank(self, mat):
-        if not mat or not mat[0]:
-            return 0
-        return rank([list(r) for r in mat], self.field)
-
     def hh_dims(self):
         """Cohomology dimensions per degree, 0 .. top+1."""
         out = []
         for n in range(self.top_dim() + 2):
             dim = len(self.bases[n]) if n <= self.top_dim() else 0
-            rk_out = self._rank(self.mats.get(n + 1, []))
-            rk_in = self._rank(self.mats.get(n, []))
+            rk_out = rank(self.mats.get(n + 1, []), self.field)
+            rk_in = rank(self.mats.get(n, []), self.field)
             out.append(dim - rk_out - rk_in)
         return out
 
@@ -818,10 +817,10 @@ def epsilon_mu(algebra, sc, hc):
         hh_dim_basis = len(hc.bases[n]) if n <= hc.top_dim() else 0
         b_here = hc.mats.get(n + 1, []) if n + 1 <= hc.top_dim() else []
         b_prev = hc.mats.get(n, []) if n <= hc.top_dim() else []
-        rk_d_here = _field_rank(F, d_here)
-        rk_d_prev = _field_rank(F, d_prev)
-        rk_b_here = _field_rank(F, b_here)
-        rk_b_prev = _field_rank(F, b_prev)
+        rk_d_here = rank(d_here, F)
+        rk_d_prev = rank(d_prev, F)
+        rk_b_here = rank(b_here, F)
+        rk_b_prev = rank(b_prev, F)
         sh_n = sc_dim - rk_d_here - rk_d_prev
         hh_n = hh_dim_basis - rk_b_here - rk_b_prev
         # induced map on cohomology classes
@@ -841,8 +840,8 @@ def epsilon_mu(algebra, sc, hc):
                 images.append(col)
             bnd = [[row[c] for row in b_prev] for c in range(
                 len(b_prev[0]))] if b_prev and b_prev[0] else []
-            base_rank = _field_rank(F, bnd)
-            rk = _field_rank(F, bnd + images) - base_rank
+            base_rank = rank(bnd, F)
+            rk = rank(bnd + images, F) - base_rank
         else:
             rk = 0
         injective = rk == sh_n
@@ -854,12 +853,6 @@ def epsilon_mu(algebra, sc, hc):
     return EpsilonMuReport(eps, mu, mu_eps, eps_chain, mu_chain, eps_mu,
                            props.schurian, props.semi_commutative,
                            tuple(degrees), iso)
-
-
-def _field_rank(F, mat):
-    if not mat or not mat[0]:
-        return 0
-    return rank([list(r) for r in mat], F)
 
 
 def _same_matrix(F, a, b, nrows, ncols):

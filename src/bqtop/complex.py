@@ -10,9 +10,10 @@ while another does not, and both name the same cell.
 Face maps drop the first class, drop the last, or multiply two adjacent
 classes (the class of the witness sub-composite; composition
 compatibility of the class table makes this representative-independent).
-Homology is computed from the integer boundary matrices by Smith normal
-form, cohomology from their transposes, with field and cyclic
-coefficients derived by rank or universal coefficients.
+Boundary matrices are kept as sparse integer columns.  Homology over Z
+comes from their invariant factors (unit-pivot reduction, then a
+certified Smith normal form of what is left), over a field from their
+ranks, and cohomology and cyclic coefficients by universal coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Path, compose
-from .linalg import PrimeField, QQ, rank, smith_normal_form
+from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
     "Cell", "CellComplex", "build_complex", "homology", "cohomology",
@@ -57,20 +58,15 @@ class CellComplex:
         for n, layer in enumerate(cells):
             for i, cell in enumerate(layer):
                 self.cell_index[(n, cell.key)] = i
-        self.boundaries = {}
+        # columns[n][j] = {row: coefficient}: the sparse boundary matrix
+        # delta_n, one column per n-cell, rows indexed by (n-1)-cells
+        self.columns = {}
         for n in range(1, len(cells)):
-            rows, cols = len(cells[n - 1]), len(cells[n])
-            mat = [[0] * cols for _ in range(rows)]
-            for j, face_row in enumerate(faces[n]):
-                for i, target in enumerate(face_row):
-                    mat[target][j] += (-1) ** i
-            self.boundaries[n] = mat
-        for n in range(2, len(cells)):
-            a, b = self.boundaries[n - 1], self.boundaries[n]
-            for i in range(len(a)):
-                for j in range(len(b[0]) if b else 0):
-                    s = sum(a[i][k] * b[k][j] for k in range(len(b)))
-                    assert s == 0, "boundary of boundary must vanish"
+            self.columns[n] = [
+                sparse_column((target, (-1) ** i)
+                              for i, target in enumerate(face_row))
+                for face_row in faces[n]]
+        check_square_zero(self.columns)
 
     def counts(self):
         return [len(layer) for layer in self.cells]
@@ -80,20 +76,55 @@ class CellComplex:
 
     def boundary(self, n):
         """delta_n as a dense integer matrix (rows C_{n-1}, cols C_n)."""
-        if n < 1 or n > self.top_dim():
-            return [[0] * self.size(n) for _ in range(self.size(n - 1))]
-        return self.boundaries[n]
+        mat = [[0] * self.size(n) for _ in range(self.size(n - 1))]
+        for j, col in enumerate(self.columns.get(n, ())):
+            for i, x in col.items():
+                mat[i][j] = x
+        return mat
+
+    @property
+    def boundaries(self):
+        """{n: dense delta_n} for n = 1 .. top, built on each access."""
+        return {n: self.boundary(n) for n in self.columns}
 
     def size(self, n):
         return len(self.cells[n]) if 0 <= n <= self.top_dim() else 0
+
+
+def sparse_column(terms):
+    """{row: coefficient} summing (row, coefficient) terms, zeros dropped."""
+    col = {}
+    for r, x in terms:
+        col[r] = col.get(r, 0) + x
+    return {r: x for r, x in col.items() if x}
+
+
+def check_square_zero(columns):
+    """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
+
+    `columns[n][j]` maps row indices of degree n-1 to coefficients.  Each
+    column costs one sparse combination of the columns it touches, so a
+    complex of cells with n+1 faces costs O(cells * n^2).
+    """
+    for n, cols in columns.items():
+        low = columns.get(n - 1)
+        if low is None:
+            continue
+        for col in cols:
+            acc = {}
+            for k, b in col.items():
+                for i, a in low[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            assert not any(acc.values()), "boundary of boundary must vanish"
 
 
 def build_complex(table, classes, max_dim=None):
     """Cell complex over a path class table (natural or walk variant)."""
     q = table.quiver
     cells = [[Cell(0, v, None) for v in q.vertices]]
+    one_classes = classes.one_cell_classes()
     one_cells = [Cell(1, (cid,), classes.class_rep[cid])
-                 for cid in classes.one_cell_classes()]
+                 for cid in one_classes]
     faces = [None]
     if one_cells:
         cells.append(one_cells)
@@ -110,7 +141,7 @@ def build_complex(table, classes, max_dim=None):
             # a witness of an extended tuple restricts to a witness of the
             # prefix, so extending every stored witness loses nothing
             for w in _witnesses(table, classes, cell):
-                for cid in classes.one_cell_classes():
+                for cid in one_classes:
                     if classes.class_source[cid] != w.target:
                         continue
                     for j in classes.class_members[cid]:
@@ -272,7 +303,7 @@ def _integral_homology(dims, mats, top):
     """List of (free_rank, divisors) for a complex of integer matrices.
 
     dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
-    to degree n-1 (rows indexed by degree n-1).
+    to degree n-1 as sparse columns {row: coefficient}, one per n-cell.
     """
     out = []
     ranks = {}
@@ -280,7 +311,7 @@ def _integral_homology(dims, mats, top):
     for n in range(top + 2):
         mat = mats.get(n)
         if mat and dims.get(n, 0) and dims.get(n - 1, 0):
-            divisors, _, _, _ = smith_normal_form(mat)
+            divisors = smith_divisors(mat)
             ranks[n] = len(divisors)
             torsions[n] = tuple(d for d in divisors if d > 1)
         else:
@@ -295,20 +326,15 @@ def _integral_homology(dims, mats, top):
 def _field_dims(dims, mats, top, field):
     out = []
     for n in range(top + 1):
-        rk_in = _field_rank(mats.get(n + 1), field)
-        rk_out = _field_rank(mats.get(n), field)
+        rk_in = rank(mats.get(n + 1, ()), field)
+        rk_out = rank(mats.get(n, ()), field)
         out.append(dims.get(n, 0) - rk_in - rk_out)
     return out
 
 
-def _field_rank(mat, field):
-    if not mat or not mat[0]:
-        return 0
-    return rank([[field.of(x) for x in row] for row in mat], field)
-
-
 def homology_of_matrices(dims, mats, coeff, top=None):
-    """Homology of an integer chain complex given as boundary matrices."""
+    """Homology of an integer chain complex given as sparse boundary
+    columns: mats[n][j] = {row in degree n-1: coefficient}."""
     if top is None:
         top = max([n for n, d in dims.items() if d], default=0)
     kind, arg = parse_coefficients(coeff)
@@ -366,20 +392,14 @@ def cohomology_of_matrices(dims, mats, coeff, top=None):
     return HomologyResult("Zmod:%d" % m, "cyclic", tuple(groups))
 
 
-def _complex_matrices(cx):
-    dims = {n: cx.size(n) for n in range(cx.top_dim() + 1)}
-    mats = {n: cx.boundary(n) for n in range(1, cx.top_dim() + 1)}
-    return dims, mats
-
-
 def homology(cx, coeff="Z"):
-    dims, mats = _complex_matrices(cx)
-    return homology_of_matrices(dims, mats, coeff, top=cx.top_dim())
+    dims = {n: cx.size(n) for n in range(cx.top_dim() + 1)}
+    return homology_of_matrices(dims, cx.columns, coeff, top=cx.top_dim())
 
 
 def cohomology(cx, coeff="Z"):
-    dims, mats = _complex_matrices(cx)
-    return cohomology_of_matrices(dims, mats, coeff, top=cx.top_dim())
+    dims = {n: cx.size(n) for n in range(cx.top_dim() + 1)}
+    return cohomology_of_matrices(dims, cx.columns, coeff, top=cx.top_dim())
 
 
 def euler_characteristic(cx):
@@ -427,13 +447,9 @@ def coboundary(cx, p, f):
     if p + 1 > cx.top_dim():
         return {}
     out = {}
-    mat = cx.boundary(p + 1)
-    for j, cell in enumerate(cx.cells[p + 1]):
-        total = 0
-        for i, low in enumerate(cx.cells[p]):
-            coefft = mat[i][j]
-            if coefft:
-                total += coefft * f.get(low.key, 0)
+    low = cx.cells[p]
+    for cell, col in zip(cx.cells[p + 1], cx.columns[p + 1]):
+        total = sum(x * f.get(low[i].key, 0) for i, x in col.items())
         if total:
             out[cell.key] = total
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, rref
+from .linalg import QQ, sparse_rref
 
 DEFAULT_PATH_CAP = 12
 
@@ -256,12 +256,8 @@ class PathTable:
         self.ideal_rows = ideal_rows
         self.in_ideal = set()
         for pair, idxs in self.pair_paths.items():
-            rows = ideal_rows.get(pair, [])
-            for local, i in enumerate(idxs):
-                vec = [Fraction(0)] * len(idxs)
-                vec[local] = Fraction(1)
-                if rows and self._reduces_to_zero(rows, vec):
-                    self.in_ideal.add(i)
+            for local in _unit_rows(ideal_rows.get(pair, [])):
+                self.in_ideal.add(idxs[local])
         self.dims = {}
         for pair, idxs in self.pair_paths.items():
             self.dims[pair] = len(idxs) - len(self.ideal_rows.get(pair, []))
@@ -378,6 +374,21 @@ def _pair_spans(quiver, by_len, max_len, truncate):
     return spans
 
 
+def _unit_rows(rref_rows):
+    """Local indices k whose unit vector e_k lies in the span of the rows.
+
+    In reduced row echelon form a combination of rows has the coefficient
+    of row i at row i's pivot, so e_k is in the span exactly when some row
+    equals e_k.
+    """
+    out = []
+    for row in rref_rows:
+        nonzero = [k for k, x in enumerate(row) if x != 0]
+        if len(nonzero) == 1:
+            out.append(nonzero[0])
+    return out
+
+
 def _rref_ideal_rows(quiver, by_len, max_len, spans):
     """Per-pair RREF rows in pair-local coordinates (paths sorted)."""
     pair_lists = {}
@@ -392,14 +403,15 @@ def _rref_ideal_rows(quiver, by_len, max_len, spans):
         pos = {p: i for i, p in enumerate(plist)}
         raw = []
         for terms in termlists:
-            vec = [Fraction(0)] * len(plist)
+            vec = {}
             for p, c in terms:
-                vec[pos[p]] += c
-            if any(x != 0 for x in vec):
-                raw.append(vec)
-        if raw:
-            reduced, pivots = rref(raw, QQ)
-            rows_by_pair[pair] = reduced[:len(pivots)]
+                vec[pos[p]] = vec.get(pos[p], 0) + c
+            raw.append(vec)
+        reduced = sparse_rref(raw, QQ)
+        if reduced:
+            rows_by_pair[pair] = [[row.get(i, QQ.zero)
+                                   for i in range(len(plist))]
+                                  for _, row in reduced]
     return rows_by_pair, pair_lists
 
 
@@ -427,16 +439,11 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     for L in range(2, cap + 1):
         spans = _pair_spans(quiver, by_len, L, truncate=False)
         rows_by_pair, pair_lists = _rref_ideal_rows(quiver, by_len, L, spans)
-        ok = True
-        for p in by_len[L]:
-            pair = (p.source, p.target)
-            plist = pair_lists[pair]
-            vec = [Fraction(0)] * len(plist)
-            vec[plist.index(p)] = Fraction(1)
-            rows = rows_by_pair.get(pair, [])
-            if not rows or not PathTable._reduces_to_zero(rows, vec):
-                ok = False
-                break
+        members = {pair: set(_unit_rows(rows))
+                   for pair, rows in rows_by_pair.items()}
+        ok = all(pair_lists[(p.source, p.target)].index(p)
+                 in members.get((p.source, p.target), ())
+                 for p in by_len[L])
         if ok:
             found = L
             break

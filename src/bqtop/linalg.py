@@ -7,16 +7,38 @@ Two kinds of arithmetic appear:
 * integer arithmetic for Smith normal form, used for homology of chain
   complexes of free abelian groups.
 
-Matrices are plain lists of rows.  Everything here is small (desk scale),
-so clarity wins over asymptotics: straight Gaussian elimination and the
-textbook Smith reduction with tracked transforms.
+One sparse elimination kernel does the heavy work.  A vector is a dict
+{index: value} holding only nonzero entries, and `_clear` is its one
+step: given a pivot entry, subtract from every other vector holding that
+index the multiple of the pivot vector that zeroes it there (a Schur
+update), with an index -> holders map so that only vectors that hold the
+index are touched.  Three entry points run on it:
+
+* `rref(rows, field)` is Gauss-Jordan on sparse rows: each row in turn
+  pivots on its leftmost entry and clears that column in every other row.
+  Its input and output are dense lists of rows (`sparse_rref` keeps them
+  sparse); the reduced row echelon form is unique, so the result does not
+  depend on the order of elimination.
+* `rank(vectors, field)` counts pivots of rows or columns, dropping each
+  pivot vector once its index is cleared.
+* `smith_divisors(columns)` gives the invariant factors of an integer
+  matrix of sparse columns.  Pivots are restricted to entries +-1, so
+  every column operation is unimodular and each pivot splits off an
+  invariant factor 1 (discrete-Morse style reduction, as in
+  Kaczynski-Mrozek-Slusarek 1998 and Dumas-Heckenbach-Saunders-Welker
+  2003).  The residual block with no unit entry left is small; it goes
+  dense through the textbook `smith_normal_form`, which tracks both
+  transforms and asserts its certificate.
+
+`rank` and `smith_divisors` pick, within a vector, the pivot index held
+by the fewest other vectors, which keeps fill-in low.
 
 Conventions:
 * `smith_normal_form(M)` returns (divisors, U, V, D) with U*M*V == D,
   D diagonal, each divisor dividing the next.  The product identity is
   asserted before returning; callers can re-check it cheaply.
-* a "vector" is a list of field elements; `solve_in_span` answers the
-  question "is t a linear combination of these vectors" exactly.
+* a dense "vector" is a list of field elements; `solve_in_span` answers
+  the question "is t a linear combination of these vectors" exactly.
 """
 
 from __future__ import annotations
@@ -102,39 +124,126 @@ class PrimeField:
 QQ = RationalField()
 
 
-def rref(rows, field=QQ):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != field.zero:
-                sel = i
-                break
-        if sel is None:
+def _holders(vecs):
+    """index -> set of ids of the vectors holding a nonzero there."""
+    where = {}
+    for k, v in vecs.items():
+        for i in v:
+            where.setdefault(i, set()).add(k)
+    return where
+
+
+def _clear(vecs, where, k, c, inv, p=None):
+    """Schur update: zero index c in every vector but vecs[k].
+
+    Each other holder v of c loses v[c] * inv times vecs[k], where inv is
+    1 / vecs[k][c] (over Z a unit, its own inverse).  `p` is the modulus
+    of a prime field and None over Q and Z.  Keeps `where` in step.
+    """
+    piv = vecs[k]
+    for j in list(where[c]):
+        if j == k:
             continue
-        m[r], m[sel] = m[sel], m[r]
-        piv = field.inv(m[r][c])
-        m[r] = [field.mul(piv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        v = vecs[j]
+        f = v[c] * inv
+        if p:
+            f %= p
+        for i, x in piv.items():
+            y = v.get(i)
+            y = -f * x if y is None else y - f * x
+            if p:
+                y %= p
+            if y:
+                if i not in v:
+                    where[i].add(j)
+                v[i] = y
+            else:
+                del v[i]
+                where[i].discard(j)
 
 
-def rank(rows, field=QQ):
-    if not rows:
-        return 0
-    return len(rref(rows, field)[1])
+def _drop(vecs, where, k):
+    for i in vecs.pop(k):
+        where[i].discard(k)
+
+
+def _sparse(vectors, field):
+    """Sparse vectors as {id: {index: field element}}, zeros dropped."""
+    out = {}
+    for k, vec in enumerate(vectors):
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {}
+        for i, x in items:
+            x = field.of(x)
+            if x != field.zero:
+                v[i] = x
+        out[k] = v
+    return out
+
+
+def sparse_rref(rows, field=QQ):
+    """Reduced row echelon form of sparse rows, as (pivot, row) pairs.
+
+    `rows` are dicts or dense lists; the nonzero rows of the result come
+    as dicts sorted by pivot column, each with a 1 at its pivot.
+    """
+    vecs = _sparse(rows, field)
+    where = _holders(vecs)
+    p = getattr(field, "p", None)
+    pivots = {}
+    for k, v in vecs.items():
+        if not v:
+            continue
+        c = min(v)
+        inv = field.inv(v[c])
+        for i in v:
+            v[i] = field.mul(inv, v[i])
+        _clear(vecs, where, k, c, field.one, p)
+        pivots[c] = k
+    return [(c, vecs[pivots[c]]) for c in sorted(pivots)]
+
+
+def rref(rows, field=QQ):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    Dense in and out: the nonzero rows come first, then one zero row for
+    each dependent input row.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced = sparse_rref(rows, field)
+    out = [[v.get(i, field.zero) for i in range(ncols)] for _, v in reduced]
+    out += [[field.zero] * ncols for _ in range(len(rows) - len(reduced))]
+    return out, [c for c, _ in reduced]
+
+
+def _fewest_holders(v, where, allowed):
+    """Index of v, among those whose entry passes `allowed`, held by the
+    fewest vectors; None if no entry passes."""
+    best = None
+    for i, x in v.items():
+        if allowed(x) and (best is None or len(where[i]) < len(where[best])):
+            best = i
+    return best
+
+
+def rank(vectors, field=QQ):
+    """Rank over a field of rows or columns, dense lists or sparse dicts.
+
+    Entries are read through `field.of`, so integer matrices can be
+    passed as they are.
+    """
+    vecs = _sparse(vectors, field)
+    where = _holders(vecs)
+    p = getattr(field, "p", None)
+    rk = 0
+    for k in list(vecs):
+        v = vecs[k]
+        if v:
+            c = _fewest_holders(v, where, bool)
+            _clear(vecs, where, k, c, field.inv(v[c]), p)
+            rk += 1
+        _drop(vecs, where, k)
+    return rk
 
 
 def solve_in_span(vecs, target, field=QQ):
@@ -252,8 +361,10 @@ def smith_normal_form(mat):
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # deterministic pivot: smallest |entry| in the trailing block,
-        # ties by (row, col)
+        # deterministic pivot: smallest |entry| in the trailing block, ties
+        # by (row, col), picked afresh after every sweep that leaves a
+        # remainder.  (Swapping each remainder in as the next pivot instead
+        # let entries grow to thousands of digits on 8 x 8 matrices.)
         pivot = None
         best = None
         for i in range(t, nr):
@@ -264,45 +375,31 @@ def smith_normal_form(mat):
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
-        while True:
-            # gcd descent: clear column t then row t; a nonzero remainder
-            # becomes the new, strictly smaller pivot
-            touched = False
-            for i in range(t + 1, nr):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t] != 0:
-                        row_swap(t, i)
-                        touched = True
-            for j in range(t + 1, nc):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        col_swap(t, j)
-                        touched = True
-            if touched:
-                continue
-            # pivot must divide the whole trailing block before moving on;
-            # this is what makes the diagonal a divisor chain
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        p = A[t][t]
+        # one sweep over column t, then row t; every remainder left is
+        # smaller than |p|, so the next pivot is strictly smaller
+        for i in range(t + 1, nr):
+            if A[i][t] != 0:
+                row_add(i, t, -(A[i][t] // p))
+        for j in range(t + 1, nc):
+            if A[t][j] != 0:
+                col_add(j, t, -(A[t][j] // p))
+        if any(A[i][t] for i in range(t + 1, nr)) \
+                or any(A[t][j] for j in range(t + 1, nc)):
+            continue
+        # pivot must divide the whole trailing block before moving on;
+        # this is what makes the diagonal a divisor chain.  Adding a bad
+        # row to row t leaves a remainder there on the next sweep.
+        bad = next((i for i in range(t + 1, nr)
+                    if any(A[i][j] % p for j in range(t + 1, nc))), None)
+        if bad is not None:
             row_add(t, bad, 1)
-        if A[t][t] < 0:
+            continue
+        if p < 0:
             row_negate(t)
         t += 1
 
@@ -324,6 +421,50 @@ def smith_normal_form(mat):
     return divisors, U, V, A
 
 
+def _is_unit(x):
+    return x == 1 or x == -1
+
+
+def smith_divisors(columns):
+    """Nonzero invariant factors of an integer matrix of sparse columns.
+
+    Each pivot on an entry +-1 clears its row from the other columns by
+    integer column operations, so the matrix becomes diag(1, residual)
+    up to unimodular transforms.  Pivoting repeats until no unit entry
+    is left (fill-in can create new ones); the dense residual then goes
+    through the certified `smith_normal_form`.  Returns the divisors in
+    chain order, as `smith_normal_form` does.
+    """
+    vecs = {}
+    for k, col in enumerate(columns):
+        v = {i: x for i, x in col.items() if x}
+        if v:
+            vecs[k] = v
+    where = _holders(vecs)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for k in list(vecs):
+            v = vecs[k]
+            c = _fewest_holders(v, where, _is_unit)
+            if c is not None:
+                _clear(vecs, where, k, c, v[c])
+                units += 1
+                progress = True
+            if c is not None or not v:
+                _drop(vecs, where, k)
+    if not vecs:
+        return [1] * units
+    rows = sorted(i for i, ks in where.items() if ks)
+    at = {i: r for r, i in enumerate(rows)}
+    residual = [[0] * len(vecs) for _ in rows]
+    for c, v in enumerate(vecs.values()):
+        for i, x in v.items():
+            residual[at[i]][c] = x
+    return [1] * units + smith_normal_form(residual)[0]
+
+
 def integer_rank(mat):
     if not mat or not mat[0]:
         return 0
@@ -339,6 +480,6 @@ def cokernel_structure(mat, ngens):
     if not mat or not mat[0]:
         return ngens, []
     assert len(mat) == ngens
-    divisors, _, _, _ = smith_normal_form(mat)
+    divisors = smith_divisors([dict(enumerate(col)) for col in transpose(mat)])
     torsion = [d for d in divisors if d > 1]
     return ngens - len(divisors), torsion

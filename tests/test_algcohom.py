@@ -254,3 +254,17 @@ def test_field_mismatch_raises():
     _, s2, h2 = hheq()
     with pytest.raises(FieldMismatch):
         epsilon_mu(a1, s2, h2)
+
+
+def test_corrupted_sc_differential_fails_the_check():
+    t, classes = setup(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    alg = find_semi_normed_basis(t, classes)
+    simplicial_complex(alg)
+    q = t.quiver
+    i = alg.index_by_path[q.path(["a"])]
+    j = alg.index_by_path[q.path(["b"])]
+    # claim a*b = a: the contraction face of (a, b) moves from (ab) to (a),
+    # so d(a, b) = (b) and its boundary e_3 - e_2 is not zero
+    alg.product[(i, j)] = (Fraction(1), i)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        simplicial_complex(alg)

@@ -216,3 +216,43 @@ def test_algebra_commands_carry_natural_class_caveats(tmp_path):
         rep = json.loads(out)
         assert rep["ok"] is True, command
         assert rep["caveats"] == caveats, command
+
+
+def write_comm_grid(tmp_path, n, seed=11):
+    """n x n grid of right (h) and down (d) arrows in which every square
+    commutes up to nonzero coefficients drawn from a seeded generator."""
+    rng = random.Random(seed)
+    lines = ["vertex x%d_%d" % (i, j) for i in range(n) for j in range(n)]
+    lines += ["arrow h%d_%d x%d_%d x%d_%d" % (i, j, i, j, i, j + 1)
+              for i in range(n) for j in range(n - 1)]
+    lines += ["arrow d%d_%d x%d_%d x%d_%d" % (i, j, i, j, i + 1, j)
+              for i in range(n - 1) for j in range(n)]
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a, b = (rng.choice([-1, 1]) * rng.randint(1, 9) for _ in "ab")
+            lines.append("rel %d*h%d_%d*d%d_%d %s %d*d%d_%d*h%d_%d"
+                         % (a, i, j, i, j + 1, "-" if b < 0 else "+",
+                            abs(b), i, j, i + 1, j))
+    path = tmp_path / ("grid%d.bq" % n)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_commutative_four_by_four_grid_is_contractible(tmp_path):
+    # ~1000 cells: cheap only with sparse boundaries and unit-pivot
+    # reduction ahead of the Smith normal form
+    grid = write_comm_grid(tmp_path, 4)
+    code, out, _ = run_cli(["cells", grid])
+    assert code == 0
+    assert json.loads(out)["result"]["counts"] == [16, 84, 216, 309, 252,
+                                                   110, 20]
+    code, out, _ = run_cli(["homology", grid])
+    assert code == 0
+    groups = json.loads(out)["result"]["groups"]
+    assert groups["H0"] == [1, []]
+    assert all(g == [0, []] for n, g in groups.items() if n != "H0")
+    code, out, _ = run_cli(["pi1", "--simplify", grid])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["result"]["generators"] == []
+    assert rep["result"]["relators"] == []

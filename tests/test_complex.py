@@ -1,10 +1,14 @@
 """Cell complexes, cellular (co)homology, cup products."""
 
+import pathlib
 import random
 
-from bqtop.complex import (build_complex, coboundary, cohomology, cup_product,
-                           euler_characteristic, homology)
+import pytest
+
+from bqtop.complex import (CellComplex, build_complex, coboundary, cohomology,
+                           cup_product, euler_characteristic, homology)
 from bqtop.core import BoundQuiver, enumerate_paths
+from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
                             pi1_presentation, walk_homotopy_classes)
 from bqtop.linalg import mat_mul
@@ -78,6 +82,43 @@ def test_boundary_squares_to_zero():
         for n in range(2, c.top_dim() + 1):
             prod = mat_mul(c.boundary(n - 1), c.boundary(n))
             assert all(all(x == 0 for x in row) for row in prod)
+
+
+def test_corrupted_face_fails_the_boundary_check():
+    t, c = complexes(EX3)
+    faces = [None] + [list(layer) for layer in c.faces[1:]]
+    # the first face of a 2-cell (c1, c2) is c2, from y to z; putting the
+    # last face c1 (x to y) there leaves 2y - x - z as the boundary of its
+    # boundary, nonzero as the quiver is acyclic
+    _, f1, f2 = faces[2][0]
+    faces[2][0] = (f2, f1, f2)
+    CellComplex(t, c.classes, c.cells, c.faces)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        CellComplex(t, c.classes, c.cells, faces)
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),
+                         ids=lambda p: p.stem)
+def test_dense_boundaries_match_the_faces(path):
+    # the dense view keeps the contract of the old stored matrices:
+    # rows C_{n-1}, columns C_n, entry sum of (-1)^i over faces i hitting
+    # the row, zero matrices of the right shape outside 1 .. top
+    t = enumerate_paths(parse(path.read_text()))
+    c = build_complex(t, natural_homotopy_classes(t))
+    dense = {}
+    for n in range(1, c.top_dim() + 1):
+        mat = [[0] * c.size(n) for _ in range(c.size(n - 1))]
+        for j, face_row in enumerate(c.faces[n]):
+            for i, target in enumerate(face_row):
+                mat[target][j] += (-1) ** i
+        dense[n] = mat
+    assert c.boundaries == dense
+    for n in range(c.top_dim() + 2):
+        want = dense.get(n, [[0] * c.size(n) for _ in range(c.size(n - 1))])
+        assert c.boundary(n) == want
 
 
 def test_ex3_cup_product_indicators():

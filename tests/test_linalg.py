@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, span membership, Smith form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -72,6 +73,38 @@ def test_smith_certificate_random():
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert integer_rank(mat) == rank(frac_rows(mat))
+
+
+def det(mat):
+    m = frac_rows(mat)
+    out = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(out)
+
+
+def test_smith_entries_stay_small():
+    # on this 7 x 8 matrix, swapping each remainder in as the next pivot
+    # grew the entries to thousands of digits and did not finish in 100 s
+    mat = [[-4, 2, -4, 1, 0, 3, 6, 0], [1, 2, 0, 3, 0, -1, 3, -4],
+           [2, -2, -4, 3, 3, -4, 0, -1], [2, -4, -1, 0, 2, 6, 0, -4],
+           [-1, 6, 6, -2, 3, 6, 0, 6], [3, 2, 2, 0, 0, 6, 3, 0],
+           [0, 0, 1, 6, -4, -1, -4, 0]]
+    divisors, u, v, d = smith_normal_form(mat)
+    assert mat_mul(mat_mul(u, mat), v) == d
+    # the product of the invariant factors is the gcd of the maximal minors
+    minors = [det([row[:j] + row[j + 1:] for row in mat]) for j in range(8)]
+    assert len(divisors) == 7
+    assert math.prod(divisors) == math.gcd(*minors)
 
 
 def test_cokernel_structure():

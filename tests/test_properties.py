@@ -9,7 +9,9 @@ hypotheses, and monomial ideals collapse the space onto the graph.
 """
 
 import itertools
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +23,10 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    minimal_relation_supports, natural_homotopy_classes,
                    pi1_presentation, relation_components,
                    simplicial_complex)
-from bqtop.linalg import mat_mul
+from bqtop.core import PathTable, _unit_rows
+from bqtop.dsl import parse
+from bqtop.linalg import (QQ, PrimeField, mat_mul, rank, rref, smith_divisors,
+                          smith_normal_form)
 
 SEED = 20260818
 
@@ -356,3 +361,106 @@ def test_relation_components_match_the_support_search():
                 == natural_homotopy_classes(t, mrs).class_members)
         assert (abelianization(pi1_presentation(t))
                 == abelianization(pi1_presentation(t, mrs)))
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination layer against the dense routines it replaced
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def dense_rref(rows, field):
+    """Column-by-column dense Gauss-Jordan, the elimination `rref` ran
+    before the sparse kernel; kept here as the oracle."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if m[i][c] != field.zero),
+                   None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        piv = field.inv(m[r][c])
+        m[r] = [field.mul(piv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y))
+                        for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def random_int_matrix(rng):
+    # units, non-units and zeros, so that unit pivots, fill-in and a
+    # residual for the dense Smith form all occur
+    values = [0, 0, 0, 1, -1, 1, 2, -2, 3, -4, 6]
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    return [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_columns(mat):
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]}
+            for j in range(len(mat[0]))]
+
+
+def test_smith_divisors_match_smith_normal_form():
+    rng = random.Random(SEED + 3)
+    for _ in range(400):
+        mat = random_int_matrix(rng)
+        assert (smith_divisors(sparse_columns(mat))
+                == smith_normal_form(mat)[0])
+    # torsion of a complex: rp2 has H1 = Z/2
+    t = enumerate_paths(parse((CORPUS / "rp2.bq").read_text()))
+    cx = build_complex(t, natural_homotopy_classes(t))
+    for n, cols in cx.columns.items():
+        assert smith_divisors(cols) == smith_normal_form(cx.boundary(n))[0]
+    assert smith_divisors(cx.columns[2]) == [1, 1, 1, 2]
+
+
+def test_rank_matches_dense_elimination():
+    rng = random.Random(SEED + 4)
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for _ in range(150):
+            mat = random_int_matrix(rng)
+            rows = [[field.of(x) for x in row] for row in mat]
+            want = len(dense_rref(rows, field)[1])
+            assert rank(sparse_columns(mat), field) == want
+            assert rank(mat, field) == want
+            assert rank(rows, field) == want
+
+
+def test_rref_matches_dense_elimination():
+    rng = random.Random(SEED + 5)
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for _ in range(150):
+            mat = random_int_matrix(rng)
+            if field is QQ:
+                rows = [[Fraction(x, rng.randint(1, 3)) for x in row]
+                        for row in mat]
+            else:
+                rows = [[field.of(x) for x in row] for row in mat]
+            assert rref(rows, field) == dense_rref(rows, field)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),
+                         ids=lambda p: p.stem)
+def test_unit_rows_match_reduction_on_corpus_slices(path):
+    # membership of a single path read off the RREF against reducing its
+    # unit vector by the rows
+    t = enumerate_paths(parse(path.read_text()))
+    for pair, idxs in t.pair_paths.items():
+        rows = t.ideal_rows.get(pair, [])
+        units = set(_unit_rows(rows))
+        for k, i in enumerate(idxs):
+            e = [Fraction(0)] * len(idxs)
+            e[k] = Fraction(1)
+            member = bool(rows) and PathTable._reduces_to_zero(rows, e)
+            assert (k in units) == member
+            assert (i in t.in_ideal) == member
