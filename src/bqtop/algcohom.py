@@ -561,16 +561,11 @@ class HochschildComplex:
         self.mats = {}
         for n in range(1, len(self.bases)):
             self.mats[n] = self._b_matrix(n)
-        for n in range(2, len(self.bases)):
-            lo, hi = self.mats[n - 1], self.mats[n]
-            for i in range(len(hi)):
-                for j in range(len(lo[0]) if lo else 0):
-                    s = self.field.of(0)
-                    for k in range(len(lo)):
-                        s = self.field.add(
-                            s, self.field.mul(hi[i][k], lo[k][j]))
-                    assert s == self.field.zero, \
-                        "differential squares to zero"
+        # row i of mats[n] is the sparse column of basis element i
+        check_square_zero(
+            {n: [{k: x for k, x in enumerate(row) if x != self.field.zero}
+                 for row in mat] for n, mat in self.mats.items()},
+            self.field, "differential squares to zero")
 
     def _b_matrix(self, n):
         a = self.algebra

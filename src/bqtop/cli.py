@@ -61,9 +61,6 @@ def _build_parser():
         p.add_argument("--path-cap", type=int, default=None,
                        help="bound certification cap"
                             " (env BQTOP_PATH_CAP)")
-        p.add_argument("--walk-bound", type=int, default=None,
-                       help="walk rewriting length bound"
-                            " (env BQTOP_WALK_BOUND)")
         p.add_argument("--out", default=None, help="write report here")
 
     common(sub.add_parser("check", help="algebra properties"))
@@ -110,7 +107,6 @@ def _build_parser():
     p.add_argument("morphism", help="morphism file")
     p.add_argument("--galois", default=None, help="group file")
     p.add_argument("--path-cap", type=int, default=None)
-    p.add_argument("--walk-bound", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("dot", help="DOT export of the quiver")
@@ -137,14 +133,12 @@ def _config(args):
     return {
         "path_cap": args.path_cap if args.path_cap is not None
         else _env_int("BQTOP_PATH_CAP"),
-        "walk_bound": args.walk_bound if args.walk_bound is not None
-        else _env_int("BQTOP_WALK_BOUND"),
     }
 
 
-def _classes(table, cfg, sharp):
+def _classes(table, sharp):
     if sharp:
-        return walk_homotopy_classes(table, walk_bound=cfg["walk_bound"])
+        return walk_homotopy_classes(table)
     return natural_homotopy_classes(table)
 
 
@@ -226,7 +220,7 @@ def _dispatch(args, cfg):
         return result, [], True
 
     if cmd == "cells":
-        classes = _classes(table, cfg, args.sharp)
+        classes = _classes(table, args.sharp)
         cx = build_complex(table, classes, max_dim=args.max_dim)
         cells = {}
         for n, layer in enumerate(cx.cells):
@@ -241,7 +235,7 @@ def _dispatch(args, cfg):
                 list(cx.caveats), True)
 
     if cmd in ("homology", "cohomology"):
-        classes = _classes(table, cfg, args.sharp)
+        classes = _classes(table, args.sharp)
         cx = build_complex(table, classes)
         fn = homology if cmd == "homology" else cohomology
         res = fn(cx, args.coeff)
@@ -385,7 +379,7 @@ def _dot(args, cfg):
     quiver, table = _load(args.file, cfg)
     lines = ["digraph quiver {"]
     if args.skeleton:
-        classes = _classes(table, cfg, False)
+        classes = _classes(table, False)
         cx = build_complex(table, classes, max_dim=1)
         for c in cx.cells[0]:
             lines.append('  "%s";' % c.key)

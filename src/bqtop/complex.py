@@ -19,6 +19,7 @@ ranks, and cohomology and cyclic coefficients by universal coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import Path, compose
@@ -99,13 +100,19 @@ def sparse_column(terms):
     return {r: x for r, x in col.items() if x}
 
 
-def check_square_zero(columns):
+def check_square_zero(columns, field=None,
+                      message="boundary of boundary must vanish"):
     """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
 
-    `columns[n][j]` maps row indices of degree n-1 to coefficients.  Each
-    column costs one sparse combination of the columns it touches, so a
-    complex of cells with n+1 faces costs O(cells * n^2).
+    `columns[n][j]` maps row indices of degree n-1 to coefficients, which
+    are integers, or elements of `field` when one is given.  Each column
+    costs one sparse combination of the columns it touches, so a complex
+    of cells with n+1 faces costs O(cells * n^2).
     """
+    if field is None:
+        add, mul, zero = operator.add, operator.mul, 0
+    else:
+        add, mul, zero = field.add, field.mul, field.zero
     for n, cols in columns.items():
         low = columns.get(n - 1)
         if low is None:
@@ -114,8 +121,8 @@ def check_square_zero(columns):
             acc = {}
             for k, b in col.items():
                 for i, a in low[k].items():
-                    acc[i] = acc.get(i, 0) + a * b
-            assert not any(acc.values()), "boundary of boundary must vanish"
+                    acc[i] = add(acc.get(i, zero), mul(a, b))
+            assert all(x == zero for x in acc.values()), message
 
 
 def build_complex(table, classes, max_dim=None):

@@ -16,16 +16,19 @@ and the exact minimality check `is_minimal_relation` are kept only as an
 oracle for tests; a caller may still pass its own minimal relations.
 
 Natural classes are computed exactly on the path table by fixpoint
-closure.  Walk classes face a genuine word problem, so they are computed
-by bounded breadth-first rewriting: merges are sound (each is witnessed
-by an explicit rewrite chain), and a caveat flag records whether the
-search bound or node cap truncated any frontier, in which case the
-partition may be finer than the true one.
+closure.  Two parallel paths u, v are walk-homotopic exactly when they
+are equal in the fundamental groupoid of (Q, I), that is when the word
+u v^-1 is trivial in the fundamental group presented by
+`pi1_presentation`.  Walk classes start from the natural classes, whose
+merges are sound, and decide every remaining pair of parallel classes on
+the Tietze-simplified presentation: the pair merges when the word freely
+reduces to nothing or the group is cyclic with the word dead in H_1, and
+stays apart when H_1 separates it (an SNF certificate) or the group is
+free.  A pair none of these decide stays apart and is named in a caveat.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +39,6 @@ from .linalg import QQ, nullspace, rank
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
-WALK_NODE_CAP = 50000
 
 
 class SupportTooLarge(Exception):
@@ -397,163 +399,6 @@ def natural_homotopy_classes(table, minrels=None):
 
 
 # ---------------------------------------------------------------------------
-# walk homotopy via bounded rewriting
-
-# a walk is (source_vertex, ((arrow_name, sign), ...)); signs are +1/-1
-
-
-def _walk_target(quiver, walk):
-    src, letters = walk
-    at = src
-    for name, sign in letters:
-        a = quiver.arrow_by_name[name]
-        if sign > 0:
-            assert a.source == at
-            at = a.target
-        else:
-            assert a.target == at
-            at = a.source
-    return at
-
-
-def _walk_vertices(quiver, walk):
-    src, letters = walk
-    verts = [src]
-    at = src
-    for name, sign in letters:
-        a = quiver.arrow_by_name[name]
-        at = a.target if sign > 0 else a.source
-        verts.append(at)
-    return verts
-
-
-def walk_homotopy_classes(table, minrels=None, walk_bound=None,
-                          node_cap=WALK_NODE_CAP):
-    """Bounded BFS rewriting on walks; default bound is 2L + 4.
-
-    Moves: cancel an adjacent inverse pair; insert an inverse pair at any
-    position; swap an occurrence of a minimal-relation co-member path
-    (either orientation) for its partner.  Every merge is witnessed, so
-    the partition can only be finer than true walk homotopy; truncation
-    by the length bound or the node cap is recorded as a caveat.
-    """
-    groups = _co_member_groups(table, minrels)
-    caveats = []
-    if walk_bound is None:
-        walk_bound = 2 * table.bound + 4
-    q = table.quiver
-    if not groups:
-        # no relations: walks only cancel, so parallel paths never merge
-        parent = list(range(len(table.paths)))
-        return PathClassTable(table, "walk", parent, caveats)
-
-    swaps = []
-    seen_pairs = set()
-    for group in groups:
-        for w1, w2 in itertools.permutations(group, 2):
-            key = (w1.arrows, w2.arrows)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            fwd1 = tuple((a, 1) for a in w1.arrows)
-            fwd2 = tuple((a, 1) for a in w2.arrows)
-            rev1 = tuple((a, -1) for a in reversed(w1.arrows))
-            rev2 = tuple((a, -1) for a in reversed(w2.arrows))
-            swaps.append((fwd1, fwd2))
-            swaps.append((rev1, rev2))
-
-    node_id = {}
-    parent = []
-    heap = []
-    counter = itertools.count()
-    truncated = False
-
-    def intern(walk):
-        i = node_id.get(walk)
-        if i is None:
-            i = len(parent)
-            node_id[walk] = i
-            parent.append(i)
-        return i
-
-    path_node = {}
-    for i, p in enumerate(table.paths):
-        walk = (p.source, tuple((a, 1) for a in p.arrows))
-        n = intern(walk)
-        path_node[i] = n
-        heapq.heappush(heap, (len(walk[1]), next(counter), walk))
-
-    processed = set()
-    while heap:
-        length, _, walk = heapq.heappop(heap)
-        if walk in processed:
-            continue
-        processed.add(walk)
-        cur = node_id[walk]
-        src, letters = walk
-        neighbors = []
-        # cancellations
-        for i in range(len(letters) - 1):
-            (n1, s1), (n2, s2) = letters[i], letters[i + 1]
-            if n1 == n2 and s1 == -s2:
-                neighbors.append((src, letters[:i] + letters[i + 2:]))
-        # insertions
-        if length + 2 <= walk_bound:
-            verts = _walk_vertices(q, walk)
-            for pos in range(len(letters) + 1):
-                v = verts[pos]
-                for a in q.arrows_from[v]:
-                    neighbors.append((src, letters[:pos]
-                                      + ((a.name, 1), (a.name, -1))
-                                      + letters[pos:]))
-                for a in q.arrows_to[v]:
-                    neighbors.append((src, letters[:pos]
-                                      + ((a.name, -1), (a.name, 1))
-                                      + letters[pos:]))
-        else:
-            truncated = True
-        # minimal-relation segment swaps
-        for lhs, rhs in swaps:
-            k = len(lhs)
-            if k > len(letters):
-                continue
-            if len(letters) - k + len(rhs) > walk_bound:
-                truncated = True
-                continue
-            for pos in range(len(letters) - k + 1):
-                if letters[pos:pos + k] == lhs:
-                    neighbors.append((src, letters[:pos] + rhs
-                                      + letters[pos + k:]))
-        for nb in neighbors:
-            known = nb in node_id
-            if not known and len(node_id) >= node_cap:
-                truncated = True
-                continue
-            j = intern(nb)
-            _union(parent, cur, j)
-            if not known:
-                heapq.heappush(heap, (len(nb[1]), next(counter), nb))
-
-    path_parent = list(range(len(table.paths)))
-    root_to_first = {}
-    for i in range(len(table.paths)):
-        r = _find(parent, path_node[i])
-        if r in root_to_first:
-            _union(path_parent, root_to_first[r], i)
-        else:
-            root_to_first[r] = i
-    # composition closure keeps face maps of the total complex
-    # representative-independent even when the search was truncated
-    _factor_replacement_closure(table, path_parent)
-    if truncated:
-        caveats.append(
-            "walk rewriting truncated (bound %d, nodes %d): the walk "
-            "partition may be finer than true walk homotopy"
-            % (walk_bound, len(node_id)))
-    return PathClassTable(table, "walk", path_parent, caveats)
-
-
-# ---------------------------------------------------------------------------
 # fundamental group presentations
 
 
@@ -619,6 +464,12 @@ def pi1_presentation(table, minrels=None, base=None):
     if base is None:
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
+    return _presentation(table, minrels, tree, base)
+
+
+def _presentation(table, minrels, tree, base):
+    """All arrows over the tree relators and the co-member relators."""
+    q = table.quiver
     relators = [((name, 1),) for name in tree]
     for group in _co_member_groups(table, minrels):
         supp = sorted(group, key=lambda p: path_sort_key(q, p))
@@ -670,6 +521,17 @@ def _cyclic_reduce(word):
     return w
 
 
+def _substitute(word, g, rep):
+    """Free reduction of `word` with each letter g^s replaced by rep^s."""
+    out = []
+    for name, s in word:
+        if name == g:
+            out.extend(rep if s == 1 else _word_inverse(rep))
+        else:
+            out.append((name, s))
+    return free_reduce(out)
+
+
 def simplify_presentation(pres, dedupe_bound=16):
     """Tietze simplification preserving the group up to isomorphism.
 
@@ -678,17 +540,26 @@ def simplify_presentation(pres, dedupe_bound=16):
     generator named by a length-1 relator; eliminating a generator g via
     a length-2 relator g^e h^d with h distinct (substitute g = h^-de).
     """
+    return _tietze(pres, dedupe_bound)[0]
+
+
+def _tietze(pres, dedupe_bound=16):
+    """`simplify_presentation` and its substitution map.
+
+    The map sends each eliminated generator to a freely reduced word in
+    the surviving generators that equals it in the group.
+    """
     gens = list(pres.generators)
     rels = [_cyclic_reduce(r) for r in pres.relators]
+    subst = {}
 
-    def substitute(word, g, rep):
-        out = []
-        for name, s in word:
-            if name == g:
-                out.extend(rep if s == 1 else _word_inverse(rep))
-            else:
-                out.append((name, s))
-        return _cyclic_reduce(tuple(out))
+    def eliminate(idx, g, rep):
+        gens.remove(g)
+        for h in subst:
+            subst[h] = _substitute(subst[h], g, rep)
+        subst[g] = rep
+        return [_cyclic_reduce(_substitute(w, g, rep))
+                for k, w in enumerate(rels) if k != idx]
 
     changed = True
     while changed:
@@ -707,24 +578,114 @@ def simplify_presentation(pres, dedupe_bound=16):
         rels = dedup
         for idx, r in enumerate(rels):
             if len(r) == 1:
-                g = r[0][0]
-                gens.remove(g)
-                rels = [substitute(w, g, ()) for k, w in enumerate(rels)
-                        if k != idx]
+                rels = eliminate(idx, r[0][0], ())
                 changed = True
                 break
             if len(r) == 2 and r[0][0] != r[1][0]:
                 (g, e), (h, d) = r
                 # g^e h^d = 1  =>  g = h^(-d*e)
-                rep = ((h, -d * e),)
-                gens.remove(g)
-                rels = [substitute(w, g, rep) for k, w in enumerate(rels)
-                        if k != idx]
+                rels = eliminate(idx, g, ((h, -d * e),))
                 changed = True
                 break
     rels = [(_cyclic_canonical(r) if len(r) <= dedupe_bound else r)
             for r in rels]
-    return Presentation(tuple(gens), tuple(rels), pres.base)
+    return Presentation(tuple(gens), tuple(rels), pres.base), subst
+
+
+# ---------------------------------------------------------------------------
+# walk homotopy from the word problem of pi_1
+
+
+def word_is_trivial(pres, word):
+    """Whether `word` is trivial in the group of `pres`: True, False or None.
+
+    True when the word freely reduces to nothing, or when H_1 sees nothing
+    of it and the group is cyclic (at most one generator), so H_1 is the
+    group.  False when its image in H_1 is nonzero, or when no relator is
+    left and the group is free.  The H_1 image is zero exactly when adding
+    the word as a relator leaves the cokernel structure unchanged:
+    Z^n / R maps onto Z^n / (R + w), and finitely generated abelian groups
+    are Hopfian, so equal structures make that map an isomorphism.  None
+    means that none of these certificates applies.
+    """
+    word = free_reduce(word)
+    if not word:
+        return True
+    killed = Presentation(pres.generators, pres.relators + (word,))
+    if abelianization(killed) != abelianization(pres):
+        return False
+    if not pres.relators:
+        return False
+    if len(pres.generators) <= 1:
+        return True
+    return None
+
+
+def _spanning_forest(quiver):
+    """Arrows that join different components, in arrow order."""
+    parent = list(range(len(quiver.vertices)))
+    vx = quiver.vertex_index
+    return [a.name for a in quiver.arrows
+            if _union(parent, vx[a.source], vx[a.target])]
+
+
+def walk_homotopy_classes(table, minrels=None):
+    """Natural classes merged by the word problem of the fundamental group.
+
+    Parallel paths u, v are walk-homotopic exactly when u v^-1 is trivial
+    in pi_1 of (Q, I), presented over a spanning forest (one tree per
+    component, so the group is the free product of the components'
+    groups).  Each natural class maps, through its representative and the
+    Tietze substitution map, to a word in the surviving generators, and
+    every pair of parallel classes is decided by `word_is_trivial` against
+    one class of each merged group.  Equality in a group is closed under
+    composition, so no factor-replacement closure is needed.  A pair left
+    undecided stays apart and is named in a caveat.
+    """
+    q = table.quiver
+    nat = natural_homotopy_classes(table, minrels)
+    pres, subst = _tietze(_presentation(table, minrels, _spanning_forest(q),
+                                        q.vertices[0]))
+    parent = list(range(len(table.paths)))
+    for members in nat.class_members:
+        for i in members[1:]:
+            _union(parent, members[0], i)
+    words = []
+    for cid in range(len(nat)):
+        word = []
+        for name in nat.class_rep[cid].arrows:
+            word.extend(subst.get(name, ((name, 1),)))
+        words.append(free_reduce(word))
+    by_ends = {}
+    for cid in range(len(nat)):
+        by_ends.setdefault((nat.class_source[cid], nat.class_target[cid]),
+                           []).append(cid)
+    undecided = []
+    for cids in by_ends.values():
+        heads = []  # one class of each merged group
+        for c in cids:
+            for h in heads:
+                verdict = word_is_trivial(
+                    pres, words[c] + _word_inverse(words[h]))
+                if verdict:
+                    _union(parent, nat.class_members[h][0],
+                           nat.class_members[c][0])
+                    break
+                if verdict is None:
+                    undecided.append((h, c))
+            else:
+                heads.append(c)
+    left = [(h, c) for h, c in undecided
+            if _find(parent, nat.class_members[h][0])
+            != _find(parent, nat.class_members[c][0])]
+    caveats = []
+    if left:
+        caveats.append(
+            "word problem of pi1 undecided for %s: these walk classes are "
+            "kept apart, the partition may be finer than true walk homotopy"
+            % ", ".join("%s ~ %s" % (nat.class_rep[h], nat.class_rep[c])
+                        for h, c in left))
+    return PathClassTable(table, "walk", parent, caveats)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_acceptance_01_three_route_fan_cell_counts():
 def test_acceptance_02_one_relation_collapses_in_the_total_variant():
     q, t = load("ex1")
     nat = natural_homotopy_classes(t)
-    walk = walk_homotopy_classes(t, walk_bound=8)
+    walk = walk_homotopy_classes(t)
     beta, gamma = q.path(["beta"]), q.path(["gamma"])
     assert nat.class_of(beta) != nat.class_of(gamma)
     assert walk.class_of(beta) == walk.class_of(gamma)

@@ -268,3 +268,20 @@ def test_corrupted_sc_differential_fails_the_check():
     alg.product[(i, j)] = (Fraction(1), i)
     with pytest.raises(AssertionError, match="boundary of boundary"):
         simplicial_complex(alg)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_corrupted_hochschild_differential_fails_the_check(field):
+    t, classes = setup(["1", "2", "3", "4"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    alg = find_semi_normed_basis(t, classes)
+    hochschild_complex(alg, field)
+    q = t.quiver
+    i = alg.index_by_path[q.path(["a"])]
+    j = alg.index_by_path[q.path(["b"])]
+    # claim a*b = 2ab: then (a*b)*c = 2abc but a*(b*c) = abc, and the
+    # Hochschild differential squares to zero only for an associative
+    # product
+    alg.product[(i, j)] = (Fraction(2), alg.product[(i, j)][1])
+    with pytest.raises(AssertionError, match="differential squares to zero"):
+        hochschild_complex(alg, field)

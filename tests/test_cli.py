@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -188,6 +189,39 @@ def test_support_cap_flag_is_gone(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--support-cap", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cells", "--sharp", "corpus/ex1.bq"],
+    ["homology", "--sharp", "corpus/ex1.bq"],
+    ["cover", "verify", "corpus/rp2.bq", "corpus/rp2_cover.bq",
+     "corpus/rp2_morphism.map"],
+])
+def test_walk_bound_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--walk-bound", "8"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["ex1", "pres2"])
+def test_sharp_homology_is_exact(name):
+    # the total complex is contractible; the walk classes come from the
+    # word problem, so the report carries no caveat
+    code, out, _ = run_cli(["homology", "--sharp", "corpus/%s.bq" % name])
+    assert code == 0
+    rep = json.loads(out)
+    groups = rep["result"]["groups"]
+    assert groups["H0"] == [1, []]
+    assert all(g == [0, []] for n, g in groups.items() if n != "H0")
+    assert rep["caveats"] == []
+
+
+def test_sharp_homology_of_the_solid_sphere_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["homology", "--sharp", "corpus/sphere_solid.bq"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["caveats"] == []
 
 
 MIXED_LENGTH = """\

@@ -1,14 +1,19 @@
 """Minimal relations, homotopy classes, pi_1 and the pushout."""
 
+import pathlib
+
 import pytest
 
 from bqtop.core import BoundQuiver, enumerate_paths
-from bqtop.homotopy import (HypothesisViolated, abelianization,
+from bqtop.dsl import parse
+from bqtop.homotopy import (HypothesisViolated, Presentation, abelianization,
                             is_minimal_relation, minimal_relation_supports,
                             natural_homotopy_classes, pi1_presentation,
                             relation_components, simplify_presentation,
                             spanning_tree, van_kampen_pushout,
-                            walk_homotopy_classes)
+                            walk_homotopy_classes, word_is_trivial)
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 EX1 = BoundQuiver(
     ["1", "2", "3"],
@@ -68,7 +73,7 @@ def test_ex1_natural_vs_walk():
     assert nat.class_of(b) != nat.class_of(g)
     assert nat.class_of(ba) == nat.class_of(ga)
     assert len(nat.one_cell_classes()) == 4
-    walk = walk_homotopy_classes(t, walk_bound=8)
+    walk = walk_homotopy_classes(t)
     assert walk.class_of(b) == walk.class_of(g)
     assert len(walk.one_cell_classes()) == 3
 
@@ -218,3 +223,87 @@ def test_rp2_abelianization():
          [(["alpha1", "beta2"], 1), (["beta1", "alpha2"], -1)]])
     t = enumerate_paths(rp2)
     assert abelianization(pi1_presentation(t)) == (0, [2])
+
+
+# walk classes (all classes, identities included) of every corpus quiver;
+# the capped walk BFS that the word-problem decision replaced found the
+# same partitions
+WALK_CLASS_COUNTS = {
+    "cor66_cycle1": 8, "cor66_cycle2": 10, "cor66_cycle3": 8,
+    "cor66_tree1": 9, "cor66_tree2": 13, "ex1": 6, "ex3": 18, "hheq": 18,
+    "hhgap": 7, "ker": 16, "nosn": 6, "pres1": 8, "pres2": 6, "rp2": 9,
+    "rp2_cover": 18, "sphere": 27, "sphere_solid": 27, "vk": 20,
+}
+
+
+def test_walk_class_counts_cover_the_corpus():
+    assert sorted(WALK_CLASS_COUNTS) == \
+        sorted(p.stem for p in CORPUS.glob("*.bq"))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CLASS_COUNTS))
+def test_corpus_walk_class_counts(name):
+    t = enumerate_paths(parse((CORPUS / (name + ".bq")).read_text()))
+    walk = walk_homotopy_classes(t)
+    assert len(walk) == WALK_CLASS_COUNTS[name]
+    assert walk.caveats == ()
+
+
+def word(text):
+    """'ab' -> a b, 'A' -> a^-1."""
+    return tuple((c.lower(), 1 if c.islower() else -1) for c in text)
+
+
+def test_word_problem_in_a_cyclic_group():
+    z2 = Presentation(("a",), (word("aa"),))
+    assert word_is_trivial(z2, word("aa")) is True
+    assert word_is_trivial(z2, word("aaA")) is False
+    assert word_is_trivial(z2, word("a")) is False
+    assert word_is_trivial(z2, word("aaaa")) is True
+
+
+def test_word_problem_in_a_free_group():
+    free = Presentation(("a", "b"), ())
+    assert word_is_trivial(free, word("aA")) is True
+    # [a, b] dies in H_1, but a nonempty reduced word is never trivial in
+    # a free group
+    assert word_is_trivial(free, word("abAB")) is False
+
+
+def test_word_problem_left_undecided():
+    # (ab)^2 dies in H_1 of Z/2 * Z/2 = <a, b | a^2, b^2>, yet it is not
+    # trivial there (ab has infinite order); no certificate applies
+    z2z2 = Presentation(("a", "b"), (word("aa"), word("bb")))
+    assert word_is_trivial(z2z2, word("abab")) is None
+    assert word_is_trivial(z2z2, word("ab")) is False
+    assert word_is_trivial(z2z2, word("abBA")) is True
+
+
+def test_undecided_pairs_stay_apart_and_are_named(monkeypatch):
+    import bqtop.homotopy as homotopy
+    monkeypatch.setattr(homotopy, "word_is_trivial", lambda pres, w: None)
+    t = enumerate_paths(EX1)
+    walk = walk_homotopy_classes(t)
+    nat = natural_homotopy_classes(t)
+    assert len(walk) == len(nat)
+    assert walk.class_of(EX1.path(["beta"])) != \
+        walk.class_of(EX1.path(["gamma"]))
+    (caveat,) = walk.caveats
+    assert "beta ~ gamma" in caveat and "truncated" not in caveat
+
+
+def test_walk_classes_of_a_disconnected_quiver():
+    # two copies of ex1: each component gets its own spanning tree, and
+    # the word problem decides both
+    twin = BoundQuiver(
+        ["1", "2", "3", "4", "5", "6"],
+        [("beta", "3", "2"), ("gamma", "3", "2"), ("alpha", "2", "1"),
+         ("b", "6", "5"), ("g", "6", "5"), ("a", "5", "4")],
+        [[(["beta", "alpha"], 1), (["gamma", "alpha"], -1)],
+         [(["b", "a"], 1), (["g", "a"], -1)]])
+    walk = walk_homotopy_classes(enumerate_paths(twin))
+    assert walk.class_of(twin.path(["beta"])) == \
+        walk.class_of(twin.path(["gamma"]))
+    assert walk.class_of(twin.path(["b"])) == walk.class_of(twin.path(["g"]))
+    assert len(walk.one_cell_classes()) == 6
+    assert walk.caveats == ()
