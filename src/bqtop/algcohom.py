@@ -24,8 +24,13 @@ are kept even when their product vanishes -- with the standard
 differential written through the structure constants.  The comparison
 maps phi/psi (simplicial tuples vs cells of the classifying space),
 phi-sharp (onto the total variant), and epsilon/mu (simplicial cochains
-vs Hochschild cochains) are assembled as matrices with their identity
-and chain-map properties checked rather than assumed.
+vs Hochschild cochains) send each basis vector to at most one basis
+vector with a scalar: epsilon sends a tuple t whose product is lambda b
+to the basis pair (t, b) with scalar lambda, and mu is its partial
+inverse with 1 / lambda.  All of them, like the differentials, are kept
+as sparse columns {index: coefficient}, the layout of the cell
+complexes' boundaries, and their identity and chain-map properties are
+checked column by column rather than assumed.
 
 The basis and all structure constants are computed exactly over the
 rationals; choosing a prime field only changes the coefficient
@@ -39,9 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Path, algebra_properties, compose, path_sort_key
-from .linalg import QQ, PrimeField, mat_mul, nullspace, rank, solve_in_span
+from .linalg import QQ, PrimeField, rank, solve_in_span, sparse_nullspace
 from .complex import (check_square_zero, cohomology_of_matrices,
-                      homology_of_matrices, parse_coefficients, sparse_column)
+                      homology_of_matrices, parse_coefficients, sparse_apply,
+                      sparse_column)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
@@ -297,7 +303,7 @@ class SimplicialSC:
                         grown.append(t + (j,))
             layer = grown
         # columns[n][c] = {row: coefficient}, the differential as sparse
-        # columns; mats[n] is its dense view for the comparison maps
+        # columns
         self.columns = {}
         vx = {v: i for i, v in enumerate(q.vertices)}
         if len(self.tuples) > 1:
@@ -319,13 +325,6 @@ class SimplicialSC:
                 cols.append(sparse_column(terms))
             self.columns[n] = cols
         check_square_zero(self.columns)
-        self.mats = {}
-        for n, cols in self.columns.items():
-            mat = [[0] * len(cols) for _ in self.tuples[n - 1]]
-            for c, col in enumerate(cols):
-                for r, x in col.items():
-                    mat[r][c] = x
-            self.mats[n] = mat
 
     def counts(self):
         return [len(layer) for layer in self.tuples]
@@ -333,19 +332,13 @@ class SimplicialSC:
     def top_dim(self):
         return len(self.tuples) - 1
 
-    def dims_mats(self):
-        dims = {n: len(layer) for n, layer in enumerate(self.tuples)}
-        return dims, self.mats
-
     def sh(self, coeff="Z"):
-        dims, _ = self.dims_mats()
-        return homology_of_matrices(dims, self.columns, coeff,
-                                    top=self.top_dim())
+        return homology_of_matrices(dict(enumerate(self.counts())),
+                                    self.columns, coeff, top=self.top_dim())
 
     def sh_cochain(self, coeff="Z"):
-        dims, _ = self.dims_mats()
-        return cohomology_of_matrices(dims, self.columns, coeff,
-                                      top=self.top_dim())
+        return cohomology_of_matrices(dict(enumerate(self.counts())),
+                                      self.columns, coeff, top=self.top_dim())
 
 
 def simplicial_complex(algebra):
@@ -385,9 +378,9 @@ def sc_cup(sc, p, f, q, g):
 
 @dataclass(frozen=True)
 class PhiPsiReport:
-    phi: dict
-    psi: dict
-    phi_sharp: dict
+    phi: dict         # degree -> 0/1 sparse columns, one per tuple
+    psi: dict         # degree -> 0/1 sparse columns, one per natural cell
+    phi_sharp: dict   # degree -> 0/1 sparse columns, one per tuple
     phi_chain_map: bool
     psi_chain_map: bool
     iso: bool
@@ -396,15 +389,23 @@ class PhiPsiReport:
     kernel_ranks: tuple
 
 
-def _chain_square(upper_map, lower_map, d_dom, d_cod):
-    """lower_map . d_dom == d_cod . upper_map (integer matrices)."""
-    left = mat_mul(lower_map, d_dom) if d_dom and lower_map else []
-    right = mat_mul(d_cod, upper_map) if d_cod and upper_map else []
-    if not left and not right:
-        return True
-    if not left or not right:
-        return all(all(x == 0 for x in row) for row in (left or right))
-    return left == right
+def _commutes(before, after, d_dom, d_cod, field=None):
+    """after . d_dom == d_cod . before, compared column by column.
+
+    `before` and `after` are the maps on the degrees where d_dom (in the
+    domain complex) and d_cod (in the codomain complex) start and end.
+    All four are sparse columns; entries are integers, or elements of
+    `field` when one is given.
+    """
+    return all(sparse_apply(after, d, field) == sparse_apply(d_cod, f, field)
+               for d, f in zip(d_dom, before, strict=True))
+
+
+def _is_inverse(f, g, field=None):
+    """g . f is the identity on the domain of f (sparse columns)."""
+    one = 1 if field is None else field.one
+    return all(sparse_apply(g, col, field) == {j: one}
+               for j, col in enumerate(f))
 
 
 def elt_of_class(algebra, classes, cid):
@@ -426,7 +427,7 @@ def elt_of_class(algebra, classes, cid):
 
 
 def phi_psi_maps(algebra, cx_natural, cx_total):
-    """Matrices of the tuple-to-cell maps with their verification report."""
+    """Sparse 0/1 columns of the tuple-to-cell maps with their report."""
     if not algebra.ok:
         raise NoSemiNormedBasis("; ".join(algebra.witnesses))
     a = algebra
@@ -435,7 +436,7 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
     tot = cx_total
     wcl = tot.classes
     phi, psi, sharp = {}, {}, {}
-    phi_ok = psi_ok = iso = sharp_ok = epi = True
+    iso = epi = True
     kernel = []
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
     for n in range(top + 1):
@@ -444,72 +445,42 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
         tcells = tot.cells[n] if n <= tot.top_dim() else []
         nidx = {c.key: i for i, c in enumerate(ncells)}
         tidx = {c.key: i for i, c in enumerate(tcells)}
-        mat = [[0] * len(tuples) for _ in ncells]
-        smat = [[0] * len(tuples) for _ in tcells]
-        pmat = [[0] * len(ncells) for _ in tuples]
-        for c, t in enumerate(tuples):
+        phi[n], sharp[n] = [], []
+        for t in tuples:
             if n == 0:
-                key = t[0]
-                skey = t[0]
+                key = skey = t[0]
             else:
                 key = tuple(a.element_class(i) for i in t)
                 skey = tuple(wcl.class_of(a.elements[i].path) for i in t)
             r = nidx.get(key)
-            if r is None:
-                iso = False
-            else:
-                mat[r][c] = 1
+            phi[n].append({} if r is None else {r: 1})
             sr = tidx.get(skey)
-            if sr is None:
-                epi = False
-            else:
-                smat[sr][c] = 1
+            sharp[n].append({} if sr is None else {sr: 1})
         # psi: cell tuple of classes -> tuple of the classes' basis elements
         tup_index = {t: i for i, t in enumerate(tuples)}
-        for r, cell in enumerate(ncells):
+        psi[n] = []
+        for cell in ncells:
             if n == 0:
                 t = (cell.key,)
             else:
                 t = tuple(elt_of_class(a, nat.classes, cid)
                           for cid in cell.key)
             i = tup_index.get(t)
-            if i is None:
-                iso = False
-            else:
-                pmat[i][r] = 1
-        phi[n] = mat
-        sharp[n] = smat
-        psi[n] = pmat
-        if len(tuples) != len(ncells):
-            iso = False
-        if mat and tuples and ncells:
-            ident = all(sum(mat[i][k] * pmat[k][j] for k in range(len(tuples)))
-                        == (1 if i == j else 0)
-                        for i in range(len(ncells)) for j in range(len(ncells)))
-            ident = ident and all(
-                sum(pmat[i][k] * mat[k][j] for k in range(len(ncells)))
-                == (1 if i == j else 0)
-                for i in range(len(tuples)) for j in range(len(tuples)))
-            iso = iso and ident
-        hit = [r for r in range(len(tcells)) if any(smat[r])]
-        if len(hit) != len(tcells):
-            epi = False
-        kernel.append(len(tuples)
-                      - rank([[Fraction(x) for x in row] for row in smat], QQ)
-                      if smat and tuples else len(tuples))
+            psi[n].append({} if i is None else {i: 1})
+        iso = (iso and len(tuples) == len(ncells)
+               and _is_inverse(phi[n], psi[n]) and _is_inverse(psi[n], phi[n]))
+        hit = {r for col in sharp[n] for r in col}
+        epi = epi and all(sharp[n]) and len(hit) == len(tcells)
+        kernel.append(len(tuples) - rank(sharp[n], QQ))
+    phi_ok = psi_ok = sharp_ok = True
     for n in range(1, top + 1):
-        d_sc = sc.mats.get(n, [])
-        d_nat = nat.boundary(n) if n <= nat.top_dim() else []
-        d_tot = tot.boundary(n) if n <= tot.top_dim() else []
-        if not _chain_square(phi.get(n, []), phi.get(n - 1, []),
-                             d_sc, d_nat):
-            phi_ok = False
-        if not _chain_square(psi.get(n, []), psi.get(n - 1, []),
-                             d_nat, d_sc):
-            psi_ok = False
-        if not _chain_square(sharp.get(n, []), sharp.get(n - 1, []),
-                             d_sc, d_tot):
-            sharp_ok = False
+        d_sc = sc.columns.get(n, [])
+        phi_ok = phi_ok and _commutes(phi[n], phi[n - 1], d_sc,
+                                      nat.columns.get(n, []))
+        psi_ok = psi_ok and _commutes(psi[n], psi[n - 1],
+                                      nat.columns.get(n, []), d_sc)
+        sharp_ok = sharp_ok and _commutes(sharp[n], sharp[n - 1], d_sc,
+                                          tot.columns.get(n, []))
     return PhiPsiReport(phi, psi, sharp, phi_ok, psi_ok, iso,
                         sharp_ok, epi, tuple(kernel))
 
@@ -542,6 +513,13 @@ class HochschildComplex:
         self.field = QQ if kind == "Q" else PrimeField(arg)
         a = algebra
         q = a.quiver
+        for (i, j), step in a.product.items() if kind == "Fp" else ():
+            if step is not None and step[0].denominator % arg == 0:
+                raise ValueError(
+                    "structure constant %s of %s * %s has a denominator "
+                    "divisible by p = %d: the rational semi-normed basis "
+                    "does not reduce mod %d"
+                    % (step[0], a.elements[i], a.elements[j], arg, arg))
         # degree-0 basis: one slot per vertex
         self.bases = [[((), a.identity_index[v]) for v in q.vertices]]
         cur = [(i,) for i in a.non_identity]
@@ -558,26 +536,29 @@ class HochschildComplex:
                     if a.target(t[-1]) == a.source(j):
                         nxt.append(t + (j,))
             cur = nxt
-        self.mats = {}
-        for n in range(1, len(self.bases)):
-            self.mats[n] = self._b_matrix(n)
-        # row i of mats[n] is the sparse column of basis element i
-        check_square_zero(
-            {n: [{k: x for k, x in enumerate(row) if x != self.field.zero}
-                 for row in mat] for n, mat in self.mats.items()},
-            self.field, "differential squares to zero")
+        # columns[n][r] = {c: coefficient}: row r of the differential
+        # C^{n-1} -> C^n, the same layout as the boundary columns of a
+        # chain complex; a coboundary column is a column of the transpose
+        self.columns = {n: self._b_columns(n)
+                        for n in range(1, len(self.bases))}
+        check_square_zero(self.columns, self.field,
+                          "differential squares to zero")
 
-    def _b_matrix(self, n):
+    def _b_columns(self, n):
         a = self.algebra
         F = self.field
         lower = self.bases[n - 1]
         upper = self.bases[n]
         col = {pair: c for c, pair in enumerate(lower)}
         row = {pair: r for r, pair in enumerate(upper)}
-        mat = [[F.of(0)] * len(lower) for _ in upper]
+        rows = [{} for _ in upper]
 
         def add(r, c, x):
-            mat[r][c] = F.add(mat[r][c], F.of(x))
+            y = F.add(rows[r].get(c, F.zero), F.of(x))
+            if y != F.zero:
+                rows[r][c] = y
+            else:
+                rows[r].pop(c, None)
 
         tuples = sorted({t for t, _ in upper})
         for t in tuples:
@@ -621,7 +602,7 @@ class HochschildComplex:
                 step = a.product.get((w, t[-1]))
                 if step is not None:
                     add(row[(t, step[1])], c, (-1) ** len(t) * step[0])
-        return mat
+        return rows
 
     def dims(self):
         return [len(b) for b in self.bases]
@@ -631,13 +612,18 @@ class HochschildComplex:
 
     def hh_dims(self):
         """Cohomology dimensions per degree, 0 .. top+1."""
-        out = []
-        for n in range(self.top_dim() + 2):
-            dim = len(self.bases[n]) if n <= self.top_dim() else 0
-            rk_out = rank(self.mats.get(n + 1, []), self.field)
-            rk_in = rank(self.mats.get(n, []), self.field)
-            out.append(dim - rk_out - rk_in)
-        return out
+        return _cohomology_dims(self.dims(), _ranks(self.columns, self.field))
+
+
+def _ranks(columns, field):
+    return {n: rank(cols, field) for n, cols in columns.items()}
+
+
+def _cohomology_dims(dims, ranks):
+    """dim C^n - rank d^n - rank d^{n-1} for n = 0 .. len(dims)."""
+    return [(dims[n] if n < len(dims) else 0)
+            - ranks.get(n + 1, 0) - ranks.get(n, 0)
+            for n in range(len(dims) + 1)]
 
 
 def hochschild_complex(algebra, field="Q"):
@@ -687,8 +673,8 @@ def hochschild_cup(hc, p, f, q, g):
 
 @dataclass(frozen=True)
 class EpsilonMuReport:
-    eps: dict
-    mu: dict
+    eps: dict        # degree -> sparse columns, one per simplicial tuple
+    mu: dict         # degree -> sparse columns, one per Hochschild pair
     mu_eps_identity: bool
     eps_cochain_map: bool
     mu_cochain_map: bool
@@ -699,42 +685,24 @@ class EpsilonMuReport:
     iso: bool
 
 
-def _f_mat_mul(F, a, b):
-    if not a or not b or not b[0]:
-        return []
-    out = [[F.of(0)] * len(b[0]) for _ in a]
-    for i in range(len(a)):
-        for k in range(len(b)):
-            x = a[i][k]
-            if x == F.zero:
-                continue
-            for j in range(len(b[0])):
-                out[i][j] = F.add(out[i][j], F.mul(x, b[k][j]))
+def _transpose(columns, size):
+    """The `size` columns of the transpose of a map given by sparse
+    columns; row index i becomes column i."""
+    out = [{} for _ in range(size)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 
-def _is_identity(F, mat, size):
-    if size == 0:
-        return True
-    if not mat or len(mat) != size or len(mat[0]) != size:
-        return False
-    for i in range(size):
-        for j in range(size):
-            want = F.of(1 if i == j else 0)
-            if mat[i][j] != want:
-                return False
-    return True
-
-
-def _transpose_to_field(F, mat):
-    if not mat or not mat[0]:
-        return []
-    return [[F.of(mat[i][j]) for i in range(len(mat))]
-            for j in range(len(mat[0]))]
-
-
 def epsilon_mu(algebra, sc, hc):
-    """Comparison between simplicial and Hochschild cochains over k."""
+    """Comparison between simplicial and Hochschild cochains over k.
+
+    eps[n][c] = {r: lambda} sends the simplicial tuple c = (s_1, .., s_n)
+    to its basis pair r = ((s_1, .., s_n), b), where s_1 .. s_n = lambda b;
+    mu[n][r] = {c: 1 / lambda} is its partial inverse, {} on pairs that no
+    tuple reaches.  Both are sparse columns on cochain coordinates.
+    """
     if sc.algebra is not algebra or hc.algebra is not algebra:
         raise FieldMismatch(
             "simplicial and Hochschild complexes must come from the same "
@@ -743,116 +711,60 @@ def epsilon_mu(algebra, sc, hc):
     F = hc.field
     props = algebra_properties(a.table)
     top = max(sc.top_dim(), hc.top_dim())
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
     eps, mu = {}, {}
     for n in range(top + 1):
-        tuples = sc.tuples[n] if n <= sc.top_dim() else []
-        basis = hc.bases[n] if n <= hc.top_dim() else []
-        bidx = {pair: r for r, pair in enumerate(basis)}
-        emat = [[F.of(0)] * len(tuples) for _ in basis]
-        mmat = [[F.of(0)] * len(basis) for _ in tuples]
-        tidx = {}
-        for c, t in enumerate(tuples):
+        bidx = {pair: r for r, pair in enumerate(hc.bases[n])} \
+            if n <= hc.top_dim() else {}
+        eps[n] = []
+        mu[n] = [{} for _ in range(hc_dims[n])]
+        for c, t in enumerate(sc.tuples[n] if n <= sc.top_dim() else []):
             if n == 0:
-                key = ((), a.identity_index[t[0]])
-                emat[bidx[key]][c] = F.of(1)
-                tidx[key] = c
+                lam, r = 1, bidx[((), a.identity_index[t[0]])]
             else:
                 lam, b = a.product_of_tuple(t)
-                key = (t, b)
-                emat[bidx[key]][c] = F.of(lam)
-                tidx[key] = (c, lam)
-        for r, pair in enumerate(basis):
-            if n == 0:
-                c = tidx.get(pair)
-                if c is not None:
-                    mmat[c][r] = F.of(1)
-                continue
-            got = tidx.get(pair)
-            if got is not None:
-                c, lam = got
-                mmat[c][r] = F.inv(F.of(lam))
-        eps[n] = emat
-        mu[n] = mmat
-    mu_eps = all(_is_identity(
-        F, _f_mat_mul(F, mu[n], eps[n]),
-        len(sc.tuples[n]) if n <= sc.top_dim() else 0)
-        for n in range(top + 1))
-    eps_mu = all(_is_identity(
-        F, _f_mat_mul(F, eps[n], mu[n]),
-        len(hc.bases[n]) if n <= hc.top_dim() else 0)
-        for n in range(top + 1))
-    eps_chain = True
-    mu_chain = True
-    for n in range(top):
-        d_up = (_transpose_to_field(F, sc.mats[n + 1])
-                if n + 1 <= sc.top_dim() and (n + 1) in sc.mats else [])
-        b_up = hc.mats.get(n + 1, []) if n + 1 <= hc.top_dim() else []
-        left = _f_mat_mul(F, b_up, eps.get(n, []))
-        right = _f_mat_mul(F, eps.get(n + 1, []), d_up)
-        if not _same_matrix(F, left, right,
-                            len(hc.bases[n + 1]) if n + 1 <= hc.top_dim()
-                            else 0,
-                            len(sc.tuples[n]) if n <= sc.top_dim() else 0):
-            eps_chain = False
-        left = _f_mat_mul(F, d_up, mu.get(n, []))
-        right = _f_mat_mul(F, mu.get(n + 1, []), b_up)
-        if not _same_matrix(F, left, right,
-                            len(sc.tuples[n + 1]) if n + 1 <= sc.top_dim()
-                            else 0,
-                            len(hc.bases[n]) if n <= hc.top_dim() else 0):
-            mu_chain = False
+                r = bidx[(t, b)]
+            eps[n].append({r: F.of(lam)})
+            mu[n][r] = {c: F.inv(F.of(lam))}
+    # coboundaries C^n -> C^{n+1} as columns, over the cochain coordinates
+    d_sc = {n: _transpose(sc.columns.get(n + 1, []), sc_dims[n])
+            for n in range(top + 1)}
+    d_hc = {n: _transpose(hc.columns.get(n + 1, []), hc_dims[n])
+            for n in range(top + 1)}
+    mu_eps = all(_is_inverse(eps[n], mu[n], F) for n in range(top + 1))
+    eps_mu = all(_is_inverse(mu[n], eps[n], F) for n in range(top + 1))
+    eps_chain = all(_commutes(eps[n], eps[n + 1], d_sc[n], d_hc[n], F)
+                    for n in range(top))
+    mu_chain = all(_commutes(mu[n], mu[n + 1], d_hc[n], d_sc[n], F)
+                   for n in range(top))
+    # each differential is reduced once: the simplicial d^n to its
+    # cocycles Z^n, whose count gives its rank, the Hochschild ones to
+    # their rank
+    cocycles = [sparse_nullspace(sc.columns.get(n + 1, []), sc_dims[n], F)
+                for n in range(top + 1)]
+    sh = _cohomology_dims(sc_dims[:top + 1],
+                          {n + 1: sc_dims[n] - len(z)
+                           for n, z in enumerate(cocycles)})
+    rk_hc = _ranks(hc.columns, F)
+    hh = _cohomology_dims(hc_dims[:top + 1], rk_hc)
     degrees = []
     iso = True
     for n in range(top + 2):
-        d_here = (_transpose_to_field(F, sc.mats[n + 1])
-                  if n + 1 <= sc.top_dim() and (n + 1) in sc.mats else [])
-        d_prev = (_transpose_to_field(F, sc.mats[n])
-                  if n <= sc.top_dim() and n in sc.mats else [])
-        sc_dim = len(sc.tuples[n]) if n <= sc.top_dim() else 0
-        hh_dim_basis = len(hc.bases[n]) if n <= hc.top_dim() else 0
-        b_here = hc.mats.get(n + 1, []) if n + 1 <= hc.top_dim() else []
-        b_prev = hc.mats.get(n, []) if n <= hc.top_dim() else []
-        rk_d_here = rank(d_here, F)
-        rk_d_prev = rank(d_prev, F)
-        rk_b_here = rank(b_here, F)
-        rk_b_prev = rank(b_prev, F)
-        sh_n = sc_dim - rk_d_here - rk_d_prev
-        hh_n = hh_dim_basis - rk_b_here - rk_b_prev
-        # induced map on cohomology classes
-        if sc_dim and n <= hc.top_dim():
-            cocycles = (nullspace(d_here, F) if d_here
-                        else [[F.of(1) if i == j else F.of(0)
-                               for i in range(sc_dim)]
-                              for j in range(sc_dim)])
-            images = []
-            for z in cocycles:
-                col = [F.of(0)] * hh_dim_basis
-                for c, zc in enumerate(z):
-                    if zc == F.zero:
-                        continue
-                    for r in range(hh_dim_basis):
-                        col[r] = F.add(col[r], F.mul(eps[n][r][c], zc))
-                images.append(col)
-            bnd = [[row[c] for row in b_prev] for c in range(
-                len(b_prev[0]))] if b_prev and b_prev[0] else []
-            base_rank = rank(bnd, F)
-            rk = rank(bnd + images, F) - base_rank
+        # induced map on cohomology classes: the rank of eps(Z^n) modulo
+        # the coboundaries B^n, the image of d^{n-1}
+        if sc_dims[n] and n <= hc.top_dim():
+            images = [sparse_apply(eps[n], z, F) for z in cocycles[n]]
+            bnd = d_hc[n - 1] if n else []
+            rk = rank(bnd + images, F) - rk_hc.get(n, 0)
         else:
             rk = 0
-        injective = rk == sh_n
-        surjective = rk == hh_n
-        degrees.append({"sh": sh_n, "hh": hh_n, "rank": rk,
+        injective = rk == sh[n]
+        surjective = rk == hh[n]
+        degrees.append({"sh": sh[n], "hh": hh[n], "rank": rk,
                        "injective": injective, "surjective": surjective})
         if not (injective and surjective):
             iso = False
     return EpsilonMuReport(eps, mu, mu_eps, eps_chain, mu_chain, eps_mu,
                            props.schurian, props.semi_commutative,
                            tuple(degrees), iso)
-
-
-def _same_matrix(F, a, b, nrows, ncols):
-    za = a if a else [[F.of(0)] * ncols for _ in range(nrows)]
-    zb = b if b else [[F.of(0)] * ncols for _ in range(nrows)]
-    if not za and not zb:
-        return True
-    return za == zb

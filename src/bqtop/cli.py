@@ -15,6 +15,7 @@ malformed quivers, unreadable files, bad flag values).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,10 @@ def _env_int(name):
                          % (name, raw)) from None
 
 
+@functools.cache
 def _build_parser():
+    # built on the first call and kept: in-process callers run main many
+    # times, and parse_args leaves the parser unchanged
     top = argparse.ArgumentParser(
         prog="bqtop",
         description="classifying spaces, fundamental groups and"
@@ -194,13 +198,9 @@ def _covering_json(rep):
     return out
 
 
-def _dispatch(args, cfg):
-    """Returns (result dict, caveats, ok)."""
+def _dispatch(args, table):
+    """Returns (result dict, caveats, ok) of a command on one quiver."""
     cmd = args.command
-    if cmd == "cover":
-        return _cover(args, cfg)
-    quiver, table = _load(args.file, cfg)
-
     if cmd == "check":
         props = algebra_properties(table)
         result = {
@@ -400,14 +400,13 @@ def _dot(args, cfg):
     return "\n".join(lines) + "\n"
 
 
-def _input_echo(args):
+def _input_echo(args, quiver):
     if args.command == "cover":
         echo = {"base": args.base, "cover": args.cover,
                 "morphism": args.morphism}
         if args.galois is not None:
             echo["group"] = args.galois
         return echo
-    quiver = parse(_read(args.file))
     return {"file": args.file, "vertices": len(quiver.vertices),
             "arrows": len(quiver.arrows),
             "relations": len(quiver.relations)}
@@ -428,12 +427,17 @@ def main(argv=None):
         if args.command == "dot":
             _emit(_dot(args, cfg), args.out)
             return 0
-        result, caveats, ok = _dispatch(args, cfg)
+        if args.command == "cover":
+            quiver = None
+            result, caveats, ok = _cover(args, cfg)
+        else:
+            quiver, table = _load(args.file, cfg)
+            result, caveats, ok = _dispatch(args, table)
         doc = {
             "schema": _SCHEMA,
             "tool": {"name": "bqtop", "version": __version__},
             "command": args.command,
-            "input": _input_echo(args),
+            "input": _input_echo(args, quiver),
             "config": {k: v for k, v in sorted(cfg.items())},
             "ok": ok,
             "result": result,

@@ -100,6 +100,22 @@ def sparse_column(terms):
     return {r: x for r, x in col.items() if x}
 
 
+def sparse_apply(columns, vec, field=None):
+    """The image sum_j vec[j] * columns[j] of a sparse vector, zeros dropped.
+
+    Entries are integers, or elements of `field` when one is given.
+    """
+    if field is None:
+        add, mul, zero = operator.add, operator.mul, 0
+    else:
+        add, mul, zero = field.add, field.mul, field.zero
+    acc = {}
+    for j, x in vec.items():
+        for i, y in columns[j].items():
+            acc[i] = add(acc.get(i, zero), mul(y, x))
+    return {i: y for i, y in acc.items() if y != zero}
+
+
 def check_square_zero(columns, field=None,
                       message="boundary of boundary must vanish"):
     """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
@@ -109,20 +125,12 @@ def check_square_zero(columns, field=None,
     costs one sparse combination of the columns it touches, so a complex
     of cells with n+1 faces costs O(cells * n^2).
     """
-    if field is None:
-        add, mul, zero = operator.add, operator.mul, 0
-    else:
-        add, mul, zero = field.add, field.mul, field.zero
     for n, cols in columns.items():
         low = columns.get(n - 1)
         if low is None:
             continue
         for col in cols:
-            acc = {}
-            for k, b in col.items():
-                for i, a in low[k].items():
-                    acc[i] = add(acc.get(i, zero), mul(a, b))
-            assert all(x == zero for x in acc.values()), message
+            assert not sparse_apply(low, col, field), message
 
 
 def build_complex(table, classes, max_dim=None):

@@ -13,7 +13,7 @@ components of the matroid of W = I(x, y) restricted to the nonzero
 paths, found from the fundamental circuits of one RREF basis of W
 (`relation_components`).  The support search `minimal_relation_supports`
 and the exact minimality check `is_minimal_relation` are kept only as an
-oracle for tests; a caller may still pass its own minimal relations.
+oracle for tests.
 
 Natural classes are computed exactly on the path table by fixpoint
 closure.  Two parallel paths u, v are walk-homotopic exactly when they
@@ -246,13 +246,6 @@ def relation_components(table):
     return groups
 
 
-def _co_member_groups(table, minrels):
-    """Matroid components, or the supports of the caller's relations."""
-    if minrels is None:
-        return relation_components(table)
-    return [mr.support() for mr in minrels]
-
-
 # ---------------------------------------------------------------------------
 # path class tables
 
@@ -370,16 +363,15 @@ def _factor_replacement_closure(table, parent):
                             changed = True
 
 
-def natural_homotopy_classes(table, minrels=None):
+def natural_homotopy_classes(table):
     """Fixpoint closure of minimal-relation merges under factor replacement.
 
     The merges are the matroid components of `relation_components`, which
-    are exact and need no cap; `minrels`, when given, replaces them by the
-    supports of those relations.  Classes may contain ideal members:
+    are exact and need no cap.  Classes may contain ideal members:
     replacing a factor can land on a path inside I, and such paths carry
     cell-identification data.
     """
-    groups = _co_member_groups(table, minrels)
+    groups = relation_components(table)
     caveats = []
     if any(len({len(p) for p in group}) > 1 for group in groups):
         # with equal-length supports every rewrite chain between two paths
@@ -452,26 +444,25 @@ def spanning_tree(quiver, base):
     return tree, walk_to
 
 
-def pi1_presentation(table, minrels=None, base=None):
+def pi1_presentation(table, base=None):
     """Presentation of the fundamental group of the bound quiver.
 
     Generators are all arrows; relators are the spanning tree arrows plus,
-    for each co-member group w_1 < ... < w_m (a matroid component, or the
-    support of one of the given `minrels`), the words w_1 w_j^-1 for
-    j = 2..m.
+    for each co-member group w_1 < ... < w_m (a matroid component of
+    `relation_components`), the words w_1 w_j^-1 for j = 2..m.
     """
     q = table.quiver
     if base is None:
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
-    return _presentation(table, minrels, tree, base)
+    return _presentation(table, tree, base)
 
 
-def _presentation(table, minrels, tree, base):
+def _presentation(table, tree, base):
     """All arrows over the tree relators and the co-member relators."""
     q = table.quiver
     relators = [((name, 1),) for name in tree]
-    for group in _co_member_groups(table, minrels):
+    for group in relation_components(table):
         supp = sorted(group, key=lambda p: path_sort_key(q, p))
         w1 = tuple((a, 1) for a in supp[0].arrows)
         for wj in supp[1:]:
@@ -629,7 +620,7 @@ def _spanning_forest(quiver):
             if _union(parent, vx[a.source], vx[a.target])]
 
 
-def walk_homotopy_classes(table, minrels=None):
+def walk_homotopy_classes(table):
     """Natural classes merged by the word problem of the fundamental group.
 
     Parallel paths u, v are walk-homotopic exactly when u v^-1 is trivial
@@ -643,8 +634,8 @@ def walk_homotopy_classes(table, minrels=None):
     undecided stays apart and is named in a caveat.
     """
     q = table.quiver
-    nat = natural_homotopy_classes(table, minrels)
-    pres, subst = _tietze(_presentation(table, minrels, _spanning_forest(q),
+    nat = natural_homotopy_classes(table)
+    pres, subst = _tietze(_presentation(table, _spanning_forest(q),
                                         q.vertices[0]))
     parent = list(range(len(table.paths)))
     for members in nat.class_members:

@@ -18,7 +18,8 @@ index are touched.  Three entry points run on it:
   pivots on its leftmost entry and clears that column in every other row.
   Its input and output are dense lists of rows (`sparse_rref` keeps them
   sparse); the reduced row echelon form is unique, so the result does not
-  depend on the order of elimination.
+  depend on the order of elimination.  `sparse_nullspace` and `nullspace`
+  read the kernel off it.
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
   pivot vector once its index is cleared.
 * `smith_divisors(columns)` gives the invariant factors of an integer
@@ -270,21 +271,27 @@ def solve_in_span(vecs, target, field=QQ):
     return coeffs
 
 
+def sparse_nullspace(rows, ncols, field=QQ):
+    """Basis of the right kernel {x : M x = 0} of a matrix with `ncols`
+    columns, as sparse vectors: one per free column of the RREF, in
+    increasing order, with a 1 there."""
+    reduced = sparse_rref(rows, field)
+    pivots = {c for c, _ in reduced}
+    basis = {f: {f: field.one} for f in range(ncols) if f not in pivots}
+    for c, row in reduced:
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = field.neg(x)
+    return list(basis.values())
+
+
 def nullspace(rows, field=QQ):
     """Basis of the right kernel {x : M x = 0}.  Deterministic order."""
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(m[r][fc])
-        basis.append(v)
-    return basis
+    return [[v.get(i, field.zero) for i in range(ncols)]
+            for v in sparse_nullspace(rows, ncols, field)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from bqtop.algcohom import (FieldMismatch, TriangularRequired, epsilon_mu,
+from bqtop.algcohom import (FieldMismatch, TriangularRequired, _commutes,
+                            _is_inverse, _transpose, epsilon_mu,
                             find_semi_normed_basis, hochschild_complex,
                             hochschild_cup, phi_psi_maps, sc_cup,
                             simplicial_complex, verify_semi_normed_basis)
@@ -96,14 +97,18 @@ def test_nosn_user_basis_fails_independence():
     assert any("linearly dependent" in w for w in u.witnesses)
 
 
-def test_ker_phi_psi():
+def ker():
     t, n = setup(["1", "2", "3", "4", "5", "6"],
                  [("a1", "6", "5"), ("a2", "6", "5"), ("b1", "4", "2"),
                   ("b2", "5", "2"), ("b3", "5", "3"),
                   ("g1", "2", "1"), ("g2", "2", "1")],
                  [[(["a1", "b3"], 1), (["a2", "b3"], -1)],
                   [(["b1", "g1"], 1), (["b1", "g2"], -1)]])
-    a = find_semi_normed_basis(t, n)
+    return t, n, find_semi_normed_basis(t, n)
+
+
+def test_ker_phi_psi():
+    t, n, a = ker()
     assert a.ok
     assert len(a.non_identity) == 17
     s = simplicial_complex(a)
@@ -216,15 +221,14 @@ def test_monomial_tree_cycle_spot_checks():
 
 
 def eps_apply(em, n, sc, hc, fdict):
-    """Push a simplicial cochain through the epsilon matrix."""
+    """Push a simplicial cochain through the sparse epsilon columns."""
     cols = sc.tuples[n] if n <= sc.top_dim() else []
     out = {}
-    for r, pair in enumerate(hc.bases[n]):
-        s = sum(Fraction(em.eps[n][r][c]) * fdict.get(t, 0)
-                for c, t in enumerate(cols))
-        if s:
-            out[pair] = s
-    return out
+    for c, t in enumerate(cols):
+        for r, lam in em.eps[n][c].items():
+            pair = hc.bases[n][r]
+            out[pair] = out.get(pair, 0) + Fraction(lam) * fdict.get(t, 0)
+    return {pair: s for pair, s in out.items() if s}
 
 
 @pytest.mark.parametrize("factory", [hheq, cube])
@@ -285,3 +289,53 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
     alg.product[(i, j)] = (Fraction(2), alg.product[(i, j)][1])
     with pytest.raises(AssertionError, match="differential squares to zero"):
         hochschild_complex(alg, field)
+
+
+def with_column(cols, k, col):
+    """The map `cols` (sparse columns) with column k replaced by `col`."""
+    out = list(cols)
+    out[k] = col
+    return out
+
+
+def test_column_checks_catch_a_perturbed_epsilon_column():
+    a, s, h = cube()
+    rep = epsilon_mu(a, s, h)
+    F = h.field
+    d_sc = _transpose(s.columns[2], s.counts()[1])
+    d_hc = _transpose(h.columns[2], h.dims()[1])
+    eps, mu = rep.eps[1], rep.mu[1]
+    assert _commutes(eps, rep.eps[2], d_sc, d_hc, F)
+    assert _commutes(mu, rep.mu[2], d_hc, d_sc, F)
+    assert _is_inverse(eps, mu, F) and _is_inverse(mu, eps, F)
+    # scale a column whose cochain has a nonzero coboundary, so that one
+    # side of each square changes and the other does not
+    k, r = next((c, r) for c, col in enumerate(eps) for r in col if d_hc[r])
+    bad = with_column(eps, k, {r: 2 * eps[k][r]})
+    assert not _commutes(bad, rep.eps[2], d_sc, d_hc, F)
+    assert not _is_inverse(bad, mu, F)
+    assert not _is_inverse(mu, bad, F)
+    bad = with_column(mu, r, {k: 2 * mu[r][k]})
+    assert not _commutes(bad, rep.mu[2], d_hc, d_sc, F)
+    assert not _is_inverse(eps, bad, F)
+    assert not _is_inverse(bad, eps, F)
+
+
+def test_column_checks_catch_a_perturbed_phi_column():
+    t, n, a = ker()
+    s = simplicial_complex(a)
+    c = build_complex(t, n)
+    rep = phi_psi_maps(a, c, build_complex(t, walk_homotopy_classes(t)))
+    phi, psi = rep.phi[1], rep.psi[1]
+    assert _commutes(phi, rep.phi[0], s.columns[1], c.columns[1])
+    assert _is_inverse(phi, psi) and _is_inverse(psi, phi)
+    # send arrow 0's tuple to a 1-cell with other ends, then to twice its
+    # own cell: each breaks the square and the inverse pair
+    (r,) = phi[0]
+    other = next(j for j, col in enumerate(c.columns[1])
+                 if col != c.columns[1][r])
+    for col in ({other: 1}, {r: 2}):
+        bad = with_column(phi, 0, col)
+        assert not _commutes(bad, rep.phi[0], s.columns[1], c.columns[1])
+        assert not _is_inverse(bad, psi)
+        assert not _is_inverse(psi, bad)

@@ -290,3 +290,67 @@ def test_commutative_four_by_four_grid_is_contractible(tmp_path):
     rep = json.loads(out)
     assert rep["result"]["generators"] == []
     assert rep["result"]["relators"] == []
+    # the comparison maps and the Hochschild differential are sparse
+    # columns, so the algebra side costs about as much as the cells
+    code, out, _ = run_cli(["compare", grid])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["SH"] == res["HH"] == [1] + [0] * 7
+    assert res["epsilon_iso"] is True
+    code, out, _ = run_cli(["hochschild", grid])
+    assert code == 0
+    assert json.loads(out)["result"]["HH"] == [1] + [0] * 7
+
+
+def test_flags_do_not_leak_between_calls_in_one_process():
+    # the parser is built once per process, so every call must start from
+    # the defaults again, whatever the previous call set
+    flagged = [
+        (["homology", "--coeff", "Fp:2", "--sharp", "corpus/rp2.bq"],
+         lambda r: r["result"]["coefficients"] == "Fp:2"),
+        (["cells", "--max-dim", "1", "corpus/ex1.bq"],
+         lambda r: len(r["result"]["counts"]) == 2),
+        (["hochschild", "--field", "Fp:5", "corpus/hhgap.bq"],
+         lambda r: r["result"]["field"] == "Fp:5"),
+        (["check", "--path-cap", "9", "corpus/rp2_cover.bq"],
+         lambda r: r["config"]["path_cap"] == 9),
+    ]
+    defaults = [
+        ("rp2_homology.json", ["homology", "corpus/rp2.bq"]),
+        ("ex1_cells.json", ["cells", "corpus/ex1.bq"]),
+        ("hhgap_hochschild.json", ["hochschild", "corpus/hhgap.bq"]),
+        ("rp2_cover_check.json", ["check", "corpus/rp2_cover.bq"]),
+    ]
+    for _ in range(2):
+        for argv, holds in flagged:
+            code, out, _ = run_cli(argv)
+            assert code == 0 and holds(json.loads(out)), argv
+        for golden, argv in defaults:
+            code, out, _ = run_cli(argv)
+            assert code == 0
+            assert out == (GOLDEN / golden).read_text(), argv
+
+
+SCALED_SQUARE = """\
+arrow a 1 2
+arrow b 2 4
+arrow c 1 3
+arrow d 3 4
+rel 3*a*b - 2*c*d
+"""
+
+
+def test_hochschild_over_a_prime_dividing_a_structure_constant(tmp_path):
+    # the basis takes a*b, so c*d = 3/2 a*b; mod 2 that constant has no
+    # value and the rational basis does not reduce
+    quiver = tmp_path / "square.bq"
+    quiver.write_text(SCALED_SQUARE)
+    code, out, err = run_cli(["hochschild", "--field", "Fp:2", str(quiver)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bqtop: structure constant 3/2 of c * d")
+    assert "p = 2" in err and err.count("\n") == 1
+    for field, hh in (("Fp:5", [1, 0, 0, 0]), ("Fp:3", [1, 1, 1, 0])):
+        code, out, _ = run_cli(["hochschild", "--field", field, str(quiver)])
+        assert code == 0
+        assert json.loads(out)["result"]["HH"] == hh

@@ -51,6 +51,27 @@ KER = BoundQuiver(
      [(["b1", "g1"], 1), (["b1", "g2"], -1)]])
 
 
+def support_closure(mrs):
+    """Co-member groups of the enumerated supports, joined where they share
+    a path, as a set of frozensets of at least two paths."""
+    groups = []
+    for mr in mrs:
+        group = set(mr.support())
+        for other in [g for g in groups if g & group]:
+            groups.remove(other)
+            group |= other
+        groups.append(group)
+    return {frozenset(g) for g in groups}
+
+
+def assert_components_are_support_closure(t, mrs):
+    # classes and presentations are built from the co-member groups
+    # alone, so equal groups mean the search's relations would give the
+    # same classes and the same group
+    assert ({frozenset(g) for g in relation_components(t)}
+            == support_closure(mrs))
+
+
 def test_ex1_minimal_relations():
     t = enumerate_paths(EX1)
     mrs, _ = minimal_relation_supports(t)
@@ -86,7 +107,8 @@ def test_ex3_classes():
         ("alpha*beta2*gamma2", "alpha*beta3*gamma3"),
         ("beta1*gamma1", "beta2*gamma2", "beta3*gamma3"),
     ]
-    nat = natural_homotopy_classes(t, mrs)
+    assert_components_are_support_closure(t, mrs)
+    nat = natural_homotopy_classes(t)
     bg = [EX3.path(["beta%d" % i, "gamma%d" % i]) for i in (1, 2, 3)]
     assert len({nat.class_of(p) for p in bg}) == 1
     # the class of alpha*beta1*gamma1 contains an ideal member yet is a
@@ -146,7 +168,8 @@ def test_vk_presentation():
     t = enumerate_paths(VK)
     mrs, _ = minimal_relation_supports(t)
     assert len(mrs) == 2
-    pres = pi1_presentation(t, mrs, base="1")
+    assert_components_are_support_closure(t, mrs)
+    pres = pi1_presentation(t, base="1")
     # 8 arrows - 5 tree arrows + 2 relation relators... the tree kills 5
     # generators, leaving 3, with 5 tree relators and 2 relation relators
     assert len(pres.relators) == 7
@@ -193,8 +216,9 @@ def test_ker_class_counts():
     t = enumerate_paths(KER)
     mrs, _ = minimal_relation_supports(t)
     assert len(mrs) == 2
-    assert len(natural_homotopy_classes(t, mrs).one_cell_classes()) == 17
-    assert len(walk_homotopy_classes(t, mrs).one_cell_classes()) == 10
+    assert_components_are_support_closure(t, mrs)
+    assert len(natural_homotopy_classes(t).one_cell_classes()) == 17
+    assert len(walk_homotopy_classes(t).one_cell_classes()) == 10
 
 
 def test_monomial_has_no_minimal_relations():
@@ -204,7 +228,8 @@ def test_monomial_has_no_minimal_relations():
     t = enumerate_paths(mono)
     mrs, _ = minimal_relation_supports(t)
     assert mrs == []
-    walk = walk_homotopy_classes(t, mrs)
+    assert_components_are_support_closure(t, mrs)
+    walk = walk_homotopy_classes(t)
     assert len(walk) == len(t.paths)  # discrete partition
 
 
