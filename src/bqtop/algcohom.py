@@ -725,8 +725,16 @@ def epsilon_mu(algebra, sc, hc):
             else:
                 lam, b = a.product_of_tuple(t)
                 r = bidx[(t, b)]
-            eps[n].append({r: F.of(lam)})
-            mu[n][r] = {c: F.inv(F.of(lam))}
+            x = F.of(lam)
+            if x == F.zero:
+                raise ValueError(
+                    "structure constant %s of %s vanishes mod p = %d, so mu "
+                    "cannot invert it: the rational semi-normed basis does "
+                    "not reduce mod %d"
+                    % (lam, " * ".join(str(a.elements[i]) for i in t),
+                       F.p, F.p))
+            eps[n].append({r: x})
+            mu[n][r] = {c: F.inv(x)}
     # coboundaries C^n -> C^{n+1} as columns, over the cochain coordinates
     d_sc = {n: _transpose(sc.columns.get(n + 1, []), sc_dims[n])
             for n in range(top + 1)}

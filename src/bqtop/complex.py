@@ -7,9 +7,15 @@ witness.  The existential reading is forced by class merging: a tuple
 can contain a class whose particular representative product vanishes
 while another does not, and both name the same cell.
 
-Face maps drop the first class, drop the last, or multiply two adjacent
-classes (the class of the witness sub-composite; composition
-compatibility of the class table makes this representative-independent).
+Face maps drop the first class, drop the last, or compose two adjacent
+classes: d_i is the class of the product of members i-1 and i in the
+split of the least witness into members that the construction recorded
+when it grew the cell (the least split in member order).  Any split
+gives the same face when every class has members of one length (the
+split is then unique), or when the factor-replacement closure of the
+classes skipped no replacement for the table bound (the classes are then
+closed under composition); only under the mixed-length caveat could
+another split give another face.
 Boundary matrices are kept as sparse integer columns.  Homology over Z
 comes from their invariant factors (unit-pivot reduction, then a
 certified Smith normal form of what is left), over a field from their
@@ -134,131 +140,77 @@ def check_square_zero(columns, field=None,
 
 
 def build_complex(table, classes, max_dim=None):
-    """Cell complex over a path class table (natural or walk variant)."""
-    q = table.quiver
-    cells = [[Cell(0, v, None) for v in q.vertices]]
-    one_classes = classes.one_cell_classes()
-    one_cells = [Cell(1, (cid,), classes.class_rep[cid])
-                 for cid in one_classes]
+    """Cell complex over a path class table (natural or walk variant).
+
+    Cells of dimension above `max_dim` (>= 0; None keeps them all) are
+    left out.
+    """
+    if max_dim is not None and max_dim < 0:
+        raise ValueError("maximum cell dimension must be >= 0, got %d"
+                         % max_dim)
+    paths, index, in_ideal = table.paths, table.index, table.in_ideal
+    length = [len(p.arrows) for p in paths]
+    of_index = classes.class_of_index
+    source, target = classes.class_source, classes.class_target
+    # steps[v]: (class, member) for every member of a 1-cell class at v
+    steps = {v: [] for v in table.quiver.vertices}
+    # live[key] = {witness: split}: every nonzero member composite of the
+    # class tuple `key`, with the least of its splits into members (all
+    # as table indices, so `min` of a record is its least composite)
+    live = {}
+    for cid in classes.one_cell_classes():
+        live[(cid,)] = {}
+        for j in classes.class_members[cid]:
+            steps[source[cid]].append((cid, j))
+            if j not in in_ideal:
+                live[(cid,)][j] = (j,)
+    cells = [[Cell(0, v, None) for v in table.quiver.vertices]]
     faces = [None]
-    if one_cells:
-        cells.append(one_cells)
-        # boundary of a 1-cell: target vertex first, then source
-        vx = {v: i for i, v in enumerate(q.vertices)}
-        faces.append([(vx[classes.class_target[c.key[0]]],
-                       vx[classes.class_source[c.key[0]]])
-                      for c in one_cells])
+    top = math.inf if max_dim is None else max_dim
     n = 1
-    while n <= len(cells) - 1 and (max_dim is None or n < max_dim):
-        prev = cells[n]
-        nxt = {}
-        for cell in prev:
-            # a witness of an extended tuple restricts to a witness of the
-            # prefix, so extending every stored witness loses nothing
-            for w in _witnesses(table, classes, cell):
-                for cid in one_classes:
-                    if classes.class_source[cid] != w.target:
-                        continue
-                    for j in classes.class_members[cid]:
-                        s = table.paths[j]
-                        if len(s) == 0 or len(w) + len(s) > table.bound:
-                            continue
-                        comp = compose(w, s)
-                        if table.index[comp] in table.in_ideal:
-                            continue
-                        key = cell.key + (cid,)
-                        old = nxt.get(key)
-                        if old is None or _path_key(q, comp) < _path_key(q, old):
-                            nxt[key] = comp
-        if not nxt:
-            break
-        layer = [Cell(n + 1, key, nxt[key]) for key in sorted(nxt)]
+    while live and n <= top:
+        keys = sorted(live)
+        below = {c.key: i for i, c in enumerate(cells[-1])}
+        layer, rows = [], []
+        for key in keys:
+            w = min(live[key])
+            split = live[key][w]
+            layer.append(Cell(n, key, paths[w]))
+            # d_0 drops the first class, d_n the last (leaving a vertex
+            # when n = 1), and d_i composes the members i-1, i of the
+            # least witness's split
+            row = [key[1:] or target[key[0]]]
+            for i in range(1, n):
+                a, b = paths[split[i - 1]], paths[split[i]]
+                mid = of_index[index[compose(a, b)]]
+                row.append(key[:i - 1] + (mid,) + key[i + 1:])
+            row.append(key[:-1] or source[key[0]])
+            face = tuple(below.get(k) for k in row)
+            assert None not in face, "face of a cell must be a cell"
+            rows.append(face)
         cells.append(layer)
-        n += 1
-    # face maps for dimensions >= 2
-    for m in range(2, len(cells)):
-        index = {c.key: i for i, c in enumerate(cells[m - 1])}
-        rows = []
-        for cell in cells[m]:
-            rows.append(tuple(_face_index(table, classes, cell, i, index)
-                              for i in range(m + 1)))
         faces.append(rows)
+        if n == top:
+            break
+        # a nonzero composite has a nonzero prefix, so growing the stored
+        # composites reaches every nonzero composite of the longer tuples
+        grown = {}
+        for key in keys:
+            for w, split in live[key].items():
+                pw = paths[w]
+                for cid, j in steps[pw.target]:
+                    if length[w] + length[j] > table.bound:
+                        continue
+                    c = index[compose(pw, paths[j])]
+                    if c in in_ideal:
+                        continue
+                    record = grown.setdefault(key + (cid,), {})
+                    ext = split + (j,)
+                    if c not in record or ext < record[c]:
+                        record[c] = ext
+        live = grown
+        n += 1
     return CellComplex(table, classes, cells, faces)
-
-
-def _witnesses(table, classes, cell):
-    """All nonzero member composites of the cell's class tuple."""
-    q = table.quiver
-    outs = [table.paths[i] for i in classes.class_members[cell.key[0]]]
-    for cid in cell.key[1:]:
-        grown = []
-        for w in outs:
-            for j in classes.class_members[cid]:
-                s = table.paths[j]
-                if s.source == w.target and len(w) + len(s) <= table.bound:
-                    grown.append(compose(w, s))
-        outs = grown
-    return sorted((w for w in outs if table.index[w] not in table.in_ideal),
-                  key=lambda p: _path_key(q, p))
-
-
-def _path_key(q, p):
-    from .core import path_sort_key
-    return path_sort_key(q, p)
-
-
-def _face_index(table, classes, cell, i, index):
-    n = cell.dim
-    if i == 0:
-        key = cell.key[1:]
-    elif i == n:
-        key = cell.key[:-1]
-    else:
-        # multiply classes i-1, i (0-based) along the stored witness
-        w = cell.witness
-        verts = table.quiver.path_vertices(w)
-        # split the witness into per-class segments
-        segs = []
-        pos = 0
-        rem = w
-        at = 0
-        for cid in cell.key:
-            found = None
-            for j in classes.class_members[cid]:
-                s = table.paths[j]
-                if s.arrows == w.arrows[at:at + len(s)] \
-                        and s.source == verts[at] and len(s) >= 1:
-                    # greedy split may be ambiguous; recurse on the rest
-                    found = s
-                    if _split_rest(table, classes, cell.key, w, at + len(s),
-                                   segs + [s]):
-                        break
-                    found = None
-            assert found is not None, "witness does not factor through classes"
-            segs.append(found)
-            at += len(found)
-        prod = compose(segs[i - 1], segs[i])
-        mid = classes.class_of(prod)
-        key = cell.key[:i - 1] + (mid,) + cell.key[i + 1:]
-    face = index.get(key)
-    assert face is not None, "face of a cell must be a cell"
-    return face
-
-
-def _split_rest(table, classes, key, w, at, segs):
-    k = len(segs)
-    if k == len(key):
-        return at == len(w)
-    verts = table.quiver.path_vertices(w)
-    if at >= len(w):
-        return False
-    for j in classes.class_members[key[k]]:
-        s = table.paths[j]
-        if len(s) >= 1 and s.source == verts[at] \
-                and s.arrows == w.arrows[at:at + len(s)]:
-            if _split_rest(table, classes, key, w, at + len(s), segs + [s]):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

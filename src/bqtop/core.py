@@ -459,11 +459,6 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     return PathTable(quiver, L, paths, rows_by_pair)
 
 
-def ideal_membership(table, terms):
-    """terms: iterable of (Path, coefficient).  Exact membership in I."""
-    return table.vector_in_ideal(list(terms))
-
-
 @dataclass(frozen=True)
 class AlgebraProperties:
     dims: dict

@@ -260,6 +260,24 @@ def test_field_mismatch_raises():
         epsilon_mu(a1, s2, h2)
 
 
+def test_epsilon_mu_over_a_prime_dividing_a_structure_constant():
+    # the basis takes a*b, so c*d = 3/2 a*b, which vanishes mod 3: mu would
+    # have to invert 0 there
+    t, n = setup(["1", "2", "3", "4"],
+                 [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"),
+                  ("d", "3", "4")],
+                 [[(["a", "b"], 3), (["c", "d"], -2)]])
+    a = find_semi_normed_basis(t, n)
+    sc = simplicial_complex(a)
+    hc = hochschild_complex(a, "Fp:3")
+    assert hc.hh_dims() == [1, 1, 1, 0]
+    with pytest.raises(ValueError, match=r"^structure constant 3/2 of c \* d "
+                                         r"vanishes mod p = 3"):
+        epsilon_mu(a, sc, hc)
+    for field in ("Q", "Fp:5"):
+        assert epsilon_mu(a, sc, hochschild_complex(a, field)).iso
+
+
 def test_corrupted_sc_differential_fails_the_check():
     t, classes = setup(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = find_semi_normed_basis(t, classes)

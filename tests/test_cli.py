@@ -252,30 +252,10 @@ def test_algebra_commands_carry_natural_class_caveats(tmp_path):
         assert rep["caveats"] == caveats, command
 
 
-def write_comm_grid(tmp_path, n, seed=11):
-    """n x n grid of right (h) and down (d) arrows in which every square
-    commutes up to nonzero coefficients drawn from a seeded generator."""
-    rng = random.Random(seed)
-    lines = ["vertex x%d_%d" % (i, j) for i in range(n) for j in range(n)]
-    lines += ["arrow h%d_%d x%d_%d x%d_%d" % (i, j, i, j, i, j + 1)
-              for i in range(n) for j in range(n - 1)]
-    lines += ["arrow d%d_%d x%d_%d x%d_%d" % (i, j, i, j, i + 1, j)
-              for i in range(n - 1) for j in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a, b = (rng.choice([-1, 1]) * rng.randint(1, 9) for _ in "ab")
-            lines.append("rel %d*h%d_%d*d%d_%d %s %d*d%d_%d*h%d_%d"
-                         % (a, i, j, i, j + 1, "-" if b < 0 else "+",
-                            abs(b), i, j, i + 1, j))
-    path = tmp_path / ("grid%d.bq" % n)
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def test_commutative_four_by_four_grid_is_contractible(tmp_path):
+def test_commutative_four_by_four_grid_is_contractible(comm_grid):
     # ~1000 cells: cheap only with sparse boundaries and unit-pivot
     # reduction ahead of the Smith normal form
-    grid = write_comm_grid(tmp_path, 4)
+    grid = comm_grid(4)
     code, out, _ = run_cli(["cells", grid])
     assert code == 0
     assert json.loads(out)["result"]["counts"] == [16, 84, 216, 309, 252,
@@ -300,6 +280,36 @@ def test_commutative_four_by_four_grid_is_contractible(tmp_path):
     code, out, _ = run_cli(["hochschild", grid])
     assert code == 0
     assert json.loads(out)["result"]["HH"] == [1] + [0] * 7
+
+
+def test_commutative_five_by_five_grid_is_contractible(comm_grid):
+    # ~10 000 cells: cheap only when faces are read off the split of each
+    # witness that the construction recorded
+    grid = comm_grid(5)
+    code, out, _ = run_cli(["cells", grid])
+    assert code == 0
+    assert json.loads(out)["result"]["counts"] == [25, 200, 800, 1875, 2751,
+                                                   2570, 1490, 490, 70]
+    code, out, _ = run_cli(["homology", grid])
+    assert code == 0
+    groups = json.loads(out)["result"]["groups"]
+    assert groups["H0"] == [1, []]
+    assert all(g == [0, []] for n, g in groups.items() if n != "H0")
+
+
+def test_cells_max_dim():
+    code, out, _ = run_cli(["cells", "--max-dim", "0", "corpus/ex1.bq"])
+    assert code == 0
+    rep = json.loads(out)["result"]
+    assert rep["counts"] == [3]
+    assert list(rep["cells"]) == ["0"]
+    code, out, _ = run_cli(["cells", "--max-dim", "1", "corpus/ex1.bq"])
+    assert code == 0
+    assert json.loads(out)["result"]["counts"] == [3, 4]
+    code, out, err = run_cli(["cells", "--max-dim", "-3", "corpus/ex1.bq"])
+    assert code == 2
+    assert out == ""
+    assert err == "bqtop: maximum cell dimension must be >= 0, got -3\n"
 
 
 def test_flags_do_not_leak_between_calls_in_one_process():

@@ -24,7 +24,7 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    minimal_relation_supports, natural_homotopy_classes,
                    phi_psi_maps, pi1_presentation, relation_components,
                    simplicial_complex, walk_homotopy_classes)
-from bqtop.core import PathTable, _unit_rows
+from bqtop.core import PathTable, _unit_rows, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, mat_mul, nullspace, rank, rref,
                           smith_divisors, smith_normal_form)
@@ -593,3 +593,85 @@ def test_unit_rows_match_reduction_on_corpus_slices(path):
             member = bool(rows) and PathTable._reduces_to_zero(rows, e)
             assert (k in units) == member
             assert (i in t.in_ideal) == member
+
+
+# ---------------------------------------------------------------------------
+# faces from the recorded split against re-enumeration and backtracking
+
+
+def oracle_witnesses(table, classes, key):
+    """Every nonzero member composite of a class tuple, least first: the
+    re-enumeration `build_complex` ran before it recorded composites."""
+    outs = classes.members(key[0])
+    for cid in key[1:]:
+        outs = [compose(w, s) for w in outs for s in classes.members(cid)
+                if s.source == w.target and len(w) + len(s) <= table.bound]
+    return sorted((w for w in outs if not table.path_in_ideal(w)),
+                  key=lambda p: path_sort_key(table.quiver, p))
+
+
+def oracle_split(table, classes, key, w, at=0):
+    """The first split of w[at:] into members of the classes of `key`,
+    trying members in class order and backtracking; None if none."""
+    if not key:
+        return () if at == len(w) else None
+    verts = table.quiver.path_vertices(w)
+    for s in classes.members(key[0]):
+        if s.source == verts[at] and s.arrows == w.arrows[at:at + len(s)]:
+            rest = oracle_split(table, classes, key[1:], w, at + len(s))
+            if rest is not None:
+                return (s,) + rest
+    return None
+
+
+def oracle_faces(table, classes, key, witness):
+    """Face keys of a cell, the middle ones along the backtracked split."""
+    n = len(key)
+    if n == 1:
+        return [classes.class_target[key[0]], classes.class_source[key[0]]]
+    segs = oracle_split(table, classes, key, witness)
+    assert segs is not None, "witness does not factor through classes"
+    mids = [classes.class_of(compose(segs[i - 1], segs[i]))
+            for i in range(1, n)]
+    return ([key[1:]] + [key[:i - 1] + (mids[i - 1],) + key[i + 1:]
+                         for i in range(1, n)] + [key[:-1]])
+
+
+def oracle_layers(table, classes):
+    """[(key, witness, face keys)] per dimension >= 1, in cell order."""
+    one = classes.one_cell_classes()
+    keys = [(cid,) for cid in one]
+    layers = []
+    while keys:
+        wit = {k: oracle_witnesses(table, classes, k) for k in keys}
+        layers.append([(k, wit[k][0],
+                        oracle_faces(table, classes, k, wit[k][0]))
+                       for k in keys])
+        keys = sorted({k + (cid,) for k in keys for w in wit[k]
+                       for cid in one for s in classes.members(cid)
+                       if s.source == w.target
+                       and len(w) + len(s) <= table.bound
+                       and not table.path_in_ideal(compose(w, s))})
+    return layers
+
+
+def complex_layers(cx):
+    return [[(c.key, c.witness, [cx.cells[n - 1][f].key for f in row])
+             for c, row in zip(cx.cells[n], cx.faces[n])]
+            for n in range(1, len(cx.cells))]
+
+
+def test_faces_match_the_backtracking_oracle(comm_grid):
+    tables = [enumerate_paths(parse(path.read_text()))
+              for path in sorted(CORPUS.glob("*.bq"))]
+    tables += [t for _, t in SAMPLES + MONOMIAL]
+    tables.append(enumerate_paths(parse(open(comm_grid(4)).read())))
+    compared = 0
+    for t in tables:
+        for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+            cx = build_complex(t, classes)
+            layers = complex_layers(cx)
+            assert layers == oracle_layers(t, classes)
+            compared += sum(map(len, layers))
+    assert len(tables) == 18 + 240 + 1
+    assert compared > 5000
