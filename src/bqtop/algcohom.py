@@ -145,9 +145,8 @@ class SemiNormedAlgebra:
 
 
 def _pair_local_vector(table, pair, path):
-    idxs = table.pair_paths[pair]
-    vec = [Fraction(0)] * len(idxs)
-    vec[idxs.index(table.index[path])] = Fraction(1)
+    vec = [Fraction(0)] * len(table.pair_paths[pair])
+    vec[table.local[table.index[path]]] = Fraction(1)
     return vec
 
 
@@ -172,8 +171,8 @@ def _verify_and_build(table, classes, candidate_paths, witnesses):
             continue
         if not cands:
             continue
-        rows = [list(r) for r in table.ideal_rows.get(pair, [])]
-        vecs = rows + [_pair_local_vector(table, pair, p) for p in cands]
+        vecs = table.ideal_rows.get(pair, []) + [
+            {table.local[table.index[p]]: 1} for p in cands]
         if rank(vecs, QQ) != len(vecs):
             witnesses.append(
                 "pair (%s,%s): images of %s are linearly dependent mod the "
@@ -197,7 +196,9 @@ def _verify_and_build(table, classes, candidate_paths, witnesses):
     for pair, idxs in elt_pairs.items():
         vecs = [_pair_local_vector(table, pair, elements[i].path)
                 for i in idxs]
-        vecs += [list(r) for r in table.ideal_rows.get(pair, [])]
+        n = len(table.pair_paths[pair])
+        vecs += [[row.get(k, QQ.zero) for k in range(n)]
+                 for row in table.ideal_rows.get(pair, [])]
         solver[pair] = vecs
 
     def expand(path):

@@ -54,11 +54,18 @@ class Cell:
 class CellComplex:
     """Graded cells, face maps and integer boundary matrices."""
 
-    def __init__(self, table, classes, cells, faces):
+    def __init__(self, table, classes, cells, faces, cut_at=None):
         self.table = table
         self.classes = classes
         self.variant = classes.variant
         self.caveats = classes.caveats
+        # cut_at: the top dimension kept when cells above it were left out
+        self.cut_at = cut_at
+        if cut_at is not None:
+            self.caveats += (
+                "cells of dimension > %d were left out (the complex has "
+                "%d-cells), so the Euler characteristic is not reported"
+                % (cut_at, cut_at + 1),)
         self.cells = cells          # list per dimension, dim 0 first
         self.faces = faces          # faces[n][j] = tuple of cell indices
         self.cell_index = {}
@@ -143,7 +150,8 @@ def build_complex(table, classes, max_dim=None):
     """Cell complex over a path class table (natural or walk variant).
 
     Cells of dimension above `max_dim` (>= 0; None keeps them all) are
-    left out.
+    left out; when there are any, the complex records the cut and says
+    so in its caveats.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
@@ -167,8 +175,26 @@ def build_complex(table, classes, max_dim=None):
     cells = [[Cell(0, v, None) for v in table.quiver.vertices]]
     faces = [None]
     top = math.inf if max_dim is None else max_dim
+
+    def grow(live):
+        """(key + (class,), composite, split) of each nonzero one-step
+        extension of the stored composites."""
+        for key, record in live.items():
+            for w, split in record.items():
+                pw = paths[w]
+                for cid, j in steps[pw.target]:
+                    if length[w] + length[j] > table.bound:
+                        continue
+                    c = index[compose(pw, paths[j])]
+                    if c not in in_ideal:
+                        yield key + (cid,), c, split + (j,)
+
+    cut = False
     n = 1
-    while live and n <= top:
+    while live:
+        if n > top:
+            cut = True
+            break
         keys = sorted(live)
         below = {c.key: i for i, c in enumerate(cells[-1])}
         layer, rows = [], []
@@ -191,26 +217,20 @@ def build_complex(table, classes, max_dim=None):
         cells.append(layer)
         faces.append(rows)
         if n == top:
+            # one nonzero extension tells whether the next layer is empty
+            cut = next(grow(live), None) is not None
             break
         # a nonzero composite has a nonzero prefix, so growing the stored
         # composites reaches every nonzero composite of the longer tuples
         grown = {}
-        for key in keys:
-            for w, split in live[key].items():
-                pw = paths[w]
-                for cid, j in steps[pw.target]:
-                    if length[w] + length[j] > table.bound:
-                        continue
-                    c = index[compose(pw, paths[j])]
-                    if c in in_ideal:
-                        continue
-                    record = grown.setdefault(key + (cid,), {})
-                    ext = split + (j,)
-                    if c not in record or ext < record[c]:
-                        record[c] = ext
+        for key, c, ext in grow(live):
+            record = grown.setdefault(key, {})
+            if c not in record or ext < record[c]:
+                record[c] = ext
         live = grown
         n += 1
-    return CellComplex(table, classes, cells, faces)
+    return CellComplex(table, classes, cells, faces,
+                       cut_at=max_dim if cut else None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +390,10 @@ def cohomology(cx, coeff="Z"):
 
 
 def euler_characteristic(cx):
+    """Alternating sum of the cell counts; None for a complex cut short
+    of its top dimension."""
+    if cx.cut_at is not None:
+        return None
     return sum((-1) ** n * cx.size(n) for n in range(cx.top_dim() + 1))
 
 

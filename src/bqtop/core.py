@@ -13,6 +13,13 @@ with, for each ordered vertex pair, an exact basis of the ideal's slice on
 those paths.  All downstream questions (is this combination of paths in
 the ideal, what is dim e_x A e_y, ...) reduce to exact rational linear
 algebra against these slices.
+
+The bound grows one length at a time.  A pair's paths are ordered length
+first, so a path's pair-local coordinate never moves as L grows, and each
+pair keeps one reduced basis that step L extends with
+`linalg.extend_rref`.  The basis is stored as sparse rows
+{local index: Fraction}, each with a 1 at its pivot, in ascending pivot
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, sparse_rref
+from .linalg import extend_rref
 
 DEFAULT_PATH_CAP = 12
 
@@ -240,7 +247,10 @@ class PathTable:
         paths: all paths of length <= L, sorted by (length, names, source)
         index: path -> position in `paths`
         pair_paths: (x, y) -> list of indices into `paths`
-        ideal_rows: (x, y) -> RREF basis of I(x, y) in pair-local coordinates
+        local: position in `paths` -> position in its pair's list
+        ideal_rows: (x, y) -> RREF basis of I(x, y) in pair-local
+            coordinates: sparse rows {local index: Fraction}, each with a 1
+            at its pivot (its least index), in ascending pivot order
         in_ideal: set of indices of member paths
         dims: (x, y) -> dim e_x A e_y
     """
@@ -251,26 +261,20 @@ class PathTable:
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
         self.pair_paths = {}
+        self.local = []
         for i, p in enumerate(paths):
-            self.pair_paths.setdefault((p.source, p.target), []).append(i)
+            idxs = self.pair_paths.setdefault((p.source, p.target), [])
+            self.local.append(len(idxs))
+            idxs.append(i)
         self.ideal_rows = ideal_rows
-        self.in_ideal = set()
-        for pair, idxs in self.pair_paths.items():
-            for local in _unit_rows(ideal_rows.get(pair, [])):
-                self.in_ideal.add(idxs[local])
-        self.dims = {}
-        for pair, idxs in self.pair_paths.items():
-            self.dims[pair] = len(idxs) - len(self.ideal_rows.get(pair, []))
-
-    @staticmethod
-    def _reduces_to_zero(rref_rows, vec):
-        v = list(vec)
-        for row in rref_rows:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if v[lead] != 0:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        # in reduced row echelon form a combination of rows has the
+        # coefficient of row i at row i's pivot, so a path's unit vector
+        # is in the span exactly when it is one of the rows
+        self.in_ideal = {self.pair_paths[pair][k]
+                         for pair, rows in ideal_rows.items()
+                         for row in rows if len(row) == 1 for k in row}
+        self.dims = {pair: len(idxs) - len(ideal_rows.get(pair, ()))
+                     for pair, idxs in self.pair_paths.items()}
 
     def pair_of(self, vec_terms):
         srcs = {p.source for p, _ in vec_terms}
@@ -283,27 +287,26 @@ class PathTable:
         """Exact membership of sum(coeff * path) in the ideal.
 
         Paths longer than the bound are members outright and are dropped
-        before solving (valid because F^L lies inside the ideal).
+        before solving (valid because F^L lies inside the ideal).  The
+        vector is in the slice exactly when adding it to a copy of the
+        slice's basis gives no new pivot.
         """
         kept = [(p, Fraction(c)) for p, c in terms
                 if len(p) <= self.bound and Fraction(c) != 0]
         if not kept:
             return True
         pair = self.pair_of(kept)
-        idxs = self.pair_paths.get(pair, [])
-        local = {self.paths[i]: k for k, i in enumerate(idxs)}
-        vec = [Fraction(0)] * len(idxs)
+        vec = {}
         for p, c in kept:
-            if p not in local:
+            if p not in self.index:
                 self.quiver._check_path(p)  # diagnose: invalid vs just absent
                 raise QuiverError("path %s exceeds table bound" % p)
-            vec[local[p]] += c
-        if all(x == 0 for x in vec):
-            return True
-        rows = self.ideal_rows.get(pair, [])
-        if not rows:
-            return False
-        return self._reduces_to_zero(rows, vec)
+            k = self.local[self.index[p]]
+            vec[k] = vec.get(k, 0) + c
+        basis = {min(row): dict(row) for row in self.ideal_rows.get(pair, ())}
+        rank = len(basis)
+        extend_rref(basis, [vec])
+        return len(basis) == rank
 
     def path_in_ideal(self, p):
         if len(p) > self.bound:
@@ -336,85 +339,6 @@ def _paths_up_to(quiver, n):
     return by_len
 
 
-def _pair_spans(quiver, by_len, max_len, truncate):
-    """Span vectors of {u * g * v} per vertex pair.
-
-    With truncate=False only whole products fitting within max_len are
-    used (sound before a nilpotency bound is known).  With truncate=True
-    products are kept whenever their shortest component fits, and longer
-    components are dropped; this is exact once F^max_len <= I.
-    """
-    spans = {}
-    all_paths = [p for bucket in by_len[:max_len + 1] for p in bucket]
-    paths_from = {}
-    paths_to = {}
-    for p in all_paths:
-        paths_from.setdefault(p.source, []).append(p)
-        paths_to.setdefault(p.target, []).append(p)
-    for rel in quiver.relations:
-        lens = [len(p) for p, _ in rel.terms]
-        g_min, g_max = min(lens), max(lens)
-        critical = g_min if truncate else g_max
-        for u in paths_to.get(rel.source, []):
-            if len(u) + critical > max_len:
-                continue
-            for v in paths_from.get(rel.target, []):
-                if len(u) + critical + len(v) > max_len:
-                    continue
-                terms = []
-                for p, c in rel.terms:
-                    if len(u) + len(p) + len(v) > max_len:
-                        if not truncate:
-                            terms = None
-                            break
-                        continue  # component lies in F^L <= I: drop exactly
-                    terms.append((compose(compose(u, p), v), c))
-                if terms:
-                    spans.setdefault((u.source, v.target), []).append(terms)
-    return spans
-
-
-def _unit_rows(rref_rows):
-    """Local indices k whose unit vector e_k lies in the span of the rows.
-
-    In reduced row echelon form a combination of rows has the coefficient
-    of row i at row i's pivot, so e_k is in the span exactly when some row
-    equals e_k.
-    """
-    out = []
-    for row in rref_rows:
-        nonzero = [k for k, x in enumerate(row) if x != 0]
-        if len(nonzero) == 1:
-            out.append(nonzero[0])
-    return out
-
-
-def _rref_ideal_rows(quiver, by_len, max_len, spans):
-    """Per-pair RREF rows in pair-local coordinates (paths sorted)."""
-    pair_lists = {}
-    for bucket in by_len[:max_len + 1]:
-        for p in bucket:
-            pair_lists.setdefault((p.source, p.target), []).append(p)
-    for pair in pair_lists:
-        pair_lists[pair].sort(key=lambda p: path_sort_key(quiver, p))
-    rows_by_pair = {}
-    for pair, termlists in spans.items():
-        plist = pair_lists[pair]
-        pos = {p: i for i, p in enumerate(plist)}
-        raw = []
-        for terms in termlists:
-            vec = {}
-            for p, c in terms:
-                vec[pos[p]] = vec.get(pos[p], 0) + c
-            raw.append(vec)
-        reduced = sparse_rref(raw, QQ)
-        if reduced:
-            rows_by_pair[pair] = [[row.get(i, QQ.zero)
-                                   for i in range(len(plist))]
-                                  for _, row in reduced]
-    return rows_by_pair, pair_lists
-
-
 def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     """Find the nilpotency bound and build the PathTable.
 
@@ -423,6 +347,14 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     length L (vacuously when no such path exists, e.g. one past the
     longest path of an acyclic quiver).  Raises AdmissibilityError when
     no L <= cap works.
+
+    Pair-local coordinates are sorted length first, so a path's
+    coordinate never moves as L grows: each pair keeps one reduced basis
+    that step L extends by the products whose longest term has length
+    exactly L, and a length-L path is certified when its row is a unit
+    vector.  At the accepted L the products whose longest term no longer
+    fits are added with those terms dropped, which is exact once
+    F^L <= I.
     """
     for rel in quiver.relations:
         rel.check_admissible_format()
@@ -435,28 +367,57 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
             by_len.append([])
     else:
         by_len = _paths_up_to(quiver, cap)
-    found = None
+    ending, starting = {}, {}
+    local = {}  # arrow names of a nonempty path -> pair-local index
+    size = {(v, v): 1 for v in quiver.vertices}
+    for n, bucket in enumerate(by_len):
+        for p in sorted(bucket, key=lambda p: p.arrows):
+            ending.setdefault((p.target, n), []).append(p)
+            starting.setdefault((p.source, n), []).append(p)
+            if n:
+                pair = (p.source, p.target)
+                local[p.arrows] = size.get(pair, 0)
+                size[pair] = local[p.arrows] + 1
+    basis = {}  # (x, y) -> {pivot: row}, reduced
+
+    def extend(L, truncated):
+        """Add the products u*g*v whose longest term has length exactly L,
+        or with `truncated` those whose longest term no longer fits in L,
+        its terms longer than L dropped."""
+        new = {}
+        for rel in quiver.relations:
+            shortest, longest = len(rel.terms[0][0]), len(rel.terms[-1][0])
+            outer = (range(max(0, L - longest + 1), L - shortest + 1)
+                     if truncated else [L - longest])
+            for s in outer:
+                fits = [(p.arrows, c) for p, c in rel.terms
+                        if len(p) + s <= L]
+                for a in range(s + 1):
+                    for u in ending.get((rel.source, a), ()):
+                        for v in starting.get((rel.target, s - a), ()):
+                            new.setdefault((u.source, v.target), []).append(
+                                {local[u.arrows + g + v.arrows]: c
+                                 for g, c in fits})
+        for pair, rows in new.items():
+            extend_rref(basis.setdefault(pair, {}), rows)
+
     for L in range(2, cap + 1):
-        spans = _pair_spans(quiver, by_len, L, truncate=False)
-        rows_by_pair, pair_lists = _rref_ideal_rows(quiver, by_len, L, spans)
-        members = {pair: set(_unit_rows(rows))
-                   for pair, rows in rows_by_pair.items()}
-        ok = all(pair_lists[(p.source, p.target)].index(p)
-                 in members.get((p.source, p.target), ())
-                 for p in by_len[L])
-        if ok:
-            found = L
+        extend(L, truncated=False)
+        # the length-L paths come last in their pairs, so when all of them
+        # are pivots their rows are unit vectors
+        if all(local[p.arrows] in basis.get((p.source, p.target), ())
+               for p in by_len[L]):
             break
-    if found is None:
+    else:
         raise AdmissibilityError(
             "no nilpotency bound L <= %d certifies the ideal admissible; "
             "raise the path cap if the quiver is genuinely bounded" % cap)
-    L = found
-    spans = _pair_spans(quiver, by_len, L, truncate=True)
-    rows_by_pair, pair_lists = _rref_ideal_rows(quiver, by_len, L, spans)
+    extend(L, truncated=True)
     paths = [p for bucket in by_len[:L + 1] for p in bucket]
     paths.sort(key=lambda p: path_sort_key(quiver, p))
-    return PathTable(quiver, L, paths, rows_by_pair)
+    return PathTable(quiver, L, paths,
+                     {pair: [b[c] for c in sorted(b)]
+                      for pair, b in basis.items() if b})
 
 
 @dataclass(frozen=True)

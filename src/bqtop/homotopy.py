@@ -89,12 +89,13 @@ def _pair_vectors_supported_in(table, pair, allowed_local):
     rows = table.ideal_rows.get(pair, [])
     if not rows:
         return []
-    ncols = len(rows[0])
+    ncols = len(table.pair_paths[pair])
+    rows = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
     forbidden = [j for j in range(ncols) if j not in allowed_local]
     if not forbidden:
-        return [list(r) for r in rows]
+        return rows
     # solve sum(c_i row_i)[j] = 0 for all forbidden j
-    constraint = [[rows[i][j] for i in range(len(rows))] for j in forbidden]
+    constraint = [[row[j] for row in rows] for j in forbidden]
     combos = nullspace(constraint, QQ)
     out = []
     for c in combos:
@@ -234,9 +235,9 @@ def relation_components(table):
         idxs = table.pair_paths[pair]
         parent = list(range(len(idxs)))
         for row in rows:
-            nonzero = [k for k, x in enumerate(row) if x != 0]
-            for k in nonzero[1:]:
-                _union(parent, nonzero[0], k)
+            pivot = min(row)
+            for k in row:
+                _union(parent, pivot, k)
         comps = {}
         for k in range(len(idxs)):
             comps.setdefault(_find(parent, k), []).append(k)
@@ -711,8 +712,7 @@ def _restricted_relations(table, verts):
             continue
         idxs = table.pair_paths[pair]
         for row in table.ideal_rows[pair]:
-            terms = [(table.paths[idxs[k]], c)
-                     for k, c in enumerate(row) if c != 0]
+            terms = [(table.paths[idxs[k]], c) for k, c in row.items()]
             rels.append(RelVector.build(terms))
     return rels
 

@@ -14,12 +14,14 @@ index the multiple of the pivot vector that zeroes it there (a Schur
 update), with an index -> holders map so that only vectors that hold the
 index are touched.  Three entry points run on it:
 
-* `rref(rows, field)` is Gauss-Jordan on sparse rows: each row in turn
-  pivots on its leftmost entry and clears that column in every other row.
-  Its input and output are dense lists of rows (`sparse_rref` keeps them
-  sparse); the reduced row echelon form is unique, so the result does not
-  depend on the order of elimination.  `sparse_nullspace` and `nullspace`
-  read the kernel off it.
+* `extend_rref(reduced, rows, field)` is Gauss-Jordan on sparse rows:
+  it adds rows to a reduced basis {pivot: row} in place, each new row in
+  turn pivoting on its leftmost entry and clearing that column in every
+  other row.  `sparse_rref` is the extension of an empty basis, and
+  `rref` its dense form; the reduced row echelon form is unique, so the
+  result does not depend on the order of elimination or on how the rows
+  are split between calls.  `sparse_nullspace` and `nullspace` read the
+  kernel off it.
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
   pivot vector once its index is cleared.
 * `smith_divisors(columns)` gives the invariant factors of an integer
@@ -182,17 +184,26 @@ def _sparse(vectors, field):
     return out
 
 
-def sparse_rref(rows, field=QQ):
-    """Reduced row echelon form of sparse rows, as (pivot, row) pairs.
+def extend_rref(reduced, rows, field=QQ):
+    """Extend a reduced row echelon form by more rows, in place.
 
-    `rows` are dicts or dense lists; the nonzero rows of the result come
-    as dicts sorted by pivot column, each with a 1 at its pivot.
+    `reduced` maps each pivot column to its row, a dict with a 1 at the
+    pivot and no entry at any other pivot column; `rows` are dicts or
+    dense lists.  The old pivots are cleared out of the new rows, each
+    nonzero new row in turn pivots on its leftmost entry and clears that
+    column in every other row, old rows included, which are updated in
+    place.  Afterwards `reduced` is the RREF of the span of both.
     """
-    vecs = _sparse(rows, field)
+    vecs = {~k: v for k, v in _sparse(rows, field).items()}
+    new = list(vecs)
+    vecs.update(reduced)
     where = _holders(vecs)
     p = getattr(field, "p", None)
-    pivots = {}
-    for k, v in vecs.items():
+    for c in reduced:
+        if len(where[c]) > 1:
+            _clear(vecs, where, c, c, field.one, p)
+    for k in new:
+        v = vecs[k]
         if not v:
             continue
         c = min(v)
@@ -200,8 +211,18 @@ def sparse_rref(rows, field=QQ):
         for i in v:
             v[i] = field.mul(inv, v[i])
         _clear(vecs, where, k, c, field.one, p)
-        pivots[c] = k
-    return [(c, vecs[pivots[c]]) for c in sorted(pivots)]
+        reduced[c] = v
+
+
+def sparse_rref(rows, field=QQ):
+    """Reduced row echelon form of sparse rows, as (pivot, row) pairs.
+
+    `rows` are dicts or dense lists; the nonzero rows of the result come
+    as dicts sorted by pivot column, each with a 1 at its pivot.
+    """
+    reduced = {}
+    extend_rref(reduced, rows, field)
+    return sorted(reduced.items())
 
 
 def rref(rows, field=QQ):

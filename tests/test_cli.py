@@ -300,12 +300,28 @@ def test_commutative_five_by_five_grid_is_contractible(comm_grid):
 def test_cells_max_dim():
     code, out, _ = run_cli(["cells", "--max-dim", "0", "corpus/ex1.bq"])
     assert code == 0
-    rep = json.loads(out)["result"]
-    assert rep["counts"] == [3]
-    assert list(rep["cells"]) == ["0"]
+    rep = json.loads(out)
+    assert rep["result"]["counts"] == [3]
+    assert list(rep["result"]["cells"]) == ["0"]
+    # the cut drops cells, so the alternating sum of the kept counts is
+    # not the Euler characteristic (1) and none is reported
+    assert rep["result"]["euler_characteristic"] is None
+    assert rep["caveats"] == [
+        "cells of dimension > 0 were left out (the complex has 1-cells), "
+        "so the Euler characteristic is not reported"]
     code, out, _ = run_cli(["cells", "--max-dim", "1", "corpus/ex1.bq"])
     assert code == 0
-    assert json.loads(out)["result"]["counts"] == [3, 4]
+    rep = json.loads(out)
+    assert rep["result"]["counts"] == [3, 4]
+    assert rep["result"]["euler_characteristic"] is None
+    assert rep["caveats"] == [
+        "cells of dimension > 1 were left out (the complex has 2-cells), "
+        "so the Euler characteristic is not reported"]
+    # a cut at or above the top dimension drops nothing
+    full = run_cli(["cells", "corpus/ex1.bq"])
+    assert json.loads(full[1])["result"]["euler_characteristic"] == 1
+    for top in ("2", "3"):
+        assert run_cli(["cells", "--max-dim", top, "corpus/ex1.bq"]) == full
     code, out, err = run_cli(["cells", "--max-dim", "-3", "corpus/ex1.bq"])
     assert code == 2
     assert out == ""

@@ -7,6 +7,7 @@ import pytest
 from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
                         Path, QuiverError, algebra_properties,
                         enumerate_paths)
+from bqtop.dsl import parse
 
 
 def bq(vertices, arrows, rels=()):
@@ -155,3 +156,40 @@ def test_path_sorting_is_stable():
     # identical runs produce identical tables
     t2 = enumerate_paths(EX1)
     assert [str(p) for p in t2.paths] == names
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_commutative_grid_table_closed_form(comm_grid, n):
+    # every square commutes up to a unit, so all parallel paths are
+    # proportional and none is zero: e_x A e_y is one-dimensional exactly
+    # when y lies below and to the right of x
+    q = parse(open(comm_grid(n)).read())
+    t = enumerate_paths(q)
+    assert t.bound == 2 * n - 1
+    for x in q.vertices:
+        for y in q.vertices:
+            (i, j), (k, m) = (map(int, v[1:].split("_")) for v in (x, y))
+            reachable = i <= k and j <= m
+            assert t.dims.get((x, y), 0) == int(reachable)
+            if reachable:
+                assert (len(t.ideal_rows.get((x, y), []))
+                        == len(t.pair_paths[(x, y)]) - 1)
+
+
+def test_monomial_grid_nonzero_paths_are_straight_runs():
+    n = 5
+    vertices = ["%d_%d" % (i, j) for i in range(n) for j in range(n)]
+    arrows = [("h%d_%d" % (i, j), "%d_%d" % (i, j), "%d_%d" % (i, j + 1))
+              for i in range(n) for j in range(n - 1)]
+    arrows += [("d%d_%d" % (i, j), "%d_%d" % (i, j), "%d_%d" % (i + 1, j))
+               for i in range(n - 1) for j in range(n)]
+    rels = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            rels += [[(["h%d_%d" % (i, j), "d%d_%d" % (i, j + 1)], 1)],
+                     [(["d%d_%d" % (i, j), "h%d_%d" % (i + 1, j)], 1)]]
+    t = enumerate_paths(bq(vertices, arrows, rels))
+    straight = {p for p in t.paths if len({a[0] for a in p.arrows}) <= 1}
+    assert set(t.nonzero_paths()) == straight
+    # the longest runs cross the grid: one per row and one per column
+    assert sum(len(p) == n - 1 for p in straight) == 2 * n

@@ -9,9 +9,11 @@ hypotheses, and monomial ideals collapse the space onto the graph.
 """
 
 import collections
+import importlib.util
 import itertools
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,10 +26,11 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    minimal_relation_supports, natural_homotopy_classes,
                    phi_psi_maps, pi1_presentation, relation_components,
                    simplicial_complex, walk_homotopy_classes)
-from bqtop.core import PathTable, _unit_rows, compose, path_sort_key
+from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
-from bqtop.linalg import (QQ, PrimeField, mat_mul, nullspace, rank, rref,
-                          smith_divisors, smith_normal_form)
+from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
+                          rank, rref, smith_divisors, smith_normal_form)
+from oracles import dense_reduces_to_zero, rebuilt_path_table
 
 SEED = 20260818
 
@@ -555,6 +558,7 @@ def test_rank_matches_dense_elimination():
 
 def test_rref_matches_dense_elimination():
     rng = random.Random(SEED + 5)
+    cut = random.Random(SEED + 6)
     for field in (QQ, PrimeField(2), PrimeField(3)):
         for _ in range(150):
             mat = random_int_matrix(rng)
@@ -576,6 +580,14 @@ def test_rref_matches_dense_elimination():
                         v[c] = field.neg(m[r][f])
                     kernel.append(v)
             assert nullspace(rows, field) == kernel
+            # the same form grown in two steps, the rows cut anywhere
+            k = cut.randint(0, len(rows))
+            grown = {}
+            extend_rref(grown, rows[:k], field)
+            extend_rref(grown, rows[k:], field)
+            assert sorted(grown) == pivots
+            assert [[grown[c].get(j, field.zero) for j in range(len(rows[0]))]
+                    for c in pivots] == m[:len(pivots)]
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),
@@ -586,11 +598,13 @@ def test_unit_rows_match_reduction_on_corpus_slices(path):
     t = enumerate_paths(parse(path.read_text()))
     for pair, idxs in t.pair_paths.items():
         rows = t.ideal_rows.get(pair, [])
-        units = set(_unit_rows(rows))
+        units = {min(row) for row in rows if len(row) == 1}
+        dense = [[row.get(j, Fraction(0)) for j in range(len(idxs))]
+                 for row in rows]
         for k, i in enumerate(idxs):
             e = [Fraction(0)] * len(idxs)
             e[k] = Fraction(1)
-            member = bool(rows) and PathTable._reduces_to_zero(rows, e)
+            member = bool(rows) and dense_reduces_to_zero(dense, e)
             assert (k in units) == member
             assert (i in t.in_ideal) == member
 
@@ -675,3 +689,84 @@ def test_faces_match_the_backtracking_oracle(comm_grid):
             compared += sum(map(len, layers))
     assert len(tables) == 18 + 240 + 1
     assert compared > 5000
+
+
+# ---------------------------------------------------------------------------
+# the path table grown one length at a time against the rebuild-per-L oracle
+
+
+def load_bench_workloads():
+    path = CORPUS.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def loops(vertices, arrows, rels):
+    """A quiver from arrow triples and relations given as strings of
+    '+'-joined terms, each an optional '-' and '*'-joined arrow names."""
+    terms = [[(t.lstrip("-").split("*"), -1 if t.startswith("-") else 1)
+              for t in rel.split("+")] for rel in rels]
+    return BoundQuiver(vertices, arrows, terms)
+
+
+# 1 -> 2 -> 3 (a, b) and 1 -> 4 -> 5 -> 6 -> 3 (c, d, e, f): L = 3, and
+# a*b lies in I only through a*b - c*d*e*f with its long term dropped
+TRUNCATED = loops(["1", "2", "3", "4", "5", "6"],
+                  [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"),
+                   ("d", "4", "5"), ("e", "5", "6"), ("f", "6", "3")],
+                  ["a*b+-c*d*e*f", "c*d*e", "d*e*f"])
+
+CYCLIC = [
+    loops(["1"], [("x", "1", "1")], ["x*x*x"]),
+    loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
+          ["x*y+-y*x", "x*x", "y*y"]),
+    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")], ["s*t", "t*s"]),
+    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")],
+          ["s*t*s", "t*s*t"]),
+]
+
+NOT_CERTIFIED = [
+    loops(["1"], [("x", "1", "1")], []),
+    loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
+          ["x*x+-y*y*y", "x*y", "y*x"]),
+]
+
+
+def table_facts(t):
+    dense = {pair: [[row.get(k, Fraction(0))
+                     for k in range(len(t.pair_paths[pair]))]
+                    for row in rows]
+             for pair, rows in t.ideal_rows.items()}
+    return t.bound, t.paths, dense, t.in_ideal, t.dims
+
+
+def test_path_table_matches_the_rebuild_per_bound_oracle():
+    quivers = [parse(path.read_text())
+               for path in sorted(CORPUS.glob("*.bq"))]
+    quivers += [q for q, _ in SAMPLES + MONOMIAL]
+    bench = load_bench_workloads()
+    for seed in (3, 7):
+        for gen in bench.GENERATORS.values():
+            quivers += [parse(text) for text in gen(seed).values()]
+    quivers += CYCLIC + [TRUNCATED]
+    assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 4 + 1
+    for q in quivers:
+        t = enumerate_paths(q)
+        # sparse rows without zeros and with a 1 at the pivot; the dense
+        # comparison checks their order
+        assert all(row[min(row)] == 1 and all(row.values())
+                   for rows in t.ideal_rows.values() for row in rows)
+        assert table_facts(t) == rebuilt_path_table(q, 12)
+    t = enumerate_paths(TRUNCATED)
+    assert t.bound == 3
+    assert t.path_in_ideal(TRUNCATED.path(["a", "b"]))
+    for q in NOT_CERTIFIED:
+        with pytest.raises(AdmissibilityError) as got:
+            enumerate_paths(q, cap=7)
+        with pytest.raises(AdmissibilityError) as want:
+            rebuilt_path_table(q, 7)
+        assert str(got.value) == str(want.value)
