@@ -74,6 +74,7 @@ class FieldMismatch(Exception):
 @dataclass(frozen=True)
 class SemiNormedFailure:
     witnesses: tuple
+    classes: object = None  # the natural classes the candidates came from
 
     @property
     def ok(self):
@@ -179,7 +180,7 @@ def _verify_and_build(table, classes, candidate_paths, witnesses):
                 "ideal" % (pair[0], pair[1],
                            ", ".join(str(p) for p in cands)))
     if witnesses:
-        return SemiNormedFailure(tuple(witnesses))
+        return SemiNormedFailure(tuple(witnesses), classes)
 
     elements = [BasisElement(i, Path(v, v, ()), Fraction(1))
                 for i, v in enumerate(q.vertices)]
@@ -233,7 +234,7 @@ def _verify_and_build(table, classes, candidate_paths, witnesses):
                 continue
             product[key] = got
     if witnesses:
-        return SemiNormedFailure(tuple(witnesses))
+        return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)
 
 
@@ -276,7 +277,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
         if ap not in given:
             witnesses.append("arrow %s missing from the basis" % a.name)
     if witnesses:
-        return SemiNormedFailure(tuple(witnesses))
+        return SemiNormedFailure(tuple(witnesses), classes)
     return _verify_and_build(table, classes, seen, witnesses)
 
 

@@ -276,9 +276,9 @@ def _dispatch(args, table):
             algebra = find_semi_normed_basis(table)
         except TriangularRequired as e:
             return {"error": str(e)}, [], False
-        if not algebra.ok:
-            return {"witnesses": list(algebra.witnesses)}, [], False
         caveats = list(algebra.classes.caveats)
+        if not algebra.ok:
+            return {"witnesses": list(algebra.witnesses)}, caveats, False
 
         if cmd == "simplicial":
             sc = simplicial_complex(algebra)
@@ -289,18 +289,12 @@ def _dispatch(args, table):
                     caveats, True)
 
         if cmd == "hochschild":
-            try:
-                hc = HochschildComplex(algebra, args.field)
-            except TriangularRequired as e:
-                return {"error": str(e)}, [], False
+            hc = HochschildComplex(algebra, args.field)
             return ({"field": args.field, "HH": hc.hh_dims()}, caveats,
                     True)
 
         # compare
-        try:
-            hc = HochschildComplex(algebra, "Q")
-        except TriangularRequired as e:
-            return {"error": str(e)}, [], False
+        hc = HochschildComplex(algebra, "Q")
         sc = simplicial_complex(algebra)
         rep = epsilon_mu(algebra, sc, hc)
         return ({"SH": [d["sh"] for d in rep.degrees],

@@ -12,10 +12,9 @@ classes: d_i is the class of the product of members i-1 and i in the
 split of the least witness into members that the construction recorded
 when it grew the cell (the least split in member order).  Any split
 gives the same face when every class has members of one length (the
-split is then unique), or when the factor-replacement closure of the
-classes skipped no replacement for the table bound (the classes are then
-closed under composition); only under the mixed-length caveat could
-another split give another face.
+split is then unique), or when the natural classes carry no bound
+caveat (they are then closed under composition); only under the bound
+caveat could another split give another face.
 Boundary matrices are kept as sparse integer columns.  Homology over Z
 comes from their invariant factors (unit-pivot reduction, then a
 certified Smith normal form of what is left), over a field from their
@@ -349,34 +348,18 @@ def homology_of_matrices(dims, mats, coeff, top=None):
 
 
 def cohomology_of_matrices(dims, mats, coeff, top=None):
-    """Cohomology: universal coefficients over the integral homology."""
-    if top is None:
-        top = max([n for n, d in dims.items() if d], default=0)
-    kind, arg = parse_coefficients(coeff)
-    if kind in ("Q", "Fp"):
-        field = QQ if kind == "Q" else PrimeField(arg)
-        # field duality: dim H^n = dim H_n
-        label = "Q" if kind == "Q" else "Fp:%d" % arg
-        return HomologyResult(label, "field",
-                              tuple(_field_dims(dims, mats, top, field)))
-    integral = _integral_homology(dims, mats, top + 1)
-    if kind == "Z":
-        groups = []
-        for n in range(top + 1):
-            free = integral[n][0]
-            ext = integral[n - 1][1] if n >= 1 else ()
-            groups.append((free, tuple(ext)))
-        return HomologyResult("Z", "Z", tuple(groups))
-    m = arg
-    groups = []
-    for n in range(top + 1):
-        free, tors = integral[n]
-        prev_tors = integral[n - 1][1] if n >= 1 else ()
-        orders = [m] * free
-        orders += [math.gcd(d, m) for d in tors]        # Hom on torsion
-        orders += [math.gcd(d, m) for d in prev_tors]   # Ext term
-        groups.append(tuple(sorted(o for o in orders if o > 1)))
-    return HomologyResult("Zmod:%d" % m, "cyclic", tuple(groups))
+    """Cohomology by universal coefficients over the integral homology.
+
+    Over a field or Z/m, Hom and Ext of the integral homology give the
+    same groups as its tensor and Tor terms, so only Z differs from
+    homology: H^n = (free part of H_n) + (torsion of H_(n-1)).
+    """
+    res = homology_of_matrices(dims, mats, coeff, top)
+    if res.kind != "Z":
+        return res
+    tors = [()] + [t for _, t in res.groups]
+    return HomologyResult("Z", "Z", tuple(
+        (free, tors[n]) for n, (free, _) in enumerate(res.groups)))
 
 
 def homology(cx, coeff="Z"):

@@ -3,8 +3,8 @@
 A minimal relation is an ideal member sum(lambda_i w_i) with at least two
 terms such that no proper nonempty sub-sum stays in the ideal.  Natural
 homotopy is the finest equivalence on paths that merges co-members of
-every minimal relation and is closed under two-sided composition (factor
-replacement).  Walk homotopy additionally inverts arrows: it is natural
+every minimal relation and is closed under two-sided composition (a
+congruence).  Walk homotopy additionally inverts arrows: it is natural
 homotopy plus the cancellation rules a a^-1 ~ e and a^-1 a ~ e on walks.
 
 Chains of minimal-relation co-members are read off without enumerating
@@ -15,26 +15,30 @@ paths, found from the fundamental circuits of one RREF basis of W
 and the exact minimality check `is_minimal_relation` are kept only as an
 oracle for tests.
 
-Natural classes are computed exactly on the path table by fixpoint
-closure.  Two parallel paths u, v are walk-homotopic exactly when they
-are equal in the fundamental groupoid of (Q, I), that is when the word
-u v^-1 is trivial in the fundamental group presented by
-`pi1_presentation`.  Walk classes start from the natural classes, whose
-merges are sound, and decide every remaining pair of parallel classes on
-the Tietze-simplified presentation: the pair merges when the word freely
-reduces to nothing or the group is cyclic with the word dead in H_1, and
-stays apart when H_1 separates it (an SNF certificate) or the group is
-free.  A pair none of these decide stays apart and is named in a caveat.
+Natural classes are computed on the path table by congruence closure
+over one-arrow extensions.  They are exact unless a class holds a member
+of the bound length L while a shorter member still extends inside the
+table; that class is then named in a caveat.  Two parallel paths u, v
+are walk-homotopic exactly when they are equal in the fundamental
+groupoid of (Q, I), that is when the word u v^-1 is trivial in the
+fundamental group presented by `pi1_presentation`.  Walk classes start
+from the natural classes, whose merges are sound, and decide every
+remaining pair of parallel classes on the Tietze-simplified
+presentation: the pair merges when the word freely reduces to nothing or
+the group is cyclic with the word dead in H_1, and stays apart when H_1
+separates it (an SNF certificate) or the group is free.  A pair none of
+these decide stays apart and is named in a caveat.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NotConnectedError, Path, compose, path_sort_key
+from .core import NotConnectedError, Path, path_sort_key
 from .linalg import QQ, nullspace, rank
 
 DEFAULT_SUPPORT_CAP = 6
@@ -331,63 +335,64 @@ def _union(parent, a, b):
     return True
 
 
-def _factor_replacement_closure(table, parent):
-    """Close a path partition under p = uvw -> uv'w for merged v ~ v'."""
-    q = table.quiver
-    changed = True
-    while changed:
-        changed = False
-        members_of = {}
-        for i in range(len(table.paths)):
-            members_of.setdefault(_find(parent, i), []).append(i)
-        for i, p in enumerate(table.paths):
-            n = len(p)
-            if n < 2:
-                continue
-            verts = q.path_vertices(p)
-            for a in range(n - 1):
-                for b in range(a + 2, n + 1):
-                    mid = Path(verts[a], verts[b], p.arrows[a:b])
-                    root = _find(parent, table.index[mid])
-                    group = members_of.get(root, ())
-                    if len(group) < 2:
-                        continue
-                    for j in group:
-                        alt = table.paths[j]
-                        if alt == mid:
-                            continue
-                        if len(p) - (b - a) + len(alt) > table.bound:
-                            continue
-                        new = Path(p.source, p.target,
-                                   p.arrows[:a] + alt.arrows + p.arrows[b:])
-                        if _union(parent, i, table.index[new]):
-                            changed = True
-
-
 def natural_homotopy_classes(table):
-    """Fixpoint closure of minimal-relation merges under factor replacement.
+    """Congruence closure of the minimal-relation merges.
 
-    The merges are the matroid components of `relation_components`, which
-    are exact and need no cap.  Classes may contain ideal members:
-    replacing a factor can land on a path inside I, and such paths carry
-    cell-identification data.
+    The seeds are the co-members of each matroid component of
+    `relation_components`, which are exact and need no cap.  Closing under
+    composition with any path is closing under composition with one arrow
+    at a time, so merging two classes also merges their one-arrow
+    extensions (Downey, Sethi and Tarjan 1980).  A class is represented by
+    its least table index, which is a shortest member, so the extensions
+    of that root stand for those of every member: members are parallel,
+    and each member's extension inside the table is merged with the
+    root's.  Classes may contain ideal members: an extension can land on a
+    path inside I, and such paths carry cell-identification data.
+
+    A class that holds a member of length L (the table bound) while its
+    root extends inside the table is cut short: the length-L member's
+    extensions leave the table, and through them the true class may merge
+    with others.  Without such a class no merge involves a path longer
+    than L and the partition is exact; otherwise the first one is named in
+    a caveat.
     """
-    groups = relation_components(table)
+    q = table.quiver
+    paths, index = table.paths, table.index
+    parent = list(range(len(paths)))
+
+    @functools.cache
+    def extensions(i):
+        """{(side, arrow): table index} of path i's one-arrow extensions."""
+        p = paths[i]
+        if len(p) == table.bound:
+            return {}
+        keys = {(1, a.name): index[Path(p.source, a.target,
+                                        p.arrows + (a.name,))]
+                for a in q.arrows_from[p.target]}
+        keys.update({(0, a.name): index[Path(a.source, p.target,
+                                             (a.name,) + p.arrows)]
+                     for a in q.arrows_to[p.source]})
+        return keys
+
+    pending = [(index[group[0]], index[p])
+               for group in relation_components(table) for p in group[1:]]
+    while pending:
+        ra, rb = sorted(_find(parent, i) for i in pending.pop())
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        # rb is no shorter than ra, so ra has every extension rb has
+        keys = extensions(ra)
+        pending.extend((keys[key], j) for key, j in extensions(rb).items())
     caveats = []
-    if any(len({len(p) for p in group}) > 1 for group in groups):
-        # with equal-length supports every rewrite chain between two paths
-        # stays at their common length, so closure inside the table is
-        # exact; mixed lengths can force chains through longer paths
+    cut = next((i for i, p in enumerate(paths) if len(p) == table.bound
+                and extensions(_find(parent, i))), None)
+    if cut is not None:
         caveats.append(
-            "mixed-length relation supports: factor replacement closed "
-            "only within the path table bound, the partition may be finer "
-            "than the true one")
-    parent = list(range(len(table.paths)))
-    for group in groups:
-        first = table.index[group[0]]
-        for p in group[1:]:
-            _union(parent, first, table.index[p])
-    _factor_replacement_closure(table, parent)
+            "natural class of %s: member %s has the bound length %d, so its "
+            "one-arrow extensions lie outside the path table while other "
+            "members extend inside it; the partition may be finer than the "
+            "true one" % (paths[_find(parent, cut)], paths[cut], table.bound))
     return PathClassTable(table, "natural", parent, caveats)
 
 
@@ -631,7 +636,7 @@ def walk_homotopy_classes(table):
     Tietze substitution map, to a word in the surviving generators, and
     every pair of parallel classes is decided by `word_is_trivial` against
     one class of each merged group.  Equality in a group is closed under
-    composition, so no factor-replacement closure is needed.  A pair left
+    composition, so no congruence closure is needed.  A pair left
     undecided stays apart and is named in a caveat.
     """
     q = table.quiver

@@ -27,3 +27,28 @@ def comm_grid(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         return str(path)
     return write
+
+
+# a*b*c ~ d*e, so a*b*c*f ~ d*e*f; the bound is L = 4, and d*e*f*g lies in
+# the table while a*b*c*f*g does not: the one class whose closure the
+# bound cuts short
+BOUND_CAVEAT = """\
+arrow a 1 2
+arrow b 2 3
+arrow c 3 4
+arrow d 1 5
+arrow e 5 4
+arrow f 4 6
+arrow g 6 7
+rel a*b*c - d*e
+rel b*c*f
+rel e*f*g
+"""
+
+
+@pytest.fixture
+def bound_caveat_quiver(tmp_path):
+    """Path of a quiver whose natural classes carry the bound caveat."""
+    path = tmp_path / "bound_caveat.bq"
+    path.write_text(BOUND_CAVEAT)
+    return str(path)

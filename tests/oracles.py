@@ -7,12 +7,18 @@ L it forms every whole product u*g*v that fits in length L, reduces every
 vertex pair's span from scratch and tests each length-L path by reducing
 its dense unit vector; at the accepted L it rebuilds all slices once more
 from the truncated products (longer components dropped).
+
+`swept_natural_classes` is natural homotopy as it was computed before the
+congruence closure: the co-member groups merged, then every factor of
+every table path replaced by every other member of its class, in full
+passes until one pass merges nothing.
 """
 
 from fractions import Fraction
 
-from bqtop.core import (AdmissibilityError, _paths_up_to, compose,
+from bqtop.core import (AdmissibilityError, Path, _paths_up_to, compose,
                         path_sort_key)
+from bqtop.homotopy import _find, _union, relation_components
 from bqtop.linalg import QQ, rref
 
 
@@ -110,3 +116,42 @@ def rebuilt_path_table(quiver, cap):
             if rows and dense_reduces_to_zero(rows, e):
                 in_ideal.add(index[p])
     return L, paths, rows_by_pair, in_ideal, dims
+
+
+def swept_natural_classes(table):
+    """(classes, skipped): the partition of table indices into natural
+    classes, as a set of frozensets, that the factor-replacement sweep
+    p = uvw -> uv'w (v ~ v') reaches, and whether its final pass skipped a
+    replacement because uv'w is longer than the table bound."""
+    q = table.quiver
+    parent = list(range(len(table.paths)))
+    for group in relation_components(table):
+        for p in group[1:]:
+            _union(parent, table.index[group[0]], table.index[p])
+    changed = True
+    while changed:
+        changed = skipped = False
+        members_of = {}
+        for i in range(len(table.paths)):
+            members_of.setdefault(_find(parent, i), []).append(i)
+        for i, p in enumerate(table.paths):
+            verts = q.path_vertices(p)
+            for a in range(len(p) - 1):
+                for b in range(a + 2, len(p) + 1):
+                    mid = Path(verts[a], verts[b], p.arrows[a:b])
+                    group = members_of.get(_find(parent, table.index[mid]), ())
+                    for j in group:
+                        alt = table.paths[j]
+                        if alt == mid:
+                            continue
+                        if len(p) - (b - a) + len(alt) > table.bound:
+                            skipped = True
+                            continue
+                        new = Path(p.source, p.target,
+                                   p.arrows[:a] + alt.arrows + p.arrows[b:])
+                        if _union(parent, i, table.index[new]):
+                            changed = True
+    classes = {}
+    for i in range(len(table.paths)):
+        classes.setdefault(_find(parent, i), set()).add(i)
+    return set(map(frozenset, classes.values())), skipped

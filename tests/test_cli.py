@@ -11,6 +11,10 @@ import time
 import pytest
 
 from bqtop.cli import main
+from bqtop.complex import build_complex
+from bqtop.core import enumerate_paths
+from bqtop.dsl import parse
+from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -234,22 +238,77 @@ rel a*b*c - d*e
 """
 
 
-def test_algebra_commands_carry_natural_class_caveats(tmp_path):
-    # the relation ties a length-3 path to a length-2 path, so the
-    # natural classes carry the mixed-length caveat; the semi-normed
-    # basis exists and is built from those classes
-    quiver = tmp_path / "mixed.bq"
-    quiver.write_text(MIXED_LENGTH)
-    code, out, _ = run_cli(["homology", str(quiver)])
+def test_algebra_commands_carry_natural_class_caveats(tmp_path,
+                                                     bound_caveat_quiver):
+    # a*b*c ~ d*e gives a*b*c*f ~ d*e*f; the bound L = 4 leaves a*b*c*f
+    # without the extension d*e*f*g has, so the natural classes carry the
+    # bound caveat; the semi-normed basis exists and is built from them
+    code, out, _ = run_cli(["homology", bound_caveat_quiver])
     assert code == 0
-    caveats = json.loads(out)["caveats"]
-    assert len(caveats) == 1 and "mixed-length" in caveats[0]
+    rep = json.loads(out)
+    assert rep["result"]["counts"] == [7, 14, 10, 2]
+    caveats = rep["caveats"]
+    assert caveats == [
+        "natural class of d*e*f: member a*b*c*f has the bound length 4, so "
+        "its one-arrow extensions lie outside the path table while other "
+        "members extend inside it; the partition may be finer than the "
+        "true one"]
     for command in ("simplicial", "hochschild", "compare"):
-        code, out, _ = run_cli([command, str(quiver)])
+        code, out, _ = run_cli([command, bound_caveat_quiver])
         assert code == 0, command
         rep = json.loads(out)
         assert rep["ok"] is True, command
         assert rep["caveats"] == caveats, command
+    # the same relation of mixed lengths with every path of the quiver
+    # inside the table: the closure is exact and nothing is reported
+    quiver = tmp_path / "mixed.bq"
+    quiver.write_text(MIXED_LENGTH)
+    for command in ("homology", "simplicial", "hochschild", "compare"):
+        code, out, _ = run_cli([command, str(quiver)])
+        assert code == 0, command
+        rep = json.loads(out)
+        assert rep["ok"] is True, command
+        assert rep["caveats"] == [], command
+
+
+def audited_runs(quiver):
+    """(argv, caveats of the objects the command computes) per command."""
+    table = enumerate_paths(parse(pathlib.Path(quiver).read_text()))
+    nat = natural_homotopy_classes(table)
+    walk = walk_homotopy_classes(table)
+    runs = [(["check", quiver], []), (["pi1", quiver], [])]
+    for command in ("cells", "homology", "cohomology"):
+        runs.append(([command, quiver],
+                     build_complex(table, nat).caveats))
+        runs.append(([command, "--sharp", quiver],
+                     build_complex(table, walk).caveats))
+    for command in ("simplicial", "hochschild", "compare"):
+        runs.append(([command, quiver], nat.caveats))
+    return runs
+
+
+def test_caveats_are_those_of_the_computed_objects(bound_caveat_quiver):
+    runs = []
+    for path in sorted((ROOT / "corpus").glob("*.bq")):
+        runs += audited_runs(str(path.relative_to(ROOT)))
+    runs += audited_runs(bound_caveat_quiver)
+    runs.append((["vankampen", "corpus/vk.bq", "--v1", "2", "3", "4", "5",
+                  "6", "--v2", "1", "2", "3"], []))
+    base, cover = (enumerate_paths(parse((ROOT / name).read_text()))
+                   for name in ("corpus/rp2.bq", "corpus/rp2_cover.bq"))
+    runs.append((["cover", "verify", "corpus/rp2.bq", "corpus/rp2_cover.bq",
+                  "corpus/rp2_morphism.map"],
+                 [c for t in (base, cover) for c in build_complex(
+                     t, natural_homotopy_classes(t)).caveats]))
+    reported = 0
+    for argv, caveats in runs:
+        code, out, _ = run_cli(argv)
+        assert code in (0, 1), argv
+        assert json.loads(out)["caveats"] == sorted(set(caveats)), argv
+        reported += bool(caveats)
+    assert len(runs) == 19 * 11 + 2
+    # the fixture's six commands that build natural classes
+    assert reported == 6
 
 
 def test_commutative_four_by_four_grid_is_contractible(comm_grid):

@@ -30,7 +30,8 @@ from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, rref, smith_divisors, smith_normal_form)
-from oracles import dense_reduces_to_zero, rebuilt_path_table
+from oracles import (dense_reduces_to_zero, rebuilt_path_table,
+                     swept_natural_classes)
 
 SEED = 20260818
 
@@ -744,7 +745,9 @@ def table_facts(t):
     return t.bound, t.paths, dense, t.in_ideal, t.dims
 
 
-def test_path_table_matches_the_rebuild_per_bound_oracle():
+def differential_quivers():
+    """The corpus, the seeded samples, the benchmark's generated quivers
+    on seeds 3 and 7, the cyclic quivers and TRUNCATED."""
     quivers = [parse(path.read_text())
                for path in sorted(CORPUS.glob("*.bq"))]
     quivers += [q for q, _ in SAMPLES + MONOMIAL]
@@ -754,7 +757,11 @@ def test_path_table_matches_the_rebuild_per_bound_oracle():
             quivers += [parse(text) for text in gen(seed).values()]
     quivers += CYCLIC + [TRUNCATED]
     assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 4 + 1
-    for q in quivers:
+    return quivers
+
+
+def test_path_table_matches_the_rebuild_per_bound_oracle():
+    for q in differential_quivers():
         t = enumerate_paths(q)
         # sparse rows without zeros and with a 1 at the pivot; the dense
         # comparison checks their order
@@ -770,3 +777,25 @@ def test_path_table_matches_the_rebuild_per_bound_oracle():
         with pytest.raises(AdmissibilityError) as want:
             rebuilt_path_table(q, 7)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# natural classes by congruence closure against the factor-replacement sweep
+
+
+def test_natural_classes_match_the_factor_replacement_sweep(
+        comm_grid, bound_caveat_quiver):
+    quivers = differential_quivers()
+    quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5, 6)]
+    quivers.append(parse(open(bound_caveat_quiver).read()))
+    with_caveat = []
+    for k, q in enumerate(quivers):
+        t = enumerate_paths(q)
+        nat = natural_homotopy_classes(t)
+        classes, skipped = swept_natural_classes(t)
+        assert set(map(frozenset, nat.class_members)) == classes, k
+        assert bool(nat.caveats) == skipped, k
+        if skipped:
+            with_caveat.append(k)
+    # the bound cuts a closure short only on the fixture built for it
+    assert with_caveat == [len(quivers) - 1]
