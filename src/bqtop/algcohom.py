@@ -11,8 +11,13 @@ exists: distinct basis elements have non-proportional representative
 paths, and parallel nonzero paths with proportional images always lie in
 one natural class (a two-term combination in the ideal whose single
 terms are outside it merges them), so basis elements correspond
-bijectively to nonzero classes.  A user-supplied basis of paths can be
-checked with the same verifier.
+bijectively to nonzero classes.  A user-supplied basis of paths goes
+through the same verifier.  It reduces each vertex pair's ideal slice
+once, with the candidates' coordinates last: the candidates are
+independent modulo the ideal exactly when no pivot lands on one of them,
+and then the reduced row of every other path of the pair is its
+expansion in the basis, so a product of two basis elements is one
+lookup.
 
 From the basis: the simplicial complex SC has SC_0 = vertices and SC_n =
 tuples of non-identity basis elements with nonzero product, with an
@@ -44,10 +49,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Path, algebra_properties, compose, path_sort_key
-from .linalg import QQ, PrimeField, rank, solve_in_span, sparse_nullspace
-from .complex import (check_square_zero, cohomology_of_matrices,
-                      homology_of_matrices, parse_coefficients, sparse_apply,
-                      sparse_column)
+from .linalg import QQ, PrimeField, extend_rref, rank, sparse_nullspace
+from .complex import (_betti, _ranks, check_square_zero,
+                      cohomology_of_matrices, homology_of_matrices,
+                      parse_coefficients, sparse_apply, sparse_column)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
@@ -145,120 +150,37 @@ class SemiNormedAlgebra:
         return self.classes.class_of(self.elements[i].path)
 
 
-def _pair_local_vector(table, pair, path):
-    vec = [Fraction(0)] * len(table.pair_paths[pair])
-    vec[table.local[table.index[path]]] = Fraction(1)
-    return vec
-
-
-def _verify_and_build(table, classes, candidate_paths, witnesses):
-    """Shared verifier: counts, independence, closure; builds the algebra."""
-    q = table.quiver
-    # counts and independence per vertex pair (identities always included)
-    by_pair = {}
-    for v in q.vertices:
-        by_pair.setdefault((v, v), []).append(Path(v, v, ()))
-    for p in candidate_paths:
-        by_pair.setdefault((p.source, p.target), []).append(p)
-    pairs = set(table.dims) | set(by_pair)
-    for pair in sorted(pairs, key=lambda xy: (q.vertex_index[xy[0]],
-                                              q.vertex_index[xy[1]])):
-        cands = by_pair.get(pair, [])
-        dim = table.dims.get(pair, 0)
-        if len(cands) != dim:
-            witnesses.append(
-                "pair (%s,%s): %d basis elements for dimension %d"
-                % (pair[0], pair[1], len(cands), dim))
-            continue
-        if not cands:
-            continue
-        vecs = table.ideal_rows.get(pair, []) + [
-            {table.local[table.index[p]]: 1} for p in cands]
-        if rank(vecs, QQ) != len(vecs):
-            witnesses.append(
-                "pair (%s,%s): images of %s are linearly dependent mod the "
-                "ideal" % (pair[0], pair[1],
-                           ", ".join(str(p) for p in cands)))
-    if witnesses:
-        return SemiNormedFailure(tuple(witnesses), classes)
-
-    elements = [BasisElement(i, Path(v, v, ()), Fraction(1))
-                for i, v in enumerate(q.vertices)]
-    ordered = sorted(candidate_paths, key=lambda p: path_sort_key(q, p))
-    for p in ordered:
-        elements.append(BasisElement(len(elements), p, Fraction(1)))
-    elt_pairs = {}
-    for e in elements:
-        elt_pairs.setdefault((e.path.source, e.path.target),
-                             []).append(e.index)
-
-    # expansion solvers per pair: basis images first, ideal rows after
-    solver = {}
-    for pair, idxs in elt_pairs.items():
-        vecs = [_pair_local_vector(table, pair, elements[i].path)
-                for i in idxs]
-        n = len(table.pair_paths[pair])
-        vecs += [[row.get(k, QQ.zero) for k in range(n)]
-                 for row in table.ideal_rows.get(pair, [])]
-        solver[pair] = vecs
-
-    def expand(path):
-        if len(path) > table.bound or table.path_in_ideal(path):
-            return None
-        pair = (path.source, path.target)
-        coeffs = solve_in_span(solver[pair],
-                               _pair_local_vector(table, pair, path), QQ)
-        assert coeffs is not None, "basis must span its slice"
-        terms = [(elt_pairs[pair][k], c)
-                 for k, c in enumerate(coeffs[:len(elt_pairs[pair])])
-                 if c != 0]
-        if len(terms) != 1:
-            return ("split", terms)
-        return (Fraction(terms[0][1]), terms[0][0])
-
-    product = {}
-    for e1, e2 in itertools.product(elements, repeat=2):
-        if e1.path.target != e2.path.source:
-            continue
-        key = (e1.index, e2.index)
-        if e1.is_identity:
-            product[key] = (Fraction(1), e2.index)
-        elif e2.is_identity:
-            product[key] = (Fraction(1), e1.index)
-        else:
-            got = expand(compose(e1.path, e2.path))
-            if isinstance(got, tuple) and got[0] == "split":
-                witnesses.append(
-                    "product %s * %s expands with %d basis terms"
-                    % (e1, e2, len(got[1])))
-                continue
-            product[key] = got
-    if witnesses:
-        return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product)
+def _acyclic_classes(table, classes):
+    if not table.quiver.is_acyclic():
+        raise TriangularRequired(
+            "semi-normed machinery requires a quiver without oriented "
+            "cycles")
+    return natural_homotopy_classes(table) if classes is None else classes
 
 
 def find_semi_normed_basis(table, classes=None):
-    """One candidate per nonzero natural class, verified exactly."""
-    if not table.quiver.is_acyclic():
-        raise TriangularRequired(
-            "semi-normed machinery requires a quiver without oriented "
-            "cycles")
-    if classes is None:
-        classes = natural_homotopy_classes(table)
-    candidates = [classes.class_rep[cid]
-                  for cid in classes.one_cell_classes()]
-    return _verify_and_build(table, classes, candidates, [])
+    """The verifier run on one representative per nonzero natural class.
+
+    The representatives are nonzero and distinct and every arrow is a
+    class of its own, so none of the verifier's pre-checks can fire.
+    """
+    classes = _acyclic_classes(table, classes)
+    return verify_semi_normed_basis(
+        table, [classes.class_rep[cid] for cid in classes.one_cell_classes()],
+        classes)
 
 
 def verify_semi_normed_basis(table, paths, classes=None):
-    """Check a user-supplied basis (identities implied) with witnesses."""
-    if not table.quiver.is_acyclic():
-        raise TriangularRequired(
-            "semi-normed machinery requires a quiver without oriented "
-            "cycles")
-    if classes is None:
-        classes = natural_homotopy_classes(table)
+    """Check a basis of paths (identities implied) with witnesses.
+
+    Each vertex pair's ideal slice is reduced once, with the candidates'
+    coordinates last.  Every pivot then lands on a non-candidate path
+    exactly when the candidates' images are independent (the count check
+    already asks for n - rank I of them), and the row of a non-candidate
+    path p reads p = -sum(row[c] * c) mod I, its expansion in the basis.
+    """
+    classes = _acyclic_classes(table, classes)
+    q = table.quiver
     witnesses = []
     seen = []
     for p in paths:
@@ -272,13 +194,73 @@ def verify_semi_normed_basis(table, paths, classes=None):
             continue
         seen.append(p)
     given = set(seen)
-    for a in table.quiver.arrows:
-        ap = Path(a.source, a.target, (a.name,))
-        if ap not in given:
+    for a in q.arrows:
+        if Path(a.source, a.target, (a.name,)) not in given:
             witnesses.append("arrow %s missing from the basis" % a.name)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return _verify_and_build(table, classes, seen, witnesses)
+
+    identities = [Path(v, v, ()) for v in q.vertices]
+    ordered = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
+    elements = [BasisElement(i, p, Fraction(1)) for i, p in enumerate(ordered)]
+    index = {p: i for i, p in enumerate(ordered)}
+    by_pair = {}
+    for p in identities + seen:
+        by_pair.setdefault((p.source, p.target), []).append(p)
+    # path -> (lambda, element) for the nonzero paths of the table, and
+    # path -> number of basis terms for those with more than one
+    expansion, splits = {}, {}
+    pairs = set(table.dims) | set(by_pair)
+    for pair in sorted(pairs, key=lambda xy: (q.vertex_index[xy[0]],
+                                              q.vertex_index[xy[1]])):
+        cands = by_pair.get(pair, [])
+        dim = table.dims.get(pair, 0)
+        if len(cands) != dim:
+            witnesses.append(
+                "pair (%s,%s): %d basis elements for dimension %d"
+                % (pair[0], pair[1], len(cands), dim))
+            continue
+        if not cands:
+            continue
+        last = set(cands)
+        order = [table.paths[i] for i in table.pair_paths[pair]
+                 if table.paths[i] not in last]
+        free = len(order)
+        order += cands
+        at = {table.local[table.index[p]]: k for k, p in enumerate(order)}
+        reduced = {}
+        extend_rref(reduced, [{at[i]: x for i, x in row.items()}
+                              for row in table.ideal_rows.get(pair, [])])
+        if any(c >= free for c in reduced):
+            witnesses.append(
+                "pair (%s,%s): images of %s are linearly dependent mod the "
+                "ideal" % (pair[0], pair[1],
+                           ", ".join(str(p) for p in cands)))
+            continue
+        for p in cands:
+            expansion[p] = (Fraction(1), index[p])
+        for k, p in enumerate(order[:free]):
+            off = [(c, x) for c, x in reduced[k].items() if c != k]
+            if len(off) == 1:
+                expansion[p] = (-off[0][1], index[order[off[0][0]]])
+            elif off:
+                splits[p] = len(off)
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+
+    product = {}
+    for e1, e2 in itertools.product(elements, repeat=2):
+        if e1.path.target != e2.path.source:
+            continue
+        path = compose(e1.path, e2.path)
+        if path in splits:
+            witnesses.append("product %s * %s expands with %d basis terms"
+                             % (e1, e2, splits[path]))
+        else:
+            product[(e1.index, e2.index)] = expansion.get(path)
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+    return SemiNormedAlgebra(table, classes, elements, product)
 
 
 # ---------------------------------------------------------------------------
@@ -614,18 +596,8 @@ class HochschildComplex:
 
     def hh_dims(self):
         """Cohomology dimensions per degree, 0 .. top+1."""
-        return _cohomology_dims(self.dims(), _ranks(self.columns, self.field))
-
-
-def _ranks(columns, field):
-    return {n: rank(cols, field) for n, cols in columns.items()}
-
-
-def _cohomology_dims(dims, ranks):
-    """dim C^n - rank d^n - rank d^{n-1} for n = 0 .. len(dims)."""
-    return [(dims[n] if n < len(dims) else 0)
-            - ranks.get(n + 1, 0) - ranks.get(n, 0)
-            for n in range(len(dims) + 1)]
+        return _betti(dict(enumerate(self.dims())),
+                      _ranks(self.columns, self.field), self.top_dim() + 1)
 
 
 def hochschild_complex(algebra, field="Q"):
@@ -753,11 +725,11 @@ def epsilon_mu(algebra, sc, hc):
     # their rank
     cocycles = [sparse_nullspace(sc.columns.get(n + 1, []), sc_dims[n], F)
                 for n in range(top + 1)]
-    sh = _cohomology_dims(sc_dims[:top + 1],
-                          {n + 1: sc_dims[n] - len(z)
-                           for n, z in enumerate(cocycles)})
+    sh = _betti(dict(enumerate(sc_dims)),
+                {n + 1: sc_dims[n] - len(z) for n, z in enumerate(cocycles)},
+                top + 1)
     rk_hc = _ranks(hc.columns, F)
-    hh = _cohomology_dims(hc_dims[:top + 1], rk_hc)
+    hh = _betti(dict(enumerate(hc_dims)), rk_hc, top + 1)
     degrees = []
     iso = True
     for n in range(top + 2):

@@ -291,7 +291,6 @@ def _integral_homology(dims, mats, top):
     dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
     to degree n-1 as sparse columns {row: coefficient}, one per n-cell.
     """
-    out = []
     ranks = {}
     torsions = {}
     for n in range(top + 2):
@@ -303,19 +302,22 @@ def _integral_homology(dims, mats, top):
         else:
             ranks[n] = 0
             torsions[n] = ()
-    for n in range(top + 1):
-        free = dims.get(n, 0) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        out.append((free, torsions.get(n + 1, ())))
-    return out
+    return [(free, torsions[n + 1])
+            for n, free in enumerate(_betti(dims, ranks, top))]
 
 
-def _field_dims(dims, mats, top, field):
-    out = []
-    for n in range(top + 1):
-        rk_in = rank(mats.get(n + 1, ()), field)
-        rk_out = rank(mats.get(n, ()), field)
-        out.append(dims.get(n, 0) - rk_in - rk_out)
-    return out
+def _ranks(columns, field):
+    """{n: rank of columns[n]}, each matrix ranked once."""
+    return {n: rank(cols, field) for n, cols in columns.items()}
+
+
+def _betti(dims, ranks, top):
+    """dims[n] - ranks[n + 1] - ranks[n] for n = 0 .. top, a missing entry
+    counting 0.  From the ranks of a chain complex's boundaries these are
+    the free ranks of its homology, from those of a cochain complex's
+    differentials its cohomology dimensions."""
+    return [dims.get(n, 0) - ranks.get(n + 1, 0) - ranks.get(n, 0)
+            for n in range(top + 1)]
 
 
 def homology_of_matrices(dims, mats, coeff, top=None):
@@ -328,12 +330,11 @@ def homology_of_matrices(dims, mats, coeff, top=None):
         return HomologyResult("Z", "Z",
                               tuple(_integral_homology(dims, mats, top)))
     if kind == "Q":
-        return HomologyResult("Q", "field",
-                              tuple(_field_dims(dims, mats, top, QQ)))
+        return HomologyResult("Q", "field", tuple(
+            _betti(dims, _ranks(mats, QQ), top)))
     if kind == "Fp":
-        return HomologyResult("Fp:%d" % arg, "field",
-                              tuple(_field_dims(dims, mats, top,
-                                                PrimeField(arg))))
+        return HomologyResult("Fp:%d" % arg, "field", tuple(
+            _betti(dims, _ranks(mats, PrimeField(arg)), top)))
     m = arg
     integral = _integral_homology(dims, mats, top + 1)
     groups = []

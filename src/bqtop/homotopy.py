@@ -38,8 +38,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NotConnectedError, Path, path_sort_key
-from .linalg import QQ, nullspace, rank
+from .core import (BoundQuiver, NotConnectedError, Path, RelVector,
+                   enumerate_paths, path_sort_key)
+from .linalg import QQ, cokernel_structure, nullspace, rank
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
@@ -479,7 +480,6 @@ def _presentation(table, tree, base):
 
 def abelianization(pres):
     """(free_rank, torsion divisors) of the abelianized presentation."""
-    from .linalg import cokernel_structure
     gi = {g: i for i, g in enumerate(pres.generators)}
     cols = []
     for rel in pres.relators:
@@ -698,28 +698,21 @@ class VanKampenResult:
     base: str
 
 
-def _full_subquiver(quiver, verts):
-    from .core import BoundQuiver
-    vset = set(verts)
-    vertices = [v for v in quiver.vertices if v in vset]
-    arrows = [a for a in quiver.arrows
-              if a.source in vset and a.target in vset]
-    return BoundQuiver(vertices, arrows)
-
-
-def _restricted_relations(table, verts):
-    """Ideal slice bases for pairs inside `verts`, as relation vectors."""
-    from .core import RelVector
+def _full_subquiver(table, verts):
+    """The full subquiver on `verts`, bound by the ideal slice bases of
+    the vertex pairs inside it as relation vectors."""
+    q = table.quiver
     vset = set(verts)
     rels = []
     for pair in _in_vertex_order(table, table.ideal_rows):
-        if pair[0] not in vset or pair[1] not in vset:
-            continue
-        idxs = table.pair_paths[pair]
-        for row in table.ideal_rows[pair]:
-            terms = [(table.paths[idxs[k]], c) for k, c in row.items()]
-            rels.append(RelVector.build(terms))
-    return rels
+        if pair[0] in vset and pair[1] in vset:
+            idxs = table.pair_paths[pair]
+            rels += [RelVector.build([(table.paths[idxs[k]], c)
+                                      for k, c in row.items()])
+                     for row in table.ideal_rows[pair]]
+    vertices = [v for v in q.vertices if v in vset]
+    arrows = [a for a in q.arrows if a.source in vset and a.target in vset]
+    return BoundQuiver(vertices, arrows, rels)
 
 
 def _check_convex(quiver, verts, label):
@@ -755,7 +748,6 @@ def van_kampen_pushout(table, v1, v2):
     fundamental group, presented on disjoint copies of the pieces' arrows
     with one amalgamation relator per non-tree arrow of the intersection.
     """
-    from .core import enumerate_paths
     q = table.quiver
     v1 = [v for v in q.vertices if v in set(v1)]
     v2 = [v for v in q.vertices if v in set(v2)]
@@ -773,27 +765,19 @@ def van_kampen_pushout(table, v1, v2):
         if not (verts <= set(v1) or verts <= set(v2)):
             raise HypothesisViolated(
                 "nonzero path %s lies in neither piece" % p, witness=str(p))
-    q0 = _full_subquiver(q, shared)
-    if not q0.is_connected():
+    # checked before any presentation: spanning_tree needs it connected
+    sub0 = _full_subquiver(table, shared)
+    if not sub0.is_connected():
         raise HypothesisViolated("intersection subquiver is not connected")
     base = shared[0]
 
-    def piece(verts):
-        from .core import BoundQuiver
-        sub = _full_subquiver(q, verts)
-        sub = BoundQuiver(sub.vertices, sub.arrows,
-                          _restricted_relations(table, verts))
+    def piece(sub):
         sub_table = enumerate_paths(sub, cap=max(12, table.bound + 1))
-        return sub, pi1_presentation(sub_table, base=base)
+        return pi1_presentation(sub_table, base=base)
 
-    sub1, pres1 = piece(v1)
-    sub2, pres2 = piece(v2)
-    sub0 = _full_subquiver(q, shared)
-    from .core import BoundQuiver
-    sub0 = BoundQuiver(sub0.vertices, sub0.arrows,
-                       _restricted_relations(table, shared))
-    table0 = enumerate_paths(sub0, cap=max(12, table.bound + 1))
-    pres0 = pi1_presentation(table0, base=base)
+    sub1 = _full_subquiver(table, v1)
+    sub2 = _full_subquiver(table, v2)
+    pres1, pres2, pres0 = piece(sub1), piece(sub2), piece(sub0)
 
     tree0, walk0 = spanning_tree(sub0, base)
     arrows2 = set(a.name for a in sub2.arrows)

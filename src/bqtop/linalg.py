@@ -40,8 +40,10 @@ Conventions:
 * `smith_normal_form(M)` returns (divisors, U, V, D) with U*M*V == D,
   D diagonal, each divisor dividing the next.  The product identity is
   asserted before returning; callers can re-check it cheaply.
-* a dense "vector" is a list of field elements; `solve_in_span` answers
-  the question "is t a linear combination of these vectors" exactly.
+* span questions are read off one RREF: a vector lies in a span when
+  adding it gives no new pivot, and with the columns reordered so that
+  chosen coordinates come last, each other coordinate's row expresses it
+  through the chosen ones modulo the span (the semi-normed verifier).
 """
 
 from __future__ import annotations
@@ -266,30 +268,6 @@ def rank(vectors, field=QQ):
             rk += 1
         _drop(vecs, where, k)
     return rk
-
-
-def solve_in_span(vecs, target, field=QQ):
-    """Coefficients c with sum(c_i * vecs[i]) == target, or None.
-
-    All vectors must share one length.  Solved by eliminating the matrix
-    whose columns are `vecs`, augmented with `target`.
-    """
-    n = len(target)
-    for v in vecs:
-        assert len(v) == n
-    if all(x == field.zero for x in target):
-        return [field.zero] * len(vecs)
-    if not vecs:
-        return None
-    # rows of the augmented system: one per coordinate
-    aug = [[vecs[j][i] for j in range(len(vecs))] + [target[i]] for i in range(n)]
-    m, pivots = rref(aug, field)
-    if len(vecs) in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    coeffs = [field.zero] * len(vecs)
-    for r, c in enumerate(pivots):
-        coeffs[c] = m[r][len(vecs)]
-    return coeffs
 
 
 def sparse_nullspace(rows, ncols, field=QQ):

@@ -12,14 +12,33 @@ from the truncated products (longer components dropped).
 congruence closure: the co-member groups merged, then every factor of
 every table path replaced by every other member of its class, in full
 passes until one pass merges nothing.
+
+`dense_semi_normed_basis` is the semi-normed verifier as it ran before
+each vertex pair was reduced once with the candidates last: a rank per
+pair for independence, then a dense augmented RREF of the basis images
+and the ideal rows for every product of two basis elements.
+
+`differential_quivers` is the input list the differential tests share:
+the corpus, the seeded samples, the benchmark's generated quivers and a
+few fixed ones.
 """
 
+import importlib.util
+import itertools
+import pathlib
+import random
+import sys
 from fractions import Fraction
 
+from bqtop import BoundQuiver, enumerate_paths
+from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
 from bqtop.core import (AdmissibilityError, Path, _paths_up_to, compose,
                         path_sort_key)
+from bqtop.dsl import parse
 from bqtop.homotopy import _find, _union, relation_components
-from bqtop.linalg import QQ, rref
+from bqtop.linalg import QQ, rank, rref
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _spans(quiver, by_len, max_len, truncate):
@@ -155,3 +174,216 @@ def swept_natural_classes(table):
     for i in range(len(table.paths)):
         classes.setdefault(_find(parent, i), set()).add(i)
     return set(map(frozenset, classes.values())), skipped
+
+
+def dense_semi_normed_basis(table, classes, paths):
+    """The algebra, or the failure with its witnesses, that the dense
+    verifier gives for nonzero, distinct basis paths holding every arrow
+    (the pre-checks of `verify_semi_normed_basis` pass on them)."""
+    q = table.quiver
+    witnesses = []
+    by_pair = {}
+    for v in q.vertices:
+        by_pair.setdefault((v, v), []).append(Path(v, v, ()))
+    for p in paths:
+        by_pair.setdefault((p.source, p.target), []).append(p)
+
+    def unit(pair, path):
+        vec = [Fraction(0)] * len(table.pair_paths[pair])
+        vec[table.local[table.index[path]]] = Fraction(1)
+        return vec
+
+    for pair in sorted(set(table.dims) | set(by_pair),
+                       key=lambda xy: (q.vertex_index[xy[0]],
+                                       q.vertex_index[xy[1]])):
+        cands = by_pair.get(pair, [])
+        dim = table.dims.get(pair, 0)
+        if len(cands) != dim:
+            witnesses.append(
+                "pair (%s,%s): %d basis elements for dimension %d"
+                % (pair[0], pair[1], len(cands), dim))
+        elif cands:
+            vecs = table.ideal_rows.get(pair, []) + [unit(pair, p)
+                                                      for p in cands]
+            if rank(vecs, QQ) != len(vecs):
+                witnesses.append(
+                    "pair (%s,%s): images of %s are linearly dependent mod "
+                    "the ideal" % (pair[0], pair[1],
+                                   ", ".join(str(p) for p in cands)))
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+    elements = [BasisElement(i, Path(v, v, ()), Fraction(1))
+                for i, v in enumerate(q.vertices)]
+    for p in sorted(paths, key=lambda p: path_sort_key(q, p)):
+        elements.append(BasisElement(len(elements), p, Fraction(1)))
+    elt_pairs = {}
+    for e in elements:
+        elt_pairs.setdefault((e.path.source, e.path.target),
+                             []).append(e.index)
+
+    def expand(path):
+        """Nonzero (element, coefficient) terms of the path's image."""
+        pair = (path.source, path.target)
+        idxs = elt_pairs[pair]
+        cols = [unit(pair, elements[i].path) for i in idxs]
+        cols += [[row.get(k, Fraction(0))
+                  for k in range(len(table.pair_paths[pair]))]
+                 for row in table.ideal_rows.get(pair, [])]
+        target = unit(pair, path)
+        aug = [[col[i] for col in cols] + [target[i]]
+               for i in range(len(target))]
+        m, pivots = rref(aug, QQ)
+        assert len(cols) not in pivots, "basis must span its slice"
+        return [(idxs[c], m[r][-1]) for r, c in enumerate(pivots)
+                if c < len(idxs) and m[r][-1] != 0]
+
+    product = {}
+    for e1, e2 in itertools.product(elements, repeat=2):
+        if e1.path.target != e2.path.source:
+            continue
+        key = (e1.index, e2.index)
+        path = compose(e1.path, e2.path)
+        if e1.is_identity:
+            product[key] = (Fraction(1), e2.index)
+        elif e2.is_identity:
+            product[key] = (Fraction(1), e1.index)
+        elif table.path_in_ideal(path):
+            product[key] = None
+        elif len(terms := expand(path)) != 1:
+            witnesses.append("product %s * %s expands with %d basis terms"
+                             % (e1, e2, len(terms)))
+        else:
+            product[key] = (terms[0][1], terms[0][0])
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+    return SemiNormedAlgebra(table, classes, elements, product)
+
+
+# ---------------------------------------------------------------------------
+# inputs of the differential tests
+
+
+SEED = 20260818
+
+
+def forward_paths(arrows, max_len=4):
+    """Composable arrow chains of length 2..max_len, as (names, src, dst)."""
+    by_src = {}
+    for name, s, t in arrows:
+        by_src.setdefault(s, []).append((name, t))
+    layer = [((name,), s, t) for name, s, t in arrows]
+    found = []
+    for _ in range(max_len - 1):
+        nxt = []
+        for names, s, t in layer:
+            for name2, t2 in by_src.get(t, ()):
+                nxt.append((names + (name2,), s, t2))
+        found.extend(nxt)
+        layer = nxt
+    return found
+
+
+def random_relations(rng, arrows, monomial_only=False):
+    paths = forward_paths(arrows)
+    rels = []
+    if not paths:
+        return rels
+    for p in rng.sample(paths, min(len(paths), rng.randint(0, 3))):
+        rels.append([(list(p[0]), 1)])
+    if monomial_only:
+        return rels
+    by_ends = {}
+    for p in paths:
+        by_ends.setdefault((p[1], p[2]), []).append(p)
+    groups = sorted((g for g in by_ends.values() if len(g) >= 2),
+                    key=lambda g: g[0][0])
+    rng.shuffle(groups)
+    for g in groups[:2]:
+        if len(g) >= 3 and rng.random() < 0.3:
+            p, q, r = rng.sample(g, 3)
+            rels.append([(list(p[0]), 2), (list(q[0]), -1),
+                         (list(r[0]), -1)])
+        elif rng.random() < 0.8:
+            p, q = rng.sample(g, 2)
+            rels.append([(list(p[0]), 1), (list(q[0]), -1)])
+    return rels
+
+
+def random_quiver(rng, max_vertices=6, monomial_only=False):
+    # arrows only run forward along a fixed vertex order, so the quiver
+    # is acyclic; the spanning pass keeps it weakly connected
+    n = rng.randint(2, max_vertices)
+    vertices = ["v%d" % i for i in range(n)]
+    arrows = []
+    for j in range(1, n):
+        i = rng.randrange(j)
+        arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(n - 1)
+        j = rng.randint(i + 1, n - 1)
+        arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
+    rels = random_relations(rng, arrows, monomial_only=monomial_only)
+    return BoundQuiver(vertices, arrows, rels)
+
+
+def build_samples(count, monomial_only=False, salt=0):
+    rng = random.Random(SEED + salt)
+    out = []
+    while len(out) < count:
+        q = random_quiver(rng, monomial_only=monomial_only)
+        out.append((q, enumerate_paths(q)))
+    return out
+
+
+SAMPLES = build_samples(200)
+MONOMIAL = build_samples(40, monomial_only=True, salt=1)
+
+
+def load_bench_workloads():
+    path = CORPUS.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def loops(vertices, arrows, rels):
+    """A quiver from arrow triples and relations given as strings of
+    '+'-joined terms, each an optional '-' and '*'-joined arrow names."""
+    terms = [[(t.lstrip("-").split("*"), -1 if t.startswith("-") else 1)
+              for t in rel.split("+")] for rel in rels]
+    return BoundQuiver(vertices, arrows, terms)
+
+
+# 1 -> 2 -> 3 (a, b) and 1 -> 4 -> 5 -> 6 -> 3 (c, d, e, f): L = 3, and
+# a*b lies in I only through a*b - c*d*e*f with its long term dropped
+TRUNCATED = loops(["1", "2", "3", "4", "5", "6"],
+                  [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"),
+                   ("d", "4", "5"), ("e", "5", "6"), ("f", "6", "3")],
+                  ["a*b+-c*d*e*f", "c*d*e", "d*e*f"])
+
+CYCLIC = [
+    loops(["1"], [("x", "1", "1")], ["x*x*x"]),
+    loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
+          ["x*y+-y*x", "x*x", "y*y"]),
+    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")], ["s*t", "t*s"]),
+    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")],
+          ["s*t*s", "t*s*t"]),
+]
+
+
+def differential_quivers():
+    """The corpus, the seeded samples, the benchmark's generated quivers
+    on seeds 3 and 7, the cyclic quivers and TRUNCATED."""
+    quivers = [parse(path.read_text())
+               for path in sorted(CORPUS.glob("*.bq"))]
+    quivers += [q for q, _ in SAMPLES + MONOMIAL]
+    bench = load_bench_workloads()
+    for seed in (3, 7):
+        for gen in bench.GENERATORS.values():
+            quivers += [parse(text) for text in gen(seed).values()]
+    quivers += CYCLIC + [TRUNCATED]
+    assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 4 + 1
+    return quivers

@@ -62,6 +62,31 @@ def test_pres2_basis_and_sh():
     assert su.sh("Z").groups == s.sh("Z").groups
 
 
+def test_non_unit_structure_constants_in_both_directions():
+    # 2*a*c = 3*b*c in A: with a*c in the basis b.c = 2/3 a*c, with b*c
+    # in it a.c = 3/2 b*c; a sign or an inversion slip changes either
+    t, n = setup(["1", "2", "3"],
+                 [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")],
+                 [[(["a", "c"], 2), (["b", "c"], -3)]])
+    q = t.quiver
+
+    def times(alg, x, y):
+        lam, k = alg.product[(alg.index_by_path[q.path([x])],
+                              alg.index_by_path[q.path([y])])]
+        return lam, str(alg.elements[k])
+
+    found = find_semi_normed_basis(t, n)
+    assert found.ok
+    assert times(found, "b", "c") == (Fraction(2, 3), "a*c")
+    assert times(found, "a", "c") == (Fraction(1), "a*c")
+    user = verify_semi_normed_basis(
+        t, [q.path(["a"]), q.path(["b"]), q.path(["c"]), q.path(["b", "c"])],
+        n)
+    assert user.ok
+    assert times(user, "a", "c") == (Fraction(3, 2), "b*c")
+    assert times(user, "b", "c") == (Fraction(1), "b*c")
+
+
 NOSN_DATA = (["x1", "x2", "x3"],
              [("a1", "x1", "x2"), ("b1", "x1", "x2"),
               ("a2", "x2", "x3"), ("b2", "x2", "x3")],

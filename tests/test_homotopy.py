@@ -332,3 +332,16 @@ def test_walk_classes_of_a_disconnected_quiver():
     assert walk.class_of(twin.path(["b"])) == walk.class_of(twin.path(["g"]))
     assert len(walk.one_cell_classes()) == 6
     assert walk.caveats == ()
+
+
+def test_vk_disconnected_intersection_is_a_hypothesis_violation():
+    # both pieces are convex and hold every nonzero path, but no arrow
+    # joins the shared vertices 2 and 3; the check comes before any
+    # presentation, whose spanning tree needs a connected quiver
+    t = enumerate_paths(BoundQuiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "1", "3"), ("c", "2", "4"), ("d", "3", "4")],
+        [[(["a", "c"], 1)], [(["b", "d"], 1)]]))
+    with pytest.raises(HypothesisViolated,
+                       match="intersection subquiver is not connected"):
+        van_kampen_pushout(t, ["1", "2", "3"], ["2", "3", "4"])

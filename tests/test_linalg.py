@@ -1,4 +1,4 @@
-"""Exact linear algebra: ranks, kernels, span membership, Smith form."""
+"""Exact linear algebra: ranks, kernels, row reduction, Smith form."""
 
 import math
 import random
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from bqtop.linalg import (QQ, PrimeField, cokernel_structure, identity_matrix,
                           integer_rank, mat_mul, nullspace, rank, rref,
-                          smith_normal_form, solve_in_span, transpose)
+                          smith_normal_form, transpose)
 
 
 def frac_rows(rows):
@@ -32,15 +32,6 @@ def test_rank_mod_p_differs_from_rational():
     rows = [[2]]
     assert rank(frac_rows(rows)) == 1
     assert rank([[f2.of(2)]], f2) == 0
-
-
-def test_solve_in_span():
-    vecs = frac_rows([[1, 0, 1], [0, 1, 1]])
-    c = solve_in_span(vecs, [Fraction(2), Fraction(3), Fraction(5)])
-    assert c == [Fraction(2), Fraction(3)]
-    assert solve_in_span(vecs, [Fraction(1), Fraction(0), Fraction(0)]) is None
-    # the zero target is reachable even from an empty generating set
-    assert solve_in_span([], [Fraction(0)]) == []
 
 
 def test_nullspace_is_a_kernel_basis():

@@ -1,19 +1,17 @@
 """Randomized structural invariants and the monomial family sweep.
 
-Seeded generators produce small connected acyclic bound quivers; every
-sample is pushed through the full pipeline and checked against the
-identities that must hold regardless of the ideal: boundaries square to
-zero, Euler counts match Betti numbers, H_1 abelianizes pi_1, the
-comparison maps satisfy their contracts exactly under the advertised
-hypotheses, and monomial ideals collapse the space onto the graph.
+Seeded generators (in oracles.py) produce small connected acyclic bound
+quivers; every sample is pushed through the full pipeline and checked
+against the identities that must hold regardless of the ideal:
+boundaries square to zero, Euler counts match Betti numbers, H_1
+abelianizes pi_1, the comparison maps satisfy their contracts exactly
+under the advertised hypotheses, and monomial ideals collapse the space
+onto the graph.
 """
 
 import collections
-import importlib.util
 import itertools
-import pathlib
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -25,88 +23,16 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    homology, identity_morphism, lift_complex_map,
                    minimal_relation_supports, natural_homotopy_classes,
                    phi_psi_maps, pi1_presentation, relation_components,
-                   simplicial_complex, walk_homotopy_classes)
+                   simplicial_complex, verify_semi_normed_basis,
+                   walk_homotopy_classes)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, rref, smith_divisors, smith_normal_form)
-from oracles import (dense_reduces_to_zero, rebuilt_path_table,
-                     swept_natural_classes)
-
-SEED = 20260818
-
-
-def forward_paths(arrows, max_len=4):
-    """Composable arrow chains of length 2..max_len, as (names, src, dst)."""
-    by_src = {}
-    for name, s, t in arrows:
-        by_src.setdefault(s, []).append((name, t))
-    layer = [((name,), s, t) for name, s, t in arrows]
-    found = []
-    for _ in range(max_len - 1):
-        nxt = []
-        for names, s, t in layer:
-            for name2, t2 in by_src.get(t, ()):
-                nxt.append((names + (name2,), s, t2))
-        found.extend(nxt)
-        layer = nxt
-    return found
-
-
-def random_relations(rng, arrows, monomial_only=False):
-    paths = forward_paths(arrows)
-    rels = []
-    if not paths:
-        return rels
-    for p in rng.sample(paths, min(len(paths), rng.randint(0, 3))):
-        rels.append([(list(p[0]), 1)])
-    if monomial_only:
-        return rels
-    by_ends = {}
-    for p in paths:
-        by_ends.setdefault((p[1], p[2]), []).append(p)
-    groups = sorted((g for g in by_ends.values() if len(g) >= 2),
-                    key=lambda g: g[0][0])
-    rng.shuffle(groups)
-    for g in groups[:2]:
-        if len(g) >= 3 and rng.random() < 0.3:
-            p, q, r = rng.sample(g, 3)
-            rels.append([(list(p[0]), 2), (list(q[0]), -1),
-                         (list(r[0]), -1)])
-        elif rng.random() < 0.8:
-            p, q = rng.sample(g, 2)
-            rels.append([(list(p[0]), 1), (list(q[0]), -1)])
-    return rels
-
-
-def random_quiver(rng, max_vertices=6, monomial_only=False):
-    # arrows only run forward along a fixed vertex order, so the quiver
-    # is acyclic; the spanning pass keeps it weakly connected
-    n = rng.randint(2, max_vertices)
-    vertices = ["v%d" % i for i in range(n)]
-    arrows = []
-    for j in range(1, n):
-        i = rng.randrange(j)
-        arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
-    for _ in range(rng.randint(0, 3)):
-        i = rng.randrange(n - 1)
-        j = rng.randint(i + 1, n - 1)
-        arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
-    rels = random_relations(rng, arrows, monomial_only=monomial_only)
-    return BoundQuiver(vertices, arrows, rels)
-
-
-def build_samples(count, monomial_only=False, salt=0):
-    rng = random.Random(SEED + salt)
-    out = []
-    while len(out) < count:
-        q = random_quiver(rng, monomial_only=monomial_only)
-        out.append((q, enumerate_paths(q)))
-    return out
-
-
-SAMPLES = build_samples(200)
-MONOMIAL = build_samples(40, monomial_only=True, salt=1)
+from oracles import (CORPUS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
+                     dense_reduces_to_zero, dense_semi_normed_basis,
+                     differential_quivers, forward_paths, loops,
+                     random_quiver, rebuilt_path_table, swept_natural_classes)
 
 _CPLX = None
 
@@ -487,9 +413,6 @@ def test_walk_classes_contain_the_capped_search_merges():
 # ---------------------------------------------------------------------------
 # the sparse elimination layer against the dense routines it replaced
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-
-
 def dense_rref(rows, field):
     """Column-by-column dense Gauss-Jordan, the elimination `rref` ran
     before the sparse kernel; kept here as the oracle."""
@@ -696,40 +619,6 @@ def test_faces_match_the_backtracking_oracle(comm_grid):
 # the path table grown one length at a time against the rebuild-per-L oracle
 
 
-def load_bench_workloads():
-    path = CORPUS.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def loops(vertices, arrows, rels):
-    """A quiver from arrow triples and relations given as strings of
-    '+'-joined terms, each an optional '-' and '*'-joined arrow names."""
-    terms = [[(t.lstrip("-").split("*"), -1 if t.startswith("-") else 1)
-              for t in rel.split("+")] for rel in rels]
-    return BoundQuiver(vertices, arrows, terms)
-
-
-# 1 -> 2 -> 3 (a, b) and 1 -> 4 -> 5 -> 6 -> 3 (c, d, e, f): L = 3, and
-# a*b lies in I only through a*b - c*d*e*f with its long term dropped
-TRUNCATED = loops(["1", "2", "3", "4", "5", "6"],
-                  [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"),
-                   ("d", "4", "5"), ("e", "5", "6"), ("f", "6", "3")],
-                  ["a*b+-c*d*e*f", "c*d*e", "d*e*f"])
-
-CYCLIC = [
-    loops(["1"], [("x", "1", "1")], ["x*x*x"]),
-    loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
-          ["x*y+-y*x", "x*x", "y*y"]),
-    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")], ["s*t", "t*s"]),
-    loops(["u", "v"], [("s", "u", "v"), ("t", "v", "u")],
-          ["s*t*s", "t*s*t"]),
-]
-
 NOT_CERTIFIED = [
     loops(["1"], [("x", "1", "1")], []),
     loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
@@ -743,21 +632,6 @@ def table_facts(t):
                     for row in rows]
              for pair, rows in t.ideal_rows.items()}
     return t.bound, t.paths, dense, t.in_ideal, t.dims
-
-
-def differential_quivers():
-    """The corpus, the seeded samples, the benchmark's generated quivers
-    on seeds 3 and 7, the cyclic quivers and TRUNCATED."""
-    quivers = [parse(path.read_text())
-               for path in sorted(CORPUS.glob("*.bq"))]
-    quivers += [q for q, _ in SAMPLES + MONOMIAL]
-    bench = load_bench_workloads()
-    for seed in (3, 7):
-        for gen in bench.GENERATORS.values():
-            quivers += [parse(text) for text in gen(seed).values()]
-    quivers += CYCLIC + [TRUNCATED]
-    assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 4 + 1
-    return quivers
 
 
 def test_path_table_matches_the_rebuild_per_bound_oracle():
@@ -799,3 +673,59 @@ def test_natural_classes_match_the_factor_replacement_sweep(
             with_caveat.append(k)
     # the bound cuts a closure short only on the fixture built for it
     assert with_caveat == [len(quivers) - 1]
+
+
+# ---------------------------------------------------------------------------
+# the semi-normed verifier against the per-product dense solve
+
+
+def semi_normed_facts(algebra):
+    if not algebra.ok:
+        return False, algebra.witnesses
+    return True, algebra.elements, algebra.product
+
+
+WITNESS_KINDS = ("for dimension", "linearly dependent", "expands with")
+
+
+def random_user_basis(rng, table):
+    """The arrows, then per vertex pair random longer nonzero paths, about
+    as many as the pair's dimension asks for, in shuffled order."""
+    q = table.quiver
+    basis = [q.path([a.name]) for a in q.arrows]
+    for (x, y), idxs in table.pair_paths.items():
+        longer = [table.paths[i] for i in idxs
+                  if len(table.paths[i]) > 1 and i not in table.in_ideal]
+        held = sum(1 for a in q.arrows if (a.source, a.target) == (x, y))
+        want = table.dims[(x, y)] - held - (x == y) + rng.choice(
+            [-1, 0, 0, 0, 0, 1])
+        basis += rng.sample(longer, max(0, min(want, len(longer))))
+    rng.shuffle(basis)
+    return basis
+
+
+def test_semi_normed_verifier_matches_the_dense_solve_oracle(comm_grid):
+    rng = random.Random(SEED + 7)
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    quivers.append(parse(open(comm_grid(4)).read()))
+    outcomes = collections.Counter()
+    for q in quivers:
+        t = enumerate_paths(q)
+        nat = natural_homotopy_classes(t)
+        reps = [nat.class_rep[cid] for cid in nat.one_cell_classes()]
+        found = find_semi_normed_basis(t, nat)
+        assert (semi_normed_facts(found)
+                == semi_normed_facts(dense_semi_normed_basis(t, nat, reps)))
+        user = random_user_basis(rng, t)
+        got = verify_semi_normed_basis(t, user, nat)
+        assert (semi_normed_facts(got)
+                == semi_normed_facts(dense_semi_normed_basis(t, nat, user)))
+        for a in (found, got):
+            outcomes["ok"] += a.ok
+            for w in () if a.ok else a.witnesses:
+                outcomes.update(k for k in WITNESS_KINDS if k in w)
+    assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 1 + 1
+    # the user bases reach every verdict: counts off, images dependent,
+    # a product with several basis terms
+    assert outcomes["ok"] > 400
+    assert all(outcomes[k] for k in WITNESS_KINDS)
