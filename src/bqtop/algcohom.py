@@ -35,7 +35,9 @@ to the basis pair (t, b) with scalar lambda, and mu is its partial
 inverse with 1 / lambda.  All of them, like the differentials, are kept
 as sparse columns {index: coefficient}, the layout of the cell
 complexes' boundaries, and their identity and chain-map properties are
-checked column by column rather than assumed.
+checked column by column rather than assumed.  epsilon(SC) is then a
+coordinate subcomplex of HC, and the long exact sequence of the quotient
+gives the ranks of the map SH -> HH from three rank sequences.
 
 The basis and all structure constants are computed exactly over the
 rationals; choosing a prime field only changes the coefficient
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Path, algebra_properties, compose, path_sort_key
-from .linalg import QQ, PrimeField, extend_rref, rank, sparse_nullspace
+from .linalg import QQ, PrimeField, extend_rref, rank
 from .complex import (_betti, _ranks, check_square_zero,
                       cohomology_of_matrices, homology_of_matrices,
                       parse_coefficients, sparse_apply, sparse_column)
@@ -485,10 +487,6 @@ class HochschildComplex:
     def __init__(self, algebra, field_label="Q"):
         if not algebra.ok:
             raise NoSemiNormedBasis("; ".join(algebra.witnesses))
-        if not algebra.quiver.is_acyclic():
-            raise TriangularRequired(
-                "Hochschild complex requires a quiver without oriented "
-                "cycles")
         self.algebra = algebra
         kind, arg = parse_coefficients(field_label)
         if kind not in ("Q", "Fp"):
@@ -676,6 +674,16 @@ def epsilon_mu(algebra, sc, hc):
     to its basis pair r = ((s_1, .., s_n), b), where s_1 .. s_n = lambda b;
     mu[n][r] = {c: 1 / lambda} is its partial inverse, {} on pairs that no
     tuple reaches.  Both are sparse columns on cochain coordinates.
+
+    eps is always a cochain map: every face term of delta(eps f) on
+    (s_1, .., s_{n+1}) is a face value of f times the full product
+    s_1 .. s_{n+1}.  It sends distinct tuples to nonzero multiples of
+    distinct pairs, so eps(SC) is the coordinate subcomplex on the pairs
+    that mu reaches, and Q = HC/eps(SC) is HC restricted to the others.
+    The long exact sequence of 0 -> SC -> HC -> Q -> 0 gives the rank
+    rk_n of SH^n -> HH^n: rk_0 = sh_0, and h^n(Q) = (hh_n - rk_n) +
+    (sh_{n+1} - rk_{n+1}).  Both identities are checked first; a failure
+    raises AssertionError rather than ranking a non-complex.
     """
     if sc.algebra is not algebra or hc.algebra is not algebra:
         raise FieldMismatch(
@@ -720,33 +728,26 @@ def epsilon_mu(algebra, sc, hc):
                     for n in range(top))
     mu_chain = all(_commutes(mu[n], mu[n + 1], d_hc[n], d_sc[n], F)
                    for n in range(top))
-    # each differential is reduced once: the simplicial d^n to its
-    # cocycles Z^n, whose count gives its rank, the Hochschild ones to
-    # their rank
-    cocycles = [sparse_nullspace(sc.columns.get(n + 1, []), sc_dims[n], F)
-                for n in range(top + 1)]
-    sh = _betti(dict(enumerate(sc_dims)),
-                {n + 1: sc_dims[n] - len(z) for n, z in enumerate(cocycles)},
-                top + 1)
-    rk_hc = _ranks(hc.columns, F)
-    hh = _betti(dict(enumerate(hc_dims)), rk_hc, top + 1)
-    degrees = []
-    iso = True
-    for n in range(top + 2):
-        # induced map on cohomology classes: the rank of eps(Z^n) modulo
-        # the coboundaries B^n, the image of d^{n-1}
-        if sc_dims[n] and n <= hc.top_dim():
-            images = [sparse_apply(eps[n], z, F) for z in cocycles[n]]
-            bnd = d_hc[n - 1] if n else []
-            rk = rank(bnd + images, F) - rk_hc.get(n, 0)
-        else:
-            rk = 0
-        injective = rk == sh[n]
-        surjective = rk == hh[n]
-        degrees.append({"sh": sh[n], "hh": hh[n], "rank": rk,
-                       "injective": injective, "surjective": surjective})
-        if not (injective and surjective):
-            iso = False
+    if not mu_eps:
+        raise AssertionError("mu . epsilon must be the identity")
+    if not eps_chain:
+        raise AssertionError("epsilon must be a cochain map")
+    # Q keeps the pairs outside eps(SC), as rows and as entries
+    keep = {n: [not col for col in mu[n]] for n in mu}
+    q_columns = {n: [{c: x for c, x in row.items() if keep[n - 1][c]}
+                     for row, kept in zip(rows, keep[n]) if kept]
+                 for n, rows in hc.columns.items()}
+    q_dims = {n: sum(kept) for n, kept in keep.items()}
+    sh = _betti(dict(enumerate(sc_dims)), _ranks(sc.columns, F), top + 1)
+    hh = _betti(dict(enumerate(hc_dims)), _ranks(hc.columns, F), top + 1)
+    hq = _betti(q_dims, _ranks(q_columns, F), top)
+    rks = [sh[0]]
+    for n in range(top + 1):
+        rks.append(sh[n + 1] + hh[n] - rks[n] - hq[n])
+    degrees = tuple({"sh": sh[n], "hh": hh[n], "rank": rk,
+                     "injective": rk == sh[n], "surjective": rk == hh[n]}
+                    for n, rk in enumerate(rks))
+    iso = all(d["injective"] and d["surjective"] for d in degrees)
     return EpsilonMuReport(eps, mu, mu_eps, eps_chain, mu_chain, eps_mu,
                            props.schurian, props.semi_commutative,
-                           tuple(degrees), iso)
+                           degrees, iso)

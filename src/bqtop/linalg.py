@@ -20,8 +20,7 @@ index are touched.  Three entry points run on it:
   other row.  `sparse_rref` is the extension of an empty basis, and
   `rref` its dense form; the reduced row echelon form is unique, so the
   result does not depend on the order of elimination or on how the rows
-  are split between calls.  `sparse_nullspace` and `nullspace` read the
-  kernel off it.
+  are split between calls.  `nullspace` reads the kernel off it.
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
   pivot vector once its index is cleared.
 * `smith_divisors(columns)` gives the invariant factors of an integer
@@ -270,27 +269,22 @@ def rank(vectors, field=QQ):
     return rk
 
 
-def sparse_nullspace(rows, ncols, field=QQ):
-    """Basis of the right kernel {x : M x = 0} of a matrix with `ncols`
-    columns, as sparse vectors: one per free column of the RREF, in
-    increasing order, with a 1 there."""
+def nullspace(rows, field=QQ):
+    """Basis of the right kernel {x : M x = 0}, one vector per free
+    column of the RREF, in increasing order, with a 1 there."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
     reduced = sparse_rref(rows, field)
     pivots = {c for c, _ in reduced}
-    basis = {f: {f: field.one} for f in range(ncols) if f not in pivots}
+    basis = {f: [field.zero] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = field.one
     for c, row in reduced:
         for f, x in row.items():
             if f != c:
                 basis[f][c] = field.neg(x)
     return list(basis.values())
-
-
-def nullspace(rows, field=QQ):
-    """Basis of the right kernel {x : M x = 0}.  Deterministic order."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    return [[v.get(i, field.zero) for i in range(ncols)]
-            for v in sparse_nullspace(rows, ncols, field)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ each vertex pair was reduced once with the candidates last: a rank per
 pair for independence, then a dense augmented RREF of the basis images
 and the ideal rows for every product of two basis elements.
 
+`cocycle_image_degrees` is the comparison of epsilon_mu as it was
+computed before the long exact sequence of HC/eps(SC): a basis of the
+simplicial cocycles, read off the RREF of each simplicial coboundary,
+pushed through eps and ranked together with the Hochschild coboundaries.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -36,7 +41,7 @@ from bqtop.core import (AdmissibilityError, Path, _paths_up_to, compose,
                         path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import _find, _union, relation_components
-from bqtop.linalg import QQ, rank, rref
+from bqtop.linalg import QQ, rank, rref, sparse_rref
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -257,6 +262,58 @@ def dense_semi_normed_basis(table, classes, paths):
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)
+
+
+def cocycle_image_degrees(sc, hc, eps):
+    """The per-degree ranks of the map SH^n -> HH^n induced by `eps`
+    (sparse columns, one per simplicial tuple) and whether it is an
+    isomorphism in every degree, as (degrees, iso) in the layout of
+    `EpsilonMuReport`: each degree's cocycles Z^n are the kernel of the
+    simplicial coboundary, eps(Z^n) is ranked together with the
+    Hochschild coboundaries B^n, and the rank of B^n is taken off."""
+    F = hc.field
+    top = max(sc.top_dim(), hc.top_dim())
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
+
+    def kernel(rows, ncols):
+        reduced = sparse_rref(rows, F)
+        pivots = {c for c, _ in reduced}
+        basis = {f: {f: F.one} for f in range(ncols) if f not in pivots}
+        for c, row in reduced:
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = F.neg(x)
+        return list(basis.values())
+
+    def image(z, n):
+        out = {}
+        for c, x in z.items():
+            for r, y in eps[n][c].items():
+                out[r] = F.add(out.get(r, F.zero), F.mul(x, y))
+        return out
+
+    # the simplicial coboundary d^n has the rows sc.columns[n + 1], the
+    # Hochschild d^(n-1) the rows hc.columns[n]
+    cocycles = [kernel(sc.columns.get(n + 1, []), sc_dims[n])
+                for n in range(top + 2)]
+    rk_hc = {n: rank(rows, F) for n, rows in hc.columns.items()}
+    degrees = []
+    for n in range(top + 2):
+        sh = len(cocycles[n]) - (sc_dims[n - 1] - len(cocycles[n - 1])
+                                 if n else 0)
+        hh = hc_dims[n] - rk_hc.get(n + 1, 0) - rk_hc.get(n, 0)
+        # B^n, spanned by the columns of d^(n-1)
+        bnd = {}
+        for r, row in enumerate(hc.columns.get(n, [])):
+            for c, x in row.items():
+                bnd.setdefault(c, {})[r] = x
+        images = [image(z, n) for z in cocycles[n]]
+        rk = rank(list(bnd.values()) + images, F) - rk_hc.get(n, 0)
+        degrees.append({"sh": sh, "hh": hh, "rank": rk,
+                        "injective": rk == sh, "surjective": rk == hh})
+    iso = all(d["injective"] and d["surjective"] for d in degrees)
+    return tuple(degrees), iso
 
 
 # ---------------------------------------------------------------------------

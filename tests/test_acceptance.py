@@ -16,11 +16,10 @@ characteristic 1, matching the homology (Z, 0, 0, 0).
 import pathlib
 import sys
 
-from bqtop import (GroupAction, QuiverMorphism, abelianization,
-                   build_complex, check_galois, deck_group, enumerate_paths,
-                   epsilon_mu, euler_characteristic,
-                   find_semi_normed_basis, hochschild_complex,
-                   homology, identity_morphism, lift_complex_map,
+from bqtop import (GroupAction, abelianization, build_complex,
+                   check_galois, deck_group, enumerate_paths, epsilon_mu,
+                   euler_characteristic, find_semi_normed_basis,
+                   hochschild_complex, homology, lift_complex_map,
                    natural_homotopy_classes, parse, parse_group,
                    parse_morphism, phi_psi_maps, pi1_presentation,
                    simplicial_complex, van_kampen_pushout,

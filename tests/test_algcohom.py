@@ -334,6 +334,21 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
         hochschild_complex(alg, field)
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_corrupted_hochschild_column_breaks_the_epsilon_square(field):
+    a, s, _ = cube()
+    h = hochschild_complex(a, field)
+    rep = epsilon_mu(a, s, h)
+    # double an entry of d^1 between two pairs that epsilon reaches: then
+    # delta(eps f) and eps(d f) differ on the simplicial 1-cochain f
+    r, c = next((r, c) for r, row in enumerate(h.columns[2]) if rep.mu[2][r]
+                for c in row if rep.mu[1][c])
+    h.columns[2][r] = {**h.columns[2][r],
+                       c: h.field.mul(h.field.of(2), h.columns[2][r][c])}
+    with pytest.raises(AssertionError, match="epsilon must be a cochain map"):
+        epsilon_mu(a, s, h)
+
+
 def with_column(cols, k, col):
     """The map `cols` (sparse columns) with column k replaced by `col`."""
     out = list(cols)

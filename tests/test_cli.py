@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import pathlib
 import random
 import time

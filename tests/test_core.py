@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
-                        Path, QuiverError, algebra_properties,
-                        enumerate_paths)
+                        QuiverError, algebra_properties, enumerate_paths)
 from bqtop.dsl import parse
 
 

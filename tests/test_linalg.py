@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 
-from bqtop.linalg import (QQ, PrimeField, cokernel_structure, identity_matrix,
+from bqtop.linalg import (PrimeField, cokernel_structure, identity_matrix,
                           integer_rank, mat_mul, nullspace, rank, rref,
                           smith_normal_form, transpose)
 

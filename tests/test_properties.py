@@ -18,21 +18,21 @@ import pytest
 
 from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    abelianization, algebra_properties, build_complex,
-                   check_covering, check_galois, deck_group, enumerate_paths,
-                   epsilon_mu, find_semi_normed_basis, hochschild_complex,
-                   homology, identity_morphism, lift_complex_map,
-                   minimal_relation_supports, natural_homotopy_classes,
-                   phi_psi_maps, pi1_presentation, relation_components,
-                   simplicial_complex, verify_semi_normed_basis,
-                   walk_homotopy_classes)
+                   check_galois, deck_group, enumerate_paths, epsilon_mu,
+                   find_semi_normed_basis, hochschild_complex, homology,
+                   lift_complex_map, minimal_relation_supports,
+                   natural_homotopy_classes, phi_psi_maps, pi1_presentation,
+                   relation_components, simplicial_complex,
+                   verify_semi_normed_basis, walk_homotopy_classes)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, rref, smith_divisors, smith_normal_form)
 from oracles import (CORPUS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     dense_reduces_to_zero, dense_semi_normed_basis,
-                     differential_quivers, forward_paths, loops,
-                     random_quiver, rebuilt_path_table, swept_natural_classes)
+                     cocycle_image_degrees, dense_reduces_to_zero,
+                     dense_semi_normed_basis, differential_quivers,
+                     forward_paths, loops, random_quiver, rebuilt_path_table,
+                     swept_natural_classes)
 
 _CPLX = None
 
@@ -729,3 +729,31 @@ def test_semi_normed_verifier_matches_the_dense_solve_oracle(comm_grid):
     # a product with several basis terms
     assert outcomes["ok"] > 400
     assert all(outcomes[k] for k in WITNESS_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# epsilon's induced ranks from HC/eps(SC) against the cocycle images
+
+
+def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    quivers.append(parse(open(comm_grid(4)).read()))
+    checked = collections.Counter()
+    for q in quivers:
+        a = find_semi_normed_basis(enumerate_paths(q))
+        if not a.ok:
+            continue
+        sc = simplicial_complex(a)
+        for field in ("Q", "Fp:2"):
+            try:
+                hc = hochschild_complex(a, field)
+                rep = epsilon_mu(a, sc, hc)
+            except ValueError as e:
+                # p divides a structure constant's numerator or denominator
+                assert "does not reduce mod 2" in str(e)
+                continue
+            assert ((rep.degrees, rep.iso)
+                    == cocycle_image_degrees(sc, hc, rep.eps))
+            checked[field, rep.iso] += 1
+    assert checked == {("Q", True): 99, ("Q", False): 177,
+                       ("Fp:2", True): 86, ("Fp:2", False): 173}
