@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Path, algebra_properties, compose, path_sort_key
 from .linalg import QQ, PrimeField, extend_rref, rank
@@ -92,7 +91,7 @@ class SemiNormedFailure:
 class BasisElement:
     index: int
     path: Path           # representative path p(v)
-    scale: Fraction      # v = scale * image(p(v)); 1 for found bases
+    scale: object        # rational, v = scale * image(p(v)); 1 here
 
     @property
     def is_identity(self):
@@ -137,13 +136,13 @@ class SemiNormedAlgebra:
 
         Returns None when the product vanishes, else (scalar, element).
         """
-        lam = Fraction(1)
+        lam = 1
         acc = elts[0]
         for j in elts[1:]:
             step = self.product[(acc, j)]
             if step is None:
                 return None
-            lam *= step[0]
+            lam = QQ.of(lam * step[0])
             acc = step[1]
         return lam, acc
 
@@ -204,7 +203,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
 
     identities = [Path(v, v, ()) for v in q.vertices]
     ordered = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
-    elements = [BasisElement(i, p, Fraction(1)) for i, p in enumerate(ordered)]
+    elements = [BasisElement(i, p, 1) for i, p in enumerate(ordered)]
     index = {p: i for i, p in enumerate(ordered)}
     by_pair = {}
     for p in identities + seen:
@@ -240,7 +239,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
                            ", ".join(str(p) for p in cands)))
             continue
         for p in cands:
-            expansion[p] = (Fraction(1), index[p])
+            expansion[p] = (1, index[p])
         for k, p in enumerate(order[:free]):
             off = [(c, x) for c, x in reduced[k].items() if c != k]
             if len(off) == 1:
@@ -536,7 +535,7 @@ class HochschildComplex:
         rows = [{} for _ in upper]
 
         def add(r, c, x):
-            y = F.add(rows[r].get(c, F.zero), F.of(x))
+            y = F.of(rows[r].get(c, F.zero) + x)
             if y != F.zero:
                 rows[r][c] = y
             else:

@@ -18,16 +18,18 @@ The bound grows one length at a time.  A pair's paths are ordered length
 first, so a path's pair-local coordinate never moves as L grows, and each
 pair keeps one reduced basis that step L extends with
 `linalg.extend_rref`.  The basis is stored as sparse rows
-{local index: Fraction}, each with a 1 at its pivot, in ascending pivot
-order.
+{local index: rational}, each with a 1 at its pivot, in ascending pivot
+order; like every coefficient here, a rational is an int unless its
+denominator is not 1, when it is a Fraction (see `linalg`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import extend_rref
+from .linalg import QQ, extend_rref
 
 DEFAULT_PATH_CAP = 12
 
@@ -98,15 +100,15 @@ class RelVector:
 
     source: str
     target: str
-    terms: tuple  # of (Path, Fraction), coeffs nonzero
+    terms: tuple  # of (Path, rational), coeffs nonzero
 
     @staticmethod
     def build(terms):
         """terms: iterable of (path, coefficient). Validates parallelism."""
         agg = {}
         for path, coeff in terms:
-            agg[path] = agg.get(path, Fraction(0)) + Fraction(coeff)
-        clean = [(p, c) for p, c in agg.items() if c != 0]
+            agg[path] = agg.get(path, 0) + QQ.of(coeff)
+        clean = [(p, QQ.of(c)) for p, c in agg.items() if c != 0]
         if not clean:
             raise MalformedRelation("relation vector is zero")
         src = clean[0][0].source
@@ -249,8 +251,8 @@ class PathTable:
         pair_paths: (x, y) -> list of indices into `paths`
         local: position in `paths` -> position in its pair's list
         ideal_rows: (x, y) -> RREF basis of I(x, y) in pair-local
-            coordinates: sparse rows {local index: Fraction}, each with a 1
-            at its pivot (its least index), in ascending pivot order
+            coordinates: sparse rows {local index: rational}, each with
+            a 1 at its pivot (its least index), in ascending pivot order
         in_ideal: set of indices of member paths
         dims: (x, y) -> dim e_x A e_y
     """
@@ -288,11 +290,13 @@ class PathTable:
 
         Paths longer than the bound are members outright and are dropped
         before solving (valid because F^L lies inside the ideal).  The
-        vector is in the slice exactly when adding it to a copy of the
-        slice's basis gives no new pivot.
+        rest is reduced by the slice's RREF rows, each pivot entry of the
+        vector cleared by its row; a row has no entry at another pivot,
+        so one pass over the vector's pivot entries leaves none, and the
+        vector is in the slice exactly when nothing is left.
         """
-        kept = [(p, Fraction(c)) for p, c in terms
-                if len(p) <= self.bound and Fraction(c) != 0]
+        kept = [(p, QQ.of(c)) for p, c in terms
+                if len(p) <= self.bound and c != 0]
         if not kept:
             return True
         pair = self.pair_of(kept)
@@ -303,10 +307,18 @@ class PathTable:
                 raise QuiverError("path %s exceeds table bound" % p)
             k = self.local[self.index[p]]
             vec[k] = vec.get(k, 0) + c
-        basis = {min(row): dict(row) for row in self.ideal_rows.get(pair, ())}
-        rank = len(basis)
-        extend_rref(basis, [vec])
-        return len(basis) == rank
+        rows = self.pivot_rows.get(pair, {})
+        for c in [k for k in vec if k in rows]:
+            f = vec[c]
+            for k, x in rows[c].items():
+                vec[k] = vec.get(k, 0) - f * x
+        return not any(vec.values())
+
+    @functools.cached_property
+    def pivot_rows(self):
+        """(x, y) -> {pivot: row} over `ideal_rows`."""
+        return {pair: {min(row): row for row in rows}
+                for pair, rows in self.ideal_rows.items()}
 
     def path_in_ideal(self, p):
         if len(p) > self.bound:
@@ -320,23 +332,10 @@ class PathTable:
         return [self.paths[i] for i in self.pair_paths.get((x, y), [])]
 
 
-def _paths_up_to(quiver, n):
-    """All paths of length <= n, grouped by length.
-
-    n=None enumerates until a length has no paths (acyclic quivers only).
-    """
-    by_len = [[Path(v, v, ()) for v in quiver.vertices]]
-    while n is None or len(by_len) <= n:
-        nxt = []
-        for p in by_len[-1]:
-            for a in quiver.arrows_from[p.target]:
-                nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
-        by_len.append(nxt)
-        if not nxt:
-            break
-    while n is not None and len(by_len) <= n:
-        by_len.append([])
-    return by_len
+def _next_paths(quiver, bucket):
+    """The one-arrow extensions of a list of paths of one length."""
+    return [Path(p.source, a.target, p.arrows + (a.name,))
+            for p in bucket for a in quiver.arrows_from[p.target]]
 
 
 def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
@@ -345,39 +344,40 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     Tries L = 2, 3, ... up to `cap`; L is accepted once every path of
     length exactly L lies in the span of whole products u*g*v fitting in
     length L (vacuously when no such path exists, e.g. one past the
-    longest path of an acyclic quiver).  Raises AdmissibilityError when
-    no L <= cap works.
+    longest path of an acyclic quiver, so the cap only guards cyclic
+    searches).  Raises AdmissibilityError when no L <= cap works.
 
-    Pair-local coordinates are sorted length first, so a path's
-    coordinate never moves as L grows: each pair keeps one reduced basis
-    that step L extends by the products whose longest term has length
-    exactly L, and a length-L path is certified when its row is a unit
-    vector.  At the accepted L the products whose longest term no longer
-    fits are added with those terms dropped, which is exact once
-    F^L <= I.
+    Paths are enumerated one length at a time, as L grows.  Pair-local
+    coordinates are sorted length first, so a path's coordinate never
+    moves as L grows: each pair keeps one reduced basis that step L
+    extends by the products whose longest term has length exactly L, and
+    a length-L path is certified when its row is a unit vector.  At the
+    accepted L the products whose longest term no longer fits are added
+    with those terms dropped, which is exact once F^L <= I.
     """
     for rel in quiver.relations:
         rel.check_admissible_format()
-    if quiver.is_acyclic():
-        # detection terminates vacuously one past the longest path, so the
-        # cap only guards cyclic searches
-        by_len = _paths_up_to(quiver, None)
-        cap = max(cap, len(by_len) - 1)
-        while len(by_len) <= cap:
-            by_len.append([])
-    else:
-        by_len = _paths_up_to(quiver, cap)
+    acyclic = quiver.is_acyclic()
+    by_len = []
     ending, starting = {}, {}
     local = {}  # arrow names of a nonempty path -> pair-local index
     size = {(v, v): 1 for v in quiver.vertices}
-    for n, bucket in enumerate(by_len):
-        for p in sorted(bucket, key=lambda p: p.arrows):
+
+    def grow():
+        """Enumerate and index the paths one longer than the last bucket."""
+        n = len(by_len)
+        bucket = (_next_paths(quiver, by_len[-1]) if by_len
+                  else [Path(v, v, ()) for v in quiver.vertices])
+        bucket.sort(key=lambda p: p.arrows)
+        by_len.append(bucket)
+        for p in bucket:
             ending.setdefault((p.target, n), []).append(p)
             starting.setdefault((p.source, n), []).append(p)
             if n:
                 pair = (p.source, p.target)
                 local[p.arrows] = size.get(pair, 0)
                 size[pair] = local[p.arrows] + 1
+
     basis = {}  # (x, y) -> {pivot: row}, reduced
 
     def extend(L, truncated):
@@ -401,17 +401,20 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
         for pair, rows in new.items():
             extend_rref(basis.setdefault(pair, {}), rows)
 
-    for L in range(2, cap + 1):
+    for L in itertools.count(2):
+        if L > cap and not acyclic:
+            raise AdmissibilityError(
+                "no nilpotency bound L <= %d certifies the ideal admissible; "
+                "raise the path cap if the quiver is genuinely bounded"
+                % cap)
+        while len(by_len) <= L:
+            grow()
         extend(L, truncated=False)
         # the length-L paths come last in their pairs, so when all of them
         # are pivots their rows are unit vectors
         if all(local[p.arrows] in basis.get((p.source, p.target), ())
                for p in by_len[L]):
             break
-    else:
-        raise AdmissibilityError(
-            "no nilpotency bound L <= %d certifies the ideal admissible; "
-            "raise the path cap if the quiver is genuinely bounded" % cap)
     extend(L, truncated=True)
     paths = [p for bucket in by_len[:L + 1] for p in bucket]
     paths.sort(key=lambda p: path_sort_key(quiver, p))

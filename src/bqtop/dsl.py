@@ -20,10 +20,10 @@ All syntax and semantic problems raise :class:`ParseError` carrying the
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .core import BoundQuiver, MalformedRelation, QuiverError, RelVector
 from .coverings import QuiverMorphism
+from .linalg import QQ
 
 _TOKEN = re.compile(r"\S+")
 _COEFF = re.compile(r"-?\d+(/\d+)?\Z")
@@ -55,9 +55,9 @@ def _tokens(text):
 
 def _parse_term(tok, ln, col, sign, arrows):
     pieces = tok.split("*")
-    coeff = Fraction(sign)
+    coeff = sign
     if pieces and _COEFF.match(pieces[0]):
-        coeff *= Fraction(pieces[0])
+        coeff = sign * QQ.of(pieces[0])
         pieces = pieces[1:]
     if not pieces or any(not p for p in pieces):
         raise ParseError("malformed relation term %r" % tok, ln, col)

@@ -36,7 +36,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (BoundQuiver, NotConnectedError, Path, RelVector,
                    enumerate_paths, path_sort_key)
@@ -62,7 +61,7 @@ class HypothesisViolated(Exception):
 class MinimalRelation:
     source: str
     target: str
-    terms: tuple  # (Path, Fraction), every proper sub-sum outside I
+    terms: tuple  # (Path, int), every proper sub-sum outside I
 
     def support(self):
         return [p for p, _ in self.terms]
@@ -73,7 +72,7 @@ class MinimalRelation:
 
 def is_minimal_relation(table, terms, cap=MINIMALITY_CHECK_CAP):
     """Exact minimality oracle: 2^m - 2 sub-sum membership tests."""
-    clean = [(p, Fraction(c)) for p, c in terms if Fraction(c) != 0]
+    clean = [(p, QQ.of(c)) for p, c in terms if c != 0]
     m = len(clean)
     if m > cap:
         raise SupportTooLarge(
@@ -95,7 +94,7 @@ def _pair_vectors_supported_in(table, pair, allowed_local):
     if not rows:
         return []
     ncols = len(table.pair_paths[pair])
-    rows = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    rows = [[row.get(j, 0) for j in range(ncols)] for row in rows]
     forbidden = [j for j in range(ncols) if j not in allowed_local]
     if not forbidden:
         return rows
@@ -104,7 +103,7 @@ def _pair_vectors_supported_in(table, pair, allowed_local):
     combos = nullspace(constraint, QQ)
     out = []
     for c in combos:
-        vec = [Fraction(0)] * ncols
+        vec = [0] * ncols
         for ci, row in zip(c, rows):
             if ci != 0:
                 vec = [a + ci * b for a, b in zip(vec, row)]
@@ -177,8 +176,8 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
                     continue
                 found = None
                 for t in range(1, 1000):
-                    cand = [Fraction(0)] * len(idxs)
-                    scale = Fraction(1)
+                    cand = [0] * len(idxs)
+                    scale = 1
                     for v in vs:
                         cand = [a + scale * b for a, b in zip(cand, v)]
                         scale *= t
@@ -203,7 +202,7 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
                     ints = [-c for c in ints]
                 relations.append(MinimalRelation(
                     pair[0], pair[1],
-                    tuple((p, Fraction(c)) for (p, _), c in zip(found, ints))))
+                    tuple((p, c) for (p, _), c in zip(found, ints))))
     return relations, warnings
 
 

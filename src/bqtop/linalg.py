@@ -2,8 +2,8 @@
 
 Two kinds of arithmetic appear:
 
-* field arithmetic over Q (fractions.Fraction) or F_p (ints reduced mod p),
-  used for span membership, ranks and kernels of coefficient matrices;
+* field arithmetic over Q or F_p (ints reduced mod p), used for span
+  membership, ranks and kernels of coefficient matrices;
 * integer arithmetic for Smith normal form, used for homology of chain
   complexes of free abelian groups.
 
@@ -35,6 +35,17 @@ index are touched.  Three entry points run on it:
 `rank` and `smith_divisors` pick, within a vector, the pivot index held
 by the fewest other vectors, which keeps fill-in low.
 
+An element of Q is a Python int, or a Fraction only when its denominator
+is not 1 (`QQ.of` puts a rational in this form).  Most coefficients the
+package meets are integers, and int arithmetic is several times cheaper
+than Fraction arithmetic, whose every operation normalises by a gcd.
+The form is exact because it changes only the Python type, never the
+value: Fraction(n) == n with the same hash, and int and Fraction mix
+freely in +, - and *.  Plain arithmetic can still give an integral
+Fraction (2 * Fraction(1, 2)), so the kernel puts every entry it stores
+back into the form: pivot normalisation through `QQ.of`, and `_clear`
+wherever a Fraction took part in the update.
+
 Conventions:
 * `smith_normal_form(M)` returns (divisors, U, V, D) with U*M*V == D,
   D diagonal, each divisor dividing the next.  The product identity is
@@ -47,38 +58,37 @@ Conventions:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
 class RationalField:
-    """Field operations over Q, elements are Fraction."""
+    """Field operations over Q; an element is an int, or a Fraction whose
+    denominator is not 1."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def of(n):
-        return Fraction(n)
+        """n as an element: an int when n is integral, else a Fraction."""
+        if n.__class__ is int:
+            return n
+        if n.__class__ is not Fraction:
+            n = Fraction(n)
+        return n.numerator if n.denominator == 1 else n
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(a):
-        return Fraction(1) / a
+        n, d = a.numerator, a.denominator
+        if n == 1 or n == -1:
+            return n * d
+        return Fraction(d, n)
 
     def __repr__(self):
         return "QQ"
@@ -98,6 +108,8 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, n):
+        if n.__class__ is int:
+            return n % self.p
         if isinstance(n, Fraction):
             num = n.numerator % self.p
             den = n.denominator % self.p
@@ -137,14 +149,19 @@ def _holders(vecs):
     return where
 
 
-def _clear(vecs, where, k, c, inv, p=None):
+def _clear(vecs, where, k, c, inv, field=None):
     """Schur update: zero index c in every vector but vecs[k].
 
     Each other holder v of c loses v[c] * inv times vecs[k], where inv is
-    1 / vecs[k][c] (over Z a unit, its own inverse).  `p` is the modulus
-    of a prime field and None over Q and Z.  Keeps `where` in step.
+    1 / vecs[k][c] (over Z, field None, a unit and its own inverse).
+    Keeps `where` in step.  Over Q, an update in which a Fraction takes
+    part puts the entries it wrote back into int-first form; int data
+    never pay for that pass.
     """
+    p = getattr(field, "p", None)
+    rational = isinstance(field, RationalField)
     piv = vecs[k]
+    fractional = None  # whether piv holds a Fraction, found when needed
     for j in list(where[c]):
         if j == k:
             continue
@@ -152,6 +169,8 @@ def _clear(vecs, where, k, c, inv, p=None):
         f = v[c] * inv
         if p:
             f %= p
+        elif rational:
+            f = field.of(f)  # an integral f keeps the update in ints
         for i, x in piv.items():
             y = v.get(i)
             y = -f * x if y is None else y - f * x
@@ -164,6 +183,14 @@ def _clear(vecs, where, k, c, inv, p=None):
             else:
                 del v[i]
                 where[i].discard(j)
+        if not rational:
+            continue
+        if fractional is None:
+            fractional = any(x.__class__ is Fraction for x in piv.values())
+        if fractional or f.__class__ is Fraction:
+            for i in piv:
+                if i in v:
+                    v[i] = field.of(v[i])
 
 
 def _drop(vecs, where, k):
@@ -199,19 +226,19 @@ def extend_rref(reduced, rows, field=QQ):
     new = list(vecs)
     vecs.update(reduced)
     where = _holders(vecs)
-    p = getattr(field, "p", None)
     for c in reduced:
         if len(where[c]) > 1:
-            _clear(vecs, where, c, c, field.one, p)
+            _clear(vecs, where, c, c, field.one, field)
     for k in new:
         v = vecs[k]
         if not v:
             continue
         c = min(v)
-        inv = field.inv(v[c])
-        for i in v:
-            v[i] = field.mul(inv, v[i])
-        _clear(vecs, where, k, c, field.one, p)
+        if v[c] != field.one:
+            inv = field.inv(v[c])
+            for i in v:
+                v[i] = field.of(inv * v[i])
+        _clear(vecs, where, k, c, field.one, field)
         reduced[c] = v
 
 
@@ -257,13 +284,12 @@ def rank(vectors, field=QQ):
     """
     vecs = _sparse(vectors, field)
     where = _holders(vecs)
-    p = getattr(field, "p", None)
     rk = 0
     for k in list(vecs):
         v = vecs[k]
         if v:
             c = _fewest_holders(v, where, bool)
-            _clear(vecs, where, k, c, field.inv(v[c]), p)
+            _clear(vecs, where, k, c, field.inv(v[c]), field)
             rk += 1
         _drop(vecs, where, k)
     return rk

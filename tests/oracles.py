@@ -23,6 +23,11 @@ computed before the long exact sequence of HC/eps(SC): a basis of the
 simplicial cocycles, read off the RREF of each simplicial coboundary,
 pushed through eps and ranked together with the Hochschild coboundaries.
 
+`FractionField` is the arithmetic of Q as it was before its elements
+became ints wherever integral: every element a Fraction.  Run through the
+same elimination kernel, it is the oracle of the int-first form, and the
+rebuild-per-L path table reduces its slices with it.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -37,13 +42,50 @@ from fractions import Fraction
 
 from bqtop import BoundQuiver, enumerate_paths
 from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
-from bqtop.core import (AdmissibilityError, Path, _paths_up_to, compose,
+from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
                         path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import _find, _union, relation_components
 from bqtop.linalg import QQ, rank, rref, sparse_rref
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+class FractionField:
+    """Field operations over Q, elements are Fraction."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def of(n):
+        return Fraction(n)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def inv(a):
+        return Fraction(1) / a
+
+    def __repr__(self):
+        return "QQ(Fraction)"
+
+
+FRACTIONS = FractionField()
 
 
 def _spans(quiver, by_len, max_len, truncate):
@@ -86,10 +128,25 @@ def _dense_slices(quiver, by_len, max_len, spans):
             for p, c in terms:
                 vec[pos[p]] += c
             raw.append(vec)
-        rows = [r for r in rref(raw, QQ)[0] if any(r)]
+        rows = [r for r in rref(raw, FRACTIONS)[0] if any(r)]
         if rows:
             rows_by_pair[pair] = rows
     return rows_by_pair, pair_lists
+
+
+def _paths_up_to(quiver, n):
+    """All paths of length <= n, grouped by length.
+
+    n=None enumerates until a length has no paths (acyclic quivers only).
+    """
+    by_len = [[Path(v, v, ()) for v in quiver.vertices]]
+    while n is None or len(by_len) <= n:
+        by_len.append(_next_paths(quiver, by_len[-1]))
+        if not by_len[-1]:
+            break
+    while n is not None and len(by_len) <= n:
+        by_len.append([])
+    return by_len
 
 
 def dense_reduces_to_zero(rows, vec):

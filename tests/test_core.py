@@ -77,6 +77,14 @@ def test_vector_in_ideal_drops_beyond_bound_terms():
     assert not t.path_in_ideal(q.path(["a", "b"]))
 
 
+def test_path_cap_binds_only_cyclic_quivers():
+    # an acyclic search ends vacuously one past its longest path, even
+    # when that is shorter than the smallest bound tried
+    for q in (bq(["1"], []), bq(["1", "2"], [("a", "1", "2")])):
+        for cap in (0, 1):
+            assert enumerate_paths(q, cap=cap).bound == 2
+
+
 def test_cyclic_quiver_needs_bounding_relations():
     loop = bq(["u", "v"], [("s", "u", "v"), ("t", "v", "u")])
     with pytest.raises(AdmissibilityError):

@@ -1,10 +1,16 @@
-"""Every module of the package and of the tests reads each name it imports.
+"""Source hygiene scans over the package and the tests.
 
-An import nothing reads is dead code that still costs a load and hides
-what a module depends on.  A name counts as read where the module loads
-it (attribute access `a.b` loads `a`), and where the module lists it in
-`__all__`, which is how the package re-exports; `from __future__`
-imports change the compiler, not the namespace, and are exempt.
+Every module reads each name it imports.  An import nothing reads is
+dead code that still costs a load and hides what a module depends on.
+A name counts as read where the module loads it (attribute access `a.b`
+loads `a`), and where the module lists it in `__all__`, which is how the
+package re-exports; `from __future__` imports change the compiler, not
+the namespace, and are exempt.
+
+The package writes no `Fraction(<int literal>)`.  A rational is an int
+unless its denominator is not 1 (see `bqtop.linalg`), so an integer
+constant is the int itself; wrapped in a Fraction it would drag every
+sum and product it enters into Fraction arithmetic.
 """
 
 import ast
@@ -13,8 +19,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "bqtop").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "bqtop").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -48,3 +54,33 @@ def test_the_scan_sees_imports_that_nothing_reads():
                          ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def fraction_of_int_literals(source):
+    """Line numbers of the calls Fraction(<int literal>) in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "Fraction"
+            and len(node.args) == 1 and not node.keywords
+            and _int_literal(node.args[0])]
+
+
+def test_the_scan_sees_fractions_of_int_literals():
+    source = ("from fractions import Fraction\nimport fractions\n"
+              "a = Fraction(0)\nb = fractions.Fraction(-1)\n"
+              "c = Fraction(1, 2)\nd = Fraction(a)\ne = Fraction('1')\n"
+              "f = [Fraction(2)]\n")
+    assert fraction_of_int_literals(source) == [3, 4, 8]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_fraction_of_an_int_literal(path):
+    assert fraction_of_int_literals(path.read_text()) == []
+

@@ -27,8 +27,9 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
-                          rank, rref, smith_divisors, smith_normal_form)
-from oracles import (CORPUS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
+                          rank, rref, smith_divisors, smith_normal_form,
+                          sparse_rref)
+from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      cocycle_image_degrees, dense_reduces_to_zero,
                      dense_semi_normed_basis, differential_quivers,
                      forward_paths, loops, random_quiver, rebuilt_path_table,
@@ -757,3 +758,157 @@ def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
             checked[field, rep.iso] += 1
     assert checked == {("Q", True): 99, ("Q", False): 177,
                        ("Fp:2", True): 86, ("Fp:2", False): 173}
+
+
+# ---------------------------------------------------------------------------
+# int-first rationals against the all-Fraction oracle
+
+
+def int_first(x):
+    """Whether x is a rational in int-first form: an int, or a Fraction
+    whose denominator is not 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def random_rational_rows(rng):
+    """(sparse rows, width): integer and fractional entries, integral
+    Fractions among them, and empty rows."""
+    values = [1, -1, 2, -3, 6, Fraction(4, 2), Fraction(1, 2),
+              Fraction(-3, 2), Fraction(2, 3), Fraction(-5, 4)]
+    ncols = rng.randint(1, 8)
+    rows = [{j: rng.choice(values) for j in range(ncols)
+             if rng.random() < 0.5} for _ in range(rng.randint(1, 8))]
+    return rows, ncols
+
+
+def test_int_first_elimination_matches_the_all_fraction_oracle():
+    rng = random.Random(SEED + 7)
+    cut = random.Random(SEED + 8)
+    fractional = 0
+    for _ in range(300):
+        rows, ncols = random_rational_rows(rng)
+        want = sparse_rref(rows, FRACTIONS)
+        got = sparse_rref(rows, QQ)
+        assert got == want
+        entries = [x for _, row in got for x in row.values()]
+        assert all(int_first(x) for x in entries)
+        fractional += any(type(x) is Fraction for x in entries)
+        # both against the dense column-by-column elimination
+        dense = [[Fraction(row.get(j, 0)) for j in range(ncols)]
+                 for row in rows]
+        m, pivots = dense_rref(dense, FRACTIONS)
+        assert [c for c, _ in got] == pivots
+        assert [[row.get(j, 0) for j in range(ncols)]
+                for _, row in got] == m[:len(pivots)]
+        # the same form grown in two steps
+        k = cut.randint(0, len(rows))
+        grown = {}
+        extend_rref(grown, rows[:k])
+        extend_rref(grown, rows[k:])
+        assert sorted(grown.items()) == want
+        assert all(int_first(x) for row in grown.values()
+                   for x in row.values())
+        columns = [{i: row[j] for i, row in enumerate(rows) if j in row}
+                   for j in range(ncols)]
+        for vectors in (rows, columns):
+            assert (rank(vectors, QQ) == rank(vectors, FRACTIONS)
+                    == len(pivots))
+    assert fractional > 100
+
+
+def test_int_first_ranks_of_path_table_slices_match_the_all_fraction_oracle():
+    # the slices themselves are checked against the rebuild-per-bound
+    # oracle, which reduces with all-Fraction arithmetic; ranking their
+    # columns pivots on non-unit entries
+    ranked = 0
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        for pair, rows in t.ideal_rows.items():
+            columns = [{i: row[j] for i, row in enumerate(rows) if j in row}
+                       for j in range(len(t.pair_paths[pair]))]
+            assert (rank(columns, QQ) == rank(columns, FRACTIONS)
+                    == len(rows))
+            ranked += len(rows) > 1
+    assert ranked > 100
+
+
+def test_vector_membership_matches_extending_a_copy_of_the_slice():
+    # the pivot-lookup reduction of `vector_in_ideal` against the copy of
+    # the slice's basis it extended before: in the span exactly when the
+    # vector adds no pivot
+    rng = random.Random(SEED + 9)
+    outcomes = collections.Counter()
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        for pair, rows in t.ideal_rows.items():
+            paths = t.paths_between(*pair)
+            for _ in range(3):
+                vec = {}
+                for row in rows:
+                    c = rng.randint(-2, 2)
+                    for k, x in row.items():
+                        vec[k] = vec.get(k, 0) + c * x
+                if rng.random() < 0.5:
+                    k = rng.randrange(len(paths))
+                    vec[k] = vec.get(k, 0) + Fraction(1, rng.randint(1, 3))
+                basis = {min(row): dict(row) for row in rows}
+                extend_rref(basis, [vec])
+                want = len(basis) == len(rows)
+                got = t.vector_in_ideal([(paths[k], c)
+                                         for k, c in vec.items()])
+                assert got == want
+                outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+STORED = ("relations", "ideal rows", "structure constants",
+          "hochschild columns", "eps/mu")
+
+# a square commuting up to written fractions, one of them integral
+FRACTIONAL_SQUARE = """\
+arrow a 1 2
+arrow b 2 4
+arrow c 1 3
+arrow d 3 4
+rel 4/2*a*b - 3/6*c*d
+"""
+
+
+def stored_rationals(q):
+    """{kind: the Q entries the library stores for q}: its relations'
+    coefficients, its path table's ideal rows and, when it has a
+    semi-normed basis, its structure constants, Hochschild differential
+    and eps/mu columns."""
+    t = enumerate_paths(q)
+    out = {"relations": [c for rel in q.relations for _, c in rel.terms],
+           "ideal rows": [x for rows in t.ideal_rows.values()
+                          for row in rows for x in row.values()]}
+    if not q.is_acyclic():
+        return out
+    a = find_semi_normed_basis(t)
+    if not a.ok:
+        return out
+    hc = hochschild_complex(a, "Q")
+    rep = epsilon_mu(a, simplicial_complex(a), hc)
+    out["structure constants"] = [step[0] for step in a.product.values()
+                                  if step is not None]
+    out["hochschild columns"] = [x for cols in hc.columns.values()
+                                 for col in cols for x in col.values()]
+    out["eps/mu"] = [x for maps in (rep.eps, rep.mu)
+                     for cols in maps.values()
+                     for col in cols for x in col.values()]
+    return out
+
+
+def test_stored_rationals_are_int_first(comm_grid):
+    seen = collections.Counter()
+    quivers = differential_quivers() + [parse(open(comm_grid(3)).read()),
+                                        parse(FRACTIONAL_SQUARE)]
+    for q in quivers:
+        for kind, entries in stored_rationals(q).items():
+            assert all(int_first(x) for x in entries), kind
+            for x in entries:
+                seen[kind, type(x)] += 1
+    # every kind holds both forms somewhere, so no check is vacuous
+    assert all(seen[kind, form] for kind in STORED for form in (int, Fraction))
+
