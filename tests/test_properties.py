@@ -781,6 +781,12 @@ def random_rational_rows(rng):
     return rows, ncols
 
 
+def sparse_transpose(rows, ncols):
+    """The columns of sparse rows, as sparse vectors."""
+    return [{i: row[j] for i, row in enumerate(rows) if j in row}
+            for j in range(ncols)]
+
+
 def test_int_first_elimination_matches_the_all_fraction_oracle():
     rng = random.Random(SEED + 7)
     cut = random.Random(SEED + 8)
@@ -808,9 +814,7 @@ def test_int_first_elimination_matches_the_all_fraction_oracle():
         assert sorted(grown.items()) == want
         assert all(int_first(x) for row in grown.values()
                    for x in row.values())
-        columns = [{i: row[j] for i, row in enumerate(rows) if j in row}
-                   for j in range(ncols)]
-        for vectors in (rows, columns):
+        for vectors in (rows, sparse_transpose(rows, ncols)):
             assert (rank(vectors, QQ) == rank(vectors, FRACTIONS)
                     == len(pivots))
     assert fractional > 100
@@ -824,8 +828,7 @@ def test_int_first_ranks_of_path_table_slices_match_the_all_fraction_oracle():
     for q in differential_quivers():
         t = enumerate_paths(q)
         for pair, rows in t.ideal_rows.items():
-            columns = [{i: row[j] for i, row in enumerate(rows) if j in row}
-                       for j in range(len(t.pair_paths[pair]))]
+            columns = sparse_transpose(rows, len(t.pair_paths[pair]))
             assert (rank(columns, QQ) == rank(columns, FRACTIONS)
                     == len(rows))
             ranked += len(rows) > 1
