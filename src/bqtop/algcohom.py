@@ -26,18 +26,32 @@ structure table, drop last, alternating signs).  The Hochschild cochain
 complex has degree-n basis indexed by (composable tuple of non-identity
 basis elements, target basis element of the end-to-end slice) -- tuples
 are kept even when their product vanishes -- with the standard
-differential written through the structure constants.  The comparison
-maps phi/psi (simplicial tuples vs cells of the classifying space),
-phi-sharp (onto the total variant), and epsilon/mu (simplicial cochains
-vs Hochschild cochains) send each basis vector to at most one basis
-vector with a scalar: epsilon sends a tuple t whose product is lambda b
-to the basis pair (t, b) with scalar lambda, and mu is its partial
-inverse with 1 / lambda.  All of them, like the differentials, are kept
-as sparse columns {index: coefficient}, the layout of the cell
-complexes' boundaries, and their identity and chain-map properties are
-checked column by column rather than assumed.  epsilon(SC) is then a
-coordinate subcomplex of HC, and the long exact sequence of the quotient
-gives the ranks of the map SH -> HH from three rank sequences.
+differential written through the structure constants.
+
+Both complexes grow their tuples one layer at a time through the index
+`starting[v]`, the non-identity elements whose source is v: a tuple
+extends only by the elements starting where its last element ends.  SC
+carries each tuple's product lambda * b forward, so extending by j costs
+the one table lookup b * j, and keeps these products as
+`SimplicialSC.product`; epsilon reads its scalars there.  The Hochschild
+differential is one loop over the faces of each tuple (the first face
+s_1 f(s_2 .. s_n), the contractions of adjacent pairs, the last face
+f(s_1 .. s_{n-1}) s_n), each given by its face tuple, its scalar and its
+left or right factor, with the face's ends read off the vertices the
+tuple passes through.
+
+The comparison maps phi/psi (simplicial tuples vs cells of the
+classifying space), phi-sharp (onto the total variant), and epsilon/mu
+(simplicial cochains vs Hochschild cochains) send each basis vector to
+at most one basis vector with a scalar: epsilon sends a tuple t whose
+product is lambda b to the basis pair (t, b) with scalar lambda, and mu
+is its partial inverse with 1 / lambda.  All of them, like the
+differentials, are kept as sparse columns {index: coefficient}, the
+layout of the cell complexes' boundaries, and their identity and
+chain-map properties are checked column by column rather than assumed.
+epsilon(SC) is then a coordinate subcomplex of HC, and the long exact
+sequence of the quotient gives the ranks of the map SH -> HH from three
+rank sequences.
 
 The basis and all structure constants are computed exactly over the
 rationals; choosing a prime field only changes the coefficient
@@ -46,7 +60,6 @@ arithmetic of the cochain ranks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import Path, algebra_properties, compose, path_sort_key
@@ -115,6 +128,10 @@ class SemiNormedAlgebra:
                                for e in self.elements if e.is_identity}
         self.non_identity = tuple(e.index for e in self.elements
                                   if not e.is_identity)
+        # vertex -> the non-identity elements that start there, by index
+        self.starting = {v: [] for v in self.quiver.vertices}
+        for i in self.non_identity:
+            self.starting[self.source(i)].append(i)
         self.by_pair = {}
         for e in self.elements:
             pair = (e.path.source, e.path.target)
@@ -131,20 +148,9 @@ class SemiNormedAlgebra:
     def target(self, i):
         return self.elements[i].path.target
 
-    def product_of_tuple(self, elts):
-        """Fold a composable tuple through the structure table.
-
-        Returns None when the product vanishes, else (scalar, element).
-        """
-        lam = 1
-        acc = elts[0]
-        for j in elts[1:]:
-            step = self.product[(acc, j)]
-            if step is None:
-                return None
-            lam = QQ.of(lam * step[0])
-            acc = step[1]
-        return lam, acc
+    def vertices(self, t):
+        """The vertices a nonempty composable tuple passes through."""
+        return [self.source(t[0])] + [self.target(i) for i in t]
 
     def element_class(self, i):
         """Natural class of the element's representative path."""
@@ -249,16 +255,18 @@ def verify_semi_normed_basis(table, paths, classes=None):
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
 
+    starting = {}
+    for e in elements:
+        starting.setdefault(e.path.source, []).append(e)
     product = {}
-    for e1, e2 in itertools.product(elements, repeat=2):
-        if e1.path.target != e2.path.source:
-            continue
-        path = compose(e1.path, e2.path)
-        if path in splits:
-            witnesses.append("product %s * %s expands with %d basis terms"
-                             % (e1, e2, splits[path]))
-        else:
-            product[(e1.index, e2.index)] = expansion.get(path)
+    for e1 in elements:
+        for e2 in starting[e1.path.target]:
+            path = compose(e1.path, e2.path)
+            if path in splits:
+                witnesses.append("product %s * %s expands with %d basis "
+                                 "terms" % (e1, e2, splits[path]))
+            else:
+                product[(e1.index, e2.index)] = expansion.get(path)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)
@@ -269,23 +277,28 @@ def verify_semi_normed_basis(table, paths, classes=None):
 
 
 class SimplicialSC:
-    """SC_0 = vertices; SC_n = basis tuples with nonzero product."""
+    """SC_0 = vertices; SC_n = basis tuples with nonzero product.
+
+    `product[t]` is (lambda, b) for a tuple t of degree >= 1 whose
+    product is lambda * b.
+    """
 
     def __init__(self, algebra):
         self.algebra = algebra
         a = algebra
         q = a.quiver
         self.tuples = [[(v,) for v in q.vertices]]
-        layer = [(i,) for i in a.non_identity]
+        self.product = {}
+        layer = {(i,): (1, i) for i in a.non_identity}
         while layer:
+            self.product.update(layer)
             self.tuples.append(sorted(layer))
-            grown = []
-            for t in layer:
-                for j in a.non_identity:
-                    if a.target(t[-1]) != a.source(j):
-                        continue
-                    if a.product_of_tuple(t + (j,)) is not None:
-                        grown.append(t + (j,))
+            grown = {}
+            for t, (lam, b) in layer.items():
+                for j in a.starting[a.target(t[-1])]:
+                    step = a.product[(b, j)]
+                    if step is not None:
+                        grown[t + (j,)] = (QQ.of(lam * step[0]), step[1])
             layer = grown
         # columns[n][c] = {row: coefficient}, the differential as sparse
         # columns
@@ -511,12 +524,7 @@ class HochschildComplex:
                 for v in a.by_pair.get((x, y), []):
                     basis.append((t, v))
             self.bases.append(basis)
-            nxt = []
-            for t in cur:
-                for j in a.non_identity:
-                    if a.target(t[-1]) == a.source(j):
-                        nxt.append(t + (j,))
-            cur = nxt
+            cur = [t + (j,) for t in cur for j in a.starting[a.target(t[-1])]]
         # columns[n][r] = {c: coefficient}: row r of the differential
         # C^{n-1} -> C^n, the same layout as the boundary columns of a
         # chain complex; a coboundary column is a column of the transpose
@@ -541,48 +549,32 @@ class HochschildComplex:
             else:
                 rows[r].pop(c, None)
 
-        tuples = sorted({t for t, _ in upper})
-        for t in tuples:
-            # first face: s1 . f(rest)
-            rest = t[1:]
-            if rest:
-                ends = (a.source(rest[0]), a.target(rest[-1]))
-            else:
-                ends = (a.target(t[0]),) * 2
-            for w in a.by_pair.get(ends, []):
-                if rest == () and not a.elements[w].is_identity:
-                    continue
-                c = col.get((rest, w))
-                if c is None:
-                    continue
-                step = a.product.get((t[0], w))
-                if step is not None:
-                    add(row[(t, step[1])], c, step[0])
-            # middle faces: contract adjacent pairs through the table
-            for j in range(1, len(t)):
+        for t in sorted({t for t, _ in upper}):
+            vs = a.vertices(t)
+            # (face, scalar, left factor, right factor, face ends): the
+            # first face s1 . f(t[1:]), the middle faces contract adjacent
+            # pairs through the table, the last face f(t[:-1]) . sn
+            faces = [(t[1:], 1, t[0], None, vs[1], vs[n])]
+            for j in range(1, n):
                 step = a.product[(t[j - 1], t[j])]
-                if step is None:
-                    continue
-                contracted = t[:j - 1] + (step[1],) + t[j + 1:]
-                for w in a.by_pair.get((a.source(t[0]), a.target(t[-1])), []):
-                    c = col.get((contracted, w))
-                    if c is not None:
-                        add(row[(t, w)], c, (-1) ** j * step[0])
-            # last face: f(front) . sn
-            front = t[:-1]
-            if front:
-                ends = (a.source(front[0]), a.target(front[-1]))
-            else:
-                ends = (a.source(t[0]),) * 2
-            for w in a.by_pair.get(ends, []):
-                if front == () and not a.elements[w].is_identity:
-                    continue
-                c = col.get((front, w))
-                if c is None:
-                    continue
-                step = a.product.get((w, t[-1]))
                 if step is not None:
-                    add(row[(t, step[1])], c, (-1) ** len(t) * step[0])
+                    faces.append((t[:j - 1] + (step[1],) + t[j + 1:],
+                                  (-1) ** j * step[0], None, None,
+                                  vs[0], vs[n]))
+            faces.append((t[:-1], (-1) ** n, None, t[-1], vs[0], vs[n - 1]))
+            for face, x, left, right, u, v in faces:
+                for w in a.by_pair.get((u, v), []):
+                    c = col.get((face, w))
+                    if c is None:
+                        continue
+                    if left is not None:
+                        step = a.product.get((left, w))
+                    elif right is not None:
+                        step = a.product.get((w, right))
+                    else:
+                        step = (1, w)
+                    if step is not None:
+                        add(row[(t, step[1])], c, x * step[0])
         return rows
 
     def dims(self):
@@ -613,14 +605,8 @@ def hochschild_cup(hc, p, f, q, g):
         return {}
     out = {}
     for t, v in hc.bases[n]:
-        if n == 0:
-            x = a.elements[v].path.source
-            fends = gends = (x, x)
-        else:
-            fends = ((a.source(t[0]),) * 2 if p == 0
-                     else (a.source(t[0]), a.target(t[p - 1])))
-            gends = ((a.target(t[-1]),) * 2 if q == 0
-                     else (a.source(t[p]), a.target(t[-1])))
+        vs = a.vertices(t) if t else [a.source(v)]
+        fends, gends = (vs[0], vs[p]), (vs[p], vs[n])
         total = 0
         for w1 in a.by_pair.get(fends, []):
             c1 = f.get((t[:p], w1), 0)
@@ -704,7 +690,7 @@ def epsilon_mu(algebra, sc, hc):
             if n == 0:
                 lam, r = 1, bidx[((), a.identity_index[t[0]])]
             else:
-                lam, b = a.product_of_tuple(t)
+                lam, b = sc.product[t]
                 r = bidx[(t, b)]
             x = F.of(lam)
             if x == F.zero:

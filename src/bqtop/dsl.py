@@ -57,7 +57,11 @@ def _parse_term(tok, ln, col, sign, arrows):
     pieces = tok.split("*")
     coeff = sign
     if pieces and _COEFF.match(pieces[0]):
-        coeff = sign * QQ.of(pieces[0])
+        try:
+            coeff = sign * QQ.of(pieces[0])
+        except ZeroDivisionError:
+            raise ParseError("coefficient %r has a zero denominator"
+                             % pieces[0], ln, col) from None
         pieces = pieces[1:]
     if not pieces or any(not p for p in pieces):
         raise ParseError("malformed relation term %r" % tok, ln, col)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .core import (BoundQuiver, NotConnectedError, Path, RelVector,
                    enumerate_paths, path_sort_key)
-from .linalg import QQ, cokernel_structure, nullspace, rank
+from .linalg import QQ, nullspace, rank, smith_divisors
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
@@ -479,18 +479,15 @@ def _presentation(table, tree, base):
 
 def abelianization(pres):
     """(free_rank, torsion divisors) of the abelianized presentation."""
-    gi = {g: i for i, g in enumerate(pres.generators)}
     cols = []
     for rel in pres.relators:
-        col = [0] * len(pres.generators)
+        col = {}
         for g, s in rel:
-            col[gi[g]] += s
+            col[g] = col.get(g, 0) + s
         cols.append(col)
-    if not cols:
-        return len(pres.generators), []
-    mat = [[cols[j][i] for j in range(len(cols))]
-           for i in range(len(pres.generators))]
-    return cokernel_structure(mat, len(pres.generators))
+    divisors = smith_divisors(cols)
+    return (len(pres.generators) - len(divisors),
+            [d for d in divisors if d > 1])
 
 
 def _letter_key(letter):

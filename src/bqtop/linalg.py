@@ -17,10 +17,10 @@ index are touched.  Three entry points run on it:
 * `extend_rref(reduced, rows, field)` is Gauss-Jordan on sparse rows:
   it adds rows to a reduced basis {pivot: row} in place, each new row in
   turn pivoting on its leftmost entry and clearing that column in every
-  other row.  `sparse_rref` is the extension of an empty basis, and
-  `rref` its dense form; the reduced row echelon form is unique, so the
-  result does not depend on the order of elimination or on how the rows
-  are split between calls.  `nullspace` reads the kernel off it.
+  other row.  `sparse_rref` is the extension of an empty basis; the
+  reduced row echelon form is unique, so the result does not depend on
+  the order of elimination or on how the rows are split between calls.
+  `nullspace` reads the kernel off it.
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
   pivot vector once its index is cleared.
 * `smith_divisors(columns)` gives the invariant factors of an integer
@@ -253,19 +253,6 @@ def sparse_rref(rows, field=QQ):
     return sorted(reduced.items())
 
 
-def rref(rows, field=QQ):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
-
-    Dense in and out: the nonzero rows come first, then one zero row for
-    each dependent input row.
-    """
-    ncols = len(rows[0]) if rows else 0
-    reduced = sparse_rref(rows, field)
-    out = [[v.get(i, field.zero) for i in range(ncols)] for _, v in reduced]
-    out += [[field.zero] * ncols for _ in range(len(rows) - len(reduced))]
-    return out, [c for c, _ in reduced]
-
-
 def _fewest_holders(v, where, allowed):
     """Index of v, among those whose entry passes `allowed`, held by the
     fewest vectors; None if no entry passes."""
@@ -337,12 +324,6 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += x * bt[j]
     return out
-
-
-def transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
 
 
 def smith_normal_form(mat):
@@ -489,23 +470,3 @@ def smith_divisors(columns):
         for i, x in v.items():
             residual[at[i]][c] = x
     return [1] * units + smith_normal_form(residual)[0]
-
-
-def integer_rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(smith_normal_form(mat)[0])
-
-
-def cokernel_structure(mat, ngens):
-    """Structure of Z^ngens / column-span(mat) as (free_rank, torsion list).
-
-    `mat` has ngens rows; an empty relation list is allowed.  Torsion is the
-    list of invariant factors > 1, in divisor order.
-    """
-    if not mat or not mat[0]:
-        return ngens, []
-    assert len(mat) == ngens
-    divisors = smith_divisors([dict(enumerate(col)) for col in transpose(mat)])
-    torsion = [d for d in divisors if d > 1]
-    return ngens - len(divisors), torsion

@@ -28,6 +28,17 @@ became ints wherever integral: every element a Fraction.  Run through the
 same elimination kernel, it is the oracle of the int-first form, and the
 rebuild-per-L path table reduces its slices with it.
 
+`dense_rref` is the column-by-column dense Gauss-Jordan that the sparse
+elimination kernel replaced; the rebuild-per-L path table and the dense
+semi-normed verifier reduce with it.
+
+`walked_simplicial`, `walked_hochschild` and `folded_epsilon_mu` build
+the simplicial and Hochschild complexes and epsilon/mu as they were built
+before the basis was indexed by source vertex: every tuple end tested
+against every non-identity element, each simplicial tuple's product
+refolded from its first element by `folded_product`, and the Hochschild
+differential in three blocks, one per kind of face.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -42,11 +53,12 @@ from fractions import Fraction
 
 from bqtop import BoundQuiver, enumerate_paths
 from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
+from bqtop.complex import parse_coefficients, sparse_column
 from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
                         path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import _find, _union, relation_components
-from bqtop.linalg import QQ, rank, rref, sparse_rref
+from bqtop.linalg import QQ, PrimeField, rank, sparse_rref
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -86,6 +98,35 @@ class FractionField:
 
 
 FRACTIONS = FractionField()
+
+
+def dense_rref(rows, field):
+    """Column-by-column dense Gauss-Jordan, the elimination the dense
+    `rref` ran before the sparse kernel.  Returns (rows, pivot columns):
+    the nonzero rows of the reduced form come first, then zero rows."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if m[i][c] != field.zero),
+                   None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        piv = field.inv(m[r][c])
+        m[r] = [field.mul(piv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y))
+                        for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 def _spans(quiver, by_len, max_len, truncate):
@@ -128,7 +169,7 @@ def _dense_slices(quiver, by_len, max_len, spans):
             for p, c in terms:
                 vec[pos[p]] += c
             raw.append(vec)
-        rows = [r for r in rref(raw, FRACTIONS)[0] if any(r)]
+        rows = [r for r in dense_rref(raw, FRACTIONS)[0] if any(r)]
         if rows:
             rows_by_pair[pair] = rows
     return rows_by_pair, pair_lists
@@ -294,7 +335,7 @@ def dense_semi_normed_basis(table, classes, paths):
         target = unit(pair, path)
         aug = [[col[i] for col in cols] + [target[i]]
                for i in range(len(target))]
-        m, pivots = rref(aug, QQ)
+        m, pivots = dense_rref(aug, FRACTIONS)
         assert len(cols) not in pivots, "basis must span its slice"
         return [(idxs[c], m[r][-1]) for r, c in enumerate(pivots)
                 if c < len(idxs) and m[r][-1] != 0]
@@ -371,6 +412,168 @@ def cocycle_image_degrees(sc, hc, eps):
                         "injective": rk == sh, "surjective": rk == hh})
     iso = all(d["injective"] and d["surjective"] for d in degrees)
     return tuple(degrees), iso
+
+
+def folded_product(a, elts):
+    """The product of a composable tuple folded through the structure
+    table from its first element: None when it vanishes, else (scalar,
+    element)."""
+    lam = 1
+    acc = elts[0]
+    for j in elts[1:]:
+        step = a.product[(acc, j)]
+        if step is None:
+            return None
+        lam = QQ.of(lam * step[0])
+        acc = step[1]
+    return lam, acc
+
+
+def walked_simplicial(a):
+    """(tuples, columns) of the simplicial complex of the algebra `a`:
+    each layer grown by testing every tuple end against every non-identity
+    element and refolding each candidate's product."""
+    q = a.quiver
+    tuples = [[(v,) for v in q.vertices]]
+    layer = [(i,) for i in a.non_identity]
+    while layer:
+        tuples.append(sorted(layer))
+        layer = [t + (j,) for t in layer for j in a.non_identity
+                 if a.target(t[-1]) == a.source(j)
+                 and folded_product(a, t + (j,)) is not None]
+    columns = {}
+    vx = {v: i for i, v in enumerate(q.vertices)}
+    if len(tuples) > 1:
+        columns[1] = [sparse_column([(vx[a.target(i)], 1),
+                                     (vx[a.source(i)], -1)])
+                      for (i,) in tuples[1]]
+    for n in range(2, len(tuples)):
+        low = {t: r for r, t in enumerate(tuples[n - 1])}
+        cols = []
+        for t in tuples[n]:
+            terms = [(low[t[1:]], 1)]
+            for j in range(1, n):
+                step = a.product[(t[j - 1], t[j])]
+                contracted = t[:j - 1] + (step[1],) + t[j + 1:]
+                terms.append((low[contracted], (-1) ** j))
+            terms.append((low[t[:-1]], (-1) ** n))
+            cols.append(sparse_column(terms))
+        columns[n] = cols
+    return tuples, columns
+
+
+def _three_block_rows(a, F, lower, upper):
+    """Rows of the Hochschild differential from the `lower` to the
+    `upper` basis: the first face, the middle faces and the last face
+    each in a block of its own, the degree-0 faces guarded to identity
+    targets."""
+    col = {pair: c for c, pair in enumerate(lower)}
+    row = {pair: r for r, pair in enumerate(upper)}
+    rows = [{} for _ in upper]
+
+    def add(r, c, x):
+        y = F.of(rows[r].get(c, F.zero) + x)
+        if y != F.zero:
+            rows[r][c] = y
+        else:
+            rows[r].pop(c, None)
+
+    for t in sorted({t for t, _ in upper}):
+        rest = t[1:]
+        if rest:
+            ends = (a.source(rest[0]), a.target(rest[-1]))
+        else:
+            ends = (a.target(t[0]),) * 2
+        for w in a.by_pair.get(ends, []):
+            if rest == () and not a.elements[w].is_identity:
+                continue
+            c = col.get((rest, w))
+            if c is None:
+                continue
+            step = a.product.get((t[0], w))
+            if step is not None:
+                add(row[(t, step[1])], c, step[0])
+        for j in range(1, len(t)):
+            step = a.product[(t[j - 1], t[j])]
+            if step is None:
+                continue
+            contracted = t[:j - 1] + (step[1],) + t[j + 1:]
+            for w in a.by_pair.get((a.source(t[0]), a.target(t[-1])), []):
+                c = col.get((contracted, w))
+                if c is not None:
+                    add(row[(t, w)], c, (-1) ** j * step[0])
+        front = t[:-1]
+        if front:
+            ends = (a.source(front[0]), a.target(front[-1]))
+        else:
+            ends = (a.source(t[0]),) * 2
+        for w in a.by_pair.get(ends, []):
+            if front == () and not a.elements[w].is_identity:
+                continue
+            c = col.get((front, w))
+            if c is None:
+                continue
+            step = a.product.get((w, t[-1]))
+            if step is not None:
+                add(row[(t, step[1])], c, (-1) ** len(t) * step[0])
+    return rows
+
+
+def walked_hochschild(a, field_label):
+    """(field, bases, columns) of the Hochschild complex of `a`, its
+    tuples grown by testing every tuple end against every non-identity
+    element and its differential in three blocks.  Raises ValueError on
+    a structure constant whose denominator p divides."""
+    kind, p = parse_coefficients(field_label)
+    F = QQ if kind == "Q" else PrimeField(p)
+    for (i, j), step in a.product.items() if kind == "Fp" else ():
+        if step is not None and step[0].denominator % p == 0:
+            raise ValueError(
+                "structure constant %s of %s * %s has a denominator "
+                "divisible by p = %d: the rational semi-normed basis "
+                "does not reduce mod %d"
+                % (step[0], a.elements[i], a.elements[j], p, p))
+    bases = [[((), a.identity_index[v]) for v in a.quiver.vertices]]
+    cur = [(i,) for i in a.non_identity]
+    while cur:
+        bases.append([(t, v) for t in sorted(cur)
+                      for v in a.by_pair.get((a.source(t[0]),
+                                              a.target(t[-1])), [])])
+        cur = [t + (j,) for t in cur for j in a.non_identity
+               if a.target(t[-1]) == a.source(j)]
+    columns = {n: _three_block_rows(a, F, bases[n - 1], bases[n])
+               for n in range(1, len(bases))}
+    return F, bases, columns
+
+
+def folded_epsilon_mu(a, tuples, bases, F):
+    """(eps, mu) as sparse columns, each tuple's scalar refolded through
+    the structure table.  Raises ValueError on a scalar that vanishes in
+    F."""
+    top = max(len(tuples), len(bases)) - 1
+    eps, mu = {}, {}
+    for n in range(top + 1):
+        bidx = {pair: r for r, pair in enumerate(bases[n])} \
+            if n < len(bases) else {}
+        eps[n] = []
+        mu[n] = [{} for _ in bidx]
+        for c, t in enumerate(tuples[n] if n < len(tuples) else []):
+            if n == 0:
+                lam, r = 1, bidx[((), a.identity_index[t[0]])]
+            else:
+                lam, b = folded_product(a, t)
+                r = bidx[(t, b)]
+            x = F.of(lam)
+            if x == F.zero:
+                raise ValueError(
+                    "structure constant %s of %s vanishes mod p = %d, so mu "
+                    "cannot invert it: the rational semi-normed basis does "
+                    "not reduce mod %d"
+                    % (lam, " * ".join(str(a.elements[i]) for i in t),
+                       F.p, F.p))
+            eps[n].append({r: x})
+            mu[n][r] = {c: F.inv(x)}
+    return eps, mu
 
 
 # ---------------------------------------------------------------------------

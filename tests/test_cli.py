@@ -99,6 +99,17 @@ def test_syntax_error_exit_2(tmp_path):
     assert "2:" in err
 
 
+def test_zero_denominator_exit_2(tmp_path):
+    # a parse error, not the exit code 1 of a false verdict
+    bad = tmp_path / "bad.bq"
+    bad.write_text("arrow a 1 2\narrow b 2 3\nrel 1/0*a*b\n")
+    code, out, err = run_cli(["check", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bqtop: syntax error: 3:5:")
+    assert "zero denominator" in err
+
+
 def test_bad_env_value_exit_2(monkeypatch):
     monkeypatch.setenv("BQTOP_PATH_CAP", "many")
     code, _, err = run_cli(["check", "corpus/ex1.bq"])

@@ -101,6 +101,9 @@ def test_error_positions():
     msg = positioned("arrow a 1 2\narrow b 2 3\nrel a*b -\n")
     assert msg.startswith("3:") and "dangling sign" in msg
 
+    msg = positioned("arrow a 1 2\narrow b 2 3\nrel a*b + 1/0*a*b\n")
+    assert msg.startswith("3:11:") and "zero denominator" in msg
+
     # admissibility: a bare arrow cannot generate an admissible ideal
     msg = positioned("arrow a 1 2\narrow b 2 3\narrow c 1 3\nrel a*b - c\n")
     assert "length 1" in msg

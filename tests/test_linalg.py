@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-from bqtop.linalg import (PrimeField, cokernel_structure, identity_matrix,
-                          integer_rank, mat_mul, nullspace, rank, rref,
-                          smith_normal_form, transpose)
+from bqtop.homotopy import Presentation, abelianization
+from bqtop.linalg import (PrimeField, identity_matrix, mat_mul, nullspace,
+                          rank, smith_divisors, smith_normal_form,
+                          sparse_rref)
 
 
 def frac_rows(rows):
@@ -14,10 +15,8 @@ def frac_rows(rows):
 
 
 def test_rref_pivots():
-    m, pivots = rref(frac_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
-    assert pivots == [0, 2]
-    assert m[0] == [1, 2, 0]
-    assert m[1] == [0, 0, 1]
+    reduced = sparse_rref(frac_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    assert reduced == [(0, {0: 1, 1: 2}), (2, {2: 1})]
 
 
 def test_rank_examples():
@@ -63,7 +62,8 @@ def test_smith_certificate_random():
         assert rank(frac_rows(v)) == m
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
-        assert integer_rank(mat) == rank(frac_rows(mat))
+        columns = [dict(enumerate(col)) for col in zip(*mat)]
+        assert len(smith_divisors(columns)) == rank(frac_rows(mat))
 
 
 def det(mat):
@@ -99,14 +99,14 @@ def test_smith_entries_stay_small():
 
 
 def test_cokernel_structure():
-    # Z^2 / span{(2,0)} = Z + Z/2
-    assert cokernel_structure([[2], [0]], 2) == (1, [2])
-    assert cokernel_structure([], 3) == (3, [])
-    assert cokernel_structure([[1, 0], [0, 1]], 2) == (0, [])
+    # <a, b | a^2> abelianizes to Z^2 / span{(2,0)} = Z + Z/2
+    a, b = ("a", 1), ("b", 1)
+    assert abelianization(Presentation(("a", "b"), ((a, a),))) == (1, [2])
+    assert abelianization(Presentation(("a", "b", "c"), ())) == (3, [])
+    assert abelianization(Presentation(("a", "b"), ((a,), (b,)))) == (0, [])
 
 
-def test_transpose_and_identity():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+def test_identity_matrix():
     assert mat_mul(identity_matrix(2), [[7, 8], [9, 10]]) == [[7, 8], [9, 10]]
 
 

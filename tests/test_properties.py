@@ -27,13 +27,14 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
-                          rank, rref, smith_divisors, smith_normal_form,
+                          rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      cocycle_image_degrees, dense_reduces_to_zero,
-                     dense_semi_normed_basis, differential_quivers,
-                     forward_paths, loops, random_quiver, rebuilt_path_table,
-                     swept_natural_classes)
+                     dense_rref, dense_semi_normed_basis, differential_quivers,
+                     folded_epsilon_mu, forward_paths, loops, random_quiver,
+                     rebuilt_path_table, swept_natural_classes,
+                     walked_hochschild, walked_simplicial)
 
 _CPLX = None
 
@@ -414,34 +415,6 @@ def test_walk_classes_contain_the_capped_search_merges():
 # ---------------------------------------------------------------------------
 # the sparse elimination layer against the dense routines it replaced
 
-def dense_rref(rows, field):
-    """Column-by-column dense Gauss-Jordan, the elimination `rref` ran
-    before the sparse kernel; kept here as the oracle."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if m[i][c] != field.zero),
-                   None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        piv = field.inv(m[r][c])
-        m[r] = [field.mul(piv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def random_int_matrix(rng):
     # units, non-units and zeros, so that unit pivots, fill-in and a
     # residual for the dense Smith form all occur
@@ -492,10 +465,13 @@ def test_rref_matches_dense_elimination():
                         for row in mat]
             else:
                 rows = [[field.of(x) for x in row] for row in mat]
-            assert rref(rows, field) == dense_rref(rows, field)
+            m, pivots = dense_rref(rows, field)
+            reduced = sparse_rref(rows, field)
+            assert [c for c, _ in reduced] == pivots
+            assert [[v.get(j, field.zero) for j in range(len(rows[0]))]
+                    for _, v in reduced] == m[:len(pivots)]
             # the kernel read off the dense RREF: one vector per free
             # column, 1 there and minus that column's entries at the pivots
-            m, pivots = dense_rref(rows, field)
             kernel = []
             for f in range(len(rows[0])):
                 if f not in pivots:
@@ -758,6 +734,42 @@ def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
             checked[field, rep.iso] += 1
     assert checked == {("Q", True): 99, ("Q", False): 177,
                        ("Fp:2", True): 86, ("Fp:2", False): 173}
+
+
+# ---------------------------------------------------------------------------
+# the composable-tuple walk over elements by source vertex against the
+# all-pairs walk
+
+
+def test_tuple_walk_matches_the_all_pairs_oracle(comm_grid):
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    quivers.append(parse(open(comm_grid(4)).read()))
+    checked = collections.Counter()
+    for q in quivers:
+        a = find_semi_normed_basis(enumerate_paths(q))
+        if not a.ok:
+            continue
+        sc = simplicial_complex(a)
+        assert (sc.tuples, sc.columns) == walked_simplicial(a)
+        for field in ("Q", "Fp:2"):
+            try:
+                F, bases, columns = walked_hochschild(a, field)
+                eps, mu = folded_epsilon_mu(a, sc.tuples, bases, F)
+            except ValueError as e:
+                # p divides a structure constant's numerator or denominator
+                with pytest.raises(ValueError) as got:
+                    epsilon_mu(a, sc, hochschild_complex(a, field))
+                assert str(got.value) == str(e)
+                checked[field, "denominator" if "denominator" in str(e)
+                        else "vanishes"] += 1
+                continue
+            hc = hochschild_complex(a, field)
+            assert (hc.bases, hc.columns) == (bases, columns)
+            rep = epsilon_mu(a, sc, hc)
+            assert (rep.eps, rep.mu) == (eps, mu)
+            checked[field, "equal"] += 1
+    assert checked == {("Q", "equal"): 276, ("Fp:2", "equal"): 259,
+                       ("Fp:2", "denominator"): 11, ("Fp:2", "vanishes"): 6}
 
 
 # ---------------------------------------------------------------------------
