@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Path, algebra_properties, compose, path_sort_key
-from .linalg import QQ, PrimeField, extend_rref, rank
+from .linalg import QQ, PrimeField, extend_rref
 from .complex import (_betti, _ranks, check_square_zero,
                       cohomology_of_matrices, homology_of_matrices,
                       parse_coefficients, sparse_apply, sparse_column)
@@ -469,7 +469,7 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
                and _is_inverse(phi[n], psi[n]) and _is_inverse(psi[n], phi[n]))
         hit = {r for col in sharp[n] for r in col}
         epi = epi and all(sharp[n]) and len(hit) == len(tcells)
-        kernel.append(len(tuples) - rank(sharp[n], QQ))
+        kernel.append(len(tuples) - len(hit))  # sharp's columns are 0/1
     phi_ok = psi_ok = sharp_ok = True
     for n in range(1, top + 1):
         d_sc = sc.columns.get(n, [])

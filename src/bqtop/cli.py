@@ -442,13 +442,8 @@ def main(argv=None):
     except ParseError as e:
         print("bqtop: syntax error: %s" % e, file=sys.stderr)
         return 2
-    except (QuiverError, NoSemiNormedBasis, NotGalois) as e:
-        print("bqtop: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
-        print("bqtop: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (QuiverError, NoSemiNormedBasis, NotGalois, OSError,
+            ValueError) as e:
         print("bqtop: %s" % e, file=sys.stderr)
         return 2
 

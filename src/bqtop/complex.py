@@ -245,29 +245,6 @@ class HomologyResult:
     # kind field:  entries dim
     # kind cyclic: entries (orders...), order m standing for a Z/m summand
 
-    def betti(self, i):
-        if i >= len(self.groups):
-            return 0
-        g = self.groups[i]
-        if self.kind == "Z":
-            return g[0]
-        if self.kind == "field":
-            return g
-        return len(g)
-
-    def describe(self, i):
-        if i >= len(self.groups):
-            return "0"
-        g = self.groups[i]
-        if self.kind == "Z":
-            rank, tors = g
-            bits = ["Z"] * rank + ["Z/%d" % d for d in tors]
-            return " + ".join(bits) if bits else "0"
-        if self.kind == "field":
-            return "k^%d" % g
-        bits = ["Z/%d" % d for d in g]
-        return " + ".join(bits) if bits else "0"
-
 
 def parse_coefficients(coeff):
     """Normalize "Z" | "Q" | "Fp:<p>" | "Zmod:<m>" (case-sensitive)."""

@@ -28,6 +28,12 @@ presentation: the pair merges when the word freely reduces to nothing or
 the group is cyclic with the word dead in H_1, and stays apart when H_1
 separates it (an SNF certificate) or the group is free.  A pair none of
 these decide stays apart and is named in a caveat.
+
+The van Kampen pieces present their groups from the parent's table.
+Both pieces are checked convex first, and a convex full subquiver, like
+the intersection of two, holds every path between two of its vertices;
+so its slices I(x, y), and with them its matroid components, are the
+parent's.
 """
 
 from __future__ import annotations
@@ -37,12 +43,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (BoundQuiver, NotConnectedError, Path, RelVector,
-                   enumerate_paths, path_sort_key)
+from .core import (BoundQuiver, NotConnectedError, Path, QuiverError,
+                   path_sort_key)
 from .linalg import QQ, nullspace, rank, smith_divisors
 
 DEFAULT_SUPPORT_CAP = 6
 MINIMALITY_CHECK_CAP = 12
+# relators longer than this are neither deduplicated nor canonicalised
+DEDUPE_BOUND = 16
 
 
 class SupportTooLarge(Exception):
@@ -461,20 +469,24 @@ def pi1_presentation(table, base=None):
     if base is None:
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
-    return _presentation(table, tree, base)
+    return _presentation(table, q, tree, base)
 
 
-def _presentation(table, tree, base):
-    """All arrows over the tree relators and the co-member relators."""
+def _presentation(table, sub, tree, base):
+    """The arrows of `sub`, a full subquiver of the table's quiver, over
+    the tree relators and the co-member relators of its vertex pairs."""
     q = table.quiver
     relators = [((name, 1),) for name in tree]
     for group in relation_components(table):
+        if not {group[0].source, group[0].target} <= sub.vertex_index.keys():
+            continue
         supp = sorted(group, key=lambda p: path_sort_key(q, p))
         w1 = tuple((a, 1) for a in supp[0].arrows)
         for wj in supp[1:]:
             relators.append(free_reduce(
                 w1 + _word_inverse(tuple((a, 1) for a in wj.arrows))))
-    return Presentation(tuple(a.name for a in q.arrows), tuple(relators), base)
+    return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),
+                        base)
 
 
 def abelianization(pres):
@@ -490,21 +502,12 @@ def abelianization(pres):
             [d for d in divisors if d > 1])
 
 
-def _letter_key(letter):
-    name, sign = letter
-    return (name, -sign)  # positive exponent preferred
-
-
 def _cyclic_canonical(word):
-    """Least rotation among the word and its inverse (dedup key)."""
-    best = None
-    for w in (word, _word_inverse(word)):
-        for k in range(max(1, len(w))):
-            rot = w[k:] + w[:k]
-            if best is None or [_letter_key(x) for x in rot] < \
-                    [_letter_key(x) for x in best]:
-                best = rot
-    return best
+    """Least rotation among the word and its inverse (dedup key), letters
+    compared by name and then positive exponent first."""
+    return min((w[k:] + w[:k] for w in (word, _word_inverse(word))
+                for k in range(max(1, len(w)))),
+               key=lambda rot: [(name, -s) for name, s in rot])
 
 
 def _cyclic_reduce(word):
@@ -525,63 +528,52 @@ def _substitute(word, g, rep):
     return free_reduce(out)
 
 
-def simplify_presentation(pres, dedupe_bound=16):
+def simplify_presentation(pres):
     """Tietze simplification preserving the group up to isomorphism.
 
     Moves, iterated to a fixpoint: free+cyclic reduction; dropping empty
-    and (cyclically) duplicate relators up to dedupe_bound; eliminating a
-    generator named by a length-1 relator; eliminating a generator g via
-    a length-2 relator g^e h^d with h distinct (substitute g = h^-de).
+    and (cyclically) duplicate relators of length up to DEDUPE_BOUND;
+    eliminating a generator named by a length-1 relator; eliminating a
+    generator g via a length-2 relator g^e h^d with h distinct
+    (substitute g = h^-de).
     """
-    return _tietze(pres, dedupe_bound)[0]
+    return _tietze(pres)[0]
 
 
-def _tietze(pres, dedupe_bound=16):
+def _tietze(pres):
     """`simplify_presentation` and its substitution map.
 
     The map sends each eliminated generator to a freely reduced word in
-    the surviving generators that equals it in the group.
+    the surviving generators that equals it in the group.  Each round
+    deduplicates the relators, then eliminates through the first one of
+    length 1, or 2 with distinct generators, and the loop stops when
+    none is left.  Each distinct word is canonicalised once per call.
     """
     gens = list(pres.generators)
     rels = [_cyclic_reduce(r) for r in pres.relators]
     subst = {}
-
-    def eliminate(idx, g, rep):
+    canonical = functools.cache(_cyclic_canonical)
+    while True:
+        kept = {}  # first relator of each class; long ones keyed apart
+        for k, r in enumerate(rels):
+            if r:
+                kept.setdefault(canonical(r) if len(r) <= DEDUPE_BOUND
+                                else k, r)
+        rels = list(kept.values())
+        idx = next((k for k, r in enumerate(rels) if len(r) == 1
+                    or (len(r) == 2 and r[0][0] != r[1][0])), None)
+        if idx is None:
+            break
+        # g^e = 1  =>  g = 1;  g^e h^d = 1  =>  g = h^(-d*e)
+        (g, e), *rest = rels[idx]
+        rep = tuple((h, -d * e) for h, d in rest)
         gens.remove(g)
-        for h in subst:
-            subst[h] = _substitute(subst[h], g, rep)
+        for k in subst:
+            subst[k] = _substitute(subst[k], g, rep)
         subst[g] = rep
-        return [_cyclic_reduce(_substitute(w, g, rep))
+        rels = [_cyclic_reduce(_substitute(w, g, rep))
                 for k, w in enumerate(rels) if k != idx]
-
-    changed = True
-    while changed:
-        changed = False
-        rels = [r for r in rels if r]
-        seen = set()
-        dedup = []
-        for r in rels:
-            if len(r) <= dedupe_bound:
-                key = _cyclic_canonical(r)
-                if key in seen:
-                    changed = True
-                    continue
-                seen.add(key)
-            dedup.append(r)
-        rels = dedup
-        for idx, r in enumerate(rels):
-            if len(r) == 1:
-                rels = eliminate(idx, r[0][0], ())
-                changed = True
-                break
-            if len(r) == 2 and r[0][0] != r[1][0]:
-                (g, e), (h, d) = r
-                # g^e h^d = 1  =>  g = h^(-d*e)
-                rels = eliminate(idx, g, ((h, -d * e),))
-                changed = True
-                break
-    rels = [(_cyclic_canonical(r) if len(r) <= dedupe_bound else r)
-            for r in rels]
+    rels = [canonical(r) if len(r) <= DEDUPE_BOUND else r for r in rels]
     return Presentation(tuple(gens), tuple(rels), pres.base), subst
 
 
@@ -637,7 +629,7 @@ def walk_homotopy_classes(table):
     """
     q = table.quiver
     nat = natural_homotopy_classes(table)
-    pres, subst = _tietze(_presentation(table, _spanning_forest(q),
+    pres, subst = _tietze(_presentation(table, q, _spanning_forest(q),
                                         q.vertices[0]))
     parent = list(range(len(table.paths)))
     for members in nat.class_members:
@@ -694,40 +686,18 @@ class VanKampenResult:
     base: str
 
 
-def _full_subquiver(table, verts):
-    """The full subquiver on `verts`, bound by the ideal slice bases of
-    the vertex pairs inside it as relation vectors."""
-    q = table.quiver
-    vset = set(verts)
-    rels = []
-    for pair in _in_vertex_order(table, table.ideal_rows):
-        if pair[0] in vset and pair[1] in vset:
-            idxs = table.pair_paths[pair]
-            rels += [RelVector.build([(table.paths[idxs[k]], c)
-                                      for k, c in row.items()])
-                     for row in table.ideal_rows[pair]]
-    vertices = [v for v in q.vertices if v in vset]
-    arrows = [a for a in q.arrows if a.source in vset and a.target in vset]
-    return BoundQuiver(vertices, arrows, rels)
-
-
 def _check_convex(quiver, verts, label):
     vset = set(verts)
-    outside = [v for v in quiver.vertices if v not in vset]
     # escape arrow into the outside that can flow back in: not convex
     reach_into = set()  # outside vertices with a directed path into vset
-    changed = True
-    while changed:
-        changed = False
-        for a in quiver.arrows:
-            if a.source in vset:
-                continue
-            if (a.target in vset or a.target in reach_into) \
-                    and a.source not in reach_into:
+    stack = list(vset)
+    while stack:
+        for a in quiver.arrows_to[stack.pop()]:
+            if a.source not in vset and a.source not in reach_into:
                 reach_into.add(a.source)
-                changed = True
+                stack.append(a.source)
     for a in quiver.arrows:
-        if a.source in vset and a.target not in vset and a.target in reach_into:
+        if a.source in vset and a.target in reach_into:
             raise HypothesisViolated(
                 "%s is not convex: a path leaves through arrow %s and "
                 "re-enters" % (label, a.name), witness=a.name)
@@ -736,15 +706,20 @@ def _check_convex(quiver, verts, label):
 def van_kampen_pushout(table, v1, v2):
     """Presentations of the two pieces, their intersection and the pushout.
 
-    Requires: V1 and V2 cover the vertices, both full subquivers convex,
-    every nonzero path contained in one piece, and the intersection
-    subquiver connected and nonempty.  Each piece and the intersection
-    take their co-member groups from their own matroid components.  The
-    pushout is the amalgamated free product over the intersection's
-    fundamental group, presented on disjoint copies of the pieces' arrows
-    with one amalgamation relator per non-tree arrow of the intersection.
+    Requires: V1 and V2 are vertices of the quiver and cover them, both
+    full subquivers convex, every nonzero path contained in one piece,
+    and the intersection subquiver connected and nonempty.  Each piece
+    and the intersection take the parent's co-member groups between
+    their own vertices.  The pushout is the amalgamated free product
+    over the intersection's fundamental group, presented on disjoint
+    copies of the pieces' arrows with one amalgamation relator per
+    non-tree arrow of the intersection.
     """
     q = table.quiver
+    for verts, label in ((v1, "V1"), (v2, "V2")):
+        for v in verts:
+            if v not in q.vertex_index:
+                raise QuiverError("unknown vertex %r in %s" % (v, label))
     v1 = [v for v in q.vertices if v in set(v1)]
     v2 = [v for v in q.vertices if v in set(v2)]
     if set(v1) | set(v2) != set(q.vertices):
@@ -761,23 +736,23 @@ def van_kampen_pushout(table, v1, v2):
         if not (verts <= set(v1) or verts <= set(v2)):
             raise HypothesisViolated(
                 "nonzero path %s lies in neither piece" % p, witness=str(p))
+
+    def full(verts):
+        vset = set(verts)
+        return BoundQuiver(verts, [a for a in q.arrows if a.source in vset
+                                   and a.target in vset])
+
     # checked before any presentation: spanning_tree needs it connected
-    sub0 = _full_subquiver(table, shared)
+    sub0 = full(shared)
     if not sub0.is_connected():
         raise HypothesisViolated("intersection subquiver is not connected")
     base = shared[0]
-
-    def piece(sub):
-        sub_table = enumerate_paths(sub, cap=max(12, table.bound + 1))
-        return pi1_presentation(sub_table, base=base)
-
-    sub1 = _full_subquiver(table, v1)
-    sub2 = _full_subquiver(table, v2)
-    pres1, pres2, pres0 = piece(sub1), piece(sub2), piece(sub0)
-
     tree0, walk0 = spanning_tree(sub0, base)
-    arrows2 = set(a.name for a in sub2.arrows)
-    shared_arrows = set(a.name for a in sub1.arrows) & arrows2
+    sub1, sub2 = full(v1), full(v2)
+    pres1, pres2 = (_presentation(table, sub, spanning_tree(sub, base)[0],
+                                  base) for sub in (sub1, sub2))
+    pres0 = _presentation(table, sub0, tree0, base)
+    shared_arrows = {a.name for a in sub0.arrows}  # those of both pieces
 
     def copy2(name):
         return name + "'" if name in shared_arrows else name

@@ -94,15 +94,39 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin on the prime bases up to 41 decides primality exactly for
+# every n below PRIME_LIMIT, the least strong pseudoprime to all of them
+# (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for 0 <= n < PRIME_LIMIT: n
+    passes base b when b^d = 1 or some b^(2^r d) = -1 mod n, where
+    n - 1 = 2^s d with d odd and r < s."""
+    if n < 2 or any(n % b == 0 for b in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 class PrimeField:
     """Field operations over F_p, elements are ints in [0, p)."""
 
     def __init__(self, p):
         if p < 2:
             raise ValueError("modulus must be >= 2")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError("modulus %d is not prime" % p)
+        if p >= PRIME_LIMIT:
+            raise ValueError("modulus %d is too large to certify as prime "
+                             "(it must be below %d)" % (p, PRIME_LIMIT))
+        if not is_prime(p):
+            raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.zero = 0
         self.one = 1 % p

@@ -39,6 +39,19 @@ against every non-identity element, each simplicial tuple's product
 refolded from its first element by `folded_product`, and the Hochschild
 differential in three blocks, one per kind of face.
 
+`reenumerated_pushout` is the van Kampen pushout as it was computed
+before the pieces read the parent's path table: each piece and the
+intersection rebuilt by `bound_full_subquiver` as a bound quiver of its
+own, bound by the parent's ideal slice bases, its path table enumerated
+again and presented by `pi1_presentation`.  Its convexity check
+`swept_convexity_check` finds the outside vertices that reach a piece
+by passes over all arrows until one adds none.
+
+`rounds_tietze` is the Tietze simplification as it ran before each
+relator was canonicalised once per call: a `changed` flag over rounds,
+and every relator's cyclic canonical form recomputed in every round by
+comparing `letter_key` lists rotation by rotation.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -51,13 +64,17 @@ import random
 import sys
 from fractions import Fraction
 
-from bqtop import BoundQuiver, enumerate_paths
+from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
 from bqtop.complex import parse_coefficients, sparse_column
 from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
                         path_sort_key)
 from bqtop.dsl import parse
-from bqtop.homotopy import _find, _union, relation_components
+from bqtop.homotopy import (HypothesisViolated, Presentation,
+                            VanKampenResult, _cyclic_reduce, _find,
+                            _in_vertex_order, _substitute, _union,
+                            _word_inverse, free_reduce, pi1_presentation,
+                            relation_components, spanning_tree)
 from bqtop.linalg import QQ, PrimeField, rank, sparse_rref
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -577,6 +594,165 @@ def folded_epsilon_mu(a, tuples, bases, F):
 
 
 # ---------------------------------------------------------------------------
+# the van Kampen pieces re-enumerated, and the Tietze rounds
+
+
+def bound_full_subquiver(table, verts):
+    """The full subquiver on `verts`, bound by the ideal slice bases of
+    the vertex pairs inside it as relation vectors."""
+    q = table.quiver
+    vset = set(verts)
+    rels = []
+    for pair in _in_vertex_order(table, table.ideal_rows):
+        if pair[0] in vset and pair[1] in vset:
+            idxs = table.pair_paths[pair]
+            rels += [RelVector.build([(table.paths[idxs[k]], c)
+                                      for k, c in row.items()])
+                     for row in table.ideal_rows[pair]]
+    vertices = [v for v in q.vertices if v in vset]
+    arrows = [a for a in q.arrows if a.source in vset and a.target in vset]
+    return BoundQuiver(vertices, arrows, rels)
+
+
+def swept_convexity_check(quiver, verts, label):
+    vset = set(verts)
+    # escape arrow into the outside that can flow back in: not convex
+    reach_into = set()  # outside vertices with a directed path into vset
+    changed = True
+    while changed:
+        changed = False
+        for a in quiver.arrows:
+            if a.source in vset:
+                continue
+            if (a.target in vset or a.target in reach_into) \
+                    and a.source not in reach_into:
+                reach_into.add(a.source)
+                changed = True
+    for a in quiver.arrows:
+        if a.source in vset and a.target not in vset \
+                and a.target in reach_into:
+            raise HypothesisViolated(
+                "%s is not convex: a path leaves through arrow %s and "
+                "re-enters" % (label, a.name), witness=a.name)
+
+
+def reenumerated_pushout(table, v1, v2):
+    """The pushout with every piece's path table enumerated again;
+    vertices outside the quiver are dropped."""
+    q = table.quiver
+    v1 = [v for v in q.vertices if v in set(v1)]
+    v2 = [v for v in q.vertices if v in set(v2)]
+    if set(v1) | set(v2) != set(q.vertices):
+        raise HypothesisViolated("V1 and V2 do not cover the vertices")
+    shared = [v for v in q.vertices if v in set(v1) and v in set(v2)]
+    if not shared:
+        raise HypothesisViolated("V1 and V2 have empty intersection")
+    swept_convexity_check(q, v1, "Q1")
+    swept_convexity_check(q, v2, "Q2")
+    for i, p in enumerate(table.paths):
+        if i in table.in_ideal:
+            continue
+        verts = set(q.path_vertices(p))
+        if not (verts <= set(v1) or verts <= set(v2)):
+            raise HypothesisViolated(
+                "nonzero path %s lies in neither piece" % p, witness=str(p))
+    sub0 = bound_full_subquiver(table, shared)
+    if not sub0.is_connected():
+        raise HypothesisViolated("intersection subquiver is not connected")
+    base = shared[0]
+
+    def piece(sub):
+        sub_table = enumerate_paths(sub, cap=max(12, table.bound + 1))
+        return pi1_presentation(sub_table, base=base)
+
+    sub1 = bound_full_subquiver(table, v1)
+    sub2 = bound_full_subquiver(table, v2)
+    pres1, pres2, pres0 = piece(sub1), piece(sub2), piece(sub0)
+    tree0, walk0 = spanning_tree(sub0, base)
+    arrows2 = set(a.name for a in sub2.arrows)
+    shared_arrows = set(a.name for a in sub1.arrows) & arrows2
+
+    def copy2(name):
+        return name + "'" if name in shared_arrows else name
+
+    gens = list(pres1.generators) + [copy2(g) for g in pres2.generators]
+    rels = list(pres1.relators)
+    for r in pres2.relators:
+        rels.append(tuple((copy2(g), s) for g, s in r))
+    for a in sub0.arrows:
+        if a.name in tree0:
+            continue
+        loop = free_reduce(walk0[a.source] + ((a.name, 1),)
+                           + _word_inverse(walk0[a.target]))
+        rels.append(free_reduce(
+            loop + _word_inverse(tuple((copy2(g), s) for g, s in loop))))
+    return VanKampenResult(pres1, pres2, pres0,
+                           Presentation(tuple(gens), tuple(rels), base), base)
+
+
+def letter_key(letter):
+    name, sign = letter
+    return (name, -sign)  # positive exponent preferred
+
+
+def rotation_canonical(word):
+    """Least rotation among the word and its inverse (dedup key)."""
+    best = None
+    for w in (word, _word_inverse(word)):
+        for k in range(max(1, len(w))):
+            rot = w[k:] + w[:k]
+            if best is None or [letter_key(x) for x in rot] < \
+                    [letter_key(x) for x in best]:
+                best = rot
+    return best
+
+
+def rounds_tietze(pres, dedupe_bound=16):
+    """(simplified presentation, substitution map), canonical forms
+    recomputed in every round."""
+    gens = list(pres.generators)
+    rels = [_cyclic_reduce(r) for r in pres.relators]
+    subst = {}
+
+    def eliminate(idx, g, rep):
+        gens.remove(g)
+        for h in subst:
+            subst[h] = _substitute(subst[h], g, rep)
+        subst[g] = rep
+        return [_cyclic_reduce(_substitute(w, g, rep))
+                for k, w in enumerate(rels) if k != idx]
+
+    changed = True
+    while changed:
+        changed = False
+        rels = [r for r in rels if r]
+        seen = set()
+        dedup = []
+        for r in rels:
+            if len(r) <= dedupe_bound:
+                key = rotation_canonical(r)
+                if key in seen:
+                    changed = True
+                    continue
+                seen.add(key)
+            dedup.append(r)
+        rels = dedup
+        for idx, r in enumerate(rels):
+            if len(r) == 1:
+                rels = eliminate(idx, r[0][0], ())
+                changed = True
+                break
+            if len(r) == 2 and r[0][0] != r[1][0]:
+                (g, e), (h, d) = r
+                # g^e h^d = 1  =>  g = h^(-d*e)
+                rels = eliminate(idx, g, ((h, -d * e),))
+                changed = True
+                break
+    rels = [(rotation_canonical(r) if len(r) <= dedupe_bound else r)
+            for r in rels]
+    return Presentation(tuple(gens), tuple(rels), pres.base), subst
+
+
 # inputs of the differential tests
 
 

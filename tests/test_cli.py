@@ -449,3 +449,25 @@ def test_hochschild_over_a_prime_dividing_a_structure_constant(tmp_path):
         code, out, _ = run_cli(["hochschild", "--field", field, str(quiver)])
         assert code == 0
         assert json.loads(out)["result"]["HH"] == hh
+
+
+def test_vankampen_unknown_vertex_exit_2():
+    code, out, err = run_cli(["vankampen", "corpus/vk.bq", "--v1", "2", "3",
+                              "4", "5", "6", "--v2", "1", "2", "3", "zz"])
+    assert (code, out) == (2, "")
+    assert err == "bqtop: unknown vertex 'zz' in V2\n"
+
+
+def test_modulus_beyond_the_certified_range_exit_2():
+    # 3317044064679887385961981 is composite, yet passes Miller-Rabin on
+    # every prime base up to 41
+    code, out, err = run_cli(["homology", "--coeff",
+                              "Fp:3317044064679887385961981", "corpus/rp2.bq"])
+    assert (code, out) == (2, "")
+    assert err.startswith("bqtop: modulus 3317044064679887385961981 is too "
+                          "large to certify as prime")
+    code, out, _ = run_cli(["homology", "--coeff", "Fp:1000000000000000003",
+                            "corpus/rp2.bq"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["result"]["coefficients"] == "Fp:1000000000000000003"

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from bqtop.core import BoundQuiver, enumerate_paths
+from bqtop.core import BoundQuiver, QuiverError, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, Presentation, abelianization,
                             is_minimal_relation, minimal_relation_supports,
@@ -345,3 +345,25 @@ def test_vk_disconnected_intersection_is_a_hypothesis_violation():
     with pytest.raises(HypothesisViolated,
                        match="intersection subquiver is not connected"):
         van_kampen_pushout(t, ["1", "2", "3"], ["2", "3", "4"])
+
+
+def test_vk_unknown_vertex_is_named_with_its_piece():
+    t = enumerate_paths(VK)
+    with pytest.raises(QuiverError, match="unknown vertex 'zz' in V2"):
+        van_kampen_pushout(t, ["2", "3", "4", "5", "6"], ["1", "2", "3", "zz"])
+    with pytest.raises(QuiverError, match="unknown vertex '7' in V1"):
+        van_kampen_pushout(t, ["7", "1"], ["1", "2", "3", "4", "5", "6"])
+
+
+def test_tietze_canonicalises_each_distinct_word_once(monkeypatch):
+    import bqtop.homotopy as homotopy
+    canonical = homotopy._cyclic_canonical
+    seen = []
+    monkeypatch.setattr(homotopy, "_cyclic_canonical",
+                        lambda w: seen.append(w) or canonical(w))
+    for quiver in (VK, KER, NOSN, EX3):
+        seen.clear()
+        simp = simplify_presentation(
+            pi1_presentation(enumerate_paths(quiver)))
+        assert len(seen) == len(set(seen))
+        assert set(simp.relators) <= {canonical(w) for w in seen}

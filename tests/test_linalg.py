@@ -2,12 +2,15 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
 from bqtop.homotopy import Presentation, abelianization
-from bqtop.linalg import (PrimeField, identity_matrix, mat_mul, nullspace,
-                          rank, smith_divisors, smith_normal_form,
-                          sparse_rref)
+from bqtop.linalg import (PRIME_LIMIT, PrimeField, identity_matrix, is_prime,
+                          mat_mul, nullspace, rank, smith_divisors,
+                          smith_normal_form, sparse_rref)
 
 
 def frac_rows(rows):
@@ -117,3 +120,34 @@ def test_prime_field_arithmetic():
     assert f5.mul(f5.inv(f5.of(3)), f5.of(3)) == f5.one
     vecs = [[f5.of(1), f5.of(2)], [f5.of(2), f5.of(4)]]
     assert rank(vecs, f5) == 1
+
+
+def test_primality_matches_trial_division_below_1e5():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial(n)]
+
+
+def test_pseudoprimes_are_rejected():
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="modulus %d is not prime" % n):
+            PrimeField(n)
+
+
+def test_large_prime_is_certified_quickly():
+    # trial division up to its square root took about a minute
+    start = time.perf_counter()
+    assert PrimeField(1000000000000000003).p == 1000000000000000003
+    assert time.perf_counter() - start < 1.0
+
+
+def test_modulus_beyond_the_certified_range_is_rejected():
+    # the limit is composite, yet a strong pseudoprime to every base
+    assert PRIME_LIMIT == 1287836182261 * 2575672364521
+    assert is_prime(PRIME_LIMIT)
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 2):
+        with pytest.raises(ValueError, match="too large to certify"):
+            PrimeField(p)

@@ -23,9 +23,12 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    lift_complex_map, minimal_relation_supports,
                    natural_homotopy_classes, phi_psi_maps, pi1_presentation,
                    relation_components, simplicial_complex,
-                   verify_semi_normed_basis, walk_homotopy_classes)
+                   van_kampen_pushout, verify_semi_normed_basis,
+                   walk_homotopy_classes)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
+from bqtop.homotopy import (HypothesisViolated, Presentation, _presentation,
+                            _spanning_forest, _tietze)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
@@ -33,7 +36,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      cocycle_image_degrees, dense_reduces_to_zero,
                      dense_rref, dense_semi_normed_basis, differential_quivers,
                      folded_epsilon_mu, forward_paths, loops, random_quiver,
-                     rebuilt_path_table, swept_natural_classes,
+                     reenumerated_pushout, rebuilt_path_table,
+                     rotation_canonical, rounds_tietze, swept_natural_classes,
                      walked_hochschild, walked_simplicial)
 
 _CPLX = None
@@ -927,3 +931,98 @@ def test_stored_rationals_are_int_first(comm_grid):
     # every kind holds both forms somewhere, so no check is vacuous
     assert all(seen[kind, form] for kind in STORED for form in (int, Fraction))
 
+
+
+# ---------------------------------------------------------------------------
+# van Kampen pieces from the parent table, and Tietze with each relator
+# canonicalised once, against the re-enumerated pieces and the rounds
+
+
+def vertex_splits(rng, vertices):
+    """(V1, V2) pairs: every cover of up to 6 vertices by two pieces
+    (each vertex in V1, V2 or both), otherwise 40 seeded random ones and
+    each vertex against the whole quiver; plus one split that leaves the
+    first vertex out."""
+    n = len(vertices)
+    if n <= 6:
+        assigns = list(itertools.product((0, 1, 2), repeat=n))
+    else:
+        assigns = [tuple(rng.randrange(3) for _ in vertices)
+                   for _ in range(40)]
+        assigns += [tuple(0 if j == i else 2 for j in range(n))
+                    for i in range(n)]
+    splits = [([v for v, a in zip(vertices, assign) if a != 1],
+               [v for v, a in zip(vertices, assign) if a != 0])
+              for assign in assigns]
+    return splits + [(vertices[1:], vertices[1:])]
+
+
+# the kinds of HypothesisViolated text, each counted apart
+VIOLATIONS = ("do not cover", "empty intersection", "not convex",
+              "neither piece", "not connected")
+
+
+def pushout_or_error(pushout, table, v1, v2):
+    try:
+        return pushout(table, v1, v2)
+    except HypothesisViolated as e:
+        return str(e)
+
+
+def test_pushout_pieces_match_the_reenumerated_oracle():
+    rng = random.Random(SEED + 14)
+    outcomes = collections.Counter()
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        for v1, v2 in vertex_splits(rng, list(q.vertices)):
+            got = pushout_or_error(van_kampen_pushout, t, v1, v2)
+            assert got == pushout_or_error(reenumerated_pushout, t, v1, v2)
+            if isinstance(got, str):
+                (kind,) = [k for k in VIOLATIONS if k in got]
+                outcomes[kind] += 1
+            else:
+                outcomes["pushout"] += 1
+    assert outcomes == {"pushout": 7894, "not convex": 33120,
+                        "neither piece": 7873, "empty intersection": 6441,
+                        "not connected": 2165, "do not cover": 299}
+
+
+def random_presentation(rng):
+    """Up to five generators and eight relators of length up to 24, with
+    rotations and inverses of earlier relators and short ones among them."""
+    gens = tuple("g%d" % i for i in range(rng.randint(1, 5)))
+    rels = []
+    for _ in range(rng.randint(0, 8)):
+        if rels and rng.random() < 0.3:
+            w = rng.choice(rels)
+            k = rng.randrange(len(w) + 1)
+            w = w[k:] + w[:k]
+            rels.append(w if rng.random() < 0.5 else tuple(
+                (g, -s) for g, s in reversed(w)))
+        else:
+            length = rng.choice([0, 1, 2, 2, 3, 5, 8, 17, 20, 24])
+            rels.append(tuple((rng.choice(gens), rng.choice((1, -1)))
+                              for _ in range(length)))
+    return Presentation(gens, tuple(rels))
+
+
+def test_tietze_matches_the_rounds_oracle():
+    pres = []
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        vs = q.vertices
+        pres.append(_presentation(t, q, _spanning_forest(q), vs[0]))
+        pres += [pi1_presentation(t, base=v)
+                 for v in (vs[0], vs[len(vs) // 2], vs[-1])]
+    rng = random.Random(SEED + 15)
+    pres += [random_presentation(rng) for _ in range(3000)]
+    outcomes = collections.Counter()
+    for p in pres:
+        got = _tietze(p)
+        assert got == rounds_tietze(p)
+        keys = [rotation_canonical(r) for r in p.relators if len(r) <= 16]
+        outcomes["duplicates"] += len(set(keys)) < len(keys)
+        outcomes["eliminated"] += bool(got[1])
+        outcomes["long"] += any(len(r) > 16 for r in got[0].relators)
+    assert len(pres) == 4 * 299 + 3000
+    assert outcomes == {"duplicates": 1409, "eliminated": 2916, "long": 242}
