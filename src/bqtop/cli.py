@@ -321,10 +321,8 @@ def _cover(args, cfg):
     caveats = []
     if args.galois is not None:
         elements = parse_group(_read(args.galois), cover_q)
-        action = GroupAction(cover_t, elements)
-        rep = check_galois(base_t, cover_t, p, action)
+        rep = check_galois(base_t, cover_t, p, GroupAction(cover_t, elements))
     else:
-        action = None
         rep = check_covering(base_t, cover_t, p)
     result["covering"] = _covering_json(rep)
     ok = rep.ok
@@ -333,7 +331,7 @@ def _cover(args, cfg):
         cxc = build_complex(cover_t, natural_homotopy_classes(cover_t))
         caveats.extend(cxb.caveats)
         caveats.extend(cxc.caveats)
-        lift = lift_complex_map(cxb, cxc, p)
+        lift = lift_complex_map(cxb, cxc, rep)
         result["cells"] = {
             "ok": lift.ok,
             "class_correspondence": lift.class_correspondence,
@@ -346,10 +344,10 @@ def _cover(args, cfg):
             "witnesses": list(lift.witnesses),
         }
         ok = ok and lift.ok
-        if action is not None:
+        if args.galois is not None:
             ok = ok and rep.galois_ok
             if rep.galois_ok and cover_q.is_connected():
-                deck = deck_group(cxb, cxc, p, action)
+                deck = deck_group(cxb, cxc, lift)
                 result["deck"] = {
                     "ok": deck.ok,
                     "order": deck.order,
@@ -364,8 +362,6 @@ def _cover(args, cfg):
                 ok = ok and deck.ok
             elif rep.galois_ok:
                 result["deck"] = {"skipped": "cover is not connected"}
-    elif args.galois is not None:
-        ok = False
     return result, caveats, ok
 
 

@@ -130,10 +130,13 @@ class RelVector:
         return [p for p, _ in self.terms]
 
     def __str__(self):
-        bits = []
-        for p, c in self.terms:
-            bits.append("%s*%s" % (c, p) if c != 1 else str(p))
-        return " + ".join(bits)
+        return format_terms(self.terms)
+
+
+def format_terms(terms):
+    """`c*p + ...` for (path, coefficient) pairs, a coefficient 1 unwritten."""
+    return " + ".join("%s*%s" % (c, p) if c != 1 else str(p)
+                      for p, c in terms)
 
 
 class BoundQuiver:
@@ -204,19 +207,17 @@ class BoundQuiver:
         return out
 
     def is_acyclic(self):
-        color = {v: 0 for v in self.vertices}
-
-        def visit(v):
-            color[v] = 1
+        """No oriented cycle: peeling off vertices that no remaining arrow
+        enters removes every vertex (iterative, so chains of any length
+        are fine)."""
+        indegree = {v: len(self.arrows_to[v]) for v in self.vertices}
+        peeled = [v for v, d in indegree.items() if d == 0]
+        for v in peeled:
             for a in self.arrows_from[v]:
-                if color[a.target] == 1:
-                    return False
-                if color[a.target] == 0 and not visit(a.target):
-                    return False
-            color[v] = 2
-            return True
-
-        return all(color[v] != 0 or visit(v) for v in self.vertices)
+                indegree[a.target] -= 1
+                if indegree[a.target] == 0:
+                    peeled.append(a.target)
+        return len(peeled) == len(self.vertices)
 
     def is_connected(self):
         if not self.vertices:

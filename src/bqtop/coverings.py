@@ -24,13 +24,22 @@ classifying complexes, sending a cell's tuple of homotopy classes to the
 classes of the image paths; each group element likewise induces a cell
 automorphism, and together these deck maps certify regularity by acting
 transitively on the zero-cell fiber over the base point.
+
+Each stage takes the verified report of the stage before it, so each
+fact is verified once: the `CoveringReport` of `check_covering` (or
+`check_galois`) records the morphism (and the action), `lift_complex_map`
+takes it and records it in its `CellMapReport`, and `deck_group` takes
+that.  Incidences are counted by (cell, position), a cell of dimension n
+having the n + 1 vertex positions of its class tuple: a cell may pass one
+vertex twice, as the loop of a one-vertex quiver does, while each of its
+lifts passes two different vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import Path, QuiverError
+from .core import Path, QuiverError, format_terms
 
 
 class MalformedMorphism(QuiverError):
@@ -125,12 +134,12 @@ class GroupAction:
     Elements are given extensionally as self-morphisms of the table's
     quiver.  Construction verifies that each element is bijective on
     vertices and arrows and maps every relation into the ideal, and that
-    the set contains the identity and is closed under composition and
-    inverse; the composition and inverse tables are kept.
+    the set holds the identity and is closed under composition.  That
+    makes it a group: in a finite set of bijections closed under
+    composition, every element has a power that is the identity.
     """
 
     def __init__(self, table, elements):
-        self.table = table
         self.quiver = table.quiver
         elems = list(elements)
         if not elems:
@@ -151,34 +160,15 @@ class GroupAction:
                     raise ValueError(
                         "group element does not preserve the ideal:"
                         " relation %s" % rel)
-        sigs = [g.signature() for g in elems]
-        if len(set(sigs)) != len(sigs):
+        sigs = {g.signature() for g in elems}
+        if len(sigs) != len(elems):
             raise ValueError("duplicate group elements")
-        index = {s: i for i, s in enumerate(sigs)}
-        ident = next((i for i, g in enumerate(elems) if g.is_identity()),
-                     None)
-        if ident is None:
+        if not any(g.is_identity() for g in elems):
             raise ValueError("group action lacks the identity")
-        compose_table = {}
-        for i, g in enumerate(elems):
-            for j, h in enumerate(elems):
-                k = index.get(compose_morphisms(g, h).signature())
-                if k is None:
-                    raise ValueError("group action is not closed under"
-                                     " composition")
-                compose_table[(i, j)] = k
-        inverse_of = {}
-        for i in range(len(elems)):
-            j = next((j for j in range(len(elems))
-                      if compose_table[(i, j)] == ident
-                      and compose_table[(j, i)] == ident), None)
-            if j is None:
-                raise ValueError("group element has no inverse in the set")
-            inverse_of[i] = j
+        if any(compose_morphisms(g, h).signature() not in sigs
+               for g in elems for h in elems):
+            raise ValueError("group action is not closed under composition")
         self.elements = tuple(elems)
-        self.identity_index = ident
-        self.compose_table = compose_table
-        self.inverse_of = inverse_of
 
     def __len__(self):
         return len(self.elements)
@@ -196,6 +186,8 @@ class CoveringReport:
     vertex_fibers: dict
     arrow_fibers: dict
     witnesses: tuple
+    morphism: QuiverMorphism            # the projection checked
+    action: GroupAction | None = None   # the action of a Galois check
     galois_ok: bool | None = None
     equivariant: bool | None = None
     vertex_transitive: bool | None = None
@@ -204,11 +196,21 @@ class CoveringReport:
     group_order: int | None = None
 
 
-def _fmt_terms(terms):
-    bits = []
-    for p, c in terms:
-        bits.append("%s*%s" % (c, p) if c != 1 else str(p))
-    return " + ".join(bits)
+def _fibers(keys, items, image):
+    """{key: tuple of the items whose image is key}, in item order; items
+    whose image is no key are left out."""
+    out = {k: [] for k in keys}
+    for it in items:
+        fib = out.get(image(it))
+        if fib is not None:
+            fib.append(it)
+    return {k: tuple(fib) for k, fib in out.items()}
+
+
+def _check_endpoints(base, cover, p):
+    if p.source is not cover.quiver or p.target is not base.quiver:
+        raise MalformedMorphism(
+            "morphism endpoints do not match the given path tables")
 
 
 def _lift_path(p, path, at):
@@ -232,9 +234,7 @@ def check_covering(base, cover, p):
     quiver.  Failures are reported as verdicts with witnesses, never
     raised.
     """
-    if p.source is not cover.quiver or p.target is not base.quiver:
-        raise MalformedMorphism(
-            "morphism endpoints do not match the given path tables")
+    _check_endpoints(base, cover, p)
     witnesses = []
     ideal_ok = True
     for rel in cover.quiver.relations:
@@ -243,13 +243,11 @@ def check_covering(base, cover, p):
             ideal_ok = False
             witnesses.append(
                 "cover relation %s maps onto %s, which is outside the"
-                " base ideal" % (rel, _fmt_terms(image)))
-    vertex_fibers = {x: tuple(v for v in cover.quiver.vertices
-                              if p.vertex(v) == x)
-                     for x in base.quiver.vertices}
-    arrow_fibers = {a.name: tuple(b.name for b in cover.quiver.arrows
-                                  if p.arrow(b.name) == a.name)
-                    for a in base.quiver.arrows}
+                " base ideal" % (rel, format_terms(image)))
+    vertex_fibers = _fibers(base.quiver.vertices, cover.quiver.vertices,
+                            p.vertex)
+    arrow_fibers = _fibers([a.name for a in base.quiver.arrows],
+                           [b.name for b in cover.quiver.arrows], p.arrow)
     cond1 = True
     for x in base.quiver.vertices:
         if not vertex_fibers[x]:
@@ -296,13 +294,13 @@ def check_covering(base, cover, p):
                 cond3 = False
                 witnesses.append(
                     "relation %s lifts at %s to %s, which is outside the"
-                    " cover ideal" % (rel, xh, _fmt_terms(lifted)))
+                    " cover ideal" % (rel, xh, format_terms(lifted)))
     ok = ideal_ok and cond1 and cond2 and cond3
     return CoveringReport(ok=ok, ideal_preserved=ideal_ok,
                           fibers_nonempty=cond1, local_bijections=cond2,
                           relations_lift=cond3, vertex_fibers=vertex_fibers,
                           arrow_fibers=arrow_fibers,
-                          witnesses=tuple(witnesses))
+                          witnesses=tuple(witnesses), morphism=p)
 
 
 def check_galois(base, cover, p, action):
@@ -311,55 +309,43 @@ def check_galois(base, cover, p, action):
         raise ValueError("group action does not act on the given cover")
     rep = check_covering(base, cover, p)
     witnesses = list(rep.witnesses)
+    # each cover vertex, then each cover arrow, with its accessor
+    items = [(v, QuiverMorphism.vertex) for v in cover.quiver.vertices]
+    items += [(a.name, QuiverMorphism.arrow) for a in cover.quiver.arrows]
     cond4 = True
     for g in action.elements:
-        bad = next((v for v in cover.quiver.vertices
-                    if p.vertex(g.vertex(v)) != p.vertex(v)), None)
-        if bad is None:
-            bad = next((a.name for a in cover.quiver.arrows
-                        if p.arrow(g.arrow(a.name)) != p.arrow(a.name)),
-                       None)
+        bad = next((x for x, f in items if f(p, f(g, x)) != f(p, x)), None)
         if bad is not None:
             cond4 = False
             witnesses.append(
                 "projection changes along a group element at %s" % bad)
-    cond5v = True
-    for x, fib in rep.vertex_fibers.items():
-        if not fib:
-            continue
-        orbit = {g.vertex(fib[0]) for g in action.elements}
-        if orbit != set(fib):
-            cond5v = False
-            witnesses.append(
-                "orbit of %s reaches %d of the %d points in the fiber"
-                " over %s" % (fib[0], len(orbit), len(fib), x))
-    cond5a = True
-    for name, fib in rep.arrow_fibers.items():
-        if not fib:
-            continue
-        orbit = {g.arrow(fib[0]) for g in action.elements}
-        if orbit != set(fib):
-            cond5a = False
-            witnesses.append(
-                "orbit of %s reaches %d of the %d arrows in the fiber"
-                " over %s" % (fib[0], len(orbit), len(fib), name))
+
+    def transitive(fibers, image, kind):
+        ok = True
+        for x, fib in fibers.items():
+            orbit = {image(g, fib[0]) for g in action.elements} if fib \
+                else set()
+            if orbit != set(fib):
+                ok = False
+                witnesses.append(
+                    "orbit of %s reaches %d of the %d %s in the fiber"
+                    " over %s" % (fib[0], len(orbit), len(fib), kind, x))
+        return ok
+
+    cond5v = transitive(rep.vertex_fibers, QuiverMorphism.vertex, "points")
+    cond5a = transitive(rep.arrow_fibers, QuiverMorphism.arrow, "arrows")
     cond6 = True
     for g in action.elements:
-        if g.is_identity():
-            continue
-        fixed = next((v for v in cover.quiver.vertices
-                      if g.vertex(v) == v), None)
-        if fixed is None:
-            fixed = next((a.name for a in cover.quiver.arrows
-                          if g.arrow(a.name) == a.name), None)
+        fixed = None if g.is_identity() else \
+            next((x for x, f in items if f(g, x) == x), None)
         if fixed is not None:
             cond6 = False
             witnesses.append("non-identity group element fixes %s" % fixed)
     galois_ok = rep.ok and cond4 and cond5v and cond5a and cond6
-    return replace(rep, witnesses=tuple(witnesses), galois_ok=galois_ok,
-                   equivariant=cond4, vertex_transitive=cond5v,
-                   arrow_transitive=cond5a, fixed_point_free=cond6,
-                   group_order=len(action))
+    return replace(rep, witnesses=tuple(witnesses), action=action,
+                   galois_ok=galois_ok, equivariant=cond4,
+                   vertex_transitive=cond5v, arrow_transitive=cond5a,
+                   fixed_point_free=cond6, group_order=len(action))
 
 
 @dataclass(frozen=True)
@@ -373,6 +359,7 @@ class CellMapReport:
     incidence_bijections: bool
     cell_fibers: dict       # dimension -> {base cell: tuple of cover cells}
     witnesses: tuple
+    covering: CoveringReport
 
 
 @dataclass(frozen=True)
@@ -431,38 +418,31 @@ def _faces_commute(dom_cx, cod_cx, cmap, witnesses):
     return ok
 
 
-def _cell_vertex_sets(cx):
-    """Per dimension, the boundary vertices of every cell."""
-    out = []
+def _incidences(cx, top):
+    """vertex -> per dimension up to `top`, the (cell, position) pairs of
+    the cells that have the vertex at that position."""
     cl = cx.classes
+    out = {v: [[] for _ in range(top + 1)] for v in cx.table.quiver.vertices}
     for n, layer in enumerate(cx.cells):
-        if n == 0:
-            out.append([{c.key} for c in layer])
-            continue
-        sets = []
-        for c in layer:
-            vs = {cl.class_source[c.key[0]]}
-            for cid in c.key:
-                vs.add(cl.class_target[cid])
-            sets.append(vs)
-        out.append(sets)
+        for j, c in enumerate(layer):
+            if n == 0:
+                out[c.key][0].append((j, 0))
+                continue
+            out[cl.class_source[c.key[0]]][n].append((j, 0))
+            for pos, cid in enumerate(c.key, start=1):
+                out[cl.class_target[cid]][n].append((j, pos))
     return out
 
 
 def _incidence_bijections(dom_cx, cod_cx, p, cmap, witnesses):
-    dom_sets = _cell_vertex_sets(dom_cx)
-    cod_sets = _cell_vertex_sets(cod_cx)
     top = max(dom_cx.top_dim(), cod_cx.top_dim())
+    cod = _incidences(cod_cx, top)
     ok = True
-    for xh in dom_cx.table.quiver.vertices:
+    for xh, at in _incidences(dom_cx, top).items():
         x = p.vertex(xh)
         for n in range(top + 1):
-            dom_inc = [j for j, vs in enumerate(dom_sets[n])
-                       if xh in vs] if n <= dom_cx.top_dim() else []
-            cod_inc = {i for i, vs in enumerate(cod_sets[n])
-                       if x in vs} if n <= cod_cx.top_dim() else set()
-            images = [cmap[n][j] for j in dom_inc] if dom_inc else []
-            if len(set(images)) != len(images) or set(images) != cod_inc:
+            images = sorted((cmap[n][j], pos) for j, pos in at[n])
+            if images != sorted(cod[x][n]):
                 ok = False
                 witnesses.append(
                     "cells at %s do not map bijectively onto cells at %s"
@@ -470,17 +450,21 @@ def _incidence_bijections(dom_cx, cod_cx, p, cmap, witnesses):
     return ok
 
 
-def lift_complex_map(base_cx, cover_cx, p):
+def lift_complex_map(base_cx, cover_cx, covering):
     """Induced cellular map of a verified covering, with verification.
 
-    Checks that the homotopy class partitions correspond through p
-    fiberwise in both directions, that the induced map commutes with all
-    face maps, and that it restricts to a bijection between the cells
-    incident to each cover vertex and the cells incident to its image.
+    `covering` is the report of `check_covering` or `check_galois` on the
+    complexes' path tables; NotACovering is raised unless it holds.
+    Checks that the homotopy class partitions correspond through the
+    projection fiberwise in both directions, that the induced map
+    commutes with all face maps, and that it restricts to a bijection
+    between the (cell, position) incidences of each cover vertex and
+    those of its image.
     """
-    rep = check_covering(base_cx.table, cover_cx.table, p)
-    if not rep.ok:
-        raise NotACovering(rep.witnesses[0] if rep.witnesses
+    p = covering.morphism
+    _check_endpoints(base_cx.table, cover_cx.table, p)
+    if not covering.ok:
+        raise NotACovering(covering.witnesses[0] if covering.witnesses
                            else "covering conditions fail")
     if base_cx.variant != cover_cx.variant:
         raise ValueError("complexes use different homotopy variants")
@@ -488,17 +472,16 @@ def lift_complex_map(base_cx, cover_cx, p):
     bt, ct = base_cx.table, cover_cx.table
     bcl, ccl = base_cx.classes, cover_cx.classes
     img_cls = [None] * len(ct.paths)
+    by_source = {}
     corr = True
     for i, w in enumerate(ct.paths):
+        by_source.setdefault(w.source, []).append(i)
         im = p.path_image(w)
         if len(im) > bt.bound:
             corr = False
             witnesses.append("image of %s exceeds the base table bound" % w)
             continue
         img_cls[i] = bcl.class_of(im)
-    by_source = {}
-    for i, w in enumerate(ct.paths):
-        by_source.setdefault(w.source, []).append(i)
     for xh in ct.quiver.vertices:
         idxs = by_source.get(xh, [])
         for a in range(len(idxs)):
@@ -524,40 +507,41 @@ def lift_complex_map(base_cx, cover_cx, p):
     fibers = {}
     for n, layer in enumerate(base_cx.cells):
         row = cell_map.get(n, ())
-        fibers[n] = {i: tuple(j for j, t in enumerate(row) if t == i)
-                     for i in range(len(layer))}
+        fibers[n] = _fibers(range(len(layer)), range(len(row)),
+                            row.__getitem__)
     ok = corr and cells_ok and fc and inc
     return CellMapReport(ok=ok, class_correspondence=corr,
                          cell_map=cell_map, faces_commute=fc,
                          incidence_bijections=inc, cell_fibers=fibers,
-                         witnesses=tuple(witnesses))
+                         witnesses=tuple(witnesses), covering=covering)
 
 
-def deck_group(base_cx, cover_cx, p, action, base_point=None):
+def deck_group(base_cx, cover_cx, lift):
     """Deck maps of a Galois covering at the cell level.
 
-    Requires a verified Galois action and a connected cover.  Builds the
-    cell automorphism induced by every group element, then certifies
-    regularity: the maps are pairwise distinct, the projection is
-    constant on orbits, and the maps act transitively on the zero-cell
-    fiber over the base point (the first base vertex unless given).
+    `lift` is the `lift_complex_map` report of a `check_galois` report;
+    NotGalois is raised unless that check held and the cover is
+    connected.  Builds the cell automorphism induced by every group
+    element, then certifies regularity: the maps are pairwise distinct,
+    the projection is constant on orbits, and the maps act transitively
+    on the zero-cell fiber over the base point, the first base vertex.
     """
-    grep = check_galois(base_cx.table, cover_cx.table, p, action)
-    if not grep.galois_ok:
-        raise NotGalois(grep.witnesses[0] if grep.witnesses
+    rep = lift.covering
+    _check_endpoints(base_cx.table, cover_cx.table, rep.morphism)
+    if rep.action is None:
+        raise NotGalois("the covering was checked without a group action")
+    if not rep.galois_ok:
+        raise NotGalois(rep.witnesses[0] if rep.witnesses
                         else "conditions fail")
     if not cover_cx.table.quiver.is_connected():
         raise NotGalois("cover quiver is not connected")
-    proj = lift_complex_map(base_cx, cover_cx, p)
-    witnesses = list(proj.witnesses)
-    if base_point is None:
-        base_point = base_cx.table.quiver.vertices[0]
-    ct = cover_cx.table
+    witnesses = list(lift.witnesses)
+    base_point = base_cx.table.quiver.vertices[0]
     ccl = cover_cx.classes
     maps = []
     autos = True
     compat = True
-    for g in action.elements:
+    for g in rep.action.elements:
         # an automorphism preserves path length, so images stay in-table
         cls_map = {cid: ccl.class_of(g.path_image(ccl.class_rep[cid]))
                    for cid in range(len(ccl))}
@@ -571,7 +555,7 @@ def deck_group(base_cx, cover_cx, p, action, base_point=None):
             witnesses.append("a group element does not induce a cell"
                              " automorphism")
         for n, row in cmap.items():
-            prow = proj.cell_map[n]
+            prow = lift.cell_map[n]
             if any(prow[row[j]] != prow[j] for j in range(len(row))
                    if row[j] >= 0):
                 compat = False
@@ -583,19 +567,15 @@ def deck_group(base_cx, cover_cx, p, action, base_point=None):
     distinct = len(set(sigs)) == len(sigs)
     if not distinct:
         witnesses.append("two group elements induce the same cell map")
-    fiber_cells = [i for i, c in enumerate(cover_cx.cells[0])
-                   if p.vertex(c.key) == base_point]
+    fiber_cells = lift.cell_fibers[0][base_cx.cell_index[(0, base_point)]]
     fiber = tuple(cover_cx.cells[0][i].key for i in fiber_cells)
-    if fiber_cells:
-        orbit = {m[0][fiber_cells[0]] for m in maps}
-        transitive = orbit == set(fiber_cells)
-    else:
-        transitive = False
+    # nonempty: a covering has no empty vertex fiber
+    transitive = {m[0][fiber_cells[0]] for m in maps} == set(fiber_cells)
     if not transitive:
         witnesses.append("deck maps are not transitive on the fiber"
                          " over %s" % base_point)
-    ok = proj.ok and autos and compat and distinct and transitive
-    return DeckReport(ok=ok, order=len(action), maps=tuple(maps),
+    ok = lift.ok and autos and compat and distinct and transitive
+    return DeckReport(ok=ok, order=len(rep.action), maps=tuple(maps),
                       automorphisms=autos, compatible=compat,
                       distinct=distinct, transitive=transitive,
                       base_point=base_point, fiber=fiber,

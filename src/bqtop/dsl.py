@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .core import BoundQuiver, MalformedRelation, QuiverError, RelVector
+from .core import BoundQuiver, MalformedRelation, Path, QuiverError, RelVector
 from .coverings import QuiverMorphism
 from .linalg import QQ
 
@@ -113,7 +113,6 @@ def parse(text):
         else:
             raise ParseError("unknown statement %r" % head, ln, col)
 
-    quiver = BoundQuiver(vertices, arrows)
     relations = []
     for toks in rel_lines:
         _, ln, col = toks[0]
@@ -123,13 +122,14 @@ def parse(text):
         for tok, tl, tc in toks[1:]:
             if expect_term:
                 names, coeff = _parse_term(tok, tl, tc, sign, arrow_names)
-                at = arrow_names[names[0]][0]
                 for k in range(len(names) - 1):
                     if arrow_names[names[k]][1] != arrow_names[names[k + 1]][0]:
                         raise ParseError(
                             "path breaks between %r and %r"
                             % (names[k], names[k + 1]), tl, tc)
-                terms.append((quiver.path(names, at=at), coeff))
+                terms.append((Path(arrow_names[names[0]][0],
+                                   arrow_names[names[-1]][1], tuple(names)),
+                              coeff))
                 expect_term = False
             else:
                 if tok == "+":

@@ -29,6 +29,26 @@ def comm_grid(tmp_path):
     return write
 
 
+@pytest.fixture
+def square_zero_chain(tmp_path):
+    """Writer of radical-square-zero chains: square_zero_chain(n) is the
+    path of arrows a0 .. a(n-1) along 0 -> 1 -> ... -> n, every composite
+    of two of them zero; with cycle=True the last arrow returns to 0."""
+    def write(n, cycle=False):
+        ends = [(i, i + 1) for i in range(n)]
+        if cycle:
+            ends[-1] = (n - 1, 0)
+        lines = ["arrow a%d %d %d" % (i, s, t)
+                 for i, (s, t) in enumerate(ends)]
+        lines += ["rel a%d*a%d" % (i, i + 1) for i in range(n - 1)]
+        if cycle:
+            lines.append("rel a%d*a0" % (n - 1))
+        path = tmp_path / ("%s%d.bq" % ("cycle" if cycle else "chain", n))
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+    return write
+
+
 # a*b*c ~ d*e, so a*b*c*f ~ d*e*f; the bound is L = 4, and d*e*f*g lies in
 # the table while a*b*c*f*g does not: the one class whose closure the
 # bound cuts short

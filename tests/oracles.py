@@ -52,11 +52,24 @@ relator was canonicalised once per call: a `changed` flag over rounds,
 and every relator's cyclic canonical form recomputed in every round by
 comparing `letter_key` lists rotation by rotation.
 
+`rechecked_lift` and `rechecked_deck_group` are the induced cell map
+and the deck group as computed before each covering stage took the
+report of the one before: each checks the covering (and the Galois
+action) again, the deck group lifts the cell map again, cell fibers
+scan every cover cell for each base cell, and `vertex_set_incidence`
+compares the sets of cells at a vertex (built by `cell_vertex_sets`),
+which misses a cell that passes one vertex twice.  `TabledGroupAction`
+is the group action with its composition table and inverse search.
+
+`voltage_covers` gives seeded Z/2 and Z/3 voltage covers of the
+differential inputs (`voltage_cover`), Galois by construction.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
 """
 
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -67,6 +80,10 @@ from fractions import Fraction
 from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
 from bqtop.complex import parse_coefficients, sparse_column
+from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
+                             NotGalois, QuiverMorphism, _faces_commute,
+                             _induced_cell_map, check_covering, check_galois,
+                             compose_morphisms)
 from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
                         path_sort_key)
 from bqtop.dsl import parse
@@ -753,6 +770,220 @@ def rounds_tietze(pres, dedupe_bound=16):
     return Presentation(tuple(gens), tuple(rels), pres.base), subst
 
 
+class TabledGroupAction:
+    """GroupAction with its composition and inverse tables."""
+
+    def __init__(self, table, elements):
+        self.table = table
+        self.quiver = table.quiver
+        elems = list(elements)
+        if not elems:
+            raise ValueError("group action needs at least the identity")
+        for g in elems:
+            if g.source is not self.quiver or g.target is not self.quiver:
+                raise ValueError("group element is not a self-map"
+                                 " of the cover quiver")
+            if set(g.vertex_map[v] for v in self.quiver.vertices) \
+                    != set(self.quiver.vertices):
+                raise ValueError("group element is not bijective on vertices")
+            if set(g.arrow_map[a.name] for a in self.quiver.arrows) \
+                    != set(a.name for a in self.quiver.arrows):
+                raise ValueError("group element is not bijective on arrows")
+            for rel in self.quiver.relations:
+                image = [(g.path_image(w), c) for w, c in rel.terms]
+                if not table.vector_in_ideal(image):
+                    raise ValueError(
+                        "group element does not preserve the ideal:"
+                        " relation %s" % rel)
+        sigs = [g.signature() for g in elems]
+        if len(set(sigs)) != len(sigs):
+            raise ValueError("duplicate group elements")
+        index = {s: i for i, s in enumerate(sigs)}
+        ident = next((i for i, g in enumerate(elems) if g.is_identity()),
+                     None)
+        if ident is None:
+            raise ValueError("group action lacks the identity")
+        compose_table = {}
+        for i, g in enumerate(elems):
+            for j, h in enumerate(elems):
+                k = index.get(compose_morphisms(g, h).signature())
+                if k is None:
+                    raise ValueError("group action is not closed under"
+                                     " composition")
+                compose_table[(i, j)] = k
+        inverse_of = {}
+        for i in range(len(elems)):
+            j = next((j for j in range(len(elems))
+                      if compose_table[(i, j)] == ident
+                      and compose_table[(j, i)] == ident), None)
+            if j is None:
+                raise ValueError("group element has no inverse in the set")
+            inverse_of[i] = j
+        self.elements = tuple(elems)
+        self.identity_index = ident
+        self.compose_table = compose_table
+        self.inverse_of = inverse_of
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def cell_vertex_sets(cx):
+    """Per dimension, the boundary vertices of every cell."""
+    out = []
+    cl = cx.classes
+    for n, layer in enumerate(cx.cells):
+        if n == 0:
+            out.append([{c.key} for c in layer])
+            continue
+        sets = []
+        for c in layer:
+            vs = {cl.class_source[c.key[0]]}
+            for cid in c.key:
+                vs.add(cl.class_target[cid])
+            sets.append(vs)
+        out.append(sets)
+    return out
+
+
+def vertex_set_incidence(dom_cx, cod_cx, p, cmap, witnesses):
+    dom_sets = cell_vertex_sets(dom_cx)
+    cod_sets = cell_vertex_sets(cod_cx)
+    top = max(dom_cx.top_dim(), cod_cx.top_dim())
+    ok = True
+    for xh in dom_cx.table.quiver.vertices:
+        x = p.vertex(xh)
+        for n in range(top + 1):
+            dom_inc = [j for j, vs in enumerate(dom_sets[n])
+                       if xh in vs] if n <= dom_cx.top_dim() else []
+            cod_inc = {i for i, vs in enumerate(cod_sets[n])
+                       if x in vs} if n <= cod_cx.top_dim() else set()
+            images = [cmap[n][j] for j in dom_inc] if dom_inc else []
+            if len(set(images)) != len(images) or set(images) != cod_inc:
+                ok = False
+                witnesses.append(
+                    "cells at %s do not map bijectively onto cells at %s"
+                    " in dimension %d" % (xh, x, n))
+    return ok
+
+
+def rechecked_lift(base_cx, cover_cx, p):
+    """The induced cell map, its covering checked again first."""
+    rep = check_covering(base_cx.table, cover_cx.table, p)
+    if not rep.ok:
+        raise NotACovering(rep.witnesses[0] if rep.witnesses
+                           else "covering conditions fail")
+    if base_cx.variant != cover_cx.variant:
+        raise ValueError("complexes use different homotopy variants")
+    witnesses = []
+    bt, ct = base_cx.table, cover_cx.table
+    bcl, ccl = base_cx.classes, cover_cx.classes
+    img_cls = [None] * len(ct.paths)
+    corr = True
+    for i, w in enumerate(ct.paths):
+        im = p.path_image(w)
+        if len(im) > bt.bound:
+            corr = False
+            witnesses.append("image of %s exceeds the base table bound" % w)
+            continue
+        img_cls[i] = bcl.class_of(im)
+    by_source = {}
+    for i, w in enumerate(ct.paths):
+        by_source.setdefault(w.source, []).append(i)
+    for xh in ct.quiver.vertices:
+        idxs = by_source.get(xh, [])
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                i, j = idxs[a], idxs[b]
+                same_up = ccl.class_of_index[i] == ccl.class_of_index[j]
+                same_down = img_cls[i] is not None \
+                    and img_cls[i] == img_cls[j]
+                if same_up != same_down:
+                    corr = False
+                    witnesses.append(
+                        "paths %s and %s from %s are%s together upstairs"
+                        " but%s downstairs"
+                        % (ct.paths[i], ct.paths[j], xh,
+                           "" if same_up else " not",
+                           "" if same_down else " not"))
+    cls_map = {cid: img_cls[ct.index[ccl.class_rep[cid]]]
+               for cid in range(len(ccl))}
+    cell_map, cells_ok = _induced_cell_map(cover_cx, base_cx, p.vertex,
+                                           cls_map, witnesses)
+    fc = _faces_commute(cover_cx, base_cx, cell_map, witnesses)
+    inc = vertex_set_incidence(cover_cx, base_cx, p, cell_map, witnesses)
+    fibers = {}
+    for n, layer in enumerate(base_cx.cells):
+        row = cell_map.get(n, ())
+        fibers[n] = {i: tuple(j for j, t in enumerate(row) if t == i)
+                     for i in range(len(layer))}
+    ok = corr and cells_ok and fc and inc
+    return CellMapReport(ok=ok, class_correspondence=corr,
+                         cell_map=cell_map, faces_commute=fc,
+                         incidence_bijections=inc, cell_fibers=fibers,
+                         witnesses=tuple(witnesses), covering=rep)
+
+
+def rechecked_deck_group(base_cx, cover_cx, p, action, base_point=None):
+    """Deck maps, the Galois conditions and the lift checked again first."""
+    grep = check_galois(base_cx.table, cover_cx.table, p, action)
+    if not grep.galois_ok:
+        raise NotGalois(grep.witnesses[0] if grep.witnesses
+                        else "conditions fail")
+    if not cover_cx.table.quiver.is_connected():
+        raise NotGalois("cover quiver is not connected")
+    proj = rechecked_lift(base_cx, cover_cx, p)
+    witnesses = list(proj.witnesses)
+    if base_point is None:
+        base_point = base_cx.table.quiver.vertices[0]
+    ccl = cover_cx.classes
+    maps = []
+    autos = True
+    compat = True
+    for g in action.elements:
+        cls_map = {cid: ccl.class_of(g.path_image(ccl.class_rep[cid]))
+                   for cid in range(len(ccl))}
+        cmap, cok = _induced_cell_map(cover_cx, cover_cx, g.vertex,
+                                      cls_map, witnesses)
+        perm = all(sorted(row) == list(range(len(row)))
+                   for row in cmap.values())
+        fok = _faces_commute(cover_cx, cover_cx, cmap, witnesses)
+        if not (cok and perm and fok):
+            autos = False
+            witnesses.append("a group element does not induce a cell"
+                             " automorphism")
+        for n, row in cmap.items():
+            prow = proj.cell_map[n]
+            if any(prow[row[j]] != prow[j] for j in range(len(row))
+                   if row[j] >= 0):
+                compat = False
+                witnesses.append("projection is not constant on an orbit"
+                                 " in dimension %d" % n)
+                break
+        maps.append(cmap)
+    sigs = [tuple(sorted(m.items())) for m in maps]
+    distinct = len(set(sigs)) == len(sigs)
+    if not distinct:
+        witnesses.append("two group elements induce the same cell map")
+    fiber_cells = [i for i, c in enumerate(cover_cx.cells[0])
+                   if p.vertex(c.key) == base_point]
+    fiber = tuple(cover_cx.cells[0][i].key for i in fiber_cells)
+    if fiber_cells:
+        orbit = {m[0][fiber_cells[0]] for m in maps}
+        transitive = orbit == set(fiber_cells)
+    else:
+        transitive = False
+    if not transitive:
+        witnesses.append("deck maps are not transitive on the fiber"
+                         " over %s" % base_point)
+    ok = proj.ok and autos and compat and distinct and transitive
+    return DeckReport(ok=ok, order=len(action), maps=tuple(maps),
+                      automorphisms=autos, compatible=compat,
+                      distinct=distinct, transitive=transitive,
+                      base_point=base_point, fiber=fiber,
+                      witnesses=tuple(witnesses))
+
+
 # inputs of the differential tests
 
 
@@ -880,3 +1111,63 @@ def differential_quivers():
     quivers += CYCLIC + [TRUNCATED]
     assert len(quivers) == 18 + 240 + 2 * (14 + 4) + 4 + 1
     return quivers
+
+
+def voltage_cover(base, k, voltage):
+    """The Z/k voltage cover of `base` with arrow voltages `voltage`.
+
+    Vertex v lifts to v.0 .. v.(k-1); an arrow a: s -> t of voltage g
+    lifts to a.i: s.i -> t.(i+g); a relation lifts sheet by sheet.  This
+    is the covering of the Z/k-graded bound quiver (Green 1983), and the
+    shifts i -> i+j act on it as the Galois group.  Returns (cover,
+    projection, shifts), or None when a relation is not homogeneous:
+    its terms then lift to paths with different ends.
+    """
+    def lift(names, i):
+        out = []
+        for n in names:
+            out.append("%s.%d" % (n, i))
+            i = (i + voltage[n]) % k
+        return out, i
+
+    rels = []
+    for rel in base.relations:
+        if len({lift(p.arrows, 0)[1] for p, _ in rel.terms}) > 1:
+            return None
+        rels += [[(lift(p.arrows, i)[0], c) for p, c in rel.terms]
+                 for i in range(k)]
+    arrows = [("%s.%d" % (a.name, i), "%s.%d" % (a.source, i),
+               "%s.%d" % (a.target, (i + voltage[a.name]) % k))
+              for i in range(k) for a in base.arrows]
+    cover = BoundQuiver(["%s.%d" % (v, i) for i in range(k)
+                         for v in base.vertices], arrows, rels)
+    proj = QuiverMorphism(
+        cover, base, {"%s.%d" % (v, i): v for i in range(k)
+                      for v in base.vertices},
+        {"%s.%d" % (a.name, i): a.name for i in range(k)
+         for a in base.arrows})
+    shifts = [QuiverMorphism(
+        cover, cover, {"%s.%d" % (v, i): "%s.%d" % (v, (i + j) % k)
+                       for i in range(k) for v in base.vertices},
+        {"%s.%d" % (a.name, i): "%s.%d" % (a.name, (i + j) % k)
+         for i in range(k) for a in base.arrows}) for j in range(k)]
+    return cover, proj, shifts
+
+
+@functools.cache
+def voltage_covers():
+    """Seeded voltage covers of `differential_quivers()`: per quiver a
+    random k in {2, 3} and random voltages in Z/k.  Returns the list of
+    (base, k, cover, projection, shifts) and the number of quivers
+    skipped for a relation that is not homogeneous."""
+    rng = random.Random(SEED + 3)
+    covers, skipped = [], 0
+    for base in differential_quivers():
+        k = rng.choice((2, 3))
+        made = voltage_cover(base, k, {a.name: rng.randrange(k)
+                                       for a in base.arrows})
+        if made is None:
+            skipped += 1
+        else:
+            covers.append((base, k) + made)
+    return covers, skipped

@@ -128,12 +128,12 @@ def test_acceptance_06_two_sheeted_cover_of_the_projective_plane():
     cxc = build_complex(tc, natural_homotopy_classes(tc))
     assert homology(cxb, "Z").groups == ((1, ()), (0, (2,)), (0, ()))
     assert homology(cxc, "Z").groups == ((1, ()), (0, ()), (1, ()))
-    lift = lift_complex_map(cxb, cxc, p)
+    lift = lift_complex_map(cxb, cxc, rep)
     assert lift.ok
     assert all(len(f) == 2
                for fibers in lift.cell_fibers.values()
                for f in fibers.values())
-    deck = deck_group(cxb, cxc, p, action)
+    deck = deck_group(cxb, cxc, lift)
     assert deck.ok and deck.order == 2 and deck.transitive
     chi = lambda cx: sum((-1) ** n * c for n, c in enumerate(cx.counts()))
     assert chi(cxc) == 2 * chi(cxb)

@@ -1,14 +1,17 @@
 """Command line interface: golden snapshots, exit codes, flag handling."""
 
+import collections
 import contextlib
 import io
 import json
 import pathlib
 import random
+import sys
 import time
 
 import pytest
 
+from bqtop import coverings
 from bqtop.cli import main
 from bqtop.complex import build_complex
 from bqtop.core import enumerate_paths
@@ -147,6 +150,69 @@ def test_cover_without_group_skips_galois():
     assert rep["ok"] is True
     assert "galois" not in rep["result"]["covering"]
     assert rep["result"]["covering"]["ok"] is True
+
+
+def test_loop_covered_by_the_three_cycle(tmp_path):
+    # the circle covers the circle three times: the loop's one-cell meets
+    # its vertex at both ends, and each end lifts to a different vertex
+    fixtures = "tests/fixtures/"
+    code, out, _ = run_cli(["cover", "verify", fixtures + "loop.bq",
+                            fixtures + "loop_cycle3.bq",
+                            fixtures + "loop_cycle3.map",
+                            "--galois", fixtures + "loop_rotations.grp"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True
+    cells = rep["result"]["cells"]
+    assert cells["incidence_bijections"] is True and cells["ok"] is True
+    assert cells["fiber_sizes"] == {"0": [3], "1": [3]}
+    assert rep["result"]["deck"]["ok"] is True
+    assert rep["result"]["deck"]["order"] == 3
+
+
+def test_cover_verify_checks_each_fact_once():
+    names = {f.__code__: f.__name__
+             for f in (coverings.check_covering, coverings.check_galois,
+                       coverings.lift_complex_map, coverings.deck_group)}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code, _, _ = run_cli(["cover", "verify", "corpus/rp2.bq",
+                              "corpus/rp2_cover.bq", "corpus/rp2_morphism.map",
+                              "--galois", "corpus/rp2_group.grp"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert calls == {"check_covering": 1, "check_galois": 1,
+                     "lift_complex_map": 1, "deck_group": 1}
+
+
+def test_long_chain_homology(square_zero_chain):
+    code, out, _ = run_cli(["homology", square_zero_chain(2000)])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["result"]["counts"] == [2001, 2000]
+    assert rep["result"]["groups"]["H0"] == [1, []]
+    assert rep["result"]["groups"]["H1"] == [0, []]
+
+
+def test_check_on_a_short_cycle(tmp_path):
+    path = tmp_path / "two.bq"
+    path.write_text("arrow s u v\narrow t v u\nrel s*t\nrel t*s\n")
+    code, out, _ = run_cli(["check", str(path)])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "admissible": True, "almost_triangular": False, "connected": True,
+        "constricted": True,
+        "dims": {"u->u": 1, "u->v": 1, "v->u": 1, "v->v": 1},
+        "euler_characteristic": 1, "nilpotency_bound": 2, "schurian": True,
+        "semi_commutative": False, "total_dimension": 4,
+        "triangular": False}
 
 
 def test_version_flag():

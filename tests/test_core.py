@@ -101,6 +101,26 @@ def test_cyclic_quiver_needs_bounding_relations():
     assert not props.semi_commutative
 
 
+def test_long_chain_is_acyclic(square_zero_chain):
+    # deeper than the recursion limit, so the check must not recurse
+    with open(square_zero_chain(2000)) as fh:
+        q = parse(fh.read())
+    assert q.is_acyclic()
+    t = enumerate_paths(q)
+    assert t.bound == 2
+    assert len(t.nonzero_paths()) == 2001 + 2000
+
+
+def test_long_oriented_cycle_is_cyclic(square_zero_chain):
+    with open(square_zero_chain(2000, cycle=True)) as fh:
+        text = fh.read()
+    # a tail into the cycle is peeled off, the cycle itself is not
+    for q, nonzero in ((parse(text), 2000 + 2000),
+                       (parse(text + "arrow b x 0\n"), 2001 + 2001 + 1)):
+        assert not q.is_acyclic()
+        assert len(enumerate_paths(q).nonzero_paths()) == nonzero
+
+
 def test_properties_hhgap():
     q = bq(["1", "2", "3"],
            [("alpha", "1", "2"), ("beta", "2", "3"), ("gamma", "1", "3")],

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bqtop.core import BoundQuiver
 from bqtop.dsl import ParseError, parse, parse_group, parse_morphism, serialize
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -69,6 +70,20 @@ def test_corpus_round_trips(name):
     assert again.vertices == q.vertices
     assert [a.name for a in again.arrows] == [a.name for a in q.arrows]
     assert [str(r) for r in again.relations] == [str(r) for r in q.relations]
+
+
+def test_parse_builds_the_quiver_once(monkeypatch):
+    # relation paths come from the arrow endpoints the parser holds
+    built = []
+    init = BoundQuiver.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundQuiver, "__init__", counting)
+    q = parse((CORPUS / "rp2.bq").read_text())
+    assert built == [q]
 
 
 def test_vk_corpus_shape():

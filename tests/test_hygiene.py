@@ -11,6 +11,12 @@ The package writes no `Fraction(<int literal>)`.  A rational is an int
 unless its denominator is not 1 (see `bqtop.linalg`), so an integer
 constant is the int itself; wrapped in a Fraction it would drag every
 sum and product it enters into Fraction arithmetic.
+
+No package function calls itself by name, as `f(...)` or as
+`self.f(...)`.  Python's recursion limit turns a deep input into a
+`RecursionError`, so every walk over a quiver, a table or a complex is
+written with an explicit stack or worklist; `super().f(...)` calls
+another class's method and does not count.
 """
 
 import ast
@@ -84,3 +90,38 @@ def test_the_scan_sees_fractions_of_int_literals():
 def test_no_fraction_of_an_int_literal(path):
     assert fraction_of_int_literals(path.read_text()) == []
 
+
+
+def self_calls(source):
+    """Names of the functions in `source` that call themselves by name,
+    in source order; a call inside a nested function counts for both."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name \
+                    or isinstance(f, ast.Attribute) and f.attr == fn.name \
+                    and isinstance(f.value, ast.Name) \
+                    and f.value.id in ("self", "cls"):
+                found.append(fn.name)
+                break
+    return found
+
+
+def test_the_scan_sees_functions_that_call_themselves():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "class A(B):\n"
+              "    def __init__(self):\n        super().__init__()\n"
+              "    def g(self):\n        return self.g()\n"
+              "    def h(self, o):\n        return o.h()\n"
+              "def outer():\n    def inner():\n        inner()\n")
+    assert self_calls(source) == ["f", "g", "inner"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(path.read_text()) == []

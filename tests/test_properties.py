@@ -271,14 +271,14 @@ def test_disjoint_sheet_covers_random():
         assert all(len(f) == sheets for f in rep.arrow_fibers.values())
         cxb = build_complex(tb, natural_homotopy_classes(tb))
         cxc = build_complex(tc, natural_homotopy_classes(tc))
-        lift = lift_complex_map(cxb, cxc, proj)
+        lift = lift_complex_map(cxb, cxc, rep)
         assert lift.ok
         assert list(cxc.counts()) == [sheets * c for c in cxb.counts()]
         for dim, fibers in lift.cell_fibers.items():
             assert all(len(f) == sheets for f in fibers.values())
         # the sheets are disjoint, so no deck group on a disconnected cover
         with pytest.raises(NotGalois):
-            deck_group(cxb, cxc, proj, action)
+            deck_group(cxb, cxc, lift)
 
 
 def fan_quiver(rng, k):
