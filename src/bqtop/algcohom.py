@@ -64,9 +64,10 @@ from dataclasses import dataclass
 
 from .core import Path, algebra_properties, compose, path_sort_key
 from .linalg import QQ, PrimeField, extend_rref
-from .complex import (_betti, _ranks, check_square_zero,
-                      cohomology_of_matrices, homology_of_matrices,
-                      parse_coefficients, sparse_apply, sparse_column)
+from .complex import (_betti, _ranks, check_faces_square_zero,
+                      check_square_zero, cohomology_of_matrices,
+                      face_columns, homology_of_matrices,
+                      parse_coefficients, sparse_apply)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
@@ -280,7 +281,9 @@ class SimplicialSC:
     """SC_0 = vertices; SC_n = basis tuples with nonzero product.
 
     `product[t]` is (lambda, b) for a tuple t of degree >= 1 whose
-    product is lambda * b.
+    product is lambda * b.  `faces[n]` holds the face rows of the degree-n
+    tuples, from which boundary of boundary is checked and `columns`
+    built, as for a cell complex.
     """
 
     def __init__(self, algebra):
@@ -300,29 +303,31 @@ class SimplicialSC:
                     if step is not None:
                         grown[t + (j,)] = (QQ.of(lam * step[0]), step[1])
             layer = grown
-        # columns[n][c] = {row: coefficient}, the differential as sparse
-        # columns
-        self.columns = {}
+        # faces[n][c] = (d_0, ..., d_n) of tuple c as indices of degree
+        # n-1: d_0 drops the first element, d_n the last, d_j contracts
+        # elements j-1 and j
         vx = {v: i for i, v in enumerate(q.vertices)}
+        self.faces = [None]
         if len(self.tuples) > 1:
-            self.columns[1] = [sparse_column([(vx[a.target(i)], 1),
-                                              (vx[a.source(i)], -1)])
-                               for (i,) in self.tuples[1]]
+            self.faces.append([(vx[a.target(i)], vx[a.source(i)])
+                               for (i,) in self.tuples[1]])
         for n in range(2, len(self.tuples)):
             low = {t: r for r, t in enumerate(self.tuples[n - 1])}
-            cols = []
+            rows = []
             for t in self.tuples[n]:
-                terms = [(low[t[1:]], 1)]
+                row = [low[t[1:]]]
                 for j in range(1, n):
                     step = a.product[(t[j - 1], t[j])]
                     assert step is not None, \
                         "sub-product of a nonzero product cannot vanish"
-                    contracted = t[:j - 1] + (step[1],) + t[j + 1:]
-                    terms.append((low[contracted], (-1) ** j))
-                terms.append((low[t[:-1]], (-1) ** n))
-                cols.append(sparse_column(terms))
-            self.columns[n] = cols
-        check_square_zero(self.columns)
+                    row.append(low[t[:j - 1] + (step[1],) + t[j + 1:]])
+                row.append(low[t[:-1]])
+                rows.append(tuple(row))
+            self.faces.append(rows)
+        check_faces_square_zero(self.faces)
+        # columns[n][c] = {row: coefficient}, the differential as sparse
+        # columns
+        self.columns = face_columns(self.faces)
 
     def counts(self):
         return [len(layer) for layer in self.tuples]

@@ -15,19 +15,27 @@ gives the same face when every class has members of one length (the
 split is then unique), or when the natural classes carry no bound
 caveat (they are then closed under composition); only under the bound
 caveat could another split give another face.
-Boundary matrices are kept as sparse integer columns.  Homology over Z
-comes from their invariant factors (unit-pivot reduction, then a
-certified Smith normal form of what is left), over a field from their
-ranks, and cohomology and cyclic coefficients by universal coefficients.
+Cells are grown and their faces found on table indices: a composite is
+looked up by its arrow names in `PathTable.arrow_index`, and no path
+object is built.  Boundary of boundary is checked on the face rows when
+the complex is made: where a cell's faces satisfy the simplicial
+identities its terms cancel in pairs, and only a cell where one fails has
+its signed sum formed.  Boundary matrices are sparse integer columns,
+built from the faces on first read, so commands that only list cells
+never build them.  Homology over Z comes from their invariant factors
+(unit-pivot reduction, then a certified Smith normal form of what is
+left), over a field from their ranks, and cohomology and cyclic
+coefficients by universal coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
-from .core import Path, compose
+from .core import Path
 from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
@@ -71,15 +79,13 @@ class CellComplex:
         for n, layer in enumerate(cells):
             for i, cell in enumerate(layer):
                 self.cell_index[(n, cell.key)] = i
-        # columns[n][j] = {row: coefficient}: the sparse boundary matrix
-        # delta_n, one column per n-cell, rows indexed by (n-1)-cells
-        self.columns = {}
-        for n in range(1, len(cells)):
-            self.columns[n] = [
-                sparse_column((target, (-1) ** i)
-                              for i, target in enumerate(face_row))
-                for face_row in faces[n]]
-        check_square_zero(self.columns)
+        check_faces_square_zero(faces)
+
+    @functools.cached_property
+    def columns(self):
+        """columns[n][j] = {row: coefficient}: the sparse boundary matrix
+        delta_n, one column per n-cell, rows indexed by (n-1)-cells."""
+        return face_columns(self.faces)
 
     def counts(self):
         return [len(layer) for layer in self.cells]
@@ -112,6 +118,16 @@ def sparse_column(terms):
     return {r: x for r, x in col.items() if x}
 
 
+def face_columns(faces):
+    """{n: sparse columns of delta_n} for n >= 1 from face rows: the column
+    of a cell with faces (f_0, ..., f_n) is sum (-1)^i f_i."""
+    columns = {}
+    for n in range(1, len(faces)):
+        signs = [(-1) ** i for i in range(n + 1)]
+        columns[n] = [sparse_column(zip(row, signs)) for row in faces[n]]
+    return columns
+
+
 def sparse_apply(columns, vec, field=None):
     """The image sum_j vec[j] * columns[j] of a sparse vector, zeros dropped.
 
@@ -128,6 +144,31 @@ def sparse_apply(columns, vec, field=None):
     return {i: y for i, y in acc.items() if y != zero}
 
 
+def check_faces_square_zero(faces):
+    """Assert delta delta == 0 for a complex given by its face rows.
+
+    `faces[n][j]` lists the indices (d_0, ..., d_n) of the (n-1)-cells that
+    are the faces of n-cell j.  Where a cell's faces satisfy the simplicial
+    identities d_i d_j = d_(j-1) d_i (i < j), the n(n+1) terms of its
+    delta delta cancel in pairs; only a cell where one fails has its
+    signed sum formed.  So the check accepts exactly the complexes whose
+    boundary columns pass `check_square_zero`, at O(n^2) index reads per
+    cell and no arithmetic.
+    """
+    for n in range(2, len(faces)):
+        low = faces[n - 1]
+        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        for row in faces[n]:
+            below = [low[f] for f in row]
+            if all(below[j][i] == below[i][j - 1] for i, j in pairs):
+                continue
+            assert not sparse_column(
+                (f, (-1) ** (i + j))
+                for j, sub in enumerate(below)
+                for i, f in enumerate(sub)), \
+                "boundary of boundary must vanish"
+
+
 def check_square_zero(columns, field=None,
                       message="boundary of boundary must vanish"):
     """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
@@ -135,7 +176,9 @@ def check_square_zero(columns, field=None,
     `columns[n][j]` maps row indices of degree n-1 to coefficients, which
     are integers, or elements of `field` when one is given.  Each column
     costs one sparse combination of the columns it touches, so a complex
-    of cells with n+1 faces costs O(cells * n^2).
+    of cells with n+1 faces costs O(cells * n^2).  Complexes given by
+    face rows, whose coefficients are the signs +-1, are checked by
+    `check_faces_square_zero`, which reads indices only.
     """
     for n, cols in columns.items():
         low = columns.get(n - 1)
@@ -155,8 +198,10 @@ def build_complex(table, classes, max_dim=None):
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
                          % max_dim)
-    paths, index, in_ideal = table.paths, table.index, table.in_ideal
-    length = [len(p.arrows) for p in paths]
+    paths, in_ideal = table.paths, table.in_ideal
+    arrow_index = table.arrow_index
+    arrows = [p.arrows for p in paths]
+    length = [len(a) for a in arrows]
     of_index = classes.class_of_index
     source, target = classes.class_source, classes.class_target
     # steps[v]: (class, member) for every member of a 1-cell class at v
@@ -180,11 +225,10 @@ def build_complex(table, classes, max_dim=None):
         extension of the stored composites."""
         for key, record in live.items():
             for w, split in record.items():
-                pw = paths[w]
-                for cid, j in steps[pw.target]:
+                for cid, j in steps[paths[w].target]:
                     if length[w] + length[j] > table.bound:
                         continue
-                    c = index[compose(pw, paths[j])]
+                    c = arrow_index[arrows[w] + arrows[j]]
                     if c not in in_ideal:
                         yield key + (cid,), c, split + (j,)
 
@@ -206,11 +250,11 @@ def build_complex(table, classes, max_dim=None):
             # least witness's split
             row = [key[1:] or target[key[0]]]
             for i in range(1, n):
-                a, b = paths[split[i - 1]], paths[split[i]]
-                mid = of_index[index[compose(a, b)]]
+                mid = of_index[arrow_index[arrows[split[i - 1]]
+                                           + arrows[split[i]]]]
                 row.append(key[:i - 1] + (mid,) + key[i + 1:])
             row.append(key[:-1] or source[key[0]])
-            face = tuple(below.get(k) for k in row)
+            face = tuple(map(below.get, row))
             assert None not in face, "face of a cell must be a cell"
             rows.append(face)
         cells.append(layer)

@@ -249,6 +249,8 @@ class PathTable:
         bound: L, smallest certified length with every length-L path in I
         paths: all paths of length <= L, sorted by (length, names, source)
         index: path -> position in `paths`
+        arrow_index: arrow names -> position in `paths`, paths of length
+            >= 1 only (built on first read)
         pair_paths: (x, y) -> list of indices into `paths`
         local: position in `paths` -> position in its pair's list
         ideal_rows: (x, y) -> RREF basis of I(x, y) in pair-local
@@ -314,6 +316,12 @@ class PathTable:
             for k, x in rows[c].items():
                 vec[k] = vec.get(k, 0) - f * x
         return not any(vec.values())
+
+    @functools.cached_property
+    def arrow_index(self):
+        """Arrow-name tuple -> position in `paths`, for the non-stationary
+        paths (their arrows determine them)."""
+        return {p.arrows: i for i, p in enumerate(self.paths) if p.arrows}
 
     @functools.cached_property
     def pivot_rows(self):

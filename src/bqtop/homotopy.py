@@ -43,8 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (BoundQuiver, NotConnectedError, Path, QuiverError,
-                   path_sort_key)
+from .core import BoundQuiver, NotConnectedError, QuiverError
 from .linalg import QQ, nullspace, rank, smith_divisors
 
 DEFAULT_SUPPORT_CAP = 6
@@ -277,37 +276,34 @@ class PathClassTable:
         self.table = table
         self.variant = variant
         self.caveats = tuple(caveats)
-        q = table.quiver
+        paths, in_ideal = table.paths, table.in_ideal
+        # the table lists paths in `path_sort_key` order, so members
+        # collected in index order are sorted, and so are the classes
+        # ordered by their least members
         groups = {}
-        for i in range(len(table.paths)):
+        for i in range(len(paths)):
             groups.setdefault(_find(parent, i), []).append(i)
-        keyed = []
-        for members in groups.values():
-            members.sort(key=lambda i: path_sort_key(q, table.paths[i]))
-            keyed.append(members)
-        keyed.sort(key=lambda ms: path_sort_key(q, table.paths[ms[0]]))
-        self.class_members = keyed
+        self.class_members = sorted(groups.values())
         self.class_of_index = {}
-        for cid, members in enumerate(keyed):
-            for i in members:
-                self.class_of_index[i] = cid
         self.class_source = []
         self.class_target = []
         self.class_nonzero = []
         self.class_identity = []
         self.class_rep = []
-        for members in keyed:
-            paths = [table.paths[i] for i in members]
-            srcs = {p.source for p in paths}
-            tgts = {p.target for p in paths}
-            assert len(srcs) == 1 and len(tgts) == 1, \
-                "homotopy class members must be parallel"
-            self.class_source.append(srcs.pop())
-            self.class_target.append(tgts.pop())
-            nz = [table.paths[i] for i in members if i not in table.in_ideal]
-            self.class_nonzero.append(bool(nz))
-            self.class_identity.append(any(p.is_stationary for p in paths))
-            self.class_rep.append(nz[0] if nz else paths[0])
+        for cid, members in enumerate(self.class_members):
+            # a stationary member has length 0, so it would come first
+            first = paths[members[0]]
+            for i in members:
+                self.class_of_index[i] = cid
+                p = paths[i]
+                assert (p.source, p.target) == (first.source, first.target), \
+                    "homotopy class members must be parallel"
+            self.class_source.append(first.source)
+            self.class_target.append(first.target)
+            nz = next((i for i in members if i not in in_ideal), None)
+            self.class_nonzero.append(nz is not None)
+            self.class_identity.append(first.is_stationary)
+            self.class_rep.append(first if nz is None else paths[nz])
 
     def __len__(self):
         return len(self.class_members)
@@ -365,7 +361,7 @@ def natural_homotopy_classes(table):
     a caveat.
     """
     q = table.quiver
-    paths, index = table.paths, table.index
+    paths, index, arrow_index = table.paths, table.index, table.arrow_index
     parent = list(range(len(paths)))
 
     @functools.cache
@@ -374,11 +370,9 @@ def natural_homotopy_classes(table):
         p = paths[i]
         if len(p) == table.bound:
             return {}
-        keys = {(1, a.name): index[Path(p.source, a.target,
-                                        p.arrows + (a.name,))]
+        keys = {(1, a.name): arrow_index[p.arrows + (a.name,)]
                 for a in q.arrows_from[p.target]}
-        keys.update({(0, a.name): index[Path(a.source, p.target,
-                                             (a.name,) + p.arrows)]
+        keys.update({(0, a.name): arrow_index[(a.name,) + p.arrows]
                      for a in q.arrows_to[p.source]})
         return keys
 
@@ -475,14 +469,12 @@ def pi1_presentation(table, base=None):
 def _presentation(table, sub, tree, base):
     """The arrows of `sub`, a full subquiver of the table's quiver, over
     the tree relators and the co-member relators of its vertex pairs."""
-    q = table.quiver
     relators = [((name, 1),) for name in tree]
     for group in relation_components(table):
         if not {group[0].source, group[0].target} <= sub.vertex_index.keys():
             continue
-        supp = sorted(group, key=lambda p: path_sort_key(q, p))
-        w1 = tuple((a, 1) for a in supp[0].arrows)
-        for wj in supp[1:]:
+        w1 = tuple((a, 1) for a in group[0].arrows)
+        for wj in group[1:]:
             relators.append(free_reduce(
                 w1 + _word_inverse(tuple((a, 1) for a in wj.arrows))))
     return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),

@@ -13,6 +13,11 @@ congruence closure: the co-member groups merged, then every factor of
 every table path replaced by every other member of its class, in full
 passes until one pass merges nothing.
 
+`SortedPathClassTable` is the class table as it was built before the
+classes were read off in table order: each class's members sorted by
+`path_sort_key`, the classes sorted by their least members, and the
+endpoints, identity flag and representative collected over all members.
+
 `dense_semi_normed_basis` is the semi-normed verifier as it ran before
 each vertex pair was reduced once with the candidates last: a rank per
 pair for independence, then a dense augmented RREF of the basis images
@@ -87,7 +92,7 @@ from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
 from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
                         path_sort_key)
 from bqtop.dsl import parse
-from bqtop.homotopy import (HypothesisViolated, Presentation,
+from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
                             _in_vertex_order, _substitute, _union,
                             _word_inverse, free_reduce, pi1_presentation,
@@ -311,6 +316,46 @@ def swept_natural_classes(table):
     for i in range(len(table.paths)):
         classes.setdefault(_find(parent, i), set()).add(i)
     return set(map(frozenset, classes.values())), skipped
+
+
+class SortedPathClassTable(PathClassTable):
+    """The class table of the partition `parent`, every order sorted."""
+
+    def __init__(self, table, variant, parent, caveats=()):
+        self.table = table
+        self.variant = variant
+        self.caveats = tuple(caveats)
+        q = table.quiver
+        groups = {}
+        for i in range(len(table.paths)):
+            groups.setdefault(_find(parent, i), []).append(i)
+        keyed = []
+        for members in groups.values():
+            members.sort(key=lambda i: path_sort_key(q, table.paths[i]))
+            keyed.append(members)
+        keyed.sort(key=lambda ms: path_sort_key(q, table.paths[ms[0]]))
+        self.class_members = keyed
+        self.class_of_index = {}
+        for cid, members in enumerate(keyed):
+            for i in members:
+                self.class_of_index[i] = cid
+        self.class_source = []
+        self.class_target = []
+        self.class_nonzero = []
+        self.class_identity = []
+        self.class_rep = []
+        for members in keyed:
+            paths = [table.paths[i] for i in members]
+            srcs = {p.source for p in paths}
+            tgts = {p.target for p in paths}
+            assert len(srcs) == 1 and len(tgts) == 1, \
+                "homotopy class members must be parallel"
+            self.class_source.append(srcs.pop())
+            self.class_target.append(tgts.pop())
+            nz = [table.paths[i] for i in members if i not in table.in_ideal]
+            self.class_nonzero.append(bool(nz))
+            self.class_identity.append(any(p.is_stationary for p in paths))
+            self.class_rep.append(nz[0] if nz else paths[0])
 
 
 def dense_semi_normed_basis(table, classes, paths):

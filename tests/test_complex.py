@@ -1,12 +1,16 @@
 """Cell complexes, cellular (co)homology, cup products."""
 
+import contextlib
+import io
 import pathlib
 import random
 
 import pytest
 
-from bqtop.complex import (CellComplex, build_complex, coboundary, cohomology,
-                           cup_product, euler_characteristic, homology)
+from bqtop import cli
+from bqtop.complex import (CellComplex, build_complex, check_square_zero,
+                           coboundary, cohomology, cup_product,
+                           euler_characteristic, homology, sparse_column)
 from bqtop.core import BoundQuiver, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
@@ -98,6 +102,54 @@ def test_corrupted_face_fails_the_boundary_check():
 
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_equal_parity_face_swap_passes_the_boundary_check():
+    t, c = complexes(EX3)
+    faces = [None] + [list(layer) for layer in c.faces[1:]]
+    # d_0 and d_2 of a 2-cell (c1, c2) enter its boundary with sign +1, so
+    # swapping them breaks the simplicial identities but not the boundary
+    d0, d1, d2 = faces[2][0]
+    faces[2][0] = (d2, d1, d0)
+    below = [faces[1][f] for f in faces[2][0]]
+    assert below[1][0] != below[0][0]     # d_0 d_1 = d_0 d_0 fails
+    swapped = CellComplex(t, c.classes, c.cells, faces)
+    assert swapped.columns == c.columns
+    check_square_zero(swapped.columns)
+
+
+def eager_columns(faces):
+    """The boundary columns as built before they were built on first
+    read: one sparse column per cell from its signed faces."""
+    return {n: [sparse_column((f, (-1) ** i) for i, f in enumerate(row))
+                for row in faces[n]]
+            for n in range(1, len(faces))}
+
+
+def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_complex(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_complex", recording)
+    src = tmp_path / "rp2.bq"
+    src.write_text((CORPUS / "rp2.bq").read_text())
+    for argv in (["cells", str(src)], ["dot", "--skeleton", str(src)],
+                 ["homology", str(src)], ["cohomology", str(src)]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    cells, skeleton, hom, cohom = built
+    assert "columns" not in cells.__dict__
+    assert "columns" not in skeleton.__dict__
+    for cx in (hom, cohom):
+        assert cx.columns == eager_columns(cx.faces)
+    t = enumerate_paths(parse(src.read_text()))
+    cx = build_complex(t, natural_homotopy_classes(t))
+    assert "columns" not in cx.__dict__
+    homology(cx)
+    assert cx.columns == eager_columns(cx.faces)
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),

@@ -25,6 +25,8 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    relation_components, simplicial_complex,
                    van_kampen_pushout, verify_semi_normed_basis,
                    walk_homotopy_classes)
+from bqtop.complex import (check_faces_square_zero, check_square_zero,
+                           face_columns)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, Presentation, _presentation,
@@ -33,8 +35,8 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     cocycle_image_degrees, dense_reduces_to_zero,
-                     dense_rref, dense_semi_normed_basis, differential_quivers,
+                     SortedPathClassTable, cocycle_image_degrees,
+                     dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      folded_epsilon_mu, forward_paths, loops, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
                      rotation_canonical, rounds_tietze, swept_natural_classes,
@@ -654,6 +656,80 @@ def test_natural_classes_match_the_factor_replacement_sweep(
             with_caveat.append(k)
     # the bound cuts a closure short only on the fixture built for it
     assert with_caveat == [len(quivers) - 1]
+
+
+# ---------------------------------------------------------------------------
+# class tables read off in table order against the sorting constructor
+
+
+def class_table_facts(classes):
+    return (classes.class_members, classes.class_of_index,
+            classes.class_source, classes.class_target,
+            classes.class_nonzero, classes.class_identity, classes.class_rep)
+
+
+def test_class_tables_in_table_order_match_the_sorting_oracle():
+    for k, q in enumerate(differential_quivers()):
+        t = enumerate_paths(q)
+        assert len(t.arrow_index) == sum(1 for p in t.paths if p.arrows), k
+        for p in t.paths:
+            if p.arrows:
+                assert t.arrow_index[p.arrows] == t.index[p], k
+        for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+            # each class rooted at its last member, so that the oracle's
+            # union-find groups are not already in table order
+            parent = list(range(len(t.paths)))
+            for members in classes.class_members:
+                for i in members:
+                    parent[i] = members[-1]
+            old = SortedPathClassTable(t, classes.variant, parent,
+                                       classes.caveats)
+            assert class_table_facts(classes) == class_table_facts(old), k
+
+
+# ---------------------------------------------------------------------------
+# boundary of boundary from face identities against the column check
+
+
+def accepts(check, arg):
+    try:
+        check(arg)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_face_identity_check_agrees_with_the_column_check():
+    rng = random.Random(SEED + 16)
+    outcomes = collections.Counter()
+    for k, q in enumerate(differential_quivers()):
+        t = enumerate_paths(q)
+        cx = build_complex(t, natural_homotopy_classes(t))
+        face_rows = [cx.faces]
+        a = find_semi_normed_basis(t) if q.is_acyclic() else None
+        if a is not None and a.ok:
+            face_rows.append(simplicial_complex(a).faces)
+        for faces in face_rows:
+            check_faces_square_zero(faces)
+            check_square_zero(face_columns(faces))
+            if len(faces) < 3:
+                continue
+            # corrupt one face of one cell: a wrong index, or two faces
+            # swapped (of equal parity the column does not change)
+            n = rng.randrange(2, len(faces))
+            bad = [None] + [list(layer) for layer in faces[1:]]
+            c = rng.randrange(len(bad[n]))
+            row = list(bad[n][c])
+            i, j = rng.sample(range(n + 1), 2)
+            if rng.random() < 0.5:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = rng.randrange(len(bad[n - 1]))
+            bad[n][c] = tuple(row)
+            got = accepts(check_faces_square_zero, bad)
+            assert got == accepts(check_square_zero, face_columns(bad)), k
+            outcomes[got] += 1
+    assert outcomes == {True: 83, False: 250}
 
 
 # ---------------------------------------------------------------------------
