@@ -7,29 +7,40 @@ is traversed first, so ``source(w) = source(a1)`` and
 ``target(w) = target(a2)``.
 
 The central computed object is a :class:`PathTable`: all paths of length
-at most a bound L (the smallest length at which every path is certified to
-lie in the ideal, so the quotient algebra sees nothing longer), together
+at most a bound L (the least length at which every path lies in the
+ideal, so the quotient algebra sees nothing longer), together
 with, for each ordered vertex pair, an exact basis of the ideal's slice on
 those paths.  All downstream questions (is this combination of paths in
 the ideal, what is dim e_x A e_y, ...) reduce to exact rational linear
 algebra against these slices.
 
-The bound grows one length at a time.  A pair's paths are ordered length
-first, so a path's pair-local coordinate never moves as L grows, and each
-pair keeps one reduced basis that step L extends with
-`linalg.extend_rref`.  The basis is stored as sparse rows
-{local index: rational}, each with a 1 at its pivot, in ascending pivot
-order; like every coefficient here, a rational is an int unless its
-denominator is not 1, when it is a Fraction (see `linalg`).
+The table comes from a Groebner basis of the ideal (Buchberger-Mora;
+Mora 1986, Green 1999), kept as rewriting rules tip -> tail: the tip is
+the greatest term of an element of I in the `path_sort_key` order
+(length, then arrow names) and tip - tail lies in I.  A path in which no
+tip occurs is normal; every path p has a normal form NF(p), and p - NF(p)
+lies in I.  Overlaps of two tips are resolved shortest overlap word
+first, and a bound L is certified once every path of length L reduces
+to 0 (reduction by elements of I is a sound certificate of F^L <= I).
+The rules then reduce exactly modulo I on the paths of length <= L (see
+`enumerate_paths` for why).  The bound reported is the least L >= 2
+whose paths all reduce to 0, and each pair's ideal slice has the
+reduced basis p - NF(p) over the reducible paths p of length <= L:
+sparse rows {local index: rational}, each with a 1 at its pivot p, its
+greatest local index, in ascending pivot order.  Like every coefficient
+here, a rational is an int unless its denominator is not 1, when it is
+a Fraction (see `linalg`).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .linalg import QQ, extend_rref
+from .linalg import QQ
 
 DEFAULT_PATH_CAP = 12
 
@@ -246,16 +257,18 @@ class PathTable:
 
     Attributes:
         quiver: the BoundQuiver
-        bound: L, smallest certified length with every length-L path in I
+        bound: L, the least length >= 2 with every length-L path in I
         paths: all paths of length <= L, sorted by (length, names, source)
         index: path -> position in `paths`
         arrow_index: arrow names -> position in `paths`, paths of length
             >= 1 only (built on first read)
         pair_paths: (x, y) -> list of indices into `paths`
         local: position in `paths` -> position in its pair's list
-        ideal_rows: (x, y) -> RREF basis of I(x, y) in pair-local
-            coordinates: sparse rows {local index: rational}, each with
-            a 1 at its pivot (its least index), in ascending pivot order
+        ideal_rows: (x, y) -> reduced basis of I(x, y) in pair-local
+            coordinates, one row p - NF(p) per reducible path p: sparse
+            rows {local index: rational}, each with a 1 at its pivot p
+            (its greatest index, the tip) and its other entries at
+            normal paths, in ascending pivot order
         in_ideal: set of indices of member paths
         dims: (x, y) -> dim e_x A e_y
     """
@@ -272,9 +285,9 @@ class PathTable:
             self.local.append(len(idxs))
             idxs.append(i)
         self.ideal_rows = ideal_rows
-        # in reduced row echelon form a combination of rows has the
-        # coefficient of row i at row i's pivot, so a path's unit vector
-        # is in the span exactly when it is one of the rows
+        # no row has an entry at another row's pivot, so a combination of
+        # rows has the coefficient of row i at row i's pivot, and a path's
+        # unit vector is in the span exactly when it is one of the rows
         self.in_ideal = {self.pair_paths[pair][k]
                          for pair, rows in ideal_rows.items()
                          for row in rows if len(row) == 1 for k in row}
@@ -293,7 +306,7 @@ class PathTable:
 
         Paths longer than the bound are members outright and are dropped
         before solving (valid because F^L lies inside the ideal).  The
-        rest is reduced by the slice's RREF rows, each pivot entry of the
+        rest is reduced by the slice's basis rows, each pivot entry of the
         vector cleared by its row; a row has no entry at another pivot,
         so one pass over the vector's pivot entries leaves none, and the
         vector is in the slice exactly when nothing is left.
@@ -325,8 +338,9 @@ class PathTable:
 
     @functools.cached_property
     def pivot_rows(self):
-        """(x, y) -> {pivot: row} over `ideal_rows`."""
-        return {pair: {min(row): row for row in rows}
+        """(x, y) -> {pivot: row} over `ideal_rows`, the pivot being the
+        row's greatest index, its tip."""
+        return {pair: {max(row): row for row in rows}
                 for pair, rows in self.ideal_rows.items()}
 
     def path_in_ideal(self, p):
@@ -347,89 +361,254 @@ def _next_paths(quiver, bucket):
             for p in bucket for a in quiver.arrows_from[p.target]]
 
 
+_ARROWS = operator.attrgetter("arrows")
+
+
+def _word_key(word):
+    """`path_sort_key` order on the arrow names of parallel paths."""
+    return len(word), word
+
+
+def _occurs(inner, word):
+    n = len(inner)
+    return any(word[i:i + n] == inner for i in range(len(word) - n + 1))
+
+
+class _Rewriting:
+    """Rewriting rules tip -> tail for the ideal, grown by Buchberger.
+
+    An element of the path algebra is a dict {arrow names: rational}.  A
+    rule stores the monic element tip - tail of I whose greatest term is
+    the tip; no tip occurs inside another, so a word is normal when no
+    tip occurs in it.  `pairs` queues the overlaps of two tips, shortest
+    overlap word first; an overlap of two monomial rules resolves to 0
+    and is never queued.  `changes` counts the rules stored, so normal
+    forms read off earlier rules can be told stale.
+    """
+
+    def __init__(self, quiver):
+        self.tails = {}
+        self.lengths = []  # ascending; every tip length, maybe a few more
+        self._holding = {a.name: set() for a in quiver.arrows}
+        self.pairs = []
+        self._seq = itertools.count()
+        self.changes = 0
+
+    def reduce(self, elem):
+        """Normal form of an element: its greatest reducible term is
+        rewritten at its first tip until no term is reducible."""
+        todo = {w: QQ.of(c) for w, c in elem.items() if c}
+        out = {}
+        while todo:
+            w = max(todo, key=_word_key)
+            c = todo.pop(w)
+            at = next(((i, n) for n in self.lengths
+                       for i in range(len(w) - n + 1)
+                       if w[i:i + n] in self.tails), None)
+            if at is None:
+                out[w] = c
+                continue
+            i, n = at
+            for z, x in self.tails[w[i:i + n]].items():
+                z = w[:i] + z + w[i + n:]
+                y = QQ.of(todo.get(z, 0) + c * x)
+                if y:
+                    todo[z] = y
+                else:
+                    del todo[z]
+        return out
+
+    def _drop(self, tip):
+        """Remove a rule and return its element tip - tail."""
+        tail = self.tails.pop(tip)
+        for a in set(tip):
+            self._holding[a].discard(tip)
+        elem = {w: -c for w, c in tail.items()}
+        elem[tip] = 1
+        return elem
+
+    def _queue(self, left, right):
+        """Queue the overlaps of a suffix of `left` with a prefix of
+        `right`."""
+        if not (self.tails[left] or self.tails[right]):
+            return
+        for k in range(1, min(len(left), len(right))):
+            if left[-k:] == right[:k]:
+                heapq.heappush(self.pairs, (len(left) + len(right) - k,
+                                            next(self._seq), left, right, k))
+
+    def add(self, elems):
+        """Store the normal forms of elements of I as rules.  A rule whose
+        tip holds the new tip gives way, its element going back on the
+        worklist, and the new rule's overlaps are queued."""
+        todo = list(elems)
+        while todo:
+            h = self.reduce(todo.pop())
+            if not h:
+                continue
+            tip = max(h, key=_word_key)
+            inv = QQ.inv(h.pop(tip))
+            near = sorted(set().union(*(self._holding[a] for a in tip)),
+                          key=_word_key)
+            for t in near:
+                if _occurs(tip, t):
+                    todo.append(self._drop(t))
+            self.tails[tip] = {w: QQ.of(-inv * c) for w, c in h.items()}
+            for a in set(tip):
+                self._holding[a].add(tip)
+            if len(tip) not in self.lengths:
+                self.lengths = sorted(self.lengths + [len(tip)])
+            self.changes += 1
+            self._queue(tip, tip)
+            for t in near:
+                if t in self.tails:
+                    self._queue(tip, t)
+                    self._queue(t, tip)
+
+    def resolve(self, limit):
+        """Resolve the queued overlaps whose words have length <= limit:
+        the two rewritings of the overlap word differ by an element of I,
+        which is stored unless it reduces to 0."""
+        while self.pairs and self.pairs[0][0] <= limit:
+            _, _, left, right, k = heapq.heappop(self.pairs)
+            if left not in self.tails or right not in self.tails:
+                continue
+            u, v = left[:len(left) - k], right[k:]
+            diff = {z + v: x for z, x in self.tails[left].items()}
+            for z, x in self.tails[right].items():
+                diff[u + z] = diff.get(u + z, 0) - x
+            self.add([diff])
+
+
+def _expand(terms, nf):
+    """The sum of c * NF(w) over the (w, c) of `terms`, reading normal
+    forms off `nf` (a word missing from it is normal)."""
+    out = {}
+    for w, c in terms:
+        f = nf.get(w)
+        for y, x in f.items() if f is not None else ((w, 1),):
+            out[y] = out.get(y, 0) + c * x
+    return {y: QQ.of(x) for y, x in out.items() if x}
+
+
+def _normal_forms(rules, bucket, nf):
+    """Record the normal forms of a bucket's reducible paths in nf, keyed
+    by arrow names; normal paths are left out.  Shorter paths and earlier
+    paths of the bucket must be recorded already.
+
+    A path w = q*a has NF(w) = NF(NF(q)*a).  When q is normal, a tip can
+    occur in w only as a suffix, and there is at most one such tip (of
+    two suffixes the shorter lies in the longer); rewriting it gives
+    words less than w, whose forms are recorded.
+    """
+    tails, lengths = rules.tails, rules.lengths
+    for p in bucket:
+        w = p.arrows
+        head = nf.get(w[:-1])
+        if head is None:
+            for n in lengths:
+                if n > len(w):
+                    break
+                tail = tails.get(w[-n:])
+                if tail is not None:
+                    u = w[:-n]
+                    nf[w] = _expand(((u + z, x) for z, x in tail.items()),
+                                    nf) if tail else {}
+                    break
+        elif head:
+            a = w[-1:]
+            nf[w] = _expand(((z + a, c) for z, c in head.items()), nf)
+        else:
+            nf[w] = {}
+
+
 def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     """Find the nilpotency bound and build the PathTable.
 
-    Tries L = 2, 3, ... up to `cap`; L is accepted once every path of
-    length exactly L lies in the span of whole products u*g*v fitting in
-    length L (vacuously when no such path exists, e.g. one past the
-    longest path of an acyclic quiver, so the cap only guards cyclic
-    searches).  Raises AdmissibilityError when no L <= cap works.
+    Paths are enumerated one length at a time, each length sorted by
+    arrow names, so the table is in `path_sort_key` order as it grows.
+    For L = 2, 3, ... the overlaps of the rules (`_Rewriting`) with words
+    of length <= L are resolved, and L is certified once every path of
+    length L has normal form 0 (vacuously when there is none, e.g. one
+    past the longest path of an acyclic quiver, so the cap only guards
+    cyclic searches).  Raises AdmissibilityError, naming a path of
+    length `cap` whose normal form is not 0, when no L <= cap works.
 
-    Paths are enumerated one length at a time, as L grows.  Pair-local
-    coordinates are sorted length first, so a path's coordinate never
-    moves as L grows: each pair keeps one reduced basis that step L
-    extends by the products whose longest term has length exactly L, and
-    a length-L path is certified when its row is a unit vector.  At the
-    accepted L the products whose longest term no longer fits are added
-    with those terms dropped, which is exact once F^L <= I.
+    At a certified L the rules already reduce exactly modulo I on the
+    paths of length <= L, with words of length >= L read as 0.  With
+    every overlap of length <= L resolved, each element of V_L, the span
+    of the products u*g*v of rules whose word u*tip*v has length <= L,
+    reduces to 0 (Buchberger's criterion, cut at length L).  A length-L
+    path P reduced to 0, so P lies in V_L, and so does u*tail*v =
+    P - u*(tip - tail)*v for every tip inside P = u*tip*v.  So every
+    ambiguity the words of length L add resolves to 0, overlaps past L
+    included, and by the diamond lemma (Bergman 1978) the normal forms
+    are unique: a path lies in I exactly when it reduces to 0.  The bound
+    is the least L' >= 2 whose paths all have normal form 0.
     """
     for rel in quiver.relations:
         rel.check_admissible_format()
     acyclic = quiver.is_acyclic()
-    by_len = []
-    ending, starting = {}, {}
-    local = {}  # arrow names of a nonempty path -> pair-local index
-    size = {(v, v): 1 for v in quiver.vertices}
+    rules = _Rewriting(quiver)
+    rules.add({p.arrows: c for p, c in rel.terms}
+              for rel in quiver.relations)
+    by_len = [[Path(v, v, ()) for v in quiver.vertices]]
+    nf, seen, done = {}, None, 2
 
-    def grow():
-        """Enumerate and index the paths one longer than the last bucket."""
-        n = len(by_len)
-        bucket = (_next_paths(quiver, by_len[-1]) if by_len
-                  else [Path(v, v, ()) for v in quiver.vertices])
-        bucket.sort(key=lambda p: p.arrows)
-        by_len.append(bucket)
-        for p in bucket:
-            ending.setdefault((p.target, n), []).append(p)
-            starting.setdefault((p.source, n), []).append(p)
-            if n:
-                pair = (p.source, p.target)
-                local[p.arrows] = size.get(pair, 0)
-                size[pair] = local[p.arrows] + 1
+    def refresh(L):
+        """Normal forms of all paths of length 2 .. L under the rules."""
+        nonlocal seen, done
+        if rules.changes != seen:
+            nf.clear()
+            seen, done = rules.changes, 2
+        while done <= L:
+            _normal_forms(rules, by_len[done], nf)
+            done += 1
 
-    basis = {}  # (x, y) -> {pivot: row}, reduced
-
-    def extend(L, truncated):
-        """Add the products u*g*v whose longest term has length exactly L,
-        or with `truncated` those whose longest term no longer fits in L,
-        its terms longer than L dropped."""
-        new = {}
-        for rel in quiver.relations:
-            shortest, longest = len(rel.terms[0][0]), len(rel.terms[-1][0])
-            outer = (range(max(0, L - longest + 1), L - shortest + 1)
-                     if truncated else [L - longest])
-            for s in outer:
-                fits = [(p.arrows, c) for p, c in rel.terms
-                        if len(p) + s <= L]
-                for a in range(s + 1):
-                    for u in ending.get((rel.source, a), ()):
-                        for v in starting.get((rel.target, s - a), ()):
-                            new.setdefault((u.source, v.target), []).append(
-                                {local[u.arrows + g + v.arrows]: c
-                                 for g, c in fits})
-        for pair, rows in new.items():
-            extend_rref(basis.setdefault(pair, {}), rows)
-
+    witness = None
     for L in itertools.count(2):
         if L > cap and not acyclic:
+            if witness is None:  # below a cap of 2 every path is normal
+                a = quiver.arrows[0]
+                witness = (Path(a.source, a.target, (a.name,)) if cap >= 1
+                           else Path(a.source, a.source, ()))
             raise AdmissibilityError(
-                "no nilpotency bound L <= %d certifies the ideal admissible; "
-                "raise the path cap if the quiver is genuinely bounded"
-                % cap)
+                "no nilpotency bound L <= %d certifies the ideal admissible: "
+                "the path %s of length %d does not reduce to 0; raise the "
+                "path cap if the quiver is genuinely bounded"
+                % (cap, witness, len(witness)))
         while len(by_len) <= L:
-            grow()
-        extend(L, truncated=False)
-        # the length-L paths come last in their pairs, so when all of them
-        # are pivots their rows are unit vectors
-        if all(local[p.arrows] in basis.get((p.source, p.target), ())
-               for p in by_len[L]):
+            bucket = _next_paths(quiver, by_len[-1])
+            bucket.sort(key=_ARROWS)
+            by_len.append(bucket)
+        rules.resolve(L)
+        refresh(L)
+        witness = next((p for p in by_len[L] if nf.get(p.arrows) != {}),
+                       None)
+        if witness is None:
             break
-    extend(L, truncated=True)
-    paths = [p for bucket in by_len[:L + 1] for p in bucket]
-    paths.sort(key=lambda p: path_sort_key(quiver, p))
-    return PathTable(quiver, L, paths,
-                     {pair: [b[c] for c in sorted(b)]
-                      for pair, b in basis.items() if b})
+    bound = next(n for n in range(2, L + 1)
+                 if all(nf.get(p.arrows) == {} for p in by_len[n]))
+    # pair-local indices, needed from length 2 on, where rows live
+    size = {(v, v): 1 for v in quiver.vertices}
+    for a in quiver.arrows:
+        size[a.source, a.target] = size.get((a.source, a.target), 0) + 1
+    rows, local = {}, {}
+    for bucket in by_len[2:bound + 1]:
+        for p in bucket:
+            pair = p.source, p.target
+            k = local[p.arrows] = size.get(pair, 0)
+            size[pair] = k + 1
+            f = nf.get(p.arrows)
+            if f is not None:
+                row = {local[w]: -c for w, c in f.items()} if f else {}
+                row[k] = 1
+                if pair in rows:
+                    rows[pair].append(row)
+                else:
+                    rows[pair] = [row]
+    paths = [p for bucket in by_len[:bound + 1] for p in bucket]
+    return PathTable(quiver, bound, paths, rows)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ homotopy plus the cancellation rules a a^-1 ~ e and a^-1 a ~ e on walks.
 Chains of minimal-relation co-members are read off without enumerating
 any relation: for each vertex pair (x, y) they are the connected
 components of the matroid of W = I(x, y) restricted to the nonzero
-paths, found from the fundamental circuits of one RREF basis of W
-(`relation_components`).  The support search `minimal_relation_supports`
+paths, found from the fundamental circuits of the table's reduced basis
+of W (`relation_components`).  The support search `minimal_relation_supports`
 and the exact minimality check `is_minimal_relation` are kept only as an
 oracle for tests.
 
@@ -227,11 +227,13 @@ def relation_components(table):
     a minimal relation never crosses a component (its parts in the
     components would be proper sub-sums inside I), and any two elements of
     a connected matroid share a circuit, which is itself a minimal
-    relation.  The components come from the fundamental circuits of one
-    RREF basis of W: each row links its pivot column to every column it
-    touches (Oxley, Matroid Theory, ch. 4).  A zero path's unit vector is
-    a row of the stored RREF basis of I(x, y) and no other row touches its
-    column, so it stays a singleton.
+    relation.  The components come from the fundamental circuits of any
+    reduced basis of W, one whose pivot columns each appear in one row
+    only (Oxley, Matroid Theory, ch. 4).  The stored rows p - NF(p) are
+    one: each links its pivot, the tip p, to the normal paths it touches.
+    A zero path's row is its unit vector, and no other row touches its
+    column, a tip, so it stays a singleton; unit rows link nothing and
+    are skipped.
 
     Returns the components with at least two paths as lists of paths in
     table order.  Pairs follow the vertex order and the components of one
@@ -239,14 +241,17 @@ def relation_components(table):
     `minimal_relation_supports` emits single-circuit supports.
     """
     groups = []
-    for pair in _in_vertex_order(table, table.ideal_rows):
-        rows = table.ideal_rows[pair]
-        if not rows:
-            continue
+    linked = {}
+    for pair, rows in table.ideal_rows.items():
+        rows = [row for row in rows if len(row) > 1]
+        if rows:
+            linked[pair] = rows
+    for pair in _in_vertex_order(table, linked):
+        rows = linked[pair]
         idxs = table.pair_paths[pair]
         parent = list(range(len(idxs)))
         for row in rows:
-            pivot = min(row)
+            pivot = max(row)
             for k in row:
                 _union(parent, pivot, k)
         comps = {}

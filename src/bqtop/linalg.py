@@ -20,7 +20,10 @@ index are touched.  Three entry points run on it:
   other row.  `sparse_rref` is the extension of an empty basis; the
   reduced row echelon form is unique, so the result does not depend on
   the order of elimination or on how the rows are split between calls.
-  `nullspace` reads the kernel off it.
+  `nullspace` reads the kernel off it, and the semi-normed verifier
+  (`algcohom`) reduces each ideal slice with it, the candidates'
+  coordinates last.  The path table does not: its slices come from
+  normal forms, with the pivot at each row's greatest index (`core`).
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
   pivot vector once its index is cleared.
 * `smith_divisors(columns)` gives the invariant factors of an integer

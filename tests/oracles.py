@@ -6,7 +6,18 @@ per-pair bases were grown one length at a time: for each candidate bound
 L it forms every whole product u*g*v that fits in length L, reduces every
 vertex pair's span from scratch and tests each length-L path by reducing
 its dense unit vector; at the accepted L it rebuilds all slices once more
-from the truncated products (longer components dropped).
+from the truncated products (longer components dropped).  Its last
+step, `truncated_path_table`, is exact at any L with F^(L+1) <= I, so
+at a bound certified by normal forms it checks the Groebner table
+without a certificate of its own.
+
+`lengthwise_path_table` is the path table as it was built before the
+Groebner basis: each pair's reduced basis grown one length at a time by
+the products u*g*v whose longest term has length L, until every length-L
+path is a pivot.  Its certificate sees a path in I only through whole
+products that fit in length L, so it certifies a bound one above the
+exact index on two of the differential inputs, and none at all for the
+loops x, y bound by x^2 - y^3, x*y and y*x.
 
 `swept_natural_classes` is natural homotopy as it was computed before the
 congruence closure: the co-member groups merged, then every factor of
@@ -69,6 +80,9 @@ is the group action with its composition table and inverse search.
 `voltage_covers` gives seeded Z/2 and Z/3 voltage covers of the
 differential inputs (`voltage_cover`), Galois by construction.
 
+`random_cyclic_quiver` gives seeded small quivers with oriented cycles,
+bound by random relations of up to three terms; many are not admissible.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -89,15 +103,15 @@ from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
-from bqtop.core import (AdmissibilityError, Path, _next_paths, compose,
-                        path_sort_key)
+from bqtop.core import (AdmissibilityError, Path, PathTable, _next_paths,
+                        compose, path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
                             _in_vertex_order, _substitute, _union,
                             _word_inverse, free_reduce, pi1_presentation,
                             relation_components, spanning_tree)
-from bqtop.linalg import QQ, PrimeField, rank, sparse_rref
+from bqtop.linalg import QQ, PrimeField, extend_rref, rank, sparse_rref
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -243,7 +257,8 @@ def dense_reduces_to_zero(rows, vec):
 def rebuilt_path_table(quiver, cap):
     """(bound, paths, {pair: dense RREF rows}, in_ideal, dims) as the
     rebuild-per-L construction gives them; raises AdmissibilityError
-    with the library's message when no L <= cap certifies."""
+    with the message the library gave before normal forms when no
+    L <= cap certifies."""
     if quiver.is_acyclic():
         by_len = _paths_up_to(quiver, None)
         cap = max(cap, len(by_len) - 1)
@@ -262,6 +277,16 @@ def rebuilt_path_table(quiver, cap):
         raise AdmissibilityError(
             "no nilpotency bound L <= %d certifies the ideal admissible; "
             "raise the path cap if the quiver is genuinely bounded" % cap)
+    return (L,) + truncated_path_table(quiver, L, by_len)
+
+
+def truncated_path_table(quiver, L, by_len=None):
+    """(paths, {pair: dense RREF rows}, in_ideal, dims) on the paths of
+    length <= L, from the products u*g*v with their terms longer than L
+    dropped: the slices of I exactly once F^(L+1) <= I, since I then
+    holds what is dropped.  `by_len` lists the paths by length, at least
+    up to L, when the caller has them."""
+    by_len = by_len or _paths_up_to(quiver, L)
     rows_by_pair, pair_lists = _dense_slices(
         quiver, by_len, L, _spans(quiver, by_len, L, truncate=True))
     paths = sorted((p for bucket in by_len[:L + 1] for p in bucket),
@@ -276,7 +301,93 @@ def rebuilt_path_table(quiver, cap):
             e = [Fraction(j == k) for j in range(len(plist))]
             if rows and dense_reduces_to_zero(rows, e):
                 in_ideal.add(index[p])
-    return L, paths, rows_by_pair, in_ideal, dims
+    return paths, rows_by_pair, in_ideal, dims
+
+
+def lengthwise_path_table(quiver, cap=12):
+    """The PathTable as `enumerate_paths` built it before the Groebner
+    basis: length-by-length elimination.
+
+    Tries L = 2, 3, ... up to `cap`; L is accepted once every path of
+    length exactly L lies in the span of whole products u*g*v fitting in
+    length L (vacuously when no such path exists, e.g. one past the
+    longest path of an acyclic quiver, so the cap only guards cyclic
+    searches).  Raises AdmissibilityError when no L <= cap works.
+
+    Paths are enumerated one length at a time, as L grows.  Pair-local
+    coordinates are sorted length first, so a path's coordinate never
+    moves as L grows: each pair keeps one reduced basis that step L
+    extends by the products whose longest term has length exactly L, and
+    a length-L path is certified when its row is a unit vector.  At the
+    accepted L the products whose longest term no longer fits are added
+    with those terms dropped, which is exact once F^L <= I.
+    """
+    for rel in quiver.relations:
+        rel.check_admissible_format()
+    acyclic = quiver.is_acyclic()
+    by_len = []
+    ending, starting = {}, {}
+    local = {}  # arrow names of a nonempty path -> pair-local index
+    size = {(v, v): 1 for v in quiver.vertices}
+
+    def grow():
+        """Enumerate and index the paths one longer than the last bucket."""
+        n = len(by_len)
+        bucket = (_next_paths(quiver, by_len[-1]) if by_len
+                  else [Path(v, v, ()) for v in quiver.vertices])
+        bucket.sort(key=lambda p: p.arrows)
+        by_len.append(bucket)
+        for p in bucket:
+            ending.setdefault((p.target, n), []).append(p)
+            starting.setdefault((p.source, n), []).append(p)
+            if n:
+                pair = (p.source, p.target)
+                local[p.arrows] = size.get(pair, 0)
+                size[pair] = local[p.arrows] + 1
+
+    basis = {}  # (x, y) -> {pivot: row}, reduced
+
+    def extend(L, truncated):
+        """Add the products u*g*v whose longest term has length exactly L,
+        or with `truncated` those whose longest term no longer fits in L,
+        its terms longer than L dropped."""
+        new = {}
+        for rel in quiver.relations:
+            shortest, longest = len(rel.terms[0][0]), len(rel.terms[-1][0])
+            outer = (range(max(0, L - longest + 1), L - shortest + 1)
+                     if truncated else [L - longest])
+            for s in outer:
+                fits = [(p.arrows, c) for p, c in rel.terms
+                        if len(p) + s <= L]
+                for a in range(s + 1):
+                    for u in ending.get((rel.source, a), ()):
+                        for v in starting.get((rel.target, s - a), ()):
+                            new.setdefault((u.source, v.target), []).append(
+                                {local[u.arrows + g + v.arrows]: c
+                                 for g, c in fits})
+        for pair, rows in new.items():
+            extend_rref(basis.setdefault(pair, {}), rows)
+
+    for L in itertools.count(2):
+        if L > cap and not acyclic:
+            raise AdmissibilityError(
+                "no nilpotency bound L <= %d certifies the ideal admissible; "
+                "raise the path cap if the quiver is genuinely bounded"
+                % cap)
+        while len(by_len) <= L:
+            grow()
+        extend(L, truncated=False)
+        # the length-L paths come last in their pairs, so when all of them
+        # are pivots their rows are unit vectors
+        if all(local[p.arrows] in basis.get((p.source, p.target), ())
+               for p in by_len[L]):
+            break
+    extend(L, truncated=True)
+    paths = [p for bucket in by_len[:L + 1] for p in bucket]
+    paths.sort(key=lambda p: path_sort_key(quiver, p))
+    return PathTable(quiver, L, paths,
+                     {pair: [b[c] for c in sorted(b)]
+                      for pair, b in basis.items() if b})
 
 
 def swept_natural_classes(table):
@@ -1092,6 +1203,28 @@ def random_quiver(rng, max_vertices=6, monomial_only=False):
         j = rng.randint(i + 1, n - 1)
         arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
     rels = random_relations(rng, arrows, monomial_only=monomial_only)
+    return BoundQuiver(vertices, arrows, rels)
+
+
+def random_cyclic_quiver(rng):
+    """One vertex with two loops, or a two-cycle, maybe one more arrow,
+    bound by 2 to 4 relations: a path of length 2 to 4 beside 0 to 2
+    parallel ones, with small coefficients.  Many are not admissible."""
+    vertices = ["1", "2"][:rng.randint(1, 2)]
+    ends = ([("1", "1")] * 2 if len(vertices) == 1
+            else [("1", "2"), ("2", "1")])
+    ends += [(rng.choice(vertices), rng.choice(vertices))] * rng.randint(0, 1)
+    arrows = [("x%d" % i, s, t) for i, (s, t) in enumerate(ends)]
+    walks = forward_paths(arrows)
+    rels = []
+    for _ in range(rng.randint(2, 4)):
+        names, s, t = rng.choice(walks)
+        parallel = [w for w in walks if w[1:] == (s, t) and w[0] != names]
+        terms = [(list(names), rng.choice([1, -1, 2]))]
+        for w in rng.sample(parallel,
+                            min(len(parallel), rng.choice([0, 1, 1, 2]))):
+            terms.append((list(w[0]), rng.choice([1, -1, 3])))
+        rels.append(terms)
     return BoundQuiver(vertices, arrows, rels)
 
 

@@ -215,6 +215,14 @@ def test_check_on_a_short_cycle(tmp_path):
         "triangular": False}
 
 
+def test_check_reports_the_exact_nilpotency_bound():
+    # the length-by-length certificate reported 3 here (see the fixture)
+    code, out, _ = run_cli(["check",
+                            "tests/fixtures/overestimated_bound.bq"])
+    assert code == 0
+    assert json.loads(out)["result"]["nilpotency_bound"] == 2
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

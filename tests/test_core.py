@@ -101,6 +101,26 @@ def test_cyclic_quiver_needs_bounding_relations():
     assert not props.semi_commutative
 
 
+def test_overlap_certifies_x2_minus_y3():
+    # y*y*y*x rewrites to x*x*x through x^2 - y^3 and to 0 through y*x, so
+    # x^3 lies in I and F^4 <= I, though no product u*g*v within length 4
+    # holds x^3: the overlap y^3.x is what certifies the bound
+    q = bq(["1"], [("x", "1", "1"), ("y", "1", "1")],
+           [[(["x", "x"], 1), (["y", "y", "y"], -1)],
+            [(["x", "y"], 1)], [(["y", "x"], 1)]])
+    t = enumerate_paths(q)
+    assert t.bound == 4
+    pivots = t.pivot_rows[("1", "1")]
+    assert [str(p) for k, p in enumerate(t.paths) if k not in pivots] == [
+        "e_1", "x", "y", "x*x", "y*y"]
+    assert t.path_in_ideal(q.path(["x", "x", "x"]))
+    assert not t.path_in_ideal(q.path(["y", "y", "y"]))
+    assert t.vector_in_ideal([(q.path(["y", "y", "y"]), 1),
+                              (q.path(["x", "x"]), -1)])
+    p = algebra_properties(t)
+    assert p.nilpotency_bound == 4 and p.total_dimension == 5
+
+
 def test_long_chain_is_acyclic(square_zero_chain):
     # deeper than the recursion limit, so the check must not recurse
     with open(square_zero_chain(2000)) as fh:

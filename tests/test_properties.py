@@ -37,10 +37,12 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      SortedPathClassTable, cocycle_image_degrees,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
-                     folded_epsilon_mu, forward_paths, loops, random_quiver,
-                     reenumerated_pushout, rebuilt_path_table,
+                     folded_epsilon_mu, forward_paths,
+                     lengthwise_path_table, loops, random_cyclic_quiver,
+                     random_quiver, reenumerated_pushout, rebuilt_path_table,
                      rotation_canonical, rounds_tietze, swept_natural_classes,
-                     walked_hochschild, walked_simplicial)
+                     truncated_path_table, walked_hochschild,
+                     walked_simplicial)
 
 _CPLX = None
 
@@ -599,41 +601,123 @@ def test_faces_match_the_backtracking_oracle(comm_grid):
 
 
 # ---------------------------------------------------------------------------
-# the path table grown one length at a time against the rebuild-per-L oracle
+# the path table from a Groebner basis against the rebuild-per-L and the
+# length-by-length oracles
 
 
-NOT_CERTIFIED = [
-    loops(["1"], [("x", "1", "1")], []),
-    loops(["1"], [("x", "1", "1"), ("y", "1", "1")],
-          ["x*x+-y*y*y", "x*y", "y*x"]),
-]
+# differential_quivers() positions where both oracles certify a bound one
+# above the exact index, (exact, theirs)
+OVERESTIMATED = {68: (3, 4), 101: (2, 3)}
+
+UNBOUNDED_LOOP = loops(["1"], [("x", "1", "1")], [])
 
 
-def table_facts(t):
-    dense = {pair: [[row.get(k, Fraction(0))
-                     for k in range(len(t.pair_paths[pair]))]
-                    for row in rows]
-             for pair, rows in t.ideal_rows.items()}
-    return t.bound, t.paths, dense, t.in_ideal, t.dims
+def table_facts(paths, rows_by_pair, in_ideal, dims, cut):
+    """(paths, {pair: RREF of its rows}, in_ideal, dims) on the paths of
+    length <= cut, to compare with a table whose bound is cut.  The
+    paths cut off must be zero: their unit vectors then give pivots past
+    every kept coordinate, and no other RREF row reaches them."""
+    kept = [p for p in paths if len(p) <= cut]
+    assert set(range(len(kept), len(paths))) <= in_ideal
+    count = collections.Counter((p.source, p.target) for p in kept)
+    spans = {}
+    for pair, rows in rows_by_pair.items():
+        reduced = [(c, row) for c, row in sparse_rref(rows)
+                   if c < count[pair]]
+        assert all(max(row) < count[pair] for _, row in reduced)
+        if reduced:
+            spans[pair] = reduced
+    return (kept, spans, in_ideal & set(range(len(kept))),
+            {pair: d for pair, d in dims.items() if count[pair]})
+
+
+def facts_of(t, cut):
+    return table_facts(t.paths, t.ideal_rows, t.in_ideal, t.dims, cut)
+
+
+def assert_tip_pivots(t):
+    """Each row is p - NF(p): no zero entries, a 1 at its pivot p, the
+    greatest index, the pivots ascending, and no row touching another
+    row's pivot (its other entries sit at normal paths)."""
+    for pair, rows in t.ideal_rows.items():
+        tips = [max(row) for row in rows]
+        assert tips == sorted(set(tips))
+        for row in rows:
+            assert row[max(row)] == 1 and all(row.values())
+            assert not set(row) & set(tips) - {max(row)}
 
 
 def test_path_table_matches_the_rebuild_per_bound_oracle():
-    for q in differential_quivers():
+    bounds = {}
+    for k, q in enumerate(differential_quivers()):
         t = enumerate_paths(q)
-        # sparse rows without zeros and with a 1 at the pivot; the dense
-        # comparison checks their order
-        assert all(row[min(row)] == 1 and all(row.values())
-                   for rows in t.ideal_rows.values() for row in rows)
-        assert table_facts(t) == rebuilt_path_table(q, 12)
+        assert_tip_pivots(t)
+        bound, paths, rows, in_ideal, dims = rebuilt_path_table(q, 12)
+        if bound != t.bound:
+            bounds[k] = (t.bound, bound)
+        assert (facts_of(t, t.bound)
+                == table_facts(paths, rows, in_ideal, dims, t.bound))
+    assert bounds == OVERESTIMATED
     t = enumerate_paths(TRUNCATED)
     assert t.bound == 3
     assert t.path_in_ideal(TRUNCATED.path(["a", "b"]))
-    for q in NOT_CERTIFIED:
-        with pytest.raises(AdmissibilityError) as got:
-            enumerate_paths(q, cap=7)
-        with pytest.raises(AdmissibilityError) as want:
-            rebuilt_path_table(q, 7)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(AdmissibilityError) as got:
+        enumerate_paths(UNBOUNDED_LOOP, cap=7)
+    assert str(got.value) == (
+        "no nilpotency bound L <= 7 certifies the ideal admissible: the "
+        "path x*x*x*x*x*x*x of length 7 does not reduce to 0; raise the "
+        "path cap if the quiver is genuinely bounded")
+
+
+def test_groebner_table_matches_the_lengthwise_table(comm_grid):
+    quivers = differential_quivers()
+    assert len(quivers) == 299
+    quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5, 6)]
+    bounds = {}
+    for k, q in enumerate(quivers):
+        t, old = enumerate_paths(q), lengthwise_path_table(q)
+        if old.bound != t.bound:
+            bounds[k] = (t.bound, old.bound)
+            # on the old table's own exact membership, every path of the
+            # exact bound's length already lies in I
+            assert all(i in old.in_ideal for i, p in enumerate(old.paths)
+                       if len(p) == t.bound)
+        assert facts_of(t, t.bound) == facts_of(old, t.bound)
+        assert relation_components(t) == relation_components(old)
+        classes = [{frozenset(i for i in members if i < len(t.paths))
+                    for members in natural_homotopy_classes(u).class_members}
+                   - {frozenset()} for u in (t, old)]
+        assert classes[0] == classes[1], k
+    assert bounds == OVERESTIMATED
+
+
+def test_groebner_table_on_cyclic_quivers_matches_the_truncated_products():
+    # a certified bound L gives F^(L+1) <= I, so the products u*g*v with
+    # their terms past L dropped span the slices exactly: an oracle that
+    # needs no certificate of its own, where the lengthwise one often
+    # fails or certifies a larger bound
+    rng = random.Random(SEED + 17)
+    seen = collections.Counter()
+    for _ in range(200):
+        q = random_cyclic_quiver(rng)
+        try:
+            t = enumerate_paths(q, cap=6)
+        except AdmissibilityError:
+            seen["not certified"] += 1
+            continue
+        assert_tip_pivots(t)
+        assert facts_of(t, t.bound) == table_facts(
+            *truncated_path_table(q, t.bound), t.bound)
+        try:
+            old = lengthwise_path_table(q, cap=6)
+        except AdmissibilityError:
+            seen["certified by normal forms only"] += 1
+            continue
+        assert facts_of(t, t.bound) == facts_of(old, t.bound)
+        seen["lengthwise bound higher" if old.bound > t.bound
+             else "same bound"] += 1
+    assert seen == {"not certified": 130, "certified by normal forms only": 16,
+                    "lengthwise bound higher": 38, "same bound": 16}
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +1030,7 @@ def test_vector_membership_matches_extending_a_copy_of_the_slice():
                 if rng.random() < 0.5:
                     k = rng.randrange(len(paths))
                     vec[k] = vec.get(k, 0) + Fraction(1, rng.randint(1, 3))
-                basis = {min(row): dict(row) for row in rows}
+                basis = dict(sparse_rref(rows))
                 extend_rref(basis, [vec])
                 want = len(basis) == len(rows)
                 got = t.vector_in_ideal([(paths[k], c)
