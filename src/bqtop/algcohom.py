@@ -4,16 +4,19 @@ A semi-normed basis of A = kQ/I is a basis containing the identities and
 the arrows and closed under multiplication up to scalars: for basis
 elements s, s' either s s' = 0 or s s' = lambda * b(s, s') for a unique
 basis element.  The finder takes one candidate per nonzero natural
-homotopy class (its canonical representative) plus the identities, and
-verifies counts, independence, and closure exactly against the path
-table.  This candidate set succeeds whenever ANY semi-normed basis
-exists: distinct basis elements have non-proportional representative
-paths, and parallel nonzero paths with proportional images always lie in
-one natural class (a two-term combination in the ideal whose single
-terms are outside it merges them), so basis elements correspond
-bijectively to nonzero classes.  A user-supplied basis of paths goes
-through the same verifier.  It reduces each vertex pair's ideal slice
-once, with the candidates' coordinates last: the candidates are
+homotopy class (its canonical representative) plus the identities.  This
+candidate set succeeds whenever ANY semi-normed basis exists: distinct
+basis elements have non-proportional representative paths, and parallel
+nonzero paths with proportional images always lie in one natural class
+(a two-term combination in the ideal whose single terms are outside it
+merges them), so basis elements correspond bijectively to nonzero
+classes.  When the counts fit, the candidates are the normal words of
+the path table's Groebner basis, and the finder reads the basis and its
+products off the table's tip rows p - NF(p) without eliminating anything
+(see `find_semi_normed_basis`); otherwise it hands the candidates to the
+verifier, which writes the witnesses.  A user-supplied basis of paths
+goes through the same verifier.  It reduces each vertex pair's ideal
+slice once, with the candidates' coordinates last: the candidates are
 independent modulo the ideal exactly when no pivot lands on one of them,
 and then the reduced row of every other path of the pair is its
 expansion in the basis, so a product of two basis elements is one
@@ -167,15 +170,80 @@ def _acyclic_classes(table, classes):
 
 
 def find_semi_normed_basis(table, classes=None):
-    """The verifier run on one representative per nonzero natural class.
+    """The basis of one representative per nonzero natural class.
 
-    The representatives are nonzero and distinct and every arrow is a
-    class of its own, so none of the verifier's pre-checks can fire.
+    When every vertex pair holds as many identities and representatives
+    as its dimension and no representative is a tip, the representatives
+    are the table's normal words, and the basis and its products are read
+    off the tip rows p - NF(p) with no elimination.  For natural classes
+    the counts decide it.  If a pair's counts match, each nonzero class
+    holds exactly one normal word: a tip's row links it to every normal
+    word of its normal form, so every nonzero class holds one, and one
+    class with two would lower the count.  That word is the class's least
+    nonzero member, its representative, since normal-form terms are
+    smaller than their tip.  The verifier reduces each slice with its
+    columns ordered "non-candidates, then candidates"; for that order the
+    reduced echelon form is unique and the tip rows are in it, so they
+    are the rows the verifier computes.  A product is None past the bound
+    or in the ideal, (1, k) on basis element k, and otherwise a tip whose
+    row gives it; a row with more than one other entry is the verifier's
+    witness.
+
+    Otherwise the representatives go through `verify_semi_normed_basis`,
+    which writes the witnesses.  They are nonzero and distinct and every
+    arrow is a class of its own, so none of its pre-checks can fire.
     """
     classes = _acyclic_classes(table, classes)
-    return verify_semi_normed_basis(
-        table, [classes.class_rep[cid] for cid in classes.one_cell_classes()],
-        classes)
+    reps = [classes.class_rep[cid] for cid in classes.one_cell_classes()]
+    tips = table.pivot_rows
+    held = {}
+    for p in reps:
+        pair = p.source, p.target
+        if table.local[table.index[p]] in tips.get(pair, ()):
+            return verify_semi_normed_basis(table, reps, classes)
+        held[pair] = held.get(pair, 0) + 1
+    if any(held.get(pair, 0) + (pair[0] == pair[1]) != dim
+           for pair, dim in table.dims.items()):
+        return verify_semi_normed_basis(table, reps, classes)
+
+    # identities come first in the table, by vertex, and the basis is in
+    # table order: element k is the k-th of these table positions.  The
+    # natural representatives are in that order already; a partition
+    # whose class opens with a zero path may list them otherwise
+    nv = len(table.quiver.vertices)
+    at = list(range(nv)) + sorted(table.index[p] for p in reps)
+    element = {i: k for k, i in enumerate(at)}
+    elements = [BasisElement(k, table.paths[i], 1) for k, i in enumerate(at)]
+    starting = {}
+    for e in elements:
+        starting.setdefault(e.path.source, []).append(e)
+    witnesses = []
+    product = {}
+    for e1 in elements:
+        for e2 in starting[e1.path.target]:
+            if e1.index < nv or e2.index < nv:
+                product[(e1.index, e2.index)] = \
+                    (1, e2.index if e1.index < nv else e1.index)
+                continue
+            i = table.arrow_index.get(e1.path.arrows + e2.path.arrows)
+            if i is None or i in table.in_ideal:
+                product[(e1.index, e2.index)] = None
+            elif i in element:
+                product[(e1.index, e2.index)] = (1, element[i])
+            else:
+                pair = e1.path.source, e2.path.target
+                k = table.local[i]
+                off = [(c, x) for c, x in tips[pair][k].items() if c != k]
+                if len(off) == 1:
+                    c, x = off[0]
+                    product[(e1.index, e2.index)] = \
+                        (-x, element[table.pair_paths[pair][c]])
+                else:
+                    witnesses.append("product %s * %s expands with %d basis "
+                                     "terms" % (e1, e2, len(off)))
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+    return SemiNormedAlgebra(table, classes, elements, product)
 
 
 def verify_semi_normed_basis(table, paths, classes=None):

@@ -4,7 +4,10 @@ Reports follow a fixed envelope (schema tag, tool version, input echo,
 resolved configuration, result, caveat list) and are serialized with
 sorted keys and stable ordering, so identical input and configuration
 produce byte-identical output.  No timestamps or absolute paths are
-injected.
+injected.  The report text is written directly by `_report_text`, byte
+for byte what `json.dumps(report, indent=2, sort_keys=True)` gives, with
+strings going through the C string encoder (with an indent, `json.dumps`
+runs its pure-Python encoder).
 
 Exit codes: 0 when the command computed what it was asked; 1 when a
 verdict-style command found its verdict false or a domain precondition
@@ -19,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .algcohom import (HochschildComplex, NoSemiNormedBasis,
@@ -402,6 +406,59 @@ def _input_echo(args, quiver):
             "relations": len(quiver.relations)}
 
 
+def _report_text(doc):
+    """`json.dumps(doc, indent=2, sort_keys=True)`, written directly.
+
+    Containers are dicts with string keys, lists and tuples; strings go
+    through the C string encoder, ints, bools and None are written
+    inline, and any other leaf by `json.dumps` itself (which raises on a
+    value JSON cannot hold).  A key that is not a string raises
+    TypeError.  Open containers are kept on a stack of (entries, indent,
+    closing) frames, each entry being the text before a value and the
+    value.
+    """
+    parts = []
+    put = parts.append
+    frames = [(iter((("", doc),)), "\n", "")]
+    while frames:
+        entries, nl, close = frames[-1]
+        for before, value in entries:
+            put(before)
+            if isinstance(value, str):
+                put(_quote(value))
+            elif value is None:
+                put("null")
+            elif value is True:
+                put("true")
+            elif value is False:
+                put("false")
+            elif isinstance(value, int):
+                put(int.__repr__(value))
+            elif isinstance(value, (list, tuple, dict)) and value:
+                inner = nl + "  "
+                if isinstance(value, dict):
+                    keys = sorted(value)
+                    seq = [("," + inner + _quote(k) + ": ", value[k])
+                           for k in keys]
+                    opening, closing = "{", nl + "}"
+                else:
+                    seq = [("," + inner, v) for v in value]
+                    opening, closing = "[", nl + "]"
+                seq[0] = (opening + seq[0][0][1:], seq[0][1])
+                frames.append((iter(seq), inner, closing))
+                break
+            elif isinstance(value, (list, tuple)):
+                put("[]")
+            elif isinstance(value, dict):
+                put("{}")
+            else:
+                put(json.dumps(value))
+        else:
+            frames.pop()
+            put(close)
+    return "".join(parts)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -433,7 +490,7 @@ def main(argv=None):
             "result": result,
             "caveats": sorted(set(caveats)),
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_report_text(doc) + "\n", args.out)
         return 0 if ok else 1
     except ParseError as e:
         print("bqtop: syntax error: %s" % e, file=sys.stderr)

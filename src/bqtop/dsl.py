@@ -25,7 +25,6 @@ from .core import BoundQuiver, MalformedRelation, Path, QuiverError, RelVector
 from .coverings import QuiverMorphism
 from .linalg import QQ
 
-_TOKEN = re.compile(r"\S+")
 _COEFF = re.compile(r"-?\d+(/\d+)?\Z")
 
 
@@ -47,7 +46,12 @@ def _tokens(text):
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = [(m.group(0), ln, m.start() + 1) for m in _TOKEN.finditer(line)]
+        toks = []
+        at = 0
+        for tok in line.split():
+            at = line.index(tok, at)
+            toks.append((tok, ln, at + 1))
+            at += len(tok)
         if toks:
             out.append(toks)
     return out
@@ -58,7 +62,8 @@ def _parse_term(tok, ln, col, sign, arrows):
     coeff = sign
     if pieces and _COEFF.match(pieces[0]):
         try:
-            coeff = sign * QQ.of(pieces[0])
+            coeff = sign * (QQ.of(pieces[0]) if "/" in pieces[0]
+                            else int(pieces[0]))
         except ZeroDivisionError:
             raise ParseError("coefficient %r has a zero denominator"
                              % pieces[0], ln, col) from None

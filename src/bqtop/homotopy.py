@@ -39,6 +39,7 @@ parent's.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -501,10 +502,13 @@ def abelianization(pres):
 
 def _cyclic_canonical(word):
     """Least rotation among the word and its inverse (dedup key), letters
-    compared by name and then positive exponent first."""
-    return min((w[k:] + w[:k] for w in (word, _word_inverse(word))
-                for k in range(max(1, len(w)))),
-               key=lambda rot: [(name, -s) for name, s in rot])
+    compared by name and then positive exponent first.  The rotations
+    are compared as words of keys (name, -exponent), built once."""
+    keyed = tuple((name, -s) for name, s in word)
+    inverse = tuple((name, s) for name, s in reversed(word))
+    least = min(w[k:] + w[:k] for w in (keyed, inverse)
+                for k in range(max(1, len(w))))
+    return tuple((name, -t) for name, t in least)
 
 
 def _cyclic_reduce(word):
@@ -537,41 +541,85 @@ def simplify_presentation(pres):
     return _tietze(pres)[0]
 
 
+def _eliminates(word):
+    """Whether a relator names a generator to eliminate: g^e, or g^e h^d
+    with h distinct."""
+    return len(word) == 1 or len(word) == 2 and word[0][0] != word[1][0]
+
+
 def _tietze(pres):
     """`simplify_presentation` and its substitution map.
 
-    The map sends each eliminated generator to a freely reduced word in
-    the surviving generators that equals it in the group.  Each round
-    deduplicates the relators, then eliminates through the first one of
-    length 1, or 2 with distinct generators, and the loop stops when
-    none is left.  Each distinct word is canonicalised once per call.
+    The relators keep their original positions, and an index lists the
+    relators each generator occurs in.  No two live relators of length
+    up to DEDUPE_BOUND are in one class (rotation and inversion): the
+    one at the earlier position stays.  Each round eliminates a generator
+    through the first live relator that `_eliminates` one and substitutes
+    only into the relators that hold it, since the others are unchanged;
+    the loop stops when no such relator is left.  The map sends each
+    eliminated generator to a freely reduced word in the surviving
+    generators that equals it in the group.  Free reduction commutes with
+    substitution, so the map is composed once, at the end.  Each distinct
+    word is canonicalised once per call.
     """
-    gens = list(pres.generators)
-    rels = [_cyclic_reduce(r) for r in pres.relators]
-    subst = {}
     canonical = functools.cache(_cyclic_canonical)
-    while True:
-        kept = {}  # first relator of each class; long ones keyed apart
-        for k, r in enumerate(rels):
-            if r:
-                kept.setdefault(canonical(r) if len(r) <= DEDUPE_BOUND
-                                else k, r)
-        rels = list(kept.values())
-        idx = next((k for k, r in enumerate(rels) if len(r) == 1
-                    or (len(r) == 2 and r[0][0] != r[1][0])), None)
-        if idx is None:
-            break
+    rels = {}     # position -> cyclically reduced word, live relators only
+    holding = {}  # generator -> positions of the live relators holding it
+    first = {}    # canonical form -> position of its live short relator
+    ready = []    # heap of positions whose relator may eliminate
+
+    def take(k):
+        """Drop relator k and return its word."""
+        w = rels.pop(k)
+        for name, _ in w:
+            holding[name].discard(k)
+        if len(w) <= DEDUPE_BOUND:
+            del first[canonical(w)]
+        return w
+
+    def place(k, w):
+        """Make w relator k, unless it is empty or its class has a relator
+        at an earlier position; one at a later position is dropped."""
+        if not w:
+            return
+        if len(w) <= DEDUPE_BOUND:
+            j = first.get(canonical(w))
+            if j is not None and j < k:
+                return
+            if j is not None:
+                take(j)
+            first[canonical(w)] = k
+        rels[k] = w
+        for name, _ in w:
+            holding.setdefault(name, set()).add(k)
+        if _eliminates(w):
+            heapq.heappush(ready, k)
+
+    for k, r in enumerate(pres.relators):
+        place(k, _cyclic_reduce(r))
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        if k not in rels or not _eliminates(rels[k]):
+            continue  # an entry left by an earlier word of relator k
         # g^e = 1  =>  g = 1;  g^e h^d = 1  =>  g = h^(-d*e)
-        (g, e), *rest = rels[idx]
+        (g, e), *rest = take(k)
         rep = tuple((h, -d * e) for h, d in rest)
-        gens.remove(g)
-        for k in subst:
-            subst[k] = _substitute(subst[k], g, rep)
-        subst[g] = rep
-        rels = [_cyclic_reduce(_substitute(w, g, rep))
-                for k, w in enumerate(rels) if k != idx]
-    rels = [canonical(r) if len(r) <= DEDUPE_BOUND else r for r in rels]
-    return Presentation(tuple(gens), tuple(rels), pres.base), subst
+        order.append((g, rep))
+        changed = [(j, take(j)) for j in sorted(holding.get(g, ()))]
+        for j, w in changed:
+            place(j, _cyclic_reduce(_substitute(w, g, rep)))
+    subst = {}
+    for g, rep in reversed(order):
+        word = []
+        for h, d in rep:
+            image = subst.get(h, ((h, 1),))
+            word.extend(image if d == 1 else _word_inverse(image))
+        subst[g] = free_reduce(word)
+    gens = tuple(g for g in pres.generators if g not in subst)
+    rels = tuple(canonical(w) if len(w) <= DEDUPE_BOUND else w
+                 for _, w in sorted(rels.items()))
+    return Presentation(gens, rels, pres.base), subst
 
 
 # ---------------------------------------------------------------------------

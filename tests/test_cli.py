@@ -8,11 +8,12 @@ import pathlib
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from bqtop import coverings
-from bqtop.cli import main
+from bqtop.cli import _report_text, main
 from bqtop.complex import build_complex
 from bqtop.core import enumerate_paths
 from bqtop.dsl import parse
@@ -545,3 +546,51 @@ def test_modulus_beyond_the_certified_range_exit_2():
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["coefficients"] == "Fp:1000000000000000003"
+
+
+def random_report_value(rng, depth=0):
+    """A seeded nested value of the types reports hold, with escapes,
+    non-ASCII text, big and negative ints and empty containers."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-10 ** 30, 10 ** 30)
+    if kind == 2:
+        return "".join(rng.choice('ab"\\/\n\t\x00\x7f\u00e9\u20ac\U0001f600 ')
+                       for _ in range(rng.randrange(6)))
+    if kind == 3:
+        return rng.randrange(-3, 3)
+    if kind == 4:
+        return rng.choice(["", [], (), {}])
+    if kind in (5, 6):
+        return [random_report_value(rng, depth + 1)
+                for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return tuple(random_report_value(rng, depth + 1)
+                     for _ in range(rng.randrange(3)))
+    return {"".join(rng.choice('ab"\\\u00e9') for _ in range(rng.randrange(4))):
+            random_report_value(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_report_writer_matches_json_dumps():
+    goldens = [json.loads(p.read_text())
+               for p in sorted(GOLDEN.glob("*.json"))]
+    assert len(goldens) == 22
+    rng = random.Random(29)
+    values = goldens + [random_report_value(rng) for _ in range(3000)]
+    for v in values:
+        assert _report_text(v) == json.dumps(v, indent=2, sort_keys=True)
+    for p in sorted(GOLDEN.glob("*.json")):
+        assert _report_text(json.loads(p.read_text())) + "\n" \
+            == p.read_text()
+
+
+def test_report_writer_rejects_what_json_rejects():
+    for bad in ({1: "a"}, {"a": [{None: 1}]}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            _report_text(bad)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        _report_text({"a": [Fraction(1, 2)]})
+    assert _report_text([1.5, -0.0]) == json.dumps([1.5, -0.0], indent=2)

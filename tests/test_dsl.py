@@ -124,6 +124,26 @@ def test_error_positions():
     assert "length 1" in msg
 
 
+def test_token_columns():
+    # tabs count one column each
+    msg = positioned("arrow a 1 2\narrow\t\ta\t1 2\n")
+    assert msg.startswith("2:8:") and "duplicate arrow 'a'" in msg
+    # repeated spaces
+    msg = positioned("arrow a 1 2\narrow b 2 3\nrel   a*b   +   zz\n")
+    assert msg.startswith("3:17:") and "unknown arrow 'zz'" in msg
+    # a token seen earlier on the line, whole and inside another token
+    msg = positioned("arrow a 1 2\narrow b 2 3\nrel a*b + a*b\ta*b\n")
+    assert msg.startswith("3:15:") and "got 'a*b'" in msg
+    msg = positioned("arrow a 1 2\narrow b 2 3\nrel a*b   b\n")
+    assert msg.startswith("3:11:") and "got 'b'" in msg
+    # a trailing comment holds no tokens
+    msg = positioned("arrow a 1 2 # zz\nrel a*zz # zz\n")
+    assert msg.startswith("2:5:") and "unknown arrow 'zz'" in msg
+    msg = positioned("arrow a 1 2#3\nrel a*a#a\n")
+    assert msg.startswith("2:5:") and "path breaks" in msg
+    assert parse("vertex 1 # 2 3\n").vertices == ("1",)
+
+
 def test_bad_statement_and_arity():
     with pytest.raises(ParseError):
         parse("foo bar\n")

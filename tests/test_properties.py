@@ -25,12 +25,13 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    relation_components, simplicial_complex,
                    van_kampen_pushout, verify_semi_normed_basis,
                    walk_homotopy_classes)
+from bqtop import algcohom
 from bqtop.complex import (check_faces_square_zero, check_square_zero,
                            face_columns)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
-from bqtop.homotopy import (HypothesisViolated, Presentation, _presentation,
-                            _spanning_forest, _tietze)
+from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
+                            _presentation, _spanning_forest, _tietze)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
@@ -870,6 +871,115 @@ def test_semi_normed_verifier_matches_the_dense_solve_oracle(comm_grid):
     # a product with several basis terms
     assert outcomes["ok"] > 400
     assert all(outcomes[k] for k in WITNESS_KINDS)
+
+
+def partition(table, groups):
+    """The class table of a partition of the table's path indices."""
+    parent = list(range(len(table.paths)))
+    for members in groups:
+        for i in members:
+            parent[i] = members[0]
+    return PathClassTable(table, "natural", parent)
+
+
+def test_tip_row_basis_matches_the_verifier(comm_grid, monkeypatch):
+    """The finder reads the basis off the tip rows exactly when the counts
+    fit and no representative is a tip, then without any elimination, and
+    gives the verifier's answer on every route."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(algcohom, name, call)
+
+    counted("verify_semi_normed_basis", verify_semi_normed_basis)
+    counted("extend_rref", extend_rref)
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5, 6)]
+    outcomes = collections.Counter()
+    for q in quivers:
+        t = enumerate_paths(q)
+        nat = natural_homotopy_classes(t)
+
+        def pair(i):
+            return t.paths[i].source, t.paths[i].target
+
+        def is_tip(i):
+            return t.local[i] in t.pivot_rows.get(pair(i), {})
+
+        groups = [list(m) for m in nat.class_members]
+        # finer: a nonzero tip split off its class, so that it becomes the
+        # representative of a class of its own
+        finer = None
+        for k, members in enumerate(groups):
+            tips = [i for i in members if is_tip(i) and i not in t.in_ideal]
+            if tips:
+                rest = [i for i in members if i != tips[0]]
+                finer = groups[:k] + [rest, tips[:1]] + groups[k + 1:]
+                break
+        # reordered: a zero path joins the class of the last of two later
+        # representatives of its pair, so that class comes first
+        reordered = None
+        reps = [nat.class_rep[cid] for cid in nat.one_cell_classes()]
+        for z in sorted(t.in_ideal):
+            later = [t.index[p] for p in reps
+                     if pair(t.index[p]) == pair(z) and t.index[p] > z]
+            if len(later) >= 2:
+                reordered = [[i for i in m if i != z] for m in groups]
+                reordered = [m + [z] if later[-1] in m else m
+                             for m in reordered if m]
+                break
+        # split: every normal word in a class of its own, the tips kept
+        # with the least normal word of their class, so that the counts fit
+        split = []
+        for members in groups:
+            normal = [i for i in members
+                      if not is_tip(i) and i not in t.in_ideal]
+            split.append([i for i in members if i not in normal[1:]])
+            split += [[i] for i in normal[1:]]
+        if len(split) == len(groups):
+            split = None
+        for kind, classes in (("natural", nat),
+                              ("finer", finer and partition(t, finer)),
+                              ("reordered",
+                               reordered and partition(t, reordered)),
+                              ("split", split and partition(t, split))):
+            if classes is None:
+                continue
+            reps = [classes.class_rep[cid]
+                    for cid in classes.one_cell_classes()]
+            held = collections.Counter((p.source, p.target) for p in reps)
+            fits = all(held[xy] + (xy[0] == xy[1]) == dim
+                       for xy, dim in t.dims.items())
+            tipped = any(is_tip(t.index[p]) for p in reps)
+            calls.clear()
+            found = find_semi_normed_basis(t, classes)
+            fast = fits and not tipped
+            assert calls["verify_semi_normed_basis"] == (not fast), kind
+            if fast:
+                assert calls["extend_rref"] == 0, kind
+            expected = verify_semi_normed_basis(t, reps, classes)
+            assert found.ok == expected.ok
+            if found.ok:
+                assert ([e.path for e in found.elements]
+                        == [e.path for e in expected.elements])
+                assert found.product == expected.product
+            else:
+                assert found.witnesses == expected.witnesses
+            outcomes[kind, "fast" if fast else "verifier", found.ok] += 1
+            if tipped:
+                outcomes[kind, "tipped"] += 1
+    assert len(quivers) == 295 + 3
+    # natural classes fail only on counts, never on a tip; a split leaves
+    # two-term tips, which fail on the fast route
+    assert outcomes == {("natural", "fast", True): 278,
+                        ("natural", "verifier", False): 20,
+                        ("finer", "verifier", False): 88,
+                        ("finer", "tipped"): 88,
+                        ("reordered", "fast", True): 8,
+                        ("split", "fast", False): 20}
 
 
 # ---------------------------------------------------------------------------
