@@ -10,17 +10,19 @@ basis elements have non-proportional representative paths, and parallel
 nonzero paths with proportional images always lie in one natural class
 (a two-term combination in the ideal whose single terms are outside it
 merges them), so basis elements correspond bijectively to nonzero
-classes.  When the counts fit, the candidates are the normal words of
-the path table's Groebner basis, and the finder reads the basis and its
-products off the table's tip rows p - NF(p) without eliminating anything
-(see `find_semi_normed_basis`); otherwise it hands the candidates to the
-verifier, which writes the witnesses.  A user-supplied basis of paths
-goes through the same verifier.  It reduces each vertex pair's ideal
-slice once, with the candidates' coordinates last: the candidates are
-independent modulo the ideal exactly when no pivot lands on one of them,
-and then the reduced row of every other path of the pair is its
-expansion in the basis, so a product of two basis elements is one
-lookup.
+classes.
+
+One builder, `verify_semi_normed_basis`, checks the finder's candidates
+and user-supplied bases of paths alike and writes the witnesses.  Per
+vertex pair it needs the reduced echelon form of the ideal slice with
+the candidates' coordinates last: the candidates are independent modulo
+the ideal exactly when no pivot lands on one of them, and then the row
+of every other path of the pair is its expansion in the basis, so a
+product of two basis elements is one lookup.  Where no candidate is a
+tip, the candidates are the normal words of the path table's Groebner
+basis and the table's tip rows p - NF(p) are that form, so nothing is
+eliminated; the natural representatives are always such words when the
+counts fit.  Other pairs are reduced once.
 
 From the basis: the simplicial complex SC has SC_0 = vertices and SC_n =
 tuples of non-identity basis elements with nonzero product, with an
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Path, algebra_properties, compose, path_sort_key
+from .core import Path, algebra_properties
 from .linalg import QQ, PrimeField, extend_rref
 from .complex import (_betti, _ranks, check_faces_square_zero,
                       check_square_zero, cohomology_of_matrices,
@@ -108,7 +110,6 @@ class SemiNormedFailure:
 class BasisElement:
     index: int
     path: Path           # representative path p(v)
-    scale: object        # rational, v = scale * image(p(v)); 1 here
 
     @property
     def is_identity(self):
@@ -170,172 +171,137 @@ def _acyclic_classes(table, classes):
 
 
 def find_semi_normed_basis(table, classes=None):
-    """The basis of one representative per nonzero natural class.
-
-    When every vertex pair holds as many identities and representatives
-    as its dimension and no representative is a tip, the representatives
-    are the table's normal words, and the basis and its products are read
-    off the tip rows p - NF(p) with no elimination.  For natural classes
-    the counts decide it.  If a pair's counts match, each nonzero class
-    holds exactly one normal word: a tip's row links it to every normal
-    word of its normal form, so every nonzero class holds one, and one
-    class with two would lower the count.  That word is the class's least
-    nonzero member, its representative, since normal-form terms are
-    smaller than their tip.  The verifier reduces each slice with its
-    columns ordered "non-candidates, then candidates"; for that order the
-    reduced echelon form is unique and the tip rows are in it, so they
-    are the rows the verifier computes.  A product is None past the bound
-    or in the ideal, (1, k) on basis element k, and otherwise a tip whose
-    row gives it; a row with more than one other entry is the verifier's
-    witness.
-
-    Otherwise the representatives go through `verify_semi_normed_basis`,
-    which writes the witnesses.  They are nonzero and distinct and every
-    arrow is a class of its own, so none of its pre-checks can fire.
-    """
+    """The basis of one representative per nonzero natural class, checked
+    by `verify_semi_normed_basis`.  The representatives are nonzero and
+    distinct and every arrow is a class of its own, so none of its
+    pre-checks can fire."""
     classes = _acyclic_classes(table, classes)
     reps = [classes.class_rep[cid] for cid in classes.one_cell_classes()]
-    tips = table.pivot_rows
-    held = {}
-    for p in reps:
-        pair = p.source, p.target
-        if table.local[table.index[p]] in tips.get(pair, ()):
-            return verify_semi_normed_basis(table, reps, classes)
-        held[pair] = held.get(pair, 0) + 1
-    if any(held.get(pair, 0) + (pair[0] == pair[1]) != dim
-           for pair, dim in table.dims.items()):
-        return verify_semi_normed_basis(table, reps, classes)
-
-    # identities come first in the table, by vertex, and the basis is in
-    # table order: element k is the k-th of these table positions.  The
-    # natural representatives are in that order already; a partition
-    # whose class opens with a zero path may list them otherwise
-    nv = len(table.quiver.vertices)
-    at = list(range(nv)) + sorted(table.index[p] for p in reps)
-    element = {i: k for k, i in enumerate(at)}
-    elements = [BasisElement(k, table.paths[i], 1) for k, i in enumerate(at)]
-    starting = {}
-    for e in elements:
-        starting.setdefault(e.path.source, []).append(e)
-    witnesses = []
-    product = {}
-    for e1 in elements:
-        for e2 in starting[e1.path.target]:
-            if e1.index < nv or e2.index < nv:
-                product[(e1.index, e2.index)] = \
-                    (1, e2.index if e1.index < nv else e1.index)
-                continue
-            i = table.arrow_index.get(e1.path.arrows + e2.path.arrows)
-            if i is None or i in table.in_ideal:
-                product[(e1.index, e2.index)] = None
-            elif i in element:
-                product[(e1.index, e2.index)] = (1, element[i])
-            else:
-                pair = e1.path.source, e2.path.target
-                k = table.local[i]
-                off = [(c, x) for c, x in tips[pair][k].items() if c != k]
-                if len(off) == 1:
-                    c, x = off[0]
-                    product[(e1.index, e2.index)] = \
-                        (-x, element[table.pair_paths[pair][c]])
-                else:
-                    witnesses.append("product %s * %s expands with %d basis "
-                                     "terms" % (e1, e2, len(off)))
-    if witnesses:
-        return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product)
+    return verify_semi_normed_basis(table, reps, classes)
 
 
 def verify_semi_normed_basis(table, paths, classes=None):
     """Check a basis of paths (identities implied) with witnesses.
 
-    Each vertex pair's ideal slice is reduced once, with the candidates'
-    coordinates last.  Every pivot then lands on a non-candidate path
-    exactly when the candidates' images are independent (the count check
-    already asks for n - rank I of them), and the row of a non-candidate
-    path p reads p = -sum(row[c] * c) mod I, its expansion in the basis.
+    The basis is in table order: the identities by vertex, then the paths
+    by `path_sort_key`.  Each vertex pair needs as many candidates as its
+    dimension, and then one reduced echelon form of its ideal slice with
+    the candidates' coordinates last, unique for that column order.
+    Every pivot lands on a non-candidate path exactly when the
+    candidates' images are independent (the count check already asks for
+    n - rank I of them), and the row of a non-candidate path p reads
+    p = -sum(row[c] * c) mod I, its expansion in the basis.
+
+    When no candidate is a tip, the table's tip rows p - NF(p) are that
+    form, and nothing is eliminated.  Their pivots, the tips, avoid the
+    candidates and their other entries sit on normal words; the count
+    check leaves as many candidates as normal words, so the candidates
+    are the normal words and each tip row is a unit on its pivot plus
+    candidate entries.  The natural representatives of a pair whose
+    counts fit are never tips: each nonzero natural class holds exactly
+    one normal word (a tip's row links it to every normal word of its
+    normal form, so every nonzero class holds one, and one class with two
+    would lower the count), and that word is the class's least nonzero
+    member, its representative, since normal-form terms are smaller than
+    their tip.  Otherwise the slice is reduced once.
+
+    A product of two basis elements is then one lookup: None past the
+    bound, (1, k) on basis element k, and otherwise read off its row,
+    None in the ideal, lambda * b with one other entry, and the witness
+    "expands with n basis terms" with more.
     """
     classes = _acyclic_classes(table, classes)
     q = table.quiver
     witnesses = []
-    seen = []
+    seen = {}  # the table indices of the given paths, in the given order
     for p in paths:
         if p.is_stationary:
             continue  # identities are always included
-        if p in seen:
+        i = None if len(p) > table.bound else table.index[p]
+        if i in seen:
             witnesses.append("duplicate basis path %s" % p)
-            continue
-        if table.path_in_ideal(p):
+        elif i is None or i in table.in_ideal:
             witnesses.append("basis path %s lies in the ideal" % p)
-            continue
-        seen.append(p)
-    given = set(seen)
+        else:
+            seen[i] = None
     for a in q.arrows:
-        if Path(a.source, a.target, (a.name,)) not in given:
+        if table.arrow_index[(a.name,)] not in seen:
             witnesses.append("arrow %s missing from the basis" % a.name)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
 
-    identities = [Path(v, v, ()) for v in q.vertices]
-    ordered = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
-    elements = [BasisElement(i, p, 1) for i, p in enumerate(ordered)]
-    index = {p: i for i, p in enumerate(ordered)}
+    # identities come first in the table, by vertex
+    nv = len(q.vertices)
     by_pair = {}
-    for p in identities + seen:
-        by_pair.setdefault((p.source, p.target), []).append(p)
-    # path -> (lambda, element) for the nonzero paths of the table, and
-    # path -> number of basis terms for those with more than one
-    expansion, splits = {}, {}
-    pairs = set(table.dims) | set(by_pair)
-    for pair in sorted(pairs, key=lambda xy: (q.vertex_index[xy[0]],
-                                              q.vertex_index[xy[1]])):
-        cands = by_pair.get(pair, [])
-        dim = table.dims.get(pair, 0)
+    for i in [*range(nv), *seen]:
+        p = table.paths[i]
+        by_pair.setdefault((p.source, p.target), []).append(i)
+    # pair -> {local pivot: row}, the slice's reduced rows in pair-local
+    # coordinates with the candidates last
+    reduced = {}
+    for pair in sorted(table.dims, key=lambda xy: (q.vertex_index[xy[0]],
+                                                   q.vertex_index[xy[1]])):
+        cands = [table.local[i] for i in by_pair.get(pair, [])]
+        dim = table.dims[pair]
         if len(cands) != dim:
             witnesses.append(
                 "pair (%s,%s): %d basis elements for dimension %d"
                 % (pair[0], pair[1], len(cands), dim))
             continue
-        if not cands:
+        tips = table.pivot_rows.get(pair, {})
+        if not any(k in tips for k in cands):
+            reduced[pair] = tips
             continue
         last = set(cands)
-        order = [table.paths[i] for i in table.pair_paths[pair]
-                 if table.paths[i] not in last]
+        order = [k for k in range(len(table.pair_paths[pair]))
+                 if k not in last]
         free = len(order)
         order += cands
-        at = {table.local[table.index[p]]: k for k, p in enumerate(order)}
-        reduced = {}
-        extend_rref(reduced, [{at[i]: x for i, x in row.items()}
-                              for row in table.ideal_rows.get(pair, [])])
-        if any(c >= free for c in reduced):
+        column = {k: c for c, k in enumerate(order)}
+        rref = {}
+        extend_rref(rref, [{column[k]: x for k, x in row.items()}
+                           for row in table.ideal_rows.get(pair, [])])
+        if any(c >= free for c in rref):
             witnesses.append(
                 "pair (%s,%s): images of %s are linearly dependent mod the "
-                "ideal" % (pair[0], pair[1],
-                           ", ".join(str(p) for p in cands)))
+                "ideal" % (pair[0], pair[1], ", ".join(
+                    str(table.paths[i]) for i in by_pair[pair])))
             continue
-        for p in cands:
-            expansion[p] = (1, index[p])
-        for k, p in enumerate(order[:free]):
-            off = [(c, x) for c, x in reduced[k].items() if c != k]
-            if len(off) == 1:
-                expansion[p] = (-off[0][1], index[order[off[0][0]]])
-            elif off:
-                splits[p] = len(off)
+        reduced[pair] = {order[c]: {order[k]: x for k, x in row.items()}
+                         for c, row in rref.items()}
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
 
+    at = [*range(nv), *sorted(seen)]
+    element = {i: k for k, i in enumerate(at)}
+    elements = [BasisElement(k, table.paths[i]) for k, i in enumerate(at)]
     starting = {}
     for e in elements:
         starting.setdefault(e.path.source, []).append(e)
     product = {}
     for e1 in elements:
         for e2 in starting[e1.path.target]:
-            path = compose(e1.path, e2.path)
-            if path in splits:
-                witnesses.append("product %s * %s expands with %d basis "
-                                 "terms" % (e1, e2, splits[path]))
+            key = e1.index, e2.index
+            if e1.index < nv or e2.index < nv:
+                product[key] = (1, e2.index if e1.index < nv else e1.index)
+                continue
+            i = table.arrow_index.get(e1.path.arrows + e2.path.arrows)
+            if i is None:
+                product[key] = None
+            elif i in element:
+                product[key] = (1, element[i])
             else:
-                product[(e1.index, e2.index)] = expansion.get(path)
+                pair = e1.path.source, e2.path.target
+                k = table.local[i]
+                off = [(c, x) for c, x in reduced[pair][k].items() if c != k]
+                if not off:
+                    product[key] = None
+                elif len(off) == 1:
+                    c, x = off[0]
+                    product[key] = (-x, element[table.pair_paths[pair][c]])
+                else:
+                    witnesses.append("product %s * %s expands with %d basis "
+                                     "terms" % (e1, e2, len(off)))
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -41,17 +40,6 @@ from .homotopy import (HypothesisViolated, abelianization,
 _SCHEMA = "bqtop-report/1"
 
 
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("environment variable %s=%r is not an integer"
-                         % (name, raw)) from None
-
-
 @functools.cache
 def _build_parser():
     # built on the first call and kept: in-process callers run main many
@@ -67,8 +55,7 @@ def _build_parser():
         if file:
             p.add_argument("file", help="quiver file")
         p.add_argument("--path-cap", type=int, default=None,
-                       help="bound certification cap"
-                            " (env BQTOP_PATH_CAP)")
+                       help="bound certification cap")
         p.add_argument("--out", default=None, help="write report here")
 
     common(sub.add_parser("check", help="algebra properties"))
@@ -135,13 +122,6 @@ def _load(path, cfg):
     if cfg["path_cap"] is not None:
         kwargs["cap"] = cfg["path_cap"]
     return quiver, enumerate_paths(quiver, **kwargs)
-
-
-def _config(args):
-    return {
-        "path_cap": args.path_cap if args.path_cap is not None
-        else _env_int("BQTOP_PATH_CAP"),
-    }
 
 
 def _classes(table, sharp):
@@ -469,8 +449,8 @@ def _emit(text, out):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    cfg = {"path_cap": args.path_cap}
     try:
-        cfg = _config(args)
         if args.command == "dot":
             _emit(_dot(args, cfg), args.out)
             return 0

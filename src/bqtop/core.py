@@ -613,7 +613,7 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
 
 @dataclass(frozen=True)
 class AlgebraProperties:
-    dims: dict
+    dims: dict  # (x, y) -> dim e_x A e_y; a missing pair means 0
     nilpotency_bound: int
     admissible: bool
     connected: bool
@@ -657,9 +657,6 @@ def algebra_properties(table):
     """
     q = table.quiver
     dims = dict(table.dims)
-    for x in q.vertices:
-        for y in q.vertices:
-            dims.setdefault((x, y), 0)
     triangular = q.is_acyclic()
     connected = q.is_connected()
     schurian = all(d <= 1 for d in dims.values())
@@ -674,14 +671,9 @@ def algebra_properties(table):
         if any(dims.get(pair, 0) > 0 for pair in long_pairs):
             semi_commutative = False
     constricted = all(dims[(a.source, a.target)] == 1 for a in q.arrows)
-    rad = {}
-    for (x, y), d in dims.items():
-        rad[(x, y)] = d - 1 if x == y else d
-    almost_triangular = True
-    for x in q.vertices:
-        for y in q.vertices:
-            if rad[(x, y)] > 0 and rad[(y, x)] > 0:
-                almost_triangular = False
+    rad = {(x, y): d - (x == y) for (x, y), d in dims.items()}
+    almost_triangular = not any(r > 0 and rad.get((y, x), 0) > 0
+                                for (x, y), r in rad.items())
     euler = 1 - len(q.vertices) + len(q.arrows)
     return AlgebraProperties(
         dims=dims,

@@ -34,6 +34,12 @@ each vertex pair was reduced once with the candidates last: a rank per
 pair for independence, then a dense augmented RREF of the basis images
 and the ideal rows for every product of two basis elements.
 
+`reducing_semi_normed_basis` is the semi-normed verifier as it ran
+before it read the tip rows of the pairs whose candidates are normal
+words: every pair's ideal slice reduced with the candidates last, each
+path's expansion stored by path, and every product looked up through
+the composed path.
+
 `cocycle_image_degrees` is the comparison of epsilon_mu as it was
 computed before the long exact sequence of HC/eps(SC): a basis of the
 simplicial cocycles, read off the RREF of each simplicial coboundary,
@@ -97,7 +103,8 @@ import sys
 from fractions import Fraction
 
 from bqtop import BoundQuiver, RelVector, enumerate_paths
-from bqtop.algcohom import BasisElement, SemiNormedAlgebra, SemiNormedFailure
+from bqtop.algcohom import (BasisElement, SemiNormedAlgebra,
+                            SemiNormedFailure, _acyclic_classes)
 from bqtop.complex import parse_coefficients, sparse_column
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
@@ -505,10 +512,10 @@ def dense_semi_normed_basis(table, classes, paths):
                                    ", ".join(str(p) for p in cands)))
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    elements = [BasisElement(i, Path(v, v, ()), Fraction(1))
+    elements = [BasisElement(i, Path(v, v, ()))
                 for i, v in enumerate(q.vertices)]
     for p in sorted(paths, key=lambda p: path_sort_key(q, p)):
-        elements.append(BasisElement(len(elements), p, Fraction(1)))
+        elements.append(BasisElement(len(elements), p))
     elt_pairs = {}
     for e in elements:
         elt_pairs.setdefault((e.path.source, e.path.target),
@@ -547,6 +554,101 @@ def dense_semi_normed_basis(table, classes, paths):
                              % (e1, e2, len(terms)))
         else:
             product[key] = (terms[0][1], terms[0][0])
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+    return SemiNormedAlgebra(table, classes, elements, product)
+
+
+def reducing_semi_normed_basis(table, paths, classes=None):
+    """Check a basis of paths (identities implied) with witnesses.
+
+    Each vertex pair's ideal slice is reduced once, with the candidates'
+    coordinates last.  Every pivot then lands on a non-candidate path
+    exactly when the candidates' images are independent (the count check
+    already asks for n - rank I of them), and the row of a non-candidate
+    path p reads p = -sum(row[c] * c) mod I, its expansion in the basis.
+    """
+    classes = _acyclic_classes(table, classes)
+    q = table.quiver
+    witnesses = []
+    seen = []
+    for p in paths:
+        if p.is_stationary:
+            continue  # identities are always included
+        if p in seen:
+            witnesses.append("duplicate basis path %s" % p)
+            continue
+        if table.path_in_ideal(p):
+            witnesses.append("basis path %s lies in the ideal" % p)
+            continue
+        seen.append(p)
+    given = set(seen)
+    for a in q.arrows:
+        if Path(a.source, a.target, (a.name,)) not in given:
+            witnesses.append("arrow %s missing from the basis" % a.name)
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+
+    identities = [Path(v, v, ()) for v in q.vertices]
+    ordered = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
+    elements = [BasisElement(i, p) for i, p in enumerate(ordered)]
+    index = {p: i for i, p in enumerate(ordered)}
+    by_pair = {}
+    for p in identities + seen:
+        by_pair.setdefault((p.source, p.target), []).append(p)
+    # path -> (lambda, element) for the nonzero paths of the table, and
+    # path -> number of basis terms for those with more than one
+    expansion, splits = {}, {}
+    pairs = set(table.dims) | set(by_pair)
+    for pair in sorted(pairs, key=lambda xy: (q.vertex_index[xy[0]],
+                                              q.vertex_index[xy[1]])):
+        cands = by_pair.get(pair, [])
+        dim = table.dims.get(pair, 0)
+        if len(cands) != dim:
+            witnesses.append(
+                "pair (%s,%s): %d basis elements for dimension %d"
+                % (pair[0], pair[1], len(cands), dim))
+            continue
+        if not cands:
+            continue
+        last = set(cands)
+        order = [table.paths[i] for i in table.pair_paths[pair]
+                 if table.paths[i] not in last]
+        free = len(order)
+        order += cands
+        at = {table.local[table.index[p]]: k for k, p in enumerate(order)}
+        reduced = {}
+        extend_rref(reduced, [{at[i]: x for i, x in row.items()}
+                              for row in table.ideal_rows.get(pair, [])])
+        if any(c >= free for c in reduced):
+            witnesses.append(
+                "pair (%s,%s): images of %s are linearly dependent mod the "
+                "ideal" % (pair[0], pair[1],
+                           ", ".join(str(p) for p in cands)))
+            continue
+        for p in cands:
+            expansion[p] = (1, index[p])
+        for k, p in enumerate(order[:free]):
+            off = [(c, x) for c, x in reduced[k].items() if c != k]
+            if len(off) == 1:
+                expansion[p] = (-off[0][1], index[order[off[0][0]]])
+            elif off:
+                splits[p] = len(off)
+    if witnesses:
+        return SemiNormedFailure(tuple(witnesses), classes)
+
+    starting = {}
+    for e in elements:
+        starting.setdefault(e.path.source, []).append(e)
+    product = {}
+    for e1 in elements:
+        for e2 in starting[e1.path.target]:
+            path = compose(e1.path, e2.path)
+            if path in splits:
+                witnesses.append("product %s * %s expands with %d basis "
+                                 "terms" % (e1, e2, splits[path]))
+            else:
+                product[(e1.index, e2.index)] = expansion.get(path)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)

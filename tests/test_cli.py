@@ -114,22 +114,12 @@ def test_zero_denominator_exit_2(tmp_path):
     assert "zero denominator" in err
 
 
-def test_bad_env_value_exit_2(monkeypatch):
+def test_path_cap_env_variable_is_ignored(monkeypatch):
+    # --path-cap is the only way to set the cap
     monkeypatch.setenv("BQTOP_PATH_CAP", "many")
-    code, _, err = run_cli(["check", "corpus/ex1.bq"])
-    assert code == 2
-    assert err.startswith("bqtop:")
-
-
-def test_env_and_flag_precedence(monkeypatch):
-    monkeypatch.setenv("BQTOP_PATH_CAP", "17")
-    code, out, _ = run_cli(["check", "corpus/ex1.bq"])
-    assert code == 0
-    assert json.loads(out)["config"]["path_cap"] == 17
-
-    code, out, _ = run_cli(["check", "corpus/ex1.bq", "--path-cap", "9"])
-    assert code == 0
-    assert json.loads(out)["config"]["path_cap"] == 9
+    code, out, err = run_cli(["check", "corpus/ex1.bq"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["path_cap"] is None
 
 
 def test_out_writes_file(tmp_path):

@@ -17,6 +17,11 @@ No package function calls itself by name, as `f(...)` or as
 `RecursionError`, so every walk over a quiver, a table or a complex is
 written with an explicit stack or worklist; `super().f(...)` calls
 another class's method and does not count.
+
+Every module-level private function or class of the package (a name
+with a leading underscore) is read somewhere in the package, as a name
+or as an attribute.  The tests may read it too, but a private helper
+that only the tests reach is a code path the program no longer has.
 """
 
 import ast
@@ -125,3 +130,35 @@ def test_the_scan_sees_functions_that_call_themselves():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_function_calls_itself(path):
     assert self_calls(path.read_text()) == []
+
+
+def unread_privates(sources):
+    """(module, name) of the module-level private functions and classes
+    in `sources` (module -> source) that no module reads."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(m, node.name) for m, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
+
+
+def test_the_scan_sees_private_definitions_that_nothing_reads():
+    sources = {"a": "def _used():\n    pass\ndef _dead():\n    pass\n"
+                    "class _Gone:\n    def _method(self):\n        pass\n"
+                    "def public():\n    def _inner():\n        pass\n",
+               "b": "from .a import _used\nimport a\n_used()\n"
+                    "def _via_attribute():\n    pass\n"
+                    "a._via_attribute\n_dead = 1\n"}
+    assert unread_privates(sources) == [("a", "_dead"), ("a", "_Gone")]
+
+
+def test_every_private_definition_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_privates(sources) == []

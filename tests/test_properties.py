@@ -38,6 +38,7 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      SortedPathClassTable, cocycle_image_degrees,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
+                     reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
                      lengthwise_path_table, loops, random_cyclic_quiver,
                      random_quiver, reenumerated_pushout, rebuilt_path_table,
@@ -882,24 +883,65 @@ def partition(table, groups):
     return PathClassTable(table, "natural", parent)
 
 
-def test_tip_row_basis_matches_the_verifier(comm_grid, monkeypatch):
-    """The finder reads the basis off the tip rows exactly when the counts
-    fit and no representative is a tip, then without any elimination, and
-    gives the verifier's answer on every route."""
-    calls = collections.Counter()
+PRE_CHECK_KINDS = ("duplicate basis path", "lies in the ideal",
+                   "missing from the basis")
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(algcohom, name, call)
 
-    counted("verify_semi_normed_basis", verify_semi_normed_basis)
-    counted("extend_rref", extend_rref)
+def perturbed_user_basis(rng, table):
+    """A `random_user_basis`, at times with a path given twice, a path in
+    the ideal (a zero path of the table or one past its bound) or an
+    arrow left out, so that every pre-check of the verifier fires."""
+    q = table.quiver
+    basis = random_user_basis(rng, table)
+    move = rng.randrange(8)
+    if move == 0:
+        basis.append(rng.choice(basis))
+    elif move == 1 and table.in_ideal:
+        basis.append(table.paths[rng.choice(sorted(table.in_ideal))])
+    elif move == 2:
+        longest = [p for p in table.paths if len(p) == table.bound]
+        beyond = [compose(p, q.path([a.name])) for p in longest
+                  for a in q.arrows_from[p.target]]
+        if beyond:
+            basis.insert(rng.randrange(len(basis) + 1), rng.choice(beyond))
+    elif move == 3:
+        basis.remove(q.path([rng.choice(q.arrows).name]))
+    return basis
+
+
+def reduced_pairs(table, paths):
+    """The vertex pairs of nonzero, distinct basis paths whose count fits
+    the dimension and that hold a tip: the pairs whose slice the builder
+    reduces."""
+    held = collections.defaultdict(list)
+    for p in paths:
+        held[p.source, p.target].append(table.local[table.index[p]])
+    return [pair for pair, dim in table.dims.items()
+            if len(held[pair]) + (pair[0] == pair[1]) == dim
+            and any(k in table.pivot_rows.get(pair, {}) for k in held[pair])]
+
+
+def test_semi_normed_builder_matches_the_reducing_oracle(comm_grid,
+                                                         monkeypatch):
+    """The builder gives the answer of the verifier that reduced every
+    vertex pair, on the finder's candidates from four partitions and on
+    seeded user bases, and eliminates once on each pair whose count fits
+    and that holds a tip candidate, so never on natural classes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend_rref(*args)
+
+    monkeypatch.setattr(algcohom, "extend_rref", counted)
+    rng = random.Random(SEED + 19)
     quivers = [q for q in differential_quivers() if q.is_acyclic()]
     quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5, 6)]
+    # user bases on all but the 5x5 and 6x6 grids, where the oracle's
+    # elimination of every pair of a random basis takes seconds
+    users = len(quivers) - 2
     outcomes = collections.Counter()
-    for q in quivers:
+    for n, q in enumerate(quivers):
         t = enumerate_paths(q)
         nat = natural_homotopy_classes(t)
 
@@ -950,36 +992,40 @@ def test_tip_row_basis_matches_the_verifier(comm_grid, monkeypatch):
                 continue
             reps = [classes.class_rep[cid]
                     for cid in classes.one_cell_classes()]
-            held = collections.Counter((p.source, p.target) for p in reps)
-            fits = all(held[xy] + (xy[0] == xy[1]) == dim
-                       for xy, dim in t.dims.items())
-            tipped = any(is_tip(t.index[p]) for p in reps)
             calls.clear()
             found = find_semi_normed_basis(t, classes)
-            fast = fits and not tipped
-            assert calls["verify_semi_normed_basis"] == (not fast), kind
-            if fast:
-                assert calls["extend_rref"] == 0, kind
-            expected = verify_semi_normed_basis(t, reps, classes)
-            assert found.ok == expected.ok
-            if found.ok:
-                assert ([e.path for e in found.elements]
-                        == [e.path for e in expected.elements])
-                assert found.product == expected.product
-            else:
-                assert found.witnesses == expected.witnesses
-            outcomes[kind, "fast" if fast else "verifier", found.ok] += 1
-            if tipped:
+            assert len(calls) == len(reduced_pairs(t, reps)), kind
+            if kind == "natural":
+                assert not calls
+            assert (semi_normed_facts(found) == semi_normed_facts(
+                reducing_semi_normed_basis(t, reps, classes))), kind
+            outcomes[kind, found.ok] += 1
+            if any(is_tip(t.index[p]) for p in reps):
                 outcomes[kind, "tipped"] += 1
+        for _ in range(4 if n < users else 0):
+            user = perturbed_user_basis(rng, t)
+            calls.clear()
+            got = verify_semi_normed_basis(t, user, nat)
+            expected = reducing_semi_normed_basis(t, user, nat)
+            assert semi_normed_facts(got) == semi_normed_facts(expected)
+            witnesses = () if got.ok else got.witnesses
+            kinds = {k for w in witnesses
+                     for k in PRE_CHECK_KINDS + WITNESS_KINDS if k in w}
+            assert len(calls) == (0 if kinds & set(PRE_CHECK_KINDS)
+                                  else len(reduced_pairs(t, user)))
+            outcomes["user", got.ok] += 1
+            outcomes.update(("user", k) for k in kinds)
     assert len(quivers) == 295 + 3
     # natural classes fail only on counts, never on a tip; a split leaves
-    # two-term tips, which fail on the fast route
-    assert outcomes == {("natural", "fast", True): 278,
-                        ("natural", "verifier", False): 20,
-                        ("finer", "verifier", False): 88,
-                        ("finer", "tipped"): 88,
-                        ("reordered", "fast", True): 8,
-                        ("split", "fast", False): 20}
+    # two-term tips, which fail on a product
+    assert {k: n for k, n in outcomes.items() if k[0] != "user"} == {
+        ("natural", True): 278, ("natural", False): 20,
+        ("finer", False): 88, ("finer", "tipped"): 88,
+        ("reordered", True): 8, ("split", False): 20}
+    # the user bases reach every verdict and every witness
+    assert outcomes["user", True] + outcomes["user", False] == 4 * users
+    assert outcomes["user", True] and outcomes["user", False]
+    assert all(outcomes["user", k] for k in PRE_CHECK_KINDS + WITNESS_KINDS)
 
 
 # ---------------------------------------------------------------------------
