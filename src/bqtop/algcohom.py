@@ -209,6 +209,8 @@ def verify_semi_normed_basis(table, paths, classes=None):
     bound, (1, k) on basis element k, and otherwise read off its row,
     None in the ideal, lambda * b with one other entry, and the witness
     "expands with n basis terms" with more.
+
+    A given path that is not a path of the quiver raises QuiverError.
     """
     classes = _acyclic_classes(table, classes)
     q = table.quiver
@@ -217,7 +219,11 @@ def verify_semi_normed_basis(table, paths, classes=None):
     for p in paths:
         if p.is_stationary:
             continue  # identities are always included
-        i = None if len(p) > table.bound else table.index[p]
+        i = table.index.get(p) if len(p) <= table.bound else None
+        if i is None:
+            # every path of the quiver up to the bound is in the table, so
+            # only one past the bound passes: it lies in the ideal
+            q._check_path(p)
         if i in seen:
             witnesses.append("duplicate basis path %s" % p)
         elif i is None or i in table.in_ideal:
@@ -756,10 +762,12 @@ def epsilon_mu(algebra, sc, hc):
         raise AssertionError("mu . epsilon must be the identity")
     if not eps_chain:
         raise AssertionError("epsilon must be a cochain map")
-    # Q keeps the pairs outside eps(SC), as rows and as entries
+    # Q keeps the pairs outside eps(SC), as rows and as entries; a pair in
+    # eps(SC) keeps its place as an empty row, so that Q stays on HC's
+    # coordinates, which `_ranks` reads its pivots in
     keep = {n: [not col for col in mu[n]] for n in mu}
     q_columns = {n: [{c: x for c, x in row.items() if keep[n - 1][c]}
-                     for row, kept in zip(rows, keep[n]) if kept]
+                     if kept else {} for row, kept in zip(rows, keep[n])]
                  for n, rows in hc.columns.items()}
     q_dims = {n: sum(kept) for n, kept in keep.items()}
     sh = _betti(dict(enumerate(sc_dims)), _ranks(sc.columns, F), top + 1)

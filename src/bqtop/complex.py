@@ -25,7 +25,11 @@ built from the faces on first read, so commands that only list cells
 never build them.  Homology over Z comes from their invariant factors
 (unit-pivot reduction, then a certified Smith normal form of what is
 left), over a field from their ranks, and cohomology and cyclic
-coefficients by universal coefficients.
+coefficients by universal coefficients.  The boundaries are ranked from
+the top down with clearing (the "twist" of persistent homology,
+Chen-Kerber 2011): each one skips the columns on which the one above
+pivoted, over Z only its unit pivots, so those columns reach neither the
+elimination nor the residual Smith normal form.
 """
 
 from __future__ import annotations
@@ -295,41 +299,65 @@ def parse_coefficients(coeff):
     if coeff in ("Z", "Q"):
         return (coeff, None)
     if isinstance(coeff, str) and coeff.startswith("Fp:"):
-        p = int(coeff[3:])
+        p = _modulus(coeff, "Fp:")
         PrimeField(p)  # primality check
         return ("Fp", p)
     if isinstance(coeff, str) and coeff.startswith("Zmod:"):
-        m = int(coeff[5:])
+        m = _modulus(coeff, "Zmod:")
         if m < 2:
             raise ValueError("Zmod modulus must be >= 2")
         return ("Zmod", m)
     raise ValueError("unknown coefficient system %r" % (coeff,))
 
 
+def _modulus(coeff, prefix):
+    try:
+        return int(coeff[len(prefix):])
+    except ValueError:
+        raise ValueError("coefficient system %r needs an integer modulus "
+                         "after %r" % (coeff, prefix)) from None
+
+
 def _integral_homology(dims, mats, top):
     """List of (free_rank, divisors) for a complex of integer matrices.
 
     dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
-    to degree n-1 as sparse columns {row: coefficient}, one per n-cell.
+    to degree n-1 as sparse columns {row: coefficient}, one per n-cell,
+    and mats[n - 1] mats[n] == 0.  As in `_ranks`, each matrix skips the
+    columns on which the one above pivoted, but only on its unit pivots:
+    on those rows the reduced block is unit-triangular, so the skipped
+    columns are integer combinations of the others and the invariant
+    factors do not change.
     """
-    ranks = {}
-    torsions = {}
-    for n in range(top + 2):
+    ranks, torsions, pivots = {}, {}, {}
+    for n in range(top + 1, -1, -1):
         mat = mats.get(n)
+        pivots[n - 1] = set()
+        divisors = ()
         if mat and dims.get(n, 0) and dims.get(n - 1, 0):
-            divisors = smith_divisors(mat)
-            ranks[n] = len(divisors)
-            torsions[n] = tuple(d for d in divisors if d > 1)
-        else:
-            ranks[n] = 0
-            torsions[n] = ()
+            divisors = smith_divisors(mat, pivots.get(n, ()), pivots[n - 1])
+        ranks[n] = len(divisors)
+        torsions[n] = tuple(d for d in divisors if d > 1)
     return [(free, torsions[n + 1])
             for n, free in enumerate(_betti(dims, ranks, top))]
 
 
 def _ranks(columns, field):
-    """{n: rank of columns[n]}, each matrix ranked once."""
-    return {n: rank(cols, field) for n, cols in columns.items()}
+    """{n: rank of columns[n]} for a complex of sparse columns with
+    columns[n - 1] columns[n] == 0, ranked from the top down with
+    clearing (Chen-Kerber 2011).
+
+    Each matrix skips the columns on which the one above pivoted.  When
+    the reduced delta_(n+1) pivots on the rows P, its block on P and the
+    pivot columns is triangular with a nonzero diagonal, so
+    delta_n delta_(n+1) == 0 writes the columns P of delta_n through the
+    others, and leaving them out keeps the rank.
+    """
+    ranks, pivots = {}, {}
+    for n in sorted(columns, reverse=True):
+        pivots[n - 1] = set()
+        ranks[n] = rank(columns[n], field, pivots.get(n, ()), pivots[n - 1])
+    return ranks
 
 
 def _betti(dims, ranks, top):
@@ -343,7 +371,13 @@ def _betti(dims, ranks, top):
 
 def homology_of_matrices(dims, mats, coeff, top=None):
     """Homology of an integer chain complex given as sparse boundary
-    columns: mats[n][j] = {row in degree n-1: coefficient}."""
+    columns: mats[n][j] = {row in degree n-1: coefficient}.
+
+    The matrices must form a complex, mats[n - 1] mats[n] == 0: the
+    ranking clears columns by that identity and does not check it (every
+    caller in the package has asserted it, by `check_faces_square_zero`
+    or `check_square_zero`).
+    """
     if top is None:
         top = max([n for n, d in dims.items() if d], default=0)
     kind, arg = parse_coefficients(coeff)

@@ -36,7 +36,9 @@ index are touched.  Three entry points run on it:
   transforms and asserts its certificate.
 
 `rank` and `smith_divisors` pick, within a vector, the pivot index held
-by the fewest other vectors, which keeps fill-in low.
+by the fewest other vectors, which keeps fill-in low.  Both can leave
+out given vectors and report their pivot indices, which is how a chain
+complex is ranked with clearing (`complex._ranks`).
 
 An element of Q is a Python int, or a Fraction only when its denominator
 is not 1 (`QQ.of` puts a rational in this form).  Most coefficients the
@@ -225,10 +227,13 @@ def _drop(vecs, where, k):
         where[i].discard(k)
 
 
-def _sparse(vectors, field):
-    """Sparse vectors as {id: {index: field element}}, zeros dropped."""
+def _sparse(vectors, field, skip=()):
+    """Sparse vectors as {id: {index: field element}}, zeros dropped and
+    the ids in `skip` left out."""
     out = {}
     for k, vec in enumerate(vectors):
+        if k in skip:
+            continue
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {}
         for i, x in items:
@@ -290,13 +295,14 @@ def _fewest_holders(v, where, allowed):
     return best
 
 
-def rank(vectors, field=QQ):
+def rank(vectors, field=QQ, skip=(), pivots=None):
     """Rank over a field of rows or columns, dense lists or sparse dicts.
 
     Entries are read through `field.of`, so integer matrices can be
-    passed as they are.
+    passed as they are.  The vectors at the positions in `skip` are left
+    out; when `pivots` is a set, the index of every pivot is added to it.
     """
-    vecs = _sparse(vectors, field)
+    vecs = _sparse(vectors, field, skip)
     where = _holders(vecs)
     rk = 0
     for k in list(vecs):
@@ -305,6 +311,8 @@ def rank(vectors, field=QQ):
             c = _fewest_holders(v, where, bool)
             _clear(vecs, where, k, c, field.inv(v[c]), field)
             rk += 1
+            if pivots is not None:
+                pivots.add(c)
         _drop(vecs, where, k)
     return rk
 
@@ -459,7 +467,7 @@ def _is_unit(x):
     return x == 1 or x == -1
 
 
-def smith_divisors(columns):
+def smith_divisors(columns, skip=(), pivots=None):
     """Nonzero invariant factors of an integer matrix of sparse columns.
 
     Each pivot on an entry +-1 clears its row from the other columns by
@@ -468,9 +476,16 @@ def smith_divisors(columns):
     is left (fill-in can create new ones); the dense residual then goes
     through the certified `smith_normal_form`.  Returns the divisors in
     chain order, as `smith_normal_form` does.
+
+    The columns at the positions in `skip` are left out; when `pivots` is
+    a set, the row of every unit pivot is added to it.  The pivots of the
+    residual are not: on those rows the reduced matrix need not be
+    unimodular.
     """
     vecs = {}
     for k, col in enumerate(columns):
+        if k in skip:
+            continue
         v = {i: x for i, x in col.items() if x}
         if v:
             vecs[k] = v
@@ -486,6 +501,8 @@ def smith_divisors(columns):
                 _clear(vecs, where, k, c, v[c])
                 units += 1
                 progress = True
+                if pivots is not None:
+                    pivots.add(c)
             if c is not None or not v:
                 _drop(vecs, where, k)
     if not vecs:

@@ -45,6 +45,10 @@ computed before the long exact sequence of HC/eps(SC): a basis of the
 simplicial cocycles, read off the RREF of each simplicial coboundary,
 pushed through eps and ranked together with the Hochschild coboundaries.
 
+`per_matrix_integral_homology` and `per_matrix_ranks` rank a chain
+complex as it was ranked before clearing: every boundary matrix on its
+own, with all of its columns eliminated.
+
 `FractionField` is the arithmetic of Q as it was before its elements
 became ints wherever integral: every element a Fraction.  Run through the
 same elimination kernel, it is the oracle of the int-first form, and the
@@ -105,7 +109,7 @@ from fractions import Fraction
 from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import (BasisElement, SemiNormedAlgebra,
                             SemiNormedFailure, _acyclic_classes)
-from bqtop.complex import parse_coefficients, sparse_column
+from bqtop.complex import _betti, parse_coefficients, sparse_column
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
@@ -118,7 +122,8 @@ from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _in_vertex_order, _substitute, _union,
                             _word_inverse, free_reduce, pi1_presentation,
                             relation_components, spanning_tree)
-from bqtop.linalg import QQ, PrimeField, extend_rref, rank, sparse_rref
+from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
+                          sparse_rref)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -704,6 +709,32 @@ def cocycle_image_degrees(sc, hc, eps):
                         "injective": rk == sh, "surjective": rk == hh})
     iso = all(d["injective"] and d["surjective"] for d in degrees)
     return tuple(degrees), iso
+
+
+def per_matrix_integral_homology(dims, mats, top):
+    """List of (free_rank, divisors) for a complex of integer matrices.
+
+    dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
+    to degree n-1 as sparse columns {row: coefficient}, one per n-cell.
+    """
+    ranks = {}
+    torsions = {}
+    for n in range(top + 2):
+        mat = mats.get(n)
+        if mat and dims.get(n, 0) and dims.get(n - 1, 0):
+            divisors = smith_divisors(mat)
+            ranks[n] = len(divisors)
+            torsions[n] = tuple(d for d in divisors if d > 1)
+        else:
+            ranks[n] = 0
+            torsions[n] = ()
+    return [(free, torsions[n + 1])
+            for n, free in enumerate(_betti(dims, ranks, top))]
+
+
+def per_matrix_ranks(columns, field):
+    """{n: rank of columns[n]}, each matrix ranked once."""
+    return {n: rank(cols, field) for n, cols in columns.items()}
 
 
 def folded_product(a, elts):

@@ -1,5 +1,6 @@
 """Semi-normed bases, simplicial SC/SH, Hochschild cohomology, epsilon/mu."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,8 +12,11 @@ from bqtop.algcohom import (FieldMismatch, TriangularRequired, _commutes,
                             hochschild_cup, phi_psi_maps, sc_cup,
                             simplicial_complex, verify_semi_normed_basis)
 from bqtop.complex import build_complex, homology
-from bqtop.core import BoundQuiver, enumerate_paths
+from bqtop.core import BoundQuiver, Path, QuiverError, enumerate_paths
+from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def setup(vertices, arrows, rels=()):
@@ -100,6 +104,23 @@ def test_nosn_has_no_semi_normed_basis():
     assert not f.ok
     assert any("(x1,x3): 1 basis elements for dimension 2" in w
                for w in f.witnesses)
+
+
+def test_user_basis_path_outside_the_quiver_raises():
+    # a hand-built Path skips the checks of quiver.path; an unknown arrow
+    # within the bound or past it, a broken path and a wrong end are all
+    # named, not a KeyError or a witness "lies in the ideal"
+    t = enumerate_paths(parse((CORPUS / "pres1.bq").read_text()))
+    q = t.quiver
+    arrows = [q.path([a.name]) for a in q.arrows]
+    for bad, message in [
+            (Path("1", "2", ("nosuch",)), "unknown arrow 'nosuch'"),
+            (Path("1", "2", ("nosuch",) * (t.bound + 1)),
+             "unknown arrow 'nosuch'"),
+            (Path("2", "2", ("alpha", "beta")), "breaks at 'beta'"),
+            (Path("2", "3", ("alpha",)), "does not end at 3")]:
+        with pytest.raises(QuiverError, match=message):
+            verify_semi_normed_basis(t, arrows + [bad])
 
 
 def test_nosn_user_basis_fails_closure():

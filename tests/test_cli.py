@@ -538,6 +538,15 @@ def test_modulus_beyond_the_certified_range_exit_2():
     assert rep["result"]["coefficients"] == "Fp:1000000000000000003"
 
 
+@pytest.mark.parametrize("coeff,prefix", [("Fp:abc", "Fp:"),
+                                          ("Zmod:x", "Zmod:"), ("Fp:", "Fp:")])
+def test_non_integer_modulus_exit_2(coeff, prefix):
+    code, out, err = run_cli(["homology", "--coeff", coeff, "corpus/rp2.bq"])
+    assert (code, out) == (2, "")
+    assert err == ("bqtop: coefficient system %r needs an integer modulus "
+                   "after %r\n" % (coeff, prefix))
+
+
 def random_report_value(rng, depth=0):
     """A seeded nested value of the types reports hold, with escapes,
     non-ASCII text, big and negative ints and empty containers."""

@@ -9,8 +9,9 @@ import pytest
 
 from bqtop import cli
 from bqtop.complex import (CellComplex, build_complex, check_square_zero,
-                           coboundary, cohomology, cup_product,
-                           euler_characteristic, homology, sparse_column)
+                           coboundary, cohomology, cohomology_of_matrices,
+                           cup_product, euler_characteristic, homology,
+                           homology_of_matrices, sparse_column)
 from bqtop.core import BoundQuiver, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
@@ -305,3 +306,18 @@ def test_cyclic_rad_square_zero_circle():
     _, c = complexes(circ)
     assert c.counts() == [2, 2]
     assert homology(c, "Z").groups == ((1, ()), (1, ()))
+
+
+def test_only_unit_pivots_clear_over_z():
+    # delta_2 = (2, 3)^T and delta_1 = [3, -2] make a chain complex
+    # (3*2 - 2*3 = 0) with every group 0.  delta_2 has no unit entry, so
+    # its pivot comes from the dense Smith form; clearing column 0 of
+    # delta_1 on that pivot would leave [-2] and report H_0 = Z/2
+    dims = {0: 1, 1: 2, 2: 1}
+    mats = {1: [{0: 3}, {0: -2}], 2: [{0: 2, 1: 3}]}
+    check_square_zero(mats)
+    for coeff, zero in (("Z", (0, ())), ("Zmod:2", ()), ("Zmod:4", ()),
+                        ("Q", 0), ("Fp:2", 0), ("Fp:3", 0)):
+        for groups in (homology_of_matrices(dims, mats, coeff).groups,
+                       cohomology_of_matrices(dims, mats, coeff).groups):
+            assert groups == (zero,) * 3, coeff

@@ -18,14 +18,15 @@ import pytest
 
 from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    abelianization, algebra_properties, build_complex,
-                   check_galois, deck_group, enumerate_paths, epsilon_mu,
-                   find_semi_normed_basis, hochschild_complex, homology,
-                   lift_complex_map, minimal_relation_supports,
+                   check_galois, cohomology, deck_group, enumerate_paths,
+                   epsilon_mu, find_semi_normed_basis, hochschild_complex,
+                   homology, lift_complex_map, minimal_relation_supports,
                    natural_homotopy_classes, phi_psi_maps, pi1_presentation,
                    relation_components, simplicial_complex,
                    van_kampen_pushout, verify_semi_normed_basis,
                    walk_homotopy_classes)
 from bqtop import algcohom
+from bqtop import complex as cellular
 from bqtop.complex import (check_faces_square_zero, check_square_zero,
                            face_columns)
 from bqtop.core import AdmissibilityError, compose, path_sort_key
@@ -40,8 +41,10 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
-                     lengthwise_path_table, loops, random_cyclic_quiver,
-                     random_quiver, reenumerated_pushout, rebuilt_path_table,
+                     lengthwise_path_table, loops,
+                     per_matrix_integral_homology, per_matrix_ranks,
+                     random_cyclic_quiver, random_quiver,
+                     reenumerated_pushout, rebuilt_path_table,
                      rotation_canonical, rounds_tietze, swept_natural_classes,
                      truncated_path_table, walked_hochschild,
                      walked_simplicial)
@@ -1054,6 +1057,82 @@ def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
             checked[field, rep.iso] += 1
     assert checked == {("Q", True): 99, ("Q", False): 177,
                        ("Fp:2", True): 86, ("Fp:2", False): 173}
+
+
+# ---------------------------------------------------------------------------
+# each complex ranked top-down with clearing against every matrix ranked
+# on its own
+
+
+def cleared_and_per_matrix(compute):
+    """compute() as the library runs it, then again with every complex
+    ranked matrix by matrix through the oracles."""
+    cleared = compute()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cellular, "_integral_homology",
+                   per_matrix_integral_homology)
+        mp.setattr(cellular, "_ranks", per_matrix_ranks)
+        mp.setattr(algcohom, "_ranks", per_matrix_ranks)
+        return cleared, compute()
+
+
+def test_clearing_matches_the_per_matrix_oracle(comm_grid, monkeypatch):
+    skipped = collections.Counter()
+
+    def counted_rank(vectors, field, skip=(), pivots=None):
+        skipped["rank"] += len(skip)
+        return rank(vectors, field, skip, pivots)
+
+    def counted_smith(columns, skip=(), pivots=None):
+        skipped["smith"] += len(skip)
+        return smith_divisors(columns, skip, pivots)
+
+    monkeypatch.setattr(cellular, "rank", counted_rank)
+    monkeypatch.setattr(cellular, "smith_divisors", counted_smith)
+    quivers = differential_quivers()
+    quivers.append(parse(open(comm_grid(4)).read()))
+    checked = collections.Counter()
+    for q in quivers:
+        t = enumerate_paths(q)
+        for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+            cx = build_complex(t, classes)
+            got, want = cleared_and_per_matrix(lambda: [
+                (homology(cx, c), cohomology(cx, c))
+                for c in ("Z", "Q", "Fp:2", "Fp:3", "Zmod:4")])
+            assert got == want
+            checked["cells", any(tors for _, tors in got[0][0].groups)] += 1
+        a = find_semi_normed_basis(t) if q.is_acyclic() else None
+        if a is None or not a.ok:
+            continue
+        sc = simplicial_complex(a)
+        got, want = cleared_and_per_matrix(
+            lambda: (sc.sh("Z"), sc.sh_cochain("Z")))
+        assert got == want
+        checked["sc"] += 1
+        for field in ("Q", "Fp:2", "Fp:3", "Fp:5"):
+            try:
+                hc = hochschild_complex(a, field)
+            except ValueError:
+                continue  # p divides a structure constant's denominator
+
+            def ranked():
+                try:
+                    rows = [(d["sh"], d["hh"], d["rank"])
+                            for d in epsilon_mu(a, sc, hc).degrees]
+                except ValueError:
+                    rows = None  # a structure constant vanishes mod p
+                return hc.hh_dims(), rows
+            got, want = cleared_and_per_matrix(ranked)
+            assert got == want
+            checked[field, got[1] is not None] += 1
+    # four complexes have torsion in their integral homology (rp2 among
+    # them); a structure constant vanishes mod p on the False rows
+    assert checked == {("cells", False): 596, ("cells", True): 4, "sc": 276,
+                       ("Q", True): 276, ("Fp:2", True): 259,
+                       ("Fp:2", False): 6, ("Fp:3", True): 263,
+                       ("Fp:3", False): 8, ("Fp:5", True): 272,
+                       ("Fp:5", False): 2}
+    assert skipped == {"smith": 30368, "rank": 104944}
 
 
 # ---------------------------------------------------------------------------
