@@ -52,11 +52,18 @@ at most one basis vector with a scalar: epsilon sends a tuple t whose
 product is lambda b to the basis pair (t, b) with scalar lambda, and mu
 is its partial inverse with 1 / lambda.  All of them, like the
 differentials, are kept as sparse columns {index: coefficient}, the
-layout of the cell complexes' boundaries, and their identity and
-chain-map properties are checked column by column rather than assumed.
-epsilon(SC) is then a coordinate subcomplex of HC, and the long exact
-sequence of the quotient gives the ranks of the map SH -> HH from three
-rank sequences.
+layout of the cell complexes' boundaries.  Their properties are checked
+rather than assumed, each at the cost of what it reads: the identities
+column by column; phi, psi and phi-sharp as chain maps column by column;
+epsilon and mu as cochain maps in one pass over the rows of HC's
+differential, where only the entries between two epsilon pairs need
+arithmetic (see `epsilon_mu`).  HC's differential squares to zero
+because the structure table is unital and associative, which is checked
+on the composable triples of basis elements, at the cost of the algebra
+rather than of the complex (see `HochschildComplex`); SC's is checked on
+its face rows, like a cell complex's.  epsilon(SC) is then a coordinate
+subcomplex of HC, and the long exact sequence of the quotient gives the
+ranks of the map SH -> HH from three rank sequences.
 
 The basis and all structure constants are computed exactly over the
 rationals; choosing a prime field only changes the coefficient
@@ -70,9 +77,9 @@ from dataclasses import dataclass
 from .core import Path, algebra_properties
 from .linalg import QQ, PrimeField, extend_rref
 from .complex import (_betti, _ranks, check_faces_square_zero,
-                      check_square_zero, cohomology_of_matrices,
-                      face_columns, homology_of_matrices,
-                      parse_coefficients, sparse_apply)
+                      cohomology_of_matrices, face_columns,
+                      homology_of_matrices, parse_coefficients,
+                      sparse_apply)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
@@ -532,6 +539,53 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
 # Hochschild cochain complex
 
 
+def _scaled(F, x, step):
+    """x times a table entry in F: None when it vanishes, else (scalar,
+    element)."""
+    if step is None:
+        return None
+    y = F.of(x * step[0])
+    return None if y == F.zero else (y, step[1])
+
+
+def _check_unital_associative(a, F):
+    """Assert that the structure table of `a` is that of a unital
+    associative algebra over F.
+
+    Each product s s' = lambda b of two non-identity elements has the ends
+    of s s', each identity acts as a unit on the elements at its vertex,
+    and (s1 s2) s3 == s1 (s2 s3) in F on every composable triple of
+    non-identity elements, each side read off the table as None (zero)
+    or (scalar, element).  The triples are walked through `starting`, so
+    the cost is that of the table, not of the complex.
+    """
+    product = a.product
+    for s1 in a.non_identity:
+        x, y = a.source(s1), a.target(s1)
+        assert (product[(a.identity_index[x], s1)] == (1, s1)
+                == product[(s1, a.identity_index[y])]), \
+            "the differential squares to zero only when the identities " \
+            "are units, but one of them moves %s" % a.elements[s1]
+        for s2 in a.starting[y]:
+            left = product[(s1, s2)]
+            assert left is None or (a.source(left[1]), a.target(left[1])) \
+                == (x, a.target(s2)), \
+                "the differential squares to zero only for a graded " \
+                "product, but %s * %s lands on %s" % (
+                    a.elements[s1], a.elements[s2], a.elements[left[1]])
+            for s3 in a.starting[a.target(s2)]:
+                right = product[(s2, s3)]
+                lhs = left and _scaled(F, left[0],
+                                       product.get((left[1], s3)))
+                rhs = right and _scaled(F, right[0],
+                                        product.get((s1, right[1])))
+                assert lhs == rhs, \
+                    "the differential squares to zero only for an " \
+                    "associative product, but (%s * %s) * %s != " \
+                    "%s * (%s * %s)" % (
+                        (a.elements[s1], a.elements[s2], a.elements[s3]) * 2)
+
+
 class HochschildComplex:
     """Cochain spaces over the vertex subalgebra and their differential.
 
@@ -539,6 +593,19 @@ class HochschildComplex:
     composable non-identity basis elements (its product may vanish) and
     target is a basis element of the end-to-end slice.  Degree 0 uses the
     empty tuple at each vertex with its identity as target.
+
+    The differential is the reduced bar differential written through the
+    structure table: (delta f)(s_1, .., s_n) = s_1 f(s_2, .., s_n) +
+    sum_j (-1)^j f(.., s_j s_(j+1), ..) + (-1)^n f(s_1, .., s_(n-1)) s_n.
+    It squares to zero for any unital associative table whose products
+    have the ends of their factors: in delta delta f each term is a
+    product of three factors (cochain values among them) bracketed two
+    ways, or two contractions done in either order, and these cancel in
+    pairs exactly when the brackets agree.  So instead of multiplying
+    the differentials, `_check_unital_associative` checks the table, on
+    the composable triples of non-identity elements, at the cost of the
+    algebra; that the columns follow the formula is the test suite's
+    work.  A table that fails raises AssertionError.
     """
 
     def __init__(self, algebra, field_label="Q"):
@@ -559,6 +626,7 @@ class HochschildComplex:
                     "divisible by p = %d: the rational semi-normed basis "
                     "does not reduce mod %d"
                     % (step[0], a.elements[i], a.elements[j], arg, arg))
+        _check_unital_associative(a, self.field)
         # degree-0 basis: one slot per vertex
         self.bases = [[((), a.identity_index[v]) for v in q.vertices]]
         cur = [(i,) for i in a.non_identity]
@@ -575,8 +643,6 @@ class HochschildComplex:
         # chain complex; a coboundary column is a column of the transpose
         self.columns = {n: self._b_columns(n)
                         for n in range(1, len(self.bases))}
-        check_square_zero(self.columns, self.field,
-                          "differential squares to zero")
 
     def _b_columns(self, n):
         a = self.algebra
@@ -687,16 +753,6 @@ class EpsilonMuReport:
     iso: bool
 
 
-def _transpose(columns, size):
-    """The `size` columns of the transpose of a map given by sparse
-    columns; row index i becomes column i."""
-    out = [{} for _ in range(size)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            out[i][j] = x
-    return out
-
-
 def epsilon_mu(algebra, sc, hc):
     """Comparison between simplicial and Hochschild cochains over k.
 
@@ -712,8 +768,32 @@ def epsilon_mu(algebra, sc, hc):
     that mu reaches, and Q = HC/eps(SC) is HC restricted to the others.
     The long exact sequence of 0 -> SC -> HC -> Q -> 0 gives the rank
     rk_n of SH^n -> HH^n: rk_0 = sh_0, and h^n(Q) = (hh_n - rk_n) +
-    (sh_{n+1} - rk_{n+1}).  Both identities are checked first; a failure
+    (sh_{n+1} - rk_{n+1}).  mu is built as the partial inverse of eps, so
+    mu eps is the identity exactly when no two tuples share a pair, and
+    eps mu exactly when every pair is reached: both identities are counts.
+    mu eps = id and eps being a cochain map are checked first; a failure
     raises AssertionError rather than ranking a non-complex.
+
+    The cochain-map squares are read off the rows of HC's differential in
+    one pass.  Write E_n for the degree-n pairs that eps reaches, r(c)
+    for the pair of tuple c and lambda_c for its scalar, and hc[r'][p],
+    sc[c'][c] for the entries of the two differentials (rows in degree n,
+    entries in degree n-1).  On the coordinate vector of a tuple c,
+    eps delta = delta eps reads sum_c' sc[c'][c] lambda_c' r(c') =
+    lambda_c sum_r' hc[r'][r(c)] r'; r is a bijection onto E, so this
+    holds exactly when
+      (i)  no row r' outside E_n has an entry at a pair of E_(n-1), and
+      (ii) hc[r(c')][r(c)] lambda_c == sc[c'][c] lambda_c' for all c', c
+           (a missing entry is 0).
+    On the coordinate vector of a pair p, mu delta = delta mu reads
+    sum_(r' = r(c') in E_n) hc[r'][p] / lambda_c' c' = [p = r(c)]
+    sum_c' sc[c'][c] / lambda_c c', which holds exactly when (ii) holds
+    (multiply through by lambda_c lambda_c') and
+      (iii) no row in E_n has an entry outside E_(n-1).
+    So eps is a cochain map exactly when (i) and (ii) hold, and mu
+    exactly when (ii) and (iii) do.  Only (ii) does arithmetic, on the
+    entries between two eps pairs; the same pass keeps the rows and
+    entries of Q.
     """
     if sc.algebra is not algebra or hc.algebra is not algebra:
         raise FieldMismatch(
@@ -726,11 +806,14 @@ def epsilon_mu(algebra, sc, hc):
     sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
     hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
     eps, mu = {}, {}
+    # reach[n] = {r(c): (c, lambda_c)}, the pairs of E_n
+    reach = {}
     for n in range(top + 1):
         bidx = {pair: r for r, pair in enumerate(hc.bases[n])} \
             if n <= hc.top_dim() else {}
         eps[n] = []
         mu[n] = [{} for _ in range(hc_dims[n])]
+        reach[n] = {}
         for c, t in enumerate(sc.tuples[n] if n <= sc.top_dim() else []):
             if n == 0:
                 lam, r = 1, bidx[((), a.identity_index[t[0]])]
@@ -747,29 +830,46 @@ def epsilon_mu(algebra, sc, hc):
                        F.p, F.p))
             eps[n].append({r: x})
             mu[n][r] = {c: F.inv(x)}
-    # coboundaries C^n -> C^{n+1} as columns, over the cochain coordinates
-    d_sc = {n: _transpose(sc.columns.get(n + 1, []), sc_dims[n])
-            for n in range(top + 1)}
-    d_hc = {n: _transpose(hc.columns.get(n + 1, []), hc_dims[n])
-            for n in range(top + 1)}
-    mu_eps = all(_is_inverse(eps[n], mu[n], F) for n in range(top + 1))
-    eps_mu = all(_is_inverse(mu[n], eps[n], F) for n in range(top + 1))
-    eps_chain = all(_commutes(eps[n], eps[n + 1], d_sc[n], d_hc[n], F)
-                    for n in range(top))
-    mu_chain = all(_commutes(mu[n], mu[n + 1], d_hc[n], d_sc[n], F)
-                   for n in range(top))
+            reach[n][r] = (c, x)
+    mu_eps = all(len(reach[n]) == len(eps[n]) for n in range(top + 1))
+    eps_mu = all(len(reach[n]) == hc_dims[n] for n in range(top + 1))
+    # Q keeps the pairs outside eps(SC), as rows and as entries; a pair in
+    # eps(SC) keeps its place as an empty row, so that Q stays on HC's
+    # coordinates, which `_ranks` reads its pivots in
+    eps_chain = mu_chain = True
+    q_columns = {}
+    for n, rows in hc.columns.items():
+        inside, below = reach[n], reach[n - 1]
+        q_rows = q_columns[n] = []
+        for r, row in enumerate(rows):
+            if r not in inside:
+                kept = {p: x for p, x in row.items() if p not in below}
+                eps_chain = eps_chain and len(kept) == len(row)    # (i)
+                q_rows.append(kept)
+                continue
+            q_rows.append({})
+            c, lam = inside[r]
+            got = {}
+            for p, x in row.items():
+                if p in below:
+                    got[p] = F.mul(x, below[p][1])
+                else:
+                    mu_chain = False                               # (iii)
+            # the faces' coefficients are almost always +-1
+            signed = {1: lam, -1: F.neg(lam)}
+            want = {}
+            for d, k in sc.columns[n][c].items():
+                (p,) = eps[n - 1][d]    # r(d)
+                y = signed[k] if k in signed else F.mul(F.of(k), lam)
+                if y != F.zero:
+                    want[p] = y
+            if got != want:                                        # (ii)
+                eps_chain = mu_chain = False
     if not mu_eps:
         raise AssertionError("mu . epsilon must be the identity")
     if not eps_chain:
         raise AssertionError("epsilon must be a cochain map")
-    # Q keeps the pairs outside eps(SC), as rows and as entries; a pair in
-    # eps(SC) keeps its place as an empty row, so that Q stays on HC's
-    # coordinates, which `_ranks` reads its pivots in
-    keep = {n: [not col for col in mu[n]] for n in mu}
-    q_columns = {n: [{c: x for c, x in row.items() if keep[n - 1][c]}
-                     if kept else {} for row, kept in zip(rows, keep[n])]
-                 for n, rows in hc.columns.items()}
-    q_dims = {n: sum(kept) for n, kept in keep.items()}
+    q_dims = {n: hc_dims[n] - len(reach[n]) for n in range(top + 1)}
     sh = _betti(dict(enumerate(sc_dims)), _ranks(sc.columns, F), top + 1)
     hh = _betti(dict(enumerate(hc_dims)), _ranks(hc.columns, F), top + 1)
     hq = _betti(q_dims, _ranks(q_columns, F), top)

@@ -124,11 +124,16 @@ def sparse_column(terms):
 
 def face_columns(faces):
     """{n: sparse columns of delta_n} for n >= 1 from face rows: the column
-    of a cell with faces (f_0, ..., f_n) is sum (-1)^i f_i."""
+    of a cell with faces (f_0, ..., f_n) is sum (-1)^i f_i, read straight
+    off the row when its faces are distinct."""
     columns = {}
     for n in range(1, len(faces)):
         signs = [(-1) ** i for i in range(n + 1)]
-        columns[n] = [sparse_column(zip(row, signs)) for row in faces[n]]
+        cols = columns[n] = []
+        for row in faces[n]:
+            col = dict(zip(row, signs))
+            cols.append(col if len(col) == len(row)
+                        else sparse_column(zip(row, signs)))
     return columns
 
 
@@ -156,40 +161,27 @@ def check_faces_square_zero(faces):
     identities d_i d_j = d_(j-1) d_i (i < j), the n(n+1) terms of its
     delta delta cancel in pairs; only a cell where one fails has its
     signed sum formed.  So the check accepts exactly the complexes whose
-    boundary columns pass `check_square_zero`, at O(n^2) index reads per
-    cell and no arithmetic.
+    boundary columns square to zero, at O(n^2) index reads per cell and
+    no arithmetic: per dimension two item getters pick both sides of
+    every identity out of a cell's concatenated face rows, and one
+    comparison tests them all.
     """
     for n in range(2, len(faces)):
         low = faces[n - 1]
         pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        # d_i d_j sits at j n + i in the concatenated rows, d_(j-1) d_i at
+        # i n + j - 1
+        left = operator.itemgetter(*[j * n + i for i, j in pairs])
+        right = operator.itemgetter(*[i * n + j - 1 for i, j in pairs])
         for row in faces[n]:
-            below = [low[f] for f in row]
-            if all(below[j][i] == below[i][j - 1] for i, j in pairs):
+            flat = [f for d in row for f in low[d]]
+            if left(flat) == right(flat):
                 continue
             assert not sparse_column(
                 (f, (-1) ** (i + j))
-                for j, sub in enumerate(below)
+                for j, sub in enumerate(map(low.__getitem__, row))
                 for i, f in enumerate(sub)), \
                 "boundary of boundary must vanish"
-
-
-def check_square_zero(columns, field=None,
-                      message="boundary of boundary must vanish"):
-    """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
-
-    `columns[n][j]` maps row indices of degree n-1 to coefficients, which
-    are integers, or elements of `field` when one is given.  Each column
-    costs one sparse combination of the columns it touches, so a complex
-    of cells with n+1 faces costs O(cells * n^2).  Complexes given by
-    face rows, whose coefficients are the signs +-1, are checked by
-    `check_faces_square_zero`, which reads indices only.
-    """
-    for n, cols in columns.items():
-        low = columns.get(n - 1)
-        if low is None:
-            continue
-        for col in cols:
-            assert not sparse_apply(low, col, field), message
 
 
 def build_complex(table, classes, max_dim=None):
@@ -374,9 +366,12 @@ def homology_of_matrices(dims, mats, coeff, top=None):
     columns: mats[n][j] = {row in degree n-1: coefficient}.
 
     The matrices must form a complex, mats[n - 1] mats[n] == 0: the
-    ranking clears columns by that identity and does not check it (every
-    caller in the package has asserted it, by `check_faces_square_zero`
-    or `check_square_zero`).
+    ranking clears columns by that identity and does not check it.  Every
+    complex the package ranks, here or through `_ranks`, has been made
+    sure of it: a cell complex and SC by `check_faces_square_zero` on
+    their face rows, HC by the associativity of its structure table, and
+    the quotient HC/eps(SC) by the epsilon cochain-map check, which makes
+    eps(SC) a subcomplex.
     """
     if top is None:
         top = max([n for n, d in dims.items() if d], default=0)

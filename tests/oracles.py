@@ -49,6 +49,16 @@ pushed through eps and ranked together with the Hochschild coboundaries.
 complex as it was ranked before clearing: every boundary matrix on its
 own, with all of its columns eliminated.
 
+`check_square_zero` is the check that a complex given by sparse
+columns squares to zero as the library ran it before: one sparse
+combination of the columns below per column, `Fraction` arithmetic
+included.  The cell complexes and SC check their face identities
+instead, and HC the associativity of its structure table.
+`commuting_squares` is the epsilon/mu cochain-map check as epsilon_mu
+ran it before it read the rows of HC's differential in one pass: both
+coboundaries transposed into columns by `sparse_transpose`, and
+`_commutes` comparing the two sides of every square column by column.
+
 `FractionField` is the arithmetic of Q as it was before its elements
 became ints wherever integral: every element a Fraction.  Run through the
 same elimination kernel, it is the oracle of the int-first form, and the
@@ -108,8 +118,9 @@ from fractions import Fraction
 
 from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import (BasisElement, SemiNormedAlgebra,
-                            SemiNormedFailure, _acyclic_classes)
-from bqtop.complex import _betti, parse_coefficients, sparse_column
+                            SemiNormedFailure, _acyclic_classes, _commutes)
+from bqtop.complex import (_betti, parse_coefficients, sparse_apply,
+                           sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
@@ -709,6 +720,50 @@ def cocycle_image_degrees(sc, hc, eps):
                         "injective": rk == sh, "surjective": rk == hh})
     iso = all(d["injective"] and d["surjective"] for d in degrees)
     return tuple(degrees), iso
+
+
+def check_square_zero(columns, field=None,
+                      message="boundary of boundary must vanish"):
+    """Assert delta_{n-1} delta_n == 0 for sparse boundary columns.
+
+    `columns[n][j]` maps row indices of degree n-1 to coefficients, which
+    are integers, or elements of `field` when one is given.  Each column
+    costs one sparse combination of the columns it touches.
+    """
+    for n, cols in columns.items():
+        low = columns.get(n - 1)
+        if low is None:
+            continue
+        for col in cols:
+            assert not sparse_apply(low, col, field), message
+
+
+def sparse_transpose(columns, size):
+    """The `size` columns of the transpose of a map given by sparse
+    columns; row index i becomes column i."""
+    out = [{} for _ in range(size)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
+
+
+def commuting_squares(sc, hc, eps, mu):
+    """(eps_cochain_map, mu_cochain_map) for the sparse columns `eps` and
+    `mu` of epsilon_mu's report, each square compared column by column on
+    the transposed coboundaries."""
+    F = hc.field
+    top = max(sc.top_dim(), hc.top_dim())
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
+    d_sc = {n: sparse_transpose(sc.columns.get(n + 1, []), sc_dims[n])
+            for n in range(top + 1)}
+    d_hc = {n: sparse_transpose(hc.columns.get(n + 1, []), hc_dims[n])
+            for n in range(top + 1)}
+    return (all(_commutes(eps[n], eps[n + 1], d_sc[n], d_hc[n], F)
+                for n in range(top)),
+            all(_commutes(mu[n], mu[n + 1], d_hc[n], d_sc[n], F)
+                for n in range(top)))
 
 
 def per_matrix_integral_homology(dims, mats, top):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bqtop.algcohom import (FieldMismatch, TriangularRequired, _commutes,
-                            _is_inverse, _transpose, epsilon_mu,
+                            _is_inverse, epsilon_mu,
                             find_semi_normed_basis, hochschild_complex,
                             hochschild_cup, phi_psi_maps, sc_cup,
                             simplicial_complex, verify_semi_normed_basis)
@@ -15,6 +15,7 @@ from bqtop.complex import build_complex, homology
 from bqtop.core import BoundQuiver, Path, QuiverError, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
+from oracles import commuting_squares, sparse_transpose
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -370,6 +371,62 @@ def test_corrupted_hochschild_column_breaks_the_epsilon_square(field):
         epsilon_mu(a, s, h)
 
 
+def triangle(field):
+    # a*b is parallel to c, so the pair ((c), a*b) lies outside eps(SC)
+    # and the pair ((a, b), c) too
+    t, n = setup(["1", "2", "3"],
+                 [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    a = find_semi_normed_basis(t, n)
+    s, h = simplicial_complex(a), hochschild_complex(a, field)
+    rep = epsilon_mu(a, s, h)
+    assert rep.eps_cochain_map and rep.mu_cochain_map
+    return a, s, h, rep
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_entry_from_outside_eps_into_it_breaks_only_mu(field):
+    a, s, h, rep = triangle(field)
+    # a coboundary from a pair that epsilon misses into one it reaches
+    # leaves the epsilon square alone and breaks the mu square
+    r, c = next((r, c) for r in range(h.dims()[2]) if rep.mu[2][r]
+                for c in range(h.dims()[1]) if not rep.mu[1][c])
+    h.columns[2][r] = {**h.columns[2][r], c: h.field.one}
+    assert commuting_squares(s, h, rep.eps, rep.mu) == (True, False)
+    rep = epsilon_mu(a, s, h)
+    assert (rep.eps_cochain_map, rep.mu_cochain_map) == (True, False)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_entry_from_eps_out_of_it_breaks_epsilon(field):
+    a, s, h, rep = triangle(field)
+    # a coboundary from a pair that epsilon reaches into one it misses
+    r, c = next((r, c) for r in range(h.dims()[2]) if not rep.mu[2][r]
+                for c in range(h.dims()[1]) if rep.mu[1][c]
+                and c not in h.columns[2][r])
+    h.columns[2][r] = {**h.columns[2][r], c: h.field.one}
+    assert commuting_squares(s, h, rep.eps, rep.mu) == (False, True)
+    with pytest.raises(AssertionError, match="epsilon must be a cochain map"):
+        epsilon_mu(a, s, h)
+
+
+def test_a_table_that_breaks_a_unit_or_the_ends_fails_the_check():
+    t, classes = setup(["1", "2", "3", "4"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    alg = find_semi_normed_basis(t, classes)
+    q = t.quiver
+    i = alg.index_by_path[q.path(["a"])]
+    j = alg.index_by_path[q.path(["b"])]
+    e2 = alg.identity_index["2"]
+    for key, wrong in [((i, e2), (2, i)), ((i, j), (1, i))]:
+        right = alg.product[key]
+        alg.product[key] = wrong
+        with pytest.raises(AssertionError,
+                           match="differential squares to zero"):
+            hochschild_complex(alg, "Q")
+        alg.product[key] = right
+    hochschild_complex(alg, "Q")
+
+
 def with_column(cols, k, col):
     """The map `cols` (sparse columns) with column k replaced by `col`."""
     out = list(cols)
@@ -381,8 +438,8 @@ def test_column_checks_catch_a_perturbed_epsilon_column():
     a, s, h = cube()
     rep = epsilon_mu(a, s, h)
     F = h.field
-    d_sc = _transpose(s.columns[2], s.counts()[1])
-    d_hc = _transpose(h.columns[2], h.dims()[1])
+    d_sc = sparse_transpose(s.columns[2], s.counts()[1])
+    d_hc = sparse_transpose(h.columns[2], h.dims()[1])
     eps, mu = rep.eps[1], rep.mu[1]
     assert _commutes(eps, rep.eps[2], d_sc, d_hc, F)
     assert _commutes(mu, rep.mu[2], d_hc, d_sc, F)

@@ -8,15 +8,16 @@ import random
 import pytest
 
 from bqtop import cli
-from bqtop.complex import (CellComplex, build_complex, check_square_zero,
-                           coboundary, cohomology, cohomology_of_matrices,
-                           cup_product, euler_characteristic, homology,
+from bqtop.complex import (CellComplex, build_complex, coboundary,
+                           cohomology, cohomology_of_matrices, cup_product,
+                           euler_characteristic, homology,
                            homology_of_matrices, sparse_column)
 from bqtop.core import BoundQuiver, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
                             pi1_presentation, walk_homotopy_classes)
 from bqtop.linalg import mat_mul
+from oracles import check_square_zero
 
 
 def bq(vertices, arrows, rels=()):

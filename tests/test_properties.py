@@ -27,8 +27,7 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
                    walk_homotopy_classes)
 from bqtop import algcohom
 from bqtop import complex as cellular
-from bqtop.complex import (check_faces_square_zero, check_square_zero,
-                           face_columns)
+from bqtop.complex import check_faces_square_zero, face_columns
 from bqtop.core import AdmissibilityError, compose, path_sort_key
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
@@ -37,7 +36,8 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     SortedPathClassTable, cocycle_image_degrees,
+                     SortedPathClassTable, check_square_zero,
+                     cocycle_image_degrees, commuting_squares,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
@@ -45,7 +45,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      per_matrix_integral_homology, per_matrix_ranks,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
-                     rotation_canonical, rounds_tietze, swept_natural_classes,
+                     rotation_canonical, rounds_tietze, sparse_transpose,
+                     swept_natural_classes,
                      truncated_path_table, walked_hochschild,
                      walked_simplicial)
 
@@ -1060,6 +1061,75 @@ def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
 
 
 # ---------------------------------------------------------------------------
+# the checks at the cost of the algebra against the whole-complex checks
+
+
+def test_algebra_checks_match_the_whole_complex_oracles(comm_grid):
+    # HC passed the associativity certificate, so its columns square to
+    # zero; the one-pass epsilon/mu flags equal the commuting squares, and
+    # the identities read off counts equal the column-by-column products
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    grids = [parse(open(comm_grid(n)).read()) for n in (4, 5)]
+    checked = collections.Counter()
+    for k, q in enumerate(quivers + grids):
+        a = find_semi_normed_basis(enumerate_paths(q))
+        if not a.ok:
+            continue
+        sc = simplicial_complex(a)
+        for field in ("Q", "Fp:2", "Fp:3"):
+            try:
+                hc = hochschild_complex(a, field)
+                rep = epsilon_mu(a, sc, hc)
+            except ValueError:
+                continue  # p divides a structure constant
+            check_square_zero(hc.columns, hc.field)
+            flags = rep.eps_cochain_map, rep.mu_cochain_map
+            assert flags == commuting_squares(sc, hc, rep.eps, rep.mu), k
+            inverse = algcohom._is_inverse
+            assert (rep.mu_eps_identity, rep.eps_mu_identity) == (
+                all(inverse(rep.eps[n], rep.mu[n], hc.field) for n in rep.eps),
+                all(inverse(rep.mu[n], rep.eps[n], hc.field) for n in rep.eps)
+            ), k
+            checked[field, "grid" if k >= len(quivers) else "dq", flags] += 1
+    assert checked == {("Q", "dq", (True, True)): 239,
+                       ("Q", "dq", (True, False)): 36,
+                       ("Fp:3", "dq", (True, True)): 227,
+                       ("Fp:3", "dq", (True, False)): 36,
+                       ("Fp:2", "dq", (True, True)): 225,
+                       ("Fp:2", "dq", (True, False)): 34,
+                       ("Q", "grid", (True, True)): 2}
+
+
+def test_associativity_certificate_matches_the_square_zero_oracle():
+    # scale one structure constant of two non-identity elements: HC is
+    # refused exactly when the columns the formula gives for that table
+    # (built by the unchecked oracle) fail to square to zero
+    rng = random.Random(SEED + 21)
+    outcomes = collections.Counter()
+    for q in differential_quivers():
+        if not q.is_acyclic():
+            continue
+        a = find_semi_normed_basis(enumerate_paths(q))
+        if not a.ok:
+            continue
+        pairs = [key for key, step in a.product.items()
+                 if step is not None and key[0] in a.non_identity
+                 and key[1] in a.non_identity]
+        if not pairs:
+            continue
+        key = rng.choice(pairs)
+        lam, b = a.product[key]
+        a.product[key] = (QQ.of(lam * rng.choice([2, -1, Fraction(1, 3)])),
+                          b)
+        accepted = accepts(lambda alg: hochschild_complex(alg, "Q"), a)
+        F, _, columns = walked_hochschild(a, "Q")
+        assert accepts(lambda cols: check_square_zero(cols, F),
+                       columns) == accepted
+        outcomes[accepted] += 1
+    assert outcomes == {True: 103, False: 52}
+
+
+# ---------------------------------------------------------------------------
 # each complex ranked top-down with clearing against every matrix ranked
 # on its own
 
@@ -1190,12 +1260,6 @@ def random_rational_rows(rng):
     rows = [{j: rng.choice(values) for j in range(ncols)
              if rng.random() < 0.5} for _ in range(rng.randint(1, 8))]
     return rows, ncols
-
-
-def sparse_transpose(rows, ncols):
-    """The columns of sparse rows, as sparse vectors."""
-    return [{i: row[j] for i, row in enumerate(rows) if j in row}
-            for j in range(ncols)]
 
 
 def test_int_first_elimination_matches_the_all_fraction_oracle():
