@@ -855,14 +855,10 @@ def epsilon_mu(algebra, sc, hc):
                     got[p] = F.mul(x, below[p][1])
                 else:
                     mu_chain = False                               # (iii)
-            # the faces' coefficients are almost always +-1
-            signed = {1: lam, -1: F.neg(lam)}
             want = {}
             for d, k in sc.columns[n][c].items():
                 (p,) = eps[n - 1][d]    # r(d)
-                y = signed[k] if k in signed else F.mul(F.of(k), lam)
-                if y != F.zero:
-                    want[p] = y
+                want[p] = F.mul(F.of(k), lam)
             if got != want:                                        # (ii)
                 eps_chain = mu_chain = False
     if not mu_eps:
