@@ -651,15 +651,9 @@ class HochschildComplex:
         upper = self.bases[n]
         col = {pair: c for c, pair in enumerate(lower)}
         row = {pair: r for r, pair in enumerate(upper)}
-        rows = [{} for _ in upper]
-
-        def add(r, c, x):
-            y = F.of(rows[r].get(c, F.zero) + x)
-            if y != F.zero:
-                rows[r][c] = y
-            else:
-                rows[r].pop(c, None)
-
+        # raw rational sums of the face terms, made field elements once
+        # per entry at the end
+        sums = [{} for _ in upper]
         for t in sorted({t for t, _ in upper}):
             vs = a.vertices(t)
             # (face, scalar, left factor, right factor, face ends): the
@@ -685,8 +679,12 @@ class HochschildComplex:
                     else:
                         step = (1, w)
                     if step is not None:
-                        add(row[(t, step[1])], c, x * step[0])
-        return rows
+                        y = x if step[0] == 1 else x * step[0]
+                        entries = sums[row[(t, step[1])]]
+                        entries[c] = entries.get(c, 0) + y
+        of, zero = F.of, F.zero
+        return [{c: z for c, y in entries.items() if (z := of(y)) != zero}
+                for entries in sums]
 
     def dims(self):
         return [len(b) for b in self.bases]

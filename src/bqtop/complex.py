@@ -16,17 +16,20 @@ split is then unique), or when the natural classes carry no bound
 caveat (they are then closed under composition); only under the bound
 caveat could another split give another face.
 Cells are grown and their faces found on table indices: a composite is
-looked up by its arrow names in `PathTable.arrow_index`, and no path
-object is built.  Boundary of boundary is checked on the face rows when
-the complex is made: where a cell's faces satisfy the simplicial
-identities its terms cancel in pairs, and only a cell where one fails has
-its signed sum formed.  Boundary matrices are sparse integer columns,
-built from the faces on first read, so commands that only list cells
-never build them.  Homology over Z comes from their invariant factors
-(unit-pivot reduction, then a certified Smith normal form of what is
-left), over a field from their ranks, and cohomology and cyclic
-coefficients by universal coefficients.  The boundaries are ranked from
-the top down with clearing (the "twist" of persistent homology,
+looked up by its arrow names in `PathTable.arrow_index` once per build,
+and no path object is built.  The complex keeps a cell as its key and
+the table index of its witness; the `Cell` objects, with their witness
+paths, and the cell index are built on first read, so (co)homology and
+the Euler characteristic build none.  Boundary of boundary is checked on
+the face rows when the complex is made: where a cell's faces satisfy the
+simplicial identities its terms cancel in pairs, and only a cell where
+one fails has its signed sum formed.  Boundary matrices are sparse
+integer columns, built from the faces on first read, so commands that
+only list cells never build them.  Homology over Z comes from their
+invariant factors (unit-pivot reduction, then a certified Smith normal
+form of what is left), over a field from their ranks, and cohomology and
+cyclic coefficients by universal coefficients.  The boundaries are ranked
+from the top down with clearing (the "twist" of persistent homology,
 Chen-Kerber 2011): each one skips the columns on which the one above
 pivoted, over Z only its unit pivots, so those columns reach neither the
 elimination nor the residual Smith normal form.
@@ -63,9 +66,17 @@ class Cell:
 
 
 class CellComplex:
-    """Graded cells, face maps and integer boundary matrices."""
+    """Graded cells, face maps and integer boundary matrices.
 
-    def __init__(self, table, classes, cells, faces, cut_at=None):
+    The complex is kept on table ids: per dimension the cell keys (the
+    vertices in quiver order in dimension 0, the sorted class-id tuples
+    above) and, for n >= 1, the table index of each cell's witness.  The
+    `Cell` objects, the cell index and the boundary columns are built on
+    first read, so (co)homology and the Euler characteristic build no
+    `Cell` at all.
+    """
+
+    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None):
         self.table = table
         self.classes = classes
         self.variant = classes.variant
@@ -77,13 +88,26 @@ class CellComplex:
                 "cells of dimension > %d were left out (the complex has "
                 "%d-cells), so the Euler characteristic is not reported"
                 % (cut_at, cut_at + 1),)
-        self.cells = cells          # list per dimension, dim 0 first
+        self.keys = keys            # keys[n][j]: key of n-cell j
+        self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
         self.faces = faces          # faces[n][j] = tuple of cell indices
-        self.cell_index = {}
-        for n, layer in enumerate(cells):
-            for i, cell in enumerate(layer):
-                self.cell_index[(n, cell.key)] = i
         check_faces_square_zero(faces)
+
+    @functools.cached_property
+    def cells(self):
+        """`Cell` objects per dimension, dim 0 first."""
+        paths = self.table.paths
+        cells = [[Cell(0, v, None) for v in self.keys[0]]]
+        for n in range(1, len(self.keys)):
+            cells.append([Cell(n, key, paths[w]) for key, w
+                          in zip(self.keys[n], self.witnesses[n])])
+        return cells
+
+    @functools.cached_property
+    def cell_index(self):
+        """(dimension, key) -> position of the cell in its dimension."""
+        return {(n, key): i for n, layer in enumerate(self.keys)
+                for i, key in enumerate(layer)}
 
     @functools.cached_property
     def columns(self):
@@ -92,10 +116,10 @@ class CellComplex:
         return face_columns(self.faces)
 
     def counts(self):
-        return [len(layer) for layer in self.cells]
+        return [len(layer) for layer in self.keys]
 
     def top_dim(self):
-        return len(self.cells) - 1
+        return len(self.keys) - 1
 
     def boundary(self, n):
         """delta_n as a dense integer matrix (rows C_{n-1}, cols C_n)."""
@@ -111,7 +135,7 @@ class CellComplex:
         return {n: self.boundary(n) for n in self.columns}
 
     def size(self, n):
-        return len(self.cells[n]) if 0 <= n <= self.top_dim() else 0
+        return len(self.keys[n]) if 0 <= n <= self.top_dim() else 0
 
 
 def sparse_column(terms):
@@ -189,86 +213,99 @@ def build_complex(table, classes, max_dim=None):
 
     Cells of dimension above `max_dim` (>= 0; None keeps them all) are
     left out; when there are any, the complex records the cut and says
-    so in its caveats.
+    so in its caveats.  Cells are grown as keys and witness indices; the
+    complex builds their `Cell` objects on first read.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
                          % max_dim)
-    paths, in_ideal = table.paths, table.in_ideal
+    paths, in_ideal, bound = table.paths, table.in_ideal, table.bound
     arrow_index = table.arrow_index
-    arrows = [p.arrows for p in paths]
-    length = [len(a) for a in arrows]
     of_index = classes.class_of_index
     source, target = classes.class_source, classes.class_target
-    # steps[v]: (class, member) for every member of a 1-cell class at v
-    steps = {v: [] for v in table.quiver.vertices}
+    vertices = table.quiver.vertices
+    # steps[v]: (class, member, its arrows) for every nonzero member of a
+    # 1-cell class at v; a zero member's composites all lie in the ideal
+    steps = {v: [] for v in vertices}
     # live[key] = {witness: split}: every nonzero member composite of the
     # class tuple `key`, with the least of its splits into members (all
     # as table indices, so `min` of a record is its least composite)
     live = {}
     for cid in classes.one_cell_classes():
-        live[(cid,)] = {}
+        record = live[(cid,)] = {}
         for j in classes.class_members[cid]:
-            steps[source[cid]].append((cid, j))
             if j not in in_ideal:
-                live[(cid,)][j] = (j,)
-    cells = [[Cell(0, v, None) for v in table.quiver.vertices]]
-    faces = [None]
+                steps[source[cid]].append((cid, j, paths[j].arrows))
+                record[j] = (j,)
+
+    @functools.cache
+    def extensions(w):
+        """(class, member, composite) of each one-step extension of the
+        nonzero composite w that stays nonzero; past the bound a
+        composite lies in the ideal."""
+        out = []
+        p = paths[w]
+        for cid, j, arrows in steps[p.target]:
+            if len(p.arrows) + len(arrows) <= bound:
+                c = arrow_index[p.arrows + arrows]
+                if c not in in_ideal:
+                    out.append((cid, j, c))
+        return out
+
+    @functools.cache
+    def middle(i, j):
+        """Class of the composite of the members i and j of a split."""
+        return of_index[arrow_index[paths[i].arrows + paths[j].arrows]]
+
+    keys, witnesses, faces = [list(vertices)], [None], [None]
+    below = {v: i for i, v in enumerate(vertices)}
     top = math.inf if max_dim is None else max_dim
-
-    def grow(live):
-        """(key + (class,), composite, split) of each nonzero one-step
-        extension of the stored composites."""
-        for key, record in live.items():
-            for w, split in record.items():
-                for cid, j in steps[paths[w].target]:
-                    if length[w] + length[j] > table.bound:
-                        continue
-                    c = arrow_index[arrows[w] + arrows[j]]
-                    if c not in in_ideal:
-                        yield key + (cid,), c, split + (j,)
-
     cut = False
     n = 1
     while live:
         if n > top:
             cut = True
             break
-        keys = sorted(live)
-        below = {c.key: i for i, c in enumerate(cells[-1])}
-        layer, rows = [], []
-        for key in keys:
-            w = min(live[key])
-            split = live[key][w]
-            layer.append(Cell(n, key, paths[w]))
+        layer = sorted(live)
+        wits, rows = [], []
+        for key in layer:
+            record = live[key]
+            w = min(record)
+            split = record[w]
+            wits.append(w)
             # d_0 drops the first class, d_n the last (leaving a vertex
             # when n = 1), and d_i composes the members i-1, i of the
             # least witness's split
             row = [key[1:] or target[key[0]]]
             for i in range(1, n):
-                mid = of_index[arrow_index[arrows[split[i - 1]]
-                                           + arrows[split[i]]]]
-                row.append(key[:i - 1] + (mid,) + key[i + 1:])
+                row.append(key[:i - 1] + (middle(split[i - 1], split[i]),)
+                           + key[i + 1:])
             row.append(key[:-1] or source[key[0]])
             face = tuple(map(below.get, row))
             assert None not in face, "face of a cell must be a cell"
             rows.append(face)
-        cells.append(layer)
+        keys.append(layer)
+        witnesses.append(wits)
         faces.append(rows)
         if n == top:
             # one nonzero extension tells whether the next layer is empty
-            cut = next(grow(live), None) is not None
+            cut = any(extensions(w) for record in live.values()
+                      for w in record)
             break
         # a nonzero composite has a nonzero prefix, so growing the stored
         # composites reaches every nonzero composite of the longer tuples
         grown = {}
-        for key, c, ext in grow(live):
-            record = grown.setdefault(key, {})
-            if c not in record or ext < record[c]:
-                record[c] = ext
+        for key, record in live.items():
+            for w, split in record.items():
+                for cid, j, c in extensions(w):
+                    ext = split + (j,)
+                    kept = grown.setdefault(key + (cid,), {})
+                    if c not in kept or ext < kept[c]:
+                        kept[c] = ext
         live = grown
+        below = {key: i for i, key in enumerate(layer)}
         n += 1
-    return CellComplex(table, classes, cells, faces,
+    return CellComplex(table, classes, keys, witnesses, faces,
                        cut_at=max_dim if cut else None)
 
 

@@ -259,7 +259,7 @@ class PathTable:
         quiver: the BoundQuiver
         bound: L, the least length >= 2 with every length-L path in I
         paths: all paths of length <= L, sorted by (length, names, source)
-        index: path -> position in `paths`
+        index: path -> position in `paths` (built on first read)
         arrow_index: arrow names -> position in `paths`, paths of length
             >= 1 only (built on first read)
         pair_paths: (x, y) -> list of indices into `paths`
@@ -277,7 +277,6 @@ class PathTable:
         self.quiver = quiver
         self.bound = bound
         self.paths = paths
-        self.index = {p: i for i, p in enumerate(paths)}
         self.pair_paths = {}
         self.local = []
         for i, p in enumerate(paths):
@@ -329,6 +328,11 @@ class PathTable:
             for k, x in rows[c].items():
                 vec[k] = vec.get(k, 0) - f * x
         return not any(vec.values())
+
+    @functools.cached_property
+    def index(self):
+        """Path -> position in `paths`."""
+        return {p: i for i, p in enumerate(self.paths)}
 
     @functools.cached_property
     def arrow_index(self):

@@ -38,6 +38,7 @@ parent's.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -290,26 +291,28 @@ class PathClassTable:
         for i in range(len(paths)):
             groups.setdefault(_find(parent, i), []).append(i)
         self.class_members = sorted(groups.values())
-        self.class_of_index = {}
-        self.class_source = []
-        self.class_target = []
-        self.class_nonzero = []
-        self.class_identity = []
-        self.class_rep = []
-        for cid, members in enumerate(self.class_members):
-            # a stationary member has length 0, so it would come first
-            first = paths[members[0]]
-            for i in members:
-                self.class_of_index[i] = cid
+        self.class_of_index = {i: cid for cid, members
+                               in enumerate(self.class_members)
+                               for i in members}
+        # a stationary member has length 0, so it would come first
+        firsts = [paths[members[0]] for members in self.class_members]
+        for members, first in zip(self.class_members, firsts):
+            for i in members[1:]:
                 p = paths[i]
                 assert (p.source, p.target) == (first.source, first.target), \
                     "homotopy class members must be parallel"
-            self.class_source.append(first.source)
-            self.class_target.append(first.target)
-            nz = next((i for i in members if i not in in_ideal), None)
-            self.class_nonzero.append(nz is not None)
-            self.class_identity.append(first.is_stationary)
-            self.class_rep.append(first if nz is None else paths[nz])
+        self.class_source = [p.source for p in firsts]
+        self.class_target = [p.target for p in firsts]
+        self.class_identity = [p.is_stationary for p in firsts]
+        # the least nonzero member, else the least member
+        reps = []
+        for members in self.class_members:
+            rep = members[0]
+            if rep in in_ideal:
+                rep = next((i for i in members if i not in in_ideal), rep)
+            reps.append(rep)
+        self.class_nonzero = [i not in in_ideal for i in reps]
+        self.class_rep = [paths[i] for i in reps]
 
     def __len__(self):
         return len(self.class_members)
@@ -367,7 +370,7 @@ def natural_homotopy_classes(table):
     a caveat.
     """
     q = table.quiver
-    paths, index, arrow_index = table.paths, table.index, table.arrow_index
+    paths, arrow_index = table.paths, table.arrow_index
     parent = list(range(len(paths)))
 
     @functools.cache
@@ -382,7 +385,8 @@ def natural_homotopy_classes(table):
                      for a in q.arrows_to[p.source]})
         return keys
 
-    pending = [(index[group[0]], index[p])
+    # the path index is built only when there is a group to seed
+    pending = [(table.index[group[0]], table.index[p])
                for group in relation_components(table) for p in group[1:]]
     while pending:
         ra, rb = sorted(_find(parent, i) for i in pending.pop())
@@ -393,8 +397,11 @@ def natural_homotopy_classes(table):
         keys = extensions(ra)
         pending.extend((keys[key], j) for key, j in extensions(rb).items())
     caveats = []
-    cut = next((i for i, p in enumerate(paths) if len(p) == table.bound
-                and extensions(_find(parent, i))), None)
+    # the table is sorted by length, so its bound-length paths end it; a
+    # bound-length root has no extension
+    cut = next((i for i in range(bisect.bisect_left(paths, table.bound,
+                                                    key=len), len(paths))
+                if parent[i] != i and extensions(_find(parent, i))), None)
     if cut is not None:
         caveats.append(
             "natural class of %s: member %s has the bound length %d, so its "

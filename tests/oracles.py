@@ -103,6 +103,11 @@ differential inputs (`voltage_cover`), Galois by construction.
 `random_cyclic_quiver` gives seeded small quivers with oriented cycles,
 bound by random relations of up to three terms; many are not admissible.
 
+`object_complex` is the cell complex as built before it was kept on
+table ids: a `Cell` with its witness `Path` for every cell, the cell
+index over all of them, and every composite looked up anew, zero
+members included.  `ObjectCellComplex` holds what it built.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -111,6 +116,7 @@ few fixed ones.
 import functools
 import importlib.util
 import itertools
+import math
 import pathlib
 import random
 import sys
@@ -119,8 +125,8 @@ from fractions import Fraction
 from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import (BasisElement, SemiNormedAlgebra,
                             SemiNormedFailure, _acyclic_classes, _commutes)
-from bqtop.complex import (_betti, parse_coefficients, sparse_apply,
-                           sparse_column)
+from bqtop.complex import (Cell, _betti, check_faces_square_zero,
+                           parse_coefficients, sparse_apply, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
@@ -1537,3 +1543,109 @@ def voltage_covers():
         else:
             covers.append((base, k) + made)
     return covers, skipped
+
+
+class ObjectCellComplex:
+    """The cells, faces, cell index, cut and caveats of `object_complex`."""
+
+    def __init__(self, table, classes, cells, faces, cut_at=None):
+        self.caveats = classes.caveats
+        self.cut_at = cut_at
+        if cut_at is not None:
+            self.caveats += (
+                "cells of dimension > %d were left out (the complex has "
+                "%d-cells), so the Euler characteristic is not reported"
+                % (cut_at, cut_at + 1),)
+        self.cells = cells
+        self.faces = faces
+        self.cell_index = {}
+        for n, layer in enumerate(cells):
+            for i, cell in enumerate(layer):
+                self.cell_index[(n, cell.key)] = i
+        check_faces_square_zero(faces)
+
+    def counts(self):
+        return [len(layer) for layer in self.cells]
+
+
+def object_complex(table, classes, max_dim=None):
+    """Cell complex over a path class table, built with `Cell` objects."""
+    if max_dim is not None and max_dim < 0:
+        raise ValueError("maximum cell dimension must be >= 0, got %d"
+                         % max_dim)
+    paths, in_ideal = table.paths, table.in_ideal
+    arrow_index = table.arrow_index
+    arrows = [p.arrows for p in paths]
+    length = [len(a) for a in arrows]
+    of_index = classes.class_of_index
+    source, target = classes.class_source, classes.class_target
+    # steps[v]: (class, member) for every member of a 1-cell class at v
+    steps = {v: [] for v in table.quiver.vertices}
+    # live[key] = {witness: split}: every nonzero member composite of the
+    # class tuple `key`, with the least of its splits into members (all
+    # as table indices, so `min` of a record is its least composite)
+    live = {}
+    for cid in classes.one_cell_classes():
+        live[(cid,)] = {}
+        for j in classes.class_members[cid]:
+            steps[source[cid]].append((cid, j))
+            if j not in in_ideal:
+                live[(cid,)][j] = (j,)
+    cells = [[Cell(0, v, None) for v in table.quiver.vertices]]
+    faces = [None]
+    top = math.inf if max_dim is None else max_dim
+
+    def grow(live):
+        """(key + (class,), composite, split) of each nonzero one-step
+        extension of the stored composites."""
+        for key, record in live.items():
+            for w, split in record.items():
+                for cid, j in steps[paths[w].target]:
+                    if length[w] + length[j] > table.bound:
+                        continue
+                    c = arrow_index[arrows[w] + arrows[j]]
+                    if c not in in_ideal:
+                        yield key + (cid,), c, split + (j,)
+
+    cut = False
+    n = 1
+    while live:
+        if n > top:
+            cut = True
+            break
+        keys = sorted(live)
+        below = {c.key: i for i, c in enumerate(cells[-1])}
+        layer, rows = [], []
+        for key in keys:
+            w = min(live[key])
+            split = live[key][w]
+            layer.append(Cell(n, key, paths[w]))
+            # d_0 drops the first class, d_n the last (leaving a vertex
+            # when n = 1), and d_i composes the members i-1, i of the
+            # least witness's split
+            row = [key[1:] or target[key[0]]]
+            for i in range(1, n):
+                mid = of_index[arrow_index[arrows[split[i - 1]]
+                                           + arrows[split[i]]]]
+                row.append(key[:i - 1] + (mid,) + key[i + 1:])
+            row.append(key[:-1] or source[key[0]])
+            face = tuple(map(below.get, row))
+            assert None not in face, "face of a cell must be a cell"
+            rows.append(face)
+        cells.append(layer)
+        faces.append(rows)
+        if n == top:
+            # one nonzero extension tells whether the next layer is empty
+            cut = next(grow(live), None) is not None
+            break
+        # a nonzero composite has a nonzero prefix, so growing the stored
+        # composites reaches every nonzero composite of the longer tuples
+        grown = {}
+        for key, c, ext in grow(live):
+            record = grown.setdefault(key, {})
+            if c not in record or ext < record[c]:
+                record[c] = ext
+        live = grown
+        n += 1
+    return ObjectCellComplex(table, classes, cells, faces,
+                             cut_at=max_dim if cut else None)

@@ -17,7 +17,7 @@ from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
                             pi1_presentation, walk_homotopy_classes)
 from bqtop.linalg import mat_mul
-from oracles import check_square_zero
+from oracles import check_square_zero, load_bench_workloads
 
 
 def bq(vertices, arrows, rels=()):
@@ -98,9 +98,9 @@ def test_corrupted_face_fails_the_boundary_check():
     # boundary, nonzero as the quiver is acyclic
     _, f1, f2 = faces[2][0]
     faces[2][0] = (f2, f1, f2)
-    CellComplex(t, c.classes, c.cells, c.faces)
+    CellComplex(t, c.classes, c.keys, c.witnesses, c.faces)
     with pytest.raises(AssertionError, match="boundary of boundary"):
-        CellComplex(t, c.classes, c.cells, faces)
+        CellComplex(t, c.classes, c.keys, c.witnesses, faces)
 
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -115,7 +115,7 @@ def test_equal_parity_face_swap_passes_the_boundary_check():
     faces[2][0] = (d2, d1, d0)
     below = [faces[1][f] for f in faces[2][0]]
     assert below[1][0] != below[0][0]     # d_0 d_1 = d_0 d_0 fails
-    swapped = CellComplex(t, c.classes, c.cells, faces)
+    swapped = CellComplex(t, c.classes, c.keys, c.witnesses, faces)
     assert swapped.columns == c.columns
     check_square_zero(swapped.columns)
 
@@ -147,11 +147,30 @@ def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
     assert "columns" not in skeleton.__dict__
     for cx in (hom, cohom):
         assert cx.columns == eager_columns(cx.faces)
+        assert not {"cells", "cell_index"} & cx.__dict__.keys()
     t = enumerate_paths(parse(src.read_text()))
     cx = build_complex(t, natural_homotopy_classes(t))
     assert "columns" not in cx.__dict__
     homology(cx)
     assert cx.columns == eager_columns(cx.faces)
+
+
+def test_cells_and_the_path_index_are_built_on_first_read(comm_grid):
+    # (co)homology and the Euler characteristic read the keys and faces
+    # only; on a monomial grid no relation has two terms, so no merge is
+    # seeded and nothing reads the path-keyed index
+    mono = load_bench_workloads().complexes_inputs(17)["mono5x5"]
+    for text in (mono, open(comm_grid(3)).read()):
+        t = enumerate_paths(parse(text))
+        cx = build_complex(t, natural_homotopy_classes(t))
+        homology(cx, "Z")
+        cohomology(cx, "Fp:2")
+        euler_characteristic(cx)
+        assert not {"cells", "cell_index"} & cx.__dict__.keys()
+        if text == mono:
+            assert "index" not in t.__dict__
+        assert [len(layer) for layer in cx.cells] == cx.counts()
+        assert len(cx.cell_index) == sum(cx.counts())
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),

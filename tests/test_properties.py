@@ -41,7 +41,7 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
-                     lengthwise_path_table, loops,
+                     lengthwise_path_table, loops, object_complex,
                      per_matrix_integral_homology, per_matrix_ranks,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
@@ -604,6 +604,34 @@ def test_faces_match_the_backtracking_oracle(comm_grid):
             compared += sum(map(len, layers))
     assert len(tables) == 18 + 240 + 1
     assert compared > 5000
+
+
+def test_id_complex_matches_the_cell_object_builder(comm_grid):
+    # the complex kept on table ids against the builder that made a Cell
+    # for every cell: keys, witnesses, faces, counts, caveats and the cut,
+    # and the Cell objects it builds on first read, element by element
+    quivers = differential_quivers()
+    quivers.append(parse(open(comm_grid(4)).read()))
+    checked = collections.Counter()
+    for q in quivers:
+        t = enumerate_paths(q)
+        for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+            for max_dim in (None, 0, 1, 2, 3):
+                cx = build_complex(t, classes, max_dim)
+                old = object_complex(t, classes, max_dim)
+                assert cx.keys == [[c.key for c in layer]
+                                   for layer in old.cells]
+                assert cx.witnesses[1:] == [[t.index[c.witness] for c in layer]
+                                            for layer in old.cells[1:]]
+                assert (cx.faces, cx.counts(), cx.caveats, cx.cut_at) == (
+                    old.faces, old.counts(), old.caveats, old.cut_at)
+                assert cx.cells == old.cells
+                assert cx.cell_index == old.cell_index
+                checked[max_dim, cx.cut_at is not None] += 1
+    assert checked == {(None, False): 600, (0, True): 600,
+                       (1, False): 242, (1, True): 358,
+                       (2, False): 476, (2, True): 124,
+                       (3, False): 550, (3, True): 50}
 
 
 # ---------------------------------------------------------------------------
