@@ -22,15 +22,14 @@ from .homotopy import (HypothesisViolated, PathClassTable, Presentation,
                        pi1_presentation, relation_components,
                        simplify_presentation, van_kampen_pushout,
                        walk_homotopy_classes)
-from .complex import (Cell, CellComplex, HomologyResult, build_complex,
+from .complex import (CellComplex, HomologyResult, build_complex,
                       coboundary, cohomology, cup_product,
                       euler_characteristic, homology, parse_coefficients)
-from .algcohom import (BasisElement, EpsilonMuReport, HochschildComplex,
+from .algcohom import (EpsilonMuReport, HochschildComplex,
                        NoSemiNormedBasis, PhiPsiReport, SemiNormedAlgebra,
                        SemiNormedFailure, SimplicialSC, TriangularRequired,
-                       epsilon_mu, find_semi_normed_basis,
-                       hochschild_complex, phi_psi_maps, simplicial_complex,
-                       verify_semi_normed_basis)
+                       epsilon_mu, find_semi_normed_basis, phi_psi_maps,
+                       simplicial_complex, verify_semi_normed_basis)
 from .coverings import (CellMapReport, CoveringReport, DeckReport,
                         GroupAction, MalformedMorphism, NotACovering,
                         NotGalois, QuiverMorphism, check_covering,
@@ -56,15 +55,15 @@ __all__ = [
     "van_kampen_pushout", "VanKampenResult", "SupportTooLarge",
     "HypothesisViolated",
     # the classifying complex and its (co)homology
-    "Cell", "CellComplex", "build_complex", "homology", "cohomology",
+    "CellComplex", "build_complex", "homology", "cohomology",
     "euler_characteristic", "cup_product", "coboundary",
     "parse_coefficients", "HomologyResult",
     # semi-normed bases, simplicial and Hochschild cohomology
-    "BasisElement", "SemiNormedAlgebra", "SemiNormedFailure",
+    "SemiNormedAlgebra", "SemiNormedFailure",
     "find_semi_normed_basis", "verify_semi_normed_basis",
-    "simplicial_complex", "SimplicialSC", "hochschild_complex",
-    "HochschildComplex", "phi_psi_maps", "PhiPsiReport", "epsilon_mu",
-    "EpsilonMuReport", "NoSemiNormedBasis", "TriangularRequired",
+    "simplicial_complex", "SimplicialSC", "HochschildComplex",
+    "phi_psi_maps", "PhiPsiReport", "epsilon_mu", "EpsilonMuReport",
+    "NoSemiNormedBasis", "TriangularRequired",
     # coverings
     "QuiverMorphism", "identity_morphism", "compose_morphisms",
     "GroupAction", "check_covering", "check_galois", "CoveringReport",

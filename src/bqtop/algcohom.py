@@ -45,9 +45,12 @@ f(s_1 .. s_{n-1}) s_n), each given by its face tuple, its scalar and its
 left or right factor, with the face's ends read off the vertices the
 tuple passes through.
 
-The comparison maps phi/psi (simplicial tuples vs cells of the
-classifying space), phi-sharp (onto the total variant), and epsilon/mu
-(simplicial cochains vs Hochschild cochains) send each basis vector to
+Basis elements, like cells, are positions: element i is the path
+`SemiNormedAlgebra.elements[i]` (the identities first), and a cell is its
+position among the complex's keys.  The comparison maps phi/psi
+(simplicial tuples vs cells of the classifying space), phi-sharp (onto
+the total variant), and epsilon/mu (simplicial cochains vs Hochschild
+cochains) send each basis vector to
 at most one basis vector with a scalar: epsilon sends a tuple t whose
 product is lambda b to the basis pair (t, b) with scalar lambda, and mu
 is its partial inverse with 1 / lambda.  All of them, like the
@@ -74,20 +77,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Path, algebra_properties
+from .core import algebra_properties
 from .linalg import QQ, PrimeField, extend_rref
 from .complex import (_betti, _ranks, check_faces_square_zero,
                       cohomology_of_matrices, face_columns,
                       homology_of_matrices, parse_coefficients,
                       sparse_apply)
-from .homotopy import natural_homotopy_classes
+from .homotopy import _in_vertex_order, natural_homotopy_classes
 
 __all__ = [
     "TriangularRequired", "NoSemiNormedBasis", "FieldMismatch",
     "SemiNormedFailure", "SemiNormedAlgebra", "find_semi_normed_basis",
     "verify_semi_normed_basis", "SimplicialSC", "simplicial_complex",
     "sc_cup", "PhiPsiReport", "phi_psi_maps", "HochschildComplex",
-    "hochschild_complex", "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
+    "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
 ]
 
 
@@ -113,41 +116,27 @@ class SemiNormedFailure:
         return False
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    index: int
-    path: Path           # representative path p(v)
-
-    @property
-    def is_identity(self):
-        return self.path.is_stationary
-
-    def __str__(self):
-        return "e_%s" % self.path.source if self.is_identity \
-            else str(self.path)
-
-
 class SemiNormedAlgebra:
-    """A verified semi-normed basis with its structure table."""
+    """A verified semi-normed basis with its structure table; element i
+    is the path `elements[i]`, the identities first."""
 
     def __init__(self, table, classes, elements, product):
         self.table = table
         self.quiver = table.quiver
         self.classes = classes
         self.elements = tuple(elements)
-        self.index_by_path = {e.path: e.index for e in self.elements}
-        self.identity_index = {e.path.source: e.index
-                               for e in self.elements if e.is_identity}
-        self.non_identity = tuple(e.index for e in self.elements
-                                  if not e.is_identity)
+        self.index_by_path = {p: i for i, p in enumerate(self.elements)}
+        self.identity_index = {p.source: i for i, p
+                               in enumerate(self.elements) if p.is_stationary}
+        self.non_identity = tuple(i for i, p in enumerate(self.elements)
+                                  if not p.is_stationary)
         # vertex -> the non-identity elements that start there, by index
         self.starting = {v: [] for v in self.quiver.vertices}
         for i in self.non_identity:
             self.starting[self.source(i)].append(i)
         self.by_pair = {}
-        for e in self.elements:
-            pair = (e.path.source, e.path.target)
-            self.by_pair.setdefault(pair, []).append(e.index)
+        for i, p in enumerate(self.elements):
+            self.by_pair.setdefault((p.source, p.target), []).append(i)
         self.product = product   # (i, j) -> None or (lambda, k)
 
     @property
@@ -155,10 +144,10 @@ class SemiNormedAlgebra:
         return True
 
     def source(self, i):
-        return self.elements[i].path.source
+        return self.elements[i].source
 
     def target(self, i):
-        return self.elements[i].path.target
+        return self.elements[i].target
 
     def vertices(self, t):
         """The vertices a nonempty composable tuple passes through."""
@@ -166,7 +155,7 @@ class SemiNormedAlgebra:
 
     def element_class(self, i):
         """Natural class of the element's representative path."""
-        return self.classes.class_of(self.elements[i].path)
+        return self.classes.class_of(self.elements[i])
 
 
 def _acyclic_classes(table, classes):
@@ -226,7 +215,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
     for p in paths:
         if p.is_stationary:
             continue  # identities are always included
-        i = table.index.get(p) if len(p) <= table.bound else None
+        i = table.position(p)
         if i is None:
             # every path of the quiver up to the bound is in the table, so
             # only one past the bound passes: it lies in the ideal
@@ -252,8 +241,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
     # pair -> {local pivot: row}, the slice's reduced rows in pair-local
     # coordinates with the candidates last
     reduced = {}
-    for pair in sorted(table.dims, key=lambda xy: (q.vertex_index[xy[0]],
-                                                   q.vertex_index[xy[1]])):
+    for pair in _in_vertex_order(table, table.dims):
         cands = [table.local[i] for i in by_pair.get(pair, [])]
         dim = table.dims[pair]
         if len(cands) != dim:
@@ -287,24 +275,24 @@ def verify_semi_normed_basis(table, paths, classes=None):
 
     at = [*range(nv), *sorted(seen)]
     element = {i: k for k, i in enumerate(at)}
-    elements = [BasisElement(k, table.paths[i]) for k, i in enumerate(at)]
+    elements = [table.paths[i] for i in at]
     starting = {}
-    for e in elements:
-        starting.setdefault(e.path.source, []).append(e)
+    for k, p in enumerate(elements):
+        starting.setdefault(p.source, []).append((k, p))
     product = {}
-    for e1 in elements:
-        for e2 in starting[e1.path.target]:
-            key = e1.index, e2.index
-            if e1.index < nv or e2.index < nv:
-                product[key] = (1, e2.index if e1.index < nv else e1.index)
+    for k1, e1 in enumerate(elements):
+        for k2, e2 in starting[e1.target]:
+            key = k1, k2
+            if k1 < nv or k2 < nv:
+                product[key] = (1, k2 if k1 < nv else k1)
                 continue
-            i = table.arrow_index.get(e1.path.arrows + e2.path.arrows)
+            i = table.arrow_index.get(e1.arrows + e2.arrows)
             if i is None:
                 product[key] = None
             elif i in element:
                 product[key] = (1, element[i])
             else:
-                pair = e1.path.source, e2.path.target
+                pair = e1.source, e2.target
                 k = table.local[i]
                 off = [(c, x) for c, x in reduced[pair][k].items() if c != k]
                 if not off:
@@ -353,7 +341,7 @@ class SimplicialSC:
         # faces[n][c] = (d_0, ..., d_n) of tuple c as indices of degree
         # n-1: d_0 drops the first element, d_n the last, d_j contracts
         # elements j-1 and j
-        vx = {v: i for i, v in enumerate(q.vertices)}
+        vx = q.vertex_index
         self.faces = [None]
         if len(self.tuples) > 1:
             self.faces.append([(vx[a.target(i)], vx[a.source(i)])
@@ -491,36 +479,29 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
     for n in range(top + 1):
         tuples = sc.tuples[n] if n <= sc.top_dim() else []
-        ncells = nat.cells[n] if n <= nat.top_dim() else []
-        tcells = tot.cells[n] if n <= tot.top_dim() else []
-        nidx = {c.key: i for i, c in enumerate(ncells)}
-        tidx = {c.key: i for i, c in enumerate(tcells)}
         phi[n], sharp[n] = [], []
         for t in tuples:
             if n == 0:
                 key = skey = t[0]
             else:
                 key = tuple(a.element_class(i) for i in t)
-                skey = tuple(wcl.class_of(a.elements[i].path) for i in t)
-            r = nidx.get(key)
+                skey = tuple(wcl.class_of(a.elements[i]) for i in t)
+            r = nat.cell_index.get((n, key))
             phi[n].append({} if r is None else {r: 1})
-            sr = tidx.get(skey)
+            sr = tot.cell_index.get((n, skey))
             sharp[n].append({} if sr is None else {sr: 1})
         # psi: cell tuple of classes -> tuple of the classes' basis elements
         tup_index = {t: i for i, t in enumerate(tuples)}
         psi[n] = []
-        for cell in ncells:
-            if n == 0:
-                t = (cell.key,)
-            else:
-                t = tuple(elt_of_class(a, nat.classes, cid)
-                          for cid in cell.key)
+        for key in nat.keys[n] if n <= nat.top_dim() else ():
+            t = (key,) if n == 0 else tuple(
+                elt_of_class(a, nat.classes, cid) for cid in key)
             i = tup_index.get(t)
             psi[n].append({} if i is None else {i: 1})
-        iso = (iso and len(tuples) == len(ncells)
+        iso = (iso and len(tuples) == nat.size(n)
                and _is_inverse(phi[n], psi[n]) and _is_inverse(psi[n], phi[n]))
         hit = {r for col in sharp[n] for r in col}
-        epi = epi and all(sharp[n]) and len(hit) == len(tcells)
+        epi = epi and all(sharp[n]) and len(hit) == tot.size(n)
         kernel.append(len(tuples) - len(hit))  # sharp's columns are 0/1
     phi_ok = psi_ok = sharp_ok = True
     for n in range(1, top + 1):
@@ -696,10 +677,6 @@ class HochschildComplex:
         """Cohomology dimensions per degree, 0 .. top+1."""
         return _betti(dict(enumerate(self.dims())),
                       _ranks(self.columns, self.field), self.top_dim() + 1)
-
-
-def hochschild_complex(algebra, field="Q"):
-    return HochschildComplex(algebra, field)
 
 
 def hochschild_cup(hc, p, f, q, g):

@@ -206,14 +206,11 @@ def _dispatch(args, table):
     if cmd == "cells":
         classes = _classes(table, args.sharp)
         cx = build_complex(table, classes, max_dim=args.max_dim)
-        cells = {}
-        for n, layer in enumerate(cx.cells):
-            if n == 0:
-                cells["0"] = [c.key for c in layer]
-            else:
-                cells[str(n)] = [{"classes": list(c.key),
-                                  "witness": str(c.witness)}
-                                 for c in layer]
+        paths = table.paths
+        cells = {"0": cx.keys[0]}
+        for n in range(1, len(cx.keys)):
+            cells[str(n)] = [{"classes": list(key), "witness": str(paths[w])}
+                             for key, w in zip(cx.keys[n], cx.witnesses[n])]
         return ({"counts": cx.counts(), "cells": cells,
                  "euler_characteristic": euler_characteristic(cx)},
                 list(cx.caveats), True)
@@ -355,15 +352,14 @@ def _dot(args, cfg):
     if args.skeleton:
         classes = _classes(table, False)
         cx = build_complex(table, classes, max_dim=1)
-        for c in cx.cells[0]:
-            lines.append('  "%s";' % c.key)
+        for v in cx.keys[0]:
+            lines.append('  "%s";' % v)
         if cx.top_dim() >= 1:
             cl = cx.classes
-            for c in cx.cells[1]:
-                cid = c.key[0]
+            for (cid,), w in zip(cx.keys[1], cx.witnesses[1]):
                 lines.append('  "%s" -> "%s" [label="%s"];'
                              % (cl.class_source[cid], cl.class_target[cid],
-                                c.witness))
+                                table.paths[w]))
     else:
         for v in quiver.vertices:
             lines.append('  "%s";' % v)

@@ -17,10 +17,10 @@ caveat (they are then closed under composition); only under the bound
 caveat could another split give another face.
 Cells are grown and their faces found on table indices: a composite is
 looked up by its arrow names in `PathTable.arrow_index` once per build,
-and no path object is built.  The complex keeps a cell as its key and
-the table index of its witness; the `Cell` objects, with their witness
-paths, and the cell index are built on first read, so (co)homology and
-the Euler characteristic build none.  Boundary of boundary is checked on
+and no path object is built.  The complex keeps a cell as its key (a
+vertex in dimension 0, a tuple of class ids above), the table index of
+its witness and its face row; a reader that writes a witness reads its
+path off the table.  Boundary of boundary is checked on
 the face rows when the complex is made: where a cell's faces satisfy the
 simplicial identities its terms cancel in pairs, and only a cell where
 one fails has its signed sum formed.  Boundary matrices are sparse
@@ -42,27 +42,14 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Path
 from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
-    "Cell", "CellComplex", "build_complex", "homology", "cohomology",
+    "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
     "HomologyResult",
 ]
-
-
-@dataclass(frozen=True)
-class Cell:
-    dim: int
-    key: object            # vertex id (dim 0) or tuple of class ids
-    witness: Path | None    # least nonzero member composite, None in dim 0
-
-    def __str__(self):
-        if self.dim == 0:
-            return str(self.key)
-        return "(" + ", ".join("c%d" % c for c in self.key) + ")"
 
 
 class CellComplex:
@@ -70,10 +57,9 @@ class CellComplex:
 
     The complex is kept on table ids: per dimension the cell keys (the
     vertices in quiver order in dimension 0, the sorted class-id tuples
-    above) and, for n >= 1, the table index of each cell's witness.  The
-    `Cell` objects, the cell index and the boundary columns are built on
-    first read, so (co)homology and the Euler characteristic build no
-    `Cell` at all.
+    above) and, for n >= 1, the table index of each cell's witness, so
+    n-cell j is `keys[n][j]` with witness `table.paths[witnesses[n][j]]`.
+    The cell index and the boundary columns are built on first read.
     """
 
     def __init__(self, table, classes, keys, witnesses, faces, cut_at=None):
@@ -92,16 +78,6 @@ class CellComplex:
         self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
         self.faces = faces          # faces[n][j] = tuple of cell indices
         check_faces_square_zero(faces)
-
-    @functools.cached_property
-    def cells(self):
-        """`Cell` objects per dimension, dim 0 first."""
-        paths = self.table.paths
-        cells = [[Cell(0, v, None) for v in self.keys[0]]]
-        for n in range(1, len(self.keys)):
-            cells.append([Cell(n, key, paths[w]) for key, w
-                          in zip(self.keys[n], self.witnesses[n])])
-        return cells
 
     @functools.cached_property
     def cell_index(self):
@@ -213,8 +189,8 @@ def build_complex(table, classes, max_dim=None):
 
     Cells of dimension above `max_dim` (>= 0; None keeps them all) are
     left out; when there are any, the complex records the cut and says
-    so in its caveats.  Cells are grown as keys and witness indices; the
-    complex builds their `Cell` objects on first read.
+    so in its caveats.  Cells are grown as keys and witness table
+    indices, and that is what the complex keeps.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
@@ -480,28 +456,18 @@ def cup_product(cx, p, f, q, g):
     n = p + q
     if n > cx.top_dim():
         return {}
+    cls = cx.classes
     out = {}
-    for cell in cx.cells[n]:
-        front = _sub_face(cx, cell, 0, p)
-        back = _sub_face(cx, cell, p, n)
-        a = f.get(front, 0)
-        b = g.get(back, 0)
-        v = a * b
+    for key in cx.keys[n]:
+        # the front p-face and the back q-face, a vertex in dimension 0
+        front = back = key
+        if n:
+            front = key[:p] if p else cls.class_source[key[0]]
+            back = key[p:] if q else cls.class_target[key[-1]]
+        v = f.get(front, 0) * g.get(back, 0)
         if v:
-            out[cell.key] = v
+            out[key] = v
     return out
-
-
-def _sub_face(cx, cell, start, stop):
-    """Key of the front/back sub-tuple, a vertex when start == stop."""
-    if cell.dim == 0:
-        return cell.key
-    if start == stop:
-        cls = cx.classes
-        if start == 0:
-            return cls.class_source[cell.key[0]]
-        return cls.class_target[cell.key[start - 1]]
-    return cell.key[start:stop]
 
 
 def coboundary(cx, p, f):
@@ -509,9 +475,9 @@ def coboundary(cx, p, f):
     if p + 1 > cx.top_dim():
         return {}
     out = {}
-    low = cx.cells[p]
-    for cell, col in zip(cx.cells[p + 1], cx.columns[p + 1]):
-        total = sum(x * f.get(low[i].key, 0) for i, x in col.items())
+    low = cx.keys[p]
+    for key, col in zip(cx.keys[p + 1], cx.columns[p + 1]):
+        total = sum(x * f.get(low[i], 0) for i, x in col.items())
         if total:
-            out[cell.key] = total
+            out[key] = total
     return out

@@ -185,6 +185,8 @@ class BoundQuiver:
                 self._check_path(p)
 
     def _check_path(self, p):
+        if p.source not in self.vertex_index:
+            raise QuiverError("unknown vertex %r in path" % p.source)
         at = p.source
         for name in p.arrows:
             a = self.arrow_by_name.get(name)
@@ -258,8 +260,8 @@ class PathTable:
     Attributes:
         quiver: the BoundQuiver
         bound: L, the least length >= 2 with every length-L path in I
-        paths: all paths of length <= L, sorted by (length, names, source)
-        index: path -> position in `paths` (built on first read)
+        paths: all paths of length <= L, sorted by (length, names,
+            source); a path is its position here (see `position`)
         arrow_index: arrow names -> position in `paths`, paths of length
             >= 1 only (built on first read)
         pair_paths: (x, y) -> list of indices into `paths`
@@ -308,8 +310,12 @@ class PathTable:
         rest is reduced by the slice's basis rows, each pivot entry of the
         vector cleared by its row; a row has no entry at another pivot,
         so one pass over the vector's pivot entries leaves none, and the
-        vector is in the slice exactly when nothing is left.
+        vector is in the slice exactly when nothing is left.  A term that
+        is not a path of the quiver raises QuiverError.
         """
+        for p, _ in terms:
+            if len(p) > self.bound:
+                self.quiver._check_path(p)
         kept = [(p, QQ.of(c)) for p, c in terms
                 if len(p) <= self.bound and c != 0]
         if not kept:
@@ -317,10 +323,7 @@ class PathTable:
         pair = self.pair_of(kept)
         vec = {}
         for p, c in kept:
-            if p not in self.index:
-                self.quiver._check_path(p)  # diagnose: invalid vs just absent
-                raise QuiverError("path %s exceeds table bound" % p)
-            k = self.local[self.index[p]]
+            k = self.local[self._locate(p)]
             vec[k] = vec.get(k, 0) + c
         rows = self.pivot_rows.get(pair, {})
         for c in [k for k in vec if k in rows]:
@@ -329,10 +332,22 @@ class PathTable:
                 vec[k] = vec.get(k, 0) - f * x
         return not any(vec.values())
 
-    @functools.cached_property
-    def index(self):
-        """Path -> position in `paths`."""
-        return {p: i for i, p in enumerate(self.paths)}
+    def position(self, p):
+        """Position of the path p in `paths`, None when p is not one of
+        them: a path with arrows is found by its arrow names, a stationary
+        one at its vertex, and either must equal the table's path there."""
+        i = (self.arrow_index.get(p.arrows) if p.arrows
+             else self.quiver.vertex_index.get(p.source))
+        return i if i is not None and self.paths[i] == p else None
+
+    def _locate(self, p):
+        """`position` of p; QuiverError when p is not a path of the quiver
+        or is longer than the bound."""
+        i = self.position(p)
+        if i is None:
+            self.quiver._check_path(p)  # diagnose: invalid vs just absent
+            raise QuiverError("path %s exceeds table bound" % p)
+        return i
 
     @functools.cached_property
     def arrow_index(self):
@@ -348,9 +363,12 @@ class PathTable:
                 for pair, rows in self.ideal_rows.items()}
 
     def path_in_ideal(self, p):
+        """Whether the path p lies in the ideal; QuiverError when p is not
+        a path of the quiver."""
         if len(p) > self.bound:
+            self.quiver._check_path(p)
             return True
-        return self.index[p] in self.in_ideal
+        return self._locate(p) in self.in_ideal
 
     def nonzero_paths(self):
         return [p for i, p in enumerate(self.paths) if i not in self.in_ideal]

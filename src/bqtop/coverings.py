@@ -381,19 +381,20 @@ class DeckReport:
 def _induced_cell_map(dom_cx, cod_cx, vertex_fn, cls_map, witnesses):
     cmap = {}
     ok = True
-    for n, layer in enumerate(dom_cx.cells):
+    for n, layer in enumerate(dom_cx.keys):
         row = []
-        for cell in layer:
+        for key in layer:
             if n == 0:
-                key = vertex_fn(cell.key)
+                image = vertex_fn(key)
             else:
-                key = tuple(cls_map.get(c) for c in cell.key)
-            idx = cod_cx.cell_index.get((n, key))
+                image = tuple(cls_map.get(c) for c in key)
+            idx = cod_cx.cell_index.get((n, image))
             if idx is None:
                 ok = False
                 witnesses.append(
                     "image of cell %s in dimension %d is not a cell"
-                    % (cell, n))
+                    % (key if n == 0 else "(%s)" % ", ".join(
+                        "c%d" % c for c in key), n))
                 idx = -1
             row.append(idx)
         cmap[n] = tuple(row)
@@ -423,13 +424,13 @@ def _incidences(cx, top):
     the cells that have the vertex at that position."""
     cl = cx.classes
     out = {v: [[] for _ in range(top + 1)] for v in cx.table.quiver.vertices}
-    for n, layer in enumerate(cx.cells):
-        for j, c in enumerate(layer):
+    for n, layer in enumerate(cx.keys):
+        for j, key in enumerate(layer):
             if n == 0:
-                out[c.key][0].append((j, 0))
+                out[key][0].append((j, 0))
                 continue
-            out[cl.class_source[c.key[0]]][n].append((j, 0))
-            for pos, cid in enumerate(c.key, start=1):
+            out[cl.class_source[key[0]]][n].append((j, 0))
+            for pos, cid in enumerate(key, start=1):
                 out[cl.class_target[cid]][n].append((j, pos))
     return out
 
@@ -498,14 +499,14 @@ def lift_complex_map(base_cx, cover_cx, covering):
                         % (ct.paths[i], ct.paths[j], xh,
                            "" if same_up else " not",
                            "" if same_down else " not"))
-    cls_map = {cid: img_cls[ct.index[ccl.class_rep[cid]]]
+    cls_map = {cid: img_cls[ct.position(ccl.class_rep[cid])]
                for cid in range(len(ccl))}
     cell_map, cells_ok = _induced_cell_map(cover_cx, base_cx, p.vertex,
                                            cls_map, witnesses)
     fc = _faces_commute(cover_cx, base_cx, cell_map, witnesses)
     inc = _incidence_bijections(cover_cx, base_cx, p, cell_map, witnesses)
     fibers = {}
-    for n, layer in enumerate(base_cx.cells):
+    for n, layer in enumerate(base_cx.keys):
         row = cell_map.get(n, ())
         fibers[n] = _fibers(range(len(layer)), range(len(row)),
                             row.__getitem__)
@@ -568,7 +569,7 @@ def deck_group(base_cx, cover_cx, lift):
     if not distinct:
         witnesses.append("two group elements induce the same cell map")
     fiber_cells = lift.cell_fibers[0][base_cx.cell_index[(0, base_point)]]
-    fiber = tuple(cover_cx.cells[0][i].key for i in fiber_cells)
+    fiber = tuple(cover_cx.keys[0][i] for i in fiber_cells)
     # nonempty: a covering has no empty vertex fiber
     transitive = {m[0][fiber_cells[0]] for m in maps} == set(fiber_cells)
     if not transitive:

@@ -237,9 +237,9 @@ def relation_components(table):
     column, a tip, so it stays a singleton; unit rows link nothing and
     are skipped.
 
-    Returns the components with at least two paths as lists of paths in
-    table order.  Pairs follow the vertex order and the components of one
-    pair are ordered by (size, local indices), the order in which
+    Returns the components with at least two paths as ascending lists of
+    table indices.  Pairs follow the vertex order and the components of
+    one pair are ordered by (size, local indices), the order in which
     `minimal_relation_supports` emits single-circuit supports.
     """
     groups = []
@@ -261,7 +261,7 @@ def relation_components(table):
             comps.setdefault(_find(parent, k), []).append(k)
         for comp in sorted((c for c in comps.values() if len(c) >= 2),
                            key=lambda c: (len(c), c)):
-            groups.append([table.paths[idxs[k]] for k in comp])
+            groups.append([idxs[k] for k in comp])
     return groups
 
 
@@ -284,16 +284,15 @@ class PathClassTable:
         self.variant = variant
         self.caveats = tuple(caveats)
         paths, in_ideal = table.paths, table.in_ideal
-        # the table lists paths in `path_sort_key` order, so members
-        # collected in index order are sorted, and so are the classes
-        # ordered by their least members
-        groups = {}
-        for i in range(len(paths)):
-            groups.setdefault(_find(parent, i), []).append(i)
-        self.class_members = sorted(groups.values())
-        self.class_of_index = {i: cid for cid, members
-                               in enumerate(self.class_members)
-                               for i in members}
+        # the table lists paths in `path_sort_key` order, so numbering the
+        # classes as index order first meets them orders them by their
+        # least members, and members collected in index order are sorted
+        cid_of = {}
+        self.class_of_index = [cid_of.setdefault(_find(parent, i), len(cid_of))
+                               for i in range(len(paths))]
+        self.class_members = [[] for _ in cid_of]
+        for i, cid in enumerate(self.class_of_index):
+            self.class_members[cid].append(i)
         # a stationary member has length 0, so it would come first
         firsts = [paths[members[0]] for members in self.class_members]
         for members, first in zip(self.class_members, firsts):
@@ -318,7 +317,9 @@ class PathClassTable:
         return len(self.class_members)
 
     def class_of(self, path):
-        return self.class_of_index[self.table.index[path]]
+        """Class of a path of length <= the bound; QuiverError when it is
+        not a path of the quiver or is longer."""
+        return self.class_of_index[self.table._locate(path)]
 
     def members(self, cid):
         return [self.table.paths[i] for i in self.class_members[cid]]
@@ -385,9 +386,8 @@ def natural_homotopy_classes(table):
                      for a in q.arrows_to[p.source]})
         return keys
 
-    # the path index is built only when there is a group to seed
-    pending = [(table.index[group[0]], table.index[p])
-               for group in relation_components(table) for p in group[1:]]
+    pending = [(group[0], i) for group in relation_components(table)
+               for i in group[1:]]
     while pending:
         ra, rb = sorted(_find(parent, i) for i in pending.pop())
         if ra == rb:
@@ -446,12 +446,16 @@ def spanning_tree(quiver, base):
     """
     if base not in quiver.vertex_index:
         raise NotConnectedError("unknown base vertex %r" % base)
+    # the arrows at each vertex in declaration order, a loop once
+    incident = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        for v in {a.source, a.target}:
+            incident[v].append(a)
     walk_to = {base: ()}
     tree = []
     queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for a in quiver.arrows:
+    for v in queue:  # grows while it is read, the BFS order
+        for a in incident[v]:
             if a.source == v and a.target not in walk_to:
                 tree.append(a.name)
                 walk_to[a.target] = walk_to[v] + ((a.name, 1),)
@@ -483,13 +487,15 @@ def _presentation(table, sub, tree, base):
     """The arrows of `sub`, a full subquiver of the table's quiver, over
     the tree relators and the co-member relators of its vertex pairs."""
     relators = [((name, 1),) for name in tree]
+    paths = table.paths
     for group in relation_components(table):
-        if not {group[0].source, group[0].target} <= sub.vertex_index.keys():
+        first = paths[group[0]]
+        if not {first.source, first.target} <= sub.vertex_index.keys():
             continue
-        w1 = tuple((a, 1) for a in group[0].arrows)
-        for wj in group[1:]:
+        w1 = tuple((a, 1) for a in first.arrows)
+        for j in group[1:]:
             relators.append(free_reduce(
-                w1 + _word_inverse(tuple((a, 1) for a in wj.arrows))))
+                w1 + _word_inverse(tuple((a, 1) for a in paths[j].arrows))))
     return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),
                         base)
 

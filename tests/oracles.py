@@ -108,6 +108,9 @@ table ids: a `Cell` with its witness `Path` for every cell, the cell
 index over all of them, and every composite looked up anew, zero
 members included.  `ObjectCellComplex` holds what it built.
 
+`bfs_spanning_tree` is the spanning tree as found before the search read
+only the arrows at each vertex: every dequeued vertex scans all arrows.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -120,19 +123,20 @@ import math
 import pathlib
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from bqtop import BoundQuiver, RelVector, enumerate_paths
-from bqtop.algcohom import (BasisElement, SemiNormedAlgebra,
-                            SemiNormedFailure, _acyclic_classes, _commutes)
-from bqtop.complex import (Cell, _betti, check_faces_square_zero,
+from bqtop.algcohom import (SemiNormedAlgebra, SemiNormedFailure,
+                            _acyclic_classes, _commutes)
+from bqtop.complex import (_betti, check_faces_square_zero,
                            parse_coefficients, sparse_apply, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
-from bqtop.core import (AdmissibilityError, Path, PathTable, _next_paths,
-                        compose, path_sort_key)
+from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
+                        PathTable, _next_paths, compose, path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
@@ -425,10 +429,11 @@ def swept_natural_classes(table):
     p = uvw -> uv'w (v ~ v') reaches, and whether its final pass skipped a
     replacement because uv'w is longer than the table bound."""
     q = table.quiver
+    index = {p: i for i, p in enumerate(table.paths)}
     parent = list(range(len(table.paths)))
     for group in relation_components(table):
-        for p in group[1:]:
-            _union(parent, table.index[group[0]], table.index[p])
+        for i in group[1:]:
+            _union(parent, group[0], i)
     changed = True
     while changed:
         changed = skipped = False
@@ -440,7 +445,7 @@ def swept_natural_classes(table):
             for a in range(len(p) - 1):
                 for b in range(a + 2, len(p) + 1):
                     mid = Path(verts[a], verts[b], p.arrows[a:b])
-                    group = members_of.get(_find(parent, table.index[mid]), ())
+                    group = members_of.get(_find(parent, index[mid]), ())
                     for j in group:
                         alt = table.paths[j]
                         if alt == mid:
@@ -450,7 +455,7 @@ def swept_natural_classes(table):
                             continue
                         new = Path(p.source, p.target,
                                    p.arrows[:a] + alt.arrows + p.arrows[b:])
-                        if _union(parent, i, table.index[new]):
+                        if _union(parent, i, index[new]):
                             changed = True
     classes = {}
     for i in range(len(table.paths)):
@@ -475,7 +480,7 @@ class SortedPathClassTable(PathClassTable):
             keyed.append(members)
         keyed.sort(key=lambda ms: path_sort_key(q, table.paths[ms[0]]))
         self.class_members = keyed
-        self.class_of_index = {}
+        self.class_of_index = [None] * len(table.paths)
         for cid, members in enumerate(keyed):
             for i in members:
                 self.class_of_index[i] = cid
@@ -510,9 +515,11 @@ def dense_semi_normed_basis(table, classes, paths):
     for p in paths:
         by_pair.setdefault((p.source, p.target), []).append(p)
 
+    index = {p: i for i, p in enumerate(table.paths)}
+
     def unit(pair, path):
         vec = [Fraction(0)] * len(table.pair_paths[pair])
-        vec[table.local[table.index[path]]] = Fraction(1)
+        vec[table.local[index[path]]] = Fraction(1)
         return vec
 
     for pair in sorted(set(table.dims) | set(by_pair),
@@ -534,20 +541,17 @@ def dense_semi_normed_basis(table, classes, paths):
                                    ", ".join(str(p) for p in cands)))
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    elements = [BasisElement(i, Path(v, v, ()))
-                for i, v in enumerate(q.vertices)]
-    for p in sorted(paths, key=lambda p: path_sort_key(q, p)):
-        elements.append(BasisElement(len(elements), p))
+    elements = [Path(v, v, ()) for v in q.vertices]
+    elements += sorted(paths, key=lambda p: path_sort_key(q, p))
     elt_pairs = {}
-    for e in elements:
-        elt_pairs.setdefault((e.path.source, e.path.target),
-                             []).append(e.index)
+    for i, e in enumerate(elements):
+        elt_pairs.setdefault((e.source, e.target), []).append(i)
 
     def expand(path):
         """Nonzero (element, coefficient) terms of the path's image."""
         pair = (path.source, path.target)
         idxs = elt_pairs[pair]
-        cols = [unit(pair, elements[i].path) for i in idxs]
+        cols = [unit(pair, elements[i]) for i in idxs]
         cols += [[row.get(k, Fraction(0))
                   for k in range(len(table.pair_paths[pair]))]
                  for row in table.ideal_rows.get(pair, [])]
@@ -560,15 +564,16 @@ def dense_semi_normed_basis(table, classes, paths):
                 if c < len(idxs) and m[r][-1] != 0]
 
     product = {}
-    for e1, e2 in itertools.product(elements, repeat=2):
-        if e1.path.target != e2.path.source:
+    for (i1, e1), (i2, e2) in itertools.product(enumerate(elements),
+                                                repeat=2):
+        if e1.target != e2.source:
             continue
-        key = (e1.index, e2.index)
-        path = compose(e1.path, e2.path)
-        if e1.is_identity:
-            product[key] = (Fraction(1), e2.index)
-        elif e2.is_identity:
-            product[key] = (Fraction(1), e1.index)
+        key = (i1, i2)
+        path = compose(e1, e2)
+        if e1.is_stationary:
+            product[key] = (Fraction(1), i2)
+        elif e2.is_stationary:
+            product[key] = (Fraction(1), i1)
         elif table.path_in_ideal(path):
             product[key] = None
         elif len(terms := expand(path)) != 1:
@@ -612,9 +617,9 @@ def reducing_semi_normed_basis(table, paths, classes=None):
         return SemiNormedFailure(tuple(witnesses), classes)
 
     identities = [Path(v, v, ()) for v in q.vertices]
-    ordered = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
-    elements = [BasisElement(i, p) for i, p in enumerate(ordered)]
-    index = {p: i for i, p in enumerate(ordered)}
+    elements = identities + sorted(seen, key=lambda p: path_sort_key(q, p))
+    index = {p: i for i, p in enumerate(elements)}
+    position = {p: i for i, p in enumerate(table.paths)}
     by_pair = {}
     for p in identities + seen:
         by_pair.setdefault((p.source, p.target), []).append(p)
@@ -638,7 +643,7 @@ def reducing_semi_normed_basis(table, paths, classes=None):
                  if table.paths[i] not in last]
         free = len(order)
         order += cands
-        at = {table.local[table.index[p]]: k for k, p in enumerate(order)}
+        at = {table.local[position[p]]: k for k, p in enumerate(order)}
         reduced = {}
         extend_rref(reduced, [{at[i]: x for i, x in row.items()}
                               for row in table.ideal_rows.get(pair, [])])
@@ -661,16 +666,16 @@ def reducing_semi_normed_basis(table, paths, classes=None):
 
     starting = {}
     for e in elements:
-        starting.setdefault(e.path.source, []).append(e)
+        starting.setdefault(e.source, []).append(e)
     product = {}
     for e1 in elements:
-        for e2 in starting[e1.path.target]:
-            path = compose(e1.path, e2.path)
+        for e2 in starting[e1.target]:
+            path = compose(e1, e2)
             if path in splits:
                 witnesses.append("product %s * %s expands with %d basis "
                                  "terms" % (e1, e2, splits[path]))
             else:
-                product[(e1.index, e2.index)] = expansion.get(path)
+                product[(index[e1], index[e2])] = expansion.get(path)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
     return SemiNormedAlgebra(table, classes, elements, product)
@@ -869,7 +874,7 @@ def _three_block_rows(a, F, lower, upper):
         else:
             ends = (a.target(t[0]),) * 2
         for w in a.by_pair.get(ends, []):
-            if rest == () and not a.elements[w].is_identity:
+            if rest == () and not a.elements[w].is_stationary:
                 continue
             c = col.get((rest, w))
             if c is None:
@@ -892,7 +897,7 @@ def _three_block_rows(a, F, lower, upper):
         else:
             ends = (a.source(t[0]),) * 2
         for w in a.by_pair.get(ends, []):
-            if front == () and not a.elements[w].is_identity:
+            if front == () and not a.elements[w].is_stationary:
                 continue
             c = col.get((front, w))
             if c is None:
@@ -1057,6 +1062,30 @@ def reenumerated_pushout(table, v1, v2):
                            Presentation(tuple(gens), tuple(rels), base), base)
 
 
+def bfs_spanning_tree(quiver, base):
+    """Deterministic BFS tree on the underlying graph, every dequeued
+    vertex scanning all arrows in declaration order."""
+    if base not in quiver.vertex_index:
+        raise NotConnectedError("unknown base vertex %r" % base)
+    walk_to = {base: ()}
+    tree = []
+    queue = [base]
+    while queue:
+        v = queue.pop(0)
+        for a in quiver.arrows:
+            if a.source == v and a.target not in walk_to:
+                tree.append(a.name)
+                walk_to[a.target] = walk_to[v] + ((a.name, 1),)
+                queue.append(a.target)
+            elif a.target == v and a.source not in walk_to:
+                tree.append(a.name)
+                walk_to[a.source] = walk_to[v] + ((a.name, -1),)
+                queue.append(a.source)
+    if len(walk_to) != len(quiver.vertices):
+        raise NotConnectedError("quiver is not connected")
+    return tree, walk_to
+
+
 def letter_key(letter):
     name, sign = letter
     return (name, -sign)  # positive exponent preferred
@@ -1182,14 +1211,14 @@ def cell_vertex_sets(cx):
     """Per dimension, the boundary vertices of every cell."""
     out = []
     cl = cx.classes
-    for n, layer in enumerate(cx.cells):
+    for n, layer in enumerate(cx.keys):
         if n == 0:
-            out.append([{c.key} for c in layer])
+            out.append([{key} for key in layer])
             continue
         sets = []
-        for c in layer:
-            vs = {cl.class_source[c.key[0]]}
-            for cid in c.key:
+        for key in layer:
+            vs = {cl.class_source[key[0]]}
+            for cid in key:
                 vs.add(cl.class_target[cid])
             sets.append(vs)
         out.append(sets)
@@ -1256,14 +1285,15 @@ def rechecked_lift(base_cx, cover_cx, p):
                         % (ct.paths[i], ct.paths[j], xh,
                            "" if same_up else " not",
                            "" if same_down else " not"))
-    cls_map = {cid: img_cls[ct.index[ccl.class_rep[cid]]]
+    index = {w: i for i, w in enumerate(ct.paths)}
+    cls_map = {cid: img_cls[index[ccl.class_rep[cid]]]
                for cid in range(len(ccl))}
     cell_map, cells_ok = _induced_cell_map(cover_cx, base_cx, p.vertex,
                                            cls_map, witnesses)
     fc = _faces_commute(cover_cx, base_cx, cell_map, witnesses)
     inc = vertex_set_incidence(cover_cx, base_cx, p, cell_map, witnesses)
     fibers = {}
-    for n, layer in enumerate(base_cx.cells):
+    for n, layer in enumerate(base_cx.keys):
         row = cell_map.get(n, ())
         fibers[n] = {i: tuple(j for j, t in enumerate(row) if t == i)
                      for i in range(len(layer))}
@@ -1315,9 +1345,9 @@ def rechecked_deck_group(base_cx, cover_cx, p, action, base_point=None):
     distinct = len(set(sigs)) == len(sigs)
     if not distinct:
         witnesses.append("two group elements induce the same cell map")
-    fiber_cells = [i for i, c in enumerate(cover_cx.cells[0])
-                   if p.vertex(c.key) == base_point]
-    fiber = tuple(cover_cx.cells[0][i].key for i in fiber_cells)
+    fiber_cells = [i for i, v in enumerate(cover_cx.keys[0])
+                   if p.vertex(v) == base_point]
+    fiber = tuple(cover_cx.keys[0][i] for i in fiber_cells)
     if fiber_cells:
         orbit = {m[0][fiber_cells[0]] for m in maps}
         transitive = orbit == set(fiber_cells)
@@ -1543,6 +1573,13 @@ def voltage_covers():
         else:
             covers.append((base, k) + made)
     return covers, skipped
+
+
+@dataclass(frozen=True)
+class Cell:
+    dim: int
+    key: object            # vertex id (dim 0) or tuple of class ids
+    witness: Path | None    # least nonzero member composite, None in dim 0
 
 
 class ObjectCellComplex:

@@ -16,10 +16,10 @@ characteristic 1, matching the homology (Z, 0, 0, 0).
 import pathlib
 import sys
 
-from bqtop import (GroupAction, abelianization, build_complex,
-                   check_galois, deck_group, enumerate_paths, epsilon_mu,
-                   euler_characteristic, find_semi_normed_basis,
-                   hochschild_complex, homology, lift_complex_map,
+from bqtop import (GroupAction, HochschildComplex, abelianization,
+                   build_complex, check_galois, deck_group, enumerate_paths,
+                   epsilon_mu, euler_characteristic, find_semi_normed_basis,
+                   homology, lift_complex_map,
                    natural_homotopy_classes, parse, parse_group,
                    parse_morphism, phi_psi_maps, pi1_presentation,
                    simplicial_complex, van_kampen_pushout,
@@ -52,7 +52,7 @@ def test_acceptance_01_three_route_fan_cell_counts():
     cx = build_complex(t, nat)
     alpha = nat.class_of(q.path(["alpha"]))
     merged = nat.class_of(level2[1])
-    pairs = [c.key for c in cx.cells[2]]
+    pairs = cx.keys[2]
     assert pairs.count((alpha, merged)) == 1
     # enumerate the definition directly: a live representative pair is
     # (u, v) with u, v members of non-identity classes and u*v outside I
@@ -65,7 +65,7 @@ def test_acceptance_01_three_route_fan_cell_counts():
                 for v in nat.members(b):
                     if u.target != v.source or len(u) + len(v) > t.bound:
                         continue
-                    if t.index[compose(u, v)] not in t.in_ideal:
+                    if t.position(compose(u, v)) not in t.in_ideal:
                         live.append((a, b))
     # the published figure counts these pairs ...
     assert len(live) == 9
@@ -171,7 +171,7 @@ def test_acceptance_08_projection_kernel_ranks_and_chain_isomorphism():
 def test_acceptance_09_cohomology_gap_and_agreement():
     q, t = load("hhgap")
     a = find_semi_normed_basis(t)
-    rep = epsilon_mu(a, simplicial_complex(a), hochschild_complex(a, "Q"))
+    rep = epsilon_mu(a, simplicial_complex(a), HochschildComplex(a, "Q"))
     assert [d["sh"] for d in rep.degrees][:3] == [1, 1, 0]
     assert [d["hh"] for d in rep.degrees] == [1, 1, 1, 0]
     assert not rep.semi_commutative
@@ -181,7 +181,7 @@ def test_acceptance_09_cohomology_gap_and_agreement():
     q2, t2 = load("hheq")
     a2 = find_semi_normed_basis(t2)
     rep2 = epsilon_mu(a2, simplicial_complex(a2),
-                      hochschild_complex(a2, "Q"))
+                      HochschildComplex(a2, "Q"))
     assert [d["sh"] for d in rep2.degrees] == [1, 1, 0, 0, 0, 0]
     assert [d["hh"] for d in rep2.degrees] == [1, 1, 0, 0, 0, 0]
     assert rep2.iso

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from bqtop.algcohom import (FieldMismatch, TriangularRequired, _commutes,
-                            _is_inverse, epsilon_mu,
-                            find_semi_normed_basis, hochschild_complex,
+from bqtop.algcohom import (FieldMismatch, HochschildComplex,
+                            TriangularRequired, _commutes, _is_inverse,
+                            epsilon_mu, find_semi_normed_basis,
                             hochschild_cup, phi_psi_maps, sc_cup,
                             simplicial_complex, verify_semi_normed_basis)
 from bqtop.complex import build_complex, homology
@@ -175,7 +175,7 @@ def hhgap():
                   ("gamma", "1", "3")],
                  [[(["alpha", "beta"], 1)]])
     a = find_semi_normed_basis(t, n)
-    return a, simplicial_complex(a), hochschild_complex(a, "Q")
+    return a, simplicial_complex(a), HochschildComplex(a, "Q")
 
 
 def test_hochschild_gap():
@@ -185,7 +185,7 @@ def test_hochschild_gap():
     assert s.sh_cochain("Q").groups == (1, 1)
     assert h.dims() == [3, 3, 1]
     assert h.hh_dims() == [1, 1, 1, 0]
-    assert hochschild_complex(a, "Fp:5").hh_dims() == [1, 1, 1, 0]
+    assert HochschildComplex(a, "Fp:5").hh_dims() == [1, 1, 1, 0]
     rep = epsilon_mu(a, s, h)
     assert rep.mu_eps_identity
     assert rep.eps_cochain_map
@@ -204,7 +204,7 @@ def hheq():
                   ("a4", "2", "1"), ("b1", "6", "5"), ("b2", "5", "1")],
                  [[(["a1", "a2"], 1)], [(["a3", "a4"], 1)]])
     a = find_semi_normed_basis(t, n)
-    return a, simplicial_complex(a), hochschild_complex(a, "Q")
+    return a, simplicial_complex(a), HochschildComplex(a, "Q")
 
 
 def test_hochschild_equal_without_semicommutativity():
@@ -238,7 +238,7 @@ CUBE_SQUARES = [
 def cube():
     t, n = setup([str(i) for i in range(1, 9)], CUBE_ARROWS, CUBE_SQUARES)
     a = find_semi_normed_basis(t, n)
-    return a, simplicial_complex(a), hochschild_complex(a, "Q")
+    return a, simplicial_complex(a), HochschildComplex(a, "Q")
 
 
 def test_cube_incidence_algebra_iso():
@@ -258,13 +258,13 @@ def test_monomial_tree_cycle_spot_checks():
                  [("a", "1", "2"), ("b", "2", "3")],
                  [[(["a", "b"], 1)]])
     a = find_semi_normed_basis(t, n)
-    assert hochschild_complex(a, "Q").hh_dims()[:3] == [1, 0, 0]
+    assert HochschildComplex(a, "Q").hh_dims()[:3] == [1, 0, 0]
     # alternating 4-cycle: underlying circle, chi = 1
     t, n = setup(["1", "2", "3", "4"],
                  [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4"),
                   ("d", "1", "4")])
     a = find_semi_normed_basis(t, n)
-    assert hochschild_complex(a, "Q").hh_dims()[:3] == [1, 1, 0]
+    assert HochschildComplex(a, "Q").hh_dims()[:3] == [1, 1, 0]
 
 
 def eps_apply(em, n, sc, hc, fdict):
@@ -316,13 +316,13 @@ def test_epsilon_mu_over_a_prime_dividing_a_structure_constant():
                  [[(["a", "b"], 3), (["c", "d"], -2)]])
     a = find_semi_normed_basis(t, n)
     sc = simplicial_complex(a)
-    hc = hochschild_complex(a, "Fp:3")
+    hc = HochschildComplex(a, "Fp:3")
     assert hc.hh_dims() == [1, 1, 1, 0]
     with pytest.raises(ValueError, match=r"^structure constant 3/2 of c \* d "
                                          r"vanishes mod p = 3"):
         epsilon_mu(a, sc, hc)
     for field in ("Q", "Fp:5"):
-        assert epsilon_mu(a, sc, hochschild_complex(a, field)).iso
+        assert epsilon_mu(a, sc, HochschildComplex(a, field)).iso
 
 
 def test_corrupted_sc_differential_fails_the_check():
@@ -344,7 +344,7 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
     t, classes = setup(["1", "2", "3", "4"],
                        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     alg = find_semi_normed_basis(t, classes)
-    hochschild_complex(alg, field)
+    HochschildComplex(alg, field)
     q = t.quiver
     i = alg.index_by_path[q.path(["a"])]
     j = alg.index_by_path[q.path(["b"])]
@@ -353,13 +353,13 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
     # product
     alg.product[(i, j)] = (Fraction(2), alg.product[(i, j)][1])
     with pytest.raises(AssertionError, match="differential squares to zero"):
-        hochschild_complex(alg, field)
+        HochschildComplex(alg, field)
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])
 def test_corrupted_hochschild_column_breaks_the_epsilon_square(field):
     a, s, _ = cube()
-    h = hochschild_complex(a, field)
+    h = HochschildComplex(a, field)
     rep = epsilon_mu(a, s, h)
     # double an entry of d^1 between two pairs that epsilon reaches: then
     # delta(eps f) and eps(d f) differ on the simplicial 1-cochain f
@@ -377,7 +377,7 @@ def triangle(field):
     t, n = setup(["1", "2", "3"],
                  [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
     a = find_semi_normed_basis(t, n)
-    s, h = simplicial_complex(a), hochschild_complex(a, field)
+    s, h = simplicial_complex(a), HochschildComplex(a, field)
     rep = epsilon_mu(a, s, h)
     assert rep.eps_cochain_map and rep.mu_cochain_map
     return a, s, h, rep
@@ -422,9 +422,9 @@ def test_a_table_that_breaks_a_unit_or_the_ends_fails_the_check():
         alg.product[key] = wrong
         with pytest.raises(AssertionError,
                            match="differential squares to zero"):
-            hochschild_complex(alg, "Q")
+            HochschildComplex(alg, "Q")
         alg.product[key] = right
-    hochschild_complex(alg, "Q")
+    HochschildComplex(alg, "Q")
 
 
 def with_column(cols, k, col):

@@ -147,7 +147,7 @@ def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
     assert "columns" not in skeleton.__dict__
     for cx in (hom, cohom):
         assert cx.columns == eager_columns(cx.faces)
-        assert not {"cells", "cell_index"} & cx.__dict__.keys()
+        assert "cell_index" not in cx.__dict__
     t = enumerate_paths(parse(src.read_text()))
     cx = build_complex(t, natural_homotopy_classes(t))
     assert "columns" not in cx.__dict__
@@ -155,10 +155,9 @@ def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
     assert cx.columns == eager_columns(cx.faces)
 
 
-def test_cells_and_the_path_index_are_built_on_first_read(comm_grid):
+def test_cell_index_is_built_on_first_read(comm_grid):
     # (co)homology and the Euler characteristic read the keys and faces
-    # only; on a monomial grid no relation has two terms, so no merge is
-    # seeded and nothing reads the path-keyed index
+    # only
     mono = load_bench_workloads().complexes_inputs(17)["mono5x5"]
     for text in (mono, open(comm_grid(3)).read()):
         t = enumerate_paths(parse(text))
@@ -166,10 +165,7 @@ def test_cells_and_the_path_index_are_built_on_first_read(comm_grid):
         homology(cx, "Z")
         cohomology(cx, "Fp:2")
         euler_characteristic(cx)
-        assert not {"cells", "cell_index"} & cx.__dict__.keys()
-        if text == mono:
-            assert "index" not in t.__dict__
-        assert [len(layer) for layer in cx.cells] == cx.counts()
+        assert "cell_index" not in cx.__dict__
         assert len(cx.cell_index) == sum(cx.counts())
 
 
@@ -196,12 +192,15 @@ def test_dense_boundaries_match_the_faces(path):
 
 def test_ex3_cup_product_indicators():
     _, c = complexes(EX3)
-    f = {cell.key: 1 for cell in c.cells[1] if str(cell.witness) == "alpha"}
-    g = {cell.key: 1 for cell in c.cells[1] if str(cell.witness) == "beta2"}
+    paths = c.table.paths
+    f = {key: 1 for key, w in zip(c.keys[1], c.witnesses[1])
+         if str(paths[w]) == "alpha"}
+    g = {key: 1 for key, w in zip(c.keys[1], c.witnesses[1])
+         if str(paths[w]) == "beta2"}
     fg = cup_product(c, 1, f, 1, g)
-    want = [cell.key for cell in c.cells[2]
-            if str(c.classes.class_rep[cell.key[0]]) == "alpha"
-            and str(c.classes.class_rep[cell.key[1]]) == "beta2"]
+    want = [key for key in c.keys[2]
+            if str(c.classes.class_rep[key[0]]) == "alpha"
+            and str(c.classes.class_rep[key[1]]) == "beta2"]
     assert sorted(fg) == sorted(want)
 
 
@@ -209,8 +208,8 @@ def test_cup_product_leibniz():
     _, c = complexes(EX3)
     rng = random.Random(7)
     for _ in range(10):
-        f = {cell.key: rng.randint(-3, 3) for cell in c.cells[1]}
-        g = {cell.key: rng.randint(-3, 3) for cell in c.cells[1]}
+        f = {key: rng.randint(-3, 3) for key in c.keys[1]}
+        g = {key: rng.randint(-3, 3) for key in c.keys[1]}
         lhs = coboundary(c, 2, cup_product(c, 1, f, 1, g))
         rhs = {}
         for k, v in cup_product(c, 2, coboundary(c, 1, f), 1, g).items():

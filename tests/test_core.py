@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
-                        QuiverError, algebra_properties, enumerate_paths)
+                        Path, QuiverError, algebra_properties,
+                        enumerate_paths)
 from bqtop.dsl import parse
+from bqtop.homotopy import natural_homotopy_classes
 
 
 def bq(vertices, arrows, rels=()):
@@ -129,6 +131,24 @@ def test_long_chain_is_acyclic(square_zero_chain):
     t = enumerate_paths(q)
     assert t.bound == 2
     assert len(t.nonzero_paths()) == 2001 + 2000
+
+
+@pytest.mark.parametrize("bad", [Path("0", "1", ("nosuch",)),
+                                 Path("5", "1", ("a0",)),
+                                 Path("nosuch", "nosuch", ()),
+                                 Path("0", "3", ("a0", "nosuch", "a2"))],
+                         ids=["unknown_arrow", "wrong_ends",
+                              "unknown_vertex", "past_the_bound"])
+def test_a_path_not_of_the_quiver_is_a_quiver_error(square_zero_chain, bad):
+    # never a KeyError, and never a silent answer
+    with open(square_zero_chain(6)) as fh:
+        t = enumerate_paths(parse(fh.read()))
+    assert t.position(bad) is None
+    classes = natural_homotopy_classes(t)
+    for ask in (t.path_in_ideal, classes.class_of,
+                lambda p: t.vector_in_ideal([(p, 1)])):
+        with pytest.raises(QuiverError):
+            ask(bad)
 
 
 def test_long_oriented_cycle_is_cyclic(square_zero_chain):

@@ -390,9 +390,9 @@ def fields(report, names, skip=()):
 
 def repeats_a_vertex(cx):
     cl = cx.classes
-    return any(len({cl.class_source[c.key[0]]}
-                   | {cl.class_target[k] for k in c.key}) <= len(c.key)
-               for layer in cx.cells[1:] for c in layer)
+    return any(len({cl.class_source[key[0]]}
+                   | {cl.class_target[k] for k in key}) <= len(key)
+               for layer in cx.keys[1:] for key in layer)
 
 
 def not_incidence(witnesses):

@@ -68,8 +68,8 @@ def assert_components_are_support_closure(t, mrs):
     # classes and presentations are built from the co-member groups
     # alone, so equal groups mean the search's relations would give the
     # same classes and the same group
-    assert ({frozenset(g) for g in relation_components(t)}
-            == support_closure(mrs))
+    assert ({frozenset(map(t.paths.__getitem__, g))
+             for g in relation_components(t)} == support_closure(mrs))
 
 
 def test_ex1_minimal_relations():
@@ -209,7 +209,8 @@ def test_relation_components_follow_the_search_order():
     for quiver in (VK, KER):
         t = enumerate_paths(quiver)
         mrs, _ = minimal_relation_supports(t)
-        assert relation_components(t) == [mr.support() for mr in mrs]
+        assert ([[t.paths[i] for i in g] for g in relation_components(t)]
+                == [mr.support() for mr in mrs])
 
 
 def test_ker_class_counts():

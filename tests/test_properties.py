@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
-                   abelianization, algebra_properties, build_complex,
-                   check_galois, cohomology, deck_group, enumerate_paths,
-                   epsilon_mu, find_semi_normed_basis, hochschild_complex,
+from bqtop import (BoundQuiver, GroupAction, HochschildComplex, NotGalois,
+                   QuiverMorphism, abelianization, algebra_properties,
+                   build_complex, check_galois, cohomology, deck_group,
+                   enumerate_paths, epsilon_mu, find_semi_normed_basis,
                    homology, lift_complex_map, minimal_relation_supports,
                    natural_homotopy_classes, phi_psi_maps, pi1_presentation,
                    relation_components, simplicial_complex,
@@ -28,15 +28,18 @@ from bqtop import (BoundQuiver, GroupAction, NotGalois, QuiverMorphism,
 from bqtop import algcohom
 from bqtop import complex as cellular
 from bqtop.complex import check_faces_square_zero, face_columns
-from bqtop.core import AdmissibilityError, compose, path_sort_key
+from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
+                        compose, path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
-                            _presentation, _spanning_forest, _tietze)
+                            _presentation, _spanning_forest, _tietze,
+                            spanning_tree)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     SortedPathClassTable, check_square_zero,
+                     SortedPathClassTable, bfs_spanning_tree,
+                     check_square_zero,
                      cocycle_image_degrees, commuting_squares,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
@@ -74,7 +77,7 @@ def algebra_pipeline():
             if not a.ok:
                 continue
             sc = simplicial_complex(a)
-            hc = hochschild_complex(a, "Q")
+            hc = HochschildComplex(a, "Q")
             _PIPE.append((q, t, cx, a, sc, hc, epsilon_mu(a, sc, hc)))
     return _PIPE
 
@@ -226,7 +229,7 @@ def test_monomial_family_tree_detects_vanishing():
                 t = enumerate_paths(BoundQuiver(vertices, arrows, rels))
                 a = find_semi_normed_basis(t)
                 assert a.ok
-                dims = hochschild_complex(a, "Q").hh_dims()
+                dims = HochschildComplex(a, "Q").hh_dims()
                 assert dims[0] == 1
                 if shape == "tree":
                     assert all(d == 0 for d in dims[1:])
@@ -340,7 +343,8 @@ def test_relation_components_match_the_support_search():
             closure.setdefault(find(p), set()).add(p)
         # classes and presentations are built from these groups alone
         assert ({frozenset(c) for c in closure.values() if len(c) > 1}
-                == {frozenset(g) for g in relation_components(t)})
+                == {frozenset(map(t.paths.__getitem__, g))
+                    for g in relation_components(t)})
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +362,7 @@ def bfs_walk_partition(table, node_cap=300):
     q = table.quiver
     swaps = []
     for group in relation_components(table):
+        group = [table.paths[i] for i in group]
         for u, v in itertools.permutations(group, 2):
             swaps.append((tuple((a, 1) for a in u.arrows),
                           tuple((a, 1) for a in v.arrows)))
@@ -585,9 +590,9 @@ def oracle_layers(table, classes):
 
 
 def complex_layers(cx):
-    return [[(c.key, c.witness, [cx.cells[n - 1][f].key for f in row])
-             for c, row in zip(cx.cells[n], cx.faces[n])]
-            for n in range(1, len(cx.cells))]
+    return [[(key, cx.table.paths[w], [cx.keys[n - 1][f] for f in row])
+             for key, w, row in zip(cx.keys[n], cx.witnesses[n], cx.faces[n])]
+            for n in range(1, len(cx.keys))]
 
 
 def test_faces_match_the_backtracking_oracle(comm_grid):
@@ -608,8 +613,8 @@ def test_faces_match_the_backtracking_oracle(comm_grid):
 
 def test_id_complex_matches_the_cell_object_builder(comm_grid):
     # the complex kept on table ids against the builder that made a Cell
-    # for every cell: keys, witnesses, faces, counts, caveats and the cut,
-    # and the Cell objects it builds on first read, element by element
+    # for every cell: keys, witness paths, faces, counts, caveats and the
+    # cut, and the cell index, element by element
     quivers = differential_quivers()
     quivers.append(parse(open(comm_grid(4)).read()))
     checked = collections.Counter()
@@ -621,11 +626,11 @@ def test_id_complex_matches_the_cell_object_builder(comm_grid):
                 old = object_complex(t, classes, max_dim)
                 assert cx.keys == [[c.key for c in layer]
                                    for layer in old.cells]
-                assert cx.witnesses[1:] == [[t.index[c.witness] for c in layer]
-                                            for layer in old.cells[1:]]
+                assert [[t.paths[w] for w in layer]
+                        for layer in cx.witnesses[1:]] == [
+                    [c.witness for c in layer] for layer in old.cells[1:]]
                 assert (cx.faces, cx.counts(), cx.caveats, cx.cut_at) == (
                     old.faces, old.counts(), old.caveats, old.cut_at)
-                assert cx.cells == old.cells
                 assert cx.cell_index == old.cell_index
                 checked[max_dim, cx.cut_at is not None] += 1
     assert checked == {(None, False): 600, (0, True): 600,
@@ -717,7 +722,9 @@ def test_groebner_table_matches_the_lengthwise_table(comm_grid):
             assert all(i in old.in_ideal for i, p in enumerate(old.paths)
                        if len(p) == t.bound)
         assert facts_of(t, t.bound) == facts_of(old, t.bound)
-        assert relation_components(t) == relation_components(old)
+        assert ([[t.paths[i] for i in g] for g in relation_components(t)]
+                == [[old.paths[i] for i in g]
+                    for g in relation_components(old)])
         classes = [{frozenset(i for i in members if i < len(t.paths))
                     for members in natural_homotopy_classes(u).class_members}
                    - {frozenset()} for u in (t, old)]
@@ -790,9 +797,9 @@ def test_class_tables_in_table_order_match_the_sorting_oracle():
     for k, q in enumerate(differential_quivers()):
         t = enumerate_paths(q)
         assert len(t.arrow_index) == sum(1 for p in t.paths if p.arrows), k
-        for p in t.paths:
+        for i, p in enumerate(t.paths):
             if p.arrows:
-                assert t.arrow_index[p.arrows] == t.index[p], k
+                assert t.arrow_index[p.arrows] == i, k
         for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
             # each class rooted at its last member, so that the oracle's
             # union-find groups are not already in table order
@@ -803,6 +810,55 @@ def test_class_tables_in_table_order_match_the_sorting_oracle():
             old = SortedPathClassTable(t, classes.variant, parent,
                                        classes.caveats)
             assert class_table_facts(classes) == class_table_facts(old), k
+
+
+def test_position_matches_the_path_dict(comm_grid):
+    quivers = differential_quivers()
+    quivers.append(parse(open(comm_grid(4)).read()))
+    wrong = 0
+    for k, q in enumerate(quivers):
+        t = enumerate_paths(q)
+        index = {p: i for i, p in enumerate(t.paths)}
+        for p in t.paths:
+            assert t.position(p) == index[p], k
+            source, target = (next((v for v in q.vertices if v != end), "?")
+                              for end in (p.source, p.target))
+            bad = [Path(source, p.target, p.arrows),
+                   Path(p.source, target, p.arrows),
+                   Path(p.source, p.target, p.arrows + ("?",))]
+            if p.arrows:
+                bad.append(Path(p.source, p.target, p.arrows[:-1] + ("?",)))
+            for b in bad:
+                assert t.position(b) is None, (k, b)
+            wrong += len(bad)
+        assert t.position(Path("?", "?", ())) is None, k
+    assert wrong > 25000
+
+
+def test_spanning_tree_matches_the_all_arrow_scan(square_zero_chain):
+    # the tree and the walks from every base vertex, or the same error
+    def both(quiver, base):
+        out = []
+        for find in (spanning_tree, bfs_spanning_tree):
+            try:
+                out.append(find(quiver, base))
+            except NotConnectedError as e:
+                out.append(str(e))
+        return out
+
+    for k, q in enumerate(differential_quivers()):
+        for base in q.vertices:
+            new, old = both(q, base)
+            assert new == old, (k, base)
+    apart = BoundQuiver(["1", "2", "3"], [("a", "1", "2")])
+    assert both(apart, "1") == ["quiver is not connected"] * 2
+    assert both(apart, "?") == ["unknown base vertex '?'"] * 2
+    with open(square_zero_chain(2000)) as fh:
+        chain = parse(fh.read())
+    for base in ("0", "1000", "2000"):
+        new, old = both(chain, base)
+        assert new == old
+        assert len(new[0]) == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +1003,7 @@ def reduced_pairs(table, paths):
     reduces."""
     held = collections.defaultdict(list)
     for p in paths:
-        held[p.source, p.target].append(table.local[table.index[p]])
+        held[p.source, p.target].append(table.local[table.position(p)])
     return [pair for pair, dim in table.dims.items()
             if len(held[pair]) + (pair[0] == pair[1]) == dim
             and any(k in table.pivot_rows.get(pair, {}) for k in held[pair])]
@@ -998,8 +1054,8 @@ def test_semi_normed_builder_matches_the_reducing_oracle(comm_grid,
         reordered = None
         reps = [nat.class_rep[cid] for cid in nat.one_cell_classes()]
         for z in sorted(t.in_ideal):
-            later = [t.index[p] for p in reps
-                     if pair(t.index[p]) == pair(z) and t.index[p] > z]
+            later = [t.position(p) for p in reps
+                     if pair(t.position(p)) == pair(z) and t.position(p) > z]
             if len(later) >= 2:
                 reordered = [[i for i in m if i != z] for m in groups]
                 reordered = [m + [z] if later[-1] in m else m
@@ -1032,7 +1088,7 @@ def test_semi_normed_builder_matches_the_reducing_oracle(comm_grid,
             assert (semi_normed_facts(found) == semi_normed_facts(
                 reducing_semi_normed_basis(t, reps, classes))), kind
             outcomes[kind, found.ok] += 1
-            if any(is_tip(t.index[p]) for p in reps):
+            if any(is_tip(t.position(p)) for p in reps):
                 outcomes[kind, "tipped"] += 1
         for _ in range(4 if n < users else 0):
             user = perturbed_user_basis(rng, t)
@@ -1075,7 +1131,7 @@ def test_epsilon_mu_ranks_match_the_cocycle_image_oracle(comm_grid):
         sc = simplicial_complex(a)
         for field in ("Q", "Fp:2"):
             try:
-                hc = hochschild_complex(a, field)
+                hc = HochschildComplex(a, field)
                 rep = epsilon_mu(a, sc, hc)
             except ValueError as e:
                 # p divides a structure constant's numerator or denominator
@@ -1106,7 +1162,7 @@ def test_algebra_checks_match_the_whole_complex_oracles(comm_grid):
         sc = simplicial_complex(a)
         for field in ("Q", "Fp:2", "Fp:3"):
             try:
-                hc = hochschild_complex(a, field)
+                hc = HochschildComplex(a, field)
                 rep = epsilon_mu(a, sc, hc)
             except ValueError:
                 continue  # p divides a structure constant
@@ -1149,7 +1205,7 @@ def test_associativity_certificate_matches_the_square_zero_oracle():
         lam, b = a.product[key]
         a.product[key] = (QQ.of(lam * rng.choice([2, -1, Fraction(1, 3)])),
                           b)
-        accepted = accepts(lambda alg: hochschild_complex(alg, "Q"), a)
+        accepted = accepts(lambda alg: HochschildComplex(alg, "Q"), a)
         F, _, columns = walked_hochschild(a, "Q")
         assert accepts(lambda cols: check_square_zero(cols, F),
                        columns) == accepted
@@ -1209,7 +1265,7 @@ def test_clearing_matches_the_per_matrix_oracle(comm_grid, monkeypatch):
         checked["sc"] += 1
         for field in ("Q", "Fp:2", "Fp:3", "Fp:5"):
             try:
-                hc = hochschild_complex(a, field)
+                hc = HochschildComplex(a, field)
             except ValueError:
                 continue  # p divides a structure constant's denominator
 
@@ -1255,12 +1311,12 @@ def test_tuple_walk_matches_the_all_pairs_oracle(comm_grid):
             except ValueError as e:
                 # p divides a structure constant's numerator or denominator
                 with pytest.raises(ValueError) as got:
-                    epsilon_mu(a, sc, hochschild_complex(a, field))
+                    epsilon_mu(a, sc, HochschildComplex(a, field))
                 assert str(got.value) == str(e)
                 checked[field, "denominator" if "denominator" in str(e)
                         else "vanishes"] += 1
                 continue
-            hc = hochschild_complex(a, field)
+            hc = HochschildComplex(a, field)
             assert (hc.bases, hc.columns) == (bases, columns)
             rep = epsilon_mu(a, sc, hc)
             assert (rep.eps, rep.mu) == (eps, mu)
@@ -1394,7 +1450,7 @@ def stored_rationals(q):
     a = find_semi_normed_basis(t)
     if not a.ok:
         return out
-    hc = hochschild_complex(a, "Q")
+    hc = HochschildComplex(a, "Q")
     rep = epsilon_mu(a, simplicial_complex(a), hc)
     out["structure constants"] = [step[0] for step in a.product.values()
                                   if step is not None]
