@@ -206,10 +206,11 @@ def _dispatch(args, table):
     if cmd == "cells":
         classes = _classes(table, args.sharp)
         cx = build_complex(table, classes, max_dim=args.max_dim)
-        paths = table.paths
+        words = table.words  # a witness is never stationary
         cells = {"0": cx.keys[0]}
         for n in range(1, len(cx.keys)):
-            cells[str(n)] = [{"classes": list(key), "witness": str(paths[w])}
+            cells[str(n)] = [{"classes": list(key),
+                              "witness": "*".join(words[w])}
                              for key, w in zip(cx.keys[n], cx.witnesses[n])]
         return ({"counts": cx.counts(), "cells": cells,
                  "euler_characteristic": euler_characteristic(cx)},
@@ -359,7 +360,7 @@ def _dot(args, cfg):
             for (cid,), w in zip(cx.keys[1], cx.witnesses[1]):
                 lines.append('  "%s" -> "%s" [label="%s"];'
                              % (cl.class_source[cid], cl.class_target[cid],
-                                table.paths[w]))
+                                "*".join(table.words[w])))
     else:
         for v in quiver.vertices:
             lines.append('  "%s";' % v)

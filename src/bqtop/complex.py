@@ -15,17 +15,17 @@ gives the same face when every class has members of one length (the
 split is then unique), or when the natural classes carry no bound
 caveat (they are then closed under composition); only under the bound
 caveat could another split give another face.
-Cells are grown and their faces found on table indices: a composite is
-looked up by its arrow names in `PathTable.arrow_index` once per build,
-and no path object is built.  The complex keeps a cell as its key (a
-vertex in dimension 0, a tuple of class ids above), the table index of
-its witness and its face row; a reader that writes a witness reads its
-path off the table.  Boundary of boundary is checked on
-the face rows when the complex is made: where a cell's faces satisfy the
-simplicial identities its terms cancel in pairs, and only a cell where
-one fails has its signed sum formed.  Boundary matrices are sparse
-integer columns, built from the faces on first read, so commands that
-only list cells never build them.  Homology over Z comes from their
+Cells are grown and their faces found on the table's indices, words and
+ends: a composite is looked up by its arrow names in
+`PathTable.arrow_index` once per build, and no path object is built.
+The complex keeps a cell as its key (a vertex in dimension 0, a tuple of
+class ids above), the table index of its witness and its face row; a
+reader that writes a witness reads its arrow word off the table.
+Boundary of boundary is checked on the face rows when the complex is
+made: where a cell's faces satisfy the simplicial identities its terms
+cancel in pairs, and only a cell where one fails has its signed sum
+formed.  Boundary matrices are sparse integer columns, built from the
+faces on first read, so commands that only list cells never build them.  Homology over Z comes from their
 invariant factors (unit-pivot reduction, then a certified Smith normal
 form of what is left), over a field from their ranks, and cohomology and
 cyclic coefficients by universal coefficients.  The boundaries are ranked
@@ -58,7 +58,8 @@ class CellComplex:
     The complex is kept on table ids: per dimension the cell keys (the
     vertices in quiver order in dimension 0, the sorted class-id tuples
     above) and, for n >= 1, the table index of each cell's witness, so
-    n-cell j is `keys[n][j]` with witness `table.paths[witnesses[n][j]]`.
+    n-cell j is `keys[n][j]`, its witness the table's path number
+    `witnesses[n][j]`.
     The cell index and the boundary columns are built on first read.
     """
 
@@ -195,12 +196,12 @@ def build_complex(table, classes, max_dim=None):
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
                          % max_dim)
-    paths, in_ideal, bound = table.paths, table.in_ideal, table.bound
-    arrow_index = table.arrow_index
+    words, in_ideal, bound = table.words, table.in_ideal, table.bound
+    arrow_index, targets = table.arrow_index, table.targets
     of_index = classes.class_of_index
     source, target = classes.class_source, classes.class_target
     vertices = table.quiver.vertices
-    # steps[v]: (class, member, its arrows) for every nonzero member of a
+    # steps[v]: (class, member, its word) for every nonzero member of a
     # 1-cell class at v; a zero member's composites all lie in the ideal
     steps = {v: [] for v in vertices}
     # live[key] = {witness: split}: every nonzero member composite of the
@@ -211,7 +212,7 @@ def build_complex(table, classes, max_dim=None):
         record = live[(cid,)] = {}
         for j in classes.class_members[cid]:
             if j not in in_ideal:
-                steps[source[cid]].append((cid, j, paths[j].arrows))
+                steps[source[cid]].append((cid, j, words[j]))
                 record[j] = (j,)
 
     @functools.cache
@@ -220,10 +221,10 @@ def build_complex(table, classes, max_dim=None):
         nonzero composite w that stays nonzero; past the bound a
         composite lies in the ideal."""
         out = []
-        p = paths[w]
-        for cid, j, arrows in steps[p.target]:
-            if len(p.arrows) + len(arrows) <= bound:
-                c = arrow_index[p.arrows + arrows]
+        word = words[w]
+        for cid, j, member in steps[targets[w]]:
+            if len(word) + len(member) <= bound:
+                c = arrow_index[word + member]
                 if c not in in_ideal:
                     out.append((cid, j, c))
         return out
@@ -231,7 +232,7 @@ def build_complex(table, classes, max_dim=None):
     @functools.cache
     def middle(i, j):
         """Class of the composite of the members i and j of a split."""
-        return of_index[arrow_index[paths[i].arrows + paths[j].arrows]]
+        return of_index[arrow_index[words[i] + words[j]]]
 
     keys, witnesses, faces = [list(vertices)], [None], [None]
     below = {v: i for i, v in enumerate(vertices)}

@@ -12,7 +12,9 @@ ideal, so the quotient algebra sees nothing longer), together
 with, for each ordered vertex pair, an exact basis of the ideal's slice on
 those paths.  All downstream questions (is this combination of paths in
 the ideal, what is dim e_x A e_y, ...) reduce to exact rational linear
-algebra against these slices.
+algebra against these slices.  The table keeps each path as its position,
+its arrow word and its two ends (`words`, `sources`, `targets`); a
+`Path` object per position is built only when a reader asks for `paths`.
 
 The table comes from a Groebner basis of the ideal (Buchberger-Mora;
 Mora 1986, Green 1999), kept as rewriting rules tip -> tail: the tip is
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .linalg import QQ
@@ -94,11 +95,6 @@ class Path:
         if not self.arrows:
             return "e_%s" % self.source
         return "*".join(self.arrows)
-
-
-def compose(p, q):
-    assert p.target == q.source, "paths not composable"
-    return Path(p.source, q.target, p.arrows + q.arrows)
 
 
 @dataclass(frozen=True)
@@ -260,47 +256,65 @@ class PathTable:
     Attributes:
         quiver: the BoundQuiver
         bound: L, the least length >= 2 with every length-L path in I
-        paths: all paths of length <= L, sorted by (length, names,
-            source); a path is its position here (see `position`)
-        arrow_index: arrow names -> position in `paths`, paths of length
-            >= 1 only (built on first read)
-        pair_paths: (x, y) -> list of indices into `paths`
-        local: position in `paths` -> position in its pair's list
+        words: the arrow names of each path of length <= L, sorted by
+            (length, names, source); the stationary paths come first, in
+            vertex order, each with the empty word
+        sources, targets: the end vertices of each path
+        paths: the `Path` of each position (built on first read); a path
+            is its position here (see `position`)
+        arrow_index: arrow names -> position, paths of length >= 1 only
+            (built on first read)
+        pair_paths: (x, y) -> list of positions
+        local: position -> position in its pair's list
         ideal_rows: (x, y) -> reduced basis of I(x, y) in pair-local
             coordinates, one row p - NF(p) per reducible path p: sparse
             rows {local index: rational}, each with a 1 at its pivot p
             (its greatest index, the tip) and its other entries at
             normal paths, in ascending pivot order
-        in_ideal: set of indices of member paths
+        in_ideal: set of positions of member paths
         dims: (x, y) -> dim e_x A e_y
     """
 
-    def __init__(self, quiver, bound, paths, ideal_rows):
-        self.quiver = quiver
-        self.bound = bound
-        self.paths = paths
-        self.pair_paths = {}
-        self.local = []
-        for i, p in enumerate(paths):
-            idxs = self.pair_paths.setdefault((p.source, p.target), [])
-            self.local.append(len(idxs))
+    def __init__(self, quiver, bound, words, nf):
+        """Number the `words` (all paths of length <= bound, in table
+        order) per pair and write the rows p - NF(p) off `nf`."""
+        self.quiver, self.bound, self.words = quiver, bound, words
+        rest = words[len(quiver.vertices):]
+        source = {a.name: a.source for a in quiver.arrows}
+        target = {a.name: a.target for a in quiver.arrows}
+        self.sources = list(quiver.vertices) + [source[w[0]] for w in rest]
+        self.targets = list(quiver.vertices) + [target[w[-1]] for w in rest]
+        pair_paths, local, rows, in_ideal, later = {}, [], {}, set(), []
+        for i, pair in enumerate(zip(self.sources, self.targets)):
+            idxs = pair_paths.setdefault(pair, [])
+            k = len(idxs)
+            local.append(k)
             idxs.append(i)
-        self.ideal_rows = ideal_rows
-        # no row has an entry at another row's pivot, so a combination of
-        # rows has the coefficient of row i at row i's pivot, and a path's
-        # unit vector is in the span exactly when it is one of the rows
-        self.in_ideal = {self.pair_paths[pair][k]
-                         for pair, rows in ideal_rows.items()
-                         for row in rows if len(row) == 1 for k in row}
-        self.dims = {pair: len(idxs) - len(ideal_rows.get(pair, ()))
-                     for pair, idxs in self.pair_paths.items()}
+            f = nf.get(words[i])
+            if f is None:
+                continue
+            row = {} if f else {k: 1}
+            rows.setdefault(pair, []).append(row)
+            if f:
+                later.append((row, f, k))
+            else:
+                in_ideal.add(i)
+        if later:
+            # a normal form holds words of the table that precede its own
+            at = dict(zip(words, local))
+            for row, f, k in later:
+                for w, c in f.items():
+                    row[at[w]] = -c
+                row[k] = 1
+        self.pair_paths, self.local = pair_paths, local
+        self.ideal_rows, self.in_ideal = rows, in_ideal
+        self.dims = {pair: len(idxs) - len(rows.get(pair, ()))
+                     for pair, idxs in pair_paths.items()}
 
-    def pair_of(self, vec_terms):
-        srcs = {p.source for p, _ in vec_terms}
-        tgts = {p.target for p, _ in vec_terms}
-        if len(srcs) != 1 or len(tgts) != 1:
-            raise MalformedRelation("terms not parallel")
-        return srcs.pop(), tgts.pop()
+    @functools.cached_property
+    def paths(self):
+        """The `Path` at each position."""
+        return list(map(Path, self.sources, self.targets, self.words))
 
     def vector_in_ideal(self, terms):
         """Exact membership of sum(coeff * path) in the ideal.
@@ -320,7 +334,10 @@ class PathTable:
                 if len(p) <= self.bound and c != 0]
         if not kept:
             return True
-        pair = self.pair_of(kept)
+        pairs = {(p.source, p.target) for p, _ in kept}
+        if len(pairs) != 1:
+            raise MalformedRelation("terms not parallel")
+        pair, = pairs
         vec = {}
         for p, c in kept:
             k = self.local[self._locate(p)]
@@ -333,12 +350,14 @@ class PathTable:
         return not any(vec.values())
 
     def position(self, p):
-        """Position of the path p in `paths`, None when p is not one of
-        them: a path with arrows is found by its arrow names, a stationary
-        one at its vertex, and either must equal the table's path there."""
+        """Position of the path p, None when p is not one of the table's:
+        a path with arrows is found by its arrow names, a stationary one
+        at its vertex, and either must have the ends of the table's path
+        there."""
         i = (self.arrow_index.get(p.arrows) if p.arrows
              else self.quiver.vertex_index.get(p.source))
-        return i if i is not None and self.paths[i] == p else None
+        return i if i is not None and (self.sources[i], self.targets[i]) \
+            == (p.source, p.target) else None
 
     def _locate(self, p):
         """`position` of p; QuiverError when p is not a path of the quiver
@@ -351,9 +370,10 @@ class PathTable:
 
     @functools.cached_property
     def arrow_index(self):
-        """Arrow-name tuple -> position in `paths`, for the non-stationary
-        paths (their arrows determine them)."""
-        return {p.arrows: i for i, p in enumerate(self.paths) if p.arrows}
+        """Arrow-name tuple -> position, for the non-stationary paths
+        (their arrows determine them)."""
+        nv, n = len(self.quiver.vertices), len(self.words)
+        return dict(zip(self.words[nv:], range(nv, n)))
 
     @functools.cached_property
     def pivot_rows(self):
@@ -369,21 +389,6 @@ class PathTable:
             self.quiver._check_path(p)
             return True
         return self._locate(p) in self.in_ideal
-
-    def nonzero_paths(self):
-        return [p for i, p in enumerate(self.paths) if i not in self.in_ideal]
-
-    def paths_between(self, x, y):
-        return [self.paths[i] for i in self.pair_paths.get((x, y), [])]
-
-
-def _next_paths(quiver, bucket):
-    """The one-arrow extensions of a list of paths of one length."""
-    return [Path(p.source, a.target, p.arrows + (a.name,))
-            for p in bucket for a in quiver.arrows_from[p.target]]
-
-
-_ARROWS = operator.attrgetter("arrows")
 
 
 def _word_key(word):
@@ -514,8 +519,8 @@ def _expand(terms, nf):
 
 
 def _normal_forms(rules, bucket, nf):
-    """Record the normal forms of a bucket's reducible paths in nf, keyed
-    by arrow names; normal paths are left out.  Shorter paths and earlier
+    """Record the normal forms of a bucket's reducible words in nf, keyed
+    by arrow names; normal words are left out.  Shorter paths and earlier
     paths of the bucket must be recorded already.
 
     A path w = q*a has NF(w) = NF(NF(q)*a).  When q is normal, a tip can
@@ -524,8 +529,7 @@ def _normal_forms(rules, bucket, nf):
     words less than w, whose forms are recorded.
     """
     tails, lengths = rules.tails, rules.lengths
-    for p in bucket:
-        w = p.arrows
+    for w in bucket:
         head = nf.get(w[:-1])
         if head is None:
             for n in lengths:
@@ -547,14 +551,15 @@ def _normal_forms(rules, bucket, nf):
 def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     """Find the nilpotency bound and build the PathTable.
 
-    Paths are enumerated one length at a time, each length sorted by
-    arrow names, so the table is in `path_sort_key` order as it grows.
-    For L = 2, 3, ... the overlaps of the rules (`_Rewriting`) with words
-    of length <= L are resolved, and L is certified once every path of
-    length L has normal form 0 (vacuously when there is none, e.g. one
-    past the longest path of an acyclic quiver, so the cap only guards
-    cyclic searches).  Raises AdmissibilityError, naming a path of
-    length `cap` whose normal form is not 0, when no L <= cap works.
+    Paths are enumerated one length at a time as arrow words, each word
+    extended by the arrows at its end in name order, so the table is in
+    `path_sort_key` order as it grows.  For L = 2, 3, ... the overlaps of
+    the rules (`_Rewriting`) with words of length <= L are resolved, and
+    L is certified once every path of length L has normal form 0
+    (vacuously when there is none, e.g. one past the longest path of an
+    acyclic quiver, so the cap only guards cyclic searches).  Raises
+    AdmissibilityError, naming a path of length `cap` whose normal form
+    is not 0, when no L <= cap works.
 
     At a certified L the rules already reduce exactly modulo I on the
     paths of length <= L, with words of length >= L read as 0.  With
@@ -574,7 +579,11 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     rules = _Rewriting(quiver)
     rules.add({p.arrows: c for p, c in rel.terms}
               for rel in quiver.relations)
-    by_len = [[Path(v, v, ()) for v in quiver.vertices]]
+    # the one-letter words of the arrows that can follow each arrow
+    follow = {a.name: sorted((b.name,) for b in quiver.arrows_from[a.target])
+              for a in quiver.arrows}
+    by_len = [[()] * len(quiver.vertices),
+              sorted((a.name,) for a in quiver.arrows)]
     nf, seen, done = {}, None, 2
 
     def refresh(L):
@@ -591,46 +600,25 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     for L in itertools.count(2):
         if L > cap and not acyclic:
             if witness is None:  # below a cap of 2 every path is normal
-                a = quiver.arrows[0]
-                witness = (Path(a.source, a.target, (a.name,)) if cap >= 1
-                           else Path(a.source, a.source, ()))
+                witness = (quiver.arrows[0].name,)[:cap]
+            witness = quiver.path(witness, at=quiver.arrows[0].source)
             raise AdmissibilityError(
                 "no nilpotency bound L <= %d certifies the ideal admissible: "
                 "the path %s of length %d does not reduce to 0; raise the "
                 "path cap if the quiver is genuinely bounded"
                 % (cap, witness, len(witness)))
         while len(by_len) <= L:
-            bucket = _next_paths(quiver, by_len[-1])
-            bucket.sort(key=_ARROWS)
-            by_len.append(bucket)
+            by_len.append([w + b for w in by_len[-1] for b in follow[w[-1]]])
         rules.resolve(L)
         refresh(L)
-        witness = next((p for p in by_len[L] if nf.get(p.arrows) != {}),
-                       None)
+        witness = next((w for w in by_len[L] if nf.get(w) != {}), None)
         if witness is None:
             break
     bound = next(n for n in range(2, L + 1)
-                 if all(nf.get(p.arrows) == {} for p in by_len[n]))
-    # pair-local indices, needed from length 2 on, where rows live
-    size = {(v, v): 1 for v in quiver.vertices}
-    for a in quiver.arrows:
-        size[a.source, a.target] = size.get((a.source, a.target), 0) + 1
-    rows, local = {}, {}
-    for bucket in by_len[2:bound + 1]:
-        for p in bucket:
-            pair = p.source, p.target
-            k = local[p.arrows] = size.get(pair, 0)
-            size[pair] = k + 1
-            f = nf.get(p.arrows)
-            if f is not None:
-                row = {local[w]: -c for w, c in f.items()} if f else {}
-                row[k] = 1
-                if pair in rows:
-                    rows[pair].append(row)
-                else:
-                    rows[pair] = [row]
-    paths = [p for bucket in by_len[:bound + 1] for p in bucket]
-    return PathTable(quiver, bound, paths, rows)
+                 if all(nf.get(w) == {} for w in by_len[n]))
+    return PathTable(quiver, bound,
+                     list(itertools.chain.from_iterable(by_len[:bound + 1])),
+                     nf)
 
 
 @dataclass(frozen=True)

@@ -273,45 +273,47 @@ class PathClassTable:
     """Partition of the table paths into homotopy classes.
 
     variant is "natural" or "walk".  Classes know their endpoints, their
-    members (sorted), whether they contain a nonzero path, whether they
-    contain a stationary path (identity class), and a canonical
-    representative: the least nonzero member when one exists, else the
-    least member.
+    members (sorted table indices), whether they contain a nonzero path,
+    whether they contain a stationary path (identity class), and a
+    canonical representative (`rep_index`, its `Path` in `class_rep` built
+    on first read): the least nonzero member, else the least member.
     """
 
     def __init__(self, table, variant, parent, caveats=()):
         self.table = table
         self.variant = variant
         self.caveats = tuple(caveats)
-        paths, in_ideal = table.paths, table.in_ideal
+        sources, targets = table.sources, table.targets
+        in_ideal = table.in_ideal
         # the table lists paths in `path_sort_key` order, so numbering the
         # classes as index order first meets them orders them by their
         # least members, and members collected in index order are sorted
         cid_of = {}
         self.class_of_index = [cid_of.setdefault(_find(parent, i), len(cid_of))
-                               for i in range(len(paths))]
+                               for i in range(len(sources))]
         self.class_members = [[] for _ in cid_of]
         for i, cid in enumerate(self.class_of_index):
             self.class_members[cid].append(i)
         # a stationary member has length 0, so it would come first
-        firsts = [paths[members[0]] for members in self.class_members]
-        for members, first in zip(self.class_members, firsts):
-            for i in members[1:]:
-                p = paths[i]
-                assert (p.source, p.target) == (first.source, first.target), \
-                    "homotopy class members must be parallel"
-        self.class_source = [p.source for p in firsts]
-        self.class_target = [p.target for p in firsts]
-        self.class_identity = [p.is_stationary for p in firsts]
+        firsts = [members[0] for members in self.class_members]
+        self.class_source = [sources[i] for i in firsts]
+        self.class_target = [targets[i] for i in firsts]
+        assert all(sources[i] == self.class_source[cid]
+                   and targets[i] == self.class_target[cid]
+                   for i, cid in enumerate(self.class_of_index)), \
+            "homotopy class members must be parallel"
+        self.class_identity = [not table.words[i] for i in firsts]
         # the least nonzero member, else the least member
-        reps = []
-        for members in self.class_members:
-            rep = members[0]
-            if rep in in_ideal:
-                rep = next((i for i in members if i not in in_ideal), rep)
-            reps.append(rep)
-        self.class_nonzero = [i not in in_ideal for i in reps]
-        self.class_rep = [paths[i] for i in reps]
+        self.rep_index = [
+            i if i not in in_ideal
+            else next((j for j in members if j not in in_ideal), i)
+            for i, members in zip(firsts, self.class_members)]
+        self.class_nonzero = [i not in in_ideal for i in self.rep_index]
+
+    @functools.cached_property
+    def class_rep(self):
+        """The representative `Path` of each class."""
+        return [self.table.paths[i] for i in self.rep_index]
 
     def __len__(self):
         return len(self.class_members)
@@ -320,9 +322,6 @@ class PathClassTable:
         """Class of a path of length <= the bound; QuiverError when it is
         not a path of the quiver or is longer."""
         return self.class_of_index[self.table._locate(path)]
-
-    def members(self, cid):
-        return [self.table.paths[i] for i in self.class_members[cid]]
 
     def one_cell_classes(self):
         """Non-identity classes with a nonzero member, in order."""
@@ -371,19 +370,19 @@ def natural_homotopy_classes(table):
     a caveat.
     """
     q = table.quiver
-    paths, arrow_index = table.paths, table.arrow_index
-    parent = list(range(len(paths)))
+    words, arrow_index = table.words, table.arrow_index
+    parent = list(range(len(words)))
 
     @functools.cache
     def extensions(i):
         """{(side, arrow): table index} of path i's one-arrow extensions."""
-        p = paths[i]
-        if len(p) == table.bound:
+        w = words[i]
+        if len(w) == table.bound:
             return {}
-        keys = {(1, a.name): arrow_index[p.arrows + (a.name,)]
-                for a in q.arrows_from[p.target]}
-        keys.update({(0, a.name): arrow_index[(a.name,) + p.arrows]
-                     for a in q.arrows_to[p.source]})
+        keys = {(1, a.name): arrow_index[w + (a.name,)]
+                for a in q.arrows_from[table.targets[i]]}
+        keys.update({(0, a.name): arrow_index[(a.name,) + w]
+                     for a in q.arrows_to[table.sources[i]]})
         return keys
 
     pending = [(group[0], i) for group in relation_components(table)
@@ -399,10 +398,11 @@ def natural_homotopy_classes(table):
     caveats = []
     # the table is sorted by length, so its bound-length paths end it; a
     # bound-length root has no extension
-    cut = next((i for i in range(bisect.bisect_left(paths, table.bound,
-                                                    key=len), len(paths))
+    cut = next((i for i in range(bisect.bisect_left(words, table.bound,
+                                                    key=len), len(words))
                 if parent[i] != i and extensions(_find(parent, i))), None)
     if cut is not None:
+        paths = table.paths
         caveats.append(
             "natural class of %s: member %s has the bound length %d, so its "
             "one-arrow extensions lie outside the path table while other "
@@ -441,8 +441,8 @@ def free_reduce(word):
 def spanning_tree(quiver, base):
     """Deterministic BFS tree on the underlying graph.
 
-    Returns (tree_arrow_names, walk_to) where walk_to[v] is the reduced
-    tree walk from base to v as a word over arrow names.
+    Returns (tree_arrow_names, links): links[v] = (arrow name, sign,
+    parent) of the tree arrow that reaches v, and None at the base.
     """
     if base not in quiver.vertex_index:
         raise NotConnectedError("unknown base vertex %r" % base)
@@ -451,22 +451,31 @@ def spanning_tree(quiver, base):
     for a in quiver.arrows:
         for v in {a.source, a.target}:
             incident[v].append(a)
-    walk_to = {base: ()}
+    links = {base: None}
     tree = []
     queue = [base]
     for v in queue:  # grows while it is read, the BFS order
         for a in incident[v]:
-            if a.source == v and a.target not in walk_to:
+            if a.source == v and a.target not in links:
                 tree.append(a.name)
-                walk_to[a.target] = walk_to[v] + ((a.name, 1),)
+                links[a.target] = (a.name, 1, v)
                 queue.append(a.target)
-            elif a.target == v and a.source not in walk_to:
+            elif a.target == v and a.source not in links:
                 tree.append(a.name)
-                walk_to[a.source] = walk_to[v] + ((a.name, -1),)
+                links[a.source] = (a.name, -1, v)
                 queue.append(a.source)
-    if len(walk_to) != len(quiver.vertices):
+    if len(links) != len(quiver.vertices):
         raise NotConnectedError("quiver is not connected")
-    return tree, walk_to
+    return tree, links
+
+
+def _tree_walk(links, v):
+    """The tree walk from the base to v, read off `spanning_tree` links."""
+    word = []
+    while links[v] is not None:
+        name, sign, v = links[v]
+        word.append((name, sign))
+    return tuple(reversed(word))
 
 
 def pi1_presentation(table, base=None):
@@ -487,15 +496,16 @@ def _presentation(table, sub, tree, base):
     """The arrows of `sub`, a full subquiver of the table's quiver, over
     the tree relators and the co-member relators of its vertex pairs."""
     relators = [((name, 1),) for name in tree]
-    paths = table.paths
+    words = table.words
     for group in relation_components(table):
-        first = paths[group[0]]
-        if not {first.source, first.target} <= sub.vertex_index.keys():
+        first = group[0]
+        if not {table.sources[first], table.targets[first]} \
+                <= sub.vertex_index.keys():
             continue
-        w1 = tuple((a, 1) for a in first.arrows)
+        w1 = tuple((a, 1) for a in words[first])
         for j in group[1:]:
             relators.append(free_reduce(
-                w1 + _word_inverse(tuple((a, 1) for a in paths[j].arrows))))
+                w1 + _word_inverse(tuple((a, 1) for a in words[j]))))
     return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),
                         base)
 
@@ -689,14 +699,14 @@ def walk_homotopy_classes(table):
     nat = natural_homotopy_classes(table)
     pres, subst = _tietze(_presentation(table, q, _spanning_forest(q),
                                         q.vertices[0]))
-    parent = list(range(len(table.paths)))
+    parent = list(range(len(table.words)))
     for members in nat.class_members:
         for i in members[1:]:
             _union(parent, members[0], i)
     words = []
     for cid in range(len(nat)):
         word = []
-        for name in nat.class_rep[cid].arrows:
+        for name in table.words[nat.rep_index[cid]]:
             word.extend(subst.get(name, ((name, 1),)))
         words.append(free_reduce(word))
     by_ends = {}
@@ -805,7 +815,7 @@ def van_kampen_pushout(table, v1, v2):
     if not sub0.is_connected():
         raise HypothesisViolated("intersection subquiver is not connected")
     base = shared[0]
-    tree0, walk0 = spanning_tree(sub0, base)
+    tree0, links0 = spanning_tree(sub0, base)
     sub1, sub2 = full(v1), full(v2)
     pres1, pres2 = (_presentation(table, sub, spanning_tree(sub, base)[0],
                                   base) for sub in (sub1, sub2))
@@ -822,8 +832,8 @@ def van_kampen_pushout(table, v1, v2):
     for a in sub0.arrows:
         if a.name in tree0:
             continue
-        loop = free_reduce(walk0[a.source] + ((a.name, 1),)
-                           + _word_inverse(walk0[a.target]))
+        loop = free_reduce(_tree_walk(links0, a.source) + ((a.name, 1),)
+                           + _word_inverse(_tree_walk(links0, a.target)))
         rels.append(free_reduce(
             loop + _word_inverse(tuple((copy2(g), s) for g, s in loop))))
     pushout = Presentation(tuple(gens), tuple(rels), base)

@@ -109,7 +109,15 @@ index over all of them, and every composite looked up anew, zero
 members included.  `ObjectCellComplex` holds what it built.
 
 `bfs_spanning_tree` is the spanning tree as found before the search read
-only the arrows at each vertex: every dequeued vertex scans all arrows.
+only the arrows at each vertex and kept parent links: every dequeued
+vertex scans all arrows, and each vertex's walk copies its parent's.
+
+`object_path_table` is the path table as `enumerate_paths` built it
+before the table was kept as arrow words, ends and indices: a `Path`
+per enumerated path, and `ObjectPathTable` numbering the pairs again by
+walking the `Path` list.  `nonzero_paths`, `paths_between`,
+`class_paths` and `compose` are the `Path` readers the library had on
+its tables and paths, which only the tests used.
 
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
@@ -136,13 +144,14 @@ from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
-                        PathTable, _next_paths, compose, path_sort_key)
+                        PathTable, _normal_forms, _Rewriting,
+                        path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
                             _in_vertex_order, _substitute, _union,
                             _word_inverse, free_reduce, pi1_presentation,
-                            relation_components, spanning_tree)
+                            relation_components)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
                           sparse_rref)
 
@@ -418,9 +427,140 @@ def lengthwise_path_table(quiver, cap=12):
     extend(L, truncated=True)
     paths = [p for bucket in by_len[:L + 1] for p in bucket]
     paths.sort(key=lambda p: path_sort_key(quiver, p))
-    return PathTable(quiver, L, paths,
-                     {pair: [b[c] for c in sorted(b)]
-                      for pair, b in basis.items() if b})
+    return ObjectPathTable(quiver, L, paths,
+                           {pair: [b[c] for c in sorted(b)]
+                            for pair, b in basis.items() if b})
+
+
+def _next_paths(quiver, bucket):
+    """The one-arrow extensions of a list of paths of one length."""
+    return [Path(p.source, a.target, p.arrows + (a.name,))
+            for p in bucket for a in quiver.arrows_from[p.target]]
+
+
+class ObjectPathTable(PathTable):
+    """The path table over a list of `Path` objects, numbered by walking
+    it, as the library built it before it kept arrow words and ends."""
+
+    def __init__(self, quiver, bound, paths, ideal_rows):
+        self.quiver = quiver
+        self.bound = bound
+        self.paths = paths
+        self.pair_paths = {}
+        self.local = []
+        for i, p in enumerate(paths):
+            idxs = self.pair_paths.setdefault((p.source, p.target), [])
+            self.local.append(len(idxs))
+            idxs.append(i)
+        self.ideal_rows = ideal_rows
+        # no row has an entry at another row's pivot, so a combination of
+        # rows has the coefficient of row i at row i's pivot, and a path's
+        # unit vector is in the span exactly when it is one of the rows
+        self.in_ideal = {self.pair_paths[pair][k]
+                         for pair, rows in ideal_rows.items()
+                         for row in rows if len(row) == 1 for k in row}
+        self.dims = {pair: len(idxs) - len(ideal_rows.get(pair, ()))
+                     for pair, idxs in self.pair_paths.items()}
+        # the views the library's readers take
+        self.words = [p.arrows for p in paths]
+        self.sources = [p.source for p in paths]
+        self.targets = [p.target for p in paths]
+
+    @functools.cached_property
+    def arrow_index(self):
+        return {p.arrows: i for i, p in enumerate(self.paths) if p.arrows}
+
+
+def compose(p, q):
+    """The path p followed by the path q."""
+    assert p.target == q.source, "paths not composable"
+    return Path(p.source, q.target, p.arrows + q.arrows)
+
+
+def nonzero_paths(table):
+    """The table's paths outside the ideal, in table order."""
+    return [p for i, p in enumerate(table.paths) if i not in table.in_ideal]
+
+
+def paths_between(table, x, y):
+    """The table's paths from x to y, in table order."""
+    return [table.paths[i] for i in table.pair_paths.get((x, y), [])]
+
+
+def class_paths(classes, cid):
+    """The member paths of the class cid, in table order."""
+    return [classes.table.paths[i] for i in classes.class_members[cid]]
+
+
+def object_path_table(quiver, cap=12):
+    """The PathTable as `enumerate_paths` built it before it kept arrow
+    words: a `Path` per enumerated path, each length sorted by its
+    arrows, a dict of pair-local indices for the rows, and the table
+    numbered again by `ObjectPathTable`.  The normal forms are the
+    library's `_normal_forms`, which reads each bucket's words."""
+    for rel in quiver.relations:
+        rel.check_admissible_format()
+    acyclic = quiver.is_acyclic()
+    rules = _Rewriting(quiver)
+    rules.add({p.arrows: c for p, c in rel.terms}
+              for rel in quiver.relations)
+    by_len = [[Path(v, v, ()) for v in quiver.vertices]]
+    nf, seen, done = {}, None, 2
+
+    def refresh(L):
+        """Normal forms of all paths of length 2 .. L under the rules."""
+        nonlocal seen, done
+        if rules.changes != seen:
+            nf.clear()
+            seen, done = rules.changes, 2
+        while done <= L:
+            _normal_forms(rules, [p.arrows for p in by_len[done]], nf)
+            done += 1
+
+    witness = None
+    for L in itertools.count(2):
+        if L > cap and not acyclic:
+            if witness is None:  # below a cap of 2 every path is normal
+                a = quiver.arrows[0]
+                witness = (Path(a.source, a.target, (a.name,)) if cap >= 1
+                           else Path(a.source, a.source, ()))
+            raise AdmissibilityError(
+                "no nilpotency bound L <= %d certifies the ideal admissible: "
+                "the path %s of length %d does not reduce to 0; raise the "
+                "path cap if the quiver is genuinely bounded"
+                % (cap, witness, len(witness)))
+        while len(by_len) <= L:
+            bucket = _next_paths(quiver, by_len[-1])
+            bucket.sort(key=lambda p: p.arrows)
+            by_len.append(bucket)
+        rules.resolve(L)
+        refresh(L)
+        witness = next((p for p in by_len[L] if nf.get(p.arrows) != {}),
+                       None)
+        if witness is None:
+            break
+    bound = next(n for n in range(2, L + 1)
+                 if all(nf.get(p.arrows) == {} for p in by_len[n]))
+    # pair-local indices, needed from length 2 on, where rows live
+    size = {(v, v): 1 for v in quiver.vertices}
+    for a in quiver.arrows:
+        size[a.source, a.target] = size.get((a.source, a.target), 0) + 1
+    rows, local = {}, {}
+    for bucket in by_len[2:bound + 1]:
+        for p in bucket:
+            pair = p.source, p.target
+            k = local[p.arrows] = size.get(pair, 0)
+            size[pair] = k + 1
+            f = nf.get(p.arrows)
+            if f is not None:
+                row = {local[w]: -c for w, c in f.items()} if f else {}
+                row[k] = 1
+                if pair in rows:
+                    rows[pair].append(row)
+                else:
+                    rows[pair] = [row]
+    paths = [p for bucket in by_len[:bound + 1] for p in bucket]
+    return ObjectPathTable(quiver, bound, paths, rows)
 
 
 def swept_natural_classes(table):
@@ -1040,7 +1180,7 @@ def reenumerated_pushout(table, v1, v2):
     sub1 = bound_full_subquiver(table, v1)
     sub2 = bound_full_subquiver(table, v2)
     pres1, pres2, pres0 = piece(sub1), piece(sub2), piece(sub0)
-    tree0, walk0 = spanning_tree(sub0, base)
+    tree0, walk0 = bfs_spanning_tree(sub0, base)
     arrows2 = set(a.name for a in sub2.arrows)
     shared_arrows = set(a.name for a in sub1.arrows) & arrows2
 

@@ -169,6 +169,37 @@ def test_cell_index_is_built_on_first_read(comm_grid):
         assert len(cx.cell_index) == sum(cx.counts())
 
 
+def test_path_objects_are_built_on_first_read(monkeypatch, tmp_path,
+                                              comm_grid):
+    # cells, homology and cohomology read the table's words, ends and
+    # indices, and the classes' representatives as table indices
+    tables, classes = [], []
+
+    def recording(built, make):
+        def record(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+        return record
+
+    monkeypatch.setattr(cli, "enumerate_paths",
+                        recording(tables, enumerate_paths))
+    monkeypatch.setattr(cli, "natural_homotopy_classes",
+                        recording(classes, natural_homotopy_classes))
+    mono = tmp_path / "mono5x5.bq"
+    mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
+    for src in (str(mono), comm_grid(3)):
+        for argv in (["cells", src], ["homology", src],
+                     ["cohomology", "--coeff", "Fp:2", src]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+    assert len(tables) == len(classes) == 6
+    for t, nat in zip(tables, classes):
+        assert "paths" not in t.__dict__
+        assert "class_rep" not in nat.__dict__
+        assert [p.arrows for p in t.paths] == t.words
+        assert nat.class_rep == [t.paths[i] for i in nat.rep_index]
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.bq")),
                          ids=lambda p: p.stem)
 def test_dense_boundaries_match_the_faces(path):

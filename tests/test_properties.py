@@ -29,22 +29,25 @@ from bqtop import algcohom
 from bqtop import complex as cellular
 from bqtop.complex import check_faces_square_zero, face_columns
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
-                        compose, path_sort_key)
+                        path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _presentation, _spanning_forest, _tietze,
-                            spanning_tree)
+                            _tree_walk, spanning_tree)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     SortedPathClassTable, bfs_spanning_tree,
+                     SortedPathClassTable, bfs_spanning_tree, class_paths,
+                     compose,
                      check_square_zero,
                      cocycle_image_degrees, commuting_squares,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
-                     lengthwise_path_table, loops, object_complex,
+                     lengthwise_path_table, load_bench_workloads, loops,
+                     object_complex,
+                     object_path_table, paths_between,
                      per_matrix_integral_homology, per_matrix_ranks,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
@@ -425,7 +428,7 @@ def test_walk_classes_contain_the_capped_search_merges():
             assert root_class.setdefault(oracle[p], walk.class_of(p)) == \
                 walk.class_of(p)
         for cid in range(len(nat)):
-            assert len({walk.class_of(p) for p in nat.members(cid)}) == 1
+            assert len({walk.class_of(p) for p in class_paths(nat, cid)}) == 1
     assert undecided == 0
     # the search merges more than the natural classes on 37 samples
     assert beyond_natural > 0
@@ -536,9 +539,9 @@ def test_unit_rows_match_reduction_on_corpus_slices(path):
 def oracle_witnesses(table, classes, key):
     """Every nonzero member composite of a class tuple, least first: the
     re-enumeration `build_complex` ran before it recorded composites."""
-    outs = classes.members(key[0])
+    outs = class_paths(classes, key[0])
     for cid in key[1:]:
-        outs = [compose(w, s) for w in outs for s in classes.members(cid)
+        outs = [compose(w, s) for w in outs for s in class_paths(classes, cid)
                 if s.source == w.target and len(w) + len(s) <= table.bound]
     return sorted((w for w in outs if not table.path_in_ideal(w)),
                   key=lambda p: path_sort_key(table.quiver, p))
@@ -550,7 +553,7 @@ def oracle_split(table, classes, key, w, at=0):
     if not key:
         return () if at == len(w) else None
     verts = table.quiver.path_vertices(w)
-    for s in classes.members(key[0]):
+    for s in class_paths(classes, key[0]):
         if s.source == verts[at] and s.arrows == w.arrows[at:at + len(s)]:
             rest = oracle_split(table, classes, key[1:], w, at + len(s))
             if rest is not None:
@@ -582,7 +585,7 @@ def oracle_layers(table, classes):
                         oracle_faces(table, classes, k, wit[k][0]))
                        for k in keys])
         keys = sorted({k + (cid,) for k in keys for w in wit[k]
-                       for cid in one for s in classes.members(cid)
+                       for cid in one for s in class_paths(classes, cid)
                        if s.source == w.target
                        and len(w) + len(s) <= table.bound
                        and not table.path_in_ideal(compose(w, s))})
@@ -761,6 +764,35 @@ def test_groebner_table_on_cyclic_quivers_matches_the_truncated_products():
                     "lengthwise bound higher": 38, "same bound": 16}
 
 
+def word_table_facts(t):
+    """The fields of a path table, with the order of its pair and row
+    dicts."""
+    return (t.bound, t.paths, t.pair_paths, t.local, t.ideal_rows,
+            t.in_ideal, t.dims, t.arrow_index, list(t.pair_paths),
+            [(pair, [list(row.items()) for row in rows])
+             for pair, rows in t.ideal_rows.items()])
+
+
+def test_word_table_matches_the_path_object_table(comm_grid):
+    quivers = differential_quivers()
+    grids = load_bench_workloads().complexes_inputs(17)
+    quivers += [parse(text) for text in grids.values()]
+    quivers.append(parse(open(comm_grid(4)).read()))
+    for k, q in enumerate(quivers):
+        assert (word_table_facts(enumerate_paths(q))
+                == word_table_facts(object_path_table(q))), k
+    # past the cap both name the same path, a stationary one below 1
+    for cap, named in ((0, "e_1"), (1, "x"), (2, "x*x"),
+                       (7, "*".join("x" * 7))):
+        got = []
+        for build in (enumerate_paths, object_path_table):
+            with pytest.raises(AdmissibilityError) as err:
+                build(UNBOUNDED_LOOP, cap=cap)
+            got.append(str(err.value))
+        assert got[0] == got[1], cap
+        assert "the path %s of length %d " % (named, cap) in got[0]
+
+
 # ---------------------------------------------------------------------------
 # natural classes by congruence closure against the factor-replacement sweep
 
@@ -835,11 +867,17 @@ def test_position_matches_the_path_dict(comm_grid):
     assert wrong > 25000
 
 
+def tree_walks(quiver, base):
+    """The tree and the walk to every vertex read off its links."""
+    tree, links = spanning_tree(quiver, base)
+    return tree, {v: _tree_walk(links, v) for v in links}
+
+
 def test_spanning_tree_matches_the_all_arrow_scan(square_zero_chain):
     # the tree and the walks from every base vertex, or the same error
     def both(quiver, base):
         out = []
-        for find in (spanning_tree, bfs_spanning_tree):
+        for find in (tree_walks, bfs_spanning_tree):
             try:
                 out.append(find(quiver, base))
             except NotConnectedError as e:
@@ -1403,7 +1441,7 @@ def test_vector_membership_matches_extending_a_copy_of_the_slice():
     for q in differential_quivers():
         t = enumerate_paths(q)
         for pair, rows in t.ideal_rows.items():
-            paths = t.paths_between(*pair)
+            paths = paths_between(t, *pair)
             for _ in range(3):
                 vec = {}
                 for row in rows:
