@@ -22,8 +22,8 @@ from .homotopy import (HypothesisViolated, PathClassTable, Presentation,
                        pi1_presentation, relation_components,
                        simplify_presentation, van_kampen_pushout,
                        walk_homotopy_classes)
-from .complex import (CellComplex, HomologyResult, build_complex,
-                      coboundary, cohomology, cup_product,
+from .complex import (CellComplex, FaceComplex, HomologyResult,
+                      build_complex, coboundary, cohomology, cup_product,
                       euler_characteristic, homology, parse_coefficients)
 from .algcohom import (EpsilonMuReport, HochschildComplex,
                        NoSemiNormedBasis, PhiPsiReport, SemiNormedAlgebra,
@@ -55,7 +55,7 @@ __all__ = [
     "van_kampen_pushout", "VanKampenResult", "SupportTooLarge",
     "HypothesisViolated",
     # the classifying complex and its (co)homology
-    "CellComplex", "build_complex", "homology", "cohomology",
+    "FaceComplex", "CellComplex", "build_complex", "homology", "cohomology",
     "euler_characteristic", "cup_product", "coboundary",
     "parse_coefficients", "HomologyResult",
     # semi-normed bases, simplicial and Hochschild cohomology

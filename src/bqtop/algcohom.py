@@ -33,40 +33,39 @@ basis elements, target basis element of the end-to-end slice) -- tuples
 are kept even when their product vanishes -- with the standard
 differential written through the structure constants.
 
-Both complexes grow their tuples one layer at a time through the index
-`starting[v]`, the non-identity elements whose source is v: a tuple
-extends only by the elements starting where its last element ends.  SC
-carries each tuple's product lambda * b forward, so extending by j costs
-the one table lookup b * j, and keeps these products as
-`SimplicialSC.product`; epsilon reads its scalars there.  The Hochschild
-differential is one loop over the faces of each tuple (the first face
-s_1 f(s_2 .. s_n), the contractions of adjacent pairs, the last face
-f(s_1 .. s_{n-1}) s_n), each given by its face tuple, its scalar and its
-left or right factor, with the face's ends read off the vertices the
-tuple passes through.
+SC is a face complex (`complex.FaceComplex`) like the cell complexes,
+keyed by the vertices in degree 0 and by the tuples above, so the
+(co)homology and cup product of `complex` serve it too.  Both complexes
+grow their tuples one layer at a time through the index `starting[v]`,
+the non-identity elements whose source is v: a tuple extends only by the
+elements starting where its last element ends.  SC carries each tuple's
+product lambda * b forward, so extending by j costs the one table lookup
+b * j, and keeps these products as `SimplicialSC.product`; epsilon reads
+its scalars there.  The Hochschild differential is one loop over the
+faces of each tuple (the first face s_1 f(s_2 .. s_n), the contractions
+of adjacent pairs, the last face f(s_1 .. s_{n-1}) s_n), each given by
+its face tuple, its scalar and its left or right factor, with the face's
+ends read off the vertices the tuple passes through.
 
 Basis elements, like cells, are positions: element i is the path
 `SemiNormedAlgebra.elements[i]` (the identities first), and a cell is its
-position among the complex's keys.  The comparison maps phi/psi
-(simplicial tuples vs cells of the classifying space), phi-sharp (onto
-the total variant), and epsilon/mu (simplicial cochains vs Hochschild
-cochains) send each basis vector to
-at most one basis vector with a scalar: epsilon sends a tuple t whose
-product is lambda b to the basis pair (t, b) with scalar lambda, and mu
-is its partial inverse with 1 / lambda.  All of them, like the
-differentials, are kept as sparse columns {index: coefficient}, the
-layout of the cell complexes' boundaries.  Their properties are checked
-rather than assumed, each at the cost of what it reads: the identities
-column by column; phi, psi and phi-sharp as chain maps column by column;
-epsilon and mu as cochain maps in one pass over the rows of HC's
-differential, where only the entries between two epsilon pairs need
-arithmetic (see `epsilon_mu`).  HC's differential squares to zero
-because the structure table is unital and associative, which is checked
-on the composable triples of basis elements, at the cost of the algebra
-rather than of the complex (see `HochschildComplex`); SC's is checked on
-its face rows, like a cell complex's.  epsilon(SC) is then a coordinate
-subcomplex of HC, and the long exact sequence of the quotient gives the
-ranks of the map SH -> HH from three rank sequences.
+position among the complex's keys.  The comparison maps send each basis
+vector to at most one basis vector.  phi/psi (simplicial tuples vs cells
+of the classifying space) and phi-sharp (onto the total variant) do so
+with scalar 1, are lists of positions (None for 0) and are checked as
+chain maps column by column.  epsilon/mu (simplicial vs Hochschild
+cochains) are sparse columns {index: coefficient}, the layout of the
+differentials: epsilon sends a tuple t whose product is lambda b to the
+pair (t, b) with scalar lambda, and mu is its partial inverse with
+1 / lambda.  Their identities are read off counts, and their cochain-map
+squares off one pass over the rows of HC's differential, with arithmetic
+only between two epsilon pairs (see `epsilon_mu`).  HC's differential
+squares to zero because the structure table is unital and associative,
+which is checked on the composable triples of basis elements, at the
+cost of the algebra rather than of the complex (see `HochschildComplex`);
+SC's is checked on its face rows, like a cell complex's.  epsilon(SC) is
+then a coordinate subcomplex of HC, and the long exact sequence of the
+quotient gives the ranks of the map SH -> HH from three rank sequences.
 
 The basis and all structure constants are computed exactly over the
 rationals; choosing a prime field only changes the coefficient
@@ -77,19 +76,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import algebra_properties
+from .core import algebra_properties, in_vertex_order
 from .linalg import QQ, PrimeField, extend_rref
-from .complex import (_betti, _ranks, check_faces_square_zero,
-                      cohomology_of_matrices, face_columns,
-                      homology_of_matrices, parse_coefficients,
-                      sparse_apply)
-from .homotopy import _in_vertex_order, natural_homotopy_classes
+from .complex import (FaceComplex, homology_of_matrices, parse_coefficients,
+                      sparse_column)
+from .homotopy import natural_homotopy_classes
 
 __all__ = [
     "TriangularRequired", "NoSemiNormedBasis", "FieldMismatch",
     "SemiNormedFailure", "SemiNormedAlgebra", "find_semi_normed_basis",
     "verify_semi_normed_basis", "SimplicialSC", "simplicial_complex",
-    "sc_cup", "PhiPsiReport", "phi_psi_maps", "HochschildComplex",
+    "PhiPsiReport", "phi_psi_maps", "HochschildComplex",
     "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
 ]
 
@@ -241,7 +238,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
     # pair -> {local pivot: row}, the slice's reduced rows in pair-local
     # coordinates with the candidates last
     reduced = {}
-    for pair in _in_vertex_order(table, table.dims):
+    for pair in in_vertex_order(q, table.dims):
         cands = [table.local[i] for i in by_pair.get(pair, [])]
         dim = table.dims[pair]
         if len(cands) != dim:
@@ -312,25 +309,23 @@ def verify_semi_normed_basis(table, paths, classes=None):
 # simplicial complex of the algebra
 
 
-class SimplicialSC:
+class SimplicialSC(FaceComplex):
     """SC_0 = vertices; SC_n = basis tuples with nonzero product.
 
-    `product[t]` is (lambda, b) for a tuple t of degree >= 1 whose
-    product is lambda * b.  `faces[n]` holds the face rows of the degree-n
-    tuples, from which boundary of boundary is checked and `columns`
-    built, as for a cell complex.
+    A face complex like a cell complex: `keys[n]` lists the vertices for
+    n = 0 and the sorted degree-n tuples above, and `faces[n]` their face
+    rows.  `product[t]` is (lambda, b) for a tuple t of degree >= 1 whose
+    product is lambda * b.
     """
 
     def __init__(self, algebra):
-        self.algebra = algebra
-        a = algebra
-        q = a.quiver
-        self.tuples = [[(v,) for v in q.vertices]]
+        self.algebra = a = algebra
+        keys = [list(a.quiver.vertices)]
         self.product = {}
         layer = {(i,): (1, i) for i in a.non_identity}
         while layer:
             self.product.update(layer)
-            self.tuples.append(sorted(layer))
+            keys.append(sorted(layer))
             grown = {}
             for t, (lam, b) in layer.items():
                 for j in a.starting[a.target(t[-1])]:
@@ -339,44 +334,23 @@ class SimplicialSC:
                         grown[t + (j,)] = (QQ.of(lam * step[0]), step[1])
             layer = grown
         # faces[n][c] = (d_0, ..., d_n) of tuple c as indices of degree
-        # n-1: d_0 drops the first element, d_n the last, d_j contracts
-        # elements j-1 and j
-        vx = q.vertex_index
-        self.faces = [None]
-        if len(self.tuples) > 1:
-            self.faces.append([(vx[a.target(i)], vx[a.source(i)])
-                               for (i,) in self.tuples[1]])
-        for n in range(2, len(self.tuples)):
-            low = {t: r for r, t in enumerate(self.tuples[n - 1])}
+        # n-1: d_0 drops the first element, d_n the last (leaving a vertex
+        # when n = 1), d_j contracts elements j-1 and j
+        faces = [None]
+        for n in range(1, len(keys)):
+            low = {t: r for r, t in enumerate(keys[n - 1])}
             rows = []
-            for t in self.tuples[n]:
-                row = [low[t[1:]]]
+            for t in keys[n]:
+                row = [t[1:] or a.target(t[0])]
                 for j in range(1, n):
                     step = a.product[(t[j - 1], t[j])]
                     assert step is not None, \
                         "sub-product of a nonzero product cannot vanish"
-                    row.append(low[t[:j - 1] + (step[1],) + t[j + 1:]])
-                row.append(low[t[:-1]])
-                rows.append(tuple(row))
-            self.faces.append(rows)
-        check_faces_square_zero(self.faces)
-        # columns[n][c] = {row: coefficient}, the differential as sparse
-        # columns
-        self.columns = face_columns(self.faces)
-
-    def counts(self):
-        return [len(layer) for layer in self.tuples]
-
-    def top_dim(self):
-        return len(self.tuples) - 1
-
-    def sh(self, coeff="Z"):
-        return homology_of_matrices(dict(enumerate(self.counts())),
-                                    self.columns, coeff, top=self.top_dim())
-
-    def sh_cochain(self, coeff="Z"):
-        return cohomology_of_matrices(dict(enumerate(self.counts())),
-                                      self.columns, coeff, top=self.top_dim())
+                    row.append(t[:j - 1] + (step[1],) + t[j + 1:])
+                row.append(t[:-1] or a.source(t[0]))
+                rows.append(tuple(map(low.__getitem__, row)))
+            faces.append(rows)
+        super().__init__(keys, faces)
 
 
 def simplicial_complex(algebra):
@@ -385,40 +359,15 @@ def simplicial_complex(algebra):
     return SimplicialSC(algebra)
 
 
-def sc_cup(sc, p, f, q, g):
-    """Front/back cup product of simplicial cochains (dicts on tuples).
-
-    Degree-0 cochains are keyed by vertex; the front (back) 0-face of a
-    tuple is its source (target) vertex.
-    """
-    n = p + q
-    if n > sc.top_dim():
-        return {}
-    a = sc.algebra
-    out = {}
-    for t in sc.tuples[n]:
-        if n == 0:
-            val = f.get(t[0], 0) * g.get(t[0], 0)
-            if val:
-                out[t[0]] = val
-            continue
-        front = t[:p] if p else a.source(t[0])
-        back = t[p:] if q else a.target(t[-1])
-        val = f.get(front, 0) * g.get(back, 0)
-        if val:
-            out[t] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # comparison with the cell complexes
 
 
 @dataclass(frozen=True)
 class PhiPsiReport:
-    phi: dict         # degree -> 0/1 sparse columns, one per tuple
-    psi: dict         # degree -> 0/1 sparse columns, one per natural cell
-    phi_sharp: dict   # degree -> 0/1 sparse columns, one per tuple
+    phi: dict         # degree -> per tuple, its natural cell's position
+    psi: dict         # degree -> per natural cell, its tuple's position
+    phi_sharp: dict   # degree -> per tuple, its walk cell's position
     phi_chain_map: bool
     psi_chain_map: bool
     iso: bool
@@ -427,93 +376,75 @@ class PhiPsiReport:
     kernel_ranks: tuple
 
 
-def _commutes(before, after, d_dom, d_cod, field=None):
-    """after . d_dom == d_cod . before, compared column by column.
-
-    `before` and `after` are the maps on the degrees where d_dom (in the
-    domain complex) and d_cod (in the codomain complex) start and end.
-    All four are sparse columns; entries are integers, or elements of
-    `field` when one is given.
-    """
-    return all(sparse_apply(after, d, field) == sparse_apply(d_cod, f, field)
-               for d, f in zip(d_dom, before, strict=True))
+def _chain_map(low, high, dom, cod):
+    """The position maps `low` and `high` (degrees n-1, n) commute with
+    delta_n: `low` takes each column of `dom` (the domain's) to the column
+    of `cod` (the codomain's) at the cell `high` sends it to, or to 0."""
+    return all(sparse_column((low[i], x) for i, x in col.items()
+                             if low[i] is not None)
+               == ({} if r is None else cod[r])
+               for col, r in zip(dom, high, strict=True))
 
 
-def _is_inverse(f, g, field=None):
-    """g . f is the identity on the domain of f (sparse columns)."""
-    one = 1 if field is None else field.one
-    return all(sparse_apply(g, col, field) == {j: one}
-               for j, col in enumerate(f))
-
-
-def elt_of_class(algebra, classes, cid):
-    """Basis element whose natural class is cid (ids from `classes`).
-
-    Representative paths are canonical per class, so a found basis hits
-    directly; a user-verified basis is resolved through its own class
-    table (well defined: a verified basis meets each class exactly once).
-    """
-    rep = classes.class_rep[cid]
-    i = algebra.index_by_path.get(rep)
-    if i is not None:
-        return i
-    own = algebra.classes.class_of(rep)
-    for j in algebra.non_identity:
-        if algebra.element_class(j) == own:
-            return j
-    raise KeyError("no basis element for class %d" % cid)
+def _mutually_inverse(f, g):
+    """The position maps f and g are inverse bijections."""
+    return (all(r is not None and g[r] == c for c, r in enumerate(f))
+            and all(c is not None and f[c] == r for r, c in enumerate(g)))
 
 
 def phi_psi_maps(algebra, cx_natural, cx_total):
-    """Sparse 0/1 columns of the tuple-to-cell maps with their report."""
+    """The tuple-to-cell maps as positions, with their report.
+
+    phi[n][c] is the position of the natural n-cell whose classes are
+    those of tuple c's elements, phi_sharp[n][c] that of their walk cell,
+    and psi[n][j] that of the tuple of the elements of natural cell j's
+    classes (a basis meets each natural class once); None for 0.  Vertices
+    map to themselves.  Any input but the uncut natural and walk complexes
+    of the algebra's path table, in that order, raises ValueError.
+    """
     if not algebra.ok:
         raise NoSemiNormedBasis("; ".join(algebra.witnesses))
     a = algebra
+    for cx, variant in ((cx_natural, "natural"), (cx_total, "walk")):
+        wrong = ("the %s complex as the %s one" % (cx.variant, variant)
+                 if cx.variant != variant else
+                 "the %s complex cut at dimension %d" % (variant, cx.cut_at)
+                 if cx.cut_at is not None else
+                 "a %s complex of another path table" % variant
+                 if cx.table is not a.table else None)
+        if wrong:
+            raise ValueError("phi and psi need the uncut natural and walk "
+                             "complexes of the algebra's path table, got "
+                             + wrong)
     sc = simplicial_complex(a)
-    nat = cx_natural
-    tot = cx_total
-    wcl = tot.classes
-    phi, psi, sharp = {}, {}, {}
-    iso = epi = True
-    kernel = []
+    nat, tot = cx_natural, cx_total
+    natural = {i: a.element_class(i) for i in a.non_identity}
+    walk = {i: tot.classes.class_of(a.elements[i]) for i in a.non_identity}
+    element = {cid: i for i, cid in natural.items()}
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
-    for n in range(top + 1):
-        tuples = sc.tuples[n] if n <= sc.top_dim() else []
-        phi[n], sharp[n] = [], []
-        for t in tuples:
-            if n == 0:
-                key = skey = t[0]
-            else:
-                key = tuple(a.element_class(i) for i in t)
-                skey = tuple(wcl.class_of(a.elements[i]) for i in t)
-            r = nat.cell_index.get((n, key))
-            phi[n].append({} if r is None else {r: 1})
-            sr = tot.cell_index.get((n, skey))
-            sharp[n].append({} if sr is None else {sr: 1})
-        # psi: cell tuple of classes -> tuple of the classes' basis elements
-        tup_index = {t: i for i, t in enumerate(tuples)}
-        psi[n] = []
-        for key in nat.keys[n] if n <= nat.top_dim() else ():
-            t = (key,) if n == 0 else tuple(
-                elt_of_class(a, nat.classes, cid) for cid in key)
-            i = tup_index.get(t)
-            psi[n].append({} if i is None else {i: 1})
-        iso = (iso and len(tuples) == nat.size(n)
-               and _is_inverse(phi[n], psi[n]) and _is_inverse(psi[n], phi[n]))
-        hit = {r for col in sharp[n] for r in col}
-        epi = epi and all(sharp[n]) and len(hit) == tot.size(n)
-        kernel.append(len(tuples) - len(hit))  # sharp's columns are 0/1
-    phi_ok = psi_ok = sharp_ok = True
-    for n in range(1, top + 1):
-        d_sc = sc.columns.get(n, [])
-        phi_ok = phi_ok and _commutes(phi[n], phi[n - 1], d_sc,
-                                      nat.columns.get(n, []))
-        psi_ok = psi_ok and _commutes(psi[n], psi[n - 1],
-                                      nat.columns.get(n, []), d_sc)
-        sharp_ok = sharp_ok and _commutes(sharp[n], sharp[n - 1], d_sc,
-                                          tot.columns.get(n, []))
-    return PhiPsiReport(phi, psi, sharp, phi_ok, psi_ok, iso,
-                        sharp_ok, epi, tuple(kernel))
+
+    def positions(dom, m, cod):
+        # per degree, the position in cod of each key of dom, read by m
+        return {n: [cod.cell_index.get((n, tuple(m[x] for x in key)
+                                        if n else key))
+                    for key in (dom.keys[n] if n <= dom.top_dim() else ())]
+                for n in range(top + 1)}
+
+    phi = positions(sc, natural, nat)
+    psi = positions(nat, element, sc)
+    sharp = positions(sc, walk, tot)
+    chain = [all(_chain_map(f[n - 1], f[n], dom.columns.get(n, []),
+                            cod.columns.get(n, []))
+                 for n in range(1, top + 1))
+             for f, dom, cod in ((phi, sc, nat), (psi, nat, sc),
+                                 (sharp, sc, tot))]
+    hit = {n: set(layer) - {None} for n, layer in sharp.items()}
+    return PhiPsiReport(
+        phi, psi, sharp, chain[0], chain[1],
+        all(_mutually_inverse(phi[n], psi[n]) for n in phi), chain[2],
+        all(None not in sharp[n] and len(hit[n]) == tot.size(n)
+            for n in sharp),
+        tuple(len(sharp[n]) - len(hit[n]) for n in sharp))
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +606,9 @@ class HochschildComplex:
 
     def hh_dims(self):
         """Cohomology dimensions per degree, 0 .. top+1."""
-        return _betti(dict(enumerate(self.dims())),
-                      _ranks(self.columns, self.field), self.top_dim() + 1)
+        return list(homology_of_matrices(
+            dict(enumerate(self.dims())), self.columns, self.field_label,
+            self.top_dim() + 1).groups)
 
 
 def hochschild_cup(hc, p, f, q, g):
@@ -778,7 +710,7 @@ def epsilon_mu(algebra, sc, hc):
     F = hc.field
     props = algebra_properties(a.table)
     top = max(sc.top_dim(), hc.top_dim())
-    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.keys))
     hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
     eps, mu = {}, {}
     # reach[n] = {r(c): (c, lambda_c)}, the pairs of E_n
@@ -789,9 +721,9 @@ def epsilon_mu(algebra, sc, hc):
         eps[n] = []
         mu[n] = [{} for _ in range(hc_dims[n])]
         reach[n] = {}
-        for c, t in enumerate(sc.tuples[n] if n <= sc.top_dim() else []):
+        for c, t in enumerate(sc.keys[n] if n <= sc.top_dim() else []):
             if n == 0:
-                lam, r = 1, bidx[((), a.identity_index[t[0]])]
+                lam, r = 1, bidx[((), a.identity_index[t])]
             else:
                 lam, b = sc.product[t]
                 r = bidx[(t, b)]
@@ -810,7 +742,7 @@ def epsilon_mu(algebra, sc, hc):
     eps_mu = all(len(reach[n]) == hc_dims[n] for n in range(top + 1))
     # Q keeps the pairs outside eps(SC), as rows and as entries; a pair in
     # eps(SC) keeps its place as an empty row, so that Q stays on HC's
-    # coordinates, which `_ranks` reads its pivots in
+    # coordinates, which the ranking reads its pivots in
     eps_chain = mu_chain = True
     q_columns = {}
     for n, rows in hc.columns.items():
@@ -841,9 +773,11 @@ def epsilon_mu(algebra, sc, hc):
     if not eps_chain:
         raise AssertionError("epsilon must be a cochain map")
     q_dims = {n: hc_dims[n] - len(reach[n]) for n in range(top + 1)}
-    sh = _betti(dict(enumerate(sc_dims)), _ranks(sc.columns, F), top + 1)
-    hh = _betti(dict(enumerate(hc_dims)), _ranks(hc.columns, F), top + 1)
-    hq = _betti(q_dims, _ranks(q_columns, F), top)
+    def ranked(dims, columns, top):
+        return homology_of_matrices(dims, columns, hc.field_label, top).groups
+    sh = ranked(dict(enumerate(sc_dims)), sc.columns, top + 1)
+    hh = ranked(dict(enumerate(hc_dims)), hc.columns, top + 1)
+    hq = ranked(q_dims, q_columns, top)
     rks = [sh[0]]
     for n in range(top + 1):
         rks.append(sh[n + 1] + hh[n] - rks[n] - hq[n])

@@ -264,7 +264,7 @@ def _dispatch(args, table):
 
         if cmd == "simplicial":
             sc = simplicial_complex(algebra)
-            res = sc.sh("Z")
+            res = homology(sc, "Z")
             return ({"basis": [str(e) for e in algebra.elements],
                      "counts": list(sc.counts()),
                      "SH": _groups_json(res, "SH")},

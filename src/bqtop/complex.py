@@ -21,11 +21,14 @@ ends: a composite is looked up by its arrow names in
 The complex keeps a cell as its key (a vertex in dimension 0, a tuple of
 class ids above), the table index of its witness and its face row; a
 reader that writes a witness reads its arrow word off the table.
+Keys and face rows make a `FaceComplex`, as does the simplicial complex
+SC of an algebra, and the (co)homology and cup product here serve both.
 Boundary of boundary is checked on the face rows when the complex is
 made: where a cell's faces satisfy the simplicial identities its terms
 cancel in pairs, and only a cell where one fails has its signed sum
 formed.  Boundary matrices are sparse integer columns, built from the
-faces on first read, so commands that only list cells never build them.  Homology over Z comes from their
+faces on first read, so commands that only list cells never build them.
+Homology over Z comes from their
 invariant factors (unit-pivot reduction, then a certified Smith normal
 form of what is left), over a field from their ranks, and cohomology and
 cyclic coefficients by universal coefficients.  The boundaries are ranked
@@ -45,39 +48,26 @@ from dataclasses import dataclass
 from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
-    "CellComplex", "build_complex", "homology", "cohomology",
+    "FaceComplex", "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
     "HomologyResult",
 ]
 
 
-class CellComplex:
-    """Graded cells, face maps and integer boundary matrices.
+class FaceComplex:
+    """Cells by key per dimension, with the face row of each.
 
-    The complex is kept on table ids: per dimension the cell keys (the
-    vertices in quiver order in dimension 0, the sorted class-id tuples
-    above) and, for n >= 1, the table index of each cell's witness, so
-    n-cell j is `keys[n][j]`, its witness the table's path number
-    `witnesses[n][j]`.
-    The cell index and the boundary columns are built on first read.
+    `keys[n][j]` is the key of n-cell j, a vertex in dimension 0, and
+    `faces[n][j]` (n >= 1) the positions (d_0, ..., d_n) of its faces
+    among the (n-1)-cells: d_0 drops the first entry, d_n the last.
+    Boundary of boundary is checked on the face rows when the complex is
+    made; the cell index and the boundary columns are built on first read.
     """
 
-    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None):
-        self.table = table
-        self.classes = classes
-        self.variant = classes.variant
-        self.caveats = classes.caveats
-        # cut_at: the top dimension kept when cells above it were left out
-        self.cut_at = cut_at
-        if cut_at is not None:
-            self.caveats += (
-                "cells of dimension > %d were left out (the complex has "
-                "%d-cells), so the Euler characteristic is not reported"
-                % (cut_at, cut_at + 1),)
-        self.keys = keys            # keys[n][j]: key of n-cell j
-        self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
-        self.faces = faces          # faces[n][j] = tuple of cell indices
+    def __init__(self, keys, faces):
+        self.keys = keys
+        self.faces = faces
         check_faces_square_zero(faces)
 
     @functools.cached_property
@@ -98,6 +88,35 @@ class CellComplex:
     def top_dim(self):
         return len(self.keys) - 1
 
+    def size(self, n):
+        return len(self.keys[n]) if 0 <= n <= self.top_dim() else 0
+
+
+class CellComplex(FaceComplex):
+    """Graded cells, face maps and integer boundary matrices.
+
+    The complex is kept on table ids: per dimension the cell keys (the
+    vertices in quiver order in dimension 0, the sorted class-id tuples
+    above) and, for n >= 1, the table index of each cell's witness, so
+    n-cell j is `keys[n][j]`, its witness the table's path number
+    `witnesses[n][j]`.
+    """
+
+    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None):
+        self.table = table
+        self.classes = classes
+        self.variant = classes.variant
+        self.caveats = classes.caveats
+        # cut_at: the top dimension kept when cells above it were left out
+        self.cut_at = cut_at
+        if cut_at is not None:
+            self.caveats += (
+                "cells of dimension > %d were left out (the complex has "
+                "%d-cells), so the Euler characteristic is not reported"
+                % (cut_at, cut_at + 1),)
+        self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
+        super().__init__(keys, faces)
+
     def boundary(self, n):
         """delta_n as a dense integer matrix (rows C_{n-1}, cols C_n)."""
         mat = [[0] * self.size(n) for _ in range(self.size(n - 1))]
@@ -110,9 +129,6 @@ class CellComplex:
     def boundaries(self):
         """{n: dense delta_n} for n = 1 .. top, built on each access."""
         return {n: self.boundary(n) for n in self.columns}
-
-    def size(self, n):
-        return len(self.keys[n]) if 0 <= n <= self.top_dim() else 0
 
 
 def sparse_column(terms):
@@ -136,22 +152,6 @@ def face_columns(faces):
             cols.append(col if len(col) == len(row)
                         else sparse_column(zip(row, signs)))
     return columns
-
-
-def sparse_apply(columns, vec, field=None):
-    """The image sum_j vec[j] * columns[j] of a sparse vector, zeros dropped.
-
-    Entries are integers, or elements of `field` when one is given.
-    """
-    if field is None:
-        add, mul, zero = operator.add, operator.mul, 0
-    else:
-        add, mul, zero = field.add, field.mul, field.zero
-    acc = {}
-    for j, x in vec.items():
-        for i, y in columns[j].items():
-            acc[i] = add(acc.get(i, zero), mul(y, x))
-    return {i: y for i, y in acc.items() if y != zero}
 
 
 def check_faces_square_zero(faces):
@@ -381,10 +381,10 @@ def homology_of_matrices(dims, mats, coeff, top=None):
 
     The matrices must form a complex, mats[n - 1] mats[n] == 0: the
     ranking clears columns by that identity and does not check it.  Every
-    complex the package ranks, here or through `_ranks`, has been made
-    sure of it: a cell complex and SC by `check_faces_square_zero` on
-    their face rows, HC by the associativity of its structure table, and
-    the quotient HC/eps(SC) by the epsilon cochain-map check, which makes
+    complex the package ranks has been made sure of it: a face complex
+    (the cell complexes and SC) by `check_faces_square_zero` on its face
+    rows, HC by the associativity of its structure table, and the
+    quotient HC/eps(SC) by the epsilon cochain-map check, which makes
     eps(SC) a subcomplex.
     """
     if top is None:
@@ -428,13 +428,13 @@ def cohomology_of_matrices(dims, mats, coeff, top=None):
 
 
 def homology(cx, coeff="Z"):
-    dims = {n: cx.size(n) for n in range(cx.top_dim() + 1)}
-    return homology_of_matrices(dims, cx.columns, coeff, top=cx.top_dim())
+    return homology_of_matrices(dict(enumerate(cx.counts())), cx.columns,
+                                coeff, top=cx.top_dim())
 
 
 def cohomology(cx, coeff="Z"):
-    dims = {n: cx.size(n) for n in range(cx.top_dim() + 1)}
-    return cohomology_of_matrices(dims, cx.columns, coeff, top=cx.top_dim())
+    return cohomology_of_matrices(dict(enumerate(cx.counts())), cx.columns,
+                                  coeff, top=cx.top_dim())
 
 
 def euler_characteristic(cx):
@@ -453,19 +453,22 @@ def euler_characteristic(cx):
 
 
 def cup_product(cx, p, f, q, g):
-    """Front-face/back-face cup product of a p- and a q-cochain."""
+    """Front-face/back-face cup product of a p- and a q-cochain.
+
+    The front p-face of an n-cell is d_n applied q times, the back q-face
+    d_0 applied p times, both read off the face rows.
+    """
     n = p + q
     if n > cx.top_dim():
         return {}
-    cls = cx.classes
     out = {}
-    for key in cx.keys[n]:
-        # the front p-face and the back q-face, a vertex in dimension 0
-        front = back = key
-        if n:
-            front = key[:p] if p else cls.class_source[key[0]]
-            back = key[p:] if q else cls.class_target[key[-1]]
-        v = f.get(front, 0) * g.get(back, 0)
+    for j, key in enumerate(cx.keys[n]):
+        front = back = j
+        for m in range(n, p, -1):
+            front = cx.faces[m][front][-1]
+        for m in range(n, q, -1):
+            back = cx.faces[m][back][0]
+        v = f.get(cx.keys[p][front], 0) * g.get(cx.keys[q][back], 0)
         if v:
             out[key] = v
     return out

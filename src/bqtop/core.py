@@ -250,6 +250,12 @@ def path_sort_key(quiver, p):
     return (len(p), p.arrows, quiver.vertex_index[p.source])
 
 
+def in_vertex_order(quiver, pairs):
+    """The vertex pairs sorted by the quiver's order of their ends."""
+    index = quiver.vertex_index
+    return sorted(pairs, key=lambda xy: (index[xy[0]], index[xy[1]]))
+
+
 class PathTable:
     """All paths of length <= L plus exact ideal slices per vertex pair.
 

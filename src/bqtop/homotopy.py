@@ -45,7 +45,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import BoundQuiver, NotConnectedError, QuiverError
+from .core import (BoundQuiver, NotConnectedError, QuiverError,
+                   in_vertex_order)
 from .linalg import QQ, nullspace, rank, smith_divisors
 
 DEFAULT_SUPPORT_CAP = 6
@@ -145,7 +146,7 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
     """
     relations = []
     warnings = []
-    for pair in _in_vertex_order(table, table.pair_paths):
+    for pair in in_vertex_order(table.quiver, table.pair_paths):
         idxs = table.pair_paths[pair]
         if not table.ideal_rows.get(pair):
             continue
@@ -215,11 +216,6 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
     return relations, warnings
 
 
-def _in_vertex_order(table, pairs):
-    index = table.quiver.vertex_index
-    return sorted(pairs, key=lambda xy: (index[xy[0]], index[xy[1]]))
-
-
 def relation_components(table):
     """Co-member groups of the minimal relations, one per matroid component.
 
@@ -248,7 +244,7 @@ def relation_components(table):
         rows = [row for row in rows if len(row) > 1]
         if rows:
             linked[pair] = rows
-    for pair in _in_vertex_order(table, linked):
+    for pair in in_vertex_order(table.quiver, linked):
         rows = linked[pair]
         idxs = table.pair_paths[pair]
         parent = list(range(len(idxs)))

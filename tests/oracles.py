@@ -59,6 +59,14 @@ ran it before it read the rows of HC's differential in one pass: both
 coboundaries transposed into columns by `sparse_transpose`, and
 `_commutes` comparing the two sides of every square column by column.
 
+`column_phi_psi_maps` is phi_psi_maps as it ran before the maps became
+lists of positions: phi, psi and phi-sharp as 0/1 sparse columns, each
+natural class's basis element looked up by `elt_of_class`, the chain-map
+squares compared by `_commutes` and the inverse pair by `_is_inverse`,
+both through `sparse_apply`.  `sc_cup` is the cup product of SC as it
+was before SC became a face complex: front and back faces sliced off
+each tuple's key.
+
 `FractionField` is the arithmetic of Q as it was before its elements
 became ints wherever integral: every element a Fraction.  Run through the
 same elimination kernel, it is the oracle of the int-first form, and the
@@ -128,6 +136,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import operator
 import pathlib
 import random
 import sys
@@ -135,21 +144,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bqtop import BoundQuiver, RelVector, enumerate_paths
-from bqtop.algcohom import (SemiNormedAlgebra, SemiNormedFailure,
-                            _acyclic_classes, _commutes)
+from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
+                            SemiNormedAlgebra, SemiNormedFailure,
+                            _acyclic_classes, simplicial_complex)
 from bqtop.complex import (_betti, check_faces_square_zero,
-                           parse_coefficients, sparse_apply, sparse_column)
+                           parse_coefficients, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
                         PathTable, _normal_forms, _Rewriting,
-                        path_sort_key)
+                        in_vertex_order, path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
-                            _in_vertex_order, _substitute, _union,
+                            _substitute, _union,
                             _word_inverse, free_reduce, pi1_presentation,
                             relation_components)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
@@ -830,7 +840,7 @@ def cocycle_image_degrees(sc, hc, eps):
     Hochschild coboundaries B^n, and the rank of B^n is taken off."""
     F = hc.field
     top = max(sc.top_dim(), hc.top_dim())
-    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.keys))
     hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
 
     def kernel(rows, ncols):
@@ -889,6 +899,136 @@ def check_square_zero(columns, field=None,
             assert not sparse_apply(low, col, field), message
 
 
+def sparse_apply(columns, vec, field=None):
+    """The image sum_j vec[j] * columns[j] of a sparse vector, zeros dropped.
+
+    Entries are integers, or elements of `field` when one is given.
+    """
+    if field is None:
+        add, mul, zero = operator.add, operator.mul, 0
+    else:
+        add, mul, zero = field.add, field.mul, field.zero
+    acc = {}
+    for j, x in vec.items():
+        for i, y in columns[j].items():
+            acc[i] = add(acc.get(i, zero), mul(y, x))
+    return {i: y for i, y in acc.items() if y != zero}
+
+
+def _commutes(before, after, d_dom, d_cod, field=None):
+    """after . d_dom == d_cod . before, compared column by column.
+
+    `before` and `after` are the maps on the degrees where d_dom (in the
+    domain complex) and d_cod (in the codomain complex) start and end.
+    All four are sparse columns; entries are integers, or elements of
+    `field` when one is given.
+    """
+    return all(sparse_apply(after, d, field) == sparse_apply(d_cod, f, field)
+               for d, f in zip(d_dom, before, strict=True))
+
+
+def _is_inverse(f, g, field=None):
+    """g . f is the identity on the domain of f (sparse columns)."""
+    one = 1 if field is None else field.one
+    return all(sparse_apply(g, col, field) == {j: one}
+               for j, col in enumerate(f))
+
+
+def elt_of_class(algebra, classes, cid):
+    """Basis element whose natural class is cid (ids from `classes`).
+
+    Representative paths are canonical per class, so a found basis hits
+    directly; a user-verified basis is resolved through its own class
+    table (well defined: a verified basis meets each class exactly once).
+    """
+    rep = classes.class_rep[cid]
+    i = algebra.index_by_path.get(rep)
+    if i is not None:
+        return i
+    own = algebra.classes.class_of(rep)
+    for j in algebra.non_identity:
+        if algebra.element_class(j) == own:
+            return j
+    raise KeyError("no basis element for class %d" % cid)
+
+
+def column_phi_psi_maps(algebra, cx_natural, cx_total):
+    """Sparse 0/1 columns of the tuple-to-cell maps with their report."""
+    if not algebra.ok:
+        raise NoSemiNormedBasis("; ".join(algebra.witnesses))
+    a = algebra
+    sc = simplicial_complex(a)
+    nat = cx_natural
+    tot = cx_total
+    wcl = tot.classes
+    phi, psi, sharp = {}, {}, {}
+    iso = epi = True
+    kernel = []
+    top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
+    for n in range(top + 1):
+        tuples = sc.keys[n] if n <= sc.top_dim() else []
+        phi[n], sharp[n] = [], []
+        for t in tuples:
+            if n == 0:
+                key = skey = t
+            else:
+                key = tuple(a.element_class(i) for i in t)
+                skey = tuple(wcl.class_of(a.elements[i]) for i in t)
+            r = nat.cell_index.get((n, key))
+            phi[n].append({} if r is None else {r: 1})
+            sr = tot.cell_index.get((n, skey))
+            sharp[n].append({} if sr is None else {sr: 1})
+        # psi: cell tuple of classes -> tuple of the classes' basis elements
+        tup_index = {t: i for i, t in enumerate(tuples)}
+        psi[n] = []
+        for key in nat.keys[n] if n <= nat.top_dim() else ():
+            t = key if n == 0 else tuple(
+                elt_of_class(a, nat.classes, cid) for cid in key)
+            i = tup_index.get(t)
+            psi[n].append({} if i is None else {i: 1})
+        iso = (iso and len(tuples) == nat.size(n)
+               and _is_inverse(phi[n], psi[n]) and _is_inverse(psi[n], phi[n]))
+        hit = {r for col in sharp[n] for r in col}
+        epi = epi and all(sharp[n]) and len(hit) == tot.size(n)
+        kernel.append(len(tuples) - len(hit))  # sharp's columns are 0/1
+    phi_ok = psi_ok = sharp_ok = True
+    for n in range(1, top + 1):
+        d_sc = sc.columns.get(n, [])
+        phi_ok = phi_ok and _commutes(phi[n], phi[n - 1], d_sc,
+                                      nat.columns.get(n, []))
+        psi_ok = psi_ok and _commutes(psi[n], psi[n - 1],
+                                      nat.columns.get(n, []), d_sc)
+        sharp_ok = sharp_ok and _commutes(sharp[n], sharp[n - 1], d_sc,
+                                          tot.columns.get(n, []))
+    return PhiPsiReport(phi, psi, sharp, phi_ok, psi_ok, iso,
+                        sharp_ok, epi, tuple(kernel))
+
+
+def sc_cup(sc, p, f, q, g):
+    """Front/back cup product of simplicial cochains (dicts on tuples).
+
+    Degree-0 cochains are keyed by vertex; the front (back) 0-face of a
+    tuple is its source (target) vertex.
+    """
+    n = p + q
+    if n > sc.top_dim():
+        return {}
+    a = sc.algebra
+    out = {}
+    for t in sc.keys[n]:
+        if n == 0:
+            val = f.get(t, 0) * g.get(t, 0)
+            if val:
+                out[t] = val
+            continue
+        front = t[:p] if p else a.source(t[0])
+        back = t[p:] if q else a.target(t[-1])
+        val = f.get(front, 0) * g.get(back, 0)
+        if val:
+            out[t] = val
+    return out
+
+
 def sparse_transpose(columns, size):
     """The `size` columns of the transpose of a map given by sparse
     columns; row index i becomes column i."""
@@ -905,7 +1045,7 @@ def commuting_squares(sc, hc, eps, mu):
     the transposed coboundaries."""
     F = hc.field
     top = max(sc.top_dim(), hc.top_dim())
-    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.tuples))
+    sc_dims = sc.counts() + [0] * (top + 2 - len(sc.keys))
     hc_dims = hc.dims() + [0] * (top + 2 - len(hc.bases))
     d_sc = {n: sparse_transpose(sc.columns.get(n + 1, []), sc_dims[n])
             for n in range(top + 1)}
@@ -959,11 +1099,12 @@ def folded_product(a, elts):
 
 
 def walked_simplicial(a):
-    """(tuples, columns) of the simplicial complex of the algebra `a`:
-    each layer grown by testing every tuple end against every non-identity
-    element and refolding each candidate's product."""
+    """(keys, columns) of the simplicial complex of the algebra `a`, the
+    vertices in degree 0 and the tuples above: each layer grown by testing
+    every tuple end against every non-identity element and refolding each
+    candidate's product."""
     q = a.quiver
-    tuples = [[(v,) for v in q.vertices]]
+    tuples = [list(q.vertices)]
     layer = [(i,) for i in a.non_identity]
     while layer:
         tuples.append(sorted(layer))
@@ -1088,7 +1229,7 @@ def folded_epsilon_mu(a, tuples, bases, F):
         mu[n] = [{} for _ in bidx]
         for c, t in enumerate(tuples[n] if n < len(tuples) else []):
             if n == 0:
-                lam, r = 1, bidx[((), a.identity_index[t[0]])]
+                lam, r = 1, bidx[((), a.identity_index[t])]
             else:
                 lam, b = folded_product(a, t)
                 r = bidx[(t, b)]
@@ -1115,7 +1256,7 @@ def bound_full_subquiver(table, verts):
     q = table.quiver
     vset = set(verts)
     rels = []
-    for pair in _in_vertex_order(table, table.ideal_rows):
+    for pair in in_vertex_order(q, table.ideal_rows):
         if pair[0] in vset and pair[1] in vset:
             idxs = table.pair_paths[pair]
             rels += [RelVector.build([(table.paths[idxs[k]], c)

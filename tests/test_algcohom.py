@@ -7,15 +7,17 @@ from fractions import Fraction
 import pytest
 
 from bqtop.algcohom import (FieldMismatch, HochschildComplex,
-                            TriangularRequired, _commutes, _is_inverse,
-                            epsilon_mu, find_semi_normed_basis,
-                            hochschild_cup, phi_psi_maps, sc_cup,
-                            simplicial_complex, verify_semi_normed_basis)
-from bqtop.complex import build_complex, homology
+                            TriangularRequired, _chain_map,
+                            _mutually_inverse, epsilon_mu,
+                            find_semi_normed_basis, hochschild_cup,
+                            phi_psi_maps, simplicial_complex,
+                            verify_semi_normed_basis)
+from bqtop.complex import build_complex, cohomology, cup_product, homology
 from bqtop.core import BoundQuiver, Path, QuiverError, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
-from oracles import commuting_squares, sparse_transpose
+from oracles import (_commutes, _is_inverse, column_phi_psi_maps,
+                     commuting_squares, sparse_transpose)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -40,8 +42,8 @@ def test_pres1_basis_and_sh():
         ["e_1", "e_2", "e_3", "alpha", "beta", "gamma", "gamma*alpha"])
     s = simplicial_complex(a)
     assert s.counts() == [3, 4, 1]
-    assert [elt_strs(a, t_) for t_ in s.tuples[2]] == [("gamma", "alpha")]
-    assert s.sh("Z").groups == ((1, ()), (1, ()), (0, ()))
+    assert [elt_strs(a, t_) for t_ in s.keys[2]] == [("gamma", "alpha")]
+    assert homology(s, "Z").groups == ((1, ()), (1, ()), (0, ()))
 
 
 def test_pres2_basis_and_sh():
@@ -55,7 +57,7 @@ def test_pres2_basis_and_sh():
         ["e_1", "e_2", "e_3", "alpha", "beta", "gamma", "beta*alpha"])
     s = simplicial_complex(a)
     assert s.counts() == [3, 4, 2]
-    assert s.sh("Z").groups == ((1, ()), (0, ()), (0, ()))
+    assert homology(s, "Z").groups == ((1, ()), (0, ()), (0, ()))
     # a user may pick gamma*alpha as the length-2 vector instead
     u = verify_semi_normed_basis(t, [t.quiver.path(["alpha"]),
                                      t.quiver.path(["beta"]),
@@ -64,7 +66,7 @@ def test_pres2_basis_and_sh():
     assert u.ok
     su = simplicial_complex(u)
     assert su.counts() == [3, 4, 2]
-    assert su.sh("Z").groups == s.sh("Z").groups
+    assert homology(su, "Z").groups == homology(s, "Z").groups
 
 
 def test_non_unit_structure_constants_in_both_directions():
@@ -166,7 +168,7 @@ def test_ker_phi_psi():
     assert rep.phi_chain_map and rep.psi_chain_map and rep.iso
     assert rep.sharp_chain_map and rep.sharp_epi
     assert rep.kernel_ranks == (0, 7, 10, 3)
-    assert s.sh("Z").groups == homology(c, "Z").groups
+    assert homology(s, "Z").groups == homology(c, "Z").groups
 
 
 def hhgap():
@@ -182,7 +184,7 @@ def test_hochschild_gap():
     a, s, h = hhgap()
     assert a.ok
     assert s.counts() == [3, 3]
-    assert s.sh_cochain("Q").groups == (1, 1)
+    assert cohomology(s, "Q").groups == (1, 1)
     assert h.dims() == [3, 3, 1]
     assert h.hh_dims() == [1, 1, 1, 0]
     assert HochschildComplex(a, "Fp:5").hh_dims() == [1, 1, 1, 0]
@@ -211,7 +213,7 @@ def test_hochschild_equal_without_semicommutativity():
     a, s, h = hheq()
     assert a.ok
     assert h.hh_dims()[:5] == [1, 1, 0, 0, 0]
-    assert s.sh_cochain("Q").groups == (1, 1, 0)
+    assert cohomology(s, "Q").groups == (1, 1, 0)
     rep = epsilon_mu(a, s, h)
     assert rep.schurian
     assert not rep.semi_commutative
@@ -269,7 +271,7 @@ def test_monomial_tree_cycle_spot_checks():
 
 def eps_apply(em, n, sc, hc, fdict):
     """Push a simplicial cochain through the sparse epsilon columns."""
-    cols = sc.tuples[n] if n <= sc.top_dim() else []
+    cols = sc.keys[n] if n <= sc.top_dim() else []
     out = {}
     for c, t in enumerate(cols):
         for r, lam in em.eps[n][c].items():
@@ -284,9 +286,9 @@ def test_epsilon_preserves_cup_products(factory):
     em = epsilon_mu(a, s, h)
     rng = random.Random(11)
     for _ in range(6):
-        f = {t: rng.randint(-3, 3) for t in s.tuples[1]}
-        g = {t: rng.randint(-3, 3) for t in s.tuples[1]}
-        lhs = eps_apply(em, 2, s, h, sc_cup(s, 1, f, 1, g))
+        f = {t: rng.randint(-3, 3) for t in s.keys[1]}
+        g = {t: rng.randint(-3, 3) for t in s.keys[1]}
+        lhs = eps_apply(em, 2, s, h, cup_product(s, 1, f, 1, g))
         rhs = hochschild_cup(h, 1, eps_apply(em, 1, s, h, f),
                              1, eps_apply(em, 1, s, h, g))
         assert ({k: Fraction(v) for k, v in lhs.items() if v} ==
@@ -458,10 +460,12 @@ def test_column_checks_catch_a_perturbed_epsilon_column():
 
 
 def test_column_checks_catch_a_perturbed_phi_column():
+    # the column form of phi, as the maps were kept before they became
+    # positions; twice a cell is a column that no position map can write
     t, n, a = ker()
     s = simplicial_complex(a)
     c = build_complex(t, n)
-    rep = phi_psi_maps(a, c, build_complex(t, walk_homotopy_classes(t)))
+    rep = column_phi_psi_maps(a, c, build_complex(t, walk_homotopy_classes(t)))
     phi, psi = rep.phi[1], rep.psi[1]
     assert _commutes(phi, rep.phi[0], s.columns[1], c.columns[1])
     assert _is_inverse(phi, psi) and _is_inverse(psi, phi)
@@ -475,3 +479,64 @@ def test_column_checks_catch_a_perturbed_phi_column():
         assert not _commutes(bad, rep.phi[0], s.columns[1], c.columns[1])
         assert not _is_inverse(bad, psi)
         assert not _is_inverse(psi, bad)
+
+
+def test_position_checks_catch_a_perturbed_phi_position():
+    t, n, a = ker()
+    s = simplicial_complex(a)
+    c = build_complex(t, n)
+    rep = phi_psi_maps(a, c, build_complex(t, walk_homotopy_classes(t)))
+    phi, psi = rep.phi[1], rep.psi[1]
+    assert _chain_map(rep.phi[0], phi, s.columns[1], c.columns[1])
+    assert _mutually_inverse(phi, psi) and _mutually_inverse(psi, phi)
+    # send arrow 0's tuple to a 1-cell with other ends, then to 0: each
+    # breaks the square and the inverse pair
+    r = phi[0]
+    other = next(j for j, col in enumerate(c.columns[1])
+                 if col != c.columns[1][r])
+    for image in (other, None):
+        bad = with_column(phi, 0, image)
+        assert not _chain_map(rep.phi[0], bad, s.columns[1], c.columns[1])
+        assert not _mutually_inverse(bad, psi)
+        assert not _mutually_inverse(psi, bad)
+
+
+def test_phi_psi_refuses_a_cut_complex():
+    # cut at dimension 1, the natural complex of ker lacks the 2- and
+    # 3-cells that the simplicial tuples of those degrees map to
+    t, n, a = ker()
+    cw = build_complex(t, walk_homotopy_classes(t))
+    with pytest.raises(ValueError, match="got the natural complex cut at "
+                       "dimension 1"):
+        phi_psi_maps(a, build_complex(t, n, max_dim=1), cw)
+    with pytest.raises(ValueError, match="got the walk complex cut at "
+                       "dimension 2"):
+        phi_psi_maps(a, build_complex(t, n), build_complex(
+            t, walk_homotopy_classes(t), max_dim=2))
+
+
+def test_phi_psi_refuses_swapped_complexes():
+    t, n, a = ker()
+    c = build_complex(t, n)
+    cw = build_complex(t, walk_homotopy_classes(t))
+    with pytest.raises(ValueError, match="got the walk complex as the "
+                       "natural one"):
+        phi_psi_maps(a, cw, c)
+    with pytest.raises(ValueError, match="got the natural complex as the "
+                       "walk one"):
+        phi_psi_maps(a, c, c)
+
+
+def test_phi_psi_refuses_complexes_of_another_table():
+    # the same quiver enumerated again gives equal complexes on another
+    # table, whose class ids the algebra's elements need not share
+    t, n, a = ker()
+    t2 = enumerate_paths(t.quiver)
+    c2 = build_complex(t2, natural_homotopy_classes(t2))
+    cw2 = build_complex(t2, walk_homotopy_classes(t2))
+    with pytest.raises(ValueError, match="got a natural complex of another "
+                       "path table"):
+        phi_psi_maps(a, c2, build_complex(t, walk_homotopy_classes(t)))
+    with pytest.raises(ValueError, match="got a walk complex of another path "
+                       "table"):
+        phi_psi_maps(a, build_complex(t, n), cw2)

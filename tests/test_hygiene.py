@@ -22,6 +22,11 @@ Every module-level private function or class of the package (a name
 with a leading underscore) is read somewhere in the package, as a name
 or as an attribute.  The tests may read it too, but a private helper
 that only the tests reach is a code path the program no longer has.
+
+No package module imports a private name from another package module.
+A helper that two modules share is part of the package's interface and
+gets a public name in the module that owns it; the tests, which check
+private helpers against their oracles, are exempt.
 """
 
 import ast
@@ -162,3 +167,28 @@ def test_the_scan_sees_private_definitions_that_nothing_reads():
 def test_every_private_definition_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unread_privates(sources) == []
+
+
+def private_imports(source):
+    """The underscore names that `source` imports from a module of the
+    package, in source order; dunder names such as `__version__` are
+    public."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "bqtop")
+            for a in node.names
+            if a.name.startswith("_") and not a.name.endswith("__")]
+
+
+def test_the_scan_sees_private_imports_from_the_package():
+    source = ("from . import __version__\nfrom .complex import _betti, rank\n"
+              "from json.encoder import _private as _quote\n"
+              "from bqtop.core import _locate\nimport bqtop._hidden\n"
+              "def f():\n    from ..homotopy import _find\n")
+    assert private_imports(source) == ["_betti", "_locate", "_find"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text()) == []

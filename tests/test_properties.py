@@ -18,7 +18,8 @@ import pytest
 
 from bqtop import (BoundQuiver, GroupAction, HochschildComplex, NotGalois,
                    QuiverMorphism, abelianization, algebra_properties,
-                   build_complex, check_galois, cohomology, deck_group,
+                   build_complex, check_galois, cohomology, cup_product,
+                   deck_group,
                    enumerate_paths, epsilon_mu, find_semi_normed_basis,
                    homology, lift_complex_map, minimal_relation_supports,
                    natural_homotopy_classes, phi_psi_maps, pi1_presentation,
@@ -38,10 +39,12 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
+                     _is_inverse,
                      SortedPathClassTable, bfs_spanning_tree, class_paths,
                      compose,
                      check_square_zero,
-                     cocycle_image_degrees, commuting_squares,
+                     cocycle_image_degrees, column_phi_psi_maps,
+                     commuting_squares,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
@@ -51,7 +54,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      per_matrix_integral_homology, per_matrix_ranks,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
-                     rotation_canonical, rounds_tietze, sparse_transpose,
+                     rotation_canonical, rounds_tietze, sc_cup,
+                     sparse_transpose,
                      swept_natural_classes,
                      truncated_path_table, walked_hochschild,
                      walked_simplicial)
@@ -128,7 +132,7 @@ def test_semi_normed_pipeline_matches_cells():
     for q, t, cx, a, sc, hc, rep in algebra_pipeline():
         hits += 1
         assert list(sc.counts()) == list(cx.counts())
-        assert sc.sh("Z").groups == homology(cx, "Z").groups
+        assert homology(sc, "Z").groups == homology(cx, "Z").groups
         for n in sc.columns:
             if n - 1 in sc.columns:
                 assert composite_vanishes(sc.columns[n - 1], sc.columns[n],
@@ -1207,7 +1211,7 @@ def test_algebra_checks_match_the_whole_complex_oracles(comm_grid):
             check_square_zero(hc.columns, hc.field)
             flags = rep.eps_cochain_map, rep.mu_cochain_map
             assert flags == commuting_squares(sc, hc, rep.eps, rep.mu), k
-            inverse = algcohom._is_inverse
+            inverse = _is_inverse
             assert (rep.mu_eps_identity, rep.eps_mu_identity) == (
                 all(inverse(rep.eps[n], rep.mu[n], hc.field) for n in rep.eps),
                 all(inverse(rep.mu[n], rep.eps[n], hc.field) for n in rep.eps)
@@ -1220,6 +1224,50 @@ def test_algebra_checks_match_the_whole_complex_oracles(comm_grid):
                        ("Fp:2", "dq", (True, True)): 225,
                        ("Fp:2", "dq", (True, False)): 34,
                        ("Q", "grid", (True, True)): 1}
+
+
+def test_position_maps_match_the_column_maps(comm_grid):
+    # phi, psi and phi-sharp as positions against the 0/1 columns they were
+    # kept as: each position is the one key of its column, and the flags
+    # and kernel ranks agree; the face-row cup product of SC against the
+    # one that sliced each tuple's key
+    quivers = [q for q in differential_quivers() if q.is_acyclic()]
+    quivers.append(parse(open(comm_grid(4)).read()))
+    rng = random.Random(SEED + 25)
+    checked = collections.Counter()
+    for q in quivers:
+        t = enumerate_paths(q)
+        a = find_semi_normed_basis(t)
+        if not a.ok:
+            continue
+        nat = build_complex(t, a.classes)
+        tot = build_complex(t, walk_homotopy_classes(t))
+        got = phi_psi_maps(a, nat, tot)
+        want = column_phi_psi_maps(a, nat, tot)
+        for name in ("phi", "psi", "phi_sharp"):
+            cols, positions = getattr(want, name), getattr(got, name)
+            assert cols.keys() == positions.keys()
+            for n, layer in cols.items():
+                assert all(set(col.values()) <= {1} and len(col) <= 1
+                           for col in layer)
+                assert positions[n] == [next(iter(col), None)
+                                        for col in layer]
+        flags = [(getattr(got, f), getattr(want, f)) for f in (
+            "phi_chain_map", "psi_chain_map", "iso", "sharp_chain_map",
+            "sharp_epi", "kernel_ranks")]
+        assert all(x == y for x, y in flags)
+        sc = simplicial_complex(a)
+        for p, deg in itertools.product(range(4), repeat=2):
+            if p + deg > min(3, sc.top_dim()):
+                continue
+            f = {key: rng.randint(-2, 2) for key in sc.keys[p]}
+            g = {key: rng.randint(-2, 2) for key in sc.keys[deg]}
+            assert cup_product(sc, p, f, deg, g) == sc_cup(sc, p, f, deg, g)
+            checked["cup"] += 1
+        checked[tuple(x for x, _ in flags[:5])] += 1
+    # every input has all five flags true: the false branches are pinned
+    # by the perturbed-position test
+    assert checked == {(True,) * 5: 276, "cup": 1536}
 
 
 def test_associativity_certificate_matches_the_square_zero_oracle():
@@ -1264,7 +1312,6 @@ def cleared_and_per_matrix(compute):
         mp.setattr(cellular, "_integral_homology",
                    per_matrix_integral_homology)
         mp.setattr(cellular, "_ranks", per_matrix_ranks)
-        mp.setattr(algcohom, "_ranks", per_matrix_ranks)
         return cleared, compute()
 
 
@@ -1298,7 +1345,7 @@ def test_clearing_matches_the_per_matrix_oracle(comm_grid, monkeypatch):
             continue
         sc = simplicial_complex(a)
         got, want = cleared_and_per_matrix(
-            lambda: (sc.sh("Z"), sc.sh_cochain("Z")))
+            lambda: (homology(sc, "Z"), cohomology(sc, "Z")))
         assert got == want
         checked["sc"] += 1
         for field in ("Q", "Fp:2", "Fp:3", "Fp:5"):
@@ -1341,11 +1388,11 @@ def test_tuple_walk_matches_the_all_pairs_oracle(comm_grid):
         if not a.ok:
             continue
         sc = simplicial_complex(a)
-        assert (sc.tuples, sc.columns) == walked_simplicial(a)
+        assert (sc.keys, sc.columns) == walked_simplicial(a)
         for field in ("Q", "Fp:2"):
             try:
                 F, bases, columns = walked_hochschild(a, field)
-                eps, mu = folded_epsilon_mu(a, sc.tuples, bases, F)
+                eps, mu = folded_epsilon_mu(a, sc.keys, bases, F)
             except ValueError as e:
                 # p divides a structure constant's numerator or denominator
                 with pytest.raises(ValueError) as got:
