@@ -122,7 +122,6 @@ class SemiNormedAlgebra:
         self.quiver = table.quiver
         self.classes = classes
         self.elements = tuple(elements)
-        self.index_by_path = {p: i for i, p in enumerate(self.elements)}
         self.identity_index = {p.source: i for i, p
                                in enumerate(self.elements) if p.is_stationary}
         self.non_identity = tuple(i for i, p in enumerate(self.elements)

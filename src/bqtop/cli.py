@@ -40,6 +40,18 @@ from .homotopy import (HypothesisViolated, abelianization,
 _SCHEMA = "bqtop-report/1"
 
 
+def _path_cap(text):
+    """A --path-cap value: the bound search starts at L = 2, so a smaller
+    cap can certify no cyclic quiver and means nothing on an acyclic one."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if cap < 2:
+        raise argparse.ArgumentTypeError("must be at least 2, got %d" % cap)
+    return cap
+
+
 @functools.cache
 def _build_parser():
     # built on the first call and kept: in-process callers run main many
@@ -54,8 +66,8 @@ def _build_parser():
     def common(p, file=True):
         if file:
             p.add_argument("file", help="quiver file")
-        p.add_argument("--path-cap", type=int, default=None,
-                       help="bound certification cap")
+        p.add_argument("--path-cap", type=_path_cap, default=None,
+                       help="bound certification cap, at least 2")
         p.add_argument("--out", default=None, help="write report here")
 
     common(sub.add_parser("check", help="algebra properties"))
@@ -101,7 +113,7 @@ def _build_parser():
     p.add_argument("cover", help="cover quiver file")
     p.add_argument("morphism", help="morphism file")
     p.add_argument("--galois", default=None, help="group file")
-    p.add_argument("--path-cap", type=int, default=None)
+    p.add_argument("--path-cap", type=_path_cap, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("dot", help="DOT export of the quiver")

@@ -18,10 +18,14 @@ oracle for tests.
 Natural classes are computed on the path table by congruence closure
 over one-arrow extensions.  They are exact unless a class holds a member
 of the bound length L while a shorter member still extends inside the
-table; that class is then named in a caveat.  Two parallel paths u, v
-are walk-homotopic exactly when they are equal in the fundamental
-groupoid of (Q, I), that is when the word u v^-1 is trivial in the
-fundamental group presented by `pi1_presentation`.  Walk classes start
+table; that class is then named in a caveat.  The same closure, taking
+the co-member pairs shortest first, finds the pairs that join two
+classes; `pi1_presentation` lists the spanning tree and one relator per
+join, since every other co-member relator is a product of conjugates of
+those (`_closure`).  Two parallel paths u, v are walk-homotopic exactly
+when they are equal in the fundamental groupoid of (Q, I), that is when
+the word u v^-1 is trivial in the fundamental group presented by
+`pi1_presentation`.  Walk classes start
 from the natural classes, whose merges are sound, and decide every
 remaining pair of parallel classes on the Tietze-simplified
 presentation: the pair merges when the word freely reduces to nothing or
@@ -32,8 +36,8 @@ these decide stays apart and is named in a caveat.
 The van Kampen pieces present their groups from the parent's table.
 Both pieces are checked convex first, and a convex full subquiver, like
 the intersection of two, holds every path between two of its vertices;
-so its slices I(x, y), and with them its matroid components, are the
-parent's.
+so its slices I(x, y), and with them its matroid components and the
+joins among them, are the parent's.
 """
 
 from __future__ import annotations
@@ -344,26 +348,55 @@ def _union(parent, a, b):
     return True
 
 
-def natural_homotopy_classes(table):
-    """Congruence closure of the minimal-relation merges.
+def _closure(table):
+    """Congruence closure of the co-member seeds: (parent, joins, caveats).
 
-    The seeds are the co-members of each matroid component of
-    `relation_components`, which are exact and need no cap.  Closing under
-    composition with any path is closing under composition with one arrow
-    at a time, so merging two classes also merges their one-arrow
-    extensions (Downey, Sethi and Tarjan 1980).  A class is represented by
-    its least table index, which is a shortest member, so the extensions
-    of that root stand for those of every member: members are parallel,
-    and each member's extension inside the table is merged with the
-    root's.  Classes may contain ideal members: an extension can land on a
-    path inside I, and such paths carry cell-identification data.
+    The seeds are the pairs (w_1, w_j) of each matroid component
+    w_1 < ... < w_m of `relation_components`.  They are taken shortest
+    first, by the length of the longer word w_j, ties in the order of
+    the components and then of j, and each is closed before the next is
+    taken.  `joins` lists, in that component order, the seeds whose two
+    ends were in different classes when taken.
 
-    A class that holds a member of length L (the table bound) while its
-    root extends inside the table is cut short: the length-L member's
-    extensions leave the table, and through them the true class may merge
-    with others.  Without such a class no merge involves a path longer
-    than L and the partition is exact; otherwise the first one is named in
-    a caveat.
+    The fundamental group needs only the relators w_1 w_j^-1 of the
+    joins.  Read a relator of a merge x ~ y as x y^-1.  Every merge the
+    closure makes is a seed or pairs the one-arrow extensions of two
+    classes it merged earlier; in the second case the relator is
+    (a r)(a r')^-1 = a (r r'^-1) a^-1 or (r a)(r' a)^-1 = r r'^-1.  The
+    merged pairs form a forest with one tree per class, and r r'^-1 is
+    the product of the relators along its path from r to r', all made
+    earlier.  So, by induction on the order of
+    the merges, each merge's relator is a product of conjugates of join
+    relators, and so is the relator of a seed that finds its ends
+    already in one class, whatever the order of the seeds.  The bound
+    caveat does not break this: the table's merges are a subset of the
+    true ones, each derived as above, so a dropped seed is still implied.
+
+    Shortest first makes the count of joins least among the subsets of
+    the seeds that close to the same partition, when the ideal is
+    homogeneous, so that every seed pairs paths of one length.  Then no
+    class mixes lengths, and the length-l classes depend only on the
+    length-l seeds and on the partition of the shorter paths, which they
+    extend.  Every subset that closes to the final partition gives the
+    final partition of the paths shorter than l, so its seeds shorter
+    than l extend to the same partition P_l of the length-l paths as
+    all of them do.  Each length-l seed joins at most two classes, so
+    the subset holds at least |P_l| - (the final length-l class count)
+    of them, and shortest first keeps exactly that many.
+
+    Van Kampen pieces filter the joins to the pairs inside the piece.
+    In a convex piece a merge at a pair inside it derives only from
+    merges inside it: when a path a r or r a runs between two vertices
+    of the piece, it and r lie in the piece, and a forest path joins
+    only members of one vertex pair.  The seeds inside the piece
+    are taken in the parent's order, so the joins inside it are those
+    the piece's own closure finds.
+
+    Merging two classes merges their one-arrow extensions (Downey, Sethi
+    and Tarjan 1980), since closing under composition with any path is
+    closing under one arrow at a time.  A class is represented by its
+    least table index, a shortest member, whose extensions stand for
+    those of every member.  The caveat is `natural_homotopy_classes`'.
     """
     q = table.quiver
     words, arrow_index = table.words, table.arrow_index
@@ -381,16 +414,25 @@ def natural_homotopy_classes(table):
                      for a in q.arrows_to[table.sources[i]]})
         return keys
 
-    pending = [(group[0], i) for group in relation_components(table)
-               for i in group[1:]]
-    while pending:
-        ra, rb = sorted(_find(parent, i) for i in pending.pop())
-        if ra == rb:
+    seeds = [(group[0], j) for group in relation_components(table)
+             for j in group[1:]]
+    joins = []
+    # a component lists its members in table order, which is by length,
+    # so j is the longer end; the sort is stable, so ties keep their order
+    for s in sorted(range(len(seeds)),
+                    key=lambda s: len(words[seeds[s][1]])):
+        pending = [seeds[s]]
+        if _find(parent, pending[0][0]) == _find(parent, pending[0][1]):
             continue
-        parent[rb] = ra
-        # rb is no shorter than ra, so ra has every extension rb has
-        keys = extensions(ra)
-        pending.extend((keys[key], j) for key, j in extensions(rb).items())
+        joins.append(s)
+        while pending:
+            ra, rb = sorted(_find(parent, i) for i in pending.pop())
+            if ra == rb:
+                continue
+            parent[rb] = ra
+            # rb is no shorter than ra, so ra has every extension rb has
+            keys = extensions(ra)
+            pending.extend((keys[key], j) for key, j in extensions(rb).items())
     caveats = []
     # the table is sorted by length, so its bound-length paths end it; a
     # bound-length root has no extension
@@ -404,6 +446,26 @@ def natural_homotopy_classes(table):
             "one-arrow extensions lie outside the path table while other "
             "members extend inside it; the partition may be finer than the "
             "true one" % (paths[_find(parent, cut)], paths[cut], table.bound))
+    return parent, [seeds[s] for s in sorted(joins)], caveats
+
+
+def natural_homotopy_classes(table):
+    """Congruence closure of the minimal-relation merges.
+
+    The seeds are the co-members of each matroid component of
+    `relation_components`, which are exact and need no cap, and `_closure`
+    closes them under composition with one arrow at a time.  Classes may
+    contain ideal members: an extension can land on a path inside I, and
+    such paths carry cell-identification data.
+
+    A class that holds a member of length L (the table bound) while its
+    root extends inside the table is cut short: the length-L member's
+    extensions leave the table, and through them the true class may merge
+    with others.  Without such a class no merge involves a path longer
+    than L and the partition is exact; otherwise the first one is named in
+    a caveat.
+    """
+    parent, _, caveats = _closure(table)
     return PathClassTable(table, "natural", parent, caveats)
 
 
@@ -477,31 +539,31 @@ def _tree_walk(links, v):
 def pi1_presentation(table, base=None):
     """Presentation of the fundamental group of the bound quiver.
 
-    Generators are all arrows; relators are the spanning tree arrows plus,
-    for each co-member group w_1 < ... < w_m (a matroid component of
-    `relation_components`), the words w_1 w_j^-1 for j = 2..m.
+    Generators are all arrows; relators are the spanning tree arrows
+    (π1(Q, I) is the free group on the arrows modulo the tree and the
+    minimal-relation identifications, Martínez-Villa and de la Peña 1983)
+    and, for each seed (w_1, w_j) that joins two natural classes (see
+    `_closure`), the word w_1 w_j^-1.  The relators of the other seeds
+    are products of conjugates of these.
     """
     q = table.quiver
     if base is None:
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
-    return _presentation(table, q, tree, base)
+    return _presentation(table, q, tree, base, _closure(table)[1])
 
 
-def _presentation(table, sub, tree, base):
+def _presentation(table, sub, tree, base, joins):
     """The arrows of `sub`, a full subquiver of the table's quiver, over
-    the tree relators and the co-member relators of its vertex pairs."""
+    the tree relators and the relators of the joins between its
+    vertices."""
     relators = [((name, 1),) for name in tree]
-    words = table.words
-    for group in relation_components(table):
-        first = group[0]
-        if not {table.sources[first], table.targets[first]} \
-                <= sub.vertex_index.keys():
-            continue
-        w1 = tuple((a, 1) for a in words[first])
-        for j in group[1:]:
+    words, inside = table.words, sub.vertex_index
+    for first, j in joins:
+        if table.sources[first] in inside and table.targets[first] in inside:
             relators.append(free_reduce(
-                w1 + _word_inverse(tuple((a, 1) for a in words[j]))))
+                tuple((a, 1) for a in words[first])
+                + tuple((a, -1) for a in reversed(words[j]))))
     return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),
                         base)
 
@@ -572,14 +634,15 @@ def _tietze(pres):
     The relators keep their original positions, and an index lists the
     relators each generator occurs in.  No two live relators of length
     up to DEDUPE_BOUND are in one class (rotation and inversion): the
-    one at the earlier position stays.  Each round eliminates a generator
-    through the first live relator that `_eliminates` one and substitutes
-    only into the relators that hold it, since the others are unchanged;
-    the loop stops when no such relator is left.  The map sends each
-    eliminated generator to a freely reduced word in the surviving
-    generators that equals it in the group.  Free reduction commutes with
-    substitution, so the map is composed once, at the end.  Each distinct
-    word is canonicalised once per call.
+    one at the earlier position stays.  The leading run of one-letter
+    relators is eliminated in one step; each later round eliminates a
+    generator through the first live relator that `_eliminates` one and
+    substitutes only into the relators that hold it, since the others are
+    unchanged.  The loop stops when no such relator is left.  The map
+    sends each eliminated generator to a freely reduced word in the
+    surviving generators that equals it in the group.  Free reduction
+    commutes with substitution, so the map is composed once, at the end.
+    Each distinct word is canonicalised once per call.
     """
     canonical = functools.cache(_cyclic_canonical)
     rels = {}     # position -> cyclically reduced word, live relators only
@@ -614,9 +677,24 @@ def _tietze(pres):
         if _eliminates(w):
             heapq.heappush(ready, k)
 
-    for k, r in enumerate(pres.relators):
-        place(k, _cyclic_reduce(r))
-    order = []
+    reduced = [_cyclic_reduce(r) for r in pres.relators]
+    # the leading run of one-letter relators g^e (the tree relators of
+    # `_presentation`) goes in one step: the heap would pop those
+    # positions first, and nothing before them touches them but a
+    # repeated g, which empties its relator.  So deleting their letters
+    # from the later relators before these are placed leaves what
+    # eliminating them one at a time leaves
+    tree = {}
+    for w in reduced:
+        if len(w) != 1:
+            break
+        tree[w[0][0]] = ()
+    order = list(tree.items())
+    for k in range(len(tree), len(reduced)):
+        w = reduced[k]
+        if any(name in tree for name, _ in w):
+            w = _cyclic_reduce([x for x in w if x[0] not in tree])
+        place(k, w)
     while ready:
         k = heapq.heappop(ready)
         if k not in rels or not _eliminates(rels[k]):
@@ -692,13 +770,11 @@ def walk_homotopy_classes(table):
     undecided stays apart and is named in a caveat.
     """
     q = table.quiver
-    nat = natural_homotopy_classes(table)
+    parent, joins, caveats = _closure(table)
+    nat = PathClassTable(table, "natural", parent, caveats)
     pres, subst = _tietze(_presentation(table, q, _spanning_forest(q),
-                                        q.vertices[0]))
-    parent = list(range(len(table.words)))
-    for members in nat.class_members:
-        for i in members[1:]:
-            _union(parent, members[0], i)
+                                        q.vertices[0], joins))
+    # the walk classes merge natural ones in the closure's union-find
     words = []
     for cid in range(len(nat)):
         word = []
@@ -773,7 +849,7 @@ def van_kampen_pushout(table, v1, v2):
     Requires: V1 and V2 are vertices of the quiver and cover them, both
     full subquivers convex, every nonzero path contained in one piece,
     and the intersection subquiver connected and nonempty.  Each piece
-    and the intersection take the parent's co-member groups between
+    and the intersection take the parent's joins (`_closure`) between
     their own vertices.  The pushout is the amalgamated free product
     over the intersection's fundamental group, presented on disjoint
     copies of the pieces' arrows with one amalgamation relator per
@@ -813,9 +889,10 @@ def van_kampen_pushout(table, v1, v2):
     base = shared[0]
     tree0, links0 = spanning_tree(sub0, base)
     sub1, sub2 = full(v1), full(v2)
+    joins = _closure(table)[1]
     pres1, pres2 = (_presentation(table, sub, spanning_tree(sub, base)[0],
-                                  base) for sub in (sub1, sub2))
-    pres0 = _presentation(table, sub0, tree0, base)
+                                  base, joins) for sub in (sub1, sub2))
+    pres0 = _presentation(table, sub0, tree0, base, joins)
     shared_arrows = {a.name for a in sub0.arrows}  # those of both pieces
 
     def copy2(name):

@@ -127,11 +127,23 @@ walking the `Path` list.  `nonzero_paths`, `paths_between`,
 `class_paths` and `compose` are the `Path` readers the library had on
 its tables and paths, which only the tests used.
 
+`all_component_presentation` is the fundamental group presentation as
+`pi1_presentation` listed it before it kept only the joins: one relator
+w_1 w_j^-1 for every co-member w_j of every matroid component.
+`certified_closure` is the congruence closure of the co-member seeds
+with a first-in first-out queue and the reason for every union
+recorded, so that each dropped seed's relator is written out as a
+product of conjugates of the joins' relators.
+
+`comm_grid_text` writes the seeded commutative grids and 2 x n ladders
+that the `comm_grid` fixture and the ladder tests use.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
 """
 
+import collections
 import functools
 import importlib.util
 import itertools
@@ -613,6 +625,149 @@ def swept_natural_classes(table):
     return set(map(frozenset, classes.values())), skipped
 
 
+def certified_closure(table):
+    """(partition, joins, certificates) of the co-member seeds' closure,
+    each union recorded with its reason.
+
+    The seeds are taken as `homotopy._closure` takes them, shortest
+    first, but each is closed through a first-in first-out queue.  Every
+    union is an edge (x, y) of a proof forest on the table indices, made
+    for a seed that joins two classes or for the one-arrow extension
+    (side, arrow) of an earlier union of the roots r, r'.  A forest edge
+    stands for the relator x y^-1, and the edges along the forest path
+    from u to v multiply to u v^-1.  An extension edge's relator is
+    a (r r'^-1) a^-1 on the left and r r'^-1 on the right.  Expanding
+    these recursively writes every edge's relator, and the relator of
+    every seed found already joined, as a product of conjugates of the
+    join relators: `certificates` maps each such seed (w_1, w_j) to a
+    list of factors (conjugator word, join position, sign).
+    """
+    q = table.quiver
+    words, arrow_index = table.words, table.arrow_index
+    seeds = [(group[0], j) for group in relation_components(table)
+             for j in group[1:]]
+    parent = list(range(len(words)))
+    forest = {}  # index -> [(neighbour, edge id, sign of the edge from it)]
+    edges = []   # (x, y, reason)
+
+    def extensions(i):
+        w = words[i]
+        if len(w) == table.bound:
+            return {}
+        keys = {(1, a.name): arrow_index[w + (a.name,)]
+                for a in q.arrows_from[table.targets[i]]}
+        keys.update({(0, a.name): arrow_index[(a.name,) + w]
+                     for a in q.arrows_to[table.sources[i]]})
+        return keys
+
+    def union(x, y, reason):
+        ra, rb = sorted((_find(parent, x), _find(parent, y)))
+        if ra == rb:
+            return []
+        parent[rb] = ra
+        forest.setdefault(x, []).append((y, len(edges), 1))
+        forest.setdefault(y, []).append((x, len(edges), -1))
+        edges.append((x, y, reason))
+        keys = extensions(ra)
+        return [(keys[key], j, ("extension", ra, rb) + key)
+                for key, j in extensions(rb).items()]
+
+    joins, dropped = [], []
+    for s in sorted(range(len(seeds)),
+                    key=lambda s: (max(len(words[i]) for i in seeds[s]), s)):
+        a, b = seeds[s]
+        if _find(parent, a) == _find(parent, b):
+            dropped.append(s)
+            continue
+        joins.append(s)
+        queue = collections.deque([(a, b, ("seed", s))])
+        while queue:
+            queue.extend(union(*queue.popleft()))
+    position = {s: k for k, s in enumerate(sorted(joins))}
+
+    def forest_path(u, v):
+        """The (edge id, sign) steps of the forest path from u to v."""
+        back = {u: None}
+        todo = collections.deque([u])
+        while v not in back:
+            x = todo.popleft()
+            for y, e, sign in forest.get(x, ()):
+                if y not in back:
+                    back[y] = (x, e, sign)
+                    todo.append(y)
+        steps = []
+        while back[v] is not None:
+            v, e, sign = back[v]
+            steps.append((e, sign))
+        return steps[::-1]
+
+    @functools.cache
+    def expand(e):
+        x, y, reason = edges[e]
+        if reason[0] == "seed":
+            return (((), position[reason[1]], 1),)
+        _, r, r2, side, arrow = reason
+        factors = path_product(r, r2)
+        if side:  # (r a)(r' a)^-1 = r r'^-1
+            return factors
+        return tuple((((arrow, 1),) + conj, k, sign)
+                     for conj, k, sign in factors)
+
+    def path_product(u, v):
+        factors = []
+        for e, sign in forest_path(u, v):
+            part = expand(e)
+            if sign == -1:
+                part = tuple((conj, k, -t) for conj, k, t in reversed(part))
+            factors.extend(part)
+        return tuple(factors)
+
+    classes = {}
+    for i in range(len(words)):
+        classes.setdefault(_find(parent, i), set()).add(i)
+    return (set(map(frozenset, classes.values())),
+            [seeds[s] for s in sorted(joins)],
+            {seeds[s]: path_product(*seeds[s]) for s in dropped})
+
+
+def all_component_presentation(table, sub, tree, base):
+    """The arrows of `sub` over the tree relators and, for each co-member
+    group w_1 < ... < w_m between its vertices, all the words
+    w_1 w_j^-1."""
+    relators = [((name, 1),) for name in tree]
+    words = table.words
+    for group in relation_components(table):
+        first = group[0]
+        if not {table.sources[first], table.targets[first]} \
+                <= sub.vertex_index.keys():
+            continue
+        w1 = tuple((a, 1) for a in words[first])
+        for j in group[1:]:
+            relators.append(free_reduce(
+                w1 + _word_inverse(tuple((a, 1) for a in words[j]))))
+    return Presentation(tuple(a.name for a in sub.arrows), tuple(relators),
+                        base)
+
+
+def comm_grid_text(rows, cols, seed=11):
+    """A seeded commutative grid of right (h) and down (d) arrows in which
+    every square commutes up to nonzero coefficients drawn from a seeded
+    generator; rows = 2 gives a ladder."""
+    rng = random.Random(seed)
+    lines = ["vertex x%d_%d" % (i, j) for i in range(rows) for j in range(cols)]
+    lines += ["arrow h%d_%d x%d_%d x%d_%d" % (i, j, i, j, i, j + 1)
+              for i in range(rows) for j in range(cols - 1)]
+    lines += ["arrow d%d_%d x%d_%d x%d_%d" % (i, j, i, j, i + 1, j)
+              for i in range(rows - 1) for j in range(cols)]
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a, b = (rng.choice([-1, 1]) * rng.randint(1, 9) for _ in "ab")
+            lines.append("rel %d*h%d_%d*d%d_%d %s %d*d%d_%d*h%d_%d"
+                         % (a, i, j, i, j + 1, "-" if b < 0 else "+",
+                            abs(b), i, j, i + 1, j))
+    return "\n".join(lines) + "\n"
+
+
 class SortedPathClassTable(PathClassTable):
     """The class table of the partition `parent`, every order sorted."""
 
@@ -942,9 +1097,8 @@ def elt_of_class(algebra, classes, cid):
     table (well defined: a verified basis meets each class exactly once).
     """
     rep = classes.class_rep[cid]
-    i = algebra.index_by_path.get(rep)
-    if i is not None:
-        return i
+    if rep in algebra.elements:
+        return algebra.elements.index(rep)
     own = algebra.classes.class_of(rep)
     for j in algebra.non_identity:
         if algebra.element_class(j) == own:

@@ -78,8 +78,8 @@ def test_non_unit_structure_constants_in_both_directions():
     q = t.quiver
 
     def times(alg, x, y):
-        lam, k = alg.product[(alg.index_by_path[q.path([x])],
-                              alg.index_by_path[q.path([y])])]
+        lam, k = alg.product[(alg.elements.index(q.path([x])),
+                              alg.elements.index(q.path([y])))]
         return lam, str(alg.elements[k])
 
     found = find_semi_normed_basis(t, n)
@@ -332,8 +332,8 @@ def test_corrupted_sc_differential_fails_the_check():
     alg = find_semi_normed_basis(t, classes)
     simplicial_complex(alg)
     q = t.quiver
-    i = alg.index_by_path[q.path(["a"])]
-    j = alg.index_by_path[q.path(["b"])]
+    i = alg.elements.index(q.path(["a"]))
+    j = alg.elements.index(q.path(["b"]))
     # claim a*b = a: the contraction face of (a, b) moves from (ab) to (a),
     # so d(a, b) = (b) and its boundary e_3 - e_2 is not zero
     alg.product[(i, j)] = (Fraction(1), i)
@@ -348,8 +348,8 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
     alg = find_semi_normed_basis(t, classes)
     HochschildComplex(alg, field)
     q = t.quiver
-    i = alg.index_by_path[q.path(["a"])]
-    j = alg.index_by_path[q.path(["b"])]
+    i = alg.elements.index(q.path(["a"]))
+    j = alg.elements.index(q.path(["b"]))
     # claim a*b = 2ab: then (a*b)*c = 2abc but a*(b*c) = abc, and the
     # Hochschild differential squares to zero only for an associative
     # product
@@ -416,8 +416,8 @@ def test_a_table_that_breaks_a_unit_or_the_ends_fails_the_check():
                        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     alg = find_semi_normed_basis(t, classes)
     q = t.quiver
-    i = alg.index_by_path[q.path(["a"])]
-    j = alg.index_by_path[q.path(["b"])]
+    i = alg.elements.index(q.path(["a"]))
+    j = alg.elements.index(q.path(["b"]))
     e2 = alg.identity_index["2"]
     for key, wrong in [((i, e2), (2, i)), ((i, j), (1, i))]:
         right = alg.product[key]

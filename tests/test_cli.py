@@ -122,6 +122,49 @@ def test_path_cap_env_variable_is_ignored(monkeypatch):
     assert json.loads(out)["config"]["path_cap"] is None
 
 
+# a radical-square-zero 3-cycle: L = 2 certifies it
+SQUARE_ZERO_CYCLE = """\
+arrow a 0 1
+arrow b 1 2
+arrow c 2 0
+rel a*b
+rel b*c
+rel c*a
+"""
+
+
+@pytest.mark.parametrize("cap", ["-3", "0", "1"])
+@pytest.mark.parametrize("quiver", ["cycle", "corpus/ex1.bq"])
+def test_path_cap_below_two_is_an_input_error(tmp_path, capsys, cap,
+                                              quiver):
+    # the bound search starts at L = 2: below that a cyclic quiver got a
+    # nilpotency error naming a stationary path, an acyclic one no error
+    if quiver == "cycle":
+        quiver = tmp_path / "cycle.bq"
+        quiver.write_text(SQUARE_ZERO_CYCLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--path-cap", cap, str(quiver)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --path-cap: must be at least 2, got %s" % cap in err
+    assert "nilpotency" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "verify", "corpus/rp2.bq", "corpus/rp2_cover.bq",
+              "corpus/rp2_morphism.map", "--path-cap", cap])
+    assert exc.value.code == 2
+    assert "argument --path-cap" in capsys.readouterr().err
+
+
+def test_path_cap_two_certifies_the_square_zero_cycle(tmp_path):
+    quiver = tmp_path / "cycle.bq"
+    quiver.write_text(SQUARE_ZERO_CYCLE)
+    code, out, _ = run_cli(["check", "--path-cap", "2", str(quiver)])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"]["path_cap"] == 2
+    assert rep["result"]["nilpotency_bound"] == 2
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run_cli(["check", "corpus/ex1.bq",

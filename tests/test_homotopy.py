@@ -12,7 +12,7 @@ from bqtop.homotopy import (HypothesisViolated, Presentation, abelianization,
                             relation_components, simplify_presentation,
                             spanning_tree, van_kampen_pushout,
                             walk_homotopy_classes, word_is_trivial)
-from oracles import class_paths
+from oracles import all_component_presentation, class_paths
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -181,6 +181,24 @@ def test_vk_presentation():
     if len(simp.relators) == 1:
         r = simp.relators[0]
         assert len(r) == 2 and r[0][0] == r[1][0]  # a square g*g
+
+
+@pytest.mark.parametrize("name, before, after",
+                         [("ex3", 8, 7), ("sphere_solid", 18, 13)])
+def test_pi1_keeps_only_the_joins(name, before, after):
+    # the co-member relators that no join needs go; the tree and the
+    # group stay, and so does the simplified presentation
+    q = parse((CORPUS / ("%s.bq" % name)).read_text())
+    t = enumerate_paths(q)
+    base = q.vertices[0]
+    tree = spanning_tree(q, base)[0]
+    every = all_component_presentation(t, q, tree, base)
+    pres = pi1_presentation(t)
+    assert (len(every.relators), len(pres.relators)) == (before, after)
+    assert pres.relators[:len(tree)] == every.relators[:len(tree)]
+    assert set(pres.relators) < set(every.relators)
+    assert abelianization(pres) == abelianization(every)
+    assert simplify_presentation(pres) == simplify_presentation(every)
 
 
 def test_vk_pushout():

@@ -33,14 +33,16 @@ from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
                         path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
-                            _presentation, _spanning_forest, _tietze,
-                            _tree_walk, spanning_tree)
+                            _closure, _presentation, _spanning_forest,
+                            _tietze, _tree_walk, _word_inverse, free_reduce,
+                            spanning_tree)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      _is_inverse,
-                     SortedPathClassTable, bfs_spanning_tree, class_paths,
+                     SortedPathClassTable, all_component_presentation,
+                     certified_closure, comm_grid_text, bfs_spanning_tree, class_paths,
                      compose,
                      check_square_zero,
                      cocycle_image_degrees, column_phi_psi_maps,
@@ -817,6 +819,50 @@ def test_natural_classes_match_the_factor_replacement_sweep(
             with_caveat.append(k)
     # the bound cuts a closure short only on the fixture built for it
     assert with_caveat == [len(quivers) - 1]
+
+
+def test_dropped_seeds_are_products_of_conjugates_of_the_joins(
+        bound_caveat_quiver):
+    # the oracle closes the seeds through a queue, records why each union
+    # happened and rebuilds every dropped seed's relator from the joins;
+    # pi1 lists the tree and then exactly the joins' relators
+    quivers = differential_quivers()
+    quivers.append(parse(open(bound_caveat_quiver).read()))
+    ladders = [parse(comm_grid_text(2, n)) for n in range(2, 31)]
+    grids = [parse(comm_grid_text(n, n)) for n in (4, 5, 6)]
+    counts = collections.Counter()
+    join_counts = []
+    for q in quivers + ladders + grids:
+        t = enumerate_paths(q)
+        classes, joins, certificates = certified_closure(t)
+        join_counts.append(len(joins))
+        assert joins == _closure(t)[1]
+        assert classes == set(map(frozenset,
+                                  natural_homotopy_classes(t).class_members))
+        pres = pi1_presentation(t)
+        tree = spanning_tree(q, q.vertices[0])[0]
+        assert pres.relators[:len(tree)] == tuple(((a, 1),) for a in tree)
+        relators = pres.relators[len(tree):]
+
+        def word(i):
+            return tuple((a, 1) for a in t.words[i])
+        assert relators == tuple(free_reduce(word(a) + _word_inverse(word(b)))
+                                 for a, b in joins)
+        for (a, b), factors in certificates.items():
+            product = []
+            for conj, k, sign in factors:
+                rel = relators[k] if sign == 1 else _word_inverse(relators[k])
+                product += conj + rel + _word_inverse(conj)
+            assert (free_reduce(product)
+                    == free_reduce(word(a) + _word_inverse(word(b))))
+        counts["joins"] += len(joins)
+        counts["dropped"] += len(certificates)
+        counts["factors"] += sum(map(len, certificates.values()))
+    # as many joins as defining relations: n - 1 squares on a 2 x n
+    # ladder and (n - 1)^2 on an n x n grid
+    assert join_counts[len(quivers):] == ([n - 1 for n in range(2, 31)]
+                                          + [9, 16, 25])
+    assert counts == {"joins": 682, "dropped": 39364, "factors": 260012}
 
 
 # ---------------------------------------------------------------------------
@@ -1634,23 +1680,59 @@ def random_presentation(rng):
     return Presentation(gens, tuple(rels))
 
 
-def test_tietze_matches_the_rounds_oracle():
-    pres = []
-    for q in differential_quivers():
-        t = enumerate_paths(q)
-        vs = q.vertices
-        pres.append(_presentation(t, q, _spanning_forest(q), vs[0]))
-        pres += [pi1_presentation(t, base=v)
-                 for v in (vs[0], vs[len(vs) // 2], vs[-1])]
-    rng = random.Random(SEED + 15)
-    pres += [random_presentation(rng) for _ in range(3000)]
+def opening_run_presentation(rng):
+    """A `random_presentation` whose relators follow a leading run of
+    one-letter relators, like a spanning tree's; in half of the runs a
+    letter of the run comes again, repeated or inverted, at a random
+    place in it."""
+    pres = random_presentation(rng)
+    run = rng.sample(pres.generators, rng.randint(1, len(pres.generators)))
+    rels = [((g, rng.choice((1, -1))),) for g in run]
+    if rng.random() < 0.5:
+        k = rng.randrange(len(rels))
+        (g, e), = rels[k]
+        rels.insert(rng.randint(k + 1, len(rels)),
+                    ((g, rng.choice((e, -e))),))
+    return Presentation(pres.generators, tuple(rels) + pres.relators)
+
+
+def tietze_outcomes(presentations):
+    """Checks `_tietze` against the rounds oracle on each presentation and
+    counts those with a duplicate short input relator, an eliminated
+    generator and a long relator left."""
     outcomes = collections.Counter()
-    for p in pres:
+    for p in presentations:
         got = _tietze(p)
         assert got == rounds_tietze(p)
         keys = [rotation_canonical(r) for r in p.relators if len(r) <= 16]
         outcomes["duplicates"] += len(set(keys)) < len(keys)
         outcomes["eliminated"] += bool(got[1])
         outcomes["long"] += any(len(r) > 16 for r in got[0].relators)
-    assert len(pres) == 4 * 299 + 3000
-    assert outcomes == {"duplicates": 1409, "eliminated": 2916, "long": 242}
+    return outcomes
+
+
+def test_tietze_matches_the_rounds_oracle():
+    # the presentations with a relator per co-member, as pi1 listed them
+    # before it kept only the joins, then the joins' presentations
+    every, joins = [], []
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        vs = q.vertices
+        forest = _spanning_forest(q)
+        every.append(all_component_presentation(t, q, forest, vs[0]))
+        joins.append(_presentation(t, q, forest, vs[0], _closure(t)[1]))
+        for v in (vs[0], vs[len(vs) // 2], vs[-1]):
+            every.append(all_component_presentation(
+                t, q, spanning_tree(q, v)[0], v))
+            joins.append(pi1_presentation(t, base=v))
+    rng = random.Random(SEED + 15)
+    randoms = [random_presentation(rng) for _ in range(3000)]
+    assert len(every) == len(joins) == 4 * 299
+    assert tietze_outcomes(every + randoms) == {
+        "duplicates": 1409, "eliminated": 2916, "long": 242}
+    assert tietze_outcomes(joins) == {
+        "duplicates": 4, "eliminated": 1188, "long": 0}
+    rng = random.Random(SEED + 16)
+    assert tietze_outcomes(
+        opening_run_presentation(rng) for _ in range(3000)) == {
+            "duplicates": 2292, "eliminated": 3000, "long": 4}
