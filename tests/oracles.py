@@ -754,7 +754,8 @@ def comm_grid_text(rows, cols, seed=11):
     every square commutes up to nonzero coefficients drawn from a seeded
     generator; rows = 2 gives a ladder."""
     rng = random.Random(seed)
-    lines = ["vertex x%d_%d" % (i, j) for i in range(rows) for j in range(cols)]
+    lines = ["vertex x%d_%d" % (i, j)
+             for i in range(rows) for j in range(cols)]
     lines += ["arrow h%d_%d x%d_%d x%d_%d" % (i, j, i, j, i, j + 1)
               for i in range(rows) for j in range(cols - 1)]
     lines += ["arrow d%d_%d x%d_%d x%d_%d" % (i, j, i, j, i + 1, j)

@@ -42,7 +42,8 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      _is_inverse,
                      SortedPathClassTable, all_component_presentation,
-                     certified_closure, comm_grid_text, bfs_spanning_tree, class_paths,
+                     bfs_spanning_tree, certified_closure, class_paths,
+                     comm_grid_text,
                      compose,
                      check_square_zero,
                      cocycle_image_degrees, column_phi_psi_maps,
