@@ -343,8 +343,9 @@ class SimplicialSC(FaceComplex):
                 row = [t[1:] or a.target(t[0])]
                 for j in range(1, n):
                     step = a.product[(t[j - 1], t[j])]
-                    assert step is not None, \
-                        "sub-product of a nonzero product cannot vanish"
+                    if step is None:
+                        raise AssertionError(
+                            "sub-product of a nonzero product cannot vanish")
                     row.append(t[:j - 1] + (step[1],) + t[j + 1:])
                 row.append(t[:-1] or a.source(t[0]))
                 rows.append(tuple(map(low.__getitem__, row)))
@@ -473,28 +474,32 @@ def _check_unital_associative(a, F):
     product = a.product
     for s1 in a.non_identity:
         x, y = a.source(s1), a.target(s1)
-        assert (product[(a.identity_index[x], s1)] == (1, s1)
-                == product[(s1, a.identity_index[y])]), \
-            "the differential squares to zero only when the identities " \
-            "are units, but one of them moves %s" % a.elements[s1]
+        if not (product[(a.identity_index[x], s1)] == (1, s1)
+                == product[(s1, a.identity_index[y])]):
+            raise AssertionError(
+                "the differential squares to zero only when the identities "
+                "are units, but one of them moves %s" % a.elements[s1])
         for s2 in a.starting[y]:
             left = product[(s1, s2)]
-            assert left is None or (a.source(left[1]), a.target(left[1])) \
-                == (x, a.target(s2)), \
-                "the differential squares to zero only for a graded " \
-                "product, but %s * %s lands on %s" % (
-                    a.elements[s1], a.elements[s2], a.elements[left[1]])
+            if left is not None and (a.source(left[1]), a.target(left[1])) \
+                    != (x, a.target(s2)):
+                raise AssertionError(
+                    "the differential squares to zero only for a graded "
+                    "product, but %s * %s lands on %s" % (
+                        a.elements[s1], a.elements[s2], a.elements[left[1]]))
             for s3 in a.starting[a.target(s2)]:
                 right = product[(s2, s3)]
                 lhs = left and _scaled(F, left[0],
                                        product.get((left[1], s3)))
                 rhs = right and _scaled(F, right[0],
                                         product.get((s1, right[1])))
-                assert lhs == rhs, \
-                    "the differential squares to zero only for an " \
-                    "associative product, but (%s * %s) * %s != " \
-                    "%s * (%s * %s)" % (
-                        (a.elements[s1], a.elements[s2], a.elements[s3]) * 2)
+                if lhs != rhs:
+                    raise AssertionError(
+                        "the differential squares to zero only for an "
+                        "associative product, but (%s * %s) * %s != "
+                        "%s * (%s * %s)" % (
+                            (a.elements[s1], a.elements[s2],
+                             a.elements[s3]) * 2))
 
 
 class HochschildComplex:

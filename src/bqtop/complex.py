@@ -18,6 +18,8 @@ caveat could another split give another face.
 Cells are grown and their faces found on the table's indices, words and
 ends: a composite is looked up by its arrow names in
 `PathTable.arrow_index` once per build, and no path object is built.
+A layer's face rows are built one face index at a time over the whole
+layer, and the simplicial identities are checked on whole-layer lists.
 The complex keeps a cell as its key (a vertex in dimension 0, a tuple of
 class ids above), the table index of its witness and its face row; a
 reader that writes a witness reads its arrow word off the table.
@@ -41,6 +43,7 @@ elimination nor the residual Smith normal form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -155,7 +158,8 @@ def face_columns(faces):
 
 
 def check_faces_square_zero(faces):
-    """Assert delta delta == 0 for a complex given by its face rows.
+    """Raise AssertionError unless delta delta == 0 for a complex given by
+    its face rows.
 
     `faces[n][j]` lists the indices (d_0, ..., d_n) of the (n-1)-cells that
     are the faces of n-cell j.  Where a cell's faces satisfy the simplicial
@@ -163,26 +167,29 @@ def check_faces_square_zero(faces):
     delta delta cancel in pairs; only a cell where one fails has its
     signed sum formed.  So the check accepts exactly the complexes whose
     boundary columns square to zero, at O(n^2) index reads per cell and
-    no arithmetic: per dimension two item getters pick both sides of
-    every identity out of a cell's concatenated face rows, and one
-    comparison tests them all.
+    no arithmetic: each dimension's rows are transposed into face columns
+    once, and each identity compares two whole-layer lists.
     """
+    columns = [list(zip(*layer)) for layer in faces[1:]]
     for n in range(2, len(faces)):
-        low = faces[n - 1]
-        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
-        # d_i d_j sits at j n + i in the concatenated rows, d_(j-1) d_i at
-        # i n + j - 1
-        left = operator.itemgetter(*[j * n + i for i, j in pairs])
-        right = operator.itemgetter(*[i * n + j - 1 for i, j in pairs])
-        for row in faces[n]:
-            flat = [f for d in row for f in low[d]]
-            if left(flat) == right(flat):
-                continue
-            assert not sparse_column(
-                (f, (-1) ** (i + j))
-                for j, sub in enumerate(map(low.__getitem__, row))
-                for i, f in enumerate(sub)), \
-                "boundary of boundary must vanish"
+        below, cols = columns[n - 2], columns[n - 1]
+        bad = set()
+        # d_i d_j against d_(j-1) d_i for i < j; an empty layer has no
+        # columns
+        for j in range(1, len(cols)):
+            for i in range(j):
+                left = list(map(below[i].__getitem__, cols[j]))
+                right = list(map(below[j - 1].__getitem__, cols[i]))
+                if left != right:
+                    bad.update(c for c, (a, b) in enumerate(zip(left, right))
+                               if a != b)
+        rows = faces[n - 1]
+        for c in bad:
+            if sparse_column(
+                    (f, (-1) ** (i + j))
+                    for j, sub in enumerate(map(rows.__getitem__, faces[n][c]))
+                    for i, f in enumerate(sub)):
+                raise AssertionError("boundary of boundary must vanish")
 
 
 def build_complex(table, classes, max_dim=None):
@@ -201,8 +208,9 @@ def build_complex(table, classes, max_dim=None):
     of_index = classes.class_of_index
     source, target = classes.class_source, classes.class_target
     vertices = table.quiver.vertices
-    # steps[v]: (class, member, its word) for every nonzero member of a
-    # 1-cell class at v; a zero member's composites all lie in the ideal
+    # steps[v]: ((class,), (member,), member's word) for every nonzero
+    # member of a 1-cell class at v; a zero member's composites all lie in
+    # the ideal
     steps = {v: [] for v in vertices}
     # live[key] = {witness: split}: every nonzero member composite of the
     # class tuple `key`, with the least of its splits into members (all
@@ -212,30 +220,30 @@ def build_complex(table, classes, max_dim=None):
         record = live[(cid,)] = {}
         for j in classes.class_members[cid]:
             if j not in in_ideal:
-                steps[source[cid]].append((cid, j, words[j]))
                 record[j] = (j,)
+                steps[source[cid]].append(((cid,), record[j], words[j]))
 
     @functools.cache
     def extensions(w):
-        """(class, member, composite) of each one-step extension of the
-        nonzero composite w that stays nonzero; past the bound a
+        """((class,), (member,), composite) of each one-step extension of
+        the nonzero composite w that stays nonzero; past the bound a
         composite lies in the ideal."""
         out = []
         word = words[w]
-        for cid, j, member in steps[targets[w]]:
-            if len(word) + len(member) <= bound:
-                c = arrow_index[word + member]
+        for cls, member, member_word in steps[targets[w]]:
+            if len(word) + len(member_word) <= bound:
+                c = arrow_index[word + member_word]
                 if c not in in_ideal:
-                    out.append((cid, j, c))
+                    out.append((cls, member, c))
         return out
 
     @functools.cache
     def middle(i, j):
-        """Class of the composite of the members i and j of a split."""
-        return of_index[arrow_index[words[i] + words[j]]]
+        """(class,) of the composite of the members i and j of a split."""
+        return (of_index[arrow_index[words[i] + words[j]]],)
 
     keys, witnesses, faces = [list(vertices)], [None], [None]
-    below = {v: i for i, v in enumerate(vertices)}
+    below = dict(zip(vertices, itertools.count()))
     top = math.inf if max_dim is None else max_dim
     cut = False
     n = 1
@@ -244,43 +252,49 @@ def build_complex(table, classes, max_dim=None):
             cut = True
             break
         layer = sorted(live)
-        wits, rows = [], []
-        for key in layer:
-            record = live[key]
-            w = min(record)
-            split = record[w]
-            wits.append(w)
-            # d_0 drops the first class, d_n the last (leaving a vertex
-            # when n = 1), and d_i composes the members i-1, i of the
-            # least witness's split
-            row = [key[1:] or target[key[0]]]
+        recs = list(map(live.__getitem__, layer))
+        wits = list(map(min, recs))
+        # d_0 drops the first class, d_n the last (leaving a vertex when
+        # n = 1), and d_i composes the members i-1, i of the least
+        # witness's split
+        if n == 1:
+            columns = [[target[cid] for cid, in layer],
+                       [source[cid] for cid, in layer]]
+        else:
+            splits = list(map(dict.__getitem__, recs, wits))
+            columns = [[key[1:] for key in layer]]
             for i in range(1, n):
-                row.append(key[:i - 1] + (middle(split[i - 1], split[i]),)
-                           + key[i + 1:])
-            row.append(key[:-1] or source[key[0]])
-            face = tuple(map(below.get, row))
-            assert None not in face, "face of a cell must be a cell"
-            rows.append(face)
+                mids = map(middle, map(operator.itemgetter(i - 1), splits),
+                           map(operator.itemgetter(i), splits))
+                columns.append([key[:i - 1] + mid + key[i + 1:]
+                                for key, mid in zip(layer, mids)])
+            columns.append([key[:-1] for key in layer])
+        try:
+            rows = list(zip(*(map(below.__getitem__, col)
+                              for col in columns)))
+        except KeyError:
+            raise AssertionError("face of a cell must be a cell") from None
         keys.append(layer)
         witnesses.append(wits)
         faces.append(rows)
         if n == top:
             # one nonzero extension tells whether the next layer is empty
-            cut = any(extensions(w) for record in live.values()
-                      for w in record)
+            cut = any(extensions(w) for record in recs for w in record)
             break
         # a nonzero composite has a nonzero prefix, so growing the stored
         # composites reaches every nonzero composite of the longer tuples
         grown = {}
-        for key, record in live.items():
+        for key, record in zip(layer, recs):
             for w, split in record.items():
-                for cid, j, c in extensions(w):
-                    ext = split + (j,)
-                    kept = grown.setdefault(key + (cid,), {})
-                    if c not in kept or ext < kept[c]:
-                        kept[c] = ext
+                for cls, member, c in extensions(w):
+                    longer = key + cls
+                    kept = grown.get(longer)
+                    if kept is None:
+                        grown[longer] = {c: split + member}
+                    elif c not in kept or split + member < kept[c]:
+                        kept[c] = split + member
         live = grown
-        below = {key: i for i, key in enumerate(layer)}
+        below = dict(zip(layer, itertools.count()))
         n += 1
     return CellComplex(table, classes, keys, witnesses, faces,
                        cut_at=max_dim if cut else None)

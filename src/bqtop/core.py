@@ -198,7 +198,8 @@ class BoundQuiver:
         """Build a validated Path from arrow names (stationary needs `at`)."""
         names = tuple(arrow_names)
         if not names:
-            assert at is not None, "stationary path needs a vertex"
+            if at is None:
+                raise AssertionError("stationary path needs a vertex")
             return Path(at, at, ())
         for name in names:
             if name not in self.arrow_by_name:
@@ -269,7 +270,6 @@ class PathTable:
         paths: the `Path` of each position (built on first read); a path
             is its position here (see `position`)
         arrow_index: arrow names -> position, paths of length >= 1 only
-            (built on first read)
         pair_paths: (x, y) -> list of positions
         local: position -> position in its pair's list
         ideal_rows: (x, y) -> reduced basis of I(x, y) in pair-local
@@ -283,35 +283,36 @@ class PathTable:
 
     def __init__(self, quiver, bound, words, nf):
         """Number the `words` (all paths of length <= bound, in table
-        order) per pair and write the rows p - NF(p) off `nf`."""
+        order) per pair and write the rows p - NF(p) off `nf`, the normal
+        forms of the reducible ones among them, in table order."""
         self.quiver, self.bound, self.words = quiver, bound, words
-        rest = words[len(quiver.vertices):]
+        nv = len(quiver.vertices)
+        rest = words[nv:]
         source = {a.name: a.source for a in quiver.arrows}
         target = {a.name: a.target for a in quiver.arrows}
         self.sources = list(quiver.vertices) + [source[w[0]] for w in rest]
         self.targets = list(quiver.vertices) + [target[w[-1]] for w in rest]
-        pair_paths, local, rows, in_ideal, later = {}, [], {}, set(), []
-        for i, pair in enumerate(zip(self.sources, self.targets)):
+        # the arrows of a path of length >= 1 determine it
+        self.arrow_index = dict(zip(rest, itertools.count(nv)))
+        pairs = list(zip(self.sources, self.targets))
+        pair_paths, local = {}, []
+        for i, pair in enumerate(pairs):
             idxs = pair_paths.setdefault(pair, [])
-            k = len(idxs)
-            local.append(k)
+            local.append(len(idxs))
             idxs.append(i)
-            f = nf.get(words[i])
-            if f is None:
-                continue
-            row = {} if f else {k: 1}
-            rows.setdefault(pair, []).append(row)
+        # nf lists the reducible words of the table in table order, so
+        # each pair's rows come in ascending pivot order; a normal form
+        # holds words of the table that precede its own
+        at = self.arrow_index
+        rows, in_ideal = {}, set()
+        for i, f in zip(map(at.__getitem__, nf), nf.values()):
             if f:
-                later.append((row, f, k))
+                row = {local[at[z]]: -c for z, c in f.items()}
+                row[local[i]] = 1
             else:
+                row = {local[i]: 1}
                 in_ideal.add(i)
-        if later:
-            # a normal form holds words of the table that precede its own
-            at = dict(zip(words, local))
-            for row, f, k in later:
-                for w, c in f.items():
-                    row[at[w]] = -c
-                row[k] = 1
+            rows.setdefault(pairs[i], []).append(row)
         self.pair_paths, self.local = pair_paths, local
         self.ideal_rows, self.in_ideal = rows, in_ideal
         self.dims = {pair: len(idxs) - len(rows.get(pair, ()))
@@ -373,13 +374,6 @@ class PathTable:
             self.quiver._check_path(p)  # diagnose: invalid vs just absent
             raise QuiverError("path %s exceeds table bound" % p)
         return i
-
-    @functools.cached_property
-    def arrow_index(self):
-        """Arrow-name tuple -> position, for the non-stationary paths
-        (their arrows determine them)."""
-        nv, n = len(self.quiver.vertices), len(self.words)
-        return dict(zip(self.words[nv:], range(nv, n)))
 
     @functools.cached_property
     def pivot_rows(self):
@@ -527,7 +521,9 @@ def _expand(terms, nf):
 def _normal_forms(rules, bucket, nf):
     """Record the normal forms of a bucket's reducible words in nf, keyed
     by arrow names; normal words are left out.  Shorter paths and earlier
-    paths of the bucket must be recorded already.
+    paths of the bucket must be recorded already.  Filled bucket after
+    bucket by length, nf lists the reducible words in table order, which
+    `PathTable` reads its ideal rows off.
 
     A path w = q*a has NF(w) = NF(NF(q)*a).  When q is normal, a tip can
     occur in w only as a suffix, and there is at most one such tip (of
@@ -622,6 +618,8 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
             break
     bound = next(n for n in range(2, L + 1)
                  if all(nf.get(w) == {} for w in by_len[n]))
+    if bound < L:  # the longer words are not in the table
+        nf = {w: f for w, f in nf.items() if len(w) <= bound}
     return PathTable(quiver, bound,
                      list(itertools.chain.from_iterable(by_len[:bound + 1])),
                      nf)

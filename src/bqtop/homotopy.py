@@ -47,6 +47,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import (BoundQuiver, NotConnectedError, QuiverError,
@@ -201,7 +202,8 @@ def minimal_relation_supports(table, support_cap=DEFAULT_SUPPORT_CAP):
                     if is_minimal_relation(table, terms):
                         found = terms
                         break
-                assert found is not None, "split analysis promised a witness"
+                if found is None:
+                    raise AssertionError("split analysis promised a witness")
                 # normalize: primitive integers, positive on the least path
                 denom = 1
                 for _, c in found:
@@ -285,30 +287,34 @@ class PathClassTable:
         self.caveats = tuple(caveats)
         sources, targets = table.sources, table.targets
         in_ideal = table.in_ideal
+        # every index's root, by pointer jumping over the forest `parent`
+        root = list(parent)
+        while (jumped := list(map(root.__getitem__, root))) != root:
+            root = jumped
         # the table lists paths in `path_sort_key` order, so numbering the
         # classes as index order first meets them orders them by their
         # least members, and members collected in index order are sorted
-        cid_of = {}
-        self.class_of_index = [cid_of.setdefault(_find(parent, i), len(cid_of))
-                               for i in range(len(sources))]
+        cid_of = dict(zip(dict.fromkeys(root), itertools.count()))
+        of = self.class_of_index = list(map(cid_of.__getitem__, root))
         self.class_members = [[] for _ in cid_of]
-        for i, cid in enumerate(self.class_of_index):
+        for i, cid in enumerate(of):
             self.class_members[cid].append(i)
         # a stationary member has length 0, so it would come first
-        firsts = [members[0] for members in self.class_members]
-        self.class_source = [sources[i] for i in firsts]
-        self.class_target = [targets[i] for i in firsts]
-        assert all(sources[i] == self.class_source[cid]
-                   and targets[i] == self.class_target[cid]
-                   for i, cid in enumerate(self.class_of_index)), \
-            "homotopy class members must be parallel"
+        firsts = list(map(operator.itemgetter(0), self.class_members))
+        self.class_source = list(map(sources.__getitem__, firsts))
+        self.class_target = list(map(targets.__getitem__, firsts))
+        if (list(map(self.class_source.__getitem__, of)) != sources
+                or list(map(self.class_target.__getitem__, of)) != targets):
+            raise AssertionError("homotopy class members must be parallel")
         self.class_identity = [not table.words[i] for i in firsts]
-        # the least nonzero member, else the least member
-        self.rep_index = [
-            i if i not in in_ideal
-            else next((j for j in members if j not in in_ideal), i)
-            for i, members in zip(firsts, self.class_members)]
-        self.class_nonzero = [i not in in_ideal for i in self.rep_index]
+        # the least nonzero member, else the least member: the nonzero
+        # positions from the last down, so the least one of a class is
+        # written last
+        nonzero = list(itertools.filterfalse(
+            in_ideal.__contains__, range(len(sources) - 1, -1, -1)))
+        least = dict(zip(map(of.__getitem__, nonzero), nonzero))
+        self.rep_index = list(map(least.get, range(len(cid_of)), firsts))
+        self.class_nonzero = list(map(least.__contains__, range(len(cid_of))))
 
     @functools.cached_property
     def class_rep(self):
@@ -548,6 +554,9 @@ def pi1_presentation(table, base=None):
     """
     q = table.quiver
     if base is None:
+        if not q.vertices:
+            raise QuiverError("the quiver has no vertex, so pi1 has no "
+                              "base point")
         base = q.vertices[0]
     tree, _ = spanning_tree(q, base)
     return _presentation(table, q, tree, base, _closure(table)[1])
@@ -772,8 +781,9 @@ def walk_homotopy_classes(table):
     q = table.quiver
     parent, joins, caveats = _closure(table)
     nat = PathClassTable(table, "natural", parent, caveats)
+    # a spanning forest has no one base point
     pres, subst = _tietze(_presentation(table, q, _spanning_forest(q),
-                                        q.vertices[0], joins))
+                                        None, joins))
     # the walk classes merge natural ones in the closure's union-find
     words = []
     for cid in range(len(nat)):

@@ -347,7 +347,8 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    assert all(len(r) == k for r in a)
+    if any(len(r) != k for r in a):
+        raise AssertionError("matrix rows of unequal length")
     out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
@@ -446,20 +447,20 @@ def smith_normal_form(mat):
         t += 1
 
     check = mat_mul(mat_mul(U, [list(r) for r in mat]), V)
-    assert check == A, "SNF certificate U*M*V != D"
+    if check != A:
+        raise AssertionError("SNF certificate U*M*V != D")
     divisors = []
     for i in range(limit):
         d = A[i][i]
         if d != 0:
-            assert d > 0
-            if divisors:
-                assert d % divisors[-1] == 0, "divisor chain broken"
+            if d < 0 or divisors and d % divisors[-1]:
+                raise AssertionError("divisor chain broken")
             divisors.append(d)
         else:
             break
     # everything past the first zero must be zero
-    for i in range(len(divisors), limit):
-        assert A[i][i] == 0
+    if any(A[i][i] for i in range(len(divisors), limit)):
+        raise AssertionError("SNF diagonal nonzero past its first zero")
     return divisors, U, V, A
 
 

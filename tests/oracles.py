@@ -29,6 +29,20 @@ classes were read off in table order: each class's members sorted by
 `path_sort_key`, the classes sorted by their least members, and the
 endpoints, identity flag and representative collected over all members.
 
+`FoundPathClassTable` is the class table as it was built before the
+roots were found by pointer jumping: `_find` per index (compressing the
+forest it is given), the members checked parallel one by one, and each
+class's representative found by scanning its members.
+
+`PerPathTable` is the path table as it was numbered before its ideal
+rows were read off the reducible words alone: one pass over all table
+paths, each looking its word up among the normal forms.
+
+`rowwise_faces_square_zero` is the boundary-of-boundary check on face
+rows as it ran before the identities were compared a whole layer at a
+time: each cell's faces of faces concatenated into one list and both
+sides of every identity picked out of it by two item getters.
+
 `dense_semi_normed_basis` is the semi-normed verifier as it ran before
 each vertex pair was reduced once with the candidates last: a rank per
 pair for independence, then a dense augmented RREF of the basis images
@@ -493,6 +507,50 @@ class ObjectPathTable(PathTable):
         return {p.arrows: i for i, p in enumerate(self.paths) if p.arrows}
 
 
+class PerPathTable(PathTable):
+    """The path table numbered one path at a time, each path's normal form
+    looked up in `nf` as it is numbered, as `enumerate_paths` built it
+    before the ideal rows were read off the reducible words alone."""
+
+    def __init__(self, quiver, bound, words, nf):
+        self.quiver, self.bound, self.words = quiver, bound, words
+        rest = words[len(quiver.vertices):]
+        source = {a.name: a.source for a in quiver.arrows}
+        target = {a.name: a.target for a in quiver.arrows}
+        self.sources = list(quiver.vertices) + [source[w[0]] for w in rest]
+        self.targets = list(quiver.vertices) + [target[w[-1]] for w in rest]
+        pair_paths, local, rows, in_ideal, later = {}, [], {}, set(), []
+        for i, pair in enumerate(zip(self.sources, self.targets)):
+            idxs = pair_paths.setdefault(pair, [])
+            k = len(idxs)
+            local.append(k)
+            idxs.append(i)
+            f = nf.get(words[i])
+            if f is None:
+                continue
+            row = {} if f else {k: 1}
+            rows.setdefault(pair, []).append(row)
+            if f:
+                later.append((row, f, k))
+            else:
+                in_ideal.add(i)
+        if later:
+            at = dict(zip(words, local))
+            for row, f, k in later:
+                for w, c in f.items():
+                    row[at[w]] = -c
+                row[k] = 1
+        self.pair_paths, self.local = pair_paths, local
+        self.ideal_rows, self.in_ideal = rows, in_ideal
+        self.dims = {pair: len(idxs) - len(rows.get(pair, ()))
+                     for pair, idxs in pair_paths.items()}
+
+    @functools.cached_property
+    def arrow_index(self):
+        nv, n = len(self.quiver.vertices), len(self.words)
+        return dict(zip(self.words[nv:], range(nv, n)))
+
+
 def compose(p, q):
     """The path p followed by the path q."""
     assert p.target == q.source, "paths not composable"
@@ -809,6 +867,38 @@ class SortedPathClassTable(PathClassTable):
             self.class_rep.append(nz[0] if nz else paths[0])
 
 
+class FoundPathClassTable(PathClassTable):
+    """The class table of the partition `parent`, each index's root found
+    by `_find` (which compresses `parent` as it goes), one index at a
+    time, and the representatives by a scan of each class's members."""
+
+    def __init__(self, table, variant, parent, caveats=()):
+        self.table = table
+        self.variant = variant
+        self.caveats = tuple(caveats)
+        sources, targets = table.sources, table.targets
+        in_ideal = table.in_ideal
+        cid_of = {}
+        self.class_of_index = [cid_of.setdefault(_find(parent, i), len(cid_of))
+                               for i in range(len(sources))]
+        self.class_members = [[] for _ in cid_of]
+        for i, cid in enumerate(self.class_of_index):
+            self.class_members[cid].append(i)
+        firsts = [members[0] for members in self.class_members]
+        self.class_source = [sources[i] for i in firsts]
+        self.class_target = [targets[i] for i in firsts]
+        assert all(sources[i] == self.class_source[cid]
+                   and targets[i] == self.class_target[cid]
+                   for i, cid in enumerate(self.class_of_index)), \
+            "homotopy class members must be parallel"
+        self.class_identity = [not table.words[i] for i in firsts]
+        self.rep_index = [
+            i if i not in in_ideal
+            else next((j for j in members if j not in in_ideal), i)
+            for i, members in zip(firsts, self.class_members)]
+        self.class_nonzero = [i not in in_ideal for i in self.rep_index]
+
+
 def dense_semi_normed_basis(table, classes, paths):
     """The algebra, or the failure with its witnesses, that the dense
     verifier gives for nonzero, distinct basis paths holding every arrow
@@ -1053,6 +1143,29 @@ def check_square_zero(columns, field=None,
             continue
         for col in cols:
             assert not sparse_apply(low, col, field), message
+
+
+def rowwise_faces_square_zero(faces):
+    """Assert delta delta == 0 for a complex given by its face rows, one
+    cell at a time: each cell's faces of faces concatenated into one list,
+    two item getters picking both sides of every simplicial identity out
+    of it, and the signed sum formed where one fails."""
+    for n in range(2, len(faces)):
+        low = faces[n - 1]
+        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        # d_i d_j sits at j n + i in the concatenated rows, d_(j-1) d_i at
+        # i n + j - 1
+        left = operator.itemgetter(*[j * n + i for i, j in pairs])
+        right = operator.itemgetter(*[i * n + j - 1 for i, j in pairs])
+        for row in faces[n]:
+            flat = [f for d in row for f in low[d]]
+            if left(flat) == right(flat):
+                continue
+            assert not sparse_column(
+                (f, (-1) ** (i + j))
+                for j, sub in enumerate(map(low.__getitem__, row))
+                for i, f in enumerate(sub)), \
+                "boundary of boundary must vanish"
 
 
 def sparse_apply(columns, vec, field=None):

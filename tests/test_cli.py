@@ -636,3 +636,33 @@ def test_report_writer_rejects_what_json_rejects():
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         _report_text({"a": [Fraction(1, 2)]})
     assert _report_text([1.5, -0.0]) == json.dumps([1.5, -0.0], indent=2)
+
+
+@pytest.fixture(params=["", "# no vertex, no arrow\n"],
+                ids=["empty", "comment"])
+def no_vertex_quiver(request, tmp_path):
+    path = tmp_path / "none.bq"
+    path.write_text(request.param)
+    return str(path)
+
+
+def test_pi1_of_a_quiver_without_vertices_exit_2(no_vertex_quiver):
+    code, out, err = run_cli(["pi1", no_vertex_quiver])
+    assert (code, out) == (2, "")
+    assert err == "bqtop: the quiver has no vertex, so pi1 has no base point\n"
+
+
+def test_sharp_cells_of_a_quiver_without_vertices(no_vertex_quiver):
+    code, out, err = run_cli(["cells", "--sharp", no_vertex_quiver])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {
+        "cells": {"0": []}, "counts": [0], "euler_characteristic": 0}
+    assert run_cli(["cells", no_vertex_quiver]) == (code, out, err)
+
+
+def test_sharp_homology_of_a_quiver_without_vertices(no_vertex_quiver):
+    code, out, err = run_cli(["homology", "--sharp", no_vertex_quiver])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {
+        "coefficients": "Z", "counts": [0], "groups": {"H0": [0, []]}}
+    assert run_cli(["homology", no_vertex_quiver]) == (code, out, err)

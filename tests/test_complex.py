@@ -1,9 +1,13 @@
 """Cell complexes, cellular (co)homology, cup products."""
 
 import contextlib
+import copy
 import io
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -103,7 +107,49 @@ def test_corrupted_face_fails_the_boundary_check():
         CellComplex(t, c.classes, c.keys, c.witnesses, faces)
 
 
+def test_a_face_outside_the_complex_fails_the_closure_check():
+    t, c = complexes(EX3)
+    classes = copy.copy(c.classes)
+    # every composite of two arrows sent to the class of a stationary
+    # path, whose 1-tuple is no 1-cell: every 2-cell's middle face is lost
+    classes.class_of_index = [classes.class_of_index[0] if len(w) == 2
+                              else cid for w, cid in
+                              zip(t.words, c.classes.class_of_index)]
+    with pytest.raises(AssertionError, match="face of a cell must be a cell"):
+        build_complex(t, classes)
+
+
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+CORRUPT_UNDER_O = """
+import sys
+from bqtop.complex import FaceComplex, build_complex
+from bqtop.core import enumerate_paths
+from bqtop.dsl import parse
+from bqtop.homotopy import natural_homotopy_classes
+
+print("optimize", sys.flags.optimize)
+t = enumerate_paths(parse(open(sys.argv[1]).read()))
+c = build_complex(t, natural_homotopy_classes(t))
+faces = [None] + [list(layer) for layer in c.faces[1:]]
+_, f1, f2 = faces[2][0]
+faces[2][0] = (f2, f1, f2)
+FaceComplex(c.keys, faces)
+"""
+
+
+def test_corrupted_face_fails_the_boundary_check_under_python_O():
+    # -O strips assert statements; the check raises AssertionError itself
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_UNDER_O,
+         str(CORPUS / "ex3.bq")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.stdout == "optimize 1\n"
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == (
+        "AssertionError: boundary of boundary must vanish")
 
 
 def test_equal_parity_face_swap_passes_the_boundary_check():

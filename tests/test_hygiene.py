@@ -27,6 +27,11 @@ No package module imports a private name from another package module.
 A helper that two modules share is part of the package's interface and
 gets a public name in the module that owns it; the tests, which check
 private helpers against their oracles, are exempt.
+
+The package has no `assert` statement.  `python -O` strips them, and
+with them the checks the package makes on what it builds (face closure,
+boundary of boundary, the Smith certificate and the like), so such a
+check raises `AssertionError` itself.
 """
 
 import ast
@@ -192,3 +197,21 @@ def test_the_scan_sees_private_imports_from_the_package():
                          ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_module_imports_a_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def assert_statements(source):
+    """Line numbers of the `assert` statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_sees_assert_statements():
+    source = ("def f(x):\n    assert x, 'no x'\n"
+              "    if not x:\n        raise AssertionError('no x')\n"
+              "    assert (x,\n            1)\n")
+    assert assert_statements(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_statements(path.read_text()) == []

@@ -28,9 +28,10 @@ from bqtop import (BoundQuiver, GroupAction, HochschildComplex, NotGalois,
                    walk_homotopy_classes)
 from bqtop import algcohom
 from bqtop import complex as cellular
+from bqtop import core
 from bqtop.complex import check_faces_square_zero, face_columns
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
-                        path_sort_key)
+                        PathTable, path_sort_key)
 from bqtop.dsl import parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _closure, _presentation, _spanning_forest,
@@ -40,7 +41,7 @@ from bqtop.linalg import (QQ, PrimeField, extend_rref, mat_mul, nullspace,
                           rank, smith_divisors, smith_normal_form,
                           sparse_rref)
 from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
-                     _is_inverse,
+                     _is_inverse, FoundPathClassTable, PerPathTable,
                      SortedPathClassTable, all_component_presentation,
                      bfs_spanning_tree, certified_closure, class_paths,
                      comm_grid_text,
@@ -57,7 +58,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      per_matrix_integral_homology, per_matrix_ranks,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
-                     rotation_canonical, rounds_tietze, sc_cup,
+                     rotation_canonical, rounds_tietze,
+                     rowwise_faces_square_zero, sc_cup,
                      sparse_transpose,
                      swept_natural_classes,
                      truncated_path_table, walked_hochschild,
@@ -800,6 +802,51 @@ def test_word_table_matches_the_path_object_table(comm_grid):
         assert "the path %s of length %d " % (named, cap) in got[0]
 
 
+# a 2-cycle bound at L = 2 whose bound is certified only at L = 5, when
+# the overlaps resolved there put x0*x1 and x1*x0 in the ideal: the
+# normal forms then reach past the bound
+PAST_THE_BOUND = """\
+arrow x0 1 2
+arrow x1 2 1
+rel x0*x1 + 2*x0*x1*x0*x1
+rel -1*x1*x0 + 2*x1*x0*x1*x0
+"""
+
+
+def test_path_table_matches_the_per_path_numbering(comm_grid, monkeypatch):
+    # both tables are numbered off the same normal forms, the library's
+    # from the reducible words alone, the oracle's path by path
+    built = []
+
+    def both(*args):
+        built.append((PathTable(*args), PerPathTable(*args)))
+        return built[-1][0]
+
+    monkeypatch.setattr(core, "PathTable", both)
+    quivers = differential_quivers()
+    grids = load_bench_workloads().complexes_inputs(17)
+    quivers += [parse(text) for text in grids.values()]
+    quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5)]
+    quivers.append(parse(PAST_THE_BOUND))
+    rows = [0, 0]
+    for k, q in enumerate(quivers):
+        built.clear()
+        enumerate_paths(q)
+        (new, old), = built
+        assert ((new.words, new.sources, new.targets) + word_table_facts(new)
+                == (old.words, old.sources, old.targets)
+                + word_table_facts(old)), k
+        rows[0] += len(new.in_ideal)
+        rows[1] += sum(len(row) > 1 for pair_rows in new.ideal_rows.values()
+                       for row in pair_rows)
+    assert len(quivers) == 299 + 4 + 2 + 1
+    # rows of paths in the ideal, and of paths with a nonzero normal form
+    assert rows == [2877 + 2, 1082]
+    # the last input, PAST_THE_BOUND, against the table of `Path` objects
+    assert new.bound == 2
+    assert word_table_facts(new) == word_table_facts(object_path_table(q))
+
+
 # ---------------------------------------------------------------------------
 # natural classes by congruence closure against the factor-replacement sweep
 
@@ -893,6 +940,74 @@ def test_class_tables_in_table_order_match_the_sorting_oracle():
             old = SortedPathClassTable(t, classes.variant, parent,
                                        classes.caveats)
             assert class_table_facts(classes) == class_table_facts(old), k
+
+
+def random_forest(rng, groups, size):
+    """A parent list over range(size) whose trees are the groups: each a
+    random tree rooted at a random member, every member hung below one of
+    the two members placed before it, so that the trees run deep."""
+    parent = list(range(size))
+    for members in groups:
+        order = list(members)
+        rng.shuffle(order)
+        for t in range(1, len(order)):
+            parent[order[t]] = order[rng.randrange(max(0, t - 2), t)]
+    return parent
+
+
+def forest_depth(parent):
+    depth = 0
+    for i in range(len(parent)):
+        steps = 0
+        while parent[i] != i:
+            i, steps = parent[i], steps + 1
+        depth = max(depth, steps)
+    return depth
+
+
+def test_class_tables_of_deep_forests_match_both_oracles():
+    # pointer jumping against `_find` and against the sorting constructor,
+    # on random forests over the natural and walk classes, and on forests
+    # that also join two classes with other ends
+    rng = random.Random(SEED + 27)
+    seen = collections.Counter()
+    for k, q in enumerate(differential_quivers()):
+        t = enumerate_paths(q)
+        for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+            groups = [list(members) for members in classes.class_members]
+            ends = list(zip(classes.class_source, classes.class_target))
+            apart = [(a, b) for a, b in itertools.combinations(
+                range(len(groups)), 2) if ends[a] != ends[b]]
+            crossed = apart and rng.random() < 0.25
+            if crossed:
+                a, b = rng.choice(apart)
+                groups[a] += groups.pop(b)
+            parent = random_forest(rng, groups, len(t.words))
+            depth = forest_depth(parent)
+            seen["depth > 1"] += depth > 1
+            seen["depth > 2"] += depth > 2
+            seen["a root above its least member"] += any(
+                parent[i] == i and i != min(members)
+                for members in groups for i in members)
+            built = []
+            for build in (PathClassTable, FoundPathClassTable,
+                          SortedPathClassTable):
+                try:
+                    built.append(build(t, classes.variant, list(parent),
+                                       classes.caveats))
+                except AssertionError as e:
+                    built.append(str(e))
+            new, found, old = built
+            if crossed:
+                assert built == ["homotopy class members must be parallel"] * 3
+                seen["not parallel"] += 1
+                continue
+            assert class_table_facts(new) == class_table_facts(classes), k
+            assert class_table_facts(new) == class_table_facts(old), k
+            assert (class_table_facts(new), new.rep_index) == (
+                class_table_facts(found), found.rep_index), k
+    assert seen == {"depth > 1": 69, "depth > 2": 42,
+                    "a root above its least member": 194, "not parallel": 156}
 
 
 def test_position_matches_the_path_dict(comm_grid):
@@ -993,6 +1108,51 @@ def test_face_identity_check_agrees_with_the_column_check():
             assert got == accepts(check_square_zero, face_columns(bad)), k
             outcomes[got] += 1
     assert outcomes == {True: 83, False: 250}
+
+
+def mutated_faces(rng, faces, move):
+    """A copy of the face rows with one face of one cell changed: another
+    index put in its place, or two faces of equal parity swapped."""
+    n = rng.randrange(2, len(faces))
+    bad = [None] + [list(layer) for layer in faces[1:]]
+    c = rng.randrange(len(bad[n]))
+    row = list(bad[n][c])
+    if move == "replace":
+        row[rng.randrange(n + 1)] = rng.randrange(len(bad[n - 1]))
+    else:
+        i, j = rng.choice([(i, j) for i in range(n + 1)
+                           for j in range(i + 2, n + 1, 2)])
+        row[i], row[j] = row[j], row[i]
+    bad[n][c] = tuple(row)
+    return bad
+
+
+def test_face_check_by_layers_matches_the_rowwise_oracle(comm_grid):
+    rng = random.Random(SEED + 28)
+    quivers = differential_quivers()
+    quivers += [parse(open(comm_grid(n)).read()) for n in (4, 5)]
+    outcomes = collections.Counter()
+    for k, q in enumerate(quivers):
+        t = enumerate_paths(q)
+        face_rows = [build_complex(t, classes).faces for classes in
+                     (natural_homotopy_classes(t), walk_homotopy_classes(t))]
+        a = find_semi_normed_basis(t) if q.is_acyclic() else None
+        if a is not None and a.ok:
+            face_rows.append(simplicial_complex(a).faces)
+        for faces in face_rows:
+            check_faces_square_zero(faces)
+            rowwise_faces_square_zero(faces)
+            if len(faces) < 3:
+                continue
+            for move in ("replace", "swap") * 2:
+                bad = mutated_faces(rng, faces, move)
+                got = accepts(check_faces_square_zero, bad)
+                assert got == accepts(rowwise_faces_square_zero, bad), k
+                outcomes[move, got] += 1
+    # an equal-parity swap keeps the boundary column, so it is accepted
+    # though it breaks the identities
+    assert outcomes == {("replace", False): 856, ("replace", True): 178,
+                        ("swap", True): 1034}
 
 
 # ---------------------------------------------------------------------------
