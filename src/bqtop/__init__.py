@@ -27,8 +27,8 @@ from .complex import (CellComplex, FaceComplex, HomologyResult,
                       euler_characteristic, homology, parse_coefficients)
 from .algcohom import (EpsilonMuReport, HochschildComplex,
                        NoSemiNormedBasis, PhiPsiReport, SemiNormedAlgebra,
-                       SemiNormedFailure, SimplicialSC, TriangularRequired,
-                       epsilon_mu, find_semi_normed_basis, phi_psi_maps,
+                       SemiNormedFailure, TriangularRequired, epsilon_mu,
+                       find_semi_normed_basis, phi_psi_maps,
                        simplicial_complex, verify_semi_normed_basis)
 from .coverings import (CellMapReport, CoveringReport, DeckReport,
                         GroupAction, MalformedMorphism, NotACovering,
@@ -61,7 +61,7 @@ __all__ = [
     # semi-normed bases, simplicial and Hochschild cohomology
     "SemiNormedAlgebra", "SemiNormedFailure",
     "find_semi_normed_basis", "verify_semi_normed_basis",
-    "simplicial_complex", "SimplicialSC", "HochschildComplex",
+    "simplicial_complex", "HochschildComplex",
     "phi_psi_maps", "PhiPsiReport", "epsilon_mu", "EpsilonMuReport",
     "NoSemiNormedBasis", "TriangularRequired",
     # coverings

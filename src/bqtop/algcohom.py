@@ -33,37 +33,44 @@ basis elements, target basis element of the end-to-end slice) -- tuples
 are kept even when their product vanishes -- with the standard
 differential written through the structure constants.
 
-SC is a face complex (`complex.FaceComplex`) like the cell complexes,
-keyed by the vertices in degree 0 and by the tuples above, so the
-(co)homology and cup product of `complex` serve it too.  Both complexes
-grow their tuples one layer at a time through the index `starting[v]`,
-the non-identity elements whose source is v: a tuple extends only by the
-elements starting where its last element ends.  SC carries each tuple's
-product lambda * b forward, so extending by j costs the one table lookup
-b * j, and keeps these products as `SimplicialSC.product`; epsilon reads
-its scalars there.  The Hochschild differential is one loop over the
-faces of each tuple (the first face s_1 f(s_2 .. s_n), the contractions
-of adjacent pairs, the last face f(s_1 .. s_{n-1}) s_n), each given by
-its face tuple, its scalar and its left or right factor, with the face's
-ends read off the vertices the tuple passes through.
+Each nonzero non-identity natural class holds exactly one basis element
+(see `SemiNormedAlgebra`), so a tuple of elements is a tuple of classes,
+its product is nonzero exactly when the elements compose to a path
+outside the ideal, and a contraction s s' = lambda b lands in the class
+of the composite path.  SC is therefore the classifying complex of the
+natural classes grown from each class's element alone:
+`complex.build_complex` builds it, keyed by the vertices in degree 0 and
+by class-id tuples above, and its (co)homology and cup product serve it
+too.  epsilon reads a cell's product lambda b off that of its last face
+with the one table lookup b * s_n.  The Hochschild complex grows its
+tuples one layer at a time through the index `starting[v]`, the
+non-identity elements whose source is v: a tuple extends only by the
+elements starting where its last element ends.  Its differential is one
+loop over the faces of each tuple (the first face s_1 f(s_2 .. s_n), the
+contractions of adjacent pairs, the last face f(s_1 .. s_{n-1}) s_n),
+each given by its face tuple, its scalar and its left or right factor,
+with the face's ends read off the vertices the tuple passes through.
 
 Basis elements, like cells, are positions: element i is the path
 `SemiNormedAlgebra.elements[i]` (the identities first), and a cell is its
 position among the complex's keys.  The comparison maps send each basis
-vector to at most one basis vector.  phi/psi (simplicial tuples vs cells
+vector to at most one basis vector.  phi/psi (simplicial cells vs cells
 of the classifying space) and phi-sharp (onto the total variant) do so
-with scalar 1, are lists of positions (None for 0) and are checked as
-chain maps column by column.  epsilon/mu (simplicial vs Hochschild
-cochains) are sparse columns {index: coefficient}, the layout of the
-differentials: epsilon sends a tuple t whose product is lambda b to the
-pair (t, b) with scalar lambda, and mu is its partial inverse with
-1 / lambda.  Their identities are read off counts, and their cochain-map
-squares off one pass over the rows of HC's differential, with arithmetic
-only between two epsilon pairs (see `epsilon_mu`).  HC's differential
-squares to zero because the structure table is unital and associative,
-which is checked on the composable triples of basis elements, at the
-cost of the algebra rather than of the complex (see `HochschildComplex`);
-SC's is checked on its face rows, like a cell complex's.  epsilon(SC) is
+with scalar 1: SC and the natural complex share their keys, so phi and
+psi look a key up in the other complex, and phi-sharp first maps each
+class to its walk class.  They are lists of positions (None for 0) and
+are checked as chain maps column by column.  epsilon/mu (simplicial vs
+Hochschild cochains) are sparse columns {index: coefficient}, the layout
+of the differentials: epsilon sends a cell whose elements t have product
+lambda b to the pair (t, b) with scalar lambda, and mu is its partial
+inverse with 1 / lambda.  Their identities are read off counts, and
+their cochain-map squares off one pass over the rows of HC's
+differential, with arithmetic only between two epsilon pairs (see
+`epsilon_mu`).  HC's differential squares to zero because the structure
+table is unital and associative, which is checked on the composable
+triples of basis elements, at the cost of the algebra rather than of the
+complex (see `HochschildComplex`); SC's is checked on its face rows, as
+a cell complex's.  epsilon(SC) is
 then a coordinate subcomplex of HC, and the long exact sequence of the
 quotient gives the ranks of the map SH -> HH from three rank sequences.
 
@@ -78,14 +85,14 @@ from dataclasses import dataclass
 
 from .core import algebra_properties, in_vertex_order
 from .linalg import QQ, PrimeField, extend_rref
-from .complex import (FaceComplex, homology_of_matrices, parse_coefficients,
+from .complex import (build_complex, homology_of_matrices, parse_coefficients,
                       sparse_column)
 from .homotopy import natural_homotopy_classes
 
 __all__ = [
     "TriangularRequired", "NoSemiNormedBasis", "FieldMismatch",
     "SemiNormedFailure", "SemiNormedAlgebra", "find_semi_normed_basis",
-    "verify_semi_normed_basis", "SimplicialSC", "simplicial_complex",
+    "verify_semi_normed_basis", "simplicial_complex",
     "PhiPsiReport", "phi_psi_maps", "HochschildComplex",
     "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
 ]
@@ -115,7 +122,16 @@ class SemiNormedFailure:
 
 class SemiNormedAlgebra:
     """A verified semi-normed basis with its structure table; element i
-    is the path `elements[i]`, the identities first."""
+    is the path `elements[i]`, the identities first.
+
+    The non-identity elements meet the nonzero non-identity classes one
+    each: every nonzero path w is lambda b for a basis element b, and the
+    two-term relation w - lambda b is a circuit, so it seeds w and b into
+    one class; two basis elements are never proportional.  The class of
+    the composite of two elements is then that of the b in s s' =
+    lambda b.  `members[cid]` is the table index of class cid's element,
+    `class_element[cid]` its position among the elements.
+    """
 
     def __init__(self, table, classes, elements, product):
         self.table = table
@@ -134,6 +150,13 @@ class SemiNormedAlgebra:
         for i, p in enumerate(self.elements):
             self.by_pair.setdefault((p.source, p.target), []).append(i)
         self.product = product   # (i, j) -> None or (lambda, k)
+        at = [table.position(self.elements[i]) for i in self.non_identity]
+        cids = list(map(classes.class_of_index.__getitem__, at))
+        if sorted(cids) != classes.one_cell_classes():
+            raise AssertionError("a semi-normed basis meets each nonzero "
+                                 "non-identity class in one element")
+        self.members = dict(zip(cids, at))
+        self.class_element = dict(zip(cids, self.non_identity))
 
     @property
     def ok(self):
@@ -148,10 +171,6 @@ class SemiNormedAlgebra:
     def vertices(self, t):
         """The vertices a nonempty composable tuple passes through."""
         return [self.source(t[0])] + [self.target(i) for i in t]
-
-    def element_class(self, i):
-        """Natural class of the element's representative path."""
-        return self.classes.class_of(self.elements[i])
 
 
 def _acyclic_classes(table, classes):
@@ -308,55 +327,15 @@ def verify_semi_normed_basis(table, paths, classes=None):
 # simplicial complex of the algebra
 
 
-class SimplicialSC(FaceComplex):
-    """SC_0 = vertices; SC_n = basis tuples with nonzero product.
-
-    A face complex like a cell complex: `keys[n]` lists the vertices for
-    n = 0 and the sorted degree-n tuples above, and `faces[n]` their face
-    rows.  `product[t]` is (lambda, b) for a tuple t of degree >= 1 whose
-    product is lambda * b.
-    """
-
-    def __init__(self, algebra):
-        self.algebra = a = algebra
-        keys = [list(a.quiver.vertices)]
-        self.product = {}
-        layer = {(i,): (1, i) for i in a.non_identity}
-        while layer:
-            self.product.update(layer)
-            keys.append(sorted(layer))
-            grown = {}
-            for t, (lam, b) in layer.items():
-                for j in a.starting[a.target(t[-1])]:
-                    step = a.product[(b, j)]
-                    if step is not None:
-                        grown[t + (j,)] = (QQ.of(lam * step[0]), step[1])
-            layer = grown
-        # faces[n][c] = (d_0, ..., d_n) of tuple c as indices of degree
-        # n-1: d_0 drops the first element, d_n the last (leaving a vertex
-        # when n = 1), d_j contracts elements j-1 and j
-        faces = [None]
-        for n in range(1, len(keys)):
-            low = {t: r for r, t in enumerate(keys[n - 1])}
-            rows = []
-            for t in keys[n]:
-                row = [t[1:] or a.target(t[0])]
-                for j in range(1, n):
-                    step = a.product[(t[j - 1], t[j])]
-                    if step is None:
-                        raise AssertionError(
-                            "sub-product of a nonzero product cannot vanish")
-                    row.append(t[:j - 1] + (step[1],) + t[j + 1:])
-                row.append(t[:-1] or a.source(t[0]))
-                rows.append(tuple(map(low.__getitem__, row)))
-            faces.append(rows)
-        super().__init__(keys, faces)
-
-
 def simplicial_complex(algebra):
+    """SC_0 = vertices; SC_n = basis tuples with nonzero product, as the
+    cell complex of the algebra's classes grown from their basis elements
+    alone: the n-cell (c_1, .., c_n) is the tuple of the classes'
+    elements, and its middle faces are the classes of the products."""
     if not algebra.ok:
         raise NoSemiNormedBasis("; ".join(algebra.witnesses))
-    return SimplicialSC(algebra)
+    return build_complex(algebra.table, algebra.classes,
+                         members=algebra.members)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +344,9 @@ def simplicial_complex(algebra):
 
 @dataclass(frozen=True)
 class PhiPsiReport:
-    phi: dict         # degree -> per tuple, its natural cell's position
-    psi: dict         # degree -> per natural cell, its tuple's position
-    phi_sharp: dict   # degree -> per tuple, its walk cell's position
+    phi: dict         # degree -> per SC cell, its natural cell's position
+    psi: dict         # degree -> per natural cell, its SC cell's position
+    phi_sharp: dict   # degree -> per SC cell, its walk cell's position
     phi_chain_map: bool
     psi_chain_map: bool
     iso: bool
@@ -395,12 +374,13 @@ def _mutually_inverse(f, g):
 def phi_psi_maps(algebra, cx_natural, cx_total):
     """The tuple-to-cell maps as positions, with their report.
 
-    phi[n][c] is the position of the natural n-cell whose classes are
-    those of tuple c's elements, phi_sharp[n][c] that of their walk cell,
-    and psi[n][j] that of the tuple of the elements of natural cell j's
-    classes (a basis meets each natural class once); None for 0.  Vertices
-    map to themselves.  Any input but the uncut natural and walk complexes
-    of the algebra's path table, in that order, raises ValueError.
+    SC's cells are keyed by class tuples like the natural cells, so
+    phi[n][c] is the position of SC cell c's key among the natural
+    n-cells, psi[n][j] that of natural cell j's key among SC's cells, and
+    phi_sharp[n][c] that of the walk cell whose classes hold those of
+    SC cell c; None for 0.  Vertices map to themselves.  Any input but the
+    uncut natural and walk complexes of the algebra's path table, in that
+    order, raises ValueError.
     """
     if not algebra.ok:
         raise NoSemiNormedBasis("; ".join(algebra.witnesses))
@@ -418,21 +398,20 @@ def phi_psi_maps(algebra, cx_natural, cx_total):
                              + wrong)
     sc = simplicial_complex(a)
     nat, tot = cx_natural, cx_total
-    natural = {i: a.element_class(i) for i in a.non_identity}
-    walk = {i: tot.classes.class_of(a.elements[i]) for i in a.non_identity}
-    element = {cid: i for i, cid in natural.items()}
+    walk = {cid: tot.classes.class_of_index[j] for cid, j in a.members.items()}
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
 
-    def positions(dom, m, cod):
-        # per degree, the position in cod of each key of dom, read by m
-        return {n: [cod.cell_index.get((n, tuple(m[x] for x in key)
-                                        if n else key))
+    def positions(dom, cod, m=None):
+        # per degree, the position in cod of each key of dom, its classes
+        # read by m
+        return {n: [cod.cell_index.get((n, tuple(map(m.__getitem__, key))
+                                        if n and m is not None else key))
                     for key in (dom.keys[n] if n <= dom.top_dim() else ())]
                 for n in range(top + 1)}
 
-    phi = positions(sc, natural, nat)
-    psi = positions(nat, element, sc)
-    sharp = positions(sc, walk, tot)
+    phi = positions(sc, nat)
+    psi = positions(nat, sc)
+    sharp = positions(sc, tot, walk)
     chain = [all(_chain_map(f[n - 1], f[n], dom.columns.get(n, []),
                             cod.columns.get(n, []))
                  for n in range(1, top + 1))
@@ -554,6 +533,9 @@ class HochschildComplex:
                     basis.append((t, v))
             self.bases.append(basis)
             cur = [t + (j,) for t in cur for j in a.starting[a.target(t[-1])]]
+        # pair_index[n]: (tuple, target) -> its position in degree n
+        self.pair_index = [{pair: r for r, pair in enumerate(basis)}
+                           for basis in self.bases]
         # columns[n][r] = {c: coefficient}: row r of the differential
         # C^{n-1} -> C^n, the same layout as the boundary columns of a
         # chain complex; a coboundary column is a column of the transpose
@@ -563,10 +545,8 @@ class HochschildComplex:
     def _b_columns(self, n):
         a = self.algebra
         F = self.field
-        lower = self.bases[n - 1]
         upper = self.bases[n]
-        col = {pair: c for c, pair in enumerate(lower)}
-        row = {pair: r for r, pair in enumerate(upper)}
+        col, row = self.pair_index[n - 1], self.pair_index[n]
         # raw rational sums of the face terms, made field elements once
         # per entry at the end
         sums = [{} for _ in upper]
@@ -667,10 +647,13 @@ class EpsilonMuReport:
 def epsilon_mu(algebra, sc, hc):
     """Comparison between simplicial and Hochschild cochains over k.
 
-    eps[n][c] = {r: lambda} sends the simplicial tuple c = (s_1, .., s_n)
-    to its basis pair r = ((s_1, .., s_n), b), where s_1 .. s_n = lambda b;
-    mu[n][r] = {c: 1 / lambda} is its partial inverse, {} on pairs that no
-    tuple reaches.  Both are sparse columns on cochain coordinates.
+    eps[n][c] = {r: lambda} sends the simplicial cell c, whose classes'
+    elements are (s_1, .., s_n), to its basis pair r = ((s_1, .., s_n), b),
+    where s_1 .. s_n = lambda b; mu[n][r] = {c: 1 / lambda} is its partial
+    inverse, {} on pairs that no tuple reaches.  Both are sparse columns
+    on cochain coordinates.  An `sc` grown from other classes or members
+    than the algebra's (the classifying complex itself included), or an
+    `hc` of another algebra, raises FieldMismatch.
 
     eps is always a cochain map: every face term of delta(eps f) on
     (s_1, .., s_{n+1}) is a face value of f times the full product
@@ -706,11 +689,12 @@ def epsilon_mu(algebra, sc, hc):
     entries between two eps pairs; the same pass keeps the rows and
     entries of Q.
     """
-    if sc.algebra is not algebra or hc.algebra is not algebra:
+    a = algebra
+    if (sc.classes is not a.classes or sc.members != a.members
+            or hc.algebra is not a):
         raise FieldMismatch(
             "simplicial and Hochschild complexes must come from the same "
             "semi-normed algebra")
-    a = algebra
     F = hc.field
     props = algebra_properties(a.table)
     top = max(sc.top_dim(), hc.top_dim())
@@ -719,18 +703,25 @@ def epsilon_mu(algebra, sc, hc):
     eps, mu = {}, {}
     # reach[n] = {r(c): (c, lambda_c)}, the pairs of E_n
     reach = {}
+    # products[c] = (lambda, b) when SC cell c's product is lambda b: the
+    # product of its last face d_n times its last element
+    products = []
     for n in range(top + 1):
-        bidx = {pair: r for r, pair in enumerate(hc.bases[n])} \
-            if n <= hc.top_dim() else {}
+        bidx = hc.pair_index[n] if n <= hc.top_dim() else {}
         eps[n] = []
         mu[n] = [{} for _ in range(hc_dims[n])]
         reach[n] = {}
-        for c, t in enumerate(sc.keys[n] if n <= sc.top_dim() else []):
+        before, products = products, []
+        for c, key in enumerate(sc.keys[n] if n <= sc.top_dim() else []):
             if n == 0:
-                lam, r = 1, bidx[((), a.identity_index[t])]
+                t, lam, b = (), 1, a.identity_index[key]
             else:
-                lam, b = sc.product[t]
-                r = bidx[(t, b)]
+                t = tuple(map(a.class_element.__getitem__, key))
+                lam, b = before[sc.faces[n][c][-1]]
+                step = a.product[(b, t[-1])]
+                lam, b = QQ.of(lam * step[0]), step[1]
+            products.append((lam, b))
+            r = bidx[(t, b)]
             x = F.of(lam)
             if x == F.zero:
                 raise ValueError(

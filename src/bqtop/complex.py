@@ -23,8 +23,12 @@ layer, and the simplicial identities are checked on whole-layer lists.
 The complex keeps a cell as its key (a vertex in dimension 0, a tuple of
 class ids above), the table index of its witness and its face row; a
 reader that writes a witness reads its arrow word off the table.
-Keys and face rows make a `FaceComplex`, as does the simplicial complex
-SC of an algebra, and the (co)homology and cup product here serve both.
+Keys and face rows make a `FaceComplex`, and the (co)homology and cup
+product here serve every one.  The simplicial complex SC of a
+semi-normed basis is built here too: each nonzero class holds one
+basis element, so SC is the complex grown from that element of each
+class alone (`members`), its cells the class tuples whose elements
+compose to a path outside the ideal.
 Boundary of boundary is checked on the face rows when the complex is
 made: where a cell's faces satisfy the simplicial identities its terms
 cancel in pairs, and only a cell where one fails has its signed sum
@@ -105,9 +109,12 @@ class CellComplex(FaceComplex):
     `witnesses[n][j]`.
     """
 
-    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None):
+    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None,
+                 members=None):
         self.table = table
         self.classes = classes
+        # members[cid]: the one table index class cid grew from (None: all)
+        self.members = members
         self.variant = classes.variant
         self.caveats = classes.caveats
         # cut_at: the top dimension kept when cells above it were left out
@@ -192,13 +199,16 @@ def check_faces_square_zero(faces):
                 raise AssertionError("boundary of boundary must vanish")
 
 
-def build_complex(table, classes, max_dim=None):
+def build_complex(table, classes, max_dim=None, members=None):
     """Cell complex over a path class table (natural or walk variant).
 
     Cells of dimension above `max_dim` (>= 0; None keeps them all) are
     left out; when there are any, the complex records the cut and says
     so in its caveats.  Cells are grown as keys and witness table
-    indices, and that is what the complex keeps.
+    indices, and that is what the complex keeps.  Each class grows from
+    its nonzero members, or, given `members`, from the one table index
+    `members[cid]` alone: the simplicial complex SC of a semi-normed
+    basis is the complex grown from the basis elements.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("maximum cell dimension must be >= 0, got %d"
@@ -218,7 +228,8 @@ def build_complex(table, classes, max_dim=None):
     live = {}
     for cid in classes.one_cell_classes():
         record = live[(cid,)] = {}
-        for j in classes.class_members[cid]:
+        for j in (classes.class_members[cid] if members is None
+                  else (members[cid],)):
             if j not in in_ideal:
                 record[j] = (j,)
                 steps[source[cid]].append(((cid,), record[j], words[j]))
@@ -297,7 +308,7 @@ def build_complex(table, classes, max_dim=None):
         below = dict(zip(layer, itertools.count()))
         n += 1
     return CellComplex(table, classes, keys, witnesses, faces,
-                       cut_at=max_dim if cut else None)
+                       cut_at=max_dim if cut else None, members=members)
 
 
 # ---------------------------------------------------------------------------

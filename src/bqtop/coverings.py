@@ -499,8 +499,7 @@ def lift_complex_map(base_cx, cover_cx, covering):
                         % (ct.paths[i], ct.paths[j], xh,
                            "" if same_up else " not",
                            "" if same_down else " not"))
-    cls_map = {cid: img_cls[ct.position(ccl.class_rep[cid])]
-               for cid in range(len(ccl))}
+    cls_map = {cid: img_cls[i] for cid, i in enumerate(ccl.rep_index)}
     cell_map, cells_ok = _induced_cell_map(cover_cx, base_cx, p.vertex,
                                            cls_map, witnesses)
     fc = _faces_commute(cover_cx, base_cx, cell_map, witnesses)
@@ -522,10 +521,11 @@ def deck_group(base_cx, cover_cx, lift):
 
     `lift` is the `lift_complex_map` report of a `check_galois` report;
     NotGalois is raised unless that check held and the cover is
-    connected.  Builds the cell automorphism induced by every group
-    element, then certifies regularity: the maps are pairwise distinct,
-    the projection is constant on orbits, and the maps act transitively
-    on the zero-cell fiber over the base point, the first base vertex.
+    connected and the base has a vertex.  Builds the cell automorphism
+    induced by every group element, then certifies regularity: the maps
+    are pairwise distinct, the projection is constant on orbits, and the
+    maps act transitively on the zero-cell fiber over the base point, the
+    first base vertex.
     """
     rep = lift.covering
     _check_endpoints(base_cx.table, cover_cx.table, rep.morphism)
@@ -536,6 +536,9 @@ def deck_group(base_cx, cover_cx, lift):
                         else "conditions fail")
     if not cover_cx.table.quiver.is_connected():
         raise NotGalois("cover quiver is not connected")
+    if not base_cx.table.quiver.vertices:
+        raise NotGalois("the base quiver has no vertex, so the deck group "
+                        "has no base point")
     witnesses = list(lift.witnesses)
     base_point = base_cx.table.quiver.vertices[0]
     ccl = cover_cx.classes

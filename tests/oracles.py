@@ -1208,16 +1208,13 @@ def elt_of_class(algebra, classes, cid):
 
     Representative paths are canonical per class, so a found basis hits
     directly; a user-verified basis is resolved through its own class
-    table (well defined: a verified basis meets each class exactly once).
+    table and its class-to-element map (well defined: a verified basis
+    meets each class exactly once).
     """
     rep = classes.class_rep[cid]
     if rep in algebra.elements:
         return algebra.elements.index(rep)
-    own = algebra.classes.class_of(rep)
-    for j in algebra.non_identity:
-        if algebra.element_class(j) == own:
-            return j
-    raise KeyError("no basis element for class %d" % cid)
+    return algebra.class_element[algebra.classes.class_of(rep)]
 
 
 def column_phi_psi_maps(algebra, cx_natural, cx_total):
@@ -1234,13 +1231,15 @@ def column_phi_psi_maps(algebra, cx_natural, cx_total):
     kernel = []
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
     for n in range(top + 1):
-        tuples = sc.keys[n] if n <= sc.top_dim() else []
+        # SC's cells as the tuples of their classes' elements
+        tuples = [t if n == 0 else tuple(map(a.class_element.__getitem__, t))
+                  for t in (sc.keys[n] if n <= sc.top_dim() else [])]
         phi[n], sharp[n] = [], []
         for t in tuples:
             if n == 0:
                 key = skey = t
             else:
-                key = tuple(a.element_class(i) for i in t)
+                key = tuple(a.classes.class_of(a.elements[i]) for i in t)
                 skey = tuple(wcl.class_of(a.elements[i]) for i in t)
             r = nat.cell_index.get((n, key))
             phi[n].append({} if r is None else {r: 1})
@@ -1273,15 +1272,15 @@ def column_phi_psi_maps(algebra, cx_natural, cx_total):
 
 
 def sc_cup(sc, p, f, q, g):
-    """Front/back cup product of simplicial cochains (dicts on tuples).
+    """Front/back cup product of simplicial cochains (dicts on keys).
 
     Degree-0 cochains are keyed by vertex; the front (back) 0-face of a
-    tuple is its source (target) vertex.
+    key is the source (target) vertex of its first (last) class.
     """
     n = p + q
     if n > sc.top_dim():
         return {}
-    a = sc.algebra
+    cl = sc.classes
     out = {}
     for t in sc.keys[n]:
         if n == 0:
@@ -1289,8 +1288,8 @@ def sc_cup(sc, p, f, q, g):
             if val:
                 out[t] = val
             continue
-        front = t[:p] if p else a.source(t[0])
-        back = t[p:] if q else a.target(t[-1])
+        front = t[:p] if p else cl.class_source[t[0]]
+        back = t[p:] if q else cl.class_target[t[-1]]
         val = f.get(front, 0) * g.get(back, 0)
         if val:
             out[t] = val

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bqtop.algcohom import (FieldMismatch, HochschildComplex,
-                            TriangularRequired, _chain_map,
+                            SemiNormedAlgebra, TriangularRequired, _chain_map,
                             _mutually_inverse, epsilon_mu,
                             find_semi_normed_basis, hochschild_cup,
                             phi_psi_maps, simplicial_complex,
@@ -42,7 +42,9 @@ def test_pres1_basis_and_sh():
         ["e_1", "e_2", "e_3", "alpha", "beta", "gamma", "gamma*alpha"])
     s = simplicial_complex(a)
     assert s.counts() == [3, 4, 1]
-    assert [elt_strs(a, t_) for t_ in s.keys[2]] == [("gamma", "alpha")]
+    # SC's keys are class tuples, each class holding one element
+    assert [elt_strs(a, map(a.class_element.__getitem__, key))
+            for key in s.keys[2]] == [("gamma", "alpha")]
     assert homology(s, "Z").groups == ((1, ()), (1, ()), (0, ()))
 
 
@@ -309,6 +311,29 @@ def test_field_mismatch_raises():
         epsilon_mu(a1, s2, h2)
 
 
+def test_epsilon_mu_refuses_a_complex_other_than_the_algebras_sc():
+    # B(Q,I) has SC's table and classes but grows from every member; a
+    # user basis of the same table grows SC from other members
+    t, n = setup(["1", "2", "3"],
+                 [("alpha", "2", "1"), ("beta", "3", "2"),
+                  ("gamma", "3", "2")],
+                 [[(["beta", "alpha"], 1), (["gamma", "alpha"], -1)]])
+    q = t.quiver
+    a = find_semi_normed_basis(t, n)
+    u = verify_semi_normed_basis(t, [q.path(["alpha"]), q.path(["beta"]),
+                                     q.path(["gamma"]),
+                                     q.path(["gamma", "alpha"])], n)
+    h = HochschildComplex(a, "Q")
+    assert epsilon_mu(a, simplicial_complex(a), h).eps_cochain_map
+    su = simplicial_complex(u)
+    cx = build_complex(t, n)
+    assert su.keys == cx.keys == simplicial_complex(a).keys
+    for other in (cx, su):
+        with pytest.raises(FieldMismatch):
+            epsilon_mu(a, other, h)
+    assert epsilon_mu(u, su, HochschildComplex(u, "Q")).eps_cochain_map
+
+
 def test_epsilon_mu_over_a_prime_dividing_a_structure_constant():
     # the basis takes a*b, so c*d = 3/2 a*b, which vanishes mod 3: mu would
     # have to invert 0 there
@@ -330,15 +355,19 @@ def test_epsilon_mu_over_a_prime_dividing_a_structure_constant():
 def test_corrupted_sc_differential_fails_the_check():
     t, classes = setup(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = find_semi_normed_basis(t, classes)
-    simplicial_complex(alg)
+    sc = simplicial_complex(alg)
     q = t.quiver
     i = alg.elements.index(q.path(["a"]))
     j = alg.elements.index(q.path(["b"]))
-    # claim a*b = a: the contraction face of (a, b) moves from (ab) to (a),
-    # so d(a, b) = (b) and its boundary e_3 - e_2 is not zero
+    # claim a*b = a: SC composes the basis paths, so its contraction face
+    # of (a, b) stays (ab) and SC does not change, but the table is no
+    # longer graded and HC refuses it
     alg.product[(i, j)] = (Fraction(1), i)
-    with pytest.raises(AssertionError, match="boundary of boundary"):
-        simplicial_complex(alg)
+    again = simplicial_complex(alg)
+    assert (again.keys, again.faces) == (sc.keys, sc.faces)
+    assert again.faces[2] == [(1, 2, 0)]
+    with pytest.raises(AssertionError, match="only for a graded product"):
+        HochschildComplex(alg, "Q")
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])
@@ -479,6 +508,16 @@ def test_column_checks_catch_a_perturbed_phi_column():
         assert not _commutes(bad, rep.phi[0], s.columns[1], c.columns[1])
         assert not _is_inverse(bad, psi)
         assert not _is_inverse(psi, bad)
+
+
+def test_an_algebra_needs_one_element_per_class():
+    # the walk classes of ker merge natural classes, so two basis
+    # elements share a class and SC could not be grown from one each
+    t, n, a = ker()
+    assert sorted(a.members) == n.one_cell_classes()
+    with pytest.raises(AssertionError, match="meets each nonzero "
+                                             "non-identity class in one"):
+        SemiNormedAlgebra(t, walk_homotopy_classes(t), a.elements, a.product)
 
 
 def test_position_checks_catch_a_perturbed_phi_position():

@@ -652,6 +652,19 @@ def test_pi1_of_a_quiver_without_vertices_exit_2(no_vertex_quiver):
     assert err == "bqtop: the quiver has no vertex, so pi1 has no base point\n"
 
 
+def test_galois_cover_of_a_quiver_without_vertices_exit_2(no_vertex_quiver,
+                                                         tmp_path):
+    morphism, group = tmp_path / "none.map", tmp_path / "none.group"
+    morphism.write_text("")
+    group.write_text("element id\n")
+    code, out, err = run_cli(["cover", "verify", no_vertex_quiver,
+                              no_vertex_quiver, str(morphism),
+                              "--galois", str(group)])
+    assert (code, out) == (2, "")
+    assert err == ("bqtop: the base quiver has no vertex, so the deck group "
+                   "has no base point\n")
+
+
 def test_sharp_cells_of_a_quiver_without_vertices(no_vertex_quiver):
     code, out, err = run_cli(["cells", "--sharp", no_vertex_quiver])
     assert (code, err) == (0, "")

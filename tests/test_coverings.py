@@ -123,6 +123,21 @@ def test_rp2_deck_group():
     assert deck.fiber == ("x1", "y1")
 
 
+def test_deck_group_of_a_base_without_vertices_is_refused():
+    # the empty covering is Galois for the trivial group, but the deck
+    # group has no base point to be transitive over
+    empty = bq([], [])
+    t = enumerate_paths(empty)
+    pid = identity_morphism(empty)
+    rep = check_galois(t, t, pid, GroupAction(t, [pid]))
+    assert rep.galois_ok
+    cx = cxof(t)
+    lift = lift_complex_map(cx, cx, rep)
+    with pytest.raises(NotGalois, match="^the base quiver has no vertex, "
+                                        "so the deck group has no base"):
+        deck_group(cx, cx, lift)
+
+
 def test_identity_covering():
     pid = identity_morphism(RP2)
     rep = check_covering(TB, TB, pid)
