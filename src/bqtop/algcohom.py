@@ -93,8 +93,8 @@ __all__ = [
     "TriangularRequired", "NoSemiNormedBasis", "FieldMismatch",
     "SemiNormedFailure", "SemiNormedAlgebra", "find_semi_normed_basis",
     "verify_semi_normed_basis", "simplicial_complex",
-    "PhiPsiReport", "phi_psi_maps", "HochschildComplex",
-    "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
+    "PhiPsiReport", "phi_psi_maps", "hochschild_scalars",
+    "HochschildComplex", "hochschild_cup", "EpsilonMuReport", "epsilon_mu",
 ]
 
 
@@ -130,10 +130,11 @@ class SemiNormedAlgebra:
     one class; two basis elements are never proportional.  The class of
     the composite of two elements is then that of the b in s s' =
     lambda b.  `members[cid]` is the table index of class cid's element,
-    `class_element[cid]` its position among the elements.
+    `class_element[cid]` its position among the elements, and
+    `indices[i]` is the table index of element i.
     """
 
-    def __init__(self, table, classes, elements, product):
+    def __init__(self, table, classes, elements, product, indices):
         self.table = table
         self.quiver = table.quiver
         self.classes = classes
@@ -150,7 +151,7 @@ class SemiNormedAlgebra:
         for i, p in enumerate(self.elements):
             self.by_pair.setdefault((p.source, p.target), []).append(i)
         self.product = product   # (i, j) -> None or (lambda, k)
-        at = [table.position(self.elements[i]) for i in self.non_identity]
+        at = list(map(indices.__getitem__, self.non_identity))
         cids = list(map(classes.class_of_index.__getitem__, at))
         if sorted(cids) != classes.one_cell_classes():
             raise AssertionError("a semi-normed basis meets each nonzero "
@@ -320,7 +321,7 @@ def verify_semi_normed_basis(table, paths, classes=None):
                                      "terms" % (e1, e2, len(off)))
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product)
+    return SemiNormedAlgebra(table, classes, elements, product, at)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +482,15 @@ def _check_unital_associative(a, F):
                              a.elements[s3]) * 2))
 
 
+def hochschild_scalars(field_label):
+    """`parse_coefficients` of a field label that Hochschild cochains can
+    take, "Q" or "Fp:<p>"; ValueError on any other."""
+    kind, arg = parse_coefficients(field_label)
+    if kind not in ("Q", "Fp"):
+        raise ValueError("Hochschild scalars must be Q or Fp:<p>")
+    return kind, arg
+
+
 class HochschildComplex:
     """Cochain spaces over the vertex subalgebra and their differential.
 
@@ -507,9 +517,7 @@ class HochschildComplex:
         if not algebra.ok:
             raise NoSemiNormedBasis("; ".join(algebra.witnesses))
         self.algebra = algebra
-        kind, arg = parse_coefficients(field_label)
-        if kind not in ("Q", "Fp"):
-            raise ValueError("Hochschild scalars must be Q or Fp:<p>")
+        kind, arg = hochschild_scalars(field_label)
         self.field_label = field_label
         self.field = QQ if kind == "Q" else PrimeField(arg)
         a = algebra

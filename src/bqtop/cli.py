@@ -9,6 +9,13 @@ for byte what `json.dumps(report, indent=2, sort_keys=True)` gives, with
 strings going through the C string encoder (with an indent, `json.dumps`
 runs its pure-Python encoder).
 
+The command line is parsed in one argparse pass: words after a known
+subcommand go straight to that subcommand's parser, and what it leaves
+over is refused as the top parser's `parse_args` refuses it; everything
+else (no words, -h, --version, an unknown command) goes through the top
+parser.  A bad --coeff or --field value is refused before the input is
+read.
+
 Exit codes: 0 when the command computed what it was asked; 1 when a
 verdict-style command found its verdict false or a domain precondition
 failed (reported in JSON with ok=false); 2 on input errors (syntax,
@@ -26,8 +33,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .algcohom import (HochschildComplex, NoSemiNormedBasis,
                        TriangularRequired, find_semi_normed_basis,
-                       epsilon_mu, simplicial_complex)
-from .complex import build_complex, cohomology, euler_characteristic, homology
+                       epsilon_mu, hochschild_scalars, simplicial_complex)
+from .complex import (build_complex, cohomology, euler_characteristic,
+                      homology, parse_coefficients)
 from .core import QuiverError, algebra_properties, enumerate_paths
 from .coverings import (GroupAction, NotGalois, check_covering, check_galois,
                         deck_group, lift_complex_map)
@@ -54,8 +62,10 @@ def _path_cap(text):
 
 @functools.cache
 def _build_parser():
-    # built on the first call and kept: in-process callers run main many
-    # times, and parse_args leaves the parser unchanged
+    """The top parser and its subcommand parsers by name.
+
+    Built on the first call and kept: in-process callers run main many
+    times, and parsing leaves the parsers unchanged."""
     top = argparse.ArgumentParser(
         prog="bqtop",
         description="classifying spaces, fundamental groups and"
@@ -120,7 +130,29 @@ def _build_parser():
     common(p)
     p.add_argument("--skeleton", action="store_true",
                    help="export the complex 1-skeleton instead")
-    return top
+    return top, sub.choices
+
+
+def _parse_argv(argv):
+    """The namespace `parse_args` gives for argv, in one argparse pass.
+
+    The top parser hands every word after a subcommand to that
+    subcommand's parser and reports what it leaves over, so that parser
+    is called directly.  Everything else goes through the top parser: no
+    words, an unknown command, and a word starting "--=" or "-=".  The
+    top parser reads every word against its own options first, and may
+    take such a word for an abbreviation of several of -h, --help and
+    --version and refuse it as ambiguous.
+    """
+    top, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None or any(w.startswith(("--=", "-=")) for w in argv):
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        top.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def _read(path):
@@ -456,10 +488,19 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _check_scalars(args):
+    """Rejects a bad --coeff or --field value before the input is read."""
+    if args.command in ("homology", "cohomology"):
+        parse_coefficients(args.coeff)
+    elif args.command == "hochschild":
+        hochschild_scalars(args.field)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     cfg = {"path_cap": args.path_cap}
     try:
+        _check_scalars(args)
         if args.command == "dot":
             _emit(_dot(args, cfg), args.out)
             return 0

@@ -234,24 +234,32 @@ def build_complex(table, classes, max_dim=None, members=None):
                 record[j] = (j,)
                 steps[source[cid]].append(((cid,), record[j], words[j]))
 
-    @functools.cache
+    # the two helpers' memos: plain dicts, since a functools.cache wrapper
+    # made on every call costs more than it saves on small complexes
+    extended, middles = {}, {}
+
     def extensions(w):
         """((class,), (member,), composite) of each one-step extension of
         the nonzero composite w that stays nonzero; past the bound a
         composite lies in the ideal."""
-        out = []
-        word = words[w]
-        for cls, member, member_word in steps[targets[w]]:
-            if len(word) + len(member_word) <= bound:
-                c = arrow_index[word + member_word]
-                if c not in in_ideal:
-                    out.append((cls, member, c))
+        out = extended.get(w)
+        if out is None:
+            out = extended[w] = []
+            word = words[w]
+            for cls, member, member_word in steps[targets[w]]:
+                if len(word) + len(member_word) <= bound:
+                    c = arrow_index[word + member_word]
+                    if c not in in_ideal:
+                        out.append((cls, member, c))
         return out
 
-    @functools.cache
     def middle(i, j):
         """(class,) of the composite of the members i and j of a split."""
-        return (of_index[arrow_index[words[i] + words[j]]],)
+        mid = middles.get((i, j))
+        if mid is None:
+            c = arrow_index[words[i] + words[j]]
+            mid = middles[i, j] = (of_index[c],)
+        return mid
 
     keys, witnesses, faces = [list(vertices)], [None], [None]
     below = dict(zip(vertices, itertools.count()))

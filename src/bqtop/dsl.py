@@ -14,7 +14,9 @@ mapping a source quiver into a target quiver.  Group files hold one
 vmap/amap lines of that automorphism.
 
 All syntax and semantic problems raise :class:`ParseError` carrying the
-1-based ``line:column`` position of the offending token.
+1-based ``line:column`` position of the offending token.  Each line is
+split into words once; a word's column is worked out only when an error
+names it, by scanning the line's words from the left.
 """
 
 from __future__ import annotations
@@ -42,22 +44,24 @@ class ParseError(Exception):
 
 
 def _tokens(text):
-    """Per line: list of (token, line_no, col_no), comments stripped."""
-    out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        toks = []
-        at = 0
-        for tok in line.split():
-            at = line.index(tok, at)
-            toks.append((tok, ln, at + 1))
-            at += len(tok)
-        if toks:
-            out.append(toks)
-    return out
+    """(line_no, line, words) of each line with words, comments stripped."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    return [(ln, line, words) for ln, line in enumerate(lines, start=1)
+            if (words := line.split())]
 
 
-def _parse_term(tok, ln, col, sign, arrows):
+def _at(line, k):
+    """(line_no, column) of word k of a `_tokens` line, the column 1-based
+    and found by scanning the words left to right."""
+    ln, text, words = line
+    at = 0
+    for word in words[:k]:
+        at = text.index(word, at) + len(word)
+    return ln, text.index(words[k], at) + 1
+
+
+def _parse_term(line, k, sign, arrows):
+    tok = line[2][k]
     pieces = tok.split("*")
     coeff = sign
     if pieces and _COEFF.match(pieces[0]):
@@ -66,92 +70,85 @@ def _parse_term(tok, ln, col, sign, arrows):
                             else int(pieces[0]))
         except ZeroDivisionError:
             raise ParseError("coefficient %r has a zero denominator"
-                             % pieces[0], ln, col) from None
+                             % pieces[0], *_at(line, k)) from None
         pieces = pieces[1:]
     if not pieces or any(not p for p in pieces):
-        raise ParseError("malformed relation term %r" % tok, ln, col)
+        raise ParseError("malformed relation term %r" % tok, *_at(line, k))
     for name in pieces:
         if name not in arrows:
-            raise ParseError("unknown arrow %r" % name, ln, col)
+            raise ParseError("unknown arrow %r" % name, *_at(line, k))
     return pieces, coeff
 
 
 def parse(text):
     """Parse quiver text into a BoundQuiver."""
-    vertices = []
-    vset = set()
+    vertices = {}  # in first-use order
     arrows = []
     arrow_names = {}
     rel_lines = []
-
-    def add_vertex(v):
-        if v not in vset:
-            vset.add(v)
-            vertices.append(v)
-
-    for toks in _tokens(text):
-        head, ln, col = toks[0]
+    for line in _tokens(text):
+        toks = line[2]
+        head = toks[0]
         if head == "vertex":
             if len(toks) != 2:
-                raise ParseError("vertex takes exactly one id", ln, col)
-            v = toks[1][0]
-            if v in vset:
-                raise ParseError("duplicate vertex %r" % v,
-                                 toks[1][1], toks[1][2])
-            add_vertex(v)
+                raise ParseError("vertex takes exactly one id", *_at(line, 0))
+            v = toks[1]
+            if v in vertices:
+                raise ParseError("duplicate vertex %r" % v, *_at(line, 1))
+            vertices[v] = None
         elif head == "arrow":
             if len(toks) != 4:
                 raise ParseError("arrow takes name, source and target",
-                                 ln, col)
-            name = toks[1][0]
+                                 *_at(line, 0))
+            name, src, dst = toks[1:]
             if name in arrow_names:
-                raise ParseError("duplicate arrow %r" % name,
-                                 toks[1][1], toks[1][2])
-            arrow_names[name] = (toks[2][0], toks[3][0])
-            add_vertex(toks[2][0])
-            add_vertex(toks[3][0])
-            arrows.append((name, toks[2][0], toks[3][0]))
+                raise ParseError("duplicate arrow %r" % name, *_at(line, 1))
+            arrow_names[name] = (src, dst)
+            vertices.setdefault(src)
+            vertices.setdefault(dst)
+            arrows.append((name, src, dst))
         elif head == "rel":
             if len(toks) < 2:
-                raise ParseError("empty relation", ln, col)
-            rel_lines.append(toks)
+                raise ParseError("empty relation", *_at(line, 0))
+            rel_lines.append(line)
         else:
-            raise ParseError("unknown statement %r" % head, ln, col)
+            raise ParseError("unknown statement %r" % head, *_at(line, 0))
 
     relations = []
-    for toks in rel_lines:
-        _, ln, col = toks[0]
+    for line in rel_lines:
+        toks = line[2]
         terms = []
         expect_term = True
         sign = 1
-        for tok, tl, tc in toks[1:]:
+        for k in range(1, len(toks)):
             if expect_term:
-                names, coeff = _parse_term(tok, tl, tc, sign, arrow_names)
-                for k in range(len(names) - 1):
-                    if arrow_names[names[k]][1] != arrow_names[names[k + 1]][0]:
-                        raise ParseError(
-                            "path breaks between %r and %r"
-                            % (names[k], names[k + 1]), tl, tc)
+                names, coeff = _parse_term(line, k, sign, arrow_names)
+                for x, y in zip(names, names[1:]):
+                    if arrow_names[x][1] != arrow_names[y][0]:
+                        raise ParseError("path breaks between %r and %r"
+                                         % (x, y), *_at(line, k))
                 terms.append((Path(arrow_names[names[0]][0],
                                    arrow_names[names[-1]][1], tuple(names)),
                               coeff))
                 expect_term = False
             else:
+                tok = toks[k]
                 if tok == "+":
                     sign = 1
                 elif tok == "-":
                     sign = -1
                 else:
                     raise ParseError("expected + or - between terms, got %r"
-                                     % tok, tl, tc)
+                                     % tok, *_at(line, k))
                 expect_term = True
         if expect_term:
-            raise ParseError("relation ends with a dangling sign", ln, col)
+            raise ParseError("relation ends with a dangling sign",
+                             *_at(line, 0))
         try:
             rel = RelVector.build(terms)
             rel.check_admissible_format()
         except MalformedRelation as e:
-            raise ParseError(str(e), ln, col) from None
+            raise ParseError(str(e), *_at(line, 0)) from None
         relations.append(rel)
     return BoundQuiver(vertices, arrows, relations)
 
@@ -183,20 +180,23 @@ def serialize(quiver):
 
 
 def _parse_assignments(text, kinds):
-    """Shared vmap/amap line reader; yields (kind, src, dst, ln, col)."""
-    for toks in _tokens(text):
-        head, ln, col = toks[0]
+    """Shared vmap/amap line reader; yields (kind, src, dst, line), the
+    line as `_tokens` gives it."""
+    for line in _tokens(text):
+        toks = line[2]
+        head = toks[0]
         if head not in kinds:
-            raise ParseError("unknown statement %r" % head, ln, col)
+            raise ParseError("unknown statement %r" % head, *_at(line, 0))
         if head == "element":
             if len(toks) != 2:
-                raise ParseError("element takes exactly one name", ln, col)
-            yield ("element", toks[1][0], None, ln, col)
+                raise ParseError("element takes exactly one name",
+                                 *_at(line, 0))
+            yield ("element", toks[1], None, line)
             continue
-        if len(toks) != 4 or toks[2][0] != "->":
+        if len(toks) != 4 or toks[2] != "->":
             raise ParseError("%s line must read: %s <from> -> <to>"
-                             % (head, head), ln, col)
-        yield (head, toks[1][0], toks[3][0], ln, col)
+                             % (head, head), *_at(line, 0))
+        yield (head, toks[1], toks[3], line)
 
 
 def _build_morphism(source, target, vmap, amap, ln):
@@ -210,12 +210,13 @@ def parse_morphism(text, source, target):
     """Parse vmap/amap lines into a morphism from source to target."""
     vmap, amap = {}, {}
     last = 1
-    for kind, a, b, ln, col in _parse_assignments(text, ("vmap", "amap")):
+    for kind, a, b, line in _parse_assignments(text, ("vmap", "amap")):
         store = vmap if kind == "vmap" else amap
         if a in store:
-            raise ParseError("duplicate %s for %r" % (kind, a), ln, col)
+            raise ParseError("duplicate %s for %r" % (kind, a),
+                             *_at(line, 0))
         store[a] = b
-        last = ln
+        last = line[0]
     return _build_morphism(source, target, vmap, amap, last)
 
 
@@ -230,21 +231,22 @@ def parse_group(text, quiver):
             elements.append(_build_morphism(quiver, quiver, current[1],
                                             current[2], current[3]))
 
-    for kind, a, b, ln, col in _parse_assignments(
+    for kind, a, b, line in _parse_assignments(
             text, ("element", "vmap", "amap")):
         if kind == "element":
             flush()
             if a in names:
-                raise ParseError("duplicate element %r" % a, ln, col)
+                raise ParseError("duplicate element %r" % a, *_at(line, 0))
             names.add(a)
-            current = (a, {}, {}, ln)
+            current = (a, {}, {}, line[0])
             continue
         if current is None:
             raise ParseError("%s line outside an element block" % kind,
-                             ln, col)
+                             *_at(line, 0))
         store = current[1] if kind == "vmap" else current[2]
         if a in store:
-            raise ParseError("duplicate %s for %r" % (kind, a), ln, col)
+            raise ParseError("duplicate %s for %r" % (kind, a),
+                             *_at(line, 0))
         store[a] = b
     flush()
     if not elements:

@@ -155,6 +155,17 @@ that the `comm_grid` fixture and the ladder tests use.
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
+
+`column_parse`, `column_parse_morphism` and `column_parse_group` are the
+text readers as they ran before a word's column was worked out only for
+an error: `column_tokens` finds every token's column as it splits the
+line, by a left-to-right `str.index` scan, and keeps a (token, line,
+column) tuple per token.
+
+`full_parse_argv` is the command line parsed as `cli.main` parsed it
+before a subcommand's words went straight to that subcommand's parser:
+the top parser's `parse_args`, which reads every word against its own
+options and then hands the subcommand's words to its parser.
 """
 
 import collections
@@ -173,16 +184,17 @@ from bqtop import BoundQuiver, RelVector, enumerate_paths
 from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
                             SemiNormedAlgebra, SemiNormedFailure,
                             _acyclic_classes, simplicial_complex)
+from bqtop.cli import _build_parser
 from bqtop.complex import (_betti, check_faces_square_zero,
                            parse_coefficients, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
-from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
-                        PathTable, _normal_forms, _Rewriting,
-                        in_vertex_order, path_sort_key)
-from bqtop.dsl import parse
+from bqtop.core import (AdmissibilityError, MalformedRelation,
+                        NotConnectedError, Path, PathTable, _normal_forms,
+                        _Rewriting, in_vertex_order, path_sort_key)
+from bqtop.dsl import _COEFF, ParseError, _build_morphism, parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
                             _substitute, _union,
@@ -979,7 +991,8 @@ def dense_semi_normed_basis(table, classes, paths):
             product[key] = (terms[0][1], terms[0][0])
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product)
+    return SemiNormedAlgebra(table, classes, elements, product,
+                             list(map(table.position, elements)))
 
 
 def reducing_semi_normed_basis(table, paths, classes=None):
@@ -1074,7 +1087,8 @@ def reducing_semi_normed_basis(table, paths, classes=None):
                 product[(index[e1], index[e2])] = expansion.get(path)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product)
+    return SemiNormedAlgebra(table, classes, elements, product,
+                             list(map(table.position, elements)))
 
 
 def cocycle_image_degrees(sc, hc, eps):
@@ -2234,3 +2248,189 @@ def object_complex(table, classes, max_dim=None):
         n += 1
     return ObjectCellComplex(table, classes, cells, faces,
                              cut_at=max_dim if cut else None)
+
+
+# ---------------------------------------------------------------------------
+# text and argv front ends
+
+
+def column_tokens(text):
+    """Per line: list of (token, line_no, col_no), comments stripped."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        toks = []
+        at = 0
+        for tok in line.split():
+            at = line.index(tok, at)
+            toks.append((tok, ln, at + 1))
+            at += len(tok)
+        if toks:
+            out.append(toks)
+    return out
+
+
+def _column_term(tok, ln, col, sign, arrows):
+    pieces = tok.split("*")
+    coeff = sign
+    if pieces and _COEFF.match(pieces[0]):
+        try:
+            coeff = sign * (QQ.of(pieces[0]) if "/" in pieces[0]
+                            else int(pieces[0]))
+        except ZeroDivisionError:
+            raise ParseError("coefficient %r has a zero denominator"
+                             % pieces[0], ln, col) from None
+        pieces = pieces[1:]
+    if not pieces or any(not p for p in pieces):
+        raise ParseError("malformed relation term %r" % tok, ln, col)
+    for name in pieces:
+        if name not in arrows:
+            raise ParseError("unknown arrow %r" % name, ln, col)
+    return pieces, coeff
+
+
+def column_parse(text):
+    """`dsl.parse` over `column_tokens`."""
+    vertices = []
+    vset = set()
+    arrows = []
+    arrow_names = {}
+    rel_lines = []
+
+    def add_vertex(v):
+        if v not in vset:
+            vset.add(v)
+            vertices.append(v)
+
+    for toks in column_tokens(text):
+        head, ln, col = toks[0]
+        if head == "vertex":
+            if len(toks) != 2:
+                raise ParseError("vertex takes exactly one id", ln, col)
+            v = toks[1][0]
+            if v in vset:
+                raise ParseError("duplicate vertex %r" % v,
+                                 toks[1][1], toks[1][2])
+            add_vertex(v)
+        elif head == "arrow":
+            if len(toks) != 4:
+                raise ParseError("arrow takes name, source and target",
+                                 ln, col)
+            name = toks[1][0]
+            if name in arrow_names:
+                raise ParseError("duplicate arrow %r" % name,
+                                 toks[1][1], toks[1][2])
+            arrow_names[name] = (toks[2][0], toks[3][0])
+            add_vertex(toks[2][0])
+            add_vertex(toks[3][0])
+            arrows.append((name, toks[2][0], toks[3][0]))
+        elif head == "rel":
+            if len(toks) < 2:
+                raise ParseError("empty relation", ln, col)
+            rel_lines.append(toks)
+        else:
+            raise ParseError("unknown statement %r" % head, ln, col)
+
+    relations = []
+    for toks in rel_lines:
+        _, ln, col = toks[0]
+        terms = []
+        expect_term = True
+        sign = 1
+        for tok, tl, tc in toks[1:]:
+            if expect_term:
+                names, coeff = _column_term(tok, tl, tc, sign, arrow_names)
+                for k in range(len(names) - 1):
+                    if arrow_names[names[k]][1] != arrow_names[names[k + 1]][0]:
+                        raise ParseError(
+                            "path breaks between %r and %r"
+                            % (names[k], names[k + 1]), tl, tc)
+                terms.append((Path(arrow_names[names[0]][0],
+                                   arrow_names[names[-1]][1], tuple(names)),
+                              coeff))
+                expect_term = False
+            else:
+                if tok == "+":
+                    sign = 1
+                elif tok == "-":
+                    sign = -1
+                else:
+                    raise ParseError("expected + or - between terms, got %r"
+                                     % tok, tl, tc)
+                expect_term = True
+        if expect_term:
+            raise ParseError("relation ends with a dangling sign", ln, col)
+        try:
+            rel = RelVector.build(terms)
+            rel.check_admissible_format()
+        except MalformedRelation as e:
+            raise ParseError(str(e), ln, col) from None
+        relations.append(rel)
+    return BoundQuiver(vertices, arrows, relations)
+
+
+def _column_assignments(text, kinds):
+    for toks in column_tokens(text):
+        head, ln, col = toks[0]
+        if head not in kinds:
+            raise ParseError("unknown statement %r" % head, ln, col)
+        if head == "element":
+            if len(toks) != 2:
+                raise ParseError("element takes exactly one name", ln, col)
+            yield ("element", toks[1][0], None, ln, col)
+            continue
+        if len(toks) != 4 or toks[2][0] != "->":
+            raise ParseError("%s line must read: %s <from> -> <to>"
+                             % (head, head), ln, col)
+        yield (head, toks[1][0], toks[3][0], ln, col)
+
+
+def column_parse_morphism(text, source, target):
+    """`dsl.parse_morphism` over `column_tokens`."""
+    vmap, amap = {}, {}
+    last = 1
+    for kind, a, b, ln, col in _column_assignments(text, ("vmap", "amap")):
+        store = vmap if kind == "vmap" else amap
+        if a in store:
+            raise ParseError("duplicate %s for %r" % (kind, a), ln, col)
+        store[a] = b
+        last = ln
+    return _build_morphism(source, target, vmap, amap, last)
+
+
+def column_parse_group(text, quiver):
+    """`dsl.parse_group` over `column_tokens`."""
+    elements = []
+    names = set()
+    current = None
+
+    def flush():
+        if current is not None:
+            elements.append(_build_morphism(quiver, quiver, current[1],
+                                            current[2], current[3]))
+
+    for kind, a, b, ln, col in _column_assignments(
+            text, ("element", "vmap", "amap")):
+        if kind == "element":
+            flush()
+            if a in names:
+                raise ParseError("duplicate element %r" % a, ln, col)
+            names.add(a)
+            current = (a, {}, {}, ln)
+            continue
+        if current is None:
+            raise ParseError("%s line outside an element block" % kind,
+                             ln, col)
+        store = current[1] if kind == "vmap" else current[2]
+        if a in store:
+            raise ParseError("duplicate %s for %r" % (kind, a), ln, col)
+        store[a] = b
+    flush()
+    if not elements:
+        raise ParseError("group file declares no elements")
+    return elements
+
+
+def full_parse_argv(argv):
+    """The namespace of argv from the top parser's `parse_args`."""
+    return _build_parser()[0].parse_args(argv)

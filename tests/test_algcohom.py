@@ -517,7 +517,8 @@ def test_an_algebra_needs_one_element_per_class():
     assert sorted(a.members) == n.one_cell_classes()
     with pytest.raises(AssertionError, match="meets each nonzero "
                                              "non-identity class in one"):
-        SemiNormedAlgebra(t, walk_homotopy_classes(t), a.elements, a.product)
+        SemiNormedAlgebra(t, walk_homotopy_classes(t), a.elements, a.product,
+                          list(map(t.position, a.elements)))
 
 
 def test_position_checks_catch_a_perturbed_phi_position():

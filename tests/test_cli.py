@@ -5,19 +5,22 @@ import contextlib
 import io
 import json
 import pathlib
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from bqtop import coverings
+from bqtop import cli, coverings
 from bqtop.cli import _report_text, main
 from bqtop.complex import build_complex
 from bqtop.core import enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
+from oracles import full_parse_argv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -679,3 +682,128 @@ def test_sharp_homology_of_a_quiver_without_vertices(no_vertex_quiver):
     assert json.loads(out)["result"] == {
         "coefficients": "Z", "counts": [0], "groups": {"H0": [0, []]}}
     assert run_cli(["homology", no_vertex_quiver]) == (code, out, err)
+
+
+RP2_COVER = ["corpus/rp2.bq", "corpus/rp2_cover.bq", "corpus/rp2_morphism.map"]
+
+ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["--ver"], ["--version", "check"],
+    ["nope"], ["nope", "corpus/ex1.bq"], ["-x", "check", "corpus/ex1.bq"],
+    ["--", "check", "corpus/ex1.bq"], ["--path-cap", "3", "check"],
+    ["check"], ["check", "corpus/ex1.bq"], ["check", "-h"],
+    ["check", "corpus/ex1.bq", "--help"], ["check", "corpus/ex1.bq", "-h"],
+    ["check", "corpus/ex1.bq", "--version"],
+    ["check", "corpus/ex1.bq", "--ver"],
+    ["check", "corpus/ex1.bq", "extra"],
+    ["check", "corpus/ex1.bq", "extra", "more", "--nope"],
+    ["check", "--", "corpus/ex1.bq"], ["check", "corpus/ex1.bq", "--"],
+    ["check", "--", "corpus/ex1.bq", "--out"],
+    ["check", "corpus/ex1.bq", "--=x"], ["check", "--", "--=x"],
+    ["check", "corpus/ex1.bq", "-=x"], ["check", "-=", "corpus/ex1.bq"],
+    ["check", "--path-cap", "9", "corpus/rp2_cover.bq"],
+    ["check", "--path-cap=9", "corpus/rp2_cover.bq"],
+    ["check", "--path-cap", "1", "corpus/ex1.bq"],
+    ["check", "--path", "x", "corpus/ex1.bq"],
+    ["check", "--path-cap"], ["check", "corpus/missing.bq"],
+    ["cells", "--sharp", "--max-dim", "1", "corpus/ex1.bq"],
+    ["cells", "--max-dim", "x", "corpus/ex1.bq"],
+    ["cells", "--max", "1", "corpus/ex1.bq", "--sh"],
+    ["homology", "corpus/rp2.bq", "--coeff", "Zmod:4"],
+    ["homology", "corpus/rp2.bq", "--coe", "Fp:2", "--sharp"],
+    ["homology", "corpus/rp2.bq", "--coe", "Fp:2", "--ver"],
+    ["homology", "corpus/rp2.bq", "--coeff", "Fp:4"],
+    ["homology", "corpus/rp2.bq", "--coeff"],
+    ["cohomology", "--coeff=Q", "corpus/rp2.bq"],
+    ["pi1", "--simplify", "--abelianization", "corpus/vk.bq"],
+    ["pi1", "--base", "3", "--simp", "corpus/vk.bq"],
+    ["vankampen", "corpus/vk.bq", "--v1", "2", "3", "4", "5", "6",
+     "--v2", "1", "2", "3"],
+    ["vankampen", "corpus/vk.bq", "--v1", "2"],
+    ["simplicial", "corpus/pres1.bq"], ["simplicial", "corpus/nosn.bq"],
+    ["compare", "corpus/hhgap.bq"],
+    ["hochschild", "--field", "Fp:5", "corpus/hhgap.bq"],
+    ["hochschild", "--fie", "Zmod:4", "corpus/hhgap.bq"],
+    ["cover"], ["cover", "check"], ["cover", "check", *RP2_COVER],
+    ["cover", "verify", *RP2_COVER],
+    ["cover", "verify", *RP2_COVER, "--galois", "corpus/rp2_group.grp"],
+    ["cover", "verify", *RP2_COVER, "--gal"],
+    ["dot", "corpus/ex1.bq"], ["dot", "--skel", "corpus/rp2.bq"],
+    ["dot", "--skeleton", "--skeleton", "corpus/rp2.bq", "-h"],
+]
+
+
+def run_cli_exiting(argv):
+    """`run_cli` that also reports argparse's exits, as their code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_argv_dispatch_matches_the_full_parser(monkeypatch, tmp_path):
+    # argparse's wording changes between Python versions, so both paths
+    # run on this interpreter; --out is read back after each
+    report = tmp_path / "report.json"
+    argvs = ARGVS + [["check", "corpus/ex1.bq", "--out", str(report)],
+                     ["homology", "--out", str(report), "corpus/rp2.bq"]]
+    runs = []
+    for parse_argv in (cli._parse_argv, full_parse_argv):
+        monkeypatch.setattr(cli, "_parse_argv", parse_argv)
+        ran = []
+        for argv in argvs:
+            report.unlink(missing_ok=True)
+            got = run_cli_exiting(list(argv))
+            ran.append((got, report.read_text() if report.exists()
+                        else None))
+        runs.append(ran)
+    for argv, new, old in zip(argvs, *runs):
+        assert new == old, argv
+    codes = collections.Counter(got[0] for got, _ in runs[0])
+    assert set(codes) == {0, 1, 2}, codes
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["homology", "--coeff", "Fp:4"], "modulus 4 is not prime"),
+    (["cohomology", "--coeff", "Zmod:1"], "Zmod modulus must be >= 2"),
+    (["homology", "--coeff", "R"], "unknown coefficient system 'R'"),
+    (["hochschild", "--field", "Zmod:4"],
+     "Hochschild scalars must be Q or Fp:<p>"),
+    (["hochschild", "--field", "Fp:x"],
+     "coefficient system 'Fp:x' needs an integer modulus after 'Fp:'"),
+])
+@pytest.mark.parametrize("quiver", ["corpus/rp2.bq", "corpus/nosn.bq",
+                                    "cycle", "corpus/missing.bq"])
+def test_bad_scalars_are_rejected_before_the_input_is_read(
+        monkeypatch, tmp_path, argv, message, quiver):
+    # the value is refused before the path table is built, also where the
+    # input has a fault of its own (no semi-normed basis, an oriented
+    # cycle, no file)
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_paths called")
+
+    if quiver == "cycle":
+        quiver = tmp_path / "cycle.bq"
+        quiver.write_text(SQUARE_ZERO_CYCLE)
+    monkeypatch.setattr(cli, "enumerate_paths", refuse)
+    code, out, err = run_cli(argv + [str(quiver)])
+    assert (code, out, err) == (2, "", "bqtop: %s\n" % message)
+
+
+def test_console_entry_point_reads_sys_argv():
+    # the installed script calls main() with no argv
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-m", "bqtop.cli"]
+    done = subprocess.run(cmd + ["check", "corpus/rp2_cover.bq"], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (GOLDEN / "rp2_cover_check.json").read_text()
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: bqtop ")
+    assert done.stderr.endswith("error: the following arguments are "
+                                "required: command\n")

@@ -1,12 +1,15 @@
 """Text formats: quiver files, morphism files, group files."""
 
+import collections
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from bqtop.core import BoundQuiver
 from bqtop.dsl import ParseError, parse, parse_group, parse_morphism, serialize
+from oracles import column_parse, column_parse_group, column_parse_morphism
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -191,3 +194,93 @@ def test_parse_group_errors():
         parse_group("", q)
     with pytest.raises(ParseError):
         parse_group("element g\nelement g\n", q)
+
+
+def fuzzed(rng, text, pool):
+    """text with one to three words deleted, inserted or replaced, or a
+    line doubled, its words rejoined by random runs of spaces and tabs."""
+    lines = [raw.split() for raw in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        words = rng.choice(lines)
+        op = rng.randrange(4)
+        if op == 0 and words:
+            del words[rng.randrange(len(words))]
+        elif op == 1:
+            words.insert(rng.randint(0, len(words)), rng.choice(pool))
+        elif op == 2:
+            lines.insert(rng.randint(0, len(lines)), list(words))
+        elif words:
+            words[rng.randrange(len(words))] = rng.choice(pool)
+    gaps = [" ", "  ", "\t", " \t "]
+    return "\n".join(rng.choice(["", " ", "\t"])
+                     + "".join(w + rng.choice(gaps) for w in words)
+                     for words in lines)
+
+
+def outcome(read, *args):
+    """What a reader gives: the error's type, text and position, or the
+    value as `shown`."""
+    try:
+        value = read(*args)
+    except Exception as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None),
+                getattr(e, "col", None))
+    if isinstance(value, BoundQuiver):
+        return serialize(value)
+    return [(m.vertex_map, m.arrow_map)
+            for m in (value if isinstance(value, list) else [value])]
+
+
+ERROR_KINDS = {
+    "unknown statement": "unknown statement",
+    "takes": "arity",
+    "line must read": "arity",
+    "duplicate vertex": "duplicate vertex",
+    "duplicate arrow": "duplicate arrow",
+    "duplicate vmap": "duplicate map",
+    "unknown arrow": "unknown arrow",
+    "path breaks": "broken path",
+    "expected + or -": "bad sign",
+    "dangling sign": "dangling sign",
+    "zero denominator": "zero denominator",
+    "malformed relation term": "malformed term",
+    "outside an element block": "outside a block",
+}
+
+
+def test_fuzzed_texts_fail_as_with_columns_of_every_token():
+    # every error, and every parsed value, is the one the reader that
+    # found each token's column up front gives
+    rng = random.Random(29)
+    kinds = collections.Counter()
+
+    def compare(new, old, *args):
+        got = outcome(new, *args)
+        assert got == outcome(old, *args), args[0]
+        if isinstance(got, tuple):
+            kinds.update(kind for key, kind in ERROR_KINDS.items()
+                         if key in got[1])
+
+    for path in sorted(CORPUS.glob("*.bq")):
+        text = path.read_text()
+        names = [a.name for a in parse(text).arrows]
+        pool = sorted(set(text.split())) + [
+            "vertex", "arrow", "rel", "+", "-", "zz", "*", "1/0", "-2/3"]
+        pool += [rng.choice(["", "2*", "-1*", "1/0*", "3/4*"]) + a
+                 + rng.choice(["", "*" + rng.choice(names)])
+                 for a in names for _ in range(3)]
+        for _ in range(150):
+            compare(parse, column_parse, fuzzed(rng, text, pool))
+
+    base = parse((CORPUS / "rp2.bq").read_text())
+    cover = parse((CORPUS / "rp2_cover.bq").read_text())
+    for name, new, old, args in (
+            ("rp2_morphism.map", parse_morphism, column_parse_morphism,
+             (cover, base)),
+            ("rp2_group.grp", parse_group, column_parse_group, (cover,))):
+        text = (CORPUS / name).read_text()
+        pool = sorted(set(text.split())) + [
+            "element", "vmap", "amap", "->", "zz", "g"]
+        for _ in range(600):
+            compare(new, old, fuzzed(rng, text, pool), *args)
+    assert set(kinds) == set(ERROR_KINDS.values()), kinds
