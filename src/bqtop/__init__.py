@@ -22,9 +22,9 @@ from .homotopy import (HypothesisViolated, PathClassTable, Presentation,
                        pi1_presentation, relation_components,
                        simplify_presentation, van_kampen_pushout,
                        walk_homotopy_classes)
-from .complex import (CellComplex, FaceComplex, HomologyResult,
-                      build_complex, coboundary, cohomology, cup_product,
-                      euler_characteristic, homology, parse_coefficients)
+from .complex import (CellComplex, HomologyResult, build_complex, coboundary,
+                      cohomology, cup_product, euler_characteristic, homology,
+                      parse_coefficients)
 from .algcohom import (EpsilonMuReport, HochschildComplex,
                        NoSemiNormedBasis, PhiPsiReport, SemiNormedAlgebra,
                        SemiNormedFailure, TriangularRequired, epsilon_mu,
@@ -55,7 +55,7 @@ __all__ = [
     "van_kampen_pushout", "VanKampenResult", "SupportTooLarge",
     "HypothesisViolated",
     # the classifying complex and its (co)homology
-    "FaceComplex", "CellComplex", "build_complex", "homology", "cohomology",
+    "CellComplex", "build_complex", "homology", "cohomology",
     "euler_characteristic", "cup_product", "coboundary",
     "parse_coefficients", "HomologyResult",
     # semi-normed bases, simplicial and Hochschild cohomology

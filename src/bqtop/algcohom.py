@@ -51,8 +51,8 @@ contractions of adjacent pairs, the last face f(s_1 .. s_{n-1}) s_n),
 each given by its face tuple, its scalar and its left or right factor,
 with the face's ends read off the vertices the tuple passes through.
 
-Basis elements, like cells, are positions: element i is the path
-`SemiNormedAlgebra.elements[i]` (the identities first), and a cell is its
+A basis element is its path's table index, listed in
+`SemiNormedAlgebra.basis` (the identities first), and a cell is its
 position among the complex's keys.  The comparison maps send each basis
 vector to at most one basis vector.  phi/psi (simplicial cells vs cells
 of the classifying space) and phi-sharp (onto the total variant) do so
@@ -121,57 +121,51 @@ class SemiNormedFailure:
 
 
 class SemiNormedAlgebra:
-    """A verified semi-normed basis with its structure table; element i
-    is the path `elements[i]`, the identities first.
+    """A verified semi-normed basis with its structure table, each basis
+    element named by its table index: `basis` lists the vertex indices
+    (the identities, in vertex order) and then the other elements in
+    ascending order, `product[(i, j)]` is None or (lambda, k), and
+    `source`/`target` are the table's lists.
 
     The non-identity elements meet the nonzero non-identity classes one
     each: every nonzero path w is lambda b for a basis element b, and the
     two-term relation w - lambda b is a circuit, so it seeds w and b into
     one class; two basis elements are never proportional.  The class of
     the composite of two elements is then that of the b in s s' =
-    lambda b.  `members[cid]` is the table index of class cid's element,
-    `class_element[cid]` its position among the elements, and
-    `indices[i]` is the table index of element i.
+    lambda b.  `members[cid]` is the table index of class cid's element.
     """
 
-    def __init__(self, table, classes, elements, product, indices):
+    def __init__(self, table, classes, basis, product):
         self.table = table
         self.quiver = table.quiver
         self.classes = classes
-        self.elements = tuple(elements)
-        self.identity_index = {p.source: i for i, p
-                               in enumerate(self.elements) if p.is_stationary}
-        self.non_identity = tuple(i for i, p in enumerate(self.elements)
-                                  if not p.is_stationary)
-        # vertex -> the non-identity elements that start there, by index
+        self.basis = tuple(basis)
+        self.source, self.target = table.sources, table.targets
+        self.identity_index = self.quiver.vertex_index
+        self.non_identity = self.basis[len(self.identity_index):]
+        # vertex -> the non-identity elements that start there
         self.starting = {v: [] for v in self.quiver.vertices}
         for i in self.non_identity:
-            self.starting[self.source(i)].append(i)
+            self.starting[self.source[i]].append(i)
         self.by_pair = {}
-        for i, p in enumerate(self.elements):
-            self.by_pair.setdefault((p.source, p.target), []).append(i)
-        self.product = product   # (i, j) -> None or (lambda, k)
-        at = list(map(indices.__getitem__, self.non_identity))
-        cids = list(map(classes.class_of_index.__getitem__, at))
+        for i in self.basis:
+            self.by_pair.setdefault((self.source[i], self.target[i]),
+                                    []).append(i)
+        self.product = product
+        cids = list(map(classes.class_of_index.__getitem__,
+                        self.non_identity))
         if sorted(cids) != classes.one_cell_classes():
             raise AssertionError("a semi-normed basis meets each nonzero "
                                  "non-identity class in one element")
-        self.members = dict(zip(cids, at))
-        self.class_element = dict(zip(cids, self.non_identity))
+        self.members = dict(zip(cids, self.non_identity))
 
     @property
     def ok(self):
         return True
 
-    def source(self, i):
-        return self.elements[i].source
-
-    def target(self, i):
-        return self.elements[i].target
-
     def vertices(self, t):
         """The vertices a nonempty composable tuple passes through."""
-        return [self.source(t[0])] + [self.target(i) for i in t]
+        return [self.source[t[0]]] + [self.target[i] for i in t]
 
 
 def _acyclic_classes(table, classes):
@@ -250,34 +244,33 @@ def verify_semi_normed_basis(table, paths, classes=None):
 
     # identities come first in the table, by vertex
     nv = len(q.vertices)
+    sources, targets = table.sources, table.targets
     by_pair = {}
     for i in [*range(nv), *seen]:
-        p = table.paths[i]
-        by_pair.setdefault((p.source, p.target), []).append(i)
-    # pair -> {local pivot: row}, the slice's reduced rows in pair-local
-    # coordinates with the candidates last
+        by_pair.setdefault((sources[i], targets[i]), []).append(i)
+    # pair -> {pivot: row}, the slice's reduced rows with the candidates
+    # last
     reduced = {}
     for pair in in_vertex_order(q, table.dims):
-        cands = [table.local[i] for i in by_pair.get(pair, [])]
+        cands = by_pair.get(pair, [])
         dim = table.dims[pair]
         if len(cands) != dim:
             witnesses.append(
                 "pair (%s,%s): %d basis elements for dimension %d"
                 % (pair[0], pair[1], len(cands), dim))
             continue
-        tips = table.pivot_rows.get(pair, {})
-        if not any(k in tips for k in cands):
+        tips = table.ideal_rows.get(pair, {})
+        if not any(i in tips for i in cands):
             reduced[pair] = tips
             continue
         last = set(cands)
-        order = [k for k in range(len(table.pair_paths[pair]))
-                 if k not in last]
+        order = [i for i in table.pair_paths[pair] if i not in last]
         free = len(order)
         order += cands
-        column = {k: c for c, k in enumerate(order)}
+        column = {i: c for c, i in enumerate(order)}
         rref = {}
-        extend_rref(rref, [{column[k]: x for k, x in row.items()}
-                           for row in table.ideal_rows.get(pair, [])])
+        extend_rref(rref, [{column[i]: x for i, x in row.items()}
+                           for row in tips.values()])
         if any(c >= free for c in rref):
             witnesses.append(
                 "pair (%s,%s): images of %s are linearly dependent mod the "
@@ -289,39 +282,37 @@ def verify_semi_normed_basis(table, paths, classes=None):
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
 
-    at = [*range(nv), *sorted(seen)]
-    element = {i: k for k, i in enumerate(at)}
-    elements = [table.paths[i] for i in at]
+    basis = [*range(nv), *sorted(seen)]
+    words = table.words
     starting = {}
-    for k, p in enumerate(elements):
-        starting.setdefault(p.source, []).append((k, p))
+    for i in basis:
+        starting.setdefault(sources[i], []).append(i)
     product = {}
-    for k1, e1 in enumerate(elements):
-        for k2, e2 in starting[e1.target]:
-            key = k1, k2
-            if k1 < nv or k2 < nv:
-                product[key] = (1, k2 if k1 < nv else k1)
+    for i in basis:
+        for j in starting[targets[i]]:
+            if i < nv or j < nv:
+                product[i, j] = (1, j if i < nv else i)
                 continue
-            i = table.arrow_index.get(e1.arrows + e2.arrows)
-            if i is None:
-                product[key] = None
-            elif i in element:
-                product[key] = (1, element[i])
+            k = table.arrow_index.get(words[i] + words[j])
+            if k is None:
+                product[i, j] = None
+            elif k in seen:
+                product[i, j] = (1, k)
             else:
-                pair = e1.source, e2.target
-                k = table.local[i]
-                off = [(c, x) for c, x in reduced[pair][k].items() if c != k]
+                row = reduced[sources[i], targets[j]][k]
+                off = [(c, x) for c, x in row.items() if c != k]
                 if not off:
-                    product[key] = None
+                    product[i, j] = None
                 elif len(off) == 1:
                     c, x = off[0]
-                    product[key] = (-x, element[table.pair_paths[pair][c]])
+                    product[i, j] = (-x, c)
                 else:
                     witnesses.append("product %s * %s expands with %d basis "
-                                     "terms" % (e1, e2, len(off)))
+                                     "terms" % (table.paths[i], table.paths[j],
+                                                len(off)))
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product, at)
+    return SemiNormedAlgebra(table, classes, basis, product)
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +444,33 @@ def _check_unital_associative(a, F):
     """
     product = a.product
     for s1 in a.non_identity:
-        x, y = a.source(s1), a.target(s1)
+        x, y = a.source[s1], a.target[s1]
         if not (product[(a.identity_index[x], s1)] == (1, s1)
                 == product[(s1, a.identity_index[y])]):
             raise AssertionError(
                 "the differential squares to zero only when the identities "
-                "are units, but one of them moves %s" % a.elements[s1])
+                "are units, but one of them moves %s" % a.table.paths[s1])
         for s2 in a.starting[y]:
             left = product[(s1, s2)]
-            if left is not None and (a.source(left[1]), a.target(left[1])) \
-                    != (x, a.target(s2)):
+            if left is not None and (a.source[left[1]], a.target[left[1]]) \
+                    != (x, a.target[s2]):
+                p = a.table.paths
                 raise AssertionError(
                     "the differential squares to zero only for a graded "
-                    "product, but %s * %s lands on %s" % (
-                        a.elements[s1], a.elements[s2], a.elements[left[1]]))
-            for s3 in a.starting[a.target(s2)]:
+                    "product, but %s * %s lands on %s"
+                    % (p[s1], p[s2], p[left[1]]))
+            for s3 in a.starting[a.target[s2]]:
                 right = product[(s2, s3)]
                 lhs = left and _scaled(F, left[0],
                                        product.get((left[1], s3)))
                 rhs = right and _scaled(F, right[0],
                                         product.get((s1, right[1])))
                 if lhs != rhs:
+                    p = a.table.paths
                     raise AssertionError(
                         "the differential squares to zero only for an "
                         "associative product, but (%s * %s) * %s != "
-                        "%s * (%s * %s)" % (
-                            (a.elements[s1], a.elements[s2],
-                             a.elements[s3]) * 2))
+                        "%s * (%s * %s)" % ((p[s1], p[s2], p[s3]) * 2))
 
 
 def hochschild_scalars(field_label):
@@ -528,7 +519,8 @@ class HochschildComplex:
                     "structure constant %s of %s * %s has a denominator "
                     "divisible by p = %d: the rational semi-normed basis "
                     "does not reduce mod %d"
-                    % (step[0], a.elements[i], a.elements[j], arg, arg))
+                    % (step[0], a.table.paths[i], a.table.paths[j], arg,
+                       arg))
         _check_unital_associative(a, self.field)
         # degree-0 basis: one slot per vertex
         self.bases = [[((), a.identity_index[v]) for v in q.vertices]]
@@ -536,11 +528,11 @@ class HochschildComplex:
         while cur:
             basis = []
             for t in sorted(cur):
-                x, y = a.source(t[0]), a.target(t[-1])
+                x, y = a.source[t[0]], a.target[t[-1]]
                 for v in a.by_pair.get((x, y), []):
                     basis.append((t, v))
             self.bases.append(basis)
-            cur = [t + (j,) for t in cur for j in a.starting[a.target(t[-1])]]
+            cur = [t + (j,) for t in cur for j in a.starting[a.target[t[-1]]]]
         # pair_index[n]: (tuple, target) -> its position in degree n
         self.pair_index = [{pair: r for r, pair in enumerate(basis)}
                            for basis in self.bases]
@@ -615,7 +607,7 @@ def hochschild_cup(hc, p, f, q, g):
         return {}
     out = {}
     for t, v in hc.bases[n]:
-        vs = a.vertices(t) if t else [a.source(v)]
+        vs = a.vertices(t) if t else [a.source[v]]
         fends, gends = (vs[0], vs[p]), (vs[p], vs[n])
         total = 0
         for w1 in a.by_pair.get(fends, []):
@@ -724,7 +716,7 @@ def epsilon_mu(algebra, sc, hc):
             if n == 0:
                 t, lam, b = (), 1, a.identity_index[key]
             else:
-                t = tuple(map(a.class_element.__getitem__, key))
+                t = tuple(map(a.members.__getitem__, key))
                 lam, b = before[sc.faces[n][c][-1]]
                 step = a.product[(b, t[-1])]
                 lam, b = QQ.of(lam * step[0]), step[1]
@@ -736,7 +728,7 @@ def epsilon_mu(algebra, sc, hc):
                     "structure constant %s of %s vanishes mod p = %d, so mu "
                     "cannot invert it: the rational semi-normed basis does "
                     "not reduce mod %d"
-                    % (lam, " * ".join(str(a.elements[i]) for i in t),
+                    % (lam, " * ".join(str(a.table.paths[i]) for i in t),
                        F.p, F.p))
             eps[n].append({r: x})
             mu[n][r] = {c: F.inv(x)}

@@ -309,7 +309,7 @@ def _dispatch(args, table):
         if cmd == "simplicial":
             sc = simplicial_complex(algebra)
             res = homology(sc, "Z")
-            return ({"basis": [str(e) for e in algebra.elements],
+            return ({"basis": [str(table.paths[i]) for i in algebra.basis],
                      "counts": list(sc.counts()),
                      "SH": _groups_json(res, "SH")},
                     caveats, True)
@@ -394,23 +394,17 @@ def _cover(args, cfg):
 def _dot(args, cfg):
     quiver, table = _load(args.file, cfg)
     lines = ["digraph quiver {"]
+    lines += ['  "%s";' % v for v in quiver.vertices]
     if args.skeleton:
-        classes = _classes(table, False)
-        cx = build_complex(table, classes, max_dim=1)
-        for v in cx.keys[0]:
-            lines.append('  "%s";' % v)
-        if cx.top_dim() >= 1:
-            cl = cx.classes
-            for (cid,), w in zip(cx.keys[1], cx.witnesses[1]):
-                lines.append('  "%s" -> "%s" [label="%s"];'
-                             % (cl.class_source[cid], cl.class_target[cid],
-                                "*".join(table.words[w])))
+        # the 1-cells: one per nonzero non-identity class, its witness the
+        # least nonzero member
+        cl = _classes(table, False)
+        edges = [(cl.class_source[cid], cl.class_target[cid],
+                  "*".join(table.words[cl.rep_index[cid]]))
+                 for cid in cl.one_cell_classes()]
     else:
-        for v in quiver.vertices:
-            lines.append('  "%s";' % v)
-        for a in quiver.arrows:
-            lines.append('  "%s" -> "%s" [label="%s"];'
-                         % (a.source, a.target, a.name))
+        edges = [(a.source, a.target, a.name) for a in quiver.arrows]
+    lines += ['  "%s" -> "%s" [label="%s"];' % e for e in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -23,12 +23,11 @@ layer, and the simplicial identities are checked on whole-layer lists.
 The complex keeps a cell as its key (a vertex in dimension 0, a tuple of
 class ids above), the table index of its witness and its face row; a
 reader that writes a witness reads its arrow word off the table.
-Keys and face rows make a `FaceComplex`, and the (co)homology and cup
-product here serve every one.  The simplicial complex SC of a
-semi-normed basis is built here too: each nonzero class holds one
-basis element, so SC is the complex grown from that element of each
-class alone (`members`), its cells the class tuples whose elements
-compose to a path outside the ideal.
+The (co)homology and cup product here serve every such complex.  The
+simplicial complex SC of a semi-normed basis is built here too: each
+nonzero class holds one basis element, so SC is the complex grown from
+that element of each class alone (`members`), its cells the class
+tuples whose elements compose to a path outside the ideal.
 Boundary of boundary is checked on the face rows when the complex is
 made: where a cell's faces satisfy the simplicial identities its terms
 cancel in pairs, and only a cell where one fails has its signed sum
@@ -55,25 +54,44 @@ from dataclasses import dataclass
 from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
-    "FaceComplex", "CellComplex", "build_complex", "homology", "cohomology",
+    "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
     "HomologyResult",
 ]
 
 
-class FaceComplex:
-    """Cells by key per dimension, with the face row of each.
+class CellComplex:
+    """Graded cells, face maps and integer boundary matrices.
 
-    `keys[n][j]` is the key of n-cell j, a vertex in dimension 0, and
-    `faces[n][j]` (n >= 1) the positions (d_0, ..., d_n) of its faces
-    among the (n-1)-cells: d_0 drops the first entry, d_n the last.
-    Boundary of boundary is checked on the face rows when the complex is
-    made; the cell index and the boundary columns are built on first read.
+    The complex is kept on table ids: per dimension the cell keys (the
+    vertices in quiver order in dimension 0, the sorted class-id tuples
+    above) and, for n >= 1, the table index of each cell's witness, so
+    n-cell j is `keys[n][j]`, its witness the table's path number
+    `witnesses[n][j]`.  `faces[n][j]` (n >= 1) lists the positions
+    (d_0, ..., d_n) of its faces among the (n-1)-cells: d_0 drops the
+    first entry, d_n the last.  Boundary of boundary is checked on the
+    face rows when the complex is made; the cell index and the boundary
+    columns are built on first read.
     """
 
-    def __init__(self, keys, faces):
+    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None,
+                 members=None):
+        self.table = table
+        self.classes = classes
+        # members[cid]: the one table index class cid grew from (None: all)
+        self.members = members
+        self.variant = classes.variant
+        self.caveats = classes.caveats
+        # cut_at: the top dimension kept when cells above it were left out
+        self.cut_at = cut_at
+        if cut_at is not None:
+            self.caveats += (
+                "cells of dimension > %d were left out (the complex has "
+                "%d-cells), so the Euler characteristic is not reported"
+                % (cut_at, cut_at + 1),)
         self.keys = keys
+        self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
         self.faces = faces
         check_faces_square_zero(faces)
 
@@ -97,35 +115,6 @@ class FaceComplex:
 
     def size(self, n):
         return len(self.keys[n]) if 0 <= n <= self.top_dim() else 0
-
-
-class CellComplex(FaceComplex):
-    """Graded cells, face maps and integer boundary matrices.
-
-    The complex is kept on table ids: per dimension the cell keys (the
-    vertices in quiver order in dimension 0, the sorted class-id tuples
-    above) and, for n >= 1, the table index of each cell's witness, so
-    n-cell j is `keys[n][j]`, its witness the table's path number
-    `witnesses[n][j]`.
-    """
-
-    def __init__(self, table, classes, keys, witnesses, faces, cut_at=None,
-                 members=None):
-        self.table = table
-        self.classes = classes
-        # members[cid]: the one table index class cid grew from (None: all)
-        self.members = members
-        self.variant = classes.variant
-        self.caveats = classes.caveats
-        # cut_at: the top dimension kept when cells above it were left out
-        self.cut_at = cut_at
-        if cut_at is not None:
-            self.caveats += (
-                "cells of dimension > %d were left out (the complex has "
-                "%d-cells), so the Euler characteristic is not reported"
-                % (cut_at, cut_at + 1),)
-        self.witnesses = witnesses  # witnesses[n][j]: table index, n >= 1
-        super().__init__(keys, faces)
 
     def boundary(self, n):
         """delta_n as a dense integer matrix (rows C_{n-1}, cols C_n)."""

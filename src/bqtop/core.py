@@ -28,8 +28,8 @@ The rules then reduce exactly modulo I on the paths of length <= L (see
 `enumerate_paths` for why).  The bound reported is the least L >= 2
 whose paths all reduce to 0, and each pair's ideal slice has the
 reduced basis p - NF(p) over the reducible paths p of length <= L:
-sparse rows {local index: rational}, each with a 1 at its pivot p, its
-greatest local index, in ascending pivot order.  Like every coefficient
+sparse rows {table index: rational}, each with a 1 at its pivot p, its
+greatest index, kept by pivot in ascending order.  Like every coefficient
 here, a rational is an int unless its denominator is not 1, when it is
 a Fraction (see `linalg`).
 """
@@ -114,8 +114,9 @@ class RelVector:
         """terms: iterable of (path, coefficient). Validates parallelism."""
         agg = {}
         for path, coeff in terms:
-            agg[path] = agg.get(path, 0) + QQ.of(coeff)
-        clean = [(p, QQ.of(c)) for p, c in agg.items() if c != 0]
+            c = QQ.of(coeff)
+            agg[path] = QQ.of(agg[path] + c) if path in agg else c
+        clean = [(p, c) for p, c in agg.items() if c != 0]
         if not clean:
             raise MalformedRelation("relation vector is zero")
         src = clean[0][0].source
@@ -271,12 +272,11 @@ class PathTable:
             is its position here (see `position`)
         arrow_index: arrow names -> position, paths of length >= 1 only
         pair_paths: (x, y) -> list of positions
-        local: position -> position in its pair's list
-        ideal_rows: (x, y) -> reduced basis of I(x, y) in pair-local
-            coordinates, one row p - NF(p) per reducible path p: sparse
-            rows {local index: rational}, each with a 1 at its pivot p
-            (its greatest index, the tip) and its other entries at
-            normal paths, in ascending pivot order
+        ideal_rows: (x, y) -> reduced basis of I(x, y), one row p - NF(p)
+            per reducible path p, as {p: row} in ascending order of p:
+            sparse rows {position: rational}, each with a 1 at its pivot
+            p (its greatest position, the tip) and its other entries at
+            normal paths
         in_ideal: set of positions of member paths
         dims: (x, y) -> dim e_x A e_y
     """
@@ -295,11 +295,9 @@ class PathTable:
         # the arrows of a path of length >= 1 determine it
         self.arrow_index = dict(zip(rest, itertools.count(nv)))
         pairs = list(zip(self.sources, self.targets))
-        pair_paths, local = {}, []
+        pair_paths = {}
         for i, pair in enumerate(pairs):
-            idxs = pair_paths.setdefault(pair, [])
-            local.append(len(idxs))
-            idxs.append(i)
+            pair_paths.setdefault(pair, []).append(i)
         # nf lists the reducible words of the table in table order, so
         # each pair's rows come in ascending pivot order; a normal form
         # holds words of the table that precede its own
@@ -307,13 +305,13 @@ class PathTable:
         rows, in_ideal = {}, set()
         for i, f in zip(map(at.__getitem__, nf), nf.values()):
             if f:
-                row = {local[at[z]]: -c for z, c in f.items()}
-                row[local[i]] = 1
+                row = {at[z]: -c for z, c in f.items()}
+                row[i] = 1
             else:
-                row = {local[i]: 1}
+                row = {i: 1}
                 in_ideal.add(i)
-            rows.setdefault(pairs[i], []).append(row)
-        self.pair_paths, self.local = pair_paths, local
+            rows.setdefault(pairs[i], {})[i] = row
+        self.pair_paths = pair_paths
         self.ideal_rows, self.in_ideal = rows, in_ideal
         self.dims = {pair: len(idxs) - len(rows.get(pair, ()))
                      for pair, idxs in pair_paths.items()}
@@ -347,9 +345,9 @@ class PathTable:
         pair, = pairs
         vec = {}
         for p, c in kept:
-            k = self.local[self._locate(p)]
+            k = self._locate(p)
             vec[k] = vec.get(k, 0) + c
-        rows = self.pivot_rows.get(pair, {})
+        rows = self.ideal_rows.get(pair, {})
         for c in [k for k in vec if k in rows]:
             f = vec[c]
             for k, x in rows[c].items():
@@ -374,13 +372,6 @@ class PathTable:
             self.quiver._check_path(p)  # diagnose: invalid vs just absent
             raise QuiverError("path %s exceeds table bound" % p)
         return i
-
-    @functools.cached_property
-    def pivot_rows(self):
-        """(x, y) -> {pivot: row} over `ideal_rows`, the pivot being the
-        row's greatest index, its tip."""
-        return {pair: {max(row): row for row in rows}
-                for pair, rows in self.ideal_rows.items()}
 
     def path_in_ideal(self, p):
         """Whether the path p lies in the ideal; QuiverError when p is not
@@ -575,8 +566,6 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     are unique: a path lies in I exactly when it reduces to 0.  The bound
     is the least L' >= 2 whose paths all have normal form 0.
     """
-    for rel in quiver.relations:
-        rel.check_admissible_format()
     acyclic = quiver.is_acyclic()
     rules = _Rewriting(quiver)
     rules.add({p.arrows: c for p, c in rel.terms}

@@ -104,12 +104,14 @@ def is_minimal_relation(table, terms, cap=MINIMALITY_CHECK_CAP):
 
 
 def _pair_vectors_supported_in(table, pair, allowed_local):
-    """Basis of {v in I(x,y) : support(v) within allowed local coords}."""
-    rows = table.ideal_rows.get(pair, [])
+    """Basis of {v in I(x,y) : support(v) within allowed local coords},
+    as dense vectors whose coordinates follow `pair_paths[pair]`."""
+    rows = table.ideal_rows.get(pair)
     if not rows:
         return []
-    ncols = len(table.pair_paths[pair])
-    rows = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    idxs = table.pair_paths[pair]
+    ncols = len(idxs)
+    rows = [[row.get(i, 0) for i in idxs] for row in rows.values()]
     forbidden = [j for j in range(ncols) if j not in allowed_local]
     if not forbidden:
         return rows
@@ -241,29 +243,26 @@ def relation_components(table):
 
     Returns the components with at least two paths as ascending lists of
     table indices.  Pairs follow the vertex order and the components of
-    one pair are ordered by (size, local indices), the order in which
+    one pair are ordered by (size, indices), the order in which
     `minimal_relation_supports` emits single-circuit supports.
     """
     groups = []
     linked = {}
     for pair, rows in table.ideal_rows.items():
-        rows = [row for row in rows if len(row) > 1]
+        rows = [(tip, row) for tip, row in rows.items() if len(row) > 1]
         if rows:
             linked[pair] = rows
     for pair in in_vertex_order(table.quiver, linked):
-        rows = linked[pair]
         idxs = table.pair_paths[pair]
-        parent = list(range(len(idxs)))
-        for row in rows:
-            pivot = max(row)
+        parent = dict(zip(idxs, idxs))
+        for tip, row in linked[pair]:
             for k in row:
-                _union(parent, pivot, k)
+                _union(parent, tip, k)
         comps = {}
-        for k in range(len(idxs)):
+        for k in idxs:
             comps.setdefault(_find(parent, k), []).append(k)
-        for comp in sorted((c for c in comps.values() if len(c) >= 2),
-                           key=lambda c: (len(c), c)):
-            groups.append([idxs[k] for k in comp])
+        groups += sorted((c for c in comps.values() if len(c) >= 2),
+                         key=lambda c: (len(c), c))
     return groups
 
 

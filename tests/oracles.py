@@ -166,6 +166,19 @@ column) tuple per token.
 before a subcommand's words went straight to that subcommand's parser:
 the top parser's `parse_args`, which reads every word against its own
 options and then hands the subcommand's words to its parser.
+
+`complex_skeleton_dot` is `dot --skeleton` as it was written before it
+read the 1-cells off the classes: the natural complex built up to
+dimension 1, and an edge per 1-cell labelled by its witness.
+
+The library names a path by its table index, in the ideal rows and in
+the semi-normed basis alike.  Oracles that work in pair-local positions
+(a path's place in its pair's `pair_paths` list) or in element
+positions (a basis path's place among the identities and then the
+sorted basis paths) are compared through that relabelling:
+`local_rows` and `indexed_rows` translate rows each way through
+`pair_paths`, and `relabelled_algebra` a structure table through the
+basis paths' table indices.
 """
 
 import collections
@@ -185,7 +198,7 @@ from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
                             SemiNormedAlgebra, SemiNormedFailure,
                             _acyclic_classes, simplicial_complex)
 from bqtop.cli import _build_parser
-from bqtop.complex import (_betti, check_faces_square_zero,
+from bqtop.complex import (_betti, build_complex, check_faces_square_zero,
                            parse_coefficients, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
@@ -198,7 +211,8 @@ from bqtop.dsl import _COEFF, ParseError, _build_morphism, parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
                             _substitute, _union,
-                            _word_inverse, free_reduce, pi1_presentation,
+                            _word_inverse, free_reduce,
+                            natural_homotopy_classes, pi1_presentation,
                             relation_components)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
                           sparse_rref)
@@ -476,7 +490,7 @@ def lengthwise_path_table(quiver, cap=12):
     paths = [p for bucket in by_len[:L + 1] for p in bucket]
     paths.sort(key=lambda p: path_sort_key(quiver, p))
     return ObjectPathTable(quiver, L, paths,
-                           {pair: [b[c] for c in sorted(b)]
+                           {pair: dict(sorted(b.items()))
                             for pair, b in basis.items() if b})
 
 
@@ -486,27 +500,47 @@ def _next_paths(quiver, bucket):
             for p in bucket for a in quiver.arrows_from[p.target]]
 
 
+def local_rows(table):
+    """Each pair's ideal rows in the coordinates of the oracles' slices:
+    a list in ascending pivot order, each row keyed by the positions of
+    its paths in the pair's `pair_paths` list."""
+    out = {}
+    for pair, rows in table.ideal_rows.items():
+        local = {i: k for k, i in enumerate(table.pair_paths[pair])}
+        out[pair] = [{local[i]: x for i, x in row.items()}
+                     for row in rows.values()]
+    return out
+
+
+def indexed_rows(pair_paths, rows):
+    """Rows {pair: {pivot: row}} in the positions of each pair's
+    `pair_paths` list, relabelled to the table indices there."""
+    out = {}
+    for pair, pivoted in rows.items():
+        idxs = pair_paths[pair]
+        out[pair] = {idxs[c]: {idxs[k]: x for k, x in row.items()}
+                     for c, row in pivoted.items()}
+    return out
+
+
 class ObjectPathTable(PathTable):
     """The path table over a list of `Path` objects, numbered by walking
-    it, as the library built it before it kept arrow words and ends."""
+    it, as the library built it before it kept arrow words and ends; its
+    rows {pair: {pivot: row}} come in pair-local positions."""
 
     def __init__(self, quiver, bound, paths, ideal_rows):
         self.quiver = quiver
         self.bound = bound
         self.paths = paths
         self.pair_paths = {}
-        self.local = []
         for i, p in enumerate(paths):
-            idxs = self.pair_paths.setdefault((p.source, p.target), [])
-            self.local.append(len(idxs))
-            idxs.append(i)
-        self.ideal_rows = ideal_rows
+            self.pair_paths.setdefault((p.source, p.target), []).append(i)
+        self.ideal_rows = indexed_rows(self.pair_paths, ideal_rows)
         # no row has an entry at another row's pivot, so a combination of
         # rows has the coefficient of row i at row i's pivot, and a path's
         # unit vector is in the span exactly when it is one of the rows
-        self.in_ideal = {self.pair_paths[pair][k]
-                         for pair, rows in ideal_rows.items()
-                         for row in rows if len(row) == 1 for k in row}
+        self.in_ideal = {c for rows in self.ideal_rows.values()
+                         for c, row in rows.items() if len(row) == 1}
         self.dims = {pair: len(idxs) - len(ideal_rows.get(pair, ()))
                      for pair, idxs in self.pair_paths.items()}
         # the views the library's readers take
@@ -531,28 +565,24 @@ class PerPathTable(PathTable):
         target = {a.name: a.target for a in quiver.arrows}
         self.sources = list(quiver.vertices) + [source[w[0]] for w in rest]
         self.targets = list(quiver.vertices) + [target[w[-1]] for w in rest]
-        pair_paths, local, rows, in_ideal, later = {}, [], {}, set(), []
+        pair_paths, rows, in_ideal, later = {}, {}, set(), []
         for i, pair in enumerate(zip(self.sources, self.targets)):
-            idxs = pair_paths.setdefault(pair, [])
-            k = len(idxs)
-            local.append(k)
-            idxs.append(i)
+            pair_paths.setdefault(pair, []).append(i)
             f = nf.get(words[i])
             if f is None:
                 continue
-            row = {} if f else {k: 1}
-            rows.setdefault(pair, []).append(row)
+            row = rows.setdefault(pair, {})[i] = {} if f else {i: 1}
             if f:
-                later.append((row, f, k))
+                later.append((row, f, i))
             else:
                 in_ideal.add(i)
         if later:
-            at = dict(zip(words, local))
-            for row, f, k in later:
+            at = {w: i for i, w in enumerate(words)}
+            for row, f, i in later:
                 for w, c in f.items():
                     row[at[w]] = -c
-                row[k] = 1
-        self.pair_paths, self.local = pair_paths, local
+                row[i] = 1
+        self.pair_paths = pair_paths
         self.ideal_rows, self.in_ideal = rows, in_ideal
         self.dims = {pair: len(idxs) - len(rows.get(pair, ()))
                      for pair, idxs in pair_paths.items()}
@@ -647,10 +677,7 @@ def object_path_table(quiver, cap=12):
             if f is not None:
                 row = {local[w]: -c for w, c in f.items()} if f else {}
                 row[k] = 1
-                if pair in rows:
-                    rows[pair].append(row)
-                else:
-                    rows[pair] = [row]
+                rows.setdefault(pair, {})[k] = row
     paths = [p for bucket in by_len[:bound + 1] for p in bucket]
     return ObjectPathTable(quiver, bound, paths, rows)
 
@@ -911,6 +938,16 @@ class FoundPathClassTable(PathClassTable):
         self.class_nonzero = [i not in in_ideal for i in self.rep_index]
 
 
+def relabelled_algebra(table, classes, elements, product):
+    """The algebra of the basis paths `elements` (the identities first)
+    whose structure table is keyed by their positions there, relabelled
+    to the table indices that `SemiNormedAlgebra` takes."""
+    at = list(map(table.position, elements))
+    return SemiNormedAlgebra(table, classes, at, {
+        (at[i], at[j]): None if step is None else (step[0], at[step[1]])
+        for (i, j), step in product.items()})
+
+
 def dense_semi_normed_basis(table, classes, paths):
     """The algebra, or the failure with its witnesses, that the dense
     verifier gives for nonzero, distinct basis paths holding every arrow
@@ -924,10 +961,11 @@ def dense_semi_normed_basis(table, classes, paths):
         by_pair.setdefault((p.source, p.target), []).append(p)
 
     index = {p: i for i, p in enumerate(table.paths)}
+    rows = local_rows(table)
 
     def unit(pair, path):
         vec = [Fraction(0)] * len(table.pair_paths[pair])
-        vec[table.local[index[path]]] = Fraction(1)
+        vec[table.pair_paths[pair].index(index[path])] = Fraction(1)
         return vec
 
     for pair in sorted(set(table.dims) | set(by_pair),
@@ -940,8 +978,7 @@ def dense_semi_normed_basis(table, classes, paths):
                 "pair (%s,%s): %d basis elements for dimension %d"
                 % (pair[0], pair[1], len(cands), dim))
         elif cands:
-            vecs = table.ideal_rows.get(pair, []) + [unit(pair, p)
-                                                      for p in cands]
+            vecs = rows.get(pair, []) + [unit(pair, p) for p in cands]
             if rank(vecs, QQ) != len(vecs):
                 witnesses.append(
                     "pair (%s,%s): images of %s are linearly dependent mod "
@@ -962,7 +999,7 @@ def dense_semi_normed_basis(table, classes, paths):
         cols = [unit(pair, elements[i]) for i in idxs]
         cols += [[row.get(k, Fraction(0))
                   for k in range(len(table.pair_paths[pair]))]
-                 for row in table.ideal_rows.get(pair, [])]
+                 for row in rows.get(pair, [])]
         target = unit(pair, path)
         aug = [[col[i] for col in cols] + [target[i]]
                for i in range(len(target))]
@@ -991,8 +1028,7 @@ def dense_semi_normed_basis(table, classes, paths):
             product[key] = (terms[0][1], terms[0][0])
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product,
-                             list(map(table.position, elements)))
+    return relabelled_algebra(table, classes, elements, product)
 
 
 def reducing_semi_normed_basis(table, paths, classes=None):
@@ -1052,10 +1088,11 @@ def reducing_semi_normed_basis(table, paths, classes=None):
                  if table.paths[i] not in last]
         free = len(order)
         order += cands
-        at = {table.local[position[p]]: k for k, p in enumerate(order)}
+        at = {position[p]: k for k, p in enumerate(order)}
         reduced = {}
         extend_rref(reduced, [{at[i]: x for i, x in row.items()}
-                              for row in table.ideal_rows.get(pair, [])])
+                              for row in table.ideal_rows.get(pair,
+                                                              {}).values()])
         if any(c >= free for c in reduced):
             witnesses.append(
                 "pair (%s,%s): images of %s are linearly dependent mod the "
@@ -1087,8 +1124,7 @@ def reducing_semi_normed_basis(table, paths, classes=None):
                 product[(index[e1], index[e2])] = expansion.get(path)
     if witnesses:
         return SemiNormedFailure(tuple(witnesses), classes)
-    return SemiNormedAlgebra(table, classes, elements, product,
-                             list(map(table.position, elements)))
+    return relabelled_algebra(table, classes, elements, product)
 
 
 def cocycle_image_degrees(sc, hc, eps):
@@ -1226,9 +1262,10 @@ def elt_of_class(algebra, classes, cid):
     meets each class exactly once).
     """
     rep = classes.class_rep[cid]
-    if rep in algebra.elements:
-        return algebra.elements.index(rep)
-    return algebra.class_element[algebra.classes.class_of(rep)]
+    i = algebra.table.position(rep)
+    if i in algebra.basis:
+        return i
+    return algebra.members[algebra.classes.class_of(rep)]
 
 
 def column_phi_psi_maps(algebra, cx_natural, cx_total):
@@ -1246,15 +1283,15 @@ def column_phi_psi_maps(algebra, cx_natural, cx_total):
     top = max(sc.top_dim(), nat.top_dim(), tot.top_dim())
     for n in range(top + 1):
         # SC's cells as the tuples of their classes' elements
-        tuples = [t if n == 0 else tuple(map(a.class_element.__getitem__, t))
+        tuples = [t if n == 0 else tuple(map(a.members.__getitem__, t))
                   for t in (sc.keys[n] if n <= sc.top_dim() else [])]
         phi[n], sharp[n] = [], []
         for t in tuples:
             if n == 0:
                 key = skey = t
             else:
-                key = tuple(a.classes.class_of(a.elements[i]) for i in t)
-                skey = tuple(wcl.class_of(a.elements[i]) for i in t)
+                key = tuple(a.classes.class_of(a.table.paths[i]) for i in t)
+                skey = tuple(wcl.class_of(a.table.paths[i]) for i in t)
             r = nat.cell_index.get((n, key))
             phi[n].append({} if r is None else {r: 1})
             sr = tot.cell_index.get((n, skey))
@@ -1390,13 +1427,13 @@ def walked_simplicial(a):
     while layer:
         tuples.append(sorted(layer))
         layer = [t + (j,) for t in layer for j in a.non_identity
-                 if a.target(t[-1]) == a.source(j)
+                 if a.target[t[-1]] == a.source[j]
                  and folded_product(a, t + (j,)) is not None]
     columns = {}
     vx = {v: i for i, v in enumerate(q.vertices)}
     if len(tuples) > 1:
-        columns[1] = [sparse_column([(vx[a.target(i)], 1),
-                                     (vx[a.source(i)], -1)])
+        columns[1] = [sparse_column([(vx[a.target[i]], 1),
+                                     (vx[a.source[i]], -1)])
                       for (i,) in tuples[1]]
     for n in range(2, len(tuples)):
         low = {t: r for r, t in enumerate(tuples[n - 1])}
@@ -1432,11 +1469,11 @@ def _three_block_rows(a, F, lower, upper):
     for t in sorted({t for t, _ in upper}):
         rest = t[1:]
         if rest:
-            ends = (a.source(rest[0]), a.target(rest[-1]))
+            ends = (a.source[rest[0]], a.target[rest[-1]])
         else:
-            ends = (a.target(t[0]),) * 2
+            ends = (a.target[t[0]],) * 2
         for w in a.by_pair.get(ends, []):
-            if rest == () and not a.elements[w].is_stationary:
+            if rest == () and a.table.words[w]:
                 continue
             c = col.get((rest, w))
             if c is None:
@@ -1449,17 +1486,17 @@ def _three_block_rows(a, F, lower, upper):
             if step is None:
                 continue
             contracted = t[:j - 1] + (step[1],) + t[j + 1:]
-            for w in a.by_pair.get((a.source(t[0]), a.target(t[-1])), []):
+            for w in a.by_pair.get((a.source[t[0]], a.target[t[-1]]), []):
                 c = col.get((contracted, w))
                 if c is not None:
                     add(row[(t, w)], c, (-1) ** j * step[0])
         front = t[:-1]
         if front:
-            ends = (a.source(front[0]), a.target(front[-1]))
+            ends = (a.source[front[0]], a.target[front[-1]])
         else:
-            ends = (a.source(t[0]),) * 2
+            ends = (a.source[t[0]],) * 2
         for w in a.by_pair.get(ends, []):
-            if front == () and not a.elements[w].is_stationary:
+            if front == () and a.table.words[w]:
                 continue
             c = col.get((front, w))
             if c is None:
@@ -1483,15 +1520,15 @@ def walked_hochschild(a, field_label):
                 "structure constant %s of %s * %s has a denominator "
                 "divisible by p = %d: the rational semi-normed basis "
                 "does not reduce mod %d"
-                % (step[0], a.elements[i], a.elements[j], p, p))
+                % (step[0], a.table.paths[i], a.table.paths[j], p, p))
     bases = [[((), a.identity_index[v]) for v in a.quiver.vertices]]
     cur = [(i,) for i in a.non_identity]
     while cur:
         bases.append([(t, v) for t in sorted(cur)
-                      for v in a.by_pair.get((a.source(t[0]),
-                                              a.target(t[-1])), [])])
+                      for v in a.by_pair.get((a.source[t[0]],
+                                              a.target[t[-1]]), [])])
         cur = [t + (j,) for t in cur for j in a.non_identity
-               if a.target(t[-1]) == a.source(j)]
+               if a.target[t[-1]] == a.source[j]]
     columns = {n: _three_block_rows(a, F, bases[n - 1], bases[n])
                for n in range(1, len(bases))}
     return F, bases, columns
@@ -1520,7 +1557,7 @@ def folded_epsilon_mu(a, tuples, bases, F):
                     "structure constant %s of %s vanishes mod p = %d, so mu "
                     "cannot invert it: the rational semi-normed basis does "
                     "not reduce mod %d"
-                    % (lam, " * ".join(str(a.elements[i]) for i in t),
+                    % (lam, " * ".join(str(a.table.paths[i]) for i in t),
                        F.p, F.p))
             eps[n].append({r: x})
             mu[n][r] = {c: F.inv(x)}
@@ -1539,10 +1576,9 @@ def bound_full_subquiver(table, verts):
     rels = []
     for pair in in_vertex_order(q, table.ideal_rows):
         if pair[0] in vset and pair[1] in vset:
-            idxs = table.pair_paths[pair]
-            rels += [RelVector.build([(table.paths[idxs[k]], c)
-                                      for k, c in row.items()])
-                     for row in table.ideal_rows[pair]]
+            rels += [RelVector.build([(table.paths[i], c)
+                                      for i, c in row.items()])
+                     for row in table.ideal_rows[pair].values()]
     vertices = [v for v in q.vertices if v in vset]
     arrows = [a for a in q.arrows if a.source in vset and a.target in vset]
     return BoundQuiver(vertices, arrows, rels)
@@ -2434,3 +2470,20 @@ def column_parse_group(text, quiver):
 def full_parse_argv(argv):
     """The namespace of argv from the top parser's `parse_args`."""
     return _build_parser()[0].parse_args(argv)
+
+
+def complex_skeleton_dot(table):
+    """The DOT text of the 1-skeleton of the natural complex, read off
+    `build_complex(..., max_dim=1)`: its vertices, then an edge per
+    1-cell labelled by the arrow names of its witness."""
+    cx = build_complex(table, natural_homotopy_classes(table), max_dim=1)
+    lines = ["digraph quiver {"]
+    lines += ['  "%s";' % v for v in cx.keys[0]]
+    if cx.top_dim() >= 1:
+        cl = cx.classes
+        for (cid,), w in zip(cx.keys[1], cx.witnesses[1]):
+            lines.append('  "%s" -> "%s" [label="%s"];'
+                         % (cl.class_source[cid], cl.class_target[cid],
+                            "*".join(table.words[w])))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

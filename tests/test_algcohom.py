@@ -28,7 +28,14 @@ def setup(vertices, arrows, rels=()):
 
 
 def elt_strs(alg, idxs):
-    return tuple(str(alg.elements[i]) for i in idxs)
+    return tuple(str(alg.table.paths[i]) for i in idxs)
+
+
+def elt(alg, path):
+    """The basis element of `alg` at a path, which must be one."""
+    i = alg.table.position(path)
+    assert i in alg.basis
+    return i
 
 
 def test_pres1_basis_and_sh():
@@ -38,12 +45,12 @@ def test_pres1_basis_and_sh():
                  [[(["beta", "alpha"], 1)]])
     a = find_semi_normed_basis(t, n)
     assert a.ok
-    assert sorted(str(e) for e in a.elements) == sorted(
+    assert sorted(elt_strs(a, a.basis)) == sorted(
         ["e_1", "e_2", "e_3", "alpha", "beta", "gamma", "gamma*alpha"])
     s = simplicial_complex(a)
     assert s.counts() == [3, 4, 1]
     # SC's keys are class tuples, each class holding one element
-    assert [elt_strs(a, map(a.class_element.__getitem__, key))
+    assert [elt_strs(a, map(a.members.__getitem__, key))
             for key in s.keys[2]] == [("gamma", "alpha")]
     assert homology(s, "Z").groups == ((1, ()), (1, ()), (0, ()))
 
@@ -55,7 +62,7 @@ def test_pres2_basis_and_sh():
                  [[(["beta", "alpha"], 1), (["gamma", "alpha"], -1)]])
     a = find_semi_normed_basis(t, n)
     assert a.ok
-    assert sorted(str(e) for e in a.elements) == sorted(
+    assert sorted(elt_strs(a, a.basis)) == sorted(
         ["e_1", "e_2", "e_3", "alpha", "beta", "gamma", "beta*alpha"])
     s = simplicial_complex(a)
     assert s.counts() == [3, 4, 2]
@@ -80,9 +87,8 @@ def test_non_unit_structure_constants_in_both_directions():
     q = t.quiver
 
     def times(alg, x, y):
-        lam, k = alg.product[(alg.elements.index(q.path([x])),
-                              alg.elements.index(q.path([y])))]
-        return lam, str(alg.elements[k])
+        lam, k = alg.product[(elt(alg, q.path([x])), elt(alg, q.path([y])))]
+        return lam, str(t.paths[k])
 
     found = find_semi_normed_basis(t, n)
     assert found.ok
@@ -357,8 +363,8 @@ def test_corrupted_sc_differential_fails_the_check():
     alg = find_semi_normed_basis(t, classes)
     sc = simplicial_complex(alg)
     q = t.quiver
-    i = alg.elements.index(q.path(["a"]))
-    j = alg.elements.index(q.path(["b"]))
+    i = elt(alg, q.path(["a"]))
+    j = elt(alg, q.path(["b"]))
     # claim a*b = a: SC composes the basis paths, so its contraction face
     # of (a, b) stays (ab) and SC does not change, but the table is no
     # longer graded and HC refuses it
@@ -377,8 +383,8 @@ def test_corrupted_hochschild_differential_fails_the_check(field):
     alg = find_semi_normed_basis(t, classes)
     HochschildComplex(alg, field)
     q = t.quiver
-    i = alg.elements.index(q.path(["a"]))
-    j = alg.elements.index(q.path(["b"]))
+    i = elt(alg, q.path(["a"]))
+    j = elt(alg, q.path(["b"]))
     # claim a*b = 2ab: then (a*b)*c = 2abc but a*(b*c) = abc, and the
     # Hochschild differential squares to zero only for an associative
     # product
@@ -445,8 +451,8 @@ def test_a_table_that_breaks_a_unit_or_the_ends_fails_the_check():
                        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     alg = find_semi_normed_basis(t, classes)
     q = t.quiver
-    i = alg.elements.index(q.path(["a"]))
-    j = alg.elements.index(q.path(["b"]))
+    i = elt(alg, q.path(["a"]))
+    j = elt(alg, q.path(["b"]))
     e2 = alg.identity_index["2"]
     for key, wrong in [((i, e2), (2, i)), ((i, j), (1, i))]:
         right = alg.product[key]
@@ -517,8 +523,7 @@ def test_an_algebra_needs_one_element_per_class():
     assert sorted(a.members) == n.one_cell_classes()
     with pytest.raises(AssertionError, match="meets each nonzero "
                                              "non-identity class in one"):
-        SemiNormedAlgebra(t, walk_homotopy_classes(t), a.elements, a.product,
-                          list(map(t.position, a.elements)))
+        SemiNormedAlgebra(t, walk_homotopy_classes(t), a.basis, a.product)
 
 
 def test_position_checks_catch_a_perturbed_phi_position():

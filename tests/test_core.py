@@ -113,7 +113,7 @@ def test_overlap_certifies_x2_minus_y3():
             [(["x", "y"], 1)], [(["y", "x"], 1)]])
     t = enumerate_paths(q)
     assert t.bound == 4
-    pivots = t.pivot_rows[("1", "1")]
+    pivots = t.ideal_rows[("1", "1")]
     assert [str(p) for k, p in enumerate(t.paths) if k not in pivots] == [
         "e_1", "x", "y", "x*x", "y*y"]
     assert t.path_in_ideal(q.path(["x", "x", "x"]))

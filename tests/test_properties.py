@@ -9,6 +9,7 @@ under the advertised hypotheses, and monomial ideals collapse the space
 onto the graph.
 """
 
+import argparse
 import collections
 import itertools
 import random
@@ -26,7 +27,7 @@ from bqtop import (BoundQuiver, GroupAction, HochschildComplex, NotGalois,
                    relation_components, simplicial_complex,
                    van_kampen_pushout, verify_semi_normed_basis,
                    walk_homotopy_classes)
-from bqtop import algcohom
+from bqtop import algcohom, cli
 from bqtop import complex as cellular
 from bqtop import core
 from bqtop.complex import (check_faces_square_zero, face_columns,
@@ -45,7 +46,7 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      _is_inverse, FoundPathClassTable, PerPathTable,
                      SortedPathClassTable, all_component_presentation,
                      bfs_spanning_tree, certified_closure, class_paths,
-                     comm_grid_text,
+                     comm_grid_text, complex_skeleton_dot,
                      compose,
                      check_square_zero,
                      cocycle_image_degrees, column_phi_psi_maps,
@@ -53,7 +54,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
                      folded_epsilon_mu, forward_paths,
-                     lengthwise_path_table, load_bench_workloads, loops,
+                     lengthwise_path_table, load_bench_workloads,
+                     local_rows, loops,
                      object_complex,
                      object_path_table, paths_between,
                      per_matrix_integral_homology, per_matrix_ranks,
@@ -529,8 +531,9 @@ def test_unit_rows_match_reduction_on_corpus_slices(path):
     # membership of a single path read off the RREF against reducing its
     # unit vector by the rows
     t = enumerate_paths(parse(path.read_text()))
+    rows_of = local_rows(t)
     for pair, idxs in t.pair_paths.items():
-        rows = t.ideal_rows.get(pair, [])
+        rows = rows_of.get(pair, [])
         units = {min(row) for row in rows if len(row) == 1}
         dense = [[row.get(j, Fraction(0)) for j in range(len(idxs))]
                  for row in rows]
@@ -652,6 +655,21 @@ def test_id_complex_matches_the_cell_object_builder(comm_grid):
                        (3, False): 550, (3, True): 50}
 
 
+def test_dot_skeleton_matches_the_one_cells_of_the_complex(monkeypatch):
+    # `dot --skeleton` lists the nonzero non-identity classes with their
+    # least nonzero members; the vertices and 1-cells of the natural
+    # complex built up to dimension 1 are the oracle
+    args = argparse.Namespace(file=None, skeleton=True)
+    edges = 0
+    for k, q in enumerate(differential_quivers()):
+        t = enumerate_paths(q)
+        monkeypatch.setattr(cli, "_load", lambda path, cfg, got=(q, t): got)
+        dot = cli._dot(args, {"path_cap": None})
+        assert dot == complex_skeleton_dot(t), k
+        edges += dot.count(" -> ")
+    assert edges == 2794
+
+
 # ---------------------------------------------------------------------------
 # the path table from a Groebner basis against the rebuild-per-L and the
 # length-by-length oracles
@@ -684,19 +702,20 @@ def table_facts(paths, rows_by_pair, in_ideal, dims, cut):
 
 
 def facts_of(t, cut):
-    return table_facts(t.paths, t.ideal_rows, t.in_ideal, t.dims, cut)
+    return table_facts(t.paths, local_rows(t), t.in_ideal, t.dims, cut)
 
 
 def assert_tip_pivots(t):
-    """Each row is p - NF(p): no zero entries, a 1 at its pivot p, the
-    greatest index, the pivots ascending, and no row touching another
-    row's pivot (its other entries sit at normal paths)."""
+    """Each row is p - NF(p), kept under p: no zero entries, a 1 at its
+    pivot p, the greatest index, the pivots ascending, and no row
+    touching another row's pivot (its other entries sit at normal
+    paths)."""
     for pair, rows in t.ideal_rows.items():
-        tips = [max(row) for row in rows]
+        tips = list(rows)
         assert tips == sorted(set(tips))
-        for row in rows:
-            assert row[max(row)] == 1 and all(row.values())
-            assert not set(row) & set(tips) - {max(row)}
+        for tip, row in rows.items():
+            assert tip == max(row) and row[tip] == 1 and all(row.values())
+            assert not set(row) & set(tips) - {tip}
 
 
 def test_path_table_matches_the_rebuild_per_bound_oracle():
@@ -777,9 +796,9 @@ def test_groebner_table_on_cyclic_quivers_matches_the_truncated_products():
 def word_table_facts(t):
     """The fields of a path table, with the order of its pair and row
     dicts."""
-    return (t.bound, t.paths, t.pair_paths, t.local, t.ideal_rows,
+    return (t.bound, t.paths, t.pair_paths, t.ideal_rows,
             t.in_ideal, t.dims, t.arrow_index, list(t.pair_paths),
-            [(pair, [list(row.items()) for row in rows])
+            [(pair, [(tip, list(row.items())) for tip, row in rows.items()])
              for pair, rows in t.ideal_rows.items()])
 
 
@@ -839,7 +858,7 @@ def test_path_table_matches_the_per_path_numbering(comm_grid, monkeypatch):
                 + word_table_facts(old)), k
         rows[0] += len(new.in_ideal)
         rows[1] += sum(len(row) > 1 for pair_rows in new.ideal_rows.values()
-                       for row in pair_rows)
+                       for row in pair_rows.values())
     assert len(quivers) == 299 + 4 + 2 + 1
     # rows of paths in the ideal, and of paths with a nonzero normal form
     assert rows == [2877 + 2, 1082]
@@ -1163,7 +1182,7 @@ def test_face_check_by_layers_matches_the_rowwise_oracle(comm_grid):
 def semi_normed_facts(algebra):
     if not algebra.ok:
         return False, algebra.witnesses
-    return True, algebra.elements, algebra.product
+    return True, algebra.basis, algebra.product
 
 
 WITNESS_KINDS = ("for dimension", "linearly dependent", "expands with")
@@ -1253,10 +1272,10 @@ def reduced_pairs(table, paths):
     reduces."""
     held = collections.defaultdict(list)
     for p in paths:
-        held[p.source, p.target].append(table.local[table.position(p)])
+        held[p.source, p.target].append(table.position(p))
     return [pair for pair, dim in table.dims.items()
             if len(held[pair]) + (pair[0] == pair[1]) == dim
-            and any(k in table.pivot_rows.get(pair, {}) for k in held[pair])]
+            and any(i in table.ideal_rows.get(pair, {}) for i in held[pair])]
 
 
 def test_semi_normed_builder_matches_the_reducing_oracle(comm_grid,
@@ -1287,7 +1306,7 @@ def test_semi_normed_builder_matches_the_reducing_oracle(comm_grid,
             return t.paths[i].source, t.paths[i].target
 
         def is_tip(i):
-            return t.local[i] in t.pivot_rows.get(pair(i), {})
+            return i in t.ideal_rows.get(pair(i), {})
 
         groups = [list(m) for m in nat.class_members]
         # finer: a nonzero tip split off its class, so that it becomes the
@@ -1592,7 +1611,7 @@ def element_keys(a, sc):
     """SC's keys per degree, each class tuple as the tuple of its classes'
     elements."""
     return [layer if n == 0 else
-            [tuple(map(a.class_element.__getitem__, key)) for key in layer]
+            [tuple(map(a.members.__getitem__, key)) for key in layer]
             for n, layer in enumerate(sc.keys)]
 
 
@@ -1753,7 +1772,7 @@ def test_int_first_ranks_of_path_table_slices_match_the_all_fraction_oracle():
     ranked = 0
     for q in differential_quivers():
         t = enumerate_paths(q)
-        for pair, rows in t.ideal_rows.items():
+        for pair, rows in local_rows(t).items():
             columns = sparse_transpose(rows, len(t.pair_paths[pair]))
             assert (rank(columns, QQ) == rank(columns, FRACTIONS)
                     == len(rows))
@@ -1769,7 +1788,7 @@ def test_vector_membership_matches_extending_a_copy_of_the_slice():
     outcomes = collections.Counter()
     for q in differential_quivers():
         t = enumerate_paths(q)
-        for pair, rows in t.ideal_rows.items():
+        for pair, rows in local_rows(t).items():
             paths = paths_between(t, *pair)
             for _ in range(3):
                 vec = {}
@@ -1811,7 +1830,7 @@ def stored_rationals(q):
     t = enumerate_paths(q)
     out = {"relations": [c for rel in q.relations for _, c in rel.terms],
            "ideal rows": [x for rows in t.ideal_rows.values()
-                          for row in rows for x in row.values()]}
+                          for row in rows.values() for x in row.values()]}
     if not q.is_acyclic():
         return out
     a = find_semi_normed_basis(t)
