@@ -123,8 +123,7 @@ def _build_parser():
     p.add_argument("cover", help="cover quiver file")
     p.add_argument("morphism", help="morphism file")
     p.add_argument("--galois", default=None, help="group file")
-    p.add_argument("--path-cap", type=_path_cap, default=None)
-    p.add_argument("--out", default=None)
+    common(p, file=False)
 
     p = sub.add_parser("dot", help="DOT export of the quiver")
     common(p)

@@ -373,14 +373,6 @@ class PathTable:
             raise QuiverError("path %s exceeds table bound" % p)
         return i
 
-    def path_in_ideal(self, p):
-        """Whether the path p lies in the ideal; QuiverError when p is not
-        a path of the quiver."""
-        if len(p) > self.bound:
-            self.quiver._check_path(p)
-            return True
-        return self._locate(p) in self.in_ideal
-
 
 def _word_key(word):
     """`path_sort_key` order on the arrow names of parallel paths."""
@@ -629,50 +621,44 @@ class AlgebraProperties:
     total_dimension: int
 
 
-def _pairs_with_paths_beyond(quiver, bound):
-    """Vertex pairs joined by some path strictly longer than the bound.
-
-    Only lengths bound+1 .. bound+|Q_0| need checking: a longer walk
-    contains a cycle whose removal shortens it by at most |Q_0|, so its
-    length can be pumped down into that window without crossing bound.
-    """
-    limit = bound + len(quiver.vertices)
-    ends = {v: {v} for v in quiver.vertices}
-    out = set()
-    for length in range(1, limit + 1):
-        ends = {v: {a.target for u in ts for a in quiver.arrows_from[u]}
-                for v, ts in ends.items()}
-        if length > bound:
-            for v, ts in ends.items():
-                for t in ts:
-                    out.add((v, t))
-    return out
-
-
 def algebra_properties(table):
     """Dimension table and standard flags of A = kQ/I.
 
-    Semi-commutativity compares ideal membership across every parallel
-    pair of paths (stationary paths included).  Paths longer than the
-    table bound lie in the ideal outright, so a pair carrying both a
-    nonzero path and any longer parallel path is mixed even though the
-    table never stores the long one.
+    A is semi-commutative when no vertex pair carries both a path in I
+    and a path outside it (stationary paths and paths longer than the
+    table bound included).  A pair carries a path outside I exactly when
+    dim e_x A e_y > 0.  The pairs joined by a path in I are the closure
+    of the member paths' ends under appending an arrow: a product of a
+    member and an arrow is a member, since I is an ideal, and a path
+    longer than the bound L has a length-L prefix, which is a member by
+    the choice of L.  So A is semi-commutative exactly when no pair of
+    that closure has a nonzero dimension; from each source the closure
+    is the set of vertices reachable from its members' targets.
     """
     q = table.quiver
     dims = dict(table.dims)
     triangular = q.is_acyclic()
     connected = q.is_connected()
     schurian = all(d <= 1 for d in dims.values())
+    ends = {}
+    for i in table.in_ideal:
+        ends.setdefault(table.sources[i], set()).add(table.targets[i])
+    nonzero = {}
+    for (x, y), d in dims.items():
+        if d:
+            nonzero.setdefault(x, set()).add(y)
     semi_commutative = True
-    for pair, idxs in table.pair_paths.items():
-        flags = {i in table.in_ideal for i in idxs}
-        if len(flags) > 1:
-            semi_commutative = False
-            break
-    if semi_commutative:
-        long_pairs = _pairs_with_paths_beyond(q, table.bound)
-        if any(dims.get(pair, 0) > 0 for pair in long_pairs):
-            semi_commutative = False
+    # a source's reach set is dropped once read: on a long chain the sets
+    # would together hold about |Q_0|^2 / 2 vertices
+    while semi_commutative and ends:
+        x, reached = ends.popitem()
+        todo = list(reached)
+        while todo:
+            for a in q.arrows_from[todo.pop()]:
+                if a.target not in reached:
+                    reached.add(a.target)
+                    todo.append(a.target)
+        semi_commutative = not reached & nonzero[x]
     constricted = all(dims[(a.source, a.target)] == 1 for a in q.arrows)
     rad = {(x, y): d - (x == y) for (x, y), d in dims.items()}
     almost_triangular = not any(r > 0 and rad.get((y, x), 0) > 0

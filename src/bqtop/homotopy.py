@@ -50,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import (BoundQuiver, NotConnectedError, QuiverError,
+from .core import (BoundQuiver, NotConnectedError, Path, QuiverError,
                    in_vertex_order)
 from .linalg import QQ, nullspace, rank, smith_divisors
 
@@ -869,20 +869,23 @@ def van_kampen_pushout(table, v1, v2):
         for v in verts:
             if v not in q.vertex_index:
                 raise QuiverError("unknown vertex %r in %s" % (v, label))
-    v1 = [v for v in q.vertices if v in set(v1)]
-    v2 = [v for v in q.vertices if v in set(v2)]
-    if set(v1) | set(v2) != set(q.vertices):
+    s1, s2 = set(v1), set(v2)
+    v1 = [v for v in q.vertices if v in s1]
+    v2 = [v for v in q.vertices if v in s2]
+    if s1 | s2 != set(q.vertices):
         raise HypothesisViolated("V1 and V2 do not cover the vertices")
-    shared = [v for v in q.vertices if v in set(v1) and v in set(v2)]
+    shared = [v for v in q.vertices if v in s1 and v in s2]
     if not shared:
         raise HypothesisViolated("V1 and V2 have empty intersection")
     _check_convex(q, v1, "Q1")
     _check_convex(q, v2, "Q2")
-    for i, p in enumerate(table.paths):
+    target = {a.name: a.target for a in q.arrows}
+    for i, word in enumerate(table.words):
         if i in table.in_ideal:
             continue
-        verts = set(q.path_vertices(p))
-        if not (verts <= set(v1) or verts <= set(v2)):
+        verts = {table.sources[i], *map(target.__getitem__, word)}
+        if not (verts <= s1 or verts <= s2):
+            p = Path(table.sources[i], table.targets[i], word)
             raise HypothesisViolated(
                 "nonzero path %s lies in neither piece" % p, witness=str(p))
 

@@ -141,6 +141,13 @@ walking the `Path` list.  `nonzero_paths`, `paths_between`,
 `class_paths` and `compose` are the `Path` readers the library had on
 its tables and paths, which only the tests used.
 
+`pumped_semi_commutative` is semi-commutativity as `algebra_properties`
+decided it before the closure of the ideal's member pairs: a scan of the
+table's pairs for one whose paths are split between I and its
+complement (`flag_scan_semi_commutative`), then, when none is, a search
+for a nonzero pair joined by a path past the bound, over the lengths
+L+1 .. L+|Q_0| from every vertex (`pairs_with_paths_beyond`).
+
 `all_component_presentation` is the fundamental group presentation as
 `pi1_presentation` listed it before it kept only the joins: one relator
 w_1 w_j^-1 for every co-member w_j of every matroid component.
@@ -846,6 +853,48 @@ def all_component_presentation(table, sub, tree, base):
                         base)
 
 
+def pairs_with_paths_beyond(quiver, bound):
+    """Vertex pairs joined by some path strictly longer than the bound.
+
+    Only lengths bound+1 .. bound+|Q_0| need checking: a longer walk
+    contains a cycle whose removal shortens it by at most |Q_0|, so its
+    length can be pumped down into that window without crossing bound.
+    """
+    limit = bound + len(quiver.vertices)
+    ends = {v: {v} for v in quiver.vertices}
+    out = set()
+    for length in range(1, limit + 1):
+        ends = {v: {a.target for u in ts for a in quiver.arrows_from[u]}
+                for v, ts in ends.items()}
+        if length > bound:
+            for v, ts in ends.items():
+                for t in ts:
+                    out.add((v, t))
+    return out
+
+
+def flag_scan_semi_commutative(table):
+    """Whether no pair of the table holds both a member of I and a path
+    outside it; paths past the bound are not looked at."""
+    semi_commutative = True
+    for pair, idxs in table.pair_paths.items():
+        flags = {i in table.in_ideal for i in idxs}
+        if len(flags) > 1:
+            semi_commutative = False
+            break
+    return semi_commutative
+
+
+def pumped_semi_commutative(table):
+    """Semi-commutativity by the flag scan, then the pumping window."""
+    semi_commutative = flag_scan_semi_commutative(table)
+    if semi_commutative:
+        long_pairs = pairs_with_paths_beyond(table.quiver, table.bound)
+        if any(table.dims.get(pair, 0) > 0 for pair in long_pairs):
+            semi_commutative = False
+    return semi_commutative
+
+
 def comm_grid_text(rows, cols, seed=11):
     """A seeded commutative grid of right (h) and down (d) arrows in which
     every square commutes up to nonzero coefficients drawn from a seeded
@@ -1019,7 +1068,7 @@ def dense_semi_normed_basis(table, classes, paths):
             product[key] = (Fraction(1), i2)
         elif e2.is_stationary:
             product[key] = (Fraction(1), i1)
-        elif table.path_in_ideal(path):
+        elif table.vector_in_ideal([(path, 1)]):
             product[key] = None
         elif len(terms := expand(path)) != 1:
             witnesses.append("product %s * %s expands with %d basis terms"
@@ -1050,7 +1099,7 @@ def reducing_semi_normed_basis(table, paths, classes=None):
         if p in seen:
             witnesses.append("duplicate basis path %s" % p)
             continue
-        if table.path_in_ideal(p):
+        if table.vector_in_ideal([(p, 1)]):
             witnesses.append("basis path %s lies in the ideal" % p)
             continue
         seen.append(p)

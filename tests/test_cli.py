@@ -82,6 +82,31 @@ def test_golden_snapshot(golden, expected_code, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_golden_snapshots_under_python_O():
+    # -O strips assert statements; the package raises its check failures
+    # itself, so every snapshot must come out the same, in one process
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from bqtop.cli import main\n"
+        "runs = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "json.dump([sys.flags.optimize, runs], sys.stdout)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], cwd=ROOT, env=env,
+        input=json.dumps([argv for _, _, argv in SNAPSHOTS]),
+        capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    optimize, runs = json.loads(done.stdout)
+    assert optimize == 1
+    for (golden, code, argv), run in zip(SNAPSHOTS, runs, strict=True):
+        assert run == [code, (GOLDEN / golden).read_text()], argv
+
+
 def test_reports_are_valid_json():
     for name in GOLDEN.glob("*.json"):
         rep = json.loads(name.read_text())

@@ -60,7 +60,7 @@ def test_relation_format_errors():
 def test_table_contents_ex1():
     t = enumerate_paths(EX1)
     assert t.bound == 3
-    assert t.path_in_ideal(EX1.path(["beta", "alpha"])) is False
+    assert t.vector_in_ideal([(EX1.path(["beta", "alpha"]), 1)]) is False
     assert t.vector_in_ideal([(EX1.path(["beta", "alpha"]), Fraction(1)),
                               (EX1.path(["gamma", "alpha"]), Fraction(-1))])
     assert t.dims[("3", "1")] == 1
@@ -77,7 +77,7 @@ def test_vector_in_ideal_drops_beyond_bound_terms():
     t = enumerate_paths(q)
     assert t.bound == 3
     assert t.vector_in_ideal([(q.path(["a", "b", "c"]), Fraction(1))])
-    assert not t.path_in_ideal(q.path(["a", "b"]))
+    assert not t.vector_in_ideal([(q.path(["a", "b"]), 1)])
 
 
 def test_path_cap_binds_only_cyclic_quivers():
@@ -116,8 +116,8 @@ def test_overlap_certifies_x2_minus_y3():
     pivots = t.ideal_rows[("1", "1")]
     assert [str(p) for k, p in enumerate(t.paths) if k not in pivots] == [
         "e_1", "x", "y", "x*x", "y*y"]
-    assert t.path_in_ideal(q.path(["x", "x", "x"]))
-    assert not t.path_in_ideal(q.path(["y", "y", "y"]))
+    assert t.vector_in_ideal([(q.path(["x", "x", "x"]), 1)])
+    assert not t.vector_in_ideal([(q.path(["y", "y", "y"]), 1)])
     assert t.vector_in_ideal([(q.path(["y", "y", "y"]), 1),
                               (q.path(["x", "x"]), -1)])
     p = algebra_properties(t)
@@ -146,8 +146,7 @@ def test_a_path_not_of_the_quiver_is_a_quiver_error(square_zero_chain, bad):
         t = enumerate_paths(parse(fh.read()))
     assert t.position(bad) is None
     classes = natural_homotopy_classes(t)
-    for ask in (t.path_in_ideal, classes.class_of,
-                lambda p: t.vector_in_ideal([(p, 1)])):
+    for ask in (classes.class_of, lambda p: t.vector_in_ideal([(p, 1)])):
         with pytest.raises(QuiverError):
             ask(bad)
 

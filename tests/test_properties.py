@@ -53,12 +53,14 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      commuting_squares,
                      dense_reduces_to_zero, dense_rref, dense_semi_normed_basis, differential_quivers,
                      reducing_semi_normed_basis,
+                     flag_scan_semi_commutative,
                      folded_epsilon_mu, forward_paths,
                      lengthwise_path_table, load_bench_workloads,
                      local_rows, loops,
                      object_complex,
                      object_path_table, paths_between,
                      per_matrix_integral_homology, per_matrix_ranks,
+                     pumped_semi_commutative,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
                      rotation_canonical, rounds_tietze,
@@ -556,7 +558,7 @@ def oracle_witnesses(table, classes, key):
     for cid in key[1:]:
         outs = [compose(w, s) for w in outs for s in class_paths(classes, cid)
                 if s.source == w.target and len(w) + len(s) <= table.bound]
-    return sorted((w for w in outs if not table.path_in_ideal(w)),
+    return sorted((w for w in outs if not table.vector_in_ideal([(w, 1)])),
                   key=lambda p: path_sort_key(table.quiver, p))
 
 
@@ -601,7 +603,7 @@ def oracle_layers(table, classes):
                        for cid in one for s in class_paths(classes, cid)
                        if s.source == w.target
                        and len(w) + len(s) <= table.bound
-                       and not table.path_in_ideal(compose(w, s))})
+                       and not table.vector_in_ideal([(compose(w, s), 1)])})
     return layers
 
 
@@ -731,7 +733,7 @@ def test_path_table_matches_the_rebuild_per_bound_oracle():
     assert bounds == OVERESTIMATED
     t = enumerate_paths(TRUNCATED)
     assert t.bound == 3
-    assert t.path_in_ideal(TRUNCATED.path(["a", "b"]))
+    assert t.vector_in_ideal([(TRUNCATED.path(["a", "b"]), 1)])
     with pytest.raises(AdmissibilityError) as got:
         enumerate_paths(UNBOUNDED_LOOP, cap=7)
     assert str(got.value) == (
@@ -1083,6 +1085,27 @@ def test_spanning_tree_matches_the_all_arrow_scan(square_zero_chain):
         new, old = both(chain, base)
         assert new == old
         assert len(new[0]) == 2000
+
+
+def test_semi_commutativity_matches_the_pumping_window(square_zero_chain):
+    # the differential inputs (the corpus among them) and the
+    # radical-square-zero chains and cycles; on an n-cycle the table
+    # holds the paths of length <= 2, which split no pair, while e_x and
+    # the length-n path around do, so a path past the bound decides
+    inputs = differential_quivers()
+    for n in range(3, 31):
+        for cycle in (False, True):
+            with open(square_zero_chain(n, cycle=cycle)) as fh:
+                inputs.append(parse(fh.read()))
+    outcomes = collections.Counter()
+    for k, q in enumerate(inputs):
+        t = enumerate_paths(q)
+        got = algebra_properties(t).semi_commutative
+        assert got == pumped_semi_commutative(t), k
+        outcomes[got, flag_scan_semi_commutative(t)] += 1
+    # (flag, flag scan alone): False beside True is a path past the bound
+    assert outcomes == {(True, True): 243, (False, False): 81,
+                        (False, True): 31}
 
 
 # ---------------------------------------------------------------------------
