@@ -7,7 +7,9 @@ produce byte-identical output.  No timestamps or absolute paths are
 injected.  The report text is written directly by `_report_text`, byte
 for byte what `json.dumps(report, indent=2, sort_keys=True)` gives, with
 strings going through the C string encoder (with an indent, `json.dumps`
-runs its pure-Python encoder).
+runs its pure-Python encoder).  The `cells` report, the largest, hands
+the writer each layer of cells of dimension n >= 1 as one block, which
+writes every cell by one fill of a template built for the layer's indent.
 
 The command line is parsed in one argparse pass: words after a known
 subcommand go straight to that subcommand's parser, and what it leaves
@@ -249,12 +251,10 @@ def _dispatch(args, table):
     if cmd == "cells":
         classes = _classes(table, args.sharp)
         cx = build_complex(table, classes, max_dim=args.max_dim)
-        words = table.words  # a witness is never stationary
         cells = {"0": cx.keys[0]}
         for n in range(1, len(cx.keys)):
-            cells[str(n)] = [{"classes": list(key),
-                              "witness": "*".join(words[w])}
-                             for key, w in zip(cx.keys[n], cx.witnesses[n])]
+            cells[str(n)] = functools.partial(
+                _cell_list, cx.keys[n], cx.witnesses[n], table.words)
         return ({"counts": cx.counts(), "cells": cells,
                  "euler_characteristic": euler_characteristic(cx)},
                 list(cx.caveats), True)
@@ -420,16 +420,31 @@ def _input_echo(args, quiver):
             "relations": len(quiver.relations)}
 
 
+def _cell_list(keys, witnesses, words, nl):
+    """A nonempty layer's cells as `json.dumps` writes the list of
+    `{"classes": list(key), "witness": "*".join(words[w])}` dicts on a
+    line indented `nl`: one template fill per cell (a witness is never
+    stationary)."""
+    i2, i4, i6 = nl + "  ", nl + "    ", nl + "      "
+    cell = ('{' + i4 + '"classes": [' + i6 + '%s' + i4 + '],' + i4
+            + '"witness": %s' + i2 + '}')
+    sep = "," + i6
+    return ("[" + i2 + ("," + i2).join([
+        cell % (sep.join(map(str, key)), _quote("*".join(words[w])))
+        for key, w in zip(keys, witnesses)]) + nl + "]")
+
+
 def _report_text(doc):
     """`json.dumps(doc, indent=2, sort_keys=True)`, written directly.
 
     Containers are dicts with string keys, lists and tuples; strings go
     through the C string encoder, ints, bools and None are written
-    inline, and any other leaf by `json.dumps` itself (which raises on a
-    value JSON cannot hold).  A key that is not a string raises
-    TypeError.  Open containers are kept on a stack of (entries, indent,
-    closing) frames, each entry being the text before a value and the
-    value.
+    inline, a block (a callable leaf, such as a layer of `_cell_list`)
+    writes itself given the indent of its line, and any other leaf goes
+    to `json.dumps` itself (which raises on a value JSON cannot hold).
+    A key that is not a string raises TypeError.  Open containers are
+    kept on a stack of (entries, indent, closing) frames, each entry
+    being the text before a value and the value.
     """
     parts = []
     put = parts.append
@@ -465,6 +480,8 @@ def _report_text(doc):
                 put("[]")
             elif isinstance(value, dict):
                 put("{}")
+            elif callable(value):
+                put(value(nl))
             else:
                 put(json.dumps(value))
         else:

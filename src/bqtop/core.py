@@ -217,10 +217,12 @@ class BoundQuiver:
             out.append(self.arrow_by_name[name].target)
         return out
 
-    def is_acyclic(self):
-        """No oriented cycle: peeling off vertices that no remaining arrow
-        enters removes every vertex (iterative, so chains of any length
-        are fine)."""
+    def peel_order(self):
+        """The vertices removed by peeling off, again and again, those
+        that no remaining arrow enters, in the order they go: all of
+        them, in an order in which every arrow leads forward, exactly
+        when there is no oriented cycle (iterative, so chains of any
+        length are fine)."""
         indegree = {v: len(self.arrows_to[v]) for v in self.vertices}
         peeled = [v for v, d in indegree.items() if d == 0]
         for v in peeled:
@@ -228,7 +230,11 @@ class BoundQuiver:
                 indegree[a.target] -= 1
                 if indegree[a.target] == 0:
                     peeled.append(a.target)
-        return len(peeled) == len(self.vertices)
+        return peeled
+
+    def is_acyclic(self):
+        """No oriented cycle: peeling removes every vertex."""
+        return len(self.peel_order()) == len(self.vertices)
 
     def is_connected(self):
         if not self.vertices:
@@ -633,11 +639,17 @@ def algebra_properties(table):
     longer than the bound L has a length-L prefix, which is a member by
     the choice of L.  So A is semi-commutative exactly when no pair of
     that closure has a nonzero dimension; from each source the closure
-    is the set of vertices reachable from its members' targets.
+    is the set of vertices reachable from its members' targets.  With an
+    oriented cycle through x there is no closure to search: the pair
+    (x, x) carries e_x and the cycle's powers, which lie in I from the
+    bound on.  Without one, every arrow leads forward in the peel order,
+    so a source's search leaves out the vertices after all of its
+    nonzero targets.
     """
     q = table.quiver
     dims = dict(table.dims)
-    triangular = q.is_acyclic()
+    order = q.peel_order()
+    triangular = len(order) == len(q.vertices)
     connected = q.is_connected()
     schurian = all(d <= 1 for d in dims.values())
     ends = {}
@@ -647,15 +659,18 @@ def algebra_properties(table):
     for (x, y), d in dims.items():
         if d:
             nonzero.setdefault(x, set()).add(y)
-    semi_commutative = True
-    # a source's reach set is dropped once read: on a long chain the sets
-    # would together hold about |Q_0|^2 / 2 vertices
+    position = dict(zip(order, itertools.count()))
+    semi_commutative = triangular
+    # no vertex after all of x's nonzero targets leads to one, so on a long
+    # chain each search stays within a few vertices
     while semi_commutative and ends:
-        x, reached = ends.popitem()
+        x, starts = ends.popitem()
+        last = max(map(position.__getitem__, nonzero[x]))
+        reached = {v for v in starts if position[v] <= last}
         todo = list(reached)
         while todo:
             for a in q.arrows_from[todo.pop()]:
-                if a.target not in reached:
+                if a.target not in reached and position[a.target] <= last:
                     reached.add(a.target)
                     todo.append(a.target)
         semi_commutative = not reached & nonzero[x]

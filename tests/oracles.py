@@ -178,6 +178,11 @@ options and then hands the subcommand's words to its parser.
 read the 1-cells off the classes: the natural complex built up to
 dimension 1, and an edge per 1-cell labelled by its witness.
 
+`dict_cells_report` is the `cells` report as `cli.main` built it before
+each layer of cells was written as one block: the whole report as plain
+data, every cell of dimension n >= 1 a `{"classes": [...], "witness":
+...}` dict, for `json.dumps` to write.
+
 The library names a path by its table index, in the ideal rows and in
 the semi-normed basis alike.  Oracles that work in pair-local positions
 (a path's place in its pair's `pair_paths` list) or in element
@@ -200,13 +205,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bqtop import BoundQuiver, RelVector, enumerate_paths
+from bqtop import BoundQuiver, RelVector, __version__, enumerate_paths
 from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
                             SemiNormedAlgebra, SemiNormedFailure,
                             _acyclic_classes, simplicial_complex)
 from bqtop.cli import _build_parser
 from bqtop.complex import (_betti, build_complex, check_faces_square_zero,
-                           parse_coefficients, sparse_column)
+                           euler_characteristic, parse_coefficients,
+                           sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
@@ -220,7 +226,7 @@ from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _substitute, _union,
                             _word_inverse, free_reduce,
                             natural_homotopy_classes, pi1_presentation,
-                            relation_components)
+                            relation_components, walk_homotopy_classes)
 from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
                           sparse_rref)
 
@@ -2536,3 +2542,34 @@ def complex_skeleton_dot(table):
                             "*".join(table.words[w])))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dict_cells_report(argv):
+    """The report of the `cells` command line argv as plain data, each
+    cell of dimension n >= 1 a dict of its class ids and witness word."""
+    args = full_parse_argv(argv)
+    with open(args.file, encoding="utf-8") as fh:
+        quiver = parse(fh.read())
+    table = (enumerate_paths(quiver) if args.path_cap is None
+             else enumerate_paths(quiver, cap=args.path_cap))
+    classes = (walk_homotopy_classes(table) if args.sharp
+               else natural_homotopy_classes(table))
+    cx = build_complex(table, classes, max_dim=args.max_dim)
+    cells = {"0": cx.keys[0]}
+    for n in range(1, len(cx.keys)):
+        cells[str(n)] = [{"classes": list(key),
+                          "witness": "*".join(table.words[w])}
+                         for key, w in zip(cx.keys[n], cx.witnesses[n])]
+    return {
+        "schema": "bqtop-report/1",
+        "tool": {"name": "bqtop", "version": __version__},
+        "command": "cells",
+        "input": {"file": args.file, "vertices": len(quiver.vertices),
+                  "arrows": len(quiver.arrows),
+                  "relations": len(quiver.relations)},
+        "config": {"path_cap": args.path_cap},
+        "ok": True,
+        "result": {"counts": cx.counts(), "cells": cells,
+                   "euler_characteristic": euler_characteristic(cx)},
+        "caveats": sorted(set(cx.caveats)),
+    }

@@ -18,9 +18,10 @@ from bqtop import cli, coverings
 from bqtop.cli import _report_text, main
 from bqtop.complex import build_complex
 from bqtop.core import enumerate_paths
-from bqtop.dsl import parse
+from bqtop.dsl import parse, serialize
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
-from oracles import full_parse_argv
+from oracles import (CORPUS, dict_cells_report, differential_quivers,
+                     full_parse_argv)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -664,6 +665,51 @@ def test_report_writer_rejects_what_json_rejects():
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         _report_text({"a": [Fraction(1, 2)]})
     assert _report_text([1.5, -0.0]) == json.dumps([1.5, -0.0], indent=2)
+
+
+# a commutative square and a zero composite, with names that JSON escapes
+# (a quote, a backslash) and names outside ASCII
+ESCAPED_NAMES = """\
+arrow a"1 v\\1 w\u00e9
+arrow b\u20ac w\u00e9 x\U0001f600
+arrow c\\" v\\1 y"
+arrow d\U0001f600\u00e9 y" x\U0001f600
+arrow e x\U0001f600 z
+rel a"1*b\u20ac - c\\"*d\U0001f600\u00e9
+rel b\u20ac*e
+"""
+
+
+def test_cells_reports_match_json_dumps_of_the_cell_dicts(
+        tmp_path, comm_grid, bound_caveat_quiver):
+    escaped = tmp_path / "escaped.bq"
+    escaped.write_text(ESCAPED_NAMES, encoding="utf-8")
+    files = [str(p.relative_to(ROOT)) for p in sorted(CORPUS.glob("*.bq"))]
+    files += [comm_grid(4), bound_caveat_quiver, str(escaped)]
+    for k, q in enumerate(differential_quivers()):
+        path = tmp_path / ("q%d.bq" % k)
+        path.write_text(serialize(q))
+        files.append(str(path))
+    variants = ([], ["--sharp"], ["--max-dim", "0"], ["--max-dim", "1"],
+                ["--max-dim", "2"])
+    for f in files:
+        for extra in variants:
+            argv = ["cells", *extra, f]
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, ""), argv
+            assert out == json.dumps(dict_cells_report(argv), indent=2,
+                                     sort_keys=True) + "\n", argv
+    assert len(files) == 18 + 3 + 299
+    # the escaped names reach the report, and --out writes the same bytes
+    code, out, _ = run_cli(["cells", str(escaped)])
+    cells = json.loads(out)["result"]["cells"]
+    assert cells["0"] == ["v\\1", "w\u00e9", "x\U0001f600", 'y"', "z"]
+    assert [c["witness"] for c in cells["2"]] == [
+        'a"1*b\u20ac', 'c\\"*d\U0001f600\u00e9', "d\U0001f600\u00e9*e"]
+    target = tmp_path / "cells.json"
+    assert run_cli(["cells", str(escaped), "--out", str(target)]) \
+        == (0, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.fixture(params=["", "# no vertex, no arrow\n"],
