@@ -31,16 +31,20 @@ tuples whose elements compose to a path outside the ideal.
 Boundary of boundary is checked on the face rows when the complex is
 made: where a cell's faces satisfy the simplicial identities its terms
 cancel in pairs, and only a cell where one fails has its signed sum
-formed.  Boundary matrices are sparse integer columns, built from the
-faces on first read, so commands that only list cells never build them.
-Homology over Z comes from their
-invariant factors (unit-pivot reduction, then a certified Smith normal
-form of what is left), over a field from their ranks, and cohomology and
-cyclic coefficients by universal coefficients.  The boundaries are ranked
-from the top down with clearing (the "twist" of persistent homology,
+formed.  Boundary matrices are sparse integer columns, summed off the
+face rows (`FaceColumns`).  (Co)homology ranks them straight off the
+rows, building a column only when the ranking reads it; `columns`, the
+whole matrices, is built on first read for the readers that need them
+(`coboundary`, epsilon/mu and the phi/psi chain maps), so neither
+(co)homology nor a command that only lists cells builds it.
+Homology over Z comes from their invariant factors (the left-looking
+reduction of `smith_divisors`, then a certified Smith normal form of
+what is left), over a field from their ranks, and cohomology and cyclic
+coefficients by universal coefficients.  The boundaries are ranked from
+the top down with clearing (the "twist" of persistent homology,
 Chen-Kerber 2011): each one skips the columns on which the one above
-pivoted, over Z only its unit pivots, so those columns reach neither the
-elimination nor the residual Smith normal form.
+pivoted, over Z only its unit pivots, so those columns are never built
+and reach neither the elimination nor the residual Smith normal form.
 """
 
 from __future__ import annotations
@@ -138,19 +142,38 @@ def sparse_column(terms):
     return {r: x for r, x in col.items() if x}
 
 
+class FaceColumns:
+    """delta_n of a face complex as a sequence of sparse columns read off
+    its face rows: the column of a cell with faces (f_0, ..., f_n) is
+    sum (-1)^i f_i, read straight off the row when its faces are distinct.
+    A column is built each time it is read, so a ranking that clears it
+    never builds it."""
+
+    __slots__ = ("rows", "signs")
+
+    def __init__(self, rows, n):
+        self.rows = rows
+        self.signs = [(-1) ** i for i in range(n + 1)]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        row = self.rows[k]
+        col = dict(zip(row, self.signs))
+        return (col if len(col) == len(row)
+                else sparse_column(zip(row, self.signs)))
+
+
 def face_columns(faces):
-    """{n: sparse columns of delta_n} for n >= 1 from face rows: the column
-    of a cell with faces (f_0, ..., f_n) is sum (-1)^i f_i, read straight
-    off the row when its faces are distinct."""
-    columns = {}
-    for n in range(1, len(faces)):
-        signs = [(-1) ** i for i in range(n + 1)]
-        cols = columns[n] = []
-        for row in faces[n]:
-            col = dict(zip(row, signs))
-            cols.append(col if len(col) == len(row)
-                        else sparse_column(zip(row, signs)))
-    return columns
+    """{n: sparse columns of delta_n} for n >= 1 from face rows."""
+    return {n: [layer[k] for k in range(len(layer))]
+            for n, layer in _face_matrices(faces).items()}
+
+
+def _face_matrices(faces):
+    """{n: `FaceColumns` of delta_n} for n >= 1."""
+    return {n: FaceColumns(faces[n], n) for n in range(1, len(faces))}
 
 
 def check_faces_square_zero(faces):
@@ -353,9 +376,12 @@ def _integral_homology(dims, mats, top):
     to degree n-1 as sparse columns {row: coefficient}, one per n-cell,
     and mats[n - 1] mats[n] == 0.  As in `_ranks`, each matrix skips the
     columns on which the one above pivoted, but only on its unit pivots:
-    on those rows the reduced block is unit-triangular, so the skipped
-    columns are integer combinations of the others and the invariant
-    factors do not change.
+    a reduced pivot column of delta_(n+1) is +-1 at its low and zero at
+    every greater row, so delta_n delta_(n+1) == 0 writes the column of
+    delta_n at that low as an integer combination of its columns at
+    lower rows, and by induction on the low every skipped column is an
+    integer combination of the kept ones; the invariant factors do not
+    change.
     """
     ranks, torsions, pivots = {}, {}, {}
     for n in range(top + 1, -1, -1):
@@ -450,13 +476,18 @@ def cohomology_of_matrices(dims, mats, coeff, top=None):
 
 
 def homology(cx, coeff="Z"):
-    return homology_of_matrices(dict(enumerate(cx.counts())), cx.columns,
-                                coeff, top=cx.top_dim())
+    """Homology of a face complex, ranked off its face rows: `cx.columns`
+    is not built."""
+    return homology_of_matrices(dict(enumerate(cx.counts())),
+                                _face_matrices(cx.faces), coeff,
+                                top=cx.top_dim())
 
 
 def cohomology(cx, coeff="Z"):
-    return cohomology_of_matrices(dict(enumerate(cx.counts())), cx.columns,
-                                  coeff, top=cx.top_dim())
+    """Cohomology of a face complex, ranked off its face rows."""
+    return cohomology_of_matrices(dict(enumerate(cx.counts())),
+                                  _face_matrices(cx.faces), coeff,
+                                  top=cx.top_dim())
 
 
 def euler_characteristic(cx):

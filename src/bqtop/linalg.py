@@ -7,12 +7,13 @@ Two kinds of arithmetic appear:
 * integer arithmetic for Smith normal form, used for homology of chain
   complexes of free abelian groups.
 
-One sparse elimination kernel does the heavy work.  A vector is a dict
-{index: value} holding only nonzero entries, and `_clear` is its one
-step: given a pivot entry, subtract from every other vector holding that
-index the multiple of the pivot vector that zeroes it there (a Schur
-update), with an index -> holders map so that only vectors that hold the
-index are touched.  Three entry points run on it:
+Two sparse kernels do the heavy work.  A vector is a dict
+{index: value} holding only nonzero entries.  Over a field the kernel is
+right-looking, and `_clear` is its one step: given a pivot entry,
+subtract from every other vector holding that index the multiple of the
+pivot vector that zeroes it there (a Schur update), with an
+index -> holders map so that only vectors that hold the index are
+touched.  Three entry points run on it:
 
 * `extend_rref(reduced, rows, field)` is Gauss-Jordan on sparse rows:
   it adds rows to a reduced basis {pivot: row} in place, each new row in
@@ -25,20 +26,28 @@ index are touched.  Three entry points run on it:
   coordinates last.  The path table does not: its slices come from
   normal forms, with the pivot at each row's greatest index (`core`).
 * `rank(vectors, field)` counts pivots of rows or columns, dropping each
-  pivot vector once its index is cleared.
-* `smith_divisors(columns)` gives the invariant factors of an integer
-  matrix of sparse columns.  Pivots are restricted to entries +-1, so
-  every column operation is unimodular and each pivot splits off an
-  invariant factor 1 (discrete-Morse style reduction, as in
-  Kaczynski-Mrozek-Slusarek 1998 and Dumas-Heckenbach-Saunders-Welker
-  2003).  The residual block with no unit entry left is small; it goes
-  dense through the textbook `smith_normal_form`, which tracks both
-  transforms and asserts its certificate.
+  pivot vector once its index is cleared.  It picks, within a vector,
+  the pivot index held by the fewest other vectors, which keeps fill-in
+  low: the Hochschild differentials over Q fill in more, and rank
+  slower, under the left-looking rule below.
 
-`rank` and `smith_divisors` pick, within a vector, the pivot index held
-by the fewest other vectors, which keeps fill-in low.  Both can leave
-out given vectors and report their pivot indices, which is how a chain
-complex is ranked with clearing (`complex._ranks`).
+Over Z the kernel is left-looking: `smith_divisors(columns)` gives the
+invariant factors of an integer matrix of sparse columns by the standard
+reduction of persistent homology (Chen-Kerber 2011,
+Bauer-Kerber-Reininghaus-Wagner 2017), which needs no holder index: each
+column is reduced by the pivot columns that share its greatest row, and
+a column whose greatest row ends up with a +-1 there becomes a pivot.
+Every column operation is unimodular and each pivot splits off an
+invariant factor 1; the columns whose greatest entry is not a unit form
+a residual, reduced against every pivot and then made dense for the
+textbook `smith_normal_form`, which tracks both transforms and asserts
+its certificate.
+
+`rank` and `smith_divisors` can leave out given columns without reading
+them and report their pivot indices, which is how a chain complex is
+ranked with clearing (`complex._ranks`).  A matrix is any sequence of
+columns, so a complex can hand over columns that it builds only when
+they are read.
 
 An element of Q is a Python int, or a Fraction only when its denominator
 is not 1 (`QQ.of` puts a rational in this form).  Most coefficients the
@@ -178,14 +187,13 @@ def _holders(vecs):
     return where
 
 
-def _clear(vecs, where, k, c, inv, field=None):
+def _clear(vecs, where, k, c, inv, field):
     """Schur update: zero index c in every vector but vecs[k].
 
     Each other holder v of c loses v[c] * inv times vecs[k], where inv is
-    1 / vecs[k][c] (over Z, field None, a unit and its own inverse).
-    Keeps `where` in step.  Over Q, an update in which a Fraction takes
-    part puts the entries it wrote back into int-first form; int data
-    never pay for that pass.
+    1 / vecs[k][c].  Keeps `where` in step.  Over Q, an update in which a
+    Fraction takes part puts the entries it wrote back into int-first
+    form; int data never pay for that pass.
     """
     p = getattr(field, "p", None)
     rational = isinstance(field, RationalField)
@@ -229,11 +237,12 @@ def _drop(vecs, where, k):
 
 def _sparse(vectors, field, skip=()):
     """Sparse vectors as {id: {index: field element}}, zeros dropped and
-    the ids in `skip` left out."""
+    the ids in `skip` left out unread."""
     out = {}
-    for k, vec in enumerate(vectors):
+    for k in range(len(vectors)):
         if k in skip:
             continue
+        vec = vectors[k]
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {}
         for i, x in items:
@@ -285,12 +294,11 @@ def sparse_rref(rows, field=QQ):
     return sorted(reduced.items())
 
 
-def _fewest_holders(v, where, allowed):
-    """Index of v, among those whose entry passes `allowed`, held by the
-    fewest vectors; None if no entry passes."""
+def _fewest_holders(v, where):
+    """Index of the nonzero vector v held by the fewest vectors."""
     best = None
-    for i, x in v.items():
-        if allowed(x) and (best is None or len(where[i]) < len(where[best])):
+    for i in v:
+        if best is None or len(where[i]) < len(where[best]):
             best = i
     return best
 
@@ -308,7 +316,7 @@ def rank(vectors, field=QQ, skip=(), pivots=None):
     for k in list(vecs):
         v = vecs[k]
         if v:
-            c = _fewest_holders(v, where, bool)
+            c = _fewest_holders(v, where)
             _clear(vecs, where, k, c, field.inv(v[c]), field)
             rk += 1
             if pivots is not None:
@@ -464,54 +472,78 @@ def smith_normal_form(mat):
     return divisors, U, V, A
 
 
-def _is_unit(x):
-    return x == 1 or x == -1
-
-
 def smith_divisors(columns, skip=(), pivots=None):
     """Nonzero invariant factors of an integer matrix of sparse columns.
 
-    Each pivot on an entry +-1 clears its row from the other columns by
-    integer column operations, so the matrix becomes diag(1, residual)
-    up to unimodular transforms.  Pivoting repeats until no unit entry
-    is left (fill-in can create new ones); the dense residual then goes
-    through the certified `smith_normal_form`.  Returns the divisors in
-    chain order, as `smith_normal_form` does.
+    The standard left-looking reduction of persistent homology (Chen-Kerber
+    2011, Bauer-Kerber-Reininghaus-Wagner 2017): each column in turn
+    loses, by integer column operations, the multiple of the pivot column
+    that holds its low (its greatest row) until its low is a row no pivot
+    holds.  A low +-1 makes the column a pivot; a column whose low is
+    another integer goes to the residual, which is reduced against every
+    pivot at the end.  The pivot columns, ordered by their lows, are then
+    unit-triangular on the pivot rows, and the residual is zero there, so
+    row operations from the pivot rows turn the matrix into
+    diag(1, ..., 1, residual) up to unimodular transforms; the residual
+    (in practice small) goes through the certified `smith_normal_form`.
+    Returns the divisors in chain order, as `smith_normal_form` does.
 
-    The columns at the positions in `skip` are left out; when `pivots` is
-    a set, the row of every unit pivot is added to it.  The pivots of the
-    residual are not: on those rows the reduced matrix need not be
-    unimodular.
+    `columns` is a sequence of {row: coefficient} dicts, which are not
+    changed; rows need only compare with each other.  The columns at the
+    positions in `skip` are left out, and never read; when `pivots` is a
+    set, the row of every unit pivot is added to it.  The rows of the
+    residual are not: on those the reduced matrix need not be unimodular.
     """
-    vecs = {}
-    for k, col in enumerate(columns):
+    reduced = {}  # low -> its pivot column, +-1 there
+    residual = []
+    for k in range(len(columns)):
         if k in skip:
             continue
-        v = {i: x for i, x in col.items() if x}
-        if v:
-            vecs[k] = v
-    where = _holders(vecs)
-    units = 0
-    progress = True
-    while progress:
-        progress = False
-        for k in list(vecs):
-            v = vecs[k]
-            c = _fewest_holders(v, where, _is_unit)
-            if c is not None:
-                _clear(vecs, where, k, c, v[c])
-                units += 1
-                progress = True
-                if pivots is not None:
-                    pivots.add(c)
-            if c is not None or not v:
-                _drop(vecs, where, k)
-    if not vecs:
-        return [1] * units
-    rows = sorted(i for i, ks in where.items() if ks)
+        # a column is copied only once it is to change: a pivot keeps the
+        # caller's dict
+        v = columns[k]
+        owned = 0 in v.values()
+        if owned:
+            v = {i: x for i, x in v.items() if x}
+        while v:
+            low = max(v)
+            piv = reduced.get(low)
+            if piv is None:
+                if v[low] == 1 or v[low] == -1:
+                    reduced[low] = v
+                else:
+                    residual.append(v if owned else dict(v))
+                break
+            if not owned:
+                v, owned = dict(v), True
+            _subtract(v, piv, v[low] * piv[low])
+    if pivots is not None:
+        pivots.update(reduced)
+    units = [1] * len(reduced)
+    for v in residual:
+        held = [i for i in v if i in reduced]
+        while held:
+            low = max(held)
+            piv = reduced[low]
+            _subtract(v, piv, v[low] * piv[low])
+            held = [i for i in v if i in reduced]
+    residual = [v for v in residual if v]
+    if not residual:
+        return units
+    rows = sorted({i for v in residual for i in v})
     at = {i: r for r, i in enumerate(rows)}
-    residual = [[0] * len(vecs) for _ in rows]
-    for c, v in enumerate(vecs.values()):
+    dense = [[0] * len(residual) for _ in rows]
+    for c, v in enumerate(residual):
         for i, x in v.items():
-            residual[at[i]][c] = x
-    return [1] * units + smith_normal_form(residual)[0]
+            dense[at[i]][c] = x
+    return units + smith_normal_form(dense)[0]
+
+
+def _subtract(v, piv, f):
+    """v -= f * piv on integer sparse columns, zeros dropped."""
+    for i, x in piv.items():
+        y = v.get(i, 0) - f * x
+        if y:
+            v[i] = y
+        else:
+            del v[i]

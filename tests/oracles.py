@@ -61,7 +61,15 @@ pushed through eps and ranked together with the Hochschild coboundaries.
 
 `per_matrix_integral_homology` and `per_matrix_ranks` rank a chain
 complex as it was ranked before clearing: every boundary matrix on its
-own, with all of its columns eliminated.
+own, with all of its columns eliminated, over Z by
+`unit_pivot_smith_divisors`.
+
+`unit_pivot_smith_divisors` is `smith_divisors` as it ran before the
+left-looking reduction: a right-looking elimination that keeps a
+row -> holders index, pivots each column on the +-1 entry whose row the
+fewest other columns hold, clears that row from every other column, and
+repeats until no unit entry is left; the dense residual goes through
+`smith_normal_form`.
 
 `check_square_zero` is the check that a complex given by sparse
 columns squares to zero as the library ran it before: one sparse
@@ -227,8 +235,8 @@ from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _word_inverse, free_reduce,
                             natural_homotopy_classes, pi1_presentation,
                             relation_components, walk_homotopy_classes)
-from bqtop.linalg import (QQ, PrimeField, extend_rref, rank, smith_divisors,
-                          sparse_rref)
+from bqtop.linalg import (QQ, PrimeField, extend_rref, rank,
+                          smith_normal_form, sparse_rref)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -1430,6 +1438,85 @@ def commuting_squares(sc, hc, eps, mu):
                 for n in range(top)))
 
 
+def _holders(vecs):
+    """row -> set of ids of the columns holding a nonzero there."""
+    where = {}
+    for k, v in vecs.items():
+        for i in v:
+            where.setdefault(i, set()).add(k)
+    return where
+
+
+def _clear_unit(vecs, where, k, c, inv):
+    """Zero row c in every column but vecs[k], whose entry there is the
+    unit 1 / inv, keeping `where` in step."""
+    piv = vecs[k]
+    for j in list(where[c]):
+        if j == k:
+            continue
+        v = vecs[j]
+        f = v[c] * inv
+        for i, x in piv.items():
+            y = v.get(i)
+            y = -f * x if y is None else y - f * x
+            if y:
+                if i not in v:
+                    where[i].add(j)
+                v[i] = y
+            else:
+                del v[i]
+                where[i].discard(j)
+
+
+def _fewest_unit_holders(v, where):
+    """Row of a +-1 entry of v held by the fewest columns; None if v has
+    no unit entry."""
+    best = None
+    for i, x in v.items():
+        if (x == 1 or x == -1) and (best is None
+                                    or len(where[i]) < len(where[best])):
+            best = i
+    return best
+
+
+def unit_pivot_smith_divisors(columns, skip=(), pivots=None):
+    """Nonzero invariant factors of an integer matrix of sparse columns,
+    by unit pivots chosen by fewest holders and a dense residual."""
+    vecs = {}
+    for k, col in enumerate(columns):
+        if k in skip:
+            continue
+        v = {i: x for i, x in col.items() if x}
+        if v:
+            vecs[k] = v
+    where = _holders(vecs)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for k in list(vecs):
+            v = vecs[k]
+            c = _fewest_unit_holders(v, where)
+            if c is not None:
+                _clear_unit(vecs, where, k, c, v[c])
+                units += 1
+                progress = True
+                if pivots is not None:
+                    pivots.add(c)
+            if c is not None or not v:
+                for i in vecs.pop(k):
+                    where[i].discard(k)
+    if not vecs:
+        return [1] * units
+    rows = sorted(i for i, ks in where.items() if ks)
+    at = {i: r for r, i in enumerate(rows)}
+    residual = [[0] * len(vecs) for _ in rows]
+    for c, v in enumerate(vecs.values()):
+        for i, x in v.items():
+            residual[at[i]][c] = x
+    return [1] * units + smith_normal_form(residual)[0]
+
+
 def per_matrix_integral_homology(dims, mats, top):
     """List of (free_rank, divisors) for a complex of integer matrices.
 
@@ -1441,7 +1528,7 @@ def per_matrix_integral_homology(dims, mats, top):
     for n in range(top + 2):
         mat = mats.get(n)
         if mat and dims.get(n, 0) and dims.get(n - 1, 0):
-            divisors = smith_divisors(mat)
+            divisors = unit_pivot_smith_divisors(mat)
             ranks[n] = len(divisors)
             torsions[n] = tuple(d for d in divisors if d > 1)
         else:

@@ -1,5 +1,6 @@
 """Cell complexes, cellular (co)homology, cup products."""
 
+import collections
 import contextlib
 import copy
 import io
@@ -12,6 +13,8 @@ import sys
 import pytest
 
 from bqtop import cli
+from bqtop import complex as cellular
+from bqtop.algcohom import find_semi_normed_basis, simplicial_complex
 from bqtop.complex import (CellComplex, build_complex, coboundary,
                            cohomology, cohomology_of_matrices, cup_product,
                            euler_characteristic, homology,
@@ -20,7 +23,7 @@ from bqtop.core import BoundQuiver, enumerate_paths
 from bqtop.dsl import parse
 from bqtop.homotopy import (abelianization, natural_homotopy_classes,
                             pi1_presentation, walk_homotopy_classes)
-from bqtop.linalg import mat_mul
+from bqtop.linalg import mat_mul, rank, smith_divisors
 from oracles import check_square_zero, load_bench_workloads
 
 
@@ -188,17 +191,65 @@ def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
                  ["homology", str(src)], ["cohomology", str(src)]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-    # `dot --skeleton` reads the 1-cells off the classes, with no complex
+    # `dot --skeleton` reads the 1-cells off the classes, with no complex,
+    # and (co)homology ranks the face rows
     cells, hom, cohom = built
-    assert "columns" not in cells.__dict__
-    for cx in (hom, cohom):
-        assert cx.columns == eager_columns(cx.faces)
+    for cx in (cells, hom, cohom):
+        assert "columns" not in cx.__dict__
         assert "cell_index" not in cx.__dict__
+        assert cx.columns == eager_columns(cx.faces)
     t = enumerate_paths(parse(src.read_text()))
     cx = build_complex(t, natural_homotopy_classes(t))
+    for coeff in ("Z", "Q", "Fp:2", "Zmod:4"):
+        homology(cx, coeff)
+        cohomology(cx, coeff)
     assert "columns" not in cx.__dict__
-    homology(cx)
     assert cx.columns == eager_columns(cx.faces)
+
+
+def test_homology_ranks_every_complex_off_its_face_rows(comm_grid,
+                                                       monkeypatch):
+    # the natural, walk and simplicial complexes over Z, fields and Z/4:
+    # each boundary column the ranking keeps is read off its face row
+    # once, a cleared one never, and `columns` is not built
+    calls, reads = [], collections.defaultdict(list)
+
+    def counted_smith(columns, skip=(), pivots=None):
+        calls.append((columns, skip))
+        return smith_divisors(columns, skip, pivots)
+
+    def counted_rank(vectors, field, skip=(), pivots=None):
+        calls.append((vectors, skip))
+        return rank(vectors, field, skip, pivots)
+
+    def reading(layer, k):
+        reads[layer].append(k)
+        return face_column(layer, k)
+
+    face_column = cellular.FaceColumns.__getitem__
+    monkeypatch.setattr(cellular, "smith_divisors", counted_smith)
+    monkeypatch.setattr(cellular, "rank", counted_rank)
+    monkeypatch.setattr(cellular.FaceColumns, "__getitem__", reading)
+    t = enumerate_paths(parse(open(comm_grid(3)).read()))
+    complexes = [build_complex(t, natural_homotopy_classes(t)),
+                 build_complex(t, walk_homotopy_classes(t)),
+                 simplicial_complex(find_semi_normed_basis(t))]
+    cleared = 0
+    for cx in complexes:
+        for coeff in ("Z", "Q", "Fp:2", "Zmod:4"):
+            got = homology(cx, coeff), cohomology(cx, coeff)
+            assert "columns" not in cx.__dict__
+            for layer, skip in calls:
+                kept = [k for k in range(len(layer)) if k not in skip]
+                assert reads.pop(layer, []) == kept
+                cleared += len(skip)
+            assert not reads
+            dims = dict(enumerate(cx.counts()))
+            columns = eager_columns(cx.faces)
+            assert got == (homology_of_matrices(dims, columns, coeff),
+                           cohomology_of_matrices(dims, columns, coeff))
+            calls.clear()
+    assert cleared > 0
 
 
 def test_cell_index_is_built_on_first_read(comm_grid):

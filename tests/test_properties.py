@@ -58,6 +58,7 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      lengthwise_path_table, load_bench_workloads,
                      local_rows, loops,
                      object_complex,
+                     unit_pivot_smith_divisors,
                      object_path_table, paths_between,
                      per_matrix_integral_homology, per_matrix_ranks,
                      pumped_semi_commutative,
@@ -476,6 +477,76 @@ def test_smith_divisors_match_smith_normal_form():
     for n, cols in cx.columns.items():
         assert smith_divisors(cols) == smith_normal_form(cx.boundary(n))[0]
     assert smith_divisors(cx.columns[2]) == [1, 1, 1, 2]
+
+
+def abelianization_columns(pres):
+    """The relator columns `abelianization` ranks, keyed by generator
+    name."""
+    cols = []
+    for rel in pres.relators:
+        col = {}
+        for g, e in rel:
+            col[g] = col.get(g, 0) + e
+        cols.append(col)
+    return cols
+
+
+def cleared_boundaries(cx):
+    """(columns, skip, number of rows) of every boundary of cx, top
+    down, with the columns that the ranking with clearing skips."""
+    out, pivots = [], set()
+    for n in range(cx.top_dim(), 0, -1):
+        skip, pivots = pivots, set()
+        out.append((cx.columns[n], skip, cx.size(n - 1)))
+        smith_divisors(cx.columns[n], skip, pivots)
+    return out
+
+
+def test_smith_divisors_match_the_unit_pivot_oracle():
+    # the left-looking reduction against the right-looking unit-pivot
+    # elimination it replaced and the dense Smith form, on random
+    # matrices, on the string-keyed columns of the abelianized pi1, and on
+    # every boundary of the natural, walk and simplicial complexes with
+    # the columns that clearing leaves out
+    rng = random.Random(SEED + 3)
+    checked = collections.Counter()
+
+    def agree(columns, skip=(), nrows=None):
+        kept = [col for k, col in enumerate(columns) if k not in skip]
+        rows = (range(nrows) if nrows is not None
+                else sorted({i for col in kept for i in col}))
+        dense = [[col.get(i, 0) for col in kept] for i in rows]
+        want = smith_normal_form(dense)[0] if rows and kept else []
+        pivots = set()
+        got = smith_divisors(columns, skip, pivots)
+        assert got == unit_pivot_smith_divisors(columns, skip) == want
+        # each unit pivot splits off an invariant factor 1
+        assert len(pivots) <= got.count(1)
+        checked["torsion"] += any(d > 1 for d in got)
+        checked["residual"] += len(pivots) < len(got)
+
+    for _ in range(400):
+        agree(sparse_columns(random_int_matrix(rng)))
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        agree(abelianization_columns(pi1_presentation(t)))
+        complexes = [build_complex(t, classes) for classes in
+                     (natural_homotopy_classes(t), walk_homotopy_classes(t))]
+        a = find_semi_normed_basis(t) if q.is_acyclic() else None
+        if a is not None and a.ok:
+            complexes.append(simplicial_complex(a))
+        for cx in complexes:
+            for columns, skip, nrows in cleared_boundaries(cx):
+                agree(columns, skip, nrows)
+                checked["boundaries"] += 1
+                checked["cleared"] += bool(skip)
+    # rp2's H_1 = Z/2 is one of the boundaries with torsion
+    t = enumerate_paths(parse((CORPUS / "rp2.bq").read_text()))
+    cx = build_complex(t, natural_homotopy_classes(t))
+    assert [smith_divisors(cols, skip) for cols, skip, _ in
+            cleared_boundaries(cx)] == [[1, 1, 1, 2], [1, 1]]
+    assert checked == {"boundaries": 1667, "cleared": 794, "torsion": 169,
+                       "residual": 318}
 
 
 def test_rank_matches_dense_elimination():
