@@ -45,10 +45,16 @@ the top down with clearing (the "twist" of persistent homology,
 Chen-Kerber 2011): each one skips the columns on which the one above
 pivoted, over Z only its unit pivots, so those columns are never built
 and reach neither the elimination nor the residual Smith normal form.
+A monomial ideal needs no complex for its (co)homology: an acyclic
+matching (Brown 1989, Forman 1998) collapses the natural complex onto
+the quiver's underlying graph, whose vertices and arrows are the only
+critical cells, and the cell counts are binomial sums over the nonzero
+path lengths (`monomial_collapse`).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -61,7 +67,7 @@ __all__ = [
     "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
-    "HomologyResult",
+    "HomologyResult", "monomial_collapse",
 ]
 
 
@@ -174,6 +180,52 @@ def face_columns(faces):
 def _face_matrices(faces):
     """{n: `FaceColumns` of delta_n} for n >= 1."""
     return {n: FaceColumns(faces[n], n) for n in range(1, len(faces))}
+
+
+def monomial_collapse(table):
+    """(counts, columns) of the natural complex of a monomial bound quiver,
+    collapsed onto its underlying graph; None when the ideal is not
+    monomial.
+
+    The ideal is monomial when every reduced ideal row is a unit row.  No
+    minimal relation then exists, so the natural classes are the single
+    paths, with no caveat, and an n-cell is a tuple (p_1, ..., p_n) of
+    non-identity paths whose composite w is a nonzero path.  Its n parts
+    cut w, so counts[n] = sum C(|w| - 1, n - 1) over the nonzero paths w
+    of length >= 1, and the top dimension is the greatest such length.
+
+    Match (a p', p_2, ..., p_n) with (a, p', p_2, ..., p_n) for an arrow a
+    and a non-identity p' (Brown 1989; Forman 1998).  The lower cell is
+    the face d_1 of the upper, with sign -1, and no other face equals it:
+    d_0 has the shorter first entry p', and d_i for i >= 2 keeps the
+    arrow a first.  The matching is acyclic: along a V-path the next cell
+    matched upward must be a face other than d_1 whose first entry is not
+    an arrow, so d_0, and the length of the first entry strictly drops.
+    Every cell whose first entry is not an arrow is matched up, and every
+    cell of dimension >= 2 that starts with an arrow is matched down, so
+    the critical cells are the vertices and the arrows (arrows are never
+    in an admissible ideal).  With all 0-cells critical, the Morse
+    boundary of an arrow is its cellular one, so the complex has the
+    (co)homology of the quiver's graph: `columns` holds one column
+    t(a) - s(a) per arrow, in the rows of the vertices, a loop's empty.
+    """
+    if any(len(row) != 1 for rows in table.ideal_rows.values()
+           for row in rows.values()):
+        return None
+    words, in_ideal = table.words, table.in_ideal
+    quiver = table.quiver
+    nv = len(quiver.vertices)
+    lengths = collections.Counter(len(words[i]) for i in range(nv, len(words))
+                                  if i not in in_ideal)
+    top = max(lengths, default=0)
+    counts = [nv] + [sum(k * math.comb(m - 1, n - 1)
+                         for m, k in lengths.items())
+                     for n in range(1, top + 1)]
+    at = quiver.vertex_index
+    columns = [{} if a.source == a.target
+               else {at[a.target]: 1, at[a.source]: -1}
+               for a in quiver.arrows]
+    return counts, columns
 
 
 def check_faces_square_zero(faces):

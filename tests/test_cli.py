@@ -16,12 +16,12 @@ import pytest
 
 from bqtop import cli, coverings
 from bqtop.cli import _report_text, main
-from bqtop.complex import build_complex
+from bqtop.complex import build_complex, cohomology, homology
 from bqtop.core import enumerate_paths
 from bqtop.dsl import parse, serialize
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
 from oracles import (CORPUS, dict_cells_report, differential_quivers,
-                     full_parse_argv)
+                     full_parse_argv, load_bench_workloads)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -262,6 +262,86 @@ def test_long_chain_homology(square_zero_chain):
     assert rep["result"]["counts"] == [2001, 2000]
     assert rep["result"]["groups"]["H0"] == [1, []]
     assert rep["result"]["groups"]["H1"] == [0, []]
+
+
+# monomial quivers whose homology and cohomology collapse onto the graph:
+# two components, a loop (its boundary column is empty), a lone vertex and
+# no vertex at all; the cyclic square-zero chain comes from its fixture
+COLLAPSED = {
+    "disconnected": "arrow a 1 2\narrow b 2 3\narrow c 4 5\nrel a*b\n",
+    "loop": "arrow x 1 1\nrel x*x*x\n",
+    "vertex": "vertex 1\n",
+    "empty": "",
+}
+COLLAPSED_H = {
+    "disconnected": {"H0": [2, []], "H1": [0, []]},
+    "loop": {"H0": [1, []], "H1": [1, []], "H2": [0, []]},
+    "vertex": {"H0": [1, []]},
+    "empty": {"H0": [0, []]},
+    "cycle": {"H0": [1, []], "H1": [1, []]},
+}
+
+
+@pytest.mark.parametrize("coeff", ["Z", "Zmod:4"])
+@pytest.mark.parametrize("name", [*COLLAPSED, "cycle"])
+def test_collapsed_reports_match_the_built_complex(
+        monkeypatch, tmp_path, square_zero_chain, name, coeff):
+    if name == "cycle":
+        path = square_zero_chain(5, cycle=True)
+    else:
+        path = tmp_path / ("%s.bq" % name)
+        path.write_text(COLLAPSED[name])
+        path = str(path)
+    t = enumerate_paths(parse(pathlib.Path(path).read_text()))
+    cx = build_complex(t, natural_homotopy_classes(t))
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a monomial quiver's complex is not built")
+
+    monkeypatch.setattr(cli, "build_complex", unbuilt)
+    reports = {}
+    for cmd, fn, prefix in (("homology", homology, "H"),
+                            ("cohomology", cohomology, "H^")):
+        code, out, err = run_cli([cmd, "--coeff", coeff, path])
+        assert (code, err) == (0, "")
+        rep = reports[cmd] = json.loads(out)
+        res = fn(cx, coeff)
+        assert rep["result"] == json.loads(json.dumps(
+            {"coefficients": res.coeff, "counts": cx.counts(),
+             "groups": cli._groups_json(res, prefix)}))
+        assert rep["caveats"] == list(cx.caveats) == []
+    if coeff == "Z":
+        assert reports["homology"]["result"]["groups"] == COLLAPSED_H[name]
+
+
+def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
+                                                    comm_grid):
+    calls = collections.Counter()
+
+    def counted(fn):
+        def count(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for fn in (build_complex, natural_homotopy_classes,
+               walk_homotopy_classes):
+        monkeypatch.setattr(cli, fn.__name__, counted(fn))
+    mono = tmp_path / "mono5x5.bq"
+    mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
+    mono, comm = str(mono), comm_grid(3)
+    for argv, want in [
+            (["cells", mono], {"build_complex": 1,
+                               "natural_homotopy_classes": 1}),
+            (["homology", "--sharp", mono], {"build_complex": 1,
+                                             "walk_homotopy_classes": 1}),
+            (["homology", comm], {"build_complex": 1,
+                                  "natural_homotopy_classes": 1}),
+            (["homology", mono], {}),
+            (["cohomology", "--coeff", "Fp:2", mono], {})]:
+        calls.clear()
+        assert run_cli(argv)[0] == 0
+        assert calls == want, argv
 
 
 def test_check_on_a_short_cycle(tmp_path):

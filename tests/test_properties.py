@@ -30,8 +30,9 @@ from bqtop import (BoundQuiver, GroupAction, HochschildComplex, NotGalois,
 from bqtop import algcohom, cli
 from bqtop import complex as cellular
 from bqtop import core
-from bqtop.complex import (check_faces_square_zero, face_columns,
-                           homology_of_matrices)
+from bqtop.complex import (check_faces_square_zero, cohomology_of_matrices,
+                           face_columns, homology_of_matrices,
+                           monomial_collapse)
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
                         PathTable, path_sort_key)
 from bqtop.dsl import parse
@@ -215,6 +216,33 @@ def test_monomial_space_is_the_graph():
         assert all(g == (0, ()) for g in res.groups[2:])
         ab = abelianization(pi1_presentation(t))
         assert (ab[0], list(ab[1])) == (loops, [])
+
+
+def test_monomial_collapse_matches_the_built_complex():
+    # the collapse onto the graph gives every monomial quiver's counts
+    # and (co)homology, cyclic ones included; any other ideal has a
+    # minimal relation, and with it a class of two paths
+    monomial = 0
+    for q in differential_quivers():
+        t = enumerate_paths(q)
+        collapsed = monomial_collapse(t)
+        if collapsed is None:
+            assert relation_components(t)
+            continue
+        monomial += 1
+        counts, columns = collapsed
+        cx = build_complex(t, natural_homotopy_classes(t))
+        assert cx.caveats == ()
+        assert counts == cx.counts()
+        dims = {0: counts[0], 1: len(columns)}
+        for coeff in ("Z", "Q", "Fp:2", "Fp:3", "Zmod:4", "Zmod:6"):
+            assert homology_of_matrices(dims, {1: columns}, coeff,
+                                        top=len(counts) - 1) \
+                == homology(cx, coeff)
+            assert cohomology_of_matrices(dims, {1: columns}, coeff,
+                                          top=len(counts) - 1) \
+                == cohomology(cx, coeff)
+    assert monomial == 213
 
 
 # The five shapes for the monomial family sweep.  Underlying graphs: two
