@@ -36,9 +36,9 @@ from . import __version__
 from .algcohom import (HochschildComplex, NoSemiNormedBasis,
                        TriangularRequired, find_semi_normed_basis,
                        epsilon_mu, hochschild_scalars, simplicial_complex)
-from .complex import (build_complex, cohomology, cohomology_of_matrices,
+from .complex import (build_complex, cellular_chains, cohomology_of_matrices,
                       euler_characteristic, homology, homology_of_matrices,
-                      monomial_collapse, parse_coefficients)
+                      parse_coefficients)
 from .core import QuiverError, algebra_properties, enumerate_paths
 from .coverings import (GroupAction, NotGalois, check_covering, check_galois,
                         deck_group, lift_complex_map)
@@ -262,20 +262,11 @@ def _dispatch(args, table):
 
     if cmd in ("homology", "cohomology"):
         prefix = "H" if cmd == "homology" else "H^"
-        # a monomial ideal's natural complex collapses onto the graph
-        collapsed = None if args.sharp else monomial_collapse(table)
-        if collapsed is not None:
-            counts, columns = collapsed
-            fn = (homology_of_matrices if cmd == "homology"
-                  else cohomology_of_matrices)
-            res = fn({0: counts[0], 1: len(columns)}, {1: columns},
-                     args.coeff, top=len(counts) - 1)
-            caveats = []
-        else:
-            cx = build_complex(table, _classes(table, args.sharp))
-            fn = homology if cmd == "homology" else cohomology
-            res = fn(cx, args.coeff)
-            counts, caveats = cx.counts(), list(cx.caveats)
+        counts, dims, columns, caveats = cellular_chains(
+            table, functools.partial(_classes, table, args.sharp))
+        fn = (homology_of_matrices if cmd == "homology"
+              else cohomology_of_matrices)
+        res = fn(dims, columns, args.coeff, len(counts) - 1)
         return ({"coefficients": res.coeff,
                  "groups": _groups_json(res, prefix),
                  "counts": counts},

@@ -45,11 +45,13 @@ the top down with clearing (the "twist" of persistent homology,
 Chen-Kerber 2011): each one skips the columns on which the one above
 pivoted, over Z only its unit pivots, so those columns are never built
 and reach neither the elimination nor the residual Smith normal form.
+One loop (`_ranked`) does so over Z, Z/m and fields alike.
 A monomial ideal needs no complex for its (co)homology: an acyclic
 matching (Brown 1989, Forman 1998) collapses the natural complex onto
 the quiver's underlying graph, whose vertices and arrows are the only
 critical cells, and the cell counts are binomial sums over the nonzero
-path lengths (`monomial_collapse`).
+path lengths (`monomial_collapse`); its walk classes are the same, and
+`cellular_chains` picks the collapse or the built complex.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ __all__ = [
     "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
-    "HomologyResult", "monomial_collapse",
+    "HomologyResult", "monomial_collapse", "cellular_chains",
 ]
 
 
@@ -421,49 +423,33 @@ def _modulus(coeff, prefix):
                          "after %r" % (coeff, prefix)) from None
 
 
-def _integral_homology(dims, mats, top):
-    """List of (free_rank, divisors) for a complex of integer matrices.
+def _ranked(mats, kernel):
+    """{n: kernel(mats[n], skip, pivots)} for the boundaries of a complex,
+    ranked from the top down with clearing (Chen-Kerber 2011): `skip`
+    holds the columns on which the boundary above pivoted, and `kernel`
+    adds its own pivot rows to the set `pivots`.  The kernel is
+    `smith_divisors` over Z, which records only its unit pivots, or
+    `rank` over a field, which records every pivot.
 
-    dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
-    to degree n-1 as sparse columns {row: coefficient}, one per n-cell,
-    and mats[n - 1] mats[n] == 0.  As in `_ranks`, each matrix skips the
-    columns on which the one above pivoted, but only on its unit pivots:
-    a reduced pivot column of delta_(n+1) is +-1 at its low and zero at
-    every greater row, so delta_n delta_(n+1) == 0 writes the column of
-    delta_n at that low as an integer combination of its columns at
-    lower rows, and by induction on the low every skipped column is an
-    integer combination of the kept ones; the invariant factors do not
-    change.
+    mats[n] maps degree n to degree n-1 as sparse columns
+    {row: coefficient}, one per n-cell, with mats[n - 1] mats[n] == 0.
+    Leaving the skipped columns out changes neither the rank nor the
+    invariant factors:
+    - over a field, the reduced delta_(n+1) pivots on the rows P, and its
+      block on P and the pivot columns is triangular with a nonzero
+      diagonal, so delta_n delta_(n+1) == 0 writes the columns P of
+      delta_n through the others;
+    - over Z, a reduced unit pivot column of delta_(n+1) is +-1 at its
+      low and zero at every greater row, so delta_n delta_(n+1) == 0
+      writes the column of delta_n at that low as an integer combination
+      of its columns at lower rows, and by induction on the low every
+      skipped column is an integer combination of the kept ones.
     """
-    ranks, torsions, pivots = {}, {}, {}
-    for n in range(top + 1, -1, -1):
-        mat = mats.get(n)
+    out, pivots = {}, {}
+    for n in sorted(mats, reverse=True):
         pivots[n - 1] = set()
-        divisors = ()
-        if mat and dims.get(n, 0) and dims.get(n - 1, 0):
-            divisors = smith_divisors(mat, pivots.get(n, ()), pivots[n - 1])
-        ranks[n] = len(divisors)
-        torsions[n] = tuple(d for d in divisors if d > 1)
-    return [(free, torsions[n + 1])
-            for n, free in enumerate(_betti(dims, ranks, top))]
-
-
-def _ranks(columns, field):
-    """{n: rank of columns[n]} for a complex of sparse columns with
-    columns[n - 1] columns[n] == 0, ranked from the top down with
-    clearing (Chen-Kerber 2011).
-
-    Each matrix skips the columns on which the one above pivoted.  When
-    the reduced delta_(n+1) pivots on the rows P, its block on P and the
-    pivot columns is triangular with a nonzero diagonal, so
-    delta_n delta_(n+1) == 0 writes the columns P of delta_n through the
-    others, and leaving them out keeps the rank.
-    """
-    ranks, pivots = {}, {}
-    for n in sorted(columns, reverse=True):
-        pivots[n - 1] = set()
-        ranks[n] = rank(columns[n], field, pivots.get(n, ()), pivots[n - 1])
-    return ranks
+        out[n] = kernel(mats[n], pivots.get(n, ()), pivots[n - 1])
+    return out
 
 
 def _betti(dims, ranks, top):
@@ -475,44 +461,41 @@ def _betti(dims, ranks, top):
             for n in range(top + 1)]
 
 
-def homology_of_matrices(dims, mats, coeff, top=None):
-    """Homology of an integer chain complex given as sparse boundary
-    columns: mats[n][j] = {row in degree n-1: coefficient}.
+def homology_of_matrices(dims, mats, coeff, top):
+    """Homology in degrees 0 .. top of an integer chain complex given as
+    sparse boundary columns: mats[n][j] = {row in degree n-1: coefficient}.
 
     The matrices must form a complex, mats[n - 1] mats[n] == 0: the
     ranking clears columns by that identity and does not check it.  Every
     complex the package ranks has been made sure of it: a face complex
     (the cell complexes and SC) by `check_faces_square_zero` on its face
-    rows, HC by the associativity of its structure table, and the
-    quotient HC/eps(SC) by the epsilon cochain-map check, which makes
-    eps(SC) a subcomplex.
+    rows, HC by the associativity of its structure table, the quotient
+    HC/eps(SC) by the epsilon cochain-map check, which makes eps(SC) a
+    subcomplex, and the collapse onto the graph by having one matrix.
+    Z/m coefficients read the integral ranking by universal coefficients.
     """
-    if top is None:
-        top = max([n for n, d in dims.items() if d], default=0)
     kind, arg = parse_coefficients(coeff)
+    label = coeff if arg is None else "%s:%d" % (kind, arg)
+    if kind in ("Q", "Fp"):
+        field = QQ if kind == "Q" else PrimeField(arg)
+        ranks = _ranked(mats, lambda columns, skip, pivots: rank(
+            columns, field, skip, pivots))
+        return HomologyResult(label, "field",
+                              tuple(_betti(dims, ranks, top)))
+    divisors = _ranked(mats, smith_divisors)
+    torsion = {n: tuple(d for d in ds if d > 1) for n, ds in divisors.items()}
+    integral = [(free, torsion.get(n + 1, ())) for n, free in enumerate(
+        _betti(dims, {n: len(ds) for n, ds in divisors.items()}, top))]
     if kind == "Z":
-        return HomologyResult("Z", "Z",
-                              tuple(_integral_homology(dims, mats, top)))
-    if kind == "Q":
-        return HomologyResult("Q", "field", tuple(
-            _betti(dims, _ranks(mats, QQ), top)))
-    if kind == "Fp":
-        return HomologyResult("Fp:%d" % arg, "field", tuple(
-            _betti(dims, _ranks(mats, PrimeField(arg)), top)))
-    m = arg
-    integral = _integral_homology(dims, mats, top + 1)
-    groups = []
-    for n in range(top + 1):
-        free, tors = integral[n]
-        prev_tors = integral[n - 1][1] if n >= 1 else ()
-        orders = [m] * free
-        orders += [math.gcd(d, m) for d in tors]
-        orders += [math.gcd(d, m) for d in prev_tors]   # Tor term
-        groups.append(tuple(sorted(o for o in orders if o > 1)))
-    return HomologyResult("Zmod:%d" % m, "cyclic", tuple(groups))
+        return HomologyResult(label, "Z", tuple(integral))
+    # H_n(Z/m) = H_n (x) Z/m + Tor(H_(n-1), Z/m)
+    return HomologyResult(label, "cyclic", tuple(
+        tuple(sorted(o for o in [arg] * free + [
+            math.gcd(d, arg) for d in tors + torsion.get(n, ())] if o > 1))
+        for n, (free, tors) in enumerate(integral)))
 
 
-def cohomology_of_matrices(dims, mats, coeff, top=None):
+def cohomology_of_matrices(dims, mats, coeff, top):
     """Cohomology by universal coefficients over the integral homology.
 
     Over a field or Z/m, Hom and Ext of the integral homology give the
@@ -525,6 +508,30 @@ def cohomology_of_matrices(dims, mats, coeff, top=None):
     tors = [()] + [t for _, t in res.groups]
     return HomologyResult("Z", "Z", tuple(
         (free, tors[n]) for n, (free, _) in enumerate(res.groups)))
+
+
+def cellular_chains(table, classes):
+    """(counts, dims, boundary columns, caveats) of a bound quiver's
+    complex for (co)homology; `classes()` gives its class table (natural
+    or walk) and is called only when the complex is built.
+
+    A monomial ideal's chains are `monomial_collapse`'s, under walk
+    classes too, as those are then the single paths with no caveat:
+    - no ideal row links two paths, so there is no seed and no join;
+    - pi_1 is presented on the arrows over a spanning forest, so free;
+    - for distinct parallel paths u, v, cancelling the common suffix of
+      u v^-1 leaves a nonempty reduced word, which is nontrivial, and
+      `word_is_trivial` says False: no pair is undecided.
+    Otherwise the complex is built and ranked off its face rows.
+    """
+    collapsed = monomial_collapse(table)
+    if collapsed is not None:
+        counts, columns = collapsed
+        return counts, {0: counts[0], 1: len(columns)}, {1: columns}, []
+    cx = build_complex(table, classes())
+    counts = cx.counts()
+    return (counts, dict(enumerate(counts)), _face_matrices(cx.faces),
+            list(cx.caveats))
 
 
 def homology(cx, coeff="Z"):

@@ -211,12 +211,6 @@ class BoundQuiver:
         self._check_path(p)
         return p
 
-    def path_vertices(self, p):
-        out = [p.source]
-        for name in p.arrows:
-            out.append(self.arrow_by_name[name].target)
-        return out
-
     def peel_order(self):
         """The vertices removed by peeling off, again and again, those
         that no remaining arrow enters, in the order they go: all of

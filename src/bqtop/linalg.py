@@ -45,7 +45,7 @@ its certificate.
 
 `rank` and `smith_divisors` can leave out given columns without reading
 them and report their pivot indices, which is how a chain complex is
-ranked with clearing (`complex._ranks`).  A matrix is any sequence of
+ranked with clearing (`complex._ranked`).  A matrix is any sequence of
 columns, so a complex can hand over columns that it builds only when
 they are read.
 

@@ -59,10 +59,9 @@ computed before the long exact sequence of HC/eps(SC): a basis of the
 simplicial cocycles, read off the RREF of each simplicial coboundary,
 pushed through eps and ranked together with the Hochschild coboundaries.
 
-`per_matrix_integral_homology` and `per_matrix_ranks` rank a chain
-complex as it was ranked before clearing: every boundary matrix on its
-own, with all of its columns eliminated, over Z by
-`unit_pivot_smith_divisors`.
+`per_matrix_ranked` ranks a chain complex as it was ranked before
+clearing: every boundary matrix on its own, with all of its columns
+eliminated.
 
 `unit_pivot_smith_divisors` is `smith_divisors` as it ran before the
 left-looking reduction: a right-looking elimination that keeps a
@@ -218,7 +217,7 @@ from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
                             SemiNormedAlgebra, SemiNormedFailure,
                             _acyclic_classes, simplicial_complex)
 from bqtop.cli import _build_parser
-from bqtop.complex import (_betti, build_complex, check_faces_square_zero,
+from bqtop.complex import (build_complex, check_faces_square_zero,
                            euler_characteristic, parse_coefficients,
                            sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
@@ -703,6 +702,13 @@ def object_path_table(quiver, cap=12):
     return ObjectPathTable(quiver, bound, paths, rows)
 
 
+def path_vertices(quiver, p):
+    """The vertices a path passes through, from its source to its target
+    (the library's `BoundQuiver.path_vertices` before it was removed)."""
+    return [p.source] + [quiver.arrow_by_name[name].target
+                         for name in p.arrows]
+
+
 def swept_natural_classes(table):
     """(classes, skipped): the partition of table indices into natural
     classes, as a set of frozensets, that the factor-replacement sweep
@@ -721,7 +727,7 @@ def swept_natural_classes(table):
         for i in range(len(table.paths)):
             members_of.setdefault(_find(parent, i), []).append(i)
         for i, p in enumerate(table.paths):
-            verts = q.path_vertices(p)
+            verts = path_vertices(q, p)
             for a in range(len(p) - 1):
                 for b in range(a + 2, len(p) + 1):
                     mid = Path(verts[a], verts[b], p.arrows[a:b])
@@ -1517,30 +1523,10 @@ def unit_pivot_smith_divisors(columns, skip=(), pivots=None):
     return [1] * units + smith_normal_form(residual)[0]
 
 
-def per_matrix_integral_homology(dims, mats, top):
-    """List of (free_rank, divisors) for a complex of integer matrices.
-
-    dims[n] is the rank of the degree-n chain group; mats[n] maps degree n
-    to degree n-1 as sparse columns {row: coefficient}, one per n-cell.
-    """
-    ranks = {}
-    torsions = {}
-    for n in range(top + 2):
-        mat = mats.get(n)
-        if mat and dims.get(n, 0) and dims.get(n - 1, 0):
-            divisors = unit_pivot_smith_divisors(mat)
-            ranks[n] = len(divisors)
-            torsions[n] = tuple(d for d in divisors if d > 1)
-        else:
-            ranks[n] = 0
-            torsions[n] = ()
-    return [(free, torsions[n + 1])
-            for n, free in enumerate(_betti(dims, ranks, top))]
-
-
-def per_matrix_ranks(columns, field):
-    """{n: rank of columns[n]}, each matrix ranked once."""
-    return {n: rank(cols, field) for n, cols in columns.items()}
+def per_matrix_ranked(mats, kernel):
+    """`complex._ranked` without clearing: every boundary matrix ranked on
+    its own, with all of its columns read."""
+    return {n: kernel(mat, (), None) for n, mat in mats.items()}
 
 
 def folded_product(a, elts):
@@ -1764,7 +1750,7 @@ def reenumerated_pushout(table, v1, v2):
     for i, p in enumerate(table.paths):
         if i in table.in_ideal:
             continue
-        verts = set(q.path_vertices(p))
+        verts = set(path_vertices(q, p))
         if not (verts <= set(v1) or verts <= set(v2)):
             raise HypothesisViolated(
                 "nonzero path %s lies in neither piece" % p, witness=str(p))

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from bqtop import cli, coverings
+from bqtop import complex as cellular
 from bqtop.cli import _report_text, main
 from bqtop.complex import build_complex, cohomology, homology
 from bqtop.core import enumerate_paths
@@ -299,6 +300,7 @@ def test_collapsed_reports_match_the_built_complex(
         raise AssertionError("a monomial quiver's complex is not built")
 
     monkeypatch.setattr(cli, "build_complex", unbuilt)
+    monkeypatch.setattr(cellular, "build_complex", unbuilt)
     reports = {}
     for cmd, fn, prefix in (("homology", homology, "H"),
                             ("cohomology", cohomology, "H^")):
@@ -327,17 +329,22 @@ def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
     for fn in (build_complex, natural_homotopy_classes,
                walk_homotopy_classes):
         monkeypatch.setattr(cli, fn.__name__, counted(fn))
+    # (co)homology builds its complex in `complex`
+    monkeypatch.setattr(cellular, "build_complex", counted(build_complex))
     mono = tmp_path / "mono5x5.bq"
     mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
     mono, comm = str(mono), comm_grid(3)
+    built = {"build_complex": 1, "natural_homotopy_classes": 1}
+    walked = {"build_complex": 1, "walk_homotopy_classes": 1}
     for argv, want in [
-            (["cells", mono], {"build_complex": 1,
-                               "natural_homotopy_classes": 1}),
-            (["homology", "--sharp", mono], {"build_complex": 1,
-                                             "walk_homotopy_classes": 1}),
-            (["homology", comm], {"build_complex": 1,
-                                  "natural_homotopy_classes": 1}),
+            (["cells", mono], built),
+            (["cells", "--sharp", mono], walked),
+            (["homology", "--sharp", comm], walked),
+            (["cohomology", "--sharp", comm], walked),
+            (["homology", comm], built),
             (["homology", mono], {}),
+            (["homology", "--sharp", mono], {}),
+            (["cohomology", "--sharp", mono], {}),
             (["cohomology", "--coeff", "Fp:2", mono], {})]:
         calls.clear()
         assert run_cli(argv)[0] == 0

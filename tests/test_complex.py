@@ -184,7 +184,9 @@ def test_boundary_columns_are_built_on_first_read(monkeypatch, tmp_path):
         built.append(build_complex(*args, **kwargs))
         return built[-1]
 
+    # `cells` builds its complex in `cli`, (co)homology in `complex`
     monkeypatch.setattr(cli, "build_complex", recording)
+    monkeypatch.setattr(cellular, "build_complex", recording)
     src = tmp_path / "rp2.bq"
     src.write_text((CORPUS / "rp2.bq").read_text())
     for argv in (["cells", str(src)], ["dot", "--skeleton", str(src)],
@@ -246,8 +248,9 @@ def test_homology_ranks_every_complex_off_its_face_rows(comm_grid,
             assert not reads
             dims = dict(enumerate(cx.counts()))
             columns = eager_columns(cx.faces)
-            assert got == (homology_of_matrices(dims, columns, coeff),
-                           cohomology_of_matrices(dims, columns, coeff))
+            top = cx.top_dim()
+            assert got == (homology_of_matrices(dims, columns, coeff, top),
+                           cohomology_of_matrices(dims, columns, coeff, top))
             calls.clear()
     assert cleared > 0
 
@@ -471,6 +474,6 @@ def test_only_unit_pivots_clear_over_z():
     check_square_zero(mats)
     for coeff, zero in (("Z", (0, ())), ("Zmod:2", ()), ("Zmod:4", ()),
                         ("Q", 0), ("Fp:2", 0), ("Fp:3", 0)):
-        for groups in (homology_of_matrices(dims, mats, coeff).groups,
-                       cohomology_of_matrices(dims, mats, coeff).groups):
+        for groups in (homology_of_matrices(dims, mats, coeff, 2).groups,
+                       cohomology_of_matrices(dims, mats, coeff, 2).groups):
             assert groups == (zero,) * 3, coeff

@@ -9,7 +9,7 @@ from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
                         enumerate_paths)
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes
-from oracles import nonzero_paths, paths_between
+from oracles import nonzero_paths, path_vertices, paths_between
 
 
 def bq(vertices, arrows, rels=()):
@@ -27,7 +27,7 @@ def test_path_composition_and_display():
     assert str(p) == "beta*alpha"
     e = EX1.path([], at="2")
     assert e.is_stationary and str(e) == "e_2"
-    assert EX1.path_vertices(p) == ["3", "2", "1"]
+    assert path_vertices(EX1, p) == ["3", "2", "1"]
 
 
 def test_path_validation():

@@ -11,6 +11,8 @@ onto the graph.
 
 import argparse
 import collections
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -35,7 +37,7 @@ from bqtop.complex import (check_faces_square_zero, cohomology_of_matrices,
                            monomial_collapse)
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
                         PathTable, path_sort_key)
-from bqtop.dsl import parse
+from bqtop.dsl import parse, serialize
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             _closure, _presentation, _spanning_forest,
                             _tietze, _tree_walk, _word_inverse, free_reduce,
@@ -60,8 +62,8 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      local_rows, loops,
                      object_complex,
                      unit_pivot_smith_divisors,
-                     object_path_table, paths_between,
-                     per_matrix_integral_homology, per_matrix_ranks,
+                     object_path_table, path_vertices, paths_between,
+                     per_matrix_ranked,
                      pumped_semi_commutative,
                      random_cyclic_quiver, random_quiver,
                      reenumerated_pushout, rebuilt_path_table,
@@ -243,6 +245,47 @@ def test_monomial_collapse_matches_the_built_complex():
                                           top=len(counts) - 1) \
                 == cohomology(cx, coeff)
     assert monomial == 213
+
+
+def cli_report(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_monomial_walk_classes_are_the_paths(tmp_path, monkeypatch):
+    # under a monomial ideal the walk classes are the natural ones, the
+    # single paths, with no caveat; so `--sharp` (co)homology takes the
+    # collapse onto the graph, and its reports equal the built complex's
+    inputs = []
+    for i, q in enumerate(differential_quivers()):
+        t = enumerate_paths(q)
+        if monomial_collapse(t) is None:
+            continue
+        walk, nat = walk_homotopy_classes(t), natural_homotopy_classes(t)
+        assert walk.class_of_index == nat.class_of_index
+        assert all(len(members) == 1 for members in walk.class_members)
+        assert walk.caveats == nat.caveats == ()
+        path = tmp_path / ("q%03d.bq" % i)
+        path.write_text(serialize(q))
+        inputs.append(str(path))
+    assert len(inputs) == 213
+    inputs += [str(path) for path in sorted(CORPUS.glob("*.bq"))
+               if monomial_collapse(enumerate_paths(parse(path.read_text())))
+               is not None]
+    assert len(inputs) == 221
+    for path in inputs:
+        for cmd in ("homology", "cohomology"):
+            for coeff in ("Z", "Q", "Fp:2", "Fp:3", "Zmod:4", "Zmod:6"):
+                argv = [cmd, "--sharp", "--coeff", coeff, path]
+                collapsed = cli_report(argv)
+                with monkeypatch.context() as mp:
+                    mp.setattr(cellular, "monomial_collapse",
+                               lambda table: None)
+                    built = cli_report(argv)
+                assert collapsed == built, argv
 
 
 # The five shapes for the monomial family sweep.  Underlying graphs: two
@@ -666,7 +709,7 @@ def oracle_split(table, classes, key, w, at=0):
     trying members in class order and backtracking; None if none."""
     if not key:
         return () if at == len(w) else None
-    verts = table.quiver.path_vertices(w)
+    verts = path_vertices(table.quiver, w)
     for s in class_paths(classes, key[0]):
         if s.source == verts[at] and s.arrows == w.arrows[at:at + len(s)]:
             rest = oracle_split(table, classes, key[1:], w, at + len(s))
@@ -1710,9 +1753,7 @@ def cleared_and_per_matrix(compute):
     ranked matrix by matrix through the oracles."""
     cleared = compute()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cellular, "_integral_homology",
-                   per_matrix_integral_homology)
-        mp.setattr(cellular, "_ranks", per_matrix_ranks)
+        mp.setattr(cellular, "_ranked", per_matrix_ranked)
         return cleared, compute()
 
 
