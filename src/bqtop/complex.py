@@ -50,8 +50,12 @@ A monomial ideal needs no complex for its (co)homology: an acyclic
 matching (Brown 1989, Forman 1998) collapses the natural complex onto
 the quiver's underlying graph, whose vertices and arrows are the only
 critical cells, and the cell counts are binomial sums over the nonzero
-path lengths (`monomial_collapse`); its walk classes are the same, and
-`cellular_chains` picks the collapse or the built complex.
+path lengths (`monomial_collapse`); its walk classes are the same.
+Nor does a thin input (no path in I, one class per vertex pair): its
+complex is the order complex of the vertex poset, counted by chains and
+ranked on the order complex of the poset's Stong core
+(`thin_core_chains`).  `cellular_chains` picks the collapse, the thin
+core or the built complex.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ __all__ = [
     "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
-    "HomologyResult", "monomial_collapse", "cellular_chains",
+    "HomologyResult", "monomial_collapse", "thin_core_chains",
+    "cellular_chains",
 ]
 
 
@@ -228,6 +233,112 @@ def monomial_collapse(table):
                else {at[a.target]: 1, at[a.source]: -1}
                for a in quiver.arrows]
     return counts, columns
+
+
+def thin_core_chains(table, classes):
+    """(counts, dims, faces) of a thin bound quiver's complex under the
+    class table `classes`: the chains of its vertex poset P by length,
+    and the sizes and face rows of the order complex of P's core; None
+    when the input is not thin.
+
+    (Q, I) is thin when no table path lies in I, the classes carry no
+    caveat and each vertex pair's non-stationary paths form one class.
+    No table path in I rules out an oriented cycle, whose powers give
+    paths of the bound's length L, and those lie in I and in the table.
+    So every path is shorter than L, lies in the table and is nonzero,
+    and so is every composite of paths.  Let x < y when a path of length
+    >= 1 runs from x to y: with no oriented cycle, a partial order P on
+    the vertices.  An n-cell is a tuple of n composable non-identity
+    classes whose members compose outside I; as every composite is
+    nonzero and a pair holds one class, the n-cells are the chains
+    x_0 < ... < x_n of P, the i-th class that of (x_(i-1), x_i).  d_0
+    and d_n drop x_0 and x_n, and d_i composes two classes into the one
+    of (x_(i-1), x_(i+1)), whatever split is recorded: it drops x_i.  So
+    the complex is the order complex Delta(P), and the cells of a
+    dimension are counted by one pass in the peel order, the chains
+    ending at v being those ending below v, lengthened by v.  A pair
+    holds at least one class, and the classes are parallel, so the
+    classes are thin exactly when there are as many as vertex pairs with
+    a path.
+
+    A beat point x has exactly one lower cover y (then y is the greatest
+    point below x) or exactly one upper cover.  In the first case r,
+    which sends x to y and fixes the rest, preserves the order and has
+    r <= 1, so Delta(r) is homotopic to the identity (order-preserving
+    maps f <= g give homotopic maps, Quillen 1978, 1.3); r restricts to
+    the identity on P - x, so the inclusion of Delta(P - x) in Delta(P)
+    is a homotopy equivalence, and dually for an upper cover (Stong
+    1966).
+    Removing beat points until none is left reaches the core
+    (Barmak-Minian 2008), whose order complex has the (co)homology of
+    Delta(P) over every coefficient group.  A cover w < z of P has no
+    point between, so no path of length >= 2: the covers are among the
+    arrows.  A cover of P - x that P lacks had x alone between its ends,
+    so removing x changes the covers only at x's lower and upper covers,
+    and only those are looked at again.
+    """
+    quiver = table.quiver
+    if table.in_ideal or classes.caveats or len(classes) != len(
+            table.pair_paths):
+        return None
+    at = quiver.vertex_index
+    nv = len(quiver.vertices)
+    # below[v], above[v]: the points under and over v, as bit masks
+    below, above = [0] * nv, [0] * nv
+    lower = [[] for _ in range(nv)]
+    for x, y in table.pair_paths:
+        if x != y:
+            i, j = at[x], at[y]
+            below[j] |= 1 << i
+            above[i] |= 1 << j
+            lower[j].append(i)
+    # ending[v][n]: the chains of n + 1 points whose greatest is v
+    ending = [None] * nv
+    for v in map(at.__getitem__, quiver.peel_order()):
+        ending[v] = [1] + list(map(sum, itertools.zip_longest(
+            *map(ending.__getitem__, lower[v]), fillvalue=0)))
+    counts = list(map(sum, itertools.zip_longest(*ending, fillvalue=0)))
+    # the Hasse diagram, then beat points removed off a worklist
+    down, up = [set() for _ in range(nv)], [set() for _ in range(nv)]
+    for a in quiver.arrows:
+        w, z = at[a.source], at[a.target]
+        if not above[w] & below[z]:
+            up[w].add(z)
+            down[z].add(w)
+    alive = (1 << nv) - 1
+    work = list(range(nv - 1, -1, -1))
+    while work:
+        x = work.pop()
+        lows, highs = down[x], up[x]
+        if not alive >> x & 1 or (len(lows) != 1 and len(highs) != 1):
+            continue
+        alive &= ~(1 << x)
+        for w in lows:
+            up[w].discard(x)
+        for z in highs:
+            down[z].discard(x)
+        for w in lows:
+            for z in highs:
+                if not above[w] & below[z] & alive:
+                    up[w].add(z)
+                    down[z].add(w)
+        work += sorted(lows | highs, reverse=True)
+    # Delta(core): each layer's chains lengthened by a point above their
+    # last, each face found by dropping one point
+    points = [x for x in range(nv) if alive >> x & 1]
+    over = {x: [y for y in points if above[x] >> y & 1] for x in points}
+    layer = [(x,) for x in points]
+    dims, faces = {0: len(layer)}, [None]
+    while True:
+        index = dict(zip(layer, itertools.count()))
+        layer = [chain + (y,) for chain in layer for y in over[chain[-1]]]
+        if not layer:
+            break
+        dims[len(faces)] = len(layer)
+        faces.append([tuple(index[chain[:i] + chain[i + 1:]]
+                            for i in range(len(chain))) for chain in layer])
+    check_faces_square_zero(faces)
+    return counts, dims, faces
 
 
 def check_faces_square_zero(faces):
@@ -468,10 +579,11 @@ def homology_of_matrices(dims, mats, coeff, top):
     The matrices must form a complex, mats[n - 1] mats[n] == 0: the
     ranking clears columns by that identity and does not check it.  Every
     complex the package ranks has been made sure of it: a face complex
-    (the cell complexes and SC) by `check_faces_square_zero` on its face
-    rows, HC by the associativity of its structure table, the quotient
-    HC/eps(SC) by the epsilon cochain-map check, which makes eps(SC) a
-    subcomplex, and the collapse onto the graph by having one matrix.
+    (the cell complexes, SC and the order complex of a thin input's
+    core) by `check_faces_square_zero` on its face rows, HC by the
+    associativity of its structure table, the quotient HC/eps(SC) by the
+    epsilon cochain-map check, which makes eps(SC) a subcomplex, and the
+    collapse onto the graph by having one matrix.
     Z/m coefficients read the integral ranking by universal coefficients.
     """
     kind, arg = parse_coefficients(coeff)
@@ -513,7 +625,7 @@ def cohomology_of_matrices(dims, mats, coeff, top):
 def cellular_chains(table, classes):
     """(counts, dims, boundary columns, caveats) of a bound quiver's
     complex for (co)homology; `classes()` gives its class table (natural
-    or walk) and is called only when the complex is built.
+    or walk) and is called only when the ideal is not monomial.
 
     A monomial ideal's chains are `monomial_collapse`'s, under walk
     classes too, as those are then the single paths with no caveat:
@@ -522,13 +634,21 @@ def cellular_chains(table, classes):
     - for distinct parallel paths u, v, cancelling the common suffix of
       u v^-1 leaves a nonempty reduced word, which is nontrivial, and
       `word_is_trivial` says False: no pair is undecided.
-    Otherwise the complex is built and ranked off its face rows.
+    Otherwise, when the input is thin under the classes, the counts are
+    its vertex poset's chains and the columns those of the order complex
+    of the poset's core (`thin_core_chains`), ranked up to the longest
+    chain; else the complex is built and ranked off its face rows.
     """
     collapsed = monomial_collapse(table)
     if collapsed is not None:
         counts, columns = collapsed
         return counts, {0: counts[0], 1: len(columns)}, {1: columns}, []
-    cx = build_complex(table, classes())
+    classes = classes()
+    thin = thin_core_chains(table, classes)
+    if thin is not None:
+        counts, dims, faces = thin
+        return counts, dims, _face_matrices(faces), []
+    cx = build_complex(table, classes)
     counts = cx.counts()
     return (counts, dict(enumerate(counts)), _face_matrices(cx.faces),
             list(cx.caveats))

@@ -935,6 +935,19 @@ def comm_grid_text(rows, cols, seed=11):
     return "\n".join(lines) + "\n"
 
 
+def checkerboard_text(n, seed=11):
+    """The n x n grid of `comm_grid_text` with its commutativity relation
+    kept on the squares (i, j) with i + j even and none on the others.
+    A free square's two paths are two classes, so the input is not thin,
+    and each free square is one summand of H1 = Z^k."""
+    lines = comm_grid_text(n, n, seed).splitlines()
+    squares = [(i, j) for i in range(n - 1) for j in range(n - 1)]
+    cut = len(lines) - len(squares)
+    return "\n".join(lines[:cut] + [
+        line for (i, j), line in zip(squares, lines[cut:])
+        if (i + j) % 2 == 0]) + "\n"
+
+
 class SortedPathClassTable(PathClassTable):
     """The class table of the partition `parent`, every order sorted."""
 

@@ -21,7 +21,8 @@ from bqtop.complex import build_complex, cohomology, homology
 from bqtop.core import enumerate_paths
 from bqtop.dsl import parse, serialize
 from bqtop.homotopy import natural_homotopy_classes, walk_homotopy_classes
-from oracles import (CORPUS, dict_cells_report, differential_quivers,
+from oracles import (CORPUS, checkerboard_text, comm_grid_text,
+                     dict_cells_report, differential_quivers,
                      full_parse_argv, load_bench_workloads)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -333,15 +334,21 @@ def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
     monkeypatch.setattr(cellular, "build_complex", counted(build_complex))
     mono = tmp_path / "mono5x5.bq"
     mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
-    mono, comm = str(mono), comm_grid(3)
+    board = tmp_path / "board4.bq"
+    board.write_text(checkerboard_text(4))
+    mono, comm, board = str(mono), comm_grid(3), str(board)
     built = {"build_complex": 1, "natural_homotopy_classes": 1}
     walked = {"build_complex": 1, "walk_homotopy_classes": 1}
+    # the commutative grid is thin: its classes, and no complex
     for argv, want in [
             (["cells", mono], built),
             (["cells", "--sharp", mono], walked),
-            (["homology", "--sharp", comm], walked),
-            (["cohomology", "--sharp", comm], walked),
-            (["homology", comm], built),
+            (["homology", "--sharp", comm], {"walk_homotopy_classes": 1}),
+            (["cohomology", "--sharp", comm], {"walk_homotopy_classes": 1}),
+            (["homology", comm], {"natural_homotopy_classes": 1}),
+            (["homology", "--sharp", board], walked),
+            (["cohomology", "--sharp", board], walked),
+            (["homology", board], built),
             (["homology", mono], {}),
             (["homology", "--sharp", mono], {}),
             (["cohomology", "--sharp", mono], {}),
@@ -588,6 +595,57 @@ def test_commutative_five_by_five_grid_is_contractible(comm_grid):
     groups = json.loads(out)["result"]["groups"]
     assert groups["H0"] == [1, []]
     assert all(g == [0, []] for n, g in groups.items() if n != "H0")
+
+
+@pytest.mark.parametrize("n, free", [(4, 4), (5, 8)])
+def test_checkerboard_homology_is_one_circle_per_free_square(
+        tmp_path, n, free):
+    # the relations sit on the squares with i + j even; each of the
+    # other squares keeps its two paths apart and adds one H1 summand
+    text = checkerboard_text(n)
+    t = enumerate_paths(parse(text))
+    for classes in (natural_homotopy_classes(t), walk_homotopy_classes(t)):
+        assert cellular.thin_core_chains(t, classes) is None
+    path = tmp_path / ("board%d.bq" % n)
+    path.write_text(text)
+    for coeff, h1 in (("Z", [free, []]), ("Fp:2", free)):
+        code, out, _ = run_cli(["homology", "--coeff", coeff, str(path)])
+        assert code == 0
+        groups = json.loads(out)["result"]["groups"]
+        zero = [0, []] if coeff == "Z" else 0
+        assert groups["H0"] == ([1, []] if coeff == "Z" else 1)
+        assert groups["H1"] == h1
+        assert all(g == zero for d, g in groups.items()
+                   if d not in ("H0", "H1"))
+
+
+def test_thin_grids_and_ladders_build_no_complex(monkeypatch, tmp_path):
+    # the 7 x 7 grid took 50 s through the built complex and the 2 x 60
+    # ladder gave no answer in 60 s; the thin route ranks a point
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a thin quiver's complex is not built")
+
+    monkeypatch.setattr(cli, "build_complex", unbuilt)
+    monkeypatch.setattr(cellular, "build_complex", unbuilt)
+    for name, rows, cols, argvs in [
+            ("grid7", 7, 7, [["homology"], ["cohomology"]]),
+            ("ladder60", 2, 60, [["homology"], ["cohomology"]]),
+            ("grid4", 4, 4, [["homology", "--sharp"]])]:
+        path = tmp_path / ("%s.bq" % name)
+        path.write_text(comm_grid_text(rows, cols))
+        for argv in argvs:
+            code, out, err = run_cli(argv + [str(path)])
+            assert (code, err) == (0, ""), argv
+            rep = json.loads(out)
+            counts, groups = rep["result"]["counts"], rep["result"]["groups"]
+            prefix = "H^" if argv[0] == "cohomology" else "H"
+            assert groups == {"%s%d" % (prefix, d): [int(d == 0), []]
+                              for d in range(len(counts))}
+            assert rep["caveats"] == []
+            if name == "grid7":
+                assert sum(counts) == 1150591
+            if name == "grid4":
+                assert counts == [16, 84, 216, 309, 252, 110, 20]
 
 
 def test_cells_max_dim():
