@@ -39,7 +39,8 @@ from .algcohom import (HochschildComplex, NoSemiNormedBasis,
 from .complex import (build_complex, cellular_chains, cohomology_of_matrices,
                       euler_characteristic, homology, homology_of_matrices,
                       parse_coefficients)
-from .core import QuiverError, algebra_properties, enumerate_paths
+from .core import (DEFAULT_PATH_CAP, QuiverError, algebra_properties,
+                   enumerate_paths)
 from .coverings import (GroupAction, NotGalois, check_covering, check_galois,
                         deck_group, lift_complex_map)
 from .dsl import ParseError, parse, parse_group, parse_morphism
@@ -162,12 +163,13 @@ def _read(path):
         return fh.read()
 
 
+def _cap(cfg):
+    return DEFAULT_PATH_CAP if cfg["path_cap"] is None else cfg["path_cap"]
+
+
 def _load(path, cfg):
     quiver = parse(_read(path))
-    kwargs = {}
-    if cfg["path_cap"] is not None:
-        kwargs["cap"] = cfg["path_cap"]
-    return quiver, enumerate_paths(quiver, **kwargs)
+    return quiver, enumerate_paths(quiver, _cap(cfg))
 
 
 def _classes(table, sharp):
@@ -228,9 +230,26 @@ def _covering_json(rep):
     return out
 
 
-def _dispatch(args, table):
-    """Returns (result dict, caveats, ok) of a command on one quiver."""
+def _dispatch(args, quiver, cap):
+    """Returns (result dict, caveats, ok) of a command on one quiver, with
+    the path table of cap `cap`, which (co)homology builds only when its
+    route needs it."""
     cmd = args.command
+    if cmd in ("homology", "cohomology"):
+        prefix = "H" if cmd == "homology" else "H^"
+        table = functools.cache(functools.partial(enumerate_paths, quiver,
+                                                  cap))
+        counts, dims, columns, caveats = cellular_chains(
+            quiver, table, lambda: _classes(table(), args.sharp), cap)
+        fn = (homology_of_matrices if cmd == "homology"
+              else cohomology_of_matrices)
+        res = fn(dims, columns, args.coeff, len(counts) - 1)
+        return ({"coefficients": res.coeff,
+                 "groups": _groups_json(res, prefix),
+                 "counts": counts},
+                caveats, True)
+
+    table = enumerate_paths(quiver, cap)
     if cmd == "check":
         props = algebra_properties(table)
         result = {
@@ -259,18 +278,6 @@ def _dispatch(args, table):
         return ({"counts": cx.counts(), "cells": cells,
                  "euler_characteristic": euler_characteristic(cx)},
                 list(cx.caveats), True)
-
-    if cmd in ("homology", "cohomology"):
-        prefix = "H" if cmd == "homology" else "H^"
-        counts, dims, columns, caveats = cellular_chains(
-            table, functools.partial(_classes, table, args.sharp))
-        fn = (homology_of_matrices if cmd == "homology"
-              else cohomology_of_matrices)
-        res = fn(dims, columns, args.coeff, len(counts) - 1)
-        return ({"coefficients": res.coeff,
-                 "groups": _groups_json(res, prefix),
-                 "counts": counts},
-                caveats, True)
 
     if cmd == "pi1":
         pres = pi1_presentation(table, base=args.base)
@@ -520,8 +527,8 @@ def main(argv=None):
             quiver = None
             result, caveats, ok = _cover(args, cfg)
         else:
-            quiver, table = _load(args.file, cfg)
-            result, caveats, ok = _dispatch(args, table)
+            quiver = parse(_read(args.file))
+            result, caveats, ok = _dispatch(args, quiver, _cap(cfg))
         doc = {
             "schema": _SCHEMA,
             "tool": {"name": "bqtop", "version": __version__},

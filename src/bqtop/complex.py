@@ -55,7 +55,11 @@ Nor does a thin input (no path in I, one class per vertex pair): its
 complex is the order complex of the vertex poset, counted by chains and
 ranked on the order complex of the poset's Stong core
 (`thin_core_chains`).  `cellular_chains` picks the collapse, the thin
-core or the built complex.
+core or the built complex.  When every relation is a single path it
+builds no path table either: the collapse's nonzero paths are counted
+by length on the automaton of the tips (`core.monomial_path_counts`),
+and those counts are the table's, since a tip is never an arrow and the
+table's bound is max(2, M + 1) for M the longest nonzero length.
 """
 
 from __future__ import annotations
@@ -67,14 +71,15 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .core import DEFAULT_PATH_CAP, monomial_path_counts
 from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
 
 __all__ = [
     "CellComplex", "build_complex", "homology", "cohomology",
     "cup_product", "euler_characteristic", "smith_normal_form",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
-    "HomologyResult", "monomial_collapse", "thin_core_chains",
-    "cellular_chains",
+    "HomologyResult", "monomial_collapse", "graph_collapse",
+    "thin_core_chains", "cellular_chains",
 ]
 
 
@@ -220,14 +225,18 @@ def monomial_collapse(table):
            for row in rows.values()):
         return None
     words, in_ideal = table.words, table.in_ideal
-    quiver = table.quiver
-    nv = len(quiver.vertices)
-    lengths = collections.Counter(len(words[i]) for i in range(nv, len(words))
-                                  if i not in in_ideal)
+    nv = len(table.quiver.vertices)
+    return graph_collapse(table.quiver, collections.Counter(
+        len(words[i]) for i in range(nv, len(words)) if i not in in_ideal))
+
+
+def graph_collapse(quiver, lengths):
+    """(counts, columns) of `monomial_collapse` for a monomial bound
+    quiver with lengths[m] nonzero paths of length m >= 1."""
     top = max(lengths, default=0)
-    counts = [nv] + [sum(k * math.comb(m - 1, n - 1)
-                         for m, k in lengths.items())
-                     for n in range(1, top + 1)]
+    counts = [len(quiver.vertices)] + [
+        sum(k * math.comb(m - 1, n - 1) for m, k in lengths.items())
+        for n in range(1, top + 1)]
     at = quiver.vertex_index
     columns = [{} if a.source == a.target
                else {at[a.target]: 1, at[a.source]: -1}
@@ -622,13 +631,29 @@ def cohomology_of_matrices(dims, mats, coeff, top):
         (free, tors[n]) for n, (free, _) in enumerate(res.groups)))
 
 
-def cellular_chains(table, classes):
+def cellular_chains(quiver, table, classes, cap=DEFAULT_PATH_CAP):
     """(counts, dims, boundary columns, caveats) of a bound quiver's
-    complex for (co)homology; `classes()` gives its class table (natural
-    or walk) and is called only when the ideal is not monomial.
+    complex for (co)homology; `table()` gives its path table (of cap
+    `cap`) and `classes()` its class table (natural or walk), each called
+    only when the route needs it.
 
-    A monomial ideal's chains are `monomial_collapse`'s, under walk
-    classes too, as those are then the single paths with no caveat:
+    When every relation is a single path, the ideal is monomial and its
+    chains are `monomial_collapse`'s, with the nonzero paths counted by
+    length on its tips' automaton (`monomial_path_counts`), so no table
+    is built.  The counts are the table's.  A path lies in a monomial
+    ideal exactly when a tip occurs in it, and a tip is never an arrow
+    (relation terms have length >= 2), so the walk starts from all the
+    arrows.  Let M be the longest nonzero length.  The table's bound is
+    max(2, M + 1): every path of length M + 1 lies in I, and below that
+    a longest nonzero path has a nonzero prefix of each length.  So every
+    nonzero path lies in the table, and the table's paths of length >= 1
+    outside I are exactly the nonzero paths that the walk counts.  On a
+    cyclic quiver both refuse, with the same message, exactly when a
+    nonzero path of length `cap` exists.
+    An ideal that is monomial only after reduction (every reduced ideal
+    row a single path) reads its lengths off the table.
+    A monomial ideal's chains are the collapse's under walk classes too,
+    as those are then the single paths with no caveat:
     - no ideal row links two paths, so there is no seed and no join;
     - pi_1 is presented on the arrows over a spanning forest, so free;
     - for distinct parallel paths u, v, cancelling the common suffix of
@@ -639,11 +664,13 @@ def cellular_chains(table, classes):
     of the poset's core (`thin_core_chains`), ranked up to the longest
     chain; else the complex is built and ranked off its face rows.
     """
-    collapsed = monomial_collapse(table)
+    lengths = monomial_path_counts(quiver, cap)
+    collapsed = (monomial_collapse(table()) if lengths is None
+                 else graph_collapse(quiver, lengths))
     if collapsed is not None:
         counts, columns = collapsed
         return counts, {0: counts[0], 1: len(columns)}, {1: columns}, []
-    classes = classes()
+    table, classes = table(), classes()
     thin = thin_core_chains(table, classes)
     if thin is not None:
         counts, dims, faces = thin

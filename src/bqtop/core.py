@@ -32,6 +32,9 @@ sparse rows {table index: rational}, each with a 1 at its pivot p, its
 greatest index, kept by pivot in ascending order.  Like every coefficient
 here, a rational is an int unless its denominator is not 1, when it is
 a Fraction (see `linalg`).
+
+When every relation is a single path, `monomial_path_counts` counts the
+nonzero paths by length without a table, on the automaton of the tips.
 """
 
 from __future__ import annotations
@@ -404,6 +407,22 @@ class _Rewriting:
         self._seq = itertools.count()
         self.changes = 0
 
+    def _first_tip(self, w):
+        """(start, length) of the first tip in w, shortest tips first;
+        None when w is normal."""
+        return next(((i, n) for n in self.lengths
+                     for i in range(len(w) - n + 1)
+                     if w[i:i + n] in self.tails), None)
+
+    def _store(self, tip, tail):
+        """Store the rule tip -> tail."""
+        self.tails[tip] = tail
+        for a in set(tip):
+            self._holding[a].add(tip)
+        if len(tip) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(tip)])
+        self.changes += 1
+
     def reduce(self, elem):
         """Normal form of an element: its greatest reducible term is
         rewritten at its first tip until no term is reducible."""
@@ -412,9 +431,7 @@ class _Rewriting:
         while todo:
             w = max(todo, key=_word_key)
             c = todo.pop(w)
-            at = next(((i, n) for n in self.lengths
-                       for i in range(len(w) - n + 1)
-                       if w[i:i + n] in self.tails), None)
+            at = self._first_tip(w)
             if at is None:
                 out[w] = c
                 continue
@@ -450,8 +467,19 @@ class _Rewriting:
     def add(self, elems):
         """Store the normal forms of elements of I as rules.  A rule whose
         tip holds the new tip gives way, its element going back on the
-        worklist, and the new rule's overlaps are queued."""
+        worklist, and the new rule's overlaps are queued.
+
+        When there are no rules yet and every element is a single path,
+        the paths are stored as they stand, with empty tails, shortest
+        first, each one left out that holds a path already stored: so
+        only the minimal ones are kept, and two of them have no overlap
+        to queue, as it resolves to 0."""
         todo = list(elems)
+        if not self.tails and all(len(h) == 1 for h in todo):
+            for w in sorted(set().union(*todo), key=_word_key):
+                if self._first_tip(w) is None:
+                    self._store(w, {})
+            return
         while todo:
             h = self.reduce(todo.pop())
             if not h:
@@ -463,12 +491,7 @@ class _Rewriting:
             for t in near:
                 if _occurs(tip, t):
                     todo.append(self._drop(t))
-            self.tails[tip] = {w: QQ.of(-inv * c) for w, c in h.items()}
-            for a in set(tip):
-                self._holding[a].add(tip)
-            if len(tip) not in self.lengths:
-                self.lengths = sorted(self.lengths + [len(tip)])
-            self.changes += 1
+            self._store(tip, {w: QQ.of(-inv * c) for w, c in h.items()})
             self._queue(tip, tip)
             for t in near:
                 if t in self.tails:
@@ -533,6 +556,20 @@ def _normal_forms(rules, bucket, nf):
             nf[w] = {}
 
 
+def _unbounded(quiver, cap, witness):
+    """The AdmissibilityError of a cyclic quiver with the arrow word
+    `witness`, a path of length `cap` outside I (None below a cap of 2,
+    where every path is normal)."""
+    if witness is None:
+        witness = (quiver.arrows[0].name,)[:cap]
+    witness = quiver.path(witness, at=quiver.arrows[0].source)
+    return AdmissibilityError(
+        "no nilpotency bound L <= %d certifies the ideal admissible: "
+        "the path %s of length %d does not reduce to 0; raise the "
+        "path cap if the quiver is genuinely bounded"
+        % (cap, witness, len(witness)))
+
+
 def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     """Find the nilpotency bound and build the PathTable.
 
@@ -582,14 +619,7 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     witness = None
     for L in itertools.count(2):
         if L > cap and not acyclic:
-            if witness is None:  # below a cap of 2 every path is normal
-                witness = (quiver.arrows[0].name,)[:cap]
-            witness = quiver.path(witness, at=quiver.arrows[0].source)
-            raise AdmissibilityError(
-                "no nilpotency bound L <= %d certifies the ideal admissible: "
-                "the path %s of length %d does not reduce to 0; raise the "
-                "path cap if the quiver is genuinely bounded"
-                % (cap, witness, len(witness)))
+            raise _unbounded(quiver, cap, witness)
         while len(by_len) <= L:
             by_len.append([w + b for w in by_len[-1] for b in follow[w[-1]]])
         rules.resolve(L)
@@ -604,6 +634,80 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     return PathTable(quiver, bound,
                      list(itertools.chain.from_iterable(by_len[:bound + 1])),
                      nf)
+
+
+def monomial_path_counts(quiver, cap=DEFAULT_PATH_CAP):
+    """{m: the number of nonzero paths of length m >= 1} when every
+    relation is a single path, with no path table; None otherwise.
+
+    The ideal is then monomial, its tips the relations that hold no
+    other one, and a path is nonzero exactly when no tip occurs in it.
+    Such words are counted by length on the Ufnarovski graph (Ufnarovski
+    1995): one dynamic program over (vertex, state), the state being the
+    longest suffix of the word read that is a proper prefix of a tip.  It
+    starts from the stationary paths and extends a word by each arrow at
+    its end, so it first lists the arrows, all nonzero, as a tip has
+    length >= 2.  A tip in the longer word would be a suffix of it, whose
+    part before the last arrow is a suffix of the word read and a prefix
+    of that tip, so a suffix of its state: the extension is dropped when
+    a tip ends the state and the arrow.  A nonzero path has nonzero
+    prefixes, so the walk ends once a length has no word, which happens
+    by itself on an acyclic quiver.
+
+    A cyclic quiver is refused as `enumerate_paths` refuses it: with the
+    same AdmissibilityError, when a nonzero path of length `cap` exists,
+    naming the least such path in table order (arrow names compared one
+    by one), found by taking at each step the least arrow after which
+    the word still lengthens to `cap`.
+    """
+    if any(len(rel.terms) != 1 for rel in quiver.relations):
+        return None
+    if cap < 2 and not quiver.is_acyclic():
+        raise _unbounded(quiver, cap, None)
+    rules = _Rewriting(quiver)
+    rules.add({p.arrows: 1} for rel in quiver.relations for p, _ in rel.terms)
+    tips, lengths = rules.tails, rules.lengths
+    prefixes = {tip[:k] for tip in tips for k in range(1, len(tip))}
+    moves = {}
+
+    def grow(key):
+        """(arrow name, key) of each nonzero one-arrow extension."""
+        out = moves.get(key)
+        if out is None:
+            v, state = key
+            out = moves[key] = []
+            for a in quiver.arrows_from[v]:
+                word = state + (a.name,)
+                if not any(word[-n:] in tips for n in lengths):
+                    out.append((a.name, (a.target, next(
+                        (word[k:] for k in range(len(word))
+                         if word[k:] in prefixes), ()))))
+        return out
+
+    # levels[m]: the number of nonzero words of length m at each key
+    levels = [dict.fromkeys(((v, ()) for v in quiver.vertices), 1)]
+    while True:
+        level = {}
+        for key, k in levels[-1].items():
+            for _, nxt in grow(key):
+                level[nxt] = level.get(nxt, 0) + k
+        if not level:
+            return {m: sum(words.values())
+                    for m, words in enumerate(levels) if m}
+        levels.append(level)
+        if len(levels) == cap + 1 and not quiver.is_acyclic():
+            # ahead[m]: the keys at length m + 1 that lengthen to cap
+            ahead = [set(level)]
+            for shorter in reversed(levels[1:-1]):
+                ahead.insert(0, {key for key in shorter if any(
+                    nxt in ahead[0] for _, nxt in grow(key))})
+            witness, at = [], levels[0]
+            for reach in ahead:
+                name, nxt = min(move for key in at for move in grow(key)
+                                if move[1] in reach)
+                witness.append(name)
+                at = (nxt,)
+            raise _unbounded(quiver, cap, witness)
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,12 @@ recorded, so that each dropped seed's relator is written out as a
 product of conjugates of the joins' relators.
 
 `comm_grid_text` writes the seeded commutative grids and 2 x n ladders
-that the `comm_grid` fixture and the ladder tests use.
+that the `comm_grid` fixture and the ladder tests use, and
+`free_grid_text` the same grids with no relation.
+
+`add_one_by_one` is `_Rewriting.add` as it stored single-path relations
+before it stored them directly: one element at a time, each reduced by
+the rules already stored.
 
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
@@ -913,6 +918,25 @@ def pumped_semi_commutative(table):
         if any(table.dims.get(pair, 0) > 0 for pair in long_pairs):
             semi_commutative = False
     return semi_commutative
+
+
+def free_grid_text(n):
+    """The free n x n grid: the arrows of `comm_grid_text(n, n)` and no
+    relation, so its homology is the graph's, H0 = Z and H1 =
+    Z^((n-1)^2)."""
+    return "".join(line + "\n" for line in comm_grid_text(n, n).splitlines()
+                   if not line.startswith("rel "))
+
+
+def add_one_by_one(add):
+    """`_Rewriting.add` as it stored single-path relations before it
+    stored them directly: each element goes through `add` alone, the
+    last first, so each is reduced by the rules stored before it, and a
+    stored path that holds it gives way."""
+    def one_by_one(rules, elems):
+        for elem in reversed(list(elems)):
+            add(rules, [elem])
+    return one_by_one
 
 
 def comm_grid_text(rows, cols, seed=11):

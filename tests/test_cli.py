@@ -328,34 +328,70 @@ def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
         return count
 
     for fn in (build_complex, natural_homotopy_classes,
-               walk_homotopy_classes):
+               walk_homotopy_classes, enumerate_paths):
         monkeypatch.setattr(cli, fn.__name__, counted(fn))
     # (co)homology builds its complex in `complex`
     monkeypatch.setattr(cellular, "build_complex", counted(build_complex))
-    mono = tmp_path / "mono5x5.bq"
-    mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
+    grids = load_bench_workloads().complexes_inputs(17)
+    mono, free = tmp_path / "mono5x5.bq", tmp_path / "free3x4.bq"
+    mono.write_text(grids["mono5x5"])
+    free.write_text(grids["free3x4"])
     board = tmp_path / "board4.bq"
     board.write_text(checkerboard_text(4))
-    mono, comm, board = str(mono), comm_grid(3), str(board)
-    built = {"build_complex": 1, "natural_homotopy_classes": 1}
-    walked = {"build_complex": 1, "walk_homotopy_classes": 1}
+    # monomial only after reduction: c*d = 0 makes a*b = 0 too
+    reduced = tmp_path / "reduced.bq"
+    reduced.write_text("arrow a 1 2\narrow b 2 3\narrow c 1 4\n"
+                       "arrow d 4 3\nrel a*b - c*d\nrel c*d\n")
+    mono, free, board, reduced = map(str, (mono, free, board, reduced))
+    comm, corpus = comm_grid(3), "corpus/pres1.bq"
+    table = {"enumerate_paths": 1}
+    built = {**table, "build_complex": 1, "natural_homotopy_classes": 1}
+    walked = {**table, "build_complex": 1, "walk_homotopy_classes": 1}
     # the commutative grid is thin: its classes, and no complex
-    for argv, want in [
-            (["cells", mono], built),
+    runs = [(["cells", mono], built),
             (["cells", "--sharp", mono], walked),
-            (["homology", "--sharp", comm], {"walk_homotopy_classes": 1}),
-            (["cohomology", "--sharp", comm], {"walk_homotopy_classes": 1}),
-            (["homology", comm], {"natural_homotopy_classes": 1}),
+            (["homology", "--sharp", comm],
+             {**table, "walk_homotopy_classes": 1}),
+            (["cohomology", "--sharp", comm],
+             {**table, "walk_homotopy_classes": 1}),
+            (["homology", comm], {**table, "natural_homotopy_classes": 1}),
             (["homology", "--sharp", board], walked),
             (["cohomology", "--sharp", board], walked),
             (["homology", board], built),
-            (["homology", mono], {}),
-            (["homology", "--sharp", mono], {}),
-            (["cohomology", "--sharp", mono], {}),
-            (["cohomology", "--coeff", "Fp:2", mono], {})]:
+            (["homology", reduced], table),
+            (["cohomology", "--sharp", reduced], table)]
+    # a quiver whose relations are single paths builds no path table
+    for src in (mono, free, corpus):
+        runs += [([cmd, *flags, src], {})
+                 for cmd in ("homology", "cohomology")
+                 for flags in ([], ["--sharp"], ["--coeff", "Fp:2"])]
+    for argv, want in runs:
         calls.clear()
         assert run_cli(argv)[0] == 0
         assert calls == want, argv
+
+
+def test_monomial_homology_refuses_as_the_table_does(monkeypatch, tmp_path):
+    # on a cyclic monomial quiver with a nonzero path of the cap's length,
+    # the route refuses with the table's message, without the table: at
+    # the default cap of 12 the table would list 4^12 paths of four loops
+    loops = tmp_path / "loops.bq"
+    loops.write_text("".join("arrow a%d 1 1\n" % i for i in range(4)))
+    loops = str(loops)
+    for cap in ("2", "4", "6"):
+        assert run_cli(["homology", "--path-cap", cap, loops]) \
+            == run_cli(["check", "--path-cap", cap, loops])
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a single-path quiver's table is not built")
+
+    monkeypatch.setattr(cli, "enumerate_paths", unbuilt)
+    for cmd in ("homology", "cohomology"):
+        assert run_cli([cmd, "--sharp", loops]) == (
+            2, "", "bqtop: no nilpotency bound L <= 12 certifies the ideal "
+            "admissible: the path %s of length 12 does not reduce to 0; "
+            "raise the path cap if the quiver is genuinely bounded\n"
+            % "*".join(["a0"] * 12))
 
 
 def test_check_on_a_short_cycle(tmp_path):

@@ -292,9 +292,9 @@ def test_path_objects_are_built_on_first_read(monkeypatch, tmp_path,
                      ["cohomology", "--coeff", "Fp:2", src]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
-    # the monomial grid's homology and cohomology collapse onto its graph
-    # and build no classes
-    assert len(tables) == 6
+    # the monomial grid's homology and cohomology collapse onto its graph,
+    # its paths counted on its tips' automaton: no table and no classes
+    assert len(tables) == 4
     assert len(classes) == 4
     for t in tables:
         assert "paths" not in t.__dict__

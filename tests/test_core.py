@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from bqtop import core
+from bqtop.complex import graph_collapse, monomial_collapse
 from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
                         Path, QuiverError, algebra_properties,
-                        enumerate_paths)
+                        enumerate_paths, monomial_path_counts)
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes
-from oracles import nonzero_paths, path_vertices, paths_between
+from oracles import (CORPUS, add_one_by_one, differential_quivers,
+                     nonzero_paths, path_vertices, paths_between)
 
 
 def bq(vertices, arrows, rels=()):
@@ -260,3 +263,121 @@ def test_monomial_grid_nonzero_paths_are_straight_runs():
     assert set(nonzero_paths(t)) == straight
     # the longest runs cross the grid: one per row and one per column
     assert sum(len(p) == n - 1 for p in straight) == 2 * n
+
+
+def single_path_quivers():
+    return [q for q in differential_quivers()
+            if all(len(rel.terms) == 1 for rel in q.relations)]
+
+
+TABLE_FIELDS = ("bound", "words", "sources", "targets", "arrow_index",
+                "pair_paths", "ideal_rows", "in_ideal", "dims")
+
+# a redundant tip: a*b lies in a*b*c, in either order of the relations
+REDUNDANT = ["arrow a 1 2\narrow b 2 3\narrow c 3 4\nrel a*b\nrel a*b*c\n",
+             "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrel a*b*c\nrel a*b\n"]
+
+
+def test_single_path_relations_are_stored_as_they_stand(monkeypatch):
+    # stored directly, single-path relations give the rules and the table
+    # that reducing them one at a time gives; only the minimal paths are
+    # kept, and `lengths` holds exactly their lengths, where the one at a
+    # time rules keep the length of a tip that later gave way
+    quivers = single_path_quivers() + [parse(t) for t in REDUNDANT]
+    assert len(quivers) == 186 + 2
+    stale = 0
+    for q in quivers:
+        elems = [{p.arrows: c for p, c in rel.terms} for rel in q.relations]
+        direct, one_by_one = core._Rewriting(q), core._Rewriting(q)
+        direct.add(elems)
+        add_one_by_one(core._Rewriting.add)(one_by_one, elems)
+        assert direct.tails == one_by_one.tails
+        assert direct._holding == one_by_one._holding
+        assert direct.pairs == one_by_one.pairs == []
+        assert direct.lengths == sorted({len(tip) for tip in direct.tails})
+        assert set(direct.lengths) <= set(one_by_one.lengths)
+        stale += direct.lengths != one_by_one.lengths
+        table = enumerate_paths(q)
+        with monkeypatch.context() as mp:
+            mp.setattr(core._Rewriting, "add",
+                       add_one_by_one(core._Rewriting.add))
+            reduced = enumerate_paths(q)
+        for field in TABLE_FIELDS:
+            assert getattr(table, field) == getattr(reduced, field), field
+    assert stale == 4
+    for text in REDUNDANT:
+        rules = core._Rewriting(parse(text))
+        rules.add([{("a", "b"): 1}, {("a", "b", "c"): 1}])
+        assert rules.tails == {("a", "b"): {}} and rules.lengths == [2]
+
+
+def test_monomial_path_counts_are_the_tables(square_zero_chain):
+    # the nonzero paths counted by length on the tips' automaton give the
+    # collapse the table gives, on every input whose relations are single
+    # paths (8 of them in the corpus); an input that is monomial only
+    # after reduction is left to the table
+    single = grobner = corpus = 0
+    for q in differential_quivers():
+        table = enumerate_paths(q)
+        counts = monomial_path_counts(q)
+        if counts is None:
+            grobner += monomial_collapse(table) is not None
+            continue
+        single += 1
+        assert graph_collapse(q, counts) == monomial_collapse(table)
+    assert (single, grobner) == (186, 27)
+    for path in sorted(CORPUS.glob("*.bq")):
+        q = parse(path.read_text())
+        counts = monomial_path_counts(q)
+        if counts is not None:
+            corpus += 1
+            assert graph_collapse(q, counts) == monomial_collapse(
+                enumerate_paths(q))
+    assert corpus == 8
+    for n in range(3, 31):
+        for cycle in (False, True):
+            with open(square_zero_chain(n, cycle=cycle)) as fh:
+                q = parse(fh.read())
+            assert monomial_path_counts(q) == {1: n}
+            assert graph_collapse(q, {1: n}) == monomial_collapse(
+                enumerate_paths(q))
+
+
+# cyclic monomial quivers: four loops with no relation and one with
+# a*b*a, both unbounded, a bounded loop (x^4 = 0) and an unbounded one
+# that x*x = 0 does not bound
+CYCLIC_MONOMIAL = {
+    "four_loops": "".join("arrow a%d 1 1\n" % i for i in range(4)),
+    "aba": "arrow a x y\narrow b y x\narrow c y x\nrel a*b*a\n",
+    "x4": "arrow x 1 1\nrel x*x*x*x\n",
+    "xyz": "arrow x 1 1\narrow y 1 2\narrow z 2 1\nrel x*x\n",
+}
+
+
+@pytest.mark.parametrize("name", CYCLIC_MONOMIAL)
+def test_monomial_path_counts_refuse_as_the_table_does(name):
+    q = parse(CYCLIC_MONOMIAL[name])
+    refused = []
+    for cap in range(2, 7):
+        try:
+            table = enumerate_paths(q, cap)
+        except AdmissibilityError as e:
+            with pytest.raises(AdmissibilityError) as got:
+                monomial_path_counts(q, cap)
+            assert str(got.value) == str(e)
+            refused.append(cap)
+        else:
+            assert graph_collapse(q, monomial_path_counts(q, cap)) \
+                == monomial_collapse(table)
+    assert refused == ([2, 3] if name == "x4" else [2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("name, witness", [("four_loops", "a0*a0*a0*a0"),
+                                           ("aba", "a*c*a*b")])
+def test_monomial_refusal_names_the_least_nonzero_path(name, witness):
+    # the table names the least path of length cap outside I, in its
+    # order: arrow names compared one by one
+    with pytest.raises(AdmissibilityError,
+                       match=r"the path %s of length 4 " % witness.replace(
+                           "*", r"\*")):
+        monomial_path_counts(parse(CYCLIC_MONOMIAL[name]), 4)

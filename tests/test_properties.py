@@ -325,8 +325,9 @@ def test_monomial_walk_classes_are_the_paths(tmp_path, monkeypatch):
                 argv = [cmd, "--sharp", "--coeff", coeff, path]
                 collapsed = cli_report(argv)
                 with monkeypatch.context() as mp:
-                    mp.setattr(cellular, "monomial_collapse",
-                               lambda table: None)
+                    # both sources of path lengths collapse nothing
+                    mp.setattr(cellular, "graph_collapse",
+                               lambda quiver, lengths: None)
                     built = cli_report(argv)
                 assert collapsed == built, argv
 
