@@ -265,11 +265,6 @@ def test_monomial_grid_nonzero_paths_are_straight_runs():
     assert sum(len(p) == n - 1 for p in straight) == 2 * n
 
 
-def single_path_quivers():
-    return [q for q in differential_quivers()
-            if all(len(rel.terms) == 1 for rel in q.relations)]
-
-
 TABLE_FIELDS = ("bound", "words", "sources", "targets", "arrow_index",
                 "pair_paths", "ideal_rows", "in_ideal", "dims")
 
@@ -283,7 +278,9 @@ def test_single_path_relations_are_stored_as_they_stand(monkeypatch):
     # that reducing them one at a time gives; only the minimal paths are
     # kept, and `lengths` holds exactly their lengths, where the one at a
     # time rules keep the length of a tip that later gave way
-    quivers = single_path_quivers() + [parse(t) for t in REDUNDANT]
+    quivers = [q for q in differential_quivers()
+               if all(len(rel.terms) == 1 for rel in q.relations)]
+    quivers += [parse(t) for t in REDUNDANT]
     assert len(quivers) == 186 + 2
     stale = 0
     for q in quivers:
