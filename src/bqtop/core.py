@@ -34,7 +34,9 @@ here, a rational is an int unless its denominator is not 1, when it is
 a Fraction (see `linalg`).
 
 When every relation is a single path, `monomial_path_counts` counts the
-nonzero paths by length without a table, on the automaton of the tips.
+nonzero paths by length without a table, on the automaton of the
+relations' paths as written: a path holding a relation that holds a
+shorter one holds the shorter one too, so the tips need not be minimal.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ class RelVector:
         agg = {}
         for path, coeff in terms:
             c = QQ.of(coeff)
-            agg[path] = QQ.of(agg[path] + c) if path in agg else c
+            n = len(agg)
+            was = agg.setdefault(path, c)  # hashes the path once
+            if len(agg) == n:  # the path came before: add up
+                agg[path] = QQ.of(was + c)
         clean = [(p, c) for p, c in agg.items() if c != 0]
         if not clean:
             raise MalformedRelation("relation vector is zero")
@@ -128,7 +133,8 @@ class RelVector:
             if p.source != src or p.target != tgt:
                 raise MalformedRelation(
                     "terms not parallel: %s vs %s" % (clean[0][0], p))
-        clean.sort(key=lambda pc: (len(pc[0]), pc[0].arrows))
+        if len(clean) > 1:
+            clean.sort(key=lambda pc: (len(pc[0].arrows), pc[0].arrows))
         return RelVector(src, tgt, tuple(clean))
 
     def check_admissible_format(self):
@@ -151,38 +157,59 @@ def format_terms(terms):
 
 
 class BoundQuiver:
-    """Vertices, arrows and relation generators, with declared order."""
+    """Vertices, arrows and relation generators, with declared order.
+
+    `BoundQuiver(vertices, arrows, relations)` checks everything: the
+    vertex ids and arrow names are unique, every arrow end is declared,
+    and every relation has the admissible format (terms parallel, each of
+    length >= 2) with every term a path of the quiver.  Arrows may be
+    given as (name, source, target) and relations as lists of (arrow
+    names, coefficient).  `BoundQuiver._trusted(vertices, arrows,
+    relations)` takes `Arrow`s and `RelVector`s and checks only the arrow
+    ends, which indexing the arrows by end needs: `dsl.parse` builds
+    through it, having made every one of these checks with a line and
+    column.
+    """
 
     def __init__(self, vertices, arrows, relations=()):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(vertices)
+        if len(set(vertices)) != len(vertices):
             raise QuiverError("duplicate vertex id")
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a)
-                            for a in arrows)
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
+        arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a)
+                       for a in arrows)
+        if len({a.name for a in arrows}) != len(arrows):
             raise QuiverError("duplicate arrow name")
-        self.arrow_by_name = {a.name: a for a in self.arrows}
-        for a in self.arrows:
-            if a.source not in self.vertex_index or a.target not in self.vertex_index:
-                raise QuiverError("arrow %s has undeclared endpoint" % a.name)
-        self.arrows_from = {v: [] for v in self.vertices}
-        self.arrows_to = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            self.arrows_from[a.source].append(a)
-            self.arrows_to[a.target].append(a)
-        coerced = []
-        for rel in relations:
-            if not isinstance(rel, RelVector):
-                rel = RelVector.build([(self.path(names), c)
-                                       for names, c in rel])
-            coerced.append(rel)
-        self.relations = tuple(coerced)
+        self._index(vertices, arrows, ())
+        self.relations = tuple(
+            rel if isinstance(rel, RelVector) else
+            RelVector.build([(self.path(names), c) for names, c in rel])
+            for rel in relations)
         for rel in self.relations:
             rel.check_admissible_format()
             for p, _ in rel.terms:
                 self._check_path(p)
+
+    @classmethod
+    def _trusted(cls, vertices, arrows, relations):
+        """The quiver of parts that `dsl.parse` has checked; only the
+        arrow ends are looked at again, by the indexing."""
+        quiver = cls.__new__(cls)
+        quiver._index(tuple(vertices), tuple(arrows), tuple(relations))
+        return quiver
+
+    def _index(self, vertices, arrows, rels):
+        """Keep the parts and index the arrows by name and by end, which
+        needs every arrow end declared."""
+        self.vertices, self.arrows, self.relations = vertices, arrows, rels
+        self.vertex_index = {v: i for i, v in enumerate(vertices)}
+        self.arrow_by_name = {a.name: a for a in arrows}
+        self.arrows_from = out = {v: [] for v in vertices}
+        self.arrows_to = into = {v: [] for v in vertices}
+        for a in arrows:
+            if a.source not in out or a.target not in into:
+                raise QuiverError("arrow %s has undeclared endpoint" % a.name)
+            out[a.source].append(a)
+            into[a.target].append(a)
 
     def _check_path(self, p):
         if p.source not in self.vertex_index:
@@ -401,7 +428,7 @@ class _Rewriting:
 
     def __init__(self, quiver):
         self.tails = {}
-        self.lengths = []  # ascending; every tip length, maybe a few more
+        self.lengths = []  # the tips' lengths, ascending
         self._holding = {a.name: set() for a in quiver.arrows}
         self.pairs = []
         self._seq = itertools.count()
@@ -450,6 +477,7 @@ class _Rewriting:
         tail = self.tails.pop(tip)
         for a in set(tip):
             self._holding[a].discard(tip)
+        self.lengths = sorted({len(t) for t in self.tails})
         elem = {w: -c for w, c in tail.items()}
         elem[tip] = 1
         return elem
@@ -640,34 +668,40 @@ def monomial_path_counts(quiver, cap=DEFAULT_PATH_CAP):
     """{m: the number of nonzero paths of length m >= 1} when every
     relation is a single path, with no path table; None otherwise.
 
-    The ideal is then monomial, its tips the relations that hold no
-    other one, and a path is nonzero exactly when no tip occurs in it.
-    Such words are counted by length on the Ufnarovski graph (Ufnarovski
-    1995): one dynamic program over (vertex, state), the state being the
-    longest suffix of the word read that is a proper prefix of a tip.  It
+    The ideal is then monomial, and a path is nonzero exactly when no
+    relation's path, a tip, occurs in it.  The tips are the relations as
+    written, minimal or not: a path that holds a tip holding another tip
+    holds that other one too, so the minimal tips alone leave the same
+    nonzero paths.  These are counted by length on the Ufnarovski graph
+    (Ufnarovski 1995), the vertices crossed with the Aho-Corasick
+    automaton of the tips (Aho and Corasick 1975): one dynamic program
+    over (vertex, state), the state being the longest suffix of the word
+    read that is a proper prefix of a tip, for any finite set of tips.  It
     starts from the stationary paths and extends a word by each arrow at
     its end, so it first lists the arrows, all nonzero, as a tip has
     length >= 2.  A tip in the longer word would be a suffix of it, whose
     part before the last arrow is a suffix of the word read and a prefix
     of that tip, so a suffix of its state: the extension is dropped when
-    a tip ends the state and the arrow.  A nonzero path has nonzero
-    prefixes, so the walk ends once a length has no word, which happens
-    by itself on an acyclic quiver.
+    a tip ends the state and the arrow, and by the same argument its
+    state is the longest suffix of the state and the arrow that is a
+    proper prefix of a tip.  A nonzero path has nonzero prefixes, so the
+    walk ends once a length has no word, which happens by itself on an
+    acyclic quiver.
 
     A cyclic quiver is refused as `enumerate_paths` refuses it: with the
     same AdmissibilityError, when a nonzero path of length `cap` exists,
     naming the least such path in table order (arrow names compared one
     by one), found by taking at each step the least arrow after which
-    the word still lengthens to `cap`.
+    the word still lengthens to `cap`; that path is read off the nonzero
+    paths alone, whichever tips are given.
     """
     if any(len(rel.terms) != 1 for rel in quiver.relations):
         return None
     if cap < 2 and not quiver.is_acyclic():
         raise _unbounded(quiver, cap, None)
-    rules = _Rewriting(quiver)
-    rules.add({p.arrows: 1} for rel in quiver.relations for p, _ in rel.terms)
-    tips, lengths = rules.tails, rules.lengths
-    prefixes = {tip[:k] for tip in tips for k in range(1, len(tip))}
+    tips = {rel.terms[0][0].arrows for rel in quiver.relations}
+    # the states: () and every proper prefix of a tip
+    prefixes = {tip[:k] for tip in tips for k in range(len(tip))} | {()}
     moves = {}
 
     def grow(key):
@@ -678,10 +712,14 @@ def monomial_path_counts(quiver, cap=DEFAULT_PATH_CAP):
             out = moves[key] = []
             for a in quiver.arrows_from[v]:
                 word = state + (a.name,)
-                if not any(word[-n:] in tips for n in lengths):
-                    out.append((a.name, (a.target, next(
-                        (word[k:] for k in range(len(word))
-                         if word[k:] in prefixes), ()))))
+                for k in range(len(word) - 1):  # the suffixes of length >= 2
+                    if word[k:] in tips:
+                        break
+                else:
+                    for k in range(len(word) + 1):
+                        if word[k:] in prefixes:
+                            out.append((a.name, (a.target, word[k:])))
+                            break
         return out
 
     # levels[m]: the number of nonzero words of length m at each key

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 
-from .core import BoundQuiver, MalformedRelation, Path, QuiverError, RelVector
+from .core import (Arrow, BoundQuiver, MalformedRelation, Path, QuiverError,
+                   RelVector)
 from .coverings import QuiverMorphism
 from .linalg import QQ
 
@@ -72,7 +73,7 @@ def _parse_term(line, k, sign, arrows):
             raise ParseError("coefficient %r has a zero denominator"
                              % pieces[0], *_at(line, k)) from None
         pieces = pieces[1:]
-    if not pieces or any(not p for p in pieces):
+    if not pieces or "" in pieces:
         raise ParseError("malformed relation term %r" % tok, *_at(line, k))
     for name in pieces:
         if name not in arrows:
@@ -81,10 +82,11 @@ def _parse_term(line, k, sign, arrows):
 
 
 def parse(text):
-    """Parse quiver text into a BoundQuiver."""
+    """Parse quiver text into a BoundQuiver.  Every check the public
+    constructor makes is made here, with the offending token's line and
+    column, so the quiver is built with no second check."""
     vertices = {}  # in first-use order
-    arrows = []
-    arrow_names = {}
+    arrows = {}  # name -> Arrow, in declared order
     rel_lines = []
     for line in _tokens(text):
         toks = line[2]
@@ -101,12 +103,11 @@ def parse(text):
                 raise ParseError("arrow takes name, source and target",
                                  *_at(line, 0))
             name, src, dst = toks[1:]
-            if name in arrow_names:
+            if name in arrows:
                 raise ParseError("duplicate arrow %r" % name, *_at(line, 1))
-            arrow_names[name] = (src, dst)
+            arrows[name] = Arrow(name, src, dst)
             vertices.setdefault(src)
             vertices.setdefault(dst)
-            arrows.append((name, src, dst))
         elif head == "rel":
             if len(toks) < 2:
                 raise ParseError("empty relation", *_at(line, 0))
@@ -122,13 +123,13 @@ def parse(text):
         sign = 1
         for k in range(1, len(toks)):
             if expect_term:
-                names, coeff = _parse_term(line, k, sign, arrow_names)
+                names, coeff = _parse_term(line, k, sign, arrows)
                 for x, y in zip(names, names[1:]):
-                    if arrow_names[x][1] != arrow_names[y][0]:
+                    if arrows[x].target != arrows[y].source:
                         raise ParseError("path breaks between %r and %r"
                                          % (x, y), *_at(line, k))
-                terms.append((Path(arrow_names[names[0]][0],
-                                   arrow_names[names[-1]][1], tuple(names)),
+                terms.append((Path(arrows[names[0]].source,
+                                   arrows[names[-1]].target, tuple(names)),
                               coeff))
                 expect_term = False
             else:
@@ -150,7 +151,7 @@ def parse(text):
         except MalformedRelation as e:
             raise ParseError(str(e), *_at(line, 0)) from None
         relations.append(rel)
-    return BoundQuiver(vertices, arrows, relations)
+    return BoundQuiver._trusted(vertices, arrows.values(), relations)
 
 
 def _fmt_coeff(c):

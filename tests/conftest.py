@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import comm_grid_text
+from oracles import comm_grid_text, square_zero_chain_text
 
 
 @pytest.fixture
@@ -23,16 +23,8 @@ def square_zero_chain(tmp_path):
     path of arrows a0 .. a(n-1) along 0 -> 1 -> ... -> n, every composite
     of two of them zero; with cycle=True the last arrow returns to 0."""
     def write(n, cycle=False):
-        ends = [(i, i + 1) for i in range(n)]
-        if cycle:
-            ends[-1] = (n - 1, 0)
-        lines = ["arrow a%d %d %d" % (i, s, t)
-                 for i, (s, t) in enumerate(ends)]
-        lines += ["rel a%d*a%d" % (i, i + 1) for i in range(n - 1)]
-        if cycle:
-            lines.append("rel a%d*a0" % (n - 1))
         path = tmp_path / ("%s%d.bq" % ("cycle" if cycle else "chain", n))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(square_zero_chain_text(n, cycle))
         return str(path)
     return write
 

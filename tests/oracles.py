@@ -171,6 +171,15 @@ that the `comm_grid` fixture and the ladder tests use, and
 before it stored them directly: one element at a time, each reduced by
 the rules already stored.
 
+`rewriting_monomial_path_counts` is `monomial_path_counts` as it ran
+before it counted on the relations' paths as written: the relations go
+through `_Rewriting.add`, which keeps the minimal ones only, and the
+automaton is built on those.
+
+`square_zero_chain_text` writes the radical-square-zero chains and
+cycles that the `square_zero_chain` fixture and the CI step on the
+2,000-arrow chain use.
+
 `differential_quivers` is the input list the differential tests share:
 the corpus, the seeded samples, the benchmark's generated quivers and a
 few fixed ones.
@@ -229,9 +238,10 @@ from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
                              compose_morphisms)
-from bqtop.core import (AdmissibilityError, MalformedRelation,
-                        NotConnectedError, Path, PathTable, _normal_forms,
-                        _Rewriting, in_vertex_order, path_sort_key)
+from bqtop.core import (DEFAULT_PATH_CAP, AdmissibilityError,
+                        MalformedRelation, NotConnectedError, Path,
+                        PathTable, _normal_forms, _Rewriting, _unbounded,
+                        in_vertex_order, path_sort_key)
 from bqtop.dsl import _COEFF, ParseError, _build_morphism, parse
 from bqtop.homotopy import (HypothesisViolated, PathClassTable, Presentation,
                             VanKampenResult, _cyclic_reduce, _find,
@@ -937,6 +947,75 @@ def add_one_by_one(add):
         for elem in reversed(list(elems)):
             add(rules, [elem])
     return one_by_one
+
+
+def rewriting_monomial_path_counts(quiver, cap=DEFAULT_PATH_CAP):
+    """{m: the number of nonzero paths of length m >= 1} when every
+    relation is a single path, None otherwise, on the automaton of the
+    minimal relations that `_Rewriting.add` keeps; a cyclic quiver with
+    a nonzero path of length `cap` is refused naming the least one."""
+    if any(len(rel.terms) != 1 for rel in quiver.relations):
+        return None
+    if cap < 2 and not quiver.is_acyclic():
+        raise _unbounded(quiver, cap, None)
+    rules = _Rewriting(quiver)
+    rules.add({p.arrows: 1} for rel in quiver.relations for p, _ in rel.terms)
+    tips, lengths = rules.tails, rules.lengths
+    prefixes = {tip[:k] for tip in tips for k in range(1, len(tip))}
+    moves = {}
+
+    def grow(key):
+        """(arrow name, key) of each nonzero one-arrow extension."""
+        out = moves.get(key)
+        if out is None:
+            v, state = key
+            out = moves[key] = []
+            for a in quiver.arrows_from[v]:
+                word = state + (a.name,)
+                if not any(word[-n:] in tips for n in lengths):
+                    out.append((a.name, (a.target, next(
+                        (word[k:] for k in range(len(word))
+                         if word[k:] in prefixes), ()))))
+        return out
+
+    # levels[m]: the number of nonzero words of length m at each key
+    levels = [dict.fromkeys(((v, ()) for v in quiver.vertices), 1)]
+    while True:
+        level = {}
+        for key, k in levels[-1].items():
+            for _, nxt in grow(key):
+                level[nxt] = level.get(nxt, 0) + k
+        if not level:
+            return {m: sum(words.values())
+                    for m, words in enumerate(levels) if m}
+        levels.append(level)
+        if len(levels) == cap + 1 and not quiver.is_acyclic():
+            # ahead[m]: the keys at length m + 1 that lengthen to cap
+            ahead = [set(level)]
+            for shorter in reversed(levels[1:-1]):
+                ahead.insert(0, {key for key in shorter if any(
+                    nxt in ahead[0] for _, nxt in grow(key))})
+            witness, at = [], levels[0]
+            for reach in ahead:
+                name, nxt = min(move for key in at for move in grow(key)
+                                if move[1] in reach)
+                witness.append(name)
+                at = (nxt,)
+            raise _unbounded(quiver, cap, witness)
+
+
+def square_zero_chain_text(n, cycle=False):
+    """The path of arrows a0 .. a(n-1) along 0 -> 1 -> ... -> n, every
+    composite of two of them zero; with cycle=True the last arrow
+    returns to 0."""
+    ends = [(i, i + 1) for i in range(n)]
+    if cycle:
+        ends[-1] = (n - 1, 0)
+    lines = ["arrow a%d %d %d" % (i, s, t) for i, (s, t) in enumerate(ends)]
+    lines += ["rel a%d*a%d" % (i, i + 1) for i in range(n - 1)]
+    if cycle:
+        lines.append("rel a%d*a0" % (n - 1))
+    return "\n".join(lines) + "\n"
 
 
 def comm_grid_text(rows, cols, seed=11):

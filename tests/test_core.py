@@ -7,12 +7,13 @@ import pytest
 from bqtop import core
 from bqtop.complex import graph_collapse, monomial_collapse
 from bqtop.core import (AdmissibilityError, BoundQuiver, MalformedRelation,
-                        Path, QuiverError, algebra_properties,
+                        Path, QuiverError, RelVector, algebra_properties,
                         enumerate_paths, monomial_path_counts)
 from bqtop.dsl import parse
 from bqtop.homotopy import natural_homotopy_classes
 from oracles import (CORPUS, add_one_by_one, differential_quivers,
-                     nonzero_paths, path_vertices, paths_between)
+                     nonzero_paths, path_vertices, paths_between,
+                     rewriting_monomial_path_counts)
 
 
 def bq(vertices, arrows, rels=()):
@@ -58,6 +59,36 @@ def test_relation_format_errors():
         bq(["1", "2", "3", "4"],
            [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")],
            [[(["a", "b"], 1), (["a", "c"], 1)]])
+
+
+CHAIN = (["1", "2", "3", "4"],
+         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+
+
+@pytest.mark.parametrize("vertices, arrows, rels, error, message", [
+    (["1", "1"], [], [], QuiverError, "duplicate vertex id"),
+    (["1", "2"], [("a", "1", "2"), ("a", "2", "1")], [], QuiverError,
+     "duplicate arrow name"),
+    (["1"], [("a", "1", "2")], [], QuiverError,
+     "arrow a has undeclared endpoint"),
+    (*CHAIN, [[(["a", "z"], 1)]], QuiverError, "unknown arrow 'z'"),
+    (*CHAIN, [RelVector.build([(Path("1", "3", ("a", "z")), 1)])],
+     QuiverError, "unknown arrow 'z' in path"),
+    (*CHAIN, [[(["a", "c"], 1)]], QuiverError, "path a\\*c breaks at 'c'"),
+    (*CHAIN, [RelVector.build([(Path("1", "4", ("a", "c")), 1)])],
+     QuiverError, "path a\\*c breaks at 'c'"),
+    (*CHAIN, [RelVector.build([(Path("1", "4", ("a", "b")), 1)])],
+     QuiverError, "path a\\*b does not end at 4"),
+    (*CHAIN, [[(["a"], 1)]], MalformedRelation, "term a has length 1 < 2"),
+    (*CHAIN, [[(["a", "b"], 1), (["b", "c"], 1)]], MalformedRelation,
+     "terms not parallel: a\\*b vs b\\*c"),
+])
+def test_the_public_constructor_keeps_every_check(vertices, arrows, rels,
+                                                  error, message):
+    # `dsl.parse` builds through the unchecked constructor; the public one
+    # still refuses every malformed part, given as names or as objects
+    with pytest.raises(error, match=message):
+        bq(vertices, arrows, rels)
 
 
 def test_table_contents_ex1():
@@ -276,13 +307,12 @@ REDUNDANT = ["arrow a 1 2\narrow b 2 3\narrow c 3 4\nrel a*b\nrel a*b*c\n",
 def test_single_path_relations_are_stored_as_they_stand(monkeypatch):
     # stored directly, single-path relations give the rules and the table
     # that reducing them one at a time gives; only the minimal paths are
-    # kept, and `lengths` holds exactly their lengths, where the one at a
-    # time rules keep the length of a tip that later gave way
+    # kept, and on either path `lengths` holds exactly their lengths, a
+    # tip that gives way taking its length with it
     quivers = [q for q in differential_quivers()
                if all(len(rel.terms) == 1 for rel in q.relations)]
     quivers += [parse(t) for t in REDUNDANT]
     assert len(quivers) == 186 + 2
-    stale = 0
     for q in quivers:
         elems = [{p.arrows: c for p, c in rel.terms} for rel in q.relations]
         direct, one_by_one = core._Rewriting(q), core._Rewriting(q)
@@ -291,9 +321,8 @@ def test_single_path_relations_are_stored_as_they_stand(monkeypatch):
         assert direct.tails == one_by_one.tails
         assert direct._holding == one_by_one._holding
         assert direct.pairs == one_by_one.pairs == []
-        assert direct.lengths == sorted({len(tip) for tip in direct.tails})
-        assert set(direct.lengths) <= set(one_by_one.lengths)
-        stale += direct.lengths != one_by_one.lengths
+        for rules in (direct, one_by_one):
+            assert rules.lengths == sorted({len(tip) for tip in rules.tails})
         table = enumerate_paths(q)
         with monkeypatch.context() as mp:
             mp.setattr(core._Rewriting, "add",
@@ -301,7 +330,6 @@ def test_single_path_relations_are_stored_as_they_stand(monkeypatch):
             reduced = enumerate_paths(q)
         for field in TABLE_FIELDS:
             assert getattr(table, field) == getattr(reduced, field), field
-    assert stale == 4
     for text in REDUNDANT:
         rules = core._Rewriting(parse(text))
         rules.add([{("a", "b"): 1}, {("a", "b", "c"): 1}])
@@ -367,6 +395,38 @@ def test_monomial_path_counts_refuse_as_the_table_does(name):
             assert graph_collapse(q, monomial_path_counts(q, cap)) \
                 == monomial_collapse(table)
     assert refused == ([2, 3] if name == "x4" else [2, 3, 4, 5, 6])
+
+
+def test_monomial_path_counts_match_the_rewriting_oracle():
+    # counted on the relations as written, redundant tips included, the
+    # counts and every refusal are those of the automaton of the minimal
+    # tips that the rewriting rules keep
+    quivers = [q for q in differential_quivers()
+               if all(len(rel.terms) == 1 for rel in q.relations)]
+    assert len(quivers) == 186
+    texts = REDUNDANT + [
+        # a redundant tip inside a longer one, and an unbounded quiver
+        # with a redundant tip
+        "arrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\n"
+        "rel b*c\nrel a*b*c*d\n",
+        CYCLIC_MONOMIAL["four_loops"] + "rel a0*a1\nrel a0*a1*a2\n",
+        *CYCLIC_MONOMIAL.values()]
+    quivers += [parse(t) for t in texts]
+    refused = 0
+    for q in quivers:
+        for cap in range(2, 7):
+            try:
+                want = rewriting_monomial_path_counts(q, cap)
+            except AdmissibilityError as e:
+                with pytest.raises(AdmissibilityError) as got:
+                    monomial_path_counts(q, cap)
+                assert str(got.value) == str(e)
+                refused += 1
+            else:
+                assert monomial_path_counts(q, cap) == want
+    # two differential quivers, the unbounded one above and the four of
+    # CYCLIC_MONOMIAL, x4 at caps 2 and 3 only
+    assert refused == 2 + 5 + (5 + 5 + 2 + 5)
 
 
 @pytest.mark.parametrize("name, witness", [("four_loops", "a0*a0*a0*a0"),

@@ -9,7 +9,8 @@ import pytest
 
 from bqtop.core import BoundQuiver
 from bqtop.dsl import ParseError, parse, parse_group, parse_morphism, serialize
-from oracles import column_parse, column_parse_group, column_parse_morphism
+from oracles import (column_parse, column_parse_group, column_parse_morphism,
+                     differential_quivers)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -76,17 +77,35 @@ def test_corpus_round_trips(name):
 
 
 def test_parse_builds_the_quiver_once(monkeypatch):
-    # relation paths come from the arrow endpoints the parser holds
+    # relation paths come from the arrow endpoints the parser holds, and
+    # the quiver is built once, through either constructor
     built = []
-    init = BoundQuiver.__init__
+    init, trusted = BoundQuiver.__init__, BoundQuiver._trusted.__func__
 
-    def counting(self, *args, **kwargs):
+    def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(BoundQuiver, "__init__", counting)
+    def counting_trusted(cls, *args, **kwargs):
+        built.append(trusted(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(BoundQuiver, "__init__", counting_init)
+    monkeypatch.setattr(BoundQuiver, "_trusted", classmethod(counting_trusted))
     q = parse((CORPUS / "rp2.bq").read_text())
     assert built == [q]
+
+
+def test_parse_builds_what_the_checked_constructor_builds():
+    # parsed with its checks made once, a quiver equals the one the public
+    # constructor builds, checking everything again, of its parts
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.bq"))]
+    texts += [serialize(q) for q in differential_quivers()]
+    assert len(texts) == 18 + 299
+    for text in texts:
+        q = parse(text)
+        checked = BoundQuiver(q.vertices, q.arrows, q.relations)
+        assert vars(q) == vars(checked), text
 
 
 def test_vk_corpus_shape():
