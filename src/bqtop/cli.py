@@ -163,19 +163,9 @@ def _read(path):
         return fh.read()
 
 
-def _cap(cfg):
-    return DEFAULT_PATH_CAP if cfg["path_cap"] is None else cfg["path_cap"]
-
-
-def _load(path, cfg):
+def _load(path, cap):
     quiver = parse(_read(path))
-    return quiver, enumerate_paths(quiver, _cap(cfg))
-
-
-def _classes(table, sharp):
-    if sharp:
-        return walk_homotopy_classes(table)
-    return natural_homotopy_classes(table)
+    return quiver, enumerate_paths(quiver, cap)
 
 
 def _groups_json(res, prefix):
@@ -232,15 +222,12 @@ def _covering_json(rep):
 
 def _dispatch(args, quiver, cap):
     """Returns (result dict, caveats, ok) of a command on one quiver, with
-    the path table of cap `cap`, which (co)homology builds only when its
-    route needs it."""
+    paths listed up to the bound cap `cap`."""
     cmd = args.command
     if cmd in ("homology", "cohomology"):
         prefix = "H" if cmd == "homology" else "H^"
-        table = functools.cache(functools.partial(enumerate_paths, quiver,
-                                                  cap))
-        counts, dims, columns, caveats = cellular_chains(
-            quiver, table, lambda: _classes(table(), args.sharp), cap)
+        counts, dims, columns, caveats = cellular_chains(quiver, args.sharp,
+                                                         cap)
         fn = (homology_of_matrices if cmd == "homology"
               else cohomology_of_matrices)
         res = fn(dims, columns, args.coeff, len(counts) - 1)
@@ -269,7 +256,8 @@ def _dispatch(args, quiver, cap):
         return result, [], True
 
     if cmd == "cells":
-        classes = _classes(table, args.sharp)
+        classes = (walk_homotopy_classes(table) if args.sharp
+                   else natural_homotopy_classes(table))
         cx = build_complex(table, classes, max_dim=args.max_dim)
         cells = {"0": cx.keys[0]}
         for n in range(1, len(cx.keys)):
@@ -347,9 +335,9 @@ def _dispatch(args, quiver, cap):
     raise AssertionError("unhandled command %r" % cmd)
 
 
-def _cover(args, cfg):
-    base_q, base_t = _load(args.base, cfg)
-    cover_q, cover_t = _load(args.cover, cfg)
+def _cover(args, cap):
+    base_q, base_t = _load(args.base, cap)
+    cover_q, cover_t = _load(args.cover, cap)
     p = parse_morphism(_read(args.morphism), cover_q, base_q)
     result = {}
     caveats = []
@@ -399,14 +387,14 @@ def _cover(args, cfg):
     return result, caveats, ok
 
 
-def _dot(args, cfg):
-    quiver, table = _load(args.file, cfg)
+def _dot(args, cap):
+    quiver, table = _load(args.file, cap)
     lines = ["digraph quiver {"]
     lines += ['  "%s";' % v for v in quiver.vertices]
     if args.skeleton:
         # the 1-cells: one per nonzero non-identity class, its witness the
         # least nonzero member
-        cl = _classes(table, False)
+        cl = natural_homotopy_classes(table)
         edges = [(cl.class_source[cid], cl.class_target[cid],
                   "*".join(table.words[cl.rep_index[cid]]))
                  for cid in cl.one_cell_classes()]
@@ -517,24 +505,24 @@ def _check_scalars(args):
 
 def main(argv=None):
     args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
-    cfg = {"path_cap": args.path_cap}
+    cap = DEFAULT_PATH_CAP if args.path_cap is None else args.path_cap
     try:
         _check_scalars(args)
         if args.command == "dot":
-            _emit(_dot(args, cfg), args.out)
+            _emit(_dot(args, cap), args.out)
             return 0
         if args.command == "cover":
             quiver = None
-            result, caveats, ok = _cover(args, cfg)
+            result, caveats, ok = _cover(args, cap)
         else:
             quiver = parse(_read(args.file))
-            result, caveats, ok = _dispatch(args, quiver, _cap(cfg))
+            result, caveats, ok = _dispatch(args, quiver, cap)
         doc = {
             "schema": _SCHEMA,
             "tool": {"name": "bqtop", "version": __version__},
             "command": args.command,
             "input": _input_echo(args, quiver),
-            "config": {k: v for k, v in sorted(cfg.items())},
+            "config": {"path_cap": args.path_cap},
             "ok": ok,
             "result": result,
             "caveats": sorted(set(caveats)),

@@ -50,35 +50,36 @@ A monomial ideal needs no complex for its (co)homology: an acyclic
 matching (Brown 1989, Forman 1998) collapses the natural complex onto
 the quiver's underlying graph, whose vertices and arrows are the only
 critical cells, and the cell counts are binomial sums over the nonzero
-path lengths (`monomial_collapse`); its walk classes are the same.
+path lengths (`graph_collapse`); its walk classes are the same.
 Nor does a thin input (no path in I, one class per vertex pair): its
 complex is the order complex of the vertex poset, counted by chains and
 ranked on the order complex of the poset's Stong core
 (`thin_core_chains`).  `cellular_chains` picks the collapse, the thin
-core or the built complex.  When every relation is a single path it
-builds no path table either: the collapse's nonzero paths are counted
-by length on the automaton of the tips (`core.monomial_path_counts`),
-and those counts are the table's, since a tip is never an arrow and the
-table's bound is max(2, M + 1) for M the longest nonzero length.
+core or the built complex.  The collapse is taken when every relation
+is a single path, and builds no path table: the nonzero paths are
+counted by length on the automaton of the tips
+(`core.monomial_path_counts`), and those counts are the table's, since
+a tip is never an arrow and the table's bound is max(2, M + 1) for M
+the longest nonzero length.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
-from .core import DEFAULT_PATH_CAP, monomial_path_counts
-from .linalg import PrimeField, QQ, rank, smith_divisors, smith_normal_form
+from .core import DEFAULT_PATH_CAP, enumerate_paths, monomial_path_counts
+from .homotopy import natural_homotopy_classes, walk_homotopy_classes
+from .linalg import PrimeField, QQ, rank, smith_divisors
 
 __all__ = [
     "CellComplex", "build_complex", "homology", "cohomology",
-    "cup_product", "euler_characteristic", "smith_normal_form",
+    "cup_product", "euler_characteristic",
     "homology_of_matrices", "cohomology_of_matrices", "parse_coefficients",
-    "HomologyResult", "monomial_collapse", "graph_collapse",
+    "HomologyResult", "graph_collapse",
     "thin_core_chains", "cellular_chains",
 ]
 
@@ -194,17 +195,17 @@ def _face_matrices(faces):
     return {n: FaceColumns(faces[n], n) for n in range(1, len(faces))}
 
 
-def monomial_collapse(table):
-    """(counts, columns) of the natural complex of a monomial bound quiver,
-    collapsed onto its underlying graph; None when the ideal is not
-    monomial.
+def graph_collapse(quiver, lengths):
+    """(counts, columns) of the natural complex of a monomial bound quiver
+    with lengths[m] nonzero paths of length m >= 1, collapsed onto its
+    underlying graph.
 
-    The ideal is monomial when every reduced ideal row is a unit row.  No
-    minimal relation then exists, so the natural classes are the single
-    paths, with no caveat, and an n-cell is a tuple (p_1, ..., p_n) of
-    non-identity paths whose composite w is a nonzero path.  Its n parts
-    cut w, so counts[n] = sum C(|w| - 1, n - 1) over the nonzero paths w
-    of length >= 1, and the top dimension is the greatest such length.
+    A monomial ideal has no minimal relation, so the natural classes are
+    the single paths, with no caveat, and an n-cell is a tuple (p_1, ...,
+    p_n) of non-identity paths whose composite w is a nonzero path.  Its
+    n parts cut w, so counts[n] = sum C(|w| - 1, n - 1) over the nonzero
+    paths w of length >= 1, and the top dimension is the greatest such
+    length.
 
     Match (a p', p_2, ..., p_n) with (a, p', p_2, ..., p_n) for an arrow a
     and a non-identity p' (Brown 1989; Forman 1998).  The lower cell is
@@ -221,18 +222,6 @@ def monomial_collapse(table):
     (co)homology of the quiver's graph: `columns` holds one column
     t(a) - s(a) per arrow, in the rows of the vertices, a loop's empty.
     """
-    if any(len(row) != 1 for rows in table.ideal_rows.values()
-           for row in rows.values()):
-        return None
-    words, in_ideal = table.words, table.in_ideal
-    nv = len(table.quiver.vertices)
-    return graph_collapse(table.quiver, collections.Counter(
-        len(words[i]) for i in range(nv, len(words)) if i not in in_ideal))
-
-
-def graph_collapse(quiver, lengths):
-    """(counts, columns) of `monomial_collapse` for a monomial bound
-    quiver with lengths[m] nonzero paths of length m >= 1."""
     top = max(lengths, default=0)
     counts = [len(quiver.vertices)] + [
         sum(k * math.comb(m - 1, n - 1) for m, k in lengths.items())
@@ -631,14 +620,13 @@ def cohomology_of_matrices(dims, mats, coeff, top):
         (free, tors[n]) for n, (free, _) in enumerate(res.groups)))
 
 
-def cellular_chains(quiver, table, classes, cap=DEFAULT_PATH_CAP):
+def cellular_chains(quiver, sharp=False, cap=DEFAULT_PATH_CAP):
     """(counts, dims, boundary columns, caveats) of a bound quiver's
-    complex for (co)homology; `table()` gives its path table (of cap
-    `cap`) and `classes()` its class table (natural or walk), each called
-    only when the route needs it.
+    complex for (co)homology, under the walk classes when `sharp`, else
+    the natural ones, with paths listed up to the bound cap `cap`.
 
     When every relation is a single path, the ideal is monomial and its
-    chains are `monomial_collapse`'s, with the nonzero paths counted by
+    chains are `graph_collapse`'s, with the nonzero paths counted by
     length on its tips' automaton (`monomial_path_counts`), so no table
     is built.  The counts are the table's.  A path lies in a monomial
     ideal exactly when a tip occurs in it, and a tip is never an arrow
@@ -650,8 +638,6 @@ def cellular_chains(quiver, table, classes, cap=DEFAULT_PATH_CAP):
     outside I are exactly the nonzero paths that the walk counts.  On a
     cyclic quiver both refuse, with the same message, exactly when a
     nonzero path of length `cap` exists.
-    An ideal that is monomial only after reduction (every reduced ideal
-    row a single path) reads its lengths off the table.
     A monomial ideal's chains are the collapse's under walk classes too,
     as those are then the single paths with no caveat:
     - no ideal row links two paths, so there is no seed and no join;
@@ -659,18 +645,19 @@ def cellular_chains(quiver, table, classes, cap=DEFAULT_PATH_CAP):
     - for distinct parallel paths u, v, cancelling the common suffix of
       u v^-1 leaves a nonempty reduced word, which is nontrivial, and
       `word_is_trivial` says False: no pair is undecided.
-    Otherwise, when the input is thin under the classes, the counts are
-    its vertex poset's chains and the columns those of the order complex
-    of the poset's core (`thin_core_chains`), ranked up to the longest
-    chain; else the complex is built and ranked off its face rows.
+    Otherwise the path table and the classes are built.  When the input
+    is thin under the classes, the counts are its vertex poset's chains
+    and the columns those of the order complex of the poset's core
+    (`thin_core_chains`), ranked up to the longest chain; else the
+    complex is built and ranked off its face rows.
     """
     lengths = monomial_path_counts(quiver, cap)
-    collapsed = (monomial_collapse(table()) if lengths is None
-                 else graph_collapse(quiver, lengths))
-    if collapsed is not None:
-        counts, columns = collapsed
+    if lengths is not None:
+        counts, columns = graph_collapse(quiver, lengths)
         return counts, {0: counts[0], 1: len(columns)}, {1: columns}, []
-    table, classes = table(), classes()
+    table = enumerate_paths(quiver, cap)
+    classes = (walk_homotopy_classes(table) if sharp
+               else natural_homotopy_classes(table))
     thin = thin_core_chains(table, classes)
     if thin is not None:
         counts, dims, faces = thin

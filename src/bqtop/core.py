@@ -37,6 +37,8 @@ When every relation is a single path, `monomial_path_counts` counts the
 nonzero paths by length without a table, on the automaton of the
 relations' paths as written: a path holding a relation that holds a
 shorter one holds the shorter one too, so the tips need not be minimal.
+On a cyclic quiver it refuses as the table does, so `enumerate_paths`
+calls it first there and lists no word of an unbounded one.
 """
 
 from __future__ import annotations
@@ -609,7 +611,10 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     (vacuously when there is none, e.g. one past the longest path of an
     acyclic quiver, so the cap only guards cyclic searches).  Raises
     AdmissibilityError, naming a path of length `cap` whose normal form
-    is not 0, when no L <= cap works.
+    is not 0, when no L <= cap works.  A cyclic quiver whose relations
+    are single paths is refused first by `monomial_path_counts`, with
+    the same error, before any word is listed: a quiver with no relation
+    has k^L words of length L on k loops.
 
     At a certified L the rules already reduce exactly modulo I on the
     paths of length <= L, with words of length >= L read as 0.  With
@@ -624,6 +629,8 @@ def enumerate_paths(quiver, cap=DEFAULT_PATH_CAP):
     is the least L' >= 2 whose paths all have normal form 0.
     """
     acyclic = quiver.is_acyclic()
+    if not acyclic:
+        monomial_path_counts(quiver, cap)
     rules = _Rewriting(quiver)
     rules.add({p.arrows: c for p, c in rel.terms}
               for rel in quiver.relations)

@@ -176,6 +176,12 @@ before it counted on the relations' paths as written: the relations go
 through `_Rewriting.add`, which keeps the minimal ones only, and the
 automaton is built on those.
 
+`monomial_collapse` is the collapse of a monomial quiver's complex onto
+its graph as `cellular_chains` took it before the route was chosen on
+the relations as written: it reads the nonzero path lengths off the
+path table, whenever every reduced ideal row is a single path, so it
+also takes the ideals that are monomial only after reduction.
+
 `square_zero_chain_text` writes the radical-square-zero chains and
 cycles that the `square_zero_chain` fixture and the CI step on the
 2,000-arrow chain use.
@@ -232,8 +238,8 @@ from bqtop.algcohom import (NoSemiNormedBasis, PhiPsiReport,
                             _acyclic_classes, simplicial_complex)
 from bqtop.cli import _build_parser
 from bqtop.complex import (build_complex, check_faces_square_zero,
-                           euler_characteristic, parse_coefficients,
-                           sparse_column)
+                           euler_characteristic, graph_collapse,
+                           parse_coefficients, sparse_column)
 from bqtop.coverings import (CellMapReport, DeckReport, NotACovering,
                              NotGalois, QuiverMorphism, _faces_commute,
                              _induced_cell_map, check_covering, check_galois,
@@ -1002,6 +1008,24 @@ def rewriting_monomial_path_counts(quiver, cap=DEFAULT_PATH_CAP):
                 witness.append(name)
                 at = (nxt,)
             raise _unbounded(quiver, cap, witness)
+
+
+def monomial_collapse(table):
+    """(counts, columns) of the natural complex of a monomial bound quiver,
+    collapsed onto its underlying graph; None when the ideal is not
+    monomial.
+
+    The ideal is monomial when every reduced ideal row is a unit row.  The
+    nonzero paths of length >= 1 are read off the table by length, and
+    `graph_collapse` gives the counts and the one boundary matrix.
+    """
+    if any(len(row) != 1 for rows in table.ideal_rows.values()
+           for row in rows.values()):
+        return None
+    words, in_ideal = table.words, table.in_ideal
+    nv = len(table.quiver.vertices)
+    return graph_collapse(table.quiver, collections.Counter(
+        len(words[i]) for i in range(nv, len(words)) if i not in in_ideal))
 
 
 def square_zero_chain_text(n, cycle=False):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from bqtop import cli, coverings
+from bqtop import cli, core, coverings
 from bqtop import complex as cellular
 from bqtop.cli import _report_text, main
 from bqtop.complex import build_complex, cohomology, homology
@@ -327,11 +327,11 @@ def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
             return fn(*args, **kwargs)
         return count
 
+    # (co)homology builds its table, classes and complex in `complex`
     for fn in (build_complex, natural_homotopy_classes,
                walk_homotopy_classes, enumerate_paths):
         monkeypatch.setattr(cli, fn.__name__, counted(fn))
-    # (co)homology builds its complex in `complex`
-    monkeypatch.setattr(cellular, "build_complex", counted(build_complex))
+        monkeypatch.setattr(cellular, fn.__name__, counted(fn))
     grids = load_bench_workloads().complexes_inputs(17)
     mono, free = tmp_path / "mono5x5.bq", tmp_path / "free3x4.bq"
     mono.write_text(grids["mono5x5"])
@@ -358,8 +358,8 @@ def test_monomial_homology_skips_classes_and_complex(monkeypatch, tmp_path,
             (["homology", "--sharp", board], walked),
             (["cohomology", "--sharp", board], walked),
             (["homology", board], built),
-            (["homology", reduced], table),
-            (["cohomology", "--sharp", reduced], table)]
+            (["homology", reduced], built),
+            (["cohomology", "--sharp", reduced], walked)]
     # a quiver whose relations are single paths builds no path table
     for src in (mono, free, corpus):
         runs += [([cmd, *flags, src], {})
@@ -379,19 +379,44 @@ def test_monomial_homology_refuses_as_the_table_does(monkeypatch, tmp_path):
     loops.write_text("".join("arrow a%d 1 1\n" % i for i in range(4)))
     loops = str(loops)
     for cap in ("2", "4", "6"):
-        assert run_cli(["homology", "--path-cap", cap, loops]) \
-            == run_cli(["check", "--path-cap", cap, loops])
+        with monkeypatch.context() as mp:
+            # the table lists its words, with no early count
+            mp.setattr(core, "monomial_path_counts", lambda quiver, cap: None)
+            listed = run_cli(["check", "--path-cap", cap, loops])
+        assert run_cli(["homology", "--path-cap", cap, loops]) == listed
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("a single-path quiver's table is not built")
 
     monkeypatch.setattr(cli, "enumerate_paths", unbuilt)
+    monkeypatch.setattr(cellular, "enumerate_paths", unbuilt)
     for cmd in ("homology", "cohomology"):
         assert run_cli([cmd, "--sharp", loops]) == (
             2, "", "bqtop: no nilpotency bound L <= 12 certifies the ideal "
             "admissible: the path %s of length 12 does not reduce to 0; "
             "raise the path cap if the quiver is genuinely bounded\n"
             % "*".join(["a0"] * 12))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("cmd", ["check", "cells", "pi1", "dot",
+                                 "hochschild"])
+def test_unbounded_single_path_quiver_is_refused_unlisted(
+        monkeypatch, tmp_path, cmd, k):
+    # k loops at one vertex have k^12 words of length 12; the table
+    # refuses them on their count, before it lists a word
+    loops = tmp_path / "loops.bq"
+    loops.write_text("".join("arrow a%d 1 1\n" % i for i in range(k)))
+
+    def unlisted(*args, **kwargs):
+        raise AssertionError("an unbounded quiver's words are not listed")
+
+    monkeypatch.setattr(core, "_normal_forms", unlisted)
+    assert run_cli([cmd, str(loops)]) == (
+        2, "", "bqtop: no nilpotency bound L <= 12 certifies the ideal "
+        "admissible: the path %s of length 12 does not reduce to 0; "
+        "raise the path cap if the quiver is genuinely bounded\n"
+        % "*".join(["a0"] * 12))
 
 
 def test_check_on_a_short_cycle(tmp_path):

@@ -281,10 +281,13 @@ def test_path_objects_are_built_on_first_read(monkeypatch, tmp_path,
             return built[-1]
         return record
 
-    monkeypatch.setattr(cli, "enumerate_paths",
-                        recording(tables, enumerate_paths))
-    monkeypatch.setattr(cli, "natural_homotopy_classes",
-                        recording(classes, natural_homotopy_classes))
+    # cells builds its table and classes in `cli`, (co)homology in
+    # `complex`
+    for module in (cli, cellular):
+        monkeypatch.setattr(module, "enumerate_paths",
+                            recording(tables, enumerate_paths))
+        monkeypatch.setattr(module, "natural_homotopy_classes",
+                            recording(classes, natural_homotopy_classes))
     mono = tmp_path / "mono5x5.bq"
     mono.write_text(load_bench_workloads().complexes_inputs(17)["mono5x5"])
     for src in (str(mono), comm_grid(3)):

@@ -33,8 +33,7 @@ from bqtop import algcohom, cli
 from bqtop import complex as cellular
 from bqtop import core
 from bqtop.complex import (check_faces_square_zero, cohomology_of_matrices,
-                           face_columns, homology_of_matrices,
-                           monomial_collapse)
+                           face_columns, homology_of_matrices)
 from bqtop.core import (AdmissibilityError, NotConnectedError, Path,
                         PathTable, path_sort_key)
 from bqtop.dsl import parse, serialize
@@ -59,7 +58,7 @@ from oracles import (CORPUS, FRACTIONS, MONOMIAL, SAMPLES, SEED, TRUNCATED,
                      flag_scan_semi_commutative,
                      folded_epsilon_mu, forward_paths,
                      lengthwise_path_table, load_bench_workloads,
-                     local_rows, loops,
+                     local_rows, loops, monomial_collapse,
                      object_complex,
                      unit_pivot_smith_divisors,
                      object_path_table, path_vertices, paths_between,
@@ -300,8 +299,12 @@ def cli_report(argv):
 
 def test_monomial_walk_classes_are_the_paths(tmp_path, monkeypatch):
     # under a monomial ideal the walk classes are the natural ones, the
-    # single paths, with no caveat; so `--sharp` (co)homology takes the
-    # collapse onto the graph, and its reports equal the built complex's
+    # single paths, with no caveat; so `--sharp` (co)homology of a quiver
+    # whose relations are single paths takes the collapse onto the graph,
+    # and its reports equal the built complex's.  A quiver monomial only
+    # after reduction builds its complex, whose counts and groups
+    # `test_monomial_collapse_matches_the_built_complex` pins to the
+    # collapse's
     inputs = []
     for i, q in enumerate(differential_quivers()):
         t = enumerate_paths(q)
@@ -325,9 +328,9 @@ def test_monomial_walk_classes_are_the_paths(tmp_path, monkeypatch):
                 argv = [cmd, "--sharp", "--coeff", coeff, path]
                 collapsed = cli_report(argv)
                 with monkeypatch.context() as mp:
-                    # both sources of path lengths collapse nothing
-                    mp.setattr(cellular, "graph_collapse",
-                               lambda quiver, lengths: None)
+                    # with no path count the route builds the complex
+                    mp.setattr(cellular, "monomial_path_counts",
+                               lambda quiver, cap: None)
                     built = cli_report(argv)
                 assert collapsed == built, argv
 
@@ -851,8 +854,8 @@ def test_dot_skeleton_matches_the_one_cells_of_the_complex(monkeypatch):
     edges = 0
     for k, q in enumerate(differential_quivers()):
         t = enumerate_paths(q)
-        monkeypatch.setattr(cli, "_load", lambda path, cfg, got=(q, t): got)
-        dot = cli._dot(args, {"path_cap": None})
+        monkeypatch.setattr(cli, "_load", lambda path, cap, got=(q, t): got)
+        dot = cli._dot(args, core.DEFAULT_PATH_CAP)
         assert dot == complex_skeleton_dot(t), k
         edges += dot.count(" -> ")
     assert edges == 2794
